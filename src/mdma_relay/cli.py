@@ -106,10 +106,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     topo, cfg = _setup(args)
+    if args.trace_out and args.trace_slots < 1:
+        raise ConfigError("--trace-out needs --trace-slots of at least 1")
     est = simulate(args.scheme, topo, cfg, args.trials, seed=args.seed, options=_options(args))
     doc = est.to_dict()
     _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
-    if args.trace_out and est.trace:
+    if args.trace_out:
         rows = trace_to_csv_rows(est.trace)
         with open(args.trace_out, "w", encoding="utf-8", newline="\n") as fh:
             w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()), lineterminator="\n")

@@ -10,7 +10,6 @@ cost per delivered reception and the resource utilization efficiency follow.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,10 +26,6 @@ PHASE_ORDER = ("shared", "personal1", "personal2")
 PHASE_SOURCE = {"shared": 1, "personal1": 1, "personal2": 2}
 
 
-class ConvergenceError(RuntimeError):
-    """Stationary-distribution iteration failed to converge."""
-
-
 class ProtocolState(NamedTuple):
     phase: str  # one of PHASE_ORDER
     step: int   # 1 = source broadcast, 2 = relay forwarding
@@ -44,6 +39,10 @@ class ProtocolState(NamedTuple):
 
 def phase_plan(beta_s: int, beta_p: int) -> list[tuple[str, int]]:
     """Nonempty phases with their repetition counts, in protocol order."""
+    if beta_s < 0 or beta_p < 0:
+        raise ConfigError("repetition counts must be nonnegative")
+    if beta_s + beta_p == 0:
+        raise ConfigError("at least one phase must be nonempty")
     plan = [("shared", beta_s), ("personal1", beta_p), ("personal2", beta_p)]
     return [(name, reps) for name, reps in plan if reps > 0]
 
@@ -88,6 +87,17 @@ def _check_prob(name: str, value: float) -> float:
     return value
 
 
+def _phase_probs(outages: StepOutageSet, phase: str) -> tuple[float, float, float]:
+    """Broadcast outage, relay outage and empty-decode-set probability of a phase."""
+    src = PHASE_SOURCE[phase]
+    empty = outages.empty_set_prob_s1 if src == 1 else outages.empty_set_prob_s2
+    return (
+        _check_prob(f"{phase} broadcast outage", outages.by_step(phase, 1)),
+        _check_prob(f"{phase} relay outage", outages.by_step(phase, 2)),
+        _check_prob(f"empty_set_prob_s{src}", empty),
+    )
+
+
 def build_chain(
     outages: StepOutageSet,
     beta_s: int,
@@ -109,21 +119,11 @@ def build_chain(
     state, reproducing a transition-table variant in which the second
     source's phase is unreachable.
     """
-    if beta_s < 0 or beta_p < 0:
-        raise ConfigError("repetition counts must be nonnegative")
-    if beta_s + beta_p == 0:
-        raise ConfigError("at least one phase must be nonempty")
     plan = phase_plan(beta_s, beta_p)
     states = protocol_states(beta_s, beta_p)
     index = {s: i for i, s in enumerate(states)}
     n = len(states)
     t = np.zeros((n, n))
-
-    empty_prob = {
-        "shared": _check_prob("empty_set_prob_s1", outages.empty_set_prob_s1),
-        "personal1": _check_prob("empty_set_prob_s1", outages.empty_set_prob_s1),
-        "personal2": _check_prob("empty_set_prob_s2", outages.empty_set_prob_s2),
-    }
 
     first_state = {phase: ProtocolState(phase, 1, 1) for phase, _ in plan}
     next_phase = {}
@@ -132,9 +132,7 @@ def build_chain(
         next_phase[phase] = successor
 
     for phase, reps in plan:
-        op_b = _check_prob(f"{phase} broadcast outage", outages.by_step(phase, 1))
-        op_r = _check_prob(f"{phase} relay outage", outages.by_step(phase, 2))
-        empty = empty_prob[phase]
+        op_b, op_r, empty = _phase_probs(outages, phase)
         for j in range(1, reps + 1):
             bcast = index[ProtocolState(phase, 1, j)]
             relay = index[ProtocolState(phase, 2, j)]
@@ -152,44 +150,50 @@ def build_chain(
     return TransitionMatrix(tuple(states), t)
 
 
-def stationary_distribution(
-    chain: TransitionMatrix,
-    method: str = "power",
-    tol: float = 1e-12,
-    max_iter: int = 1_000_000,
-    initial_state: int = 0,
+def ring_distribution(
+    outages: StepOutageSet,
+    beta_s: int,
+    beta_p: int,
+    literal_personal1_wrap: bool = False,
 ) -> np.ndarray:
+    """Stationary vector of the protocol chain in closed form.
+
+    The chain is a ring of (broadcast, relay) state pairs, each entered once
+    per cycle at its broadcast state and left only by advancing.  A
+    broadcast visit leads to an advance, directly or through the relay
+    state, with probability q = (1 - op_b) + op_b (1 - e) (1 - op_r), so
+    per cycle the broadcast state is visited 1/q times and the relay state
+    op_b (1 - e)/q times.  Under ``literal_personal1_wrap`` the first
+    personalized phase is a closed ring of its own and holds all the mass.
+    """
+    trapped = literal_personal1_wrap and beta_p > 0
+    weights = []
+    for phase, reps in phase_plan(beta_s, beta_p):
+        op_b, op_r, empty = _phase_probs(outages, phase)
+        q = (1.0 - op_b) + op_b * (1.0 - empty) * (1.0 - op_r)
+        if q <= 0.0:
+            raise ConfigError(f"the {phase} phase never advances: every attempt fails")
+        live = not trapped or phase == "personal1"
+        pair = [1.0 / q, op_b * (1.0 - empty) / q] if live else [0.0, 0.0]
+        weights += pair * reps
+    pi = np.array(weights)
+    return pi / pi.sum()
+
+
+def stationary_distribution(chain: TransitionMatrix) -> np.ndarray:
     """Stationary row vector with pi @ T == pi and sum(pi) == 1.
 
-    ``power`` iterates the half-lazy map p <- p (T + I)/2 from a point mass;
-    the averaging leaves the fixed point unchanged and converges even for
-    the periodic cycle produced by failure-free configurations.  ``direct``
-    solves the linear system as an independent cross-check.
+    Solves the linear system directly; it is the independent check on
+    ``ring_distribution``.
     """
     t = chain.matrix
     n = chain.size
-    if method == "direct":
-        aug = np.vstack([t.T - np.eye(n), np.ones((1, n))])
-        rhs = np.zeros(n + 1)
-        rhs[-1] = 1.0
-        pi, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
-        pi = np.maximum(pi, 0.0)
-        return pi / pi.sum()
-    if method != "power":
-        raise ConfigError(f"unknown method {method!r}")
-    p = np.zeros(n)
-    p[initial_state] = 1.0
-    delta = math.inf
-    for _ in range(max_iter):
-        nxt = 0.5 * (p + p @ t)
-        delta = float(np.max(np.abs(nxt - p)))
-        p = nxt
-        if delta < tol:
-            return p / p.sum()
-    raise ConvergenceError(
-        f"power iteration did not reach {tol:g} in {max_iter} steps "
-        f"(last change {delta:.3e})"
-    )
+    aug = np.vstack([t.T - np.eye(n), np.ones((1, n))])
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    pi, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
+    pi = np.maximum(pi, 0.0)
+    return pi / pi.sum()
 
 
 def overall_outage(
@@ -241,7 +245,7 @@ def solve_chain(
     literal_personal1_wrap: bool = False,
 ) -> ChainSolution:
     chain = build_chain(outages, beta_s, beta_p, literal_personal1_wrap)
-    pi = stationary_distribution(chain)
+    pi = ring_distribution(outages, beta_s, beta_p, literal_personal1_wrap)
     op = overall_outage(pi, outages, list(chain.states))
     tc = slot_cost(op)
     phi = resource_efficiency(tc, beta_s, beta_p, bandwidth_units, power_units)

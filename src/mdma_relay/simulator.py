@@ -15,7 +15,7 @@ every assumption is a configurable ``SimOptions`` field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class SimOptions:
     noma_rho: float = 0.7            # power fraction allotted to source 1
     noma_sic_order: str = "mean"     # "mean" or "instant" received-power order
     trace_limit: int = 0             # record at most this many slot events
-    block_slots: int | None = None   # split the run into derived-seed blocks
 
     def __post_init__(self):
         if not 0.0 < self.noma_rho < 1.0:
@@ -289,120 +288,128 @@ def _bitmask(flags) -> int:
     return int(sum(1 << i for i, f in enumerate(flags) if f))
 
 
-def _merge_estimates(parts: list[SimEstimate]) -> SimEstimate:
-    """Deterministic merge in block-index order; counts and sums add up."""
-    first = parts[0]
-    merged = replace(first)
-    merged.occupancy_counts = first.occupancy_counts.copy()
-    merged.per_step = {k: StepStats(v.attempts, v.failures) for k, v in first.per_step.items()}
-    merged.decode_attempts = dict(first.decode_attempts)
-    merged.decode_empties = dict(first.decode_empties)
-    merged.trace = list(first.trace)
-    for part in parts[1:]:
-        merged.slots += part.slots
-        merged.attempts += part.attempts
-        merged.failures += part.failures
-        merged.successes += part.successes
-        merged.pairs += part.pairs
-        merged.pair_duration_sum += part.pair_duration_sum
-        merged.pair_duration_sumsq += part.pair_duration_sumsq
-        merged.occupancy_counts = merged.occupancy_counts + part.occupancy_counts
-        for k, v in part.per_step.items():
-            agg = merged.per_step.setdefault(k, StepStats())
-            agg.attempts += v.attempts
-            agg.failures += v.failures
-        for src, n in part.decode_attempts.items():
-            merged.decode_attempts[src] = merged.decode_attempts.get(src, 0) + n
-        for src, n in part.decode_empties.items():
-            merged.decode_empties[src] = merged.decode_empties.get(src, 0) + n
-        merged.trace.extend(part.trace)
-    return merged
+class _Tally:
+    """Counters every runner keeps, turned into a SimEstimate by `estimate`."""
 
+    def __init__(self, labels: list[str], step_keys: list[str]):
+        self.labels = labels
+        self.occupancy = np.zeros(len(labels), dtype=np.int64)
+        self.per_step = {key: StepStats() for key in step_keys}
+        self.decode_attempts = {1: 0, 2: 0}
+        self.decode_empties = {1: 0, 2: 0}
+        self.trace: list[SlotEvent] = []
+        self.pairs = 0
+        self.dur_sum = self.dur_sumsq = 0.0
+        self.pair_start = 0
 
-def _run_blocks(runner, slots: int, seed: int, block_slots: int | None) -> SimEstimate:
-    if block_slots is None or block_slots >= slots:
-        return runner(slots, make_rng(seed, 0), seed)
-    parts = []
-    start = 0
-    stream = 0
-    while start < slots:
-        n = min(block_slots, slots - start)
-        parts.append(runner(n, make_rng(seed, stream), seed))
-        start += n
-        stream += 1
-    return _merge_estimates(parts)
+    def close_pair(self, slot: int) -> None:
+        d = slot + 1 - self.pair_start
+        self.pairs += 1
+        self.dur_sum += d
+        self.dur_sumsq += d * d
+        self.pair_start = slot + 1
+
+    def estimate(self, scheme: str, config: SystemConfig, slots: int, seed: int) -> SimEstimate:
+        # Every attempt is one step of one state and either fails or succeeds.
+        attempts = sum(v.attempts for v in self.per_step.values())
+        failures = sum(v.failures for v in self.per_step.values())
+        bw, pw = SCHEME_RESOURCES[scheme]
+        return SimEstimate(
+            scheme=scheme,
+            slots=slots,
+            seed=seed,
+            attempts=attempts,
+            failures=failures,
+            successes=attempts - failures,
+            per_step=self.per_step,
+            occupancy_labels=self.labels,
+            occupancy_counts=self.occupancy,
+            pairs=self.pairs,
+            pair_duration_sum=self.dur_sum,
+            pair_duration_sumsq=self.dur_sumsq,
+            bandwidth_units=bw * config.bandwidth_units,
+            power_units=pw * config.power_units,
+            decode_attempts=self.decode_attempts,
+            decode_empties=self.decode_empties,
+            trace=self.trace,
+        )
 
 
 # ---------------------------------------------------------------------------
-# Phase-cycle schemes: MDMA and the TDMA baseline.
+# Band engine: MDMA, TDMA and FDMA.  A band cycles through its own phases
+# of (name, source, repetitions) and takes one step per slot.  MDMA and
+# TDMA run one band; FDMA runs one single-phase band per source.
 # ---------------------------------------------------------------------------
 
-def _phase_cycle_runner(
+def _run_bands(
     topology: NetworkTopology,
     config: SystemConfig,
     scheme: str,
-    plan: list[tuple[str, int, int]],
+    bands: list[list[tuple[str, int, int]]],
+    slots: int,
+    seed: int,
     options: SimOptions,
-):
-    """Build a runner for phases of (name, source, repetitions) in a fixed cycle."""
+) -> SimEstimate:
+    """Step every band once per slot, in band order.
+
+    A pair is delivered in the slot where the smallest completed-cycle
+    count across bands goes up.
+    """
     gamma_th = config.gamma_th
     rates = {s: link_rates(topology, config, s) for s in (1, 2)}
-    m = topology.num_relays
+    rng = make_rng(seed, 0)
+    bpool = {
+        s: _BcastPool(rng, _means(rates[s].direct), _means(rates[s].source_relay), gamma_th)
+        for s in (1, 2)
+    }
+    nodecode = np.zeros(topology.num_relays, dtype=bool)
+    cooperate = options.relay_cooperation
+    tracing = options.trace_limit > 0
 
-    state_labels: list[str] = []
-    occ_base = []  # per phase: index of (bcast, rep 1)
-    for name, _src, reps in plan:
-        occ_base.append(len(state_labels))
-        for j in range(1, reps + 1):
-            state_labels.append(f"{name}:bcast:{j}")
-            state_labels.append(f"{name}:relay:{j}")
+    labels: list[str] = []
+    step_keys: list[str] = []
+    phase_bases = []  # per band, per phase: index of (bcast, rep 1)
+    for plan in bands:
+        phase_bases.append([])
+        for name, _src, reps in plan:
+            phase_bases[-1].append(len(labels))
+            step_keys += [f"{name}:bcast", f"{name}:relay"]
+            for j in range(1, reps + 1):
+                labels.append(f"{name}:bcast:{j}")
+                labels.append(f"{name}:relay:{j}")
+    tally = _Tally(labels, step_keys)
+    cycles = [0] * len(bands)
 
-    def run(slots: int, rng: np.random.Generator, seed: int) -> SimEstimate:
-        cooperate = options.relay_cooperation
-        tracing = options.trace_limit > 0
-        bpool = {
-            s: _BcastPool(rng, _means(rates[s].direct), _means(rates[s].source_relay), gamma_th)
-            for s in (1, 2)
-        }
-        relay_pool = _ExpRowPool(rng, _means(rates[1].relay_dest))
-        nodecode = np.zeros(m, dtype=bool)
-
-        occupancy = np.zeros(len(state_labels), dtype=np.int64)
-        per_step = {
-            f"{name}:{kind}": StepStats()
-            for name, _s, _r in plan
-            for kind in ("bcast", "relay")
-        }
+    def band_steps(k: int):
+        """Generator taking band k's step for one slot per resumption."""
         # Local references keep the slot loop free of dict formatting.
         phase_rows = [
             (
+                bpool[src].next,
                 src,
                 reps,
-                occ_base[k],
-                per_step[f"{name}:bcast"],
-                per_step[f"{name}:relay"],
+                phase_bases[k][i],
+                tally.per_step[f"{name}:bcast"],
+                tally.per_step[f"{name}:relay"],
                 name,
             )
-            for k, (name, src, reps) in enumerate(plan)
+            for i, (name, src, reps) in enumerate(bands[k])
         ]
-        decode_attempts = {1: 0, 2: 0}
-        decode_empties = {1: 0, 2: 0}
-        trace: list[SlotEvent] = []
-        attempts = failures = successes = 0
-        pairs = 0
-        dur_sum = dur_sumsq = 0.0
-        cycle_start = 0
+        relay_pool = _ExpRowPool(rng, _means(rates[1].relay_dest))
+        occupancy = tally.occupancy
+        decode_attempts = tally.decode_attempts
+        decode_empties = tally.decode_empties
+        trace = tally.trace
 
         phase_idx, rep, step = 0, 1, 1
         retained = 0.0
         cmask = nodecode
 
         for slot in range(slots):
-            src, reps, base, bstats, rstats, name = phase_rows[phase_idx]
-            attempts += 1
+            draw_bcast, src, reps, base, bstats, rstats, name = phase_rows[phase_idx]
             advanced = False
             if step == 1:
-                g, ok, row, rowb, anyb = bpool[src].next()
+                g, ok, row, rowb, anyb = draw_bcast()
                 if not cooperate:
                     rowb, anyb = nodecode, False
                 decode_attempts[src] += 1
@@ -411,11 +418,9 @@ def _phase_cycle_runner(
                 occupancy[base + 2 * (rep - 1)] += 1
                 bstats.attempts += 1
                 if ok:
-                    successes += 1
                     advanced = True
                 else:
                     bstats.failures += 1
-                    failures += 1
                     if anyb:
                         retained = g
                         cmask = rowb
@@ -438,11 +443,9 @@ def _phase_cycle_runner(
                 occupancy[base + 2 * (rep - 1) + 1] += 1
                 rstats.attempts += 1
                 if ok:
-                    successes += 1
                     advanced = True
                 else:
                     rstats.failures += 1
-                    failures += 1
                 step = 1
                 if tracing and len(trace) < options.trace_limit:
                     trace.append(
@@ -464,34 +467,15 @@ def _phase_cycle_runner(
                     phase_idx += 1
                     if phase_idx >= len(phase_rows):
                         phase_idx = 0
-                        pairs += 1
-                        d = slot + 1 - cycle_start
-                        dur_sum += d
-                        dur_sumsq += d * d
-                        cycle_start = slot + 1
+                        cycles[k] += 1
+                        if min(cycles) > tally.pairs:
+                            tally.close_pair(slot)
+            yield
 
-        bw, pw = SCHEME_RESOURCES[scheme]
-        return SimEstimate(
-            scheme=scheme,
-            slots=slots,
-            seed=seed,
-            attempts=attempts,
-            failures=failures,
-            successes=successes,
-            per_step=per_step,
-            occupancy_labels=list(state_labels),
-            occupancy_counts=occupancy,
-            pairs=pairs,
-            pair_duration_sum=dur_sum,
-            pair_duration_sumsq=dur_sumsq,
-            bandwidth_units=bw * config.bandwidth_units,
-            power_units=pw * config.power_units,
-            decode_attempts=decode_attempts,
-            decode_empties=decode_empties,
-            trace=trace,
-        )
-
-    return run
+    # zip resumes the bands in order, once per slot, until the slots run out.
+    for _ in zip(*(band_steps(k) for k in range(len(bands)))):
+        pass
+    return tally.estimate(scheme, config, slots, seed)
 
 
 def run_mdma(
@@ -508,138 +492,11 @@ def run_mdma(
         (name, markov.PHASE_SOURCE[name], reps)
         for name, reps in markov.phase_plan(config.beta_s, config.beta_p)
     ]
-    runner = _phase_cycle_runner(topology, config, "mdma", plan, options)
-    return _run_blocks(runner, slots, seed, options.block_slots)
+    return _run_bands(topology, config, "mdma", [plan], slots, seed, options)
 
 
 def _payload_reps(config: SystemConfig) -> int:
     return max(1, math.ceil(round(config.total_bits / config.rate_r0, 9)))
-
-
-def _run_tdma(topology, config, slots, seed, options) -> SimEstimate:
-    """Sources alternate delivering their full payload, one at a time."""
-    beta_t = _payload_reps(config)
-    plan = [("payload1", 1, beta_t), ("payload2", 2, beta_t)]
-    runner = _phase_cycle_runner(topology, config, "tdma", plan, options)
-    return _run_blocks(runner, slots, seed, options.block_slots)
-
-
-# ---------------------------------------------------------------------------
-# FDMA baseline: both sources run the single-source protocol concurrently
-# on orthogonal bands (two bandwidth units, two power units).
-# ---------------------------------------------------------------------------
-
-def _run_fdma(topology, config, slots, seed, options) -> SimEstimate:
-    beta_t = _payload_reps(config)
-    gamma_th = config.gamma_th
-    m = topology.num_relays
-    rates = {s: link_rates(topology, config, s) for s in (1, 2)}
-
-    labels: list[str] = []
-    base = {}
-    for s in (1, 2):
-        base[s] = len(labels)
-        for j in range(1, beta_t + 1):
-            labels.append(f"band{s}:bcast:{j}")
-            labels.append(f"band{s}:relay:{j}")
-
-    def run(n_slots: int, rng: np.random.Generator, sd: int) -> SimEstimate:
-        cooperate = options.relay_cooperation
-        bpool = {
-            s: _BcastPool(rng, _means(rates[s].direct), _means(rates[s].source_relay), gamma_th)
-            for s in (1, 2)
-        }
-        rpool = {s: _ExpRowPool(rng, _means(rates[s].relay_dest)) for s in (1, 2)}
-        nodecode = np.zeros(m, dtype=bool)
-
-        occupancy = np.zeros(len(labels), dtype=np.int64)
-        per_step = {
-            f"band{s}:{kind}": StepStats() for s in (1, 2) for kind in ("bcast", "relay")
-        }
-        stats_ref = {s: (per_step[f"band{s}:bcast"], per_step[f"band{s}:relay"]) for s in (1, 2)}
-        decode_attempts = {1: 0, 2: 0}
-        decode_empties = {1: 0, 2: 0}
-        attempts = failures = successes = 0
-        payloads = {1: 0, 2: 0}
-        pairs = 0
-        dur_sum = dur_sumsq = 0.0
-        pair_start = 0
-
-        # Per band: [repetition, step, retained direct SNR, decode mask].
-        st: dict[int, list] = {s: [1, 1, 0.0, nodecode] for s in (1, 2)}
-
-        for slot in range(n_slots):
-            for s in (1, 2):
-                rep, step, retained, cmask = st[s]
-                attempts += 1
-                bstats, rstats = stats_ref[s]
-                advanced = False
-                if step == 1:
-                    g, ok, _row, rowb, anyb = bpool[s].next()
-                    if not cooperate:
-                        rowb, anyb = nodecode, False
-                    decode_attempts[s] += 1
-                    if not anyb:
-                        decode_empties[s] += 1
-                    occupancy[base[s] + 2 * (rep - 1)] += 1
-                    bstats.attempts += 1
-                    if ok:
-                        successes += 1
-                        advanced = True
-                    else:
-                        bstats.failures += 1
-                        failures += 1
-                        if anyb:
-                            st[s][2] = g
-                            st[s][3] = rowb
-                            st[s][1] = 2
-                else:
-                    rid = rpool[s].next_row()
-                    mrc = retained + float(np.dot(rid, cmask))
-                    occupancy[base[s] + 2 * (rep - 1) + 1] += 1
-                    rstats.attempts += 1
-                    if mrc >= gamma_th:
-                        successes += 1
-                        advanced = True
-                    else:
-                        rstats.failures += 1
-                        failures += 1
-                    st[s][1] = 1
-                if advanced:
-                    st[s][1] = 1
-                    st[s][0] = rep + 1
-                    if st[s][0] > beta_t:
-                        st[s][0] = 1
-                        payloads[s] += 1
-            if min(payloads[1], payloads[2]) > pairs:
-                pairs = min(payloads[1], payloads[2])
-                d = slot + 1 - pair_start
-                dur_sum += d
-                dur_sumsq += d * d
-                pair_start = slot + 1
-
-        bw, pw = SCHEME_RESOURCES["fdma"]
-        return SimEstimate(
-            scheme="fdma",
-            slots=n_slots,
-            seed=sd,
-            attempts=attempts,
-            failures=failures,
-            successes=successes,
-            per_step=per_step,
-            occupancy_labels=list(labels),
-            occupancy_counts=occupancy,
-            pairs=pairs,
-            pair_duration_sum=dur_sum,
-            pair_duration_sumsq=dur_sumsq,
-            bandwidth_units=bw * config.bandwidth_units,
-            power_units=pw * config.power_units,
-            decode_attempts=decode_attempts,
-            decode_empties=decode_empties,
-            trace=[],
-        )
-
-    return _run_blocks(run, slots, seed, options.block_slots)
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +505,8 @@ def _run_fdma(topology, config, slots, seed, options) -> SimEstimate:
 # ---------------------------------------------------------------------------
 
 def _run_noma(topology, config, slots, seed, options) -> SimEstimate:
+    if options.trace_limit > 0:
+        raise ConfigError("the NOMA simulator records no slot trace")
     beta_t = _payload_reps(config)
     gamma_th = config.gamma_th
     m = topology.num_relays
@@ -666,141 +525,104 @@ def _run_noma(topology, config, slots, seed, options) -> SimEstimate:
     labels = ["joint", "solo1", "solo2", "relay1", "relay2"]
     index = {lab: i for i, lab in enumerate(labels)}
 
-    def run(n_slots: int, rng: np.random.Generator, sd: int) -> SimEstimate:
-        pool_d = {s: _ExpPool(rng, 1.0) for s in (1, 2)}
-        pool_r = {s: _ExpRowPool(rng, np.ones(m)) for s in (1, 2)}
-        relay_pool = _ExpRowPool(rng, rd_means)
-        cooperate = options.relay_cooperation
+    rng = make_rng(seed, 0)
+    pool_d = {s: _ExpPool(rng, 1.0) for s in (1, 2)}
+    pool_r = {s: _ExpRowPool(rng, np.ones(m)) for s in (1, 2)}
+    relay_pool = _ExpRowPool(rng, rd_means)
+    cooperate = options.relay_cooperation
 
-        occupancy = np.zeros(len(labels), dtype=np.int64)
-        per_step = {lab: StepStats() for lab in labels}
-        decode_attempts = {1: 0, 2: 0}
-        decode_empties = {1: 0, 2: 0}
-        attempts = failures = successes = 0
-        pairs = 0
-        dur_sum = dur_sumsq = 0.0
-        pair_start = 0
+    tally = _Tally(labels, labels)
+    occupancy = tally.occupancy
+    per_step = tally.per_step
+    decode_attempts = tally.decode_attempts
+    decode_empties = tally.decode_empties
 
-        delivered = {1: 0, 2: 0}
-        # Queue of (stream, retained post-cancellation SINR, decode set).
-        pending_relay: list[tuple[int, float, np.ndarray]] = []
+    delivered = {1: 0, 2: 0}
+    # Queue of (stream, retained post-cancellation SINR, decode set).
+    pending_relay: list[tuple[int, float, np.ndarray]] = []
 
-        for slot in range(n_slots):
-            if pending_relay:
-                s, retained, cset = pending_relay.pop(0)
-                label = f"relay{s}"
+    for slot in range(slots):
+        if pending_relay:
+            s, retained, cset = pending_relay.pop(0)
+            label = f"relay{s}"
+            occupancy[index[label]] += 1
+            rid = relay_pool.next_row()
+            mrc = retained + float(np.dot(rid, cset))
+            stats = per_step[label]
+            stats.attempts += 1
+            if mrc >= gamma_th:
+                delivered[s] += 1
+            else:
+                stats.failures += 1
+        else:
+            active = [s for s in (1, 2) if delivered[s] < beta_t]
+            if len(active) == 1:
+                # A lone unfinished source transmits at full power.
+                s = active[0]
+                label = f"solo{s}"
                 occupancy[index[label]] += 1
-                attempts += 1
-                rid = relay_pool.next_row()
-                mrc = retained + float(np.dot(rid, cset))
+                decode_attempts[s] += 1
+                p = pool_d[s].next() * full_at_d[s]
+                gains = pool_r[s].next_row() * full_at_r[s]
+                decoded = (gains >= gamma_th) if cooperate else np.zeros(m, dtype=bool)
+                if not decoded.any():
+                    decode_empties[s] += 1
                 stats = per_step[label]
                 stats.attempts += 1
-                if mrc >= gamma_th:
-                    successes += 1
+                if p >= gamma_th:
                     delivered[s] += 1
                 else:
                     stats.failures += 1
-                    failures += 1
+                    if decoded.any():
+                        pending_relay.append((s, p, decoded.copy()))
             else:
-                active = [s for s in (1, 2) if delivered[s] < beta_t]
-                if len(active) == 1:
-                    # A lone unfinished source transmits at full power.
-                    s = active[0]
-                    label = f"solo{s}"
-                    occupancy[index[label]] += 1
-                    attempts += 1
+                label = "joint"
+                occupancy[index[label]] += 1
+                p1 = pool_d[1].next() * split_at_d[1]
+                p2 = pool_d[2].next() * split_at_d[2]
+                g1 = pool_r[1].next_row() * split_at_r[1]
+                g2 = pool_r[2].next_row() * split_at_r[2]
+                # Destination-side cancellation in decode order.
+                s1_first = (p1 >= p2) if instant else s1_strong_at_d
+                ps, pw = (p1, p2) if s1_first else (p2, p1)
+                ok_s = ps >= gamma_th * (1.0 + pw)
+                sinr_s = ps / (1.0 + pw)
+                resid = 0.0 if ok_s else ps
+                ok_w = pw >= gamma_th * (1.0 + resid)
+                sinr_w = pw / (1.0 + resid)
+                ok_d = {1: ok_s, 2: ok_w} if s1_first else {1: ok_w, 2: ok_s}
+                sinr_d = {1: sinr_s, 2: sinr_w} if s1_first else {1: sinr_w, 2: sinr_s}
+                # Relay-side cancellation, vectorized across relays.
+                if cooperate:
+                    s1f = (g1 >= g2) if instant else s1_strong_at_r
+                    gs = np.where(s1f, g1, g2)
+                    gw = np.where(s1f, g2, g1)
+                    rok_s = gs >= gamma_th * (1.0 + gw)
+                    rok_w = gw >= gamma_th * (1.0 + np.where(rok_s, 0.0, gs))
+                    dec = {
+                        1: np.where(s1f, rok_s, rok_w),
+                        2: np.where(s1f, rok_w, rok_s),
+                    }
+                else:
+                    dec = {1: np.zeros(m, dtype=bool), 2: np.zeros(m, dtype=bool)}
+                stats = per_step[label]
+                for s in (1, 2):
                     decode_attempts[s] += 1
-                    p = pool_d[s].next() * full_at_d[s]
-                    gains = pool_r[s].next_row() * full_at_r[s]
-                    decoded = (gains >= gamma_th) if cooperate else np.zeros(m, dtype=bool)
-                    if not decoded.any():
+                    if not dec[s].any():
                         decode_empties[s] += 1
-                    stats = per_step[label]
                     stats.attempts += 1
-                    if p >= gamma_th:
-                        successes += 1
+                    if ok_d[s]:
                         delivered[s] += 1
                     else:
                         stats.failures += 1
-                        failures += 1
-                        if decoded.any():
-                            pending_relay.append((s, p, decoded.copy()))
-                else:
-                    label = "joint"
-                    occupancy[index[label]] += 1
-                    p1 = pool_d[1].next() * split_at_d[1]
-                    p2 = pool_d[2].next() * split_at_d[2]
-                    g1 = pool_r[1].next_row() * split_at_r[1]
-                    g2 = pool_r[2].next_row() * split_at_r[2]
-                    # Destination-side cancellation in decode order.
-                    s1_first = (p1 >= p2) if instant else s1_strong_at_d
-                    ps, pw = (p1, p2) if s1_first else (p2, p1)
-                    ok_s = ps >= gamma_th * (1.0 + pw)
-                    sinr_s = ps / (1.0 + pw)
-                    resid = 0.0 if ok_s else ps
-                    ok_w = pw >= gamma_th * (1.0 + resid)
-                    sinr_w = pw / (1.0 + resid)
-                    ok_d = {1: ok_s, 2: ok_w} if s1_first else {1: ok_w, 2: ok_s}
-                    sinr_d = {1: sinr_s, 2: sinr_w} if s1_first else {1: sinr_w, 2: sinr_s}
-                    # Relay-side cancellation, vectorized across relays.
-                    if cooperate:
-                        s1f = (g1 >= g2) if instant else s1_strong_at_r
-                        gs = np.where(s1f, g1, g2)
-                        gw = np.where(s1f, g2, g1)
-                        rok_s = gs >= gamma_th * (1.0 + gw)
-                        rok_w = gw >= gamma_th * (1.0 + np.where(rok_s, 0.0, gs))
-                        dec = {
-                            1: np.where(s1f, rok_s, rok_w),
-                            2: np.where(s1f, rok_w, rok_s),
-                        }
-                    else:
-                        dec = {1: np.zeros(m, dtype=bool), 2: np.zeros(m, dtype=bool)}
-                    stats = per_step[label]
-                    for s in (1, 2):
-                        attempts += 1
-                        decode_attempts[s] += 1
-                        if not dec[s].any():
-                            decode_empties[s] += 1
-                        stats.attempts += 1
-                        if ok_d[s]:
-                            successes += 1
-                            delivered[s] += 1
-                        else:
-                            stats.failures += 1
-                            failures += 1
-                            if dec[s].any():
-                                pending_relay.append((s, float(sinr_d[s]), dec[s].copy()))
-            if delivered[1] >= beta_t and delivered[2] >= beta_t:
-                pairs += 1
-                d = slot + 1 - pair_start
-                dur_sum += d
-                dur_sumsq += d * d
-                pair_start = slot + 1
-                delivered = {1: 0, 2: 0}
-                pending_relay.clear()
+                        if dec[s].any():
+                            pending_relay.append((s, float(sinr_d[s]), dec[s].copy()))
+        if delivered[1] >= beta_t and delivered[2] >= beta_t:
+            tally.close_pair(slot)
+            delivered = {1: 0, 2: 0}
+            pending_relay.clear()
 
-        bw, pw_units = SCHEME_RESOURCES["noma"]
-        return SimEstimate(
-            scheme="noma",
-            slots=n_slots,
-            seed=sd,
-            attempts=attempts,
-            failures=failures,
-            successes=successes,
-            per_step=per_step,
-            occupancy_labels=list(labels),
-            occupancy_counts=occupancy,
-            pairs=pairs,
-            pair_duration_sum=dur_sum,
-            pair_duration_sumsq=dur_sumsq,
-            bandwidth_units=bw * config.bandwidth_units,
-            power_units=pw_units * config.power_units,
-            decode_attempts=decode_attempts,
-            decode_empties=decode_empties,
-            trace=[],
-        )
-
-    return _run_blocks(run, slots, seed, options.block_slots)
+    return tally.estimate("noma", config, slots, seed)
 
 
 def run_baseline(
@@ -811,16 +633,24 @@ def run_baseline(
     seed: int = 0,
     options: SimOptions = SimOptions(),
 ) -> SimEstimate:
-    """Simulate a TDMA, FDMA or NOMA baseline under identical cooperation mechanics."""
+    """Simulate a TDMA, FDMA or NOMA baseline under identical cooperation mechanics.
+
+    TDMA alternates the sources, each delivering its full payload in turn.
+    FDMA runs the single-source protocol for both sources concurrently on
+    orthogonal bands (two bandwidth units, two power units).
+    """
     if slots < 1:
         raise ConfigError("slots must be at least 1")
-    if scheme == "tdma":
-        return _run_tdma(topology, config, slots, seed, options)
-    if scheme == "fdma":
-        return _run_fdma(topology, config, slots, seed, options)
     if scheme == "noma":
         return _run_noma(topology, config, slots, seed, options)
-    raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    beta_t = _payload_reps(config)
+    if scheme == "tdma":
+        bands = [[("payload1", 1, beta_t), ("payload2", 2, beta_t)]]
+    elif scheme == "fdma":
+        bands = [[("band1", 1, beta_t)], [("band2", 2, beta_t)]]
+    else:
+        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    return _run_bands(topology, config, scheme, bands, slots, seed, options)
 
 
 def simulate(

@@ -28,7 +28,7 @@ from mdma_relay.experiments import (
     run_sweep,
     write_rows_csv,
 )
-from mdma_relay.markov import build_chain, stationary_distribution
+from mdma_relay.markov import build_chain, ring_distribution, stationary_distribution
 from mdma_relay.oracles import relay_sum_cdf_quadrature
 from mdma_relay.simulator import run_mdma, simulate
 from mdma_relay.topology import NetworkTopology, link_rates
@@ -100,11 +100,11 @@ def test_criterion_3_chain_correctness(paper_setup):
     outs = step_outages(topo, cfg)
     chain = build_chain(outs, cfg.beta_s, cfg.beta_p)
     row_err = float(np.max(np.abs(chain.matrix.sum(axis=1) - 1.0)))
-    pi_power = stationary_distribution(chain, "power")
-    pi_direct = stationary_distribution(chain, "direct")
-    solver_gap = float(np.max(np.abs(pi_power - pi_direct)))
+    pi_ring = ring_distribution(outs, cfg.beta_s, cfg.beta_p)
+    pi_direct = stationary_distribution(chain)
+    solver_gap = float(np.max(np.abs(pi_ring - pi_direct)))
     est = run_mdma(topo, cfg, 10_000_000, seed=303)
-    occ_gap = float(np.max(np.abs(est.occupancy - pi_power)))
+    occ_gap = float(np.max(np.abs(est.occupancy - pi_ring)))
     elapsed = time.time() - t0
     ok = row_err < 1e-12 and solver_gap < 1e-9 and occ_gap < 5e-3 and elapsed < 120.0
     record_acceptance(

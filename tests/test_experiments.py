@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from mdma_relay.analytic import step_outages
 from mdma_relay.cli import main
 from mdma_relay.experiments import (
     CSV_COLUMNS,
@@ -13,6 +14,7 @@ from mdma_relay.experiments import (
     validate,
     write_rows_csv,
 )
+from mdma_relay.markov import build_chain, overall_outage, stationary_distribution
 from mdma_relay.simulator import SimOptions
 from mdma_relay.topology import ConfigError, default_paper_setup
 
@@ -178,6 +180,18 @@ def test_cli_analyze(tmp_path, capsys):
     assert 0 < doc["overall_op"] < 1
 
 
+@pytest.mark.parametrize("power_dbm", ["-10", "-8"])
+def test_cli_analyze_at_low_power_matches_the_direct_solve(tmp_path, power_dbm):
+    out = tmp_path / "a.json"
+    argv = ["analyze", "--paper-defaults", "--power-dbm", power_dbm, "--out", str(out)]
+    assert main(argv) == 0
+    topo, cfg = default_paper_setup(power_dbm=float(power_dbm))
+    outs = step_outages(topo, cfg)
+    chain = build_chain(outs, cfg.beta_s, cfg.beta_p)
+    direct = overall_outage(stationary_distribution(chain), outs, list(chain.states))
+    assert abs(json.loads(out.read_text())["overall_op"] - direct) < 1e-9
+
+
 def test_cli_simulate_with_trace(tmp_path):
     out = tmp_path / "sim.json"
     trace = tmp_path / "trace.csv"
@@ -192,6 +206,15 @@ def test_cli_simulate_with_trace(tmp_path):
     lines = trace.read_text().strip().splitlines()
     assert lines[0] == "slot,scheme,state,outcome,mrc_total,decode_set_bitmask"
     assert len(lines) == 51
+
+
+def test_cli_refuses_trace_requests_it_cannot_honour(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    base = ["simulate", "--paper-defaults", "--trials", "200", "--seed", "1"]
+    assert main(base + ["--scheme", "noma", "--trace-slots", "50", "--trace-out", str(trace)]) == 2
+    assert main(base + ["--scheme", "mdma", "--trace-out", str(trace)]) == 2
+    assert capsys.readouterr().err.count("error:") == 2
+    assert not trace.exists()
 
 
 def test_cli_sweep_refuses_small_trials(tmp_path):

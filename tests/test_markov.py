@@ -14,6 +14,7 @@ from mdma_relay.markov import (
     phase_plan,
     protocol_states,
     resource_efficiency,
+    ring_distribution,
     slot_cost,
     solve_chain,
     stationary_distribution,
@@ -151,6 +152,8 @@ def test_literal_wrap_variant_traps_first_personal_phase():
     p2_mass = sum(p for p, s in zip(pi, chain.states) if s.phase == "personal2")
     assert p2_mass < 1e-9
     assert np.max(np.abs(chain.matrix.sum(axis=1) - 1.0)) < 1e-12
+    ring = ring_distribution(outs, 2, 2, literal_personal1_wrap=True)
+    assert np.max(np.abs(ring - pi)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -165,18 +168,21 @@ def test_two_state_symmetric_chain():
 
 
 def test_power_and_direct_agree():
+    """The closed-form ring law against the direct linear solve."""
     rng = np.random.default_rng(5)
     for _ in range(10):
-        chain = build_chain(random_outages(rng), int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-        pp = stationary_distribution(chain, "power")
-        pd = stationary_distribution(chain, "direct")
-        assert np.max(np.abs(pp - pd)) < 1e-9
+        outs = random_outages(rng)
+        beta_s, beta_p = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        pr = ring_distribution(outs, beta_s, beta_p)
+        pd = stationary_distribution(build_chain(outs, beta_s, beta_p))
+        assert np.max(np.abs(pr - pd)) < 1e-9
 
 
 def test_stationary_properties():
     rng = np.random.default_rng(6)
-    chain = build_chain(random_outages(rng), 3, 2)
-    pi = stationary_distribution(chain)
+    outs = random_outages(rng)
+    chain = build_chain(outs, 3, 2)
+    pi = ring_distribution(outs, 3, 2)
     assert np.all(pi >= 0)
     assert pi.sum() == pytest.approx(1.0, abs=1e-10)
     assert np.max(np.abs(pi @ chain.matrix - pi)) < 1e-9
@@ -184,19 +190,11 @@ def test_stationary_properties():
     assert np.all(pi > 0)
 
 
-def test_power_iteration_start_independent():
-    rng = np.random.default_rng(7)
-    chain = build_chain(random_outages(rng), 2, 3)
-    base = stationary_distribution(chain)
-    for start in (3, 7, 11):
-        pi = stationary_distribution(chain, initial_state=start % chain.size)
-        assert np.max(np.abs(pi - base)) < 1e-9
-
-
-def test_unknown_method_rejected():
-    chain = build_chain(uniform_outages(0.2), 1, 1)
-    with pytest.raises(ConfigError):
-        stationary_distribution(chain, method="qr")
+def test_ring_law_of_a_phase_that_never_advances_is_refused():
+    # Broadcast always fails and no relay ever decodes: an absorbing state.
+    stuck = StepOutageSet(0.3, 0.3, 0.3, 0.3, 1.0, 0.3, 0.2, 1.0)
+    with pytest.raises(ConfigError, match="never advances"):
+        solve_chain(stuck, 2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def test_equal_distance_links_have_equal_laws():
 
 
 # ---------------------------------------------------------------------------
-# reproducibility and merging
+# reproducibility
 # ---------------------------------------------------------------------------
 
 def test_identical_seeds_reproduce_everything(setup10):
@@ -75,17 +75,6 @@ def test_identical_seeds_reproduce_everything(setup10):
     assert np.array_equal(a.occupancy_counts, b.occupancy_counts)
     c = run_mdma(topo, cfg, 30_000, seed=6)
     assert c.failures != a.failures
-
-
-def test_block_split_is_deterministic_and_consistent(setup10):
-    topo, cfg = setup10
-    opts = SimOptions(block_slots=10_000)
-    a = run_mdma(topo, cfg, 30_000, seed=5, options=opts)
-    b = run_mdma(topo, cfg, 30_000, seed=5, options=opts)
-    assert a.to_dict() == b.to_dict()
-    assert a.slots == 30_000
-    assert a.attempts == 30_000
-    assert abs(a.overall_op - run_mdma(topo, cfg, 30_000, seed=5).overall_op) < 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +103,12 @@ def test_tdma_infinite_snr_pair_cost(setup10):
 # bookkeeping identities via traces
 # ---------------------------------------------------------------------------
 
-def test_trace_decode_set_and_mrc_identities(setup10):
+@pytest.mark.parametrize("scheme", ["mdma", "tdma", "fdma"])
+def test_trace_decode_set_and_mrc_identities(setup10, scheme):
     topo, cfg = setup10
     low = replace(cfg, power_dbm=4.0)
-    est = run_mdma(topo, low, 3_000, seed=9, options=SimOptions(trace_limit=3_000))
-    assert est.trace
+    est = simulate(scheme, topo, low, 3_000, seed=9, options=SimOptions(trace_limit=3_000))
+    assert len(est.trace) == 3_000
     pending = {}
     saw_relay = 0
     for ev in est.trace:
