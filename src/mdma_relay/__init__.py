@@ -21,14 +21,12 @@ from .analytic import (
     BinnedPmf,
     DefectiveCdf,
     GatedExponential,
-    RateTieError,
     StepOutageSet,
     bin_conditional_direct,
     bin_relay_sum,
     decode_fail_probs,
     direct_outage,
     numeric_relay_sum_cdf,
-    partial_fraction_coeff,
     relay_sum_cdf,
     step2_outage,
     step_outages,

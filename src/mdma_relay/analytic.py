@@ -9,7 +9,9 @@ product of the per-path transforms over nonempty relay subsets; each subset
 contributes a distinct-rate exponential-sum CDF whose coefficients are
 products of pairwise pole ratios.  The second-step outage then follows from
 binning that CDF and the threshold-conditioned direct-link SNR on a common
-grid and convolving the two mass functions.
+grid and convolving the two mass functions.  Where the expansion is
+undefined (tied rates) or too large (more than ``MAX_RELAYS_CLOSED_FORM``
+relays) the relay sum is binned by convolving the per-path masses instead.
 """
 
 from __future__ import annotations
@@ -24,17 +26,6 @@ from .topology import ConfigError, LinkParam, NetworkTopology, SystemConfig, lin
 
 MAX_RELAYS_CLOSED_FORM = 20
 RATE_TIE_RTOL = 1e-9
-TIE_NUDGE = 1e-7
-
-
-class RateTieError(ValueError):
-    """Two relay-destination rates coincide; the distinct-rate expansion is
-    undefined.  Re-run with ``perturb_ties=True`` or use the numeric
-    convolution fallback."""
-
-
-class RelayCountError(ValueError):
-    """Subset enumeration refused (2**m terms)."""
 
 
 class ConditioningError(ValueError):
@@ -76,25 +67,6 @@ def decode_fail_probs(
     """Per-relay probability of failing to decode the source broadcast."""
     rates = link_rates(topology, config, source)
     return -np.expm1(-rates.source_relay * config.gamma_th)
-
-
-def partial_fraction_coeff(d_x: float, d_y: float, alpha: float) -> float:
-    """Mixing coefficient d_y**a / (d_y**a - d_x**a) of a distinct-rate pair.
-
-    Satisfies coeff(x,y) + coeff(y,x) == 1; undefined for equal powered
-    distances.
-    """
-    px, py = d_x**alpha, d_y**alpha
-    return _pf_coeff_from_rates(px, py)
-
-
-def _pf_coeff_from_rates(rate_x: float, rate_y: float) -> float:
-    # Rates share the common 1/snr factor, so powered distances cancel it.
-    if math.isclose(rate_x, rate_y, rel_tol=RATE_TIE_RTOL, abs_tol=0.0):
-        raise RateTieError(
-            f"rates {rate_x} and {rate_y} coincide within {RATE_TIE_RTOL:g}"
-        )
-    return rate_y / (rate_y - rate_x)
 
 
 def _kahan_sum(terms: np.ndarray) -> float:
@@ -140,26 +112,24 @@ class DefectiveCdf:
         return float(out) if np.isscalar(gamma) else out
 
 
-def relay_sum_cdf(gates: list[GatedExponential], perturb_ties: bool = False) -> DefectiveCdf:
+def relay_sum_cdf(gates: list[GatedExponential]) -> DefectiveCdf:
     """Closed-form defective CDF of the decoded relays' summed SNR.
 
     Enumerates every nonempty relay subset; a subset's CDF is the
     distinct-rate exponential-sum mixture with pairwise pole-ratio
-    coefficients.  Rates tied within 1e-9 raise ``RateTieError`` unless
-    ``perturb_ties`` nudges them apart multiplicatively (documented
-    approximation for geometries with coincident relay distances).
+    coefficients.  Only defined where ``closed_form_applies``; elsewhere it
+    raises ``ConfigError``.
     """
-    m = len(gates)
-    if m < 1:
+    if not gates:
         raise ConfigError("at least one relay path is required")
-    if m > MAX_RELAYS_CLOSED_FORM:
-        raise RelayCountError(
-            f"{m} relays would need {2**m - 1} subset terms; "
-            f"use the numeric convolution fallback beyond m={MAX_RELAYS_CLOSED_FORM}"
+    if not closed_form_applies(gates):
+        raise ConfigError(
+            f"the subset expansion needs at most {MAX_RELAYS_CLOSED_FORM} relays "
+            f"with rates pairwise distinct within {RATE_TIE_RTOL:g}"
         )
+    m = len(gates)
     a = np.array([g.gate_prob for g in gates])
     lam = np.array([g.rate for g in gates], dtype=float)
-    lam = _resolve_ties(lam, perturb_ties)
 
     theta = np.zeros((m, m))
     for x in range(m):
@@ -192,32 +162,14 @@ def relay_sum_cdf(gates: list[GatedExponential], perturb_ties: bool = False) -> 
     )
 
 
-def _resolve_ties(lam: np.ndarray, perturb: bool) -> np.ndarray:
-    order = np.argsort(lam)
-    s = lam[order]
-    tied = np.isclose(s[1:], s[:-1], rtol=RATE_TIE_RTOL, atol=0.0)
-    if not tied.any():
-        return lam
-    if not perturb:
-        raise RateTieError(
-            "relay-destination rates tie within 1e-9; pass perturb_ties=True "
-            "to nudge them apart or use the numeric convolution fallback"
-        )
-    out = lam.astype(float).copy()
-    # Nudge every member of a tie group by a distinct multiplicative factor.
-    groups: list[list[int]] = [[int(order[0])]]
-    for pos in range(1, len(s)):
-        if tied[pos - 1]:
-            groups[-1].append(int(order[pos]))
-        else:
-            groups.append([int(order[pos])])
-    for group in groups:
-        if len(group) == 1:
-            continue
-        for k, idx in enumerate(group):
-            sign = 1.0 if k % 2 == 0 else -1.0
-            out[idx] *= 1.0 + sign * (1 + k // 2) * TIE_NUDGE
-    return out
+def closed_form_applies(gates: list[GatedExponential]) -> bool:
+    """Whether ``relay_sum_cdf`` is defined for these paths: at most
+    ``MAX_RELAYS_CLOSED_FORM`` of them, with rates pairwise distinct within
+    ``RATE_TIE_RTOL``."""
+    if len(gates) > MAX_RELAYS_CLOSED_FORM:
+        return False
+    s = np.sort([g.rate for g in gates])
+    return not np.isclose(s[1:], s[:-1], rtol=RATE_TIE_RTOL, atol=0.0).any()
 
 
 @dataclass(frozen=True)
@@ -345,19 +297,23 @@ class StepOutageSet:
     def by_step(self, phase: str, step: int) -> float:
         return getattr(self, f"{phase}_{'bcast' if step == 1 else 'relay'}")
 
+    def labelled(self) -> dict[str, float]:
+        """The six step outages keyed "phase:bcast" / "phase:relay"."""
+        return {
+            f"{phase}:{kind}": getattr(self, f"{phase}_{kind}")
+            for phase in ("shared", "personal1", "personal2")
+            for kind in ("bcast", "relay")
+        }
+
 
 def source_step_outages(
-    topology: NetworkTopology,
-    config: SystemConfig,
-    source: int,
-    perturb_ties: bool = False,
-    numeric_fallback: bool = False,
+    topology: NetworkTopology, config: SystemConfig, source: int
 ) -> tuple[float, float, float]:
     """(broadcast outage, relay-step outage, empty-set probability) for one source.
 
-    ``numeric_fallback`` bins the relay sum by convolving per-path masses
-    instead of expanding subsets; it has no relay-count cap and tolerates
-    tied rates.
+    The relay sum is binned from the closed form where it is defined and by
+    convolving per-path masses otherwise (tied rates, or more than
+    ``MAX_RELAYS_CLOSED_FORM`` relays).
     """
     if math.isinf(config.snr_linear()):
         return 0.0, 0.0, 0.0
@@ -372,11 +328,10 @@ def source_step_outages(
         return 0.0, 0.0, 0.0
     if empty >= 1.0:
         return bcast, 1.0, empty
-    if numeric_fallback:
-        relay_pmf = numeric_relay_sum_pmf(gates, gamma_th, config.granularity)
+    if closed_form_applies(gates):
+        relay_pmf = bin_relay_sum(relay_sum_cdf(gates), gamma_th, config.granularity)
     else:
-        cdf = relay_sum_cdf(gates, perturb_ties=perturb_ties)
-        relay_pmf = bin_relay_sum(cdf, gamma_th, config.granularity)
+        relay_pmf = numeric_relay_sum_pmf(gates, gamma_th, config.granularity)
     direct_pmf = bin_conditional_direct(
         LinkParam(rates.direct), gamma_th, config.granularity
     )
@@ -384,15 +339,10 @@ def source_step_outages(
     return bcast, relay, empty
 
 
-def step_outages(
-    topology: NetworkTopology,
-    config: SystemConfig,
-    perturb_ties: bool = False,
-    numeric_fallback: bool = False,
-) -> StepOutageSet:
+def step_outages(topology: NetworkTopology, config: SystemConfig) -> StepOutageSet:
     """All six per-step outage probabilities of the protocol."""
-    b1, r1, e1 = source_step_outages(topology, config, 1, perturb_ties, numeric_fallback)
-    b2, r2, e2 = source_step_outages(topology, config, 2, perturb_ties, numeric_fallback)
+    b1, r1, e1 = source_step_outages(topology, config, 1)
+    b2, r2, e2 = source_step_outages(topology, config, 2)
     return StepOutageSet(
         shared_bcast=b1,
         shared_relay=r1,
@@ -406,7 +356,8 @@ def step_outages(
 
 
 # ---------------------------------------------------------------------------
-# Numeric convolution fallback (also the oracle for the closed form).
+# Numeric convolution: the relay sum where the closed form is undefined, and
+# the oracle for the closed form.
 # ---------------------------------------------------------------------------
 
 def numeric_relay_sum_cdf(
@@ -414,11 +365,11 @@ def numeric_relay_sum_cdf(
 ) -> np.ndarray:
     """Relay-sum CDF by grid-point-binned convolution of the gated paths.
 
-    Independent of the subset expansion; serves as the fallback for tied
-    rates or more than 20 relays, and as the cross-check oracle.  Continuous
-    mass is snapped to grid points k*h (nearest-point binning) so convolution
-    index arithmetic is exact; the CDF is then known at half-grid points with
-    O(h**2) error and interpolated for arbitrary queries.
+    Independent of the subset expansion, and defined for tied rates; the
+    cross-check oracle for the closed form.  Continuous mass is snapped to
+    grid points k*h (nearest-point binning) so convolution index arithmetic
+    is exact; the CDF is then known at half-grid points with O(h**2) error
+    and interpolated for arbitrary queries.
     """
     gammas = np.asarray(gammas, dtype=float)
     gmax = float(gammas.max()) if gammas.size else 1.0

@@ -21,7 +21,7 @@ from .experiments import (
 from .markov import chain_to_json, solve_chain
 from .analytic import step_outages
 from .simulator import SCHEMES, SimOptions, simulate, trace_to_csv_rows
-from .topology import ConfigError, default_paper_setup, load_setup
+from .topology import ConfigError, default_paper_setup, load_setup, read_json
 
 
 def _add_setup_args(p: argparse.ArgumentParser) -> None:
@@ -88,14 +88,7 @@ def cmd_analyze(args) -> int:
         "gamma_th": cfg.gamma_th,
         "beta_s": cfg.beta_s,
         "beta_p": cfg.beta_p,
-        "step_outages": {
-            "shared:bcast": outs.shared_bcast,
-            "shared:relay": outs.shared_relay,
-            "personal1:bcast": outs.personal1_bcast,
-            "personal1:relay": outs.personal1_relay,
-            "personal2:bcast": outs.personal2_bcast,
-            "personal2:relay": outs.personal2_relay,
-        },
+        "step_outages": outs.labelled(),
         "overall_op": sol.overall_op,
         "slot_cost": sol.slot_cost,
         "efficiency": sol.efficiency,
@@ -122,8 +115,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     topo, cfg = _setup(args)
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = SweepSpec.from_dict(json.load(fh))
+    spec = SweepSpec.from_dict(read_json(args.spec, "sweep spec"))
     if spec.trials < PUBLISH_MIN_TRIALS and not args.allow_small_trials:
         raise ConfigError(
             f"published sweeps need at least {PUBLISH_MIN_TRIALS} trials per point; "

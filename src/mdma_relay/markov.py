@@ -183,16 +183,28 @@ def ring_distribution(
 def stationary_distribution(chain: TransitionMatrix) -> np.ndarray:
     """Stationary row vector with pi @ T == pi and sum(pi) == 1.
 
-    Solves the linear system directly; it is the independent check on
+    Grassmann-Taksar-Heyman elimination: states are censored out from the
+    last one down, using only sums of nonnegative terms, so every entry
+    keeps its relative accuracy even on nearly absorbing chains.  A state
+    that can no longer reach any earlier one is absorbing in the censored
+    chain, so the earlier states are transient and get no mass (the
+    ``literal_personal1_wrap`` variant).  It is the independent check on
     ``ring_distribution``.
     """
-    t = chain.matrix
+    p = chain.matrix.astype(float)
     n = chain.size
-    aug = np.vstack([t.T - np.eye(n), np.ones((1, n))])
-    rhs = np.zeros(n + 1)
-    rhs[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
-    pi = np.maximum(pi, 0.0)
+    first = 0
+    for k in range(n - 1, 0, -1):
+        out = p[k, :k].sum()
+        if out <= 0.0:
+            first = k
+            break
+        p[:k, k] /= out
+        p[:k, :k] += np.outer(p[:k, k], p[k, :k])
+    pi = np.zeros(n)
+    pi[first] = 1.0
+    for k in range(first + 1, n):
+        pi[k] = pi[:k] @ p[:k, k]
     return pi / pi.sum()
 
 
@@ -263,12 +275,5 @@ def chain_to_json(solution: ChainSolution, outages: StepOutageSet | None = None)
         "efficiency": solution.efficiency,
     }
     if outages is not None:
-        doc["step_outages"] = {
-            "shared:bcast": outages.shared_bcast,
-            "shared:relay": outages.shared_relay,
-            "personal1:bcast": outages.personal1_bcast,
-            "personal1:relay": outages.personal1_relay,
-            "personal2:bcast": outages.personal2_bcast,
-            "personal2:relay": outages.personal2_relay,
-        }
+        doc["step_outages"] = outages.labelled()
     return json.dumps(doc, indent=2, sort_keys=True)

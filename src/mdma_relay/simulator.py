@@ -237,28 +237,6 @@ class _BcastPool:
         return self._dv[i], self._dok[i], self._rv[i], self._rb[i], self._rany[i]
 
 
-class _ExpPool:
-    """Chunked exponential draws with a fixed mean, consumed one at a time."""
-
-    def __init__(self, rng, mean, chunk=1 << 14):
-        self._rng = rng
-        self._mean = float(mean)
-        self._chunk = chunk
-        self._buf = np.empty(0)
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos >= self._buf.size:
-            if math.isinf(self._mean):
-                self._buf = np.full(self._chunk, math.inf)
-            else:
-                self._buf = self._rng.standard_exponential(self._chunk) * self._mean
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return float(v)
-
-
 class _ExpRowPool:
     """Chunked rows of independent exponentials with per-column means."""
 
@@ -526,7 +504,7 @@ def _run_noma(topology, config, slots, seed, options) -> SimEstimate:
     index = {lab: i for i, lab in enumerate(labels)}
 
     rng = make_rng(seed, 0)
-    pool_d = {s: _ExpPool(rng, 1.0) for s in (1, 2)}
+    pool_d = {s: _ExpRowPool(rng, np.ones(1), chunk=1 << 14) for s in (1, 2)}
     pool_r = {s: _ExpRowPool(rng, np.ones(m)) for s in (1, 2)}
     relay_pool = _ExpRowPool(rng, rd_means)
     cooperate = options.relay_cooperation
@@ -562,7 +540,7 @@ def _run_noma(topology, config, slots, seed, options) -> SimEstimate:
                 label = f"solo{s}"
                 occupancy[index[label]] += 1
                 decode_attempts[s] += 1
-                p = pool_d[s].next() * full_at_d[s]
+                p = float(pool_d[s].next_row()[0]) * full_at_d[s]
                 gains = pool_r[s].next_row() * full_at_r[s]
                 decoded = (gains >= gamma_th) if cooperate else np.zeros(m, dtype=bool)
                 if not decoded.any():
@@ -578,8 +556,8 @@ def _run_noma(topology, config, slots, seed, options) -> SimEstimate:
             else:
                 label = "joint"
                 occupancy[index[label]] += 1
-                p1 = pool_d[1].next() * split_at_d[1]
-                p2 = pool_d[2].next() * split_at_d[2]
+                p1 = float(pool_d[1].next_row()[0]) * split_at_d[1]
+                p2 = float(pool_d[2].next_row()[0]) * split_at_d[2]
                 g1 = pool_r[1].next_row() * split_at_r[1]
                 g2 = pool_r[2].next_row() * split_at_r[2]
                 # Destination-side cancellation in decode order.

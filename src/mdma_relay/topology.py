@@ -11,19 +11,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+import numbers
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
 Coord = tuple[float, float]
 
 
-class DegenerateGeometryError(ValueError):
-    """A transmitter/receiver pair sits at zero distance."""
-
-
 class ConfigError(ValueError):
     """Invalid system configuration."""
+
+
+class DegenerateGeometryError(ConfigError):
+    """A transmitter/receiver pair sits at zero distance."""
 
 
 def _as_coord(p) -> Coord:
@@ -120,6 +121,9 @@ class SystemConfig:
     power_units: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not isinstance(getattr(self, f.name), numbers.Real):
+                raise ConfigError(f"{f.name} must be a number, got {getattr(self, f.name)!r}")
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError(f"eta must lie in [0, 1], got {self.eta}")
         if self.rate_r0 <= 0:
@@ -257,15 +261,25 @@ def setup_from_dict(doc: dict) -> tuple[NetworkTopology, SystemConfig]:
             alpha=float(t.get("alpha", 3.0)),
         )
         cfg = SystemConfig(**doc.get("system", {}))
-    except (KeyError, TypeError) as exc:
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed configuration document: {exc}") from exc
     return topo, cfg
 
 
+def read_json(path, what: str):
+    """Parse a JSON file; an unreadable or malformed file is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_setup(path) -> tuple[NetworkTopology, SystemConfig]:
     """Read a JSON configuration file with `topology` and `system` sections."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return setup_from_dict(json.load(fh))
+    return setup_from_dict(read_json(path, "configuration"))
 
 
 def save_setup(path, topology: NetworkTopology, config: SystemConfig) -> None:

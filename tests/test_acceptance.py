@@ -29,7 +29,7 @@ from mdma_relay.experiments import (
     write_rows_csv,
 )
 from mdma_relay.markov import build_chain, ring_distribution, stationary_distribution
-from mdma_relay.oracles import relay_sum_cdf_quadrature
+from mdma_relay.oracles import relay_sum_cdf_quadrature, step2_outage_quadrature
 from mdma_relay.simulator import run_mdma, simulate
 from mdma_relay.topology import NetworkTopology, link_rates
 
@@ -246,7 +246,7 @@ def test_criterion_6_qualitative_claims(paper_setup, tmp_path):
 
 
 def test_criterion_7_degenerate_inputs(paper_setup):
-    """Tie perturbation matches the numeric fallback; eta 0 and 1 run end to end."""
+    """Tied rates take the convolution path and match quadrature; eta 0 and 1 run end to end."""
     topo8, cfg = paper_setup
     # Two relays at mirrored positions share the destination distance exactly.
     topo = NetworkTopology(
@@ -261,9 +261,20 @@ def test_criterion_7_degenerate_inputs(paper_setup):
     fails = decode_fail_probs(topo, cfg, 1)
     gates = [GatedExponential(float(a), float(r)) for a, r in zip(fails, rates.relay_dest)]
     grid = np.linspace(0.05, 4.0, 25)
-    perturbed = relay_sum_cdf(gates, perturb_ties=True)(grid)
-    fallback = numeric_relay_sum_cdf(gates, grid)
-    tie_err = float(np.max(np.abs(perturbed - fallback)))
+    numeric = numeric_relay_sum_cdf(gates, grid)
+    oracle = relay_sum_cdf_quadrature(gates, grid)
+    tie_err = float(np.max(np.abs(numeric - oracle)))
+
+    # End to end: the relay-step outage of each source against quadrature.
+    outs = step_outages(topo, cfg)
+    step_err = 0.0
+    for source, relay_op in ((1, outs.shared_relay), (2, outs.personal2_relay)):
+        r = link_rates(topo, cfg, source)
+        g = [GatedExponential(float(a), float(lam))
+             for a, lam in zip(decode_fail_probs(topo, cfg, source), r.relay_dest)]
+        exact = step2_outage_quadrature(r.direct, cfg.gamma_th, g)
+        step_err = max(step_err, abs(relay_op - exact))
+    step_tol = 5.0 / cfg.granularity
 
     degenerate_ok = True
     try:
@@ -277,10 +288,11 @@ def test_criterion_7_degenerate_inputs(paper_setup):
         degenerate_ok = False
         raise
     finally:
-        ok = tie_err < 1e-5 and degenerate_ok
+        ok = tie_err < 1e-5 and step_err < step_tol and degenerate_ok
         record_acceptance(
-            "7 tie perturbation and eta in {0, 1}",
+            "7 tied rates and eta in {0, 1}",
             ok,
-            f"tie max err {tie_err:.2e}",
+            f"tie max err {tie_err:.2e}, relay step err {step_err:.2e}",
         )
     assert tie_err < 1e-5
+    assert step_err < step_tol

@@ -8,16 +8,15 @@ from mdma_relay.analytic import (
     BinnedPmf,
     ConditioningError,
     GatedExponential,
-    RateTieError,
-    RelayCountError,
     bin_conditional_direct,
     bin_relay_sum,
+    closed_form_applies,
     decode_fail_probs,
     direct_outage,
     numeric_relay_sum_cdf,
     numeric_relay_sum_pmf,
-    partial_fraction_coeff,
     relay_sum_cdf,
+    source_step_outages,
     step2_outage,
     step_outages,
 )
@@ -99,8 +98,15 @@ def test_decode_fail_probs_increase_with_distance(paper_setup):
 
 
 # ---------------------------------------------------------------------------
-# partial_fraction_coeff
+# pairwise pole-ratio coefficients
 # ---------------------------------------------------------------------------
+
+def pair_coeffs(rate_x: float, rate_y: float) -> np.ndarray:
+    # With both gates open only the two-relay subset has weight, so the
+    # aggregated coefficients are the pair's pole ratios r_y / (r_y - r_x).
+    gates = [GatedExponential(0.0, rate_x), GatedExponential(0.0, rate_y)]
+    return relay_sum_cdf(gates).coeff_per_rate
+
 
 def test_coeff_pair_sums_to_one():
     rng = np.random.default_rng(3)
@@ -109,16 +115,16 @@ def test_coeff_pair_sums_to_one():
         if abs(dx - dy) < 1e-3:
             continue
         a = rng.uniform(1.0, 4.0)
-        assert partial_fraction_coeff(dx, dy, a) + partial_fraction_coeff(dy, dx, a) == pytest.approx(1.0)
+        assert float(np.sum(pair_coeffs(dx**a, dy**a))) == pytest.approx(1.0)
 
 
 def test_coeff_direct_substitution():
-    assert partial_fraction_coeff(1.0, 2.0, 1.0) == pytest.approx(2.0)
+    assert pair_coeffs(1.0, 2.0)[0] == pytest.approx(2.0)
 
 
 def test_coeff_tie_rejected():
-    with pytest.raises(RateTieError):
-        partial_fraction_coeff(3.0, 3.0, 2.0)
+    with pytest.raises(ConfigError):
+        pair_coeffs(3.0**2, 3.0**2)
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +191,28 @@ def test_aggregated_coefficients_match_product_identity():
             assert cdf.coeff_per_rate[x] == pytest.approx(prod, rel=1e-9, abs=1e-12)
 
 
-def test_tie_raises_and_perturbation_matches_fallback():
-    gates = [GatedExponential(0.3, 2.0), GatedExponential(0.5, 2.0)]
-    with pytest.raises(RateTieError):
-        relay_sum_cdf(gates)
-    cdf = relay_sum_cdf(gates, perturb_ties=True)
+def test_tie_switches_to_the_convolution_continuously():
+    tied = [GatedExponential(0.3, 2.0), GatedExponential(0.5, 2.0)]
+    assert not closed_form_applies(tied)
+    with pytest.raises(ConfigError):
+        relay_sum_cdf(tied)
+    # Just outside the tie tolerance the closed form applies again and
+    # agrees with the convolution of the tied paths.
+    apart = [GatedExponential(0.3, 2.0), GatedExponential(0.5, 2.0 * (1 + 1e-6))]
+    assert closed_form_applies(apart)
     grid = np.linspace(0.05, 5.0, 40)
-    fallback = numeric_relay_sum_cdf(gates, grid)
-    assert np.max(np.abs(cdf(grid) - fallback)) < 1e-5
+    assert np.max(np.abs(relay_sum_cdf(apart)(grid) - numeric_relay_sum_cdf(tied, grid))) < 1e-5
+    n = 1000
+    closed = bin_relay_sum(relay_sum_cdf(apart), 2.0, n)
+    numeric = numeric_relay_sum_pmf(tied, 2.0, n)
+    assert 0.5 * float(np.sum(np.abs(closed.probs - numeric.probs))) < 4.0 * len(tied) / n
 
 
 def test_relay_count_cap():
     gates = [GatedExponential(0.5, 1.0 + 0.01 * i) for i in range(21)]
-    with pytest.raises(RelayCountError):
+    assert not closed_form_applies(gates)
+    assert closed_form_applies(gates[:20])
+    with pytest.raises(ConfigError):
         relay_sum_cdf(gates)
 
 
@@ -368,7 +383,7 @@ def test_all_outages_vanish_at_huge_snr(paper_setup):
 
 
 # ---------------------------------------------------------------------------
-# numeric fallback consistency
+# convolution path consistency
 # ---------------------------------------------------------------------------
 
 def test_transform_inversion_consistency_small_m():
@@ -396,30 +411,32 @@ def test_numeric_cdf_tracks_closed_form():
 
 def test_numeric_fallback_handles_many_relays(paper_setup):
     # 24 relays exceed the subset-enumeration cap; the convolution path runs.
-    from mdma_relay.analytic import source_step_outages
-
     topo8, cfg = paper_setup
     relays = tuple((50.0, 48.75 - 3.4 * i) for i in range(24))
     topo = NetworkTopology(topo8.s1_pos, topo8.s2_pos, topo8.d_pos, relays, 3.0)
-    with pytest.raises(RelayCountError):
-        source_step_outages(topo, cfg, 1)
-    bcast, relay, empty = source_step_outages(topo, cfg, 1, numeric_fallback=True)
-    assert 0.0 <= relay <= 1.0 and 0.0 <= empty < 1.0
+    outs = step_outages(topo, cfg)
+    assert 0.0 <= outs.shared_relay <= 1.0 and 0.0 <= outs.empty_set_prob_s1 < 1.0
     # More relays than the reference layout can only help the relay step.
     ref = step_outages(topo8, cfg)
-    assert relay <= ref.shared_relay + 1e-9
+    assert outs.shared_relay <= ref.shared_relay + 1e-9
+    assert outs.personal2_relay <= ref.personal2_relay + 1e-9
 
 
 def test_numeric_fallback_agrees_with_closed_form(paper_setup):
-    from mdma_relay.analytic import source_step_outages
-
     topo, cfg = paper_setup
     low = replace(cfg, power_dbm=4.0)
-    closed = source_step_outages(topo, low, 1)
-    numeric = source_step_outages(topo, low, 1, numeric_fallback=True)
-    assert numeric[0] == closed[0]
-    assert abs(numeric[1] - closed[1]) < 5.0 / low.granularity
-    assert numeric[2] == closed[2]
+    n = low.granularity
+    bcast, closed, empty = source_step_outages(topo, low, 1)
+    rates = link_rates(topo, low, 1)
+    fails = decode_fail_probs(topo, low, 1)
+    gates = [GatedExponential(a, r) for a, r in zip(fails, rates.relay_dest)]
+    assert closed_form_applies(gates)
+    numeric = step2_outage(
+        numeric_relay_sum_pmf(gates, low.gamma_th, n),
+        bin_conditional_direct(LinkParam(rates.direct), low.gamma_th, n),
+        gates,
+    )
+    assert abs(numeric - closed) < 5.0 / n
 
 
 def test_mgf_matches_gate_and_tail():

@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from mdma_relay.analytic import step_outages
@@ -14,9 +15,28 @@ from mdma_relay.experiments import (
     validate,
     write_rows_csv,
 )
-from mdma_relay.markov import build_chain, overall_outage, stationary_distribution
+from mdma_relay.markov import (
+    build_chain,
+    overall_outage,
+    ring_distribution,
+    stationary_distribution,
+)
 from mdma_relay.simulator import SimOptions
-from mdma_relay.topology import ConfigError, default_paper_setup
+from mdma_relay.topology import (
+    ConfigError,
+    NetworkTopology,
+    default_paper_setup,
+    save_setup,
+    topology_to_dict,
+)
+
+
+def line_topology(m: int) -> NetworkTopology:
+    """The reference layout with m relays on its x=50 line; m=10 ties two
+    relay-destination distances (y=40 and y=-40)."""
+    topo, _ = default_paper_setup()
+    relays = tuple((50.0, 55.0 - 100.0 * (i - 0.5) / m) for i in range(1, m + 1))
+    return NetworkTopology(topo.s1_pos, topo.s2_pos, topo.d_pos, relays, topo.alpha)
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +174,15 @@ def test_validate_stable_across_seeds(setup10):
         assert validate(topo, cfg, trials=50_000, seed=seed).passed
 
 
+def test_validate_tied_layout_skips_only_the_closed_form_check(setup10):
+    _, cfg = setup10
+    report = validate(line_topology(10), cfg, trials=50_000, seed=12)
+    assert report.passed, "\n".join(report.lines())
+    names = [c.name for c in report.checks]
+    assert "relay_sum_cdf_vs_quadrature" not in names
+    assert "overall_op_vs_frequency" in names
+
+
 def test_validate_discretization_error_shrinks(setup10):
     # Self-convergence: refining the bin count moves the relay-step outage
     # toward its fine-grained limit.
@@ -188,8 +217,22 @@ def test_cli_analyze_at_low_power_matches_the_direct_solve(tmp_path, power_dbm):
     topo, cfg = default_paper_setup(power_dbm=float(power_dbm))
     outs = step_outages(topo, cfg)
     chain = build_chain(outs, cfg.beta_s, cfg.beta_p)
-    direct = overall_outage(stationary_distribution(chain), outs, list(chain.states))
+    pi = stationary_distribution(chain)
+    direct = overall_outage(pi, outs, list(chain.states))
     assert abs(json.loads(out.read_text())["overall_op"] - direct) < 1e-9
+    assert np.max(np.abs(pi - ring_distribution(outs, cfg.beta_s, cfg.beta_p))) < 1e-12
+
+
+@pytest.mark.parametrize("relays", [10, 24])
+def test_cli_analyze_tied_and_many_relays(tmp_path, relays):
+    _, cfg = default_paper_setup()
+    config = tmp_path / "line.json"
+    save_setup(config, line_topology(relays), cfg)
+    out = tmp_path / "a.json"
+    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert 0 < doc["overall_op"] < 1
+    assert all(0.0 <= v <= 1.0 for v in doc["step_outages"].values())
 
 
 def test_cli_simulate_with_trace(tmp_path):
@@ -247,6 +290,36 @@ def test_cli_validate_small(capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "validation: PASS" in captured.out
+
+
+def _paper_config(**edits) -> dict:
+    topo, _ = default_paper_setup()
+    return {"topology": dict(topology_to_dict(topo), **edits), "system": {}}
+
+
+@pytest.mark.parametrize(
+    "flag, content",
+    [
+        pytest.param("--config", _paper_config(relays=[[100.0, 0.0]]), id="relay-on-destination"),
+        pytest.param("--config", _paper_config(s1=["a", 20]), id="non-numeric-coordinate"),
+        pytest.param("--config", dict(_paper_config(), system={"power_dbm": "x"}),
+                     id="non-numeric-power"),
+        pytest.param("--config", None, id="missing-config"),
+        pytest.param("--spec", {"parameter": "power_dbm", "values": [10.0],
+                                "schemes": ["mdma"], "trials": "x"}, id="non-numeric-trials"),
+        pytest.param("--spec", None, id="missing-spec"),
+    ],
+)
+def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, flag, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(json.dumps(content))
+    if flag == "--config":
+        argv = ["analyze", "--config", str(path)]
+    else:
+        argv = ["sweep", "--paper-defaults", "--spec", str(path), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_requires_setup_source(capsys):
