@@ -49,6 +49,10 @@ class SweepSpec:
     def __post_init__(self):
         if self.parameter not in SWEEPABLE:
             raise ConfigError(f"parameter must be one of {SWEEPABLE}, got {self.parameter!r}")
+        for name in ("values", "schemes"):
+            # A string would be split into characters: "04" sweeps 0 and 4 dBm.
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigError(f"sweep field {name!r} must be a list, got {getattr(self, name)!r}")
         if not self.values:
             raise ConfigError("sweep grid must be nonempty")
         vals = tuple(self.values)
@@ -69,8 +73,8 @@ class SweepSpec:
         try:
             return cls(
                 parameter=doc["parameter"],
-                values=tuple(doc["values"]),
-                schemes=tuple(doc["schemes"]),
+                values=doc["values"],
+                schemes=doc["schemes"],
                 trials=int(doc["trials"]),
                 seed=int(doc.get("seed", 0)),
             )
@@ -270,8 +274,13 @@ class ValidationReport:
 def _sigma_gate(analytic: float, empirical: float, n: int, label: str, k: float = 3.0) -> CheckResult:
     sigma = math.sqrt(max(analytic * (1.0 - analytic), 0.0) / n) if n else math.inf
     dev = abs(analytic - empirical)
-    # A zero-variance gate only passes on exact agreement.
-    return CheckResult(label, dev <= k * sigma + 1e-15, dev, k * sigma)
+    # Failure counts are whole, so the gate allows half a count on top of k
+    # sigma (continuity correction).  Without it a single failure fails a
+    # step whose expected count n*p is well below 1: at 10 dBm and 50 000
+    # slots the personal2 relay step (n*p = 0.08) failed one run in eight.
+    # A zero-variance gate still only passes on exact agreement.
+    tol = k * sigma + 0.5 / n if n else math.inf
+    return CheckResult(label, dev <= tol + 1e-15, dev, tol)
 
 
 def validate(

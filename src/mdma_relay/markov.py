@@ -10,6 +10,7 @@ cost per delivered reception and the resource utilization efficiency follow.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -165,18 +166,29 @@ def ring_distribution(
     per cycle the broadcast state is visited 1/q times and the relay state
     op_b (1 - e)/q times.  Under ``literal_personal1_wrap`` the first
     personalized phase is a closed ring of its own and holds all the mass.
+
+    A phase that never advances (q = 0: every attempt fails) keeps the
+    chain in its first repetition once entered, so the first such phase
+    the cycle reaches from its start holds all the mass, on its first
+    repetition, in the ratio 1 : op_b (1 - e) between the two states.
     """
+    plan = phase_plan(beta_s, beta_p)
     trapped = literal_personal1_wrap and beta_p > 0
-    weights = []
-    for phase, reps in phase_plan(beta_s, beta_p):
+    pi = np.zeros(2 * sum(reps for _, reps in plan))
+    base, reached = 0, True
+    for phase, reps in plan:
         op_b, op_r, empty = _phase_probs(outages, phase)
         q = (1.0 - op_b) + op_b * (1.0 - empty) * (1.0 - op_r)
-        if q <= 0.0:
-            raise ConfigError(f"the {phase} phase never advances: every attempt fails")
-        live = not trapped or phase == "personal1"
-        pair = [1.0 / q, op_b * (1.0 - empty) / q] if live else [0.0, 0.0]
-        weights += pair * reps
-    pi = np.array(weights)
+        visits = np.array([1.0, op_b * (1.0 - empty)])
+        if q <= 0.0 and reached:
+            pi[:] = 0.0
+            pi[base : base + 2] = visits
+            break
+        if not trapped or phase == "personal1":
+            pi[base : base + 2 * reps] = np.tile(visits / q, reps)
+        # Under the literal wrap the cycle never gets past personal1.
+        reached = reached and not (trapped and phase == "personal1")
+        base += 2 * reps
     return pi / pi.sum()
 
 
@@ -221,16 +233,18 @@ def overall_outage(
 
 
 def slot_cost(op: float) -> float:
-    """Expected slots per delivered reception, 1 / (1 - outage)."""
-    if not 0.0 <= op < 1.0:
-        raise ConfigError(f"slot cost diverges unless outage is in [0, 1), got {op}")
-    return 1.0 / (1.0 - op)
+    """Expected slots per delivered reception, 1 / (1 - outage); infinite
+    when every attempt fails."""
+    if not 0.0 <= op <= 1.0:
+        raise ConfigError(f"outage must be a probability, got {op}")
+    return math.inf if op == 1.0 else 1.0 / (1.0 - op)
 
 
 def resource_efficiency(
     t_c: float, beta_s: int, beta_p: int, bandwidth_units: float, power_units: float
 ) -> float:
-    """Delivered payload pairs per slot, bandwidth unit and power unit."""
+    """Delivered payload pairs per slot, bandwidth unit and power unit; 0
+    when the slot cost is infinite."""
     denom = t_c * (beta_s + 2 * beta_p) * bandwidth_units * power_units
     if not (t_c > 0 and denom > 0):
         raise ConfigError("slot cost, slot counts and resource units must be positive")

@@ -4,11 +4,15 @@ Mirrors the Markov model's accounting exactly: one state transition per
 time slot, including the broadcast self-loop taken when the destination
 and every relay miss the broadcast.  The relay-forwarding slot combines
 the broadcast slot's retained direct SNR with fresh relay-to-destination
-draws (maximal ratio combining adds branch SNRs); the retained value is
-discarded once its repetition succeeds or restarts.
+draws (maximal ratio combining adds branch SNRs).
 
-TDMA, FDMA and NOMA baselines reuse the same relay cooperation mechanics
-and differ only in medium access.  Where the baselines are underspecified,
+The engine works on episodes: a broadcast slot plus, when the destination
+missed it and some relay decoded it, a relay slot.  Given the source they
+are i.i.d., so they are drawn as arrays, one generator per (source, link
+kind), and cut into repetitions at their successes; an episode's slot is a
+cumsum of episode lengths and the counters come from `bincount`.  TDMA,
+FDMA and NOMA baselines reuse the same relay cooperation mechanics and
+differ only in medium access.  Where the baselines are underspecified,
 every assumption is a configurable ``SimOptions`` field.
 """
 
@@ -32,6 +36,10 @@ SCHEME_RESOURCES = {
     "fdma": (2.0, 2.0),
     "noma": (1.0, 1.0),
 }
+
+# Episodes drawn per refill of a stream.  Each stream's generators are read
+# in order, so results do not depend on this size; it only bounds memory.
+_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -198,68 +206,35 @@ def _means(rates) -> np.ndarray | float:
     return float(out) if arr.ndim == 0 else out
 
 
-class _BcastPool:
-    """Chunked draws for broadcast slots: direct SNR plus all decode gates.
-
-    Comparisons against the threshold are vectorized per chunk so the slot
-    loop only indexes.
-    """
-
-    def __init__(self, rng, direct_mean, gate_means, gamma_th, chunk=1 << 13):
-        self._rng = rng
-        self._dmean = float(direct_mean)
-        self._gmeans = np.asarray(gate_means, dtype=float)
-        self._g = gamma_th
-        self._chunk = chunk
-        self._pos = chunk
-
-    def _refill(self):
-        n, m = self._chunk, self._gmeans.size
-        if math.isinf(self._dmean):
-            self._dv = np.full(n, math.inf)
-        else:
-            self._dv = self._rng.standard_exponential(n) * self._dmean
-        if np.isinf(self._gmeans).any():
-            self._rv = np.full((n, m), math.inf)
-        else:
-            self._rv = self._rng.standard_exponential((n, m)) * self._gmeans
-        self._dok = self._dv >= self._g
-        self._rb = self._rv >= self._g
-        self._rany = self._rb.any(axis=1)
-        self._pos = 0
-
-    def next(self):
-        i = self._pos
-        if i >= self._chunk:
-            self._refill()
-            i = 0
-        self._pos = i + 1
-        return self._dv[i], self._dok[i], self._rv[i], self._rb[i], self._rany[i]
+def _exp(rng, shape, means) -> np.ndarray:
+    """Exponential SNRs with the given means; infinite means (no noise) give inf."""
+    if np.isinf(means).any():
+        return np.full(shape, math.inf)
+    out = rng.standard_exponential(shape)
+    out *= means
+    return out
 
 
-class _ExpRowPool:
-    """Chunked rows of independent exponentials with per-column means."""
+def _relay_slots(rng, need, retained, decoded, rd_means, gamma_th):
+    """Relay-to-destination rows of the episodes in `need`, their MRC totals
+    (retained SNR plus decoding relays), and which episodes decode there."""
+    rows = _exp(rng, (int(need.sum()), decoded.shape[1]), rd_means)
+    mrc = retained[need] + np.einsum("ij,ij->i", rows, decoded[need])
+    ok = np.zeros(need.size, dtype=bool)
+    ok[need] = mrc >= gamma_th
+    return rows, mrc, ok
 
-    def __init__(self, rng, means, chunk=1 << 12):
-        self._rng = rng
-        self._means = np.asarray(means, dtype=float)
-        self._chunk = chunk
-        self._buf = np.empty((0, self._means.size))
-        self._pos = 0
 
-    def next_row(self) -> np.ndarray:
-        if self._pos >= self._buf.shape[0]:
-            if np.isinf(self._means).any():
-                self._buf = np.full((self._chunk, self._means.size), math.inf)
-            else:
-                self._buf = (
-                    self._rng.standard_exponential((self._chunk, self._means.size))
-                    * self._means
-                )
-            self._pos = 0
-        row = self._buf[self._pos]
-        self._pos += 1
-        return row
+def _sic(first, x1, x2, gamma_th):
+    """Successive interference cancellation of streams received at powers x1
+    and x2, stream 1 first where `first`: whether each decodes, and its SINR."""
+    xs, xw = np.where(first, x1, x2), np.where(first, x2, x1)
+    with np.errstate(invalid="ignore"):  # inf/inf without noise, where all decode
+        ok_s, sinr_s = xs >= gamma_th * (1.0 + xw), xs / (1.0 + xw)
+        resid = np.where(ok_s, 0.0, xs)
+        ok_w, sinr_w = xw >= gamma_th * (1.0 + resid), xw / (1.0 + resid)
+    return ({1: np.where(first, ok_s, ok_w), 2: np.where(first, ok_w, ok_s)},
+            {1: np.where(first, sinr_s, sinr_w), 2: np.where(first, sinr_w, sinr_s)})
 
 
 def _bitmask(flags) -> int:
@@ -267,57 +242,201 @@ def _bitmask(flags) -> int:
 
 
 class _Tally:
-    """Counters every runner keeps, turned into a SimEstimate by `estimate`."""
+    """Counters of one run, turned into a SimEstimate by `estimate`."""
 
-    def __init__(self, labels: list[str], step_keys: list[str]):
-        self.labels = labels
+    def __init__(self, scheme, labels, step_keys, bands, slots, trace_limit):
+        self.scheme, self.labels, self.step_keys = scheme, labels, step_keys
+        self.slots, self.trace_limit = slots, trace_limit
         self.occupancy = np.zeros(len(labels), dtype=np.int64)
-        self.per_step = {key: StepStats() for key in step_keys}
-        self.decode_attempts = {1: 0, 2: 0}
-        self.decode_empties = {1: 0, 2: 0}
-        self.trace: list[SlotEvent] = []
-        self.pairs = 0
-        self.dur_sum = self.dur_sumsq = 0.0
-        self.pair_start = 0
+        self.attempts = np.zeros(len(step_keys), dtype=np.int64)
+        self.failures = np.zeros(len(step_keys), dtype=np.int64)
+        self.decode_attempts, self.decode_empties = {1: 0, 2: 0}, {1: 0, 2: 0}
+        self.events: list[tuple[int, int, SlotEvent]] = []  # (slot, band, event)
+        self.cycle_ends: list[list[int]] = [[] for _ in range(bands)]
+        self.pairs, self.last_close, self.dur_sum, self.dur_sumsq = 0, 0, 0.0, 0.0
 
-    def close_pair(self, slot: int) -> None:
-        d = slot + 1 - self.pair_start
-        self.pairs += 1
-        self.dur_sum += d
-        self.dur_sumsq += d * d
-        self.pair_start = slot + 1
+    def add(self, labels, keys, failed) -> None:
+        """Count slots in occupancy `labels` and attempts of step `keys`."""
+        self.occupancy += np.bincount(labels, minlength=self.occupancy.size)
+        self.attempts += np.bincount(keys, minlength=self.attempts.size)
+        self.failures += np.bincount(keys[failed], minlength=self.failures.size)
 
-    def estimate(self, scheme: str, config: SystemConfig, slots: int, seed: int) -> SimEstimate:
+    def cycle_end(self, band: int, ends: list[int]) -> None:
+        """Band `band` ended cycles before the slots `ends`."""
+        self.cycle_ends[band] += [e for e in ends if e <= self.slots]
+        if len(self.cycle_ends[band]) >= _CHUNK:
+            self._settle()
+
+    def _settle(self) -> None:
+        """A pair is delivered once every band has ended that cycle, at the latest end."""
+        n = min(len(e) for e in self.cycle_ends)
+        if n:
+            close = np.max([e[:n] for e in self.cycle_ends], axis=0)
+            d = np.diff(close, prepend=self.last_close).astype(float)
+            self.pairs, self.last_close = self.pairs + n, int(close[-1])
+            self.dur_sum, self.dur_sumsq = self.dur_sum + d.sum(), self.dur_sumsq + d @ d
+            self.cycle_ends = [e[n:] for e in self.cycle_ends]
+
+    def estimate(self, config: SystemConfig, seed: int) -> SimEstimate:
+        self._settle()
         # Every attempt is one step of one state and either fails or succeeds.
-        attempts = sum(v.attempts for v in self.per_step.values())
-        failures = sum(v.failures for v in self.per_step.values())
-        bw, pw = SCHEME_RESOURCES[scheme]
+        per_step = {key: StepStats(int(a), int(f))
+                    for key, a, f in zip(self.step_keys, self.attempts, self.failures)}
+        attempts, failures = int(self.attempts.sum()), int(self.failures.sum())
+        bw, pw = SCHEME_RESOURCES[self.scheme]
+        self.events.sort(key=lambda e: e[:2])
         return SimEstimate(
-            scheme=scheme,
-            slots=slots,
-            seed=seed,
-            attempts=attempts,
-            failures=failures,
-            successes=attempts - failures,
-            per_step=self.per_step,
-            occupancy_labels=self.labels,
-            occupancy_counts=self.occupancy,
-            pairs=self.pairs,
-            pair_duration_sum=self.dur_sum,
-            pair_duration_sumsq=self.dur_sumsq,
-            bandwidth_units=bw * config.bandwidth_units,
-            power_units=pw * config.power_units,
-            decode_attempts=self.decode_attempts,
-            decode_empties=self.decode_empties,
-            trace=self.trace,
+            scheme=self.scheme, slots=self.slots, seed=seed,
+            attempts=attempts, failures=failures, successes=attempts - failures,
+            per_step=per_step, occupancy_labels=self.labels, occupancy_counts=self.occupancy,
+            pairs=self.pairs, pair_duration_sum=float(self.dur_sum),
+            pair_duration_sumsq=float(self.dur_sumsq),
+            bandwidth_units=bw * config.bandwidth_units, power_units=pw * config.power_units,
+            decode_attempts=self.decode_attempts, decode_empties=self.decode_empties,
+            trace=[ev for _, _, ev in self.events[: self.trace_limit]],
         )
 
 
-# ---------------------------------------------------------------------------
-# Band engine: MDMA, TDMA and FDMA.  A band cycles through its own phases
-# of (name, source, repetitions) and takes one step per slot.  MDMA and
-# TDMA run one band; FDMA runs one single-phase band per source.
-# ---------------------------------------------------------------------------
+class _Stream:
+    """I.i.d. episodes of one kind, drawn a chunk at a time and placed in order.
+
+    Each run placed is a segment (first, stop, start slot, repetitions before
+    it, tag); a chunk's segments are counted before the next chunk is drawn,
+    so memory is bounded by the chunk.  Lane l of `success` flags stream l+1.
+    """
+
+    def __init__(self, tally: _Tally):
+        self.tally, self.n, self.pos, self.segs, self.runs_placed = tally, 0, 0, [], []
+
+    def take(self, needs, slot: int, before: int, tag: int) -> tuple[int, list[int]]:
+        """Place episodes from `slot` on, up to the first lane to gain its `needs`
+        successes or to the chunk end; return their slots and successes per lane."""
+        if self.pos == self.n:
+            self._refill(slot)
+        start, stop = self.pos, self.n
+        for at, cum, need in zip(self.succ_at, self.cum_succ, needs):
+            j = cum.item(start) + need - 1  # the success that meets the need
+            if j < len(at):
+                stop = min(stop, at.item(j) + 1)
+        got = [cum.item(stop) - cum.item(start) for cum in self.cum_succ]
+        self.pos = stop
+        self.segs.append((start, stop, slot, before, tag))
+        return self.cum_len.item(stop) - self.cum_len.item(start), got
+
+    def runs(self, reps: int, slot: int):
+        """(first, stop, slots) of each whole run of `reps` lane-0 successes left."""
+        if self.pos == self.n:
+            self._refill(slot)
+        stop = self.succ_at[0][self.cum_succ[0].item(self.pos) + reps - 1 :: reps] + 1
+        first = np.concatenate(([self.pos], stop[:-1]))
+        return first, stop, self.cum_len[stop] - self.cum_len[first]
+
+    def take_runs(self, first, stop, slot, tag: int) -> None:
+        """Place whole runs found by `runs` from the given slots on."""
+        self.runs_placed.append((first, stop, slot, np.zeros_like(stop), np.full_like(stop, tag)))
+        self.pos = int(stop[-1])
+
+    def _refill(self, slot: int) -> None:
+        """Count the chunk, then draw the next; from `slot` on, the run has
+        room for at most one episode per slot left."""
+        self.flush()
+        self.n, self.pos = min(_CHUNK, self.tally.slots - slot), 0
+        self.ep = self.draw(self.n)
+        # Slots and successes per lane before each episode, and where the successes are.
+        self.cum_len = np.concatenate(([0], np.cumsum(self.ep["length"])))
+        self.cum_succ = [np.concatenate(([0], np.cumsum(s))) for s in self.ep["success"]]
+        self.succ_at = [np.flatnonzero(s) for s in self.ep["success"]]
+
+    def flush(self) -> None:
+        """Count the episodes placed from the current chunk."""
+        parts = self.runs_placed + ([tuple(map(np.array, zip(*self.segs)))] if self.segs else [])
+        if not parts:
+            return
+        cols = [np.concatenate(c) for c in zip(*parts)]
+        order = np.argsort(cols[0])  # runs placed whole and one by one interleave
+        first, stop, slot, before, tag = (c[order] for c in cols)
+        seg = np.repeat(np.arange(first.size), stop - first)
+        idx = slice(first[0], stop[-1])  # the segments tile it in order
+        cum_len, cum_succ = self.cum_len, self.cum_succ[0]
+        start = slot[seg] + cum_len[idx] - cum_len[first][seg]
+        rep = before[seg] + cum_succ[idx] - cum_succ[first][seg]
+        self.count(idx, start, rep, tag[seg])
+        self.segs, self.runs_placed = [], []
+
+
+class _BcastStream(_Stream):
+    """Full-power broadcast episodes of one source (MDMA, TDMA, FDMA, NOMA solo).
+    `table[tag, rep]`: broadcast and relay labels, their step keys, and band."""
+
+    def __init__(self, tally, seed, source, rates, gamma_th, cooperate, table):
+        super().__init__(tally)
+        self.source, self.gamma_th, self.cooperate, self.table = source, gamma_th, cooperate, table
+        self.rngs = [make_rng(seed, 3 * (source - 1) + k) for k in range(3)]
+        self.means = [_means(rates.direct), _means(rates.source_relay), _means(rates.relay_dest)]
+
+    def draw(self, n: int) -> dict:
+        g = self.gamma_th
+        direct = _exp(self.rngs[0], n, self.means[0])
+        sr = _exp(self.rngs[1], (n, self.means[1].size), self.means[1])
+        decoded = sr >= g if self.cooperate else np.zeros(sr.shape, dtype=bool)
+        ok, empty = direct >= g, ~decoded.any(axis=1)  # no relay decoded
+        relay = ~ok & ~empty
+        rows, mrc, relay_ok = _relay_slots(self.rngs[2], relay, direct, decoded, self.means[2], g)
+        return {"direct": direct, "sr": sr, "decoded": decoded, "ok": ok, "empty": empty,
+                "relay": relay, "rows": rows, "mrc": mrc, "relay_ok": relay_ok,
+                "length": 1 + relay, "success": [ok | relay_ok]}
+
+    def count(self, idx, start, rep, tag) -> None:
+        ep, tally, slots = self.ep, self.tally, self.tally.slots
+        lab_b, lab_r, key_b, key_r, band = self.table[tag, rep].T
+        b = start < slots
+        r = ep["relay"][idx] & (start + 1 < slots)
+        tally.add(lab_b[b], key_b[b], ~ep["ok"][idx][b])
+        tally.add(lab_r[r], key_r[r], ~ep["relay_ok"][idx][r])
+        tally.decode_attempts[self.source] += int(b.sum())
+        tally.decode_empties[self.source] += int((b & ep["empty"][idx]).sum())
+        if tally.trace_limit:
+            self._trace(idx, start, lab_b, lab_r, band)
+
+    def _trace(self, idx, start, lab_b, lab_r, band) -> None:
+        """Decode the placed episodes that fall in the traced slots into events."""
+        ep, tally = self.ep, self.tally
+        end = min(tally.trace_limit, tally.slots)
+        relay_row = np.cumsum(ep["relay"]) - 1
+        for j in np.flatnonzero(start < end):
+            i, t = idx.start + j, int(start[j])
+            direct, mask = float(ep["direct"][i]), _bitmask(ep["decoded"][i])
+            tally.events.append((t, band[j], SlotEvent(
+                t, tally.scheme, tally.labels[lab_b[j]],
+                "success" if ep["ok"][i] else "failure",
+                {"direct": direct, "source_relay": ep["sr"][i].copy()}, mask)))
+            if ep["relay"][i] and t + 1 < end:
+                k = relay_row[i]
+                tally.events.append((t + 1, band[j], SlotEvent(
+                    t + 1, tally.scheme, tally.labels[lab_r[j]],
+                    "success" if ep["relay_ok"][i] else "failure",
+                    {"relay_dest": ep["rows"][k].copy(), "retained_direct": direct},
+                    mask, float(ep["mrc"][k]))))
+
+
+def _whole_cycles(prog, band: int, t: int, tally: _Tally) -> int:
+    """Place the cycles from slot `t` on that every stream's chunk holds whole
+    and that end within the run; return the slot after them.  A stream
+    transmits one run of repetitions per cycle of its band."""
+    runs = [stream.runs(reps, t) for stream, reps, _ in prog]
+    c = min(len(stop) for _, stop, _ in runs)
+    dur = np.array([d[:c] for _, _, d in runs]).reshape(len(prog), c)
+    ends = t + np.cumsum(dur.sum(axis=0))
+    c = int(np.searchsorted(ends, tally.slots, side="right"))
+    if c == 0:
+        return t
+    dur = dur[:, :c]
+    run_slot = np.concatenate(([t], ends[: c - 1])) + np.cumsum(dur, axis=0) - dur
+    for (stream, reps, tag), (first, stop, _), slot in zip(prog, runs, run_slot):
+        stream.take_runs(first[:c], stop[:c], slot, tag)
+    tally.cycle_end(band, ends[:c].tolist())
+    return int(ends[c - 1])
+
 
 def _run_bands(
     topology: NetworkTopology,
@@ -328,132 +447,48 @@ def _run_bands(
     seed: int,
     options: SimOptions,
 ) -> SimEstimate:
-    """Step every band once per slot, in band order.
-
-    A pair is delivered in the slot where the smallest completed-cycle
-    count across bands goes up.
-    """
-    gamma_th = config.gamma_th
-    rates = {s: link_rates(topology, config, s) for s in (1, 2)}
-    rng = make_rng(seed, 0)
-    bpool = {
-        s: _BcastPool(rng, _means(rates[s].direct), _means(rates[s].source_relay), gamma_th)
-        for s in (1, 2)
-    }
-    nodecode = np.zeros(topology.num_relays, dtype=bool)
-    cooperate = options.relay_cooperation
-    tracing = options.trace_limit > 0
-
-    labels: list[str] = []
-    step_keys: list[str] = []
-    phase_bases = []  # per band, per phase: index of (bcast, rep 1)
-    for plan in bands:
-        phase_bases.append([])
-        for name, _src, reps in plan:
-            phase_bases[-1].append(len(labels))
-            step_keys += [f"{name}:bcast", f"{name}:relay"]
+    """MDMA, TDMA and FDMA: each band cycles through its phases of (name,
+    source, repetitions), and consecutive phases of one source form a run.
+    MDMA and TDMA run one band; FDMA runs one band per source."""
+    labels, step_keys, runs = [], [], []  # runs: band, source, labels and keys per rep
+    for band, plan in enumerate(bands):
+        for name, src, reps in plan:
+            if not runs or runs[-1][:2] != (band, src):
+                runs.append((band, src, []))
             for j in range(1, reps + 1):
-                labels.append(f"{name}:bcast:{j}")
-                labels.append(f"{name}:relay:{j}")
-    tally = _Tally(labels, step_keys)
-    cycles = [0] * len(bands)
+                runs[-1][2].append((len(labels), len(labels) + 1, len(step_keys), len(step_keys) + 1, band))
+                labels += [f"{name}:bcast:{j}", f"{name}:relay:{j}"]
+            step_keys += [f"{name}:bcast", f"{name}:relay"]
+    tally = _Tally(scheme, labels, step_keys, len(bands), slots, options.trace_limit)
+    width = max(len(r[2]) for r in runs)
+    table = np.array([r[2] + r[2][:1] * (width - len(r[2])) for r in runs])
+    streams = {s: _BcastStream(tally, seed, s, link_rates(topology, config, s), config.gamma_th,
+                               options.relay_cooperation, table) for s in (1, 2)}
+    programs = [[(streams[src], len(reps), tag) for tag, (b, src, reps) in enumerate(runs) if b == band]
+                for band in range(len(bands))]
 
-    def band_steps(k: int):
-        """Generator taking band k's step for one slot per resumption."""
-        # Local references keep the slot loop free of dict formatting.
-        phase_rows = [
-            (
-                bpool[src].next,
-                src,
-                reps,
-                phase_bases[k][i],
-                tally.per_step[f"{name}:bcast"],
-                tally.per_step[f"{name}:relay"],
-                name,
-            )
-            for i, (name, src, reps) in enumerate(bands[k])
-        ]
-        relay_pool = _ExpRowPool(rng, _means(rates[1].relay_dest))
-        occupancy = tally.occupancy
-        decode_attempts = tally.decode_attempts
-        decode_empties = tally.decode_empties
-        trace = tally.trace
-
-        phase_idx, rep, step = 0, 1, 1
-        retained = 0.0
-        cmask = nodecode
-
-        for slot in range(slots):
-            draw_bcast, src, reps, base, bstats, rstats, name = phase_rows[phase_idx]
-            advanced = False
-            if step == 1:
-                g, ok, row, rowb, anyb = draw_bcast()
-                if not cooperate:
-                    rowb, anyb = nodecode, False
-                decode_attempts[src] += 1
-                if not anyb:
-                    decode_empties[src] += 1
-                occupancy[base + 2 * (rep - 1)] += 1
-                bstats.attempts += 1
-                if ok:
-                    advanced = True
-                else:
-                    bstats.failures += 1
-                    if anyb:
-                        retained = g
-                        cmask = rowb
-                        step = 2
-                if tracing and len(trace) < options.trace_limit:
-                    trace.append(
-                        SlotEvent(
-                            slot,
-                            scheme,
-                            f"{name}:bcast:{rep}",
-                            "success" if ok else "failure",
-                            {"direct": float(g), "source_relay": np.array(row)},
-                            _bitmask(rowb),
-                        )
-                    )
-            else:
-                rid = relay_pool.next_row()
-                mrc = retained + float(np.dot(rid, cmask))
-                ok = mrc >= gamma_th
-                occupancy[base + 2 * (rep - 1) + 1] += 1
-                rstats.attempts += 1
-                if ok:
-                    advanced = True
-                else:
-                    rstats.failures += 1
-                step = 1
-                if tracing and len(trace) < options.trace_limit:
-                    trace.append(
-                        SlotEvent(
-                            slot,
-                            scheme,
-                            f"{name}:relay:{rep}",
-                            "success" if ok else "failure",
-                            {"relay_dest": np.array(rid), "retained_direct": retained},
-                            _bitmask(cmask),
-                            mrc,
-                        )
-                    )
-            if advanced:
-                step = 1
-                rep += 1
-                if rep > reps:
-                    rep = 1
-                    phase_idx += 1
-                    if phase_idx >= len(phase_rows):
-                        phase_idx = 0
-                        cycles[k] += 1
-                        if min(cycles) > tally.pairs:
-                            tally.close_pair(slot)
-            yield
-
-    # zip resumes the bands in order, once per slot, until the slots run out.
-    for _ in zip(*(band_steps(k) for k in range(len(bands)))):
-        pass
-    return tally.estimate(scheme, config, slots, seed)
+    state = [[0, 0, 0] for _ in bands]  # run index, repetitions done, slot
+    while any(st[2] < slots for st in state):
+        # Per band: whole cycles at once, then one cycle run by run, which
+        # draws the next chunk of a stream that ran out or reaches the end of
+        # the run.  Taking turns keeps the bands' cycle counts close.
+        for band, (prog, st) in enumerate(zip(programs, state)):
+            i, done, t = st
+            if t < slots:
+                t = _whole_cycles(prog, band, t, tally)
+            while t < slots:
+                stream, reps, tag = prog[i]
+                dur, got = stream.take((reps - done,), t, done, tag)
+                t, done = t + dur, done + got[0]
+                if done == reps:
+                    done, i = 0, (i + 1) % len(prog)
+                    if i == 0:
+                        tally.cycle_end(band, [t])
+                        break
+            st[:] = i, done, t
+    for stream in streams.values():
+        stream.flush()
+    return tally.estimate(config, seed)
 
 
 def run_mdma(
@@ -482,125 +517,86 @@ def _payload_reps(config: SystemConfig) -> int:
 # cancellation; relay cooperation applies per stream in dedicated slots.
 # ---------------------------------------------------------------------------
 
+class _JointStream(_Stream):
+    """NOMA joint episodes: one superposed slot, then a relay slot for stream 1
+    if it needs one, then one for stream 2."""
+
+    def __init__(self, tally, seed, rates, gamma_th, options):
+        super().__init__(tally)
+        self.gamma_th, self.options = gamma_th, options
+        self.rngs = {s: [make_rng(seed, 6 + 3 * (s - 1) + k) for k in range(3)] for s in (1, 2)}
+        # Mean received powers in noise units at each stream's power share.
+        share = {1: options.noma_rho, 2: 1.0 - options.noma_rho}
+        self.at_d = {s: share[s] * _means(rates[s].direct) for s in (1, 2)}
+        self.at_r = {s: share[s] * _means(rates[s].source_relay) for s in (1, 2)}
+        self.rd_means = _means(rates[1].relay_dest)
+
+    def draw(self, n: int) -> dict:
+        g, instant = self.gamma_th, self.options.noma_sic_order == "instant"
+        p = {s: _exp(self.rngs[s][0], n, self.at_d[s]) for s in (1, 2)}
+        gains = {s: _exp(self.rngs[s][1], (n, self.at_r[s].size), self.at_r[s]) for s in (1, 2)}
+        # Cancellation at the destination, and at each relay.
+        first = p[1] >= p[2] if instant else self.at_d[1] >= self.at_d[2]
+        ok, sinr = _sic(first, p[1], p[2], g)
+        first = gains[1] >= gains[2] if instant else self.at_r[1] >= self.at_r[2]
+        dec, _ = _sic(first, gains[1], gains[2], g)
+        ep = {"ok": ok, "empty": {}, "relay": {}, "relay_ok": {}}
+        for s in (1, 2):
+            ep["empty"][s] = ~dec[s].any(axis=1) | (not self.options.relay_cooperation)
+            ep["relay"][s] = ~ok[s] & ~ep["empty"][s]
+            _, _, ep["relay_ok"][s] = _relay_slots(
+                self.rngs[s][2], ep["relay"][s], sinr[s], dec[s], self.rd_means, g)
+        ep["length"] = 1 + ep["relay"][1] + ep["relay"][2]
+        ep["success"] = [ok[s] | ep["relay_ok"][s] for s in (1, 2)]
+        return ep
+
+    def count(self, idx, start, rep, tag) -> None:
+        ep, tally, slots = self.ep, self.tally, self.tally.slots
+        b = start < slots
+        nb, relay_slot = int(b.sum()), start + 1  # stream 2's relay slot follows stream 1's
+        tally.occupancy[0] += nb
+        for s in (1, 2):
+            r = ep["relay"][s][idx] & (relay_slot < slots)
+            relay_slot = relay_slot + ep["relay"][s][idx]
+            tally.occupancy[2 + s] += int(r.sum())
+            tally.attempts[[0, 2 + s]] += (nb, int(r.sum()))
+            tally.failures[[0, 2 + s]] += (int((b & ~ep["ok"][s][idx]).sum()),
+                                           int((r & ~ep["relay_ok"][s][idx]).sum()))
+            tally.decode_attempts[s] += nb
+            tally.decode_empties[s] += int((b & ep["empty"][s][idx]).sum())
+
+
 def _run_noma(topology, config, slots, seed, options) -> SimEstimate:
     if options.trace_limit > 0:
         raise ConfigError("the NOMA simulator records no slot trace")
     beta_t = _payload_reps(config)
-    gamma_th = config.gamma_th
-    m = topology.num_relays
-    rates = {s: link_rates(topology, config, s) for s in (1, 2)}
-    share = {1: options.noma_rho, 2: 1.0 - options.noma_rho}
-    # Mean received powers in noise units: full power and the split share.
-    full_at_d = {s: _means(rates[s].direct) for s in (1, 2)}
-    full_at_r = {s: _means(rates[s].source_relay) for s in (1, 2)}
-    split_at_d = {s: share[s] * full_at_d[s] for s in (1, 2)}
-    split_at_r = {s: share[s] * full_at_r[s] for s in (1, 2)}
-    rd_means = _means(rates[1].relay_dest)
-    instant = options.noma_sic_order == "instant"
-    s1_strong_at_d = split_at_d[1] >= split_at_d[2]
-    s1_strong_at_r = split_at_r[1] >= split_at_r[2]
-
     labels = ["joint", "solo1", "solo2", "relay1", "relay2"]
-    index = {lab: i for i, lab in enumerate(labels)}
+    tally = _Tally("noma", labels, labels, 1, slots, 0)
+    rates = {s: link_rates(topology, config, s) for s in (1, 2)}
+    # A lone unfinished source transmits at full power: a broadcast episode.
+    solo = [
+        _BcastStream(tally, seed, s, rates[s], config.gamma_th, options.relay_cooperation,
+                     np.array([[(s, 2 + s, s, 2 + s, 0)] * beta_t]))
+        for s in (1, 2)
+    ]
+    joint = _JointStream(tally, seed, rates, config.gamma_th, options)
 
-    rng = make_rng(seed, 0)
-    pool_d = {s: _ExpRowPool(rng, np.ones(1), chunk=1 << 14) for s in (1, 2)}
-    pool_r = {s: _ExpRowPool(rng, np.ones(m)) for s in (1, 2)}
-    relay_pool = _ExpRowPool(rng, rd_means)
-    cooperate = options.relay_cooperation
-
-    tally = _Tally(labels, labels)
-    occupancy = tally.occupancy
-    per_step = tally.per_step
-    decode_attempts = tally.decode_attempts
-    decode_empties = tally.decode_empties
-
-    delivered = {1: 0, 2: 0}
-    # Queue of (stream, retained post-cancellation SINR, decode set).
-    pending_relay: list[tuple[int, float, np.ndarray]] = []
-
-    for slot in range(slots):
-        if pending_relay:
-            s, retained, cset = pending_relay.pop(0)
-            label = f"relay{s}"
-            occupancy[index[label]] += 1
-            rid = relay_pool.next_row()
-            mrc = retained + float(np.dot(rid, cset))
-            stats = per_step[label]
-            stats.attempts += 1
-            if mrc >= gamma_th:
-                delivered[s] += 1
-            else:
-                stats.failures += 1
+    t, done = 0, [0, 0]  # slot, deliveries of each stream in the current pair
+    while t < slots:
+        if max(done) < beta_t:
+            dur, got = joint.take((beta_t - done[0], beta_t - done[1]), t, 0, 0)
+            done = [d + n for d, n in zip(done, got)]
         else:
-            active = [s for s in (1, 2) if delivered[s] < beta_t]
-            if len(active) == 1:
-                # A lone unfinished source transmits at full power.
-                s = active[0]
-                label = f"solo{s}"
-                occupancy[index[label]] += 1
-                decode_attempts[s] += 1
-                p = float(pool_d[s].next_row()[0]) * full_at_d[s]
-                gains = pool_r[s].next_row() * full_at_r[s]
-                decoded = (gains >= gamma_th) if cooperate else np.zeros(m, dtype=bool)
-                if not decoded.any():
-                    decode_empties[s] += 1
-                stats = per_step[label]
-                stats.attempts += 1
-                if p >= gamma_th:
-                    delivered[s] += 1
-                else:
-                    stats.failures += 1
-                    if decoded.any():
-                        pending_relay.append((s, p, decoded.copy()))
-            else:
-                label = "joint"
-                occupancy[index[label]] += 1
-                p1 = float(pool_d[1].next_row()[0]) * split_at_d[1]
-                p2 = float(pool_d[2].next_row()[0]) * split_at_d[2]
-                g1 = pool_r[1].next_row() * split_at_r[1]
-                g2 = pool_r[2].next_row() * split_at_r[2]
-                # Destination-side cancellation in decode order.
-                s1_first = (p1 >= p2) if instant else s1_strong_at_d
-                ps, pw = (p1, p2) if s1_first else (p2, p1)
-                ok_s = ps >= gamma_th * (1.0 + pw)
-                sinr_s = ps / (1.0 + pw)
-                resid = 0.0 if ok_s else ps
-                ok_w = pw >= gamma_th * (1.0 + resid)
-                sinr_w = pw / (1.0 + resid)
-                ok_d = {1: ok_s, 2: ok_w} if s1_first else {1: ok_w, 2: ok_s}
-                sinr_d = {1: sinr_s, 2: sinr_w} if s1_first else {1: sinr_w, 2: sinr_s}
-                # Relay-side cancellation, vectorized across relays.
-                if cooperate:
-                    s1f = (g1 >= g2) if instant else s1_strong_at_r
-                    gs = np.where(s1f, g1, g2)
-                    gw = np.where(s1f, g2, g1)
-                    rok_s = gs >= gamma_th * (1.0 + gw)
-                    rok_w = gw >= gamma_th * (1.0 + np.where(rok_s, 0.0, gs))
-                    dec = {
-                        1: np.where(s1f, rok_s, rok_w),
-                        2: np.where(s1f, rok_w, rok_s),
-                    }
-                else:
-                    dec = {1: np.zeros(m, dtype=bool), 2: np.zeros(m, dtype=bool)}
-                stats = per_step[label]
-                for s in (1, 2):
-                    decode_attempts[s] += 1
-                    if not dec[s].any():
-                        decode_empties[s] += 1
-                    stats.attempts += 1
-                    if ok_d[s]:
-                        delivered[s] += 1
-                    else:
-                        stats.failures += 1
-                        if dec[s].any():
-                            pending_relay.append((s, float(sinr_d[s]), dec[s].copy()))
-        if delivered[1] >= beta_t and delivered[2] >= beta_t:
-            tally.close_pair(slot)
-            delivered = {1: 0, 2: 0}
-            pending_relay.clear()
-
-    return tally.estimate("noma", config, slots, seed)
+            lane = 0 if done[0] < beta_t else 1
+            dur, (n,) = solo[lane].take((beta_t - done[lane],), t, 0, 0)
+            done[lane] += n
+        t += dur
+        if min(done) >= beta_t:
+            tally.cycle_end(0, [t])
+            done = [0, 0]
+    for stream in (joint, *solo):
+        stream.flush()
+    return tally.estimate(config, seed)
 
 
 def run_baseline(

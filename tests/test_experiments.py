@@ -10,6 +10,7 @@ from mdma_relay.cli import main
 from mdma_relay.experiments import (
     CSV_COLUMNS,
     SweepSpec,
+    _sigma_gate,
     run_manifest,
     run_sweep,
     validate,
@@ -65,6 +66,13 @@ def test_spec_rejects_unknown_fields():
         SweepSpec("noise_floor", (1.0,), ("mdma",), 1000)
     with pytest.raises(ConfigError):
         SweepSpec("power_dbm", (1.0,), ("ofdma",), 1000)
+
+
+def test_spec_refuses_strings_for_lists():
+    with pytest.raises(ConfigError, match="'values' must be a list"):
+        SweepSpec("power_dbm", "04", ("mdma",), 1000)
+    with pytest.raises(ConfigError, match="'schemes' must be a list"):
+        SweepSpec("power_dbm", (4.0,), "mdma", 1000)
 
 
 def test_spec_from_dict_roundtrip():
@@ -174,6 +182,18 @@ def test_validate_stable_across_seeds(setup10):
         assert validate(topo, cfg, trials=50_000, seed=seed).passed
 
 
+def test_step_gate_allows_half_a_count():
+    # At n*p = 0.08 a correct engine shows one failure 8% of the time and two
+    # 0.3% of the time; 3 sigma alone (1.2e-4) would fail the single one.
+    n, p = 7200, 1.13e-5
+    assert _sigma_gate(p, 1 / n, n, "one").passed
+    assert not _sigma_gate(p, 2 / n, n, "two").passed
+    assert _sigma_gate(0.0, 0.0, n, "exact").passed
+    assert not _sigma_gate(0.0, 1 / n, n, "zero-variance").passed
+    # With many expected failures the half count barely widens 3 sigma.
+    assert not _sigma_gate(0.1, 0.1 + 3.1 * math.sqrt(0.09 / 50_000), 50_000, "wide").passed
+
+
 def test_validate_tied_layout_skips_only_the_closed_form_check(setup10):
     _, cfg = setup10
     report = validate(line_topology(10), cfg, trials=50_000, seed=12)
@@ -221,6 +241,16 @@ def test_cli_analyze_at_low_power_matches_the_direct_solve(tmp_path, power_dbm):
     direct = overall_outage(pi, outs, list(chain.states))
     assert abs(json.loads(out.read_text())["overall_op"] - direct) < 1e-9
     assert np.max(np.abs(pi - ring_distribution(outs, cfg.beta_s, cfg.beta_p))) < 1e-12
+
+
+@pytest.mark.parametrize("power_dbm", ["-12", "-14", "-16"])
+def test_cli_analyze_where_every_attempt_fails(tmp_path, power_dbm):
+    out = tmp_path / "a.json"
+    assert main(["analyze", "--paper-defaults", "--power-dbm", power_dbm, "--out", str(out)]) == 0
+    text = out.read_text()
+    assert '"slot_cost": Infinity' in text
+    doc = json.loads(text)
+    assert (doc["overall_op"], doc["slot_cost"], doc["efficiency"]) == (1.0, math.inf, 0.0)
 
 
 @pytest.mark.parametrize("relays", [10, 24])
@@ -297,20 +327,29 @@ def _paper_config(**edits) -> dict:
     return {"topology": dict(topology_to_dict(topo), **edits), "system": {}}
 
 
+def _spec(**edits) -> dict:
+    return dict({"parameter": "power_dbm", "values": [10.0], "schemes": ["mdma"],
+                 "trials": 10_000}, **edits)
+
+
 @pytest.mark.parametrize(
-    "flag, content",
+    "flag, content, message",
     [
-        pytest.param("--config", _paper_config(relays=[[100.0, 0.0]]), id="relay-on-destination"),
-        pytest.param("--config", _paper_config(s1=["a", 20]), id="non-numeric-coordinate"),
-        pytest.param("--config", dict(_paper_config(), system={"power_dbm": "x"}),
+        pytest.param("--config", _paper_config(relays=[[100.0, 0.0]]), "error:",
+                     id="relay-on-destination"),
+        pytest.param("--config", _paper_config(s1=["a", 20]), "error:", id="non-numeric-coordinate"),
+        pytest.param("--config", dict(_paper_config(), system={"power_dbm": "x"}), "error:",
                      id="non-numeric-power"),
-        pytest.param("--config", None, id="missing-config"),
-        pytest.param("--spec", {"parameter": "power_dbm", "values": [10.0],
-                                "schemes": ["mdma"], "trials": "x"}, id="non-numeric-trials"),
-        pytest.param("--spec", None, id="missing-spec"),
+        pytest.param("--config", None, "error:", id="missing-config"),
+        pytest.param("--spec", _spec(trials="x"), "error:", id="non-numeric-trials"),
+        pytest.param("--spec", None, "error:", id="missing-spec"),
+        # A string would be split into characters: "04" sweeps 0 and 4 dBm.
+        pytest.param("--spec", _spec(values="04"), "'values' must be a list", id="string-values"),
+        pytest.param("--spec", _spec(schemes="mdma"), "'schemes' must be a list",
+                     id="string-schemes"),
     ],
 )
-def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, flag, content):
+def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, flag, content, message):
     path = tmp_path / "input.json"
     if content is not None:
         path.write_text(json.dumps(content))
@@ -319,7 +358,8 @@ def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, flag, conte
     else:
         argv = ["sweep", "--paper-defaults", "--spec", str(path), "--out", str(tmp_path)]
     assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
 
 
 def test_cli_requires_setup_source(capsys):

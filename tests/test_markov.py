@@ -190,11 +190,23 @@ def test_stationary_properties():
     assert np.all(pi > 0)
 
 
-def test_ring_law_of_a_phase_that_never_advances_is_refused():
-    # Broadcast always fails and no relay ever decodes: an absorbing state.
+def test_ring_law_of_a_phase_that_never_advances_holds_the_mass():
+    # personal2: the broadcast always fails and no relay ever decodes, so the
+    # chain reaches its first broadcast state and stays there.
     stuck = StepOutageSet(0.3, 0.3, 0.3, 0.3, 1.0, 0.3, 0.2, 1.0)
-    with pytest.raises(ConfigError, match="never advances"):
-        solve_chain(stuck, 2, 2)
+    assert ring_distribution(stuck, 2, 2).tolist() == [0.0] * 8 + [1.0] + [0.0] * 3
+    sol = solve_chain(stuck, 2, 2)
+    assert (sol.overall_op, sol.slot_cost, sol.efficiency) == (1.0, math.inf, 0.0)
+    # shared as well, with relays that decode but never deliver: the first
+    # such phase holds the chain, 1 : op_b (1 - e) between its two states.
+    both = StepOutageSet(1.0, 1.0, 0.3, 0.3, 1.0, 0.3, 0.2, 1.0)
+    pi = ring_distribution(both, 2, 2)
+    assert pi[:2] == pytest.approx([1.0 / 1.8, 0.8 / 1.8]) and not pi[2:].any()
+    # Where the chain has one closed class, the direct solve agrees.
+    shared_only = StepOutageSet(1.0, 1.0, 0.3, 0.3, 0.3, 0.3, 0.2, 0.2)
+    for outs, beta_s, beta_p in ((stuck, 2, 1), (shared_only, 1, 1)):
+        pi = ring_distribution(outs, beta_s, beta_p)
+        assert np.max(np.abs(pi - stationary_distribution(build_chain(outs, beta_s, beta_p)))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +250,12 @@ def test_slot_cost_values(op, expect):
 
 
 def test_slot_cost_diverges():
-    with pytest.raises(ConfigError):
-        slot_cost(1.0)
+    assert slot_cost(1.0) == math.inf
+    assert resource_efficiency(math.inf, 5, 5, 1.0, 1.0) == 0.0
     with pytest.raises(ConfigError):
         slot_cost(-0.1)
+    with pytest.raises(ConfigError):
+        slot_cost(1.1)
 
 
 def test_resource_efficiency_values():

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -5,15 +6,18 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from mdma_relay import simulator
 from mdma_relay.analytic import step_outages
 from mdma_relay.markov import solve_chain
 from mdma_relay.simulator import (
+    SCHEMES,
     SimOptions,
     draw_link_snr,
     make_rng,
     run_baseline,
     run_mdma,
     simulate,
+    trace_to_csv_rows,
 )
 from mdma_relay.topology import (
     ConfigError,
@@ -97,6 +101,53 @@ def test_tdma_infinite_snr_pair_cost(setup10):
     est = run_baseline("tdma", topo, quiet, 4_000, seed=1)
     assert est.failures == 0
     assert est.slots_per_pair == pytest.approx(2 * math.ceil(cfg.total_bits / cfg.rate_r0))
+
+
+# Slots per cycle (MDMA, TDMA, FDMA) or per pair (NOMA) when nothing fails.
+CYCLE = {"mdma": 15, "tdma": 20, "fdma": 10, "noma": 10}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("link", ["10dBm", "-30dBm", "noiseless"])
+def test_every_scheme_fills_exactly_the_requested_slots(setup10, scheme, link):
+    topo, cfg = setup10
+    cfg = {
+        "10dBm": cfg,
+        "-30dBm": replace(cfg, power_dbm=-30.0),  # nothing ever succeeds
+        "noiseless": replace(cfg, noise_dbm=-math.inf),  # nothing ever fails
+    }[link]
+    cycle = CYCLE[scheme]
+    bands = ["band1", "band2"] if scheme == "fdma" else [""]
+    for slots in (1, 2, cycle - 1, cycle, cycle + 1, simulator._CHUNK + 1):
+        est = simulate(scheme, topo, cfg, slots, seed=2)
+        for band in bands:
+            used = [c for lab, c in zip(est.occupancy_labels, est.occupancy_counts) if lab.startswith(band)]
+            assert sum(used) == slots, (band, slots)
+        if scheme != "noma":
+            assert est.attempts == len(bands) * slots
+        if link == "-30dBm":
+            assert est.failures == est.attempts and est.pairs == 0
+        if link == "noiseless":
+            assert est.failures == 0 and est.pairs == slots // cycle
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_results_do_not_depend_on_the_draw_chunk(setup10, scheme, monkeypatch):
+    topo, cfg = setup10
+    low = replace(cfg, power_dbm=4.0)
+    options = SimOptions(trace_limit=0 if scheme == "noma" else 5_000)
+    runs = [simulate(scheme, topo, low, 5_000, seed=3, options=options)]
+    monkeypatch.setattr(simulator, "_CHUNK", 7)
+    runs.append(simulate(scheme, topo, low, 5_000, seed=3, options=options))
+    ref, small = runs
+    assert json.dumps(small.to_dict()) == json.dumps(ref.to_dict())
+    assert np.array_equal(small.occupancy_counts, ref.occupancy_counts)
+    assert (small.decode_attempts, small.decode_empties) == (ref.decode_attempts, ref.decode_empties)
+    assert trace_to_csv_rows(small.trace) == trace_to_csv_rows(ref.trace)
+    assert len(ref.trace) == (0 if scheme == "noma" else 5_000)
+    for a, b in zip(small.trace, ref.trace):
+        assert a.snrs.keys() == b.snrs.keys()
+        assert all(np.array_equal(a.snrs[k], b.snrs[k]) for k in a.snrs)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +276,24 @@ def test_fdma_runs_both_bands_every_slot(setup10):
     assert est.attempts == 2 * est.slots
     band1 = sum(est.occupancy_counts[i] for i, lab in enumerate(est.occupancy_labels) if lab.startswith("band1"))
     assert band1 == est.slots
+
+
+@pytest.mark.parametrize("scheme, step, rho, sources", [
+    pytest.param("tdma", "payload{s}:bcast", 0.7, (1, 2), id="tdma"),
+    pytest.param("fdma", "band{s}:bcast", 0.7, (1, 2), id="fdma"),
+    # Only the stream that finishes its payload last transmits solo.
+    pytest.param("noma", "solo{s}", 0.7, (2,), id="noma-solo2"),
+    pytest.param("noma", "solo{s}", 0.1, (1,), id="noma-solo1"),
+])
+def test_baseline_broadcasts_fail_as_the_direct_link_law(setup10, scheme, step, rho, sources):
+    topo, cfg = setup10
+    est = simulate(scheme, topo, cfg, 200_000, seed=31, options=SimOptions(noma_rho=rho))
+    for s in sources:
+        p = -math.expm1(-link_rates(topo, cfg, s).direct * cfg.gamma_th)
+        stats = est.per_step[step.format(s=s)]
+        assert stats.attempts > 1_000
+        sigma = math.sqrt(p * (1 - p) / stats.attempts)
+        assert abs(stats.op - p) <= 3 * sigma, (s, stats.op, p, stats.attempts)
 
 
 def test_noma_runs_and_reports(setup10):
