@@ -262,61 +262,36 @@ def step2_outage(relay_pmf: BinnedPmf, direct_pmf: BinnedPmf, gates) -> float:
 
 
 @dataclass(frozen=True)
-class StepOutageSet:
-    """Per-step outage probabilities of the three-phase protocol.
+class SourceOutages:
+    """Step outages of one source's transmissions.
 
-    The shared phase and the first personalized phase are both carried by
-    source 1, so their values coincide; the second personalized phase swaps
-    in source 2's distances and decode gates.
+    ``bcast`` is the outage of the source broadcast at the destination,
+    ``relay`` the outage of the relay-forwarding step, and ``empty`` the
+    probability that no relay decoded the broadcast.
     """
 
-    shared_bcast: float
-    shared_relay: float
-    personal1_bcast: float
-    personal1_relay: float
-    personal2_bcast: float
-    personal2_relay: float
-    empty_set_prob_s1: float
-    empty_set_prob_s2: float
+    bcast: float
+    relay: float
+    empty: float
 
     def __post_init__(self):
-        for name in (
-            "shared_bcast",
-            "shared_relay",
-            "personal1_bcast",
-            "personal1_relay",
-            "personal2_bcast",
-            "personal2_relay",
-            "empty_set_prob_s1",
-            "empty_set_prob_s2",
-        ):
+        for name in ("bcast", "relay", "empty"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be a probability, got {v}")
 
-    def by_step(self, phase: str, step: int) -> float:
-        return getattr(self, f"{phase}_{'bcast' if step == 1 else 'relay'}")
-
-    def labelled(self) -> dict[str, float]:
-        """The six step outages keyed "phase:bcast" / "phase:relay"."""
-        return {
-            f"{phase}:{kind}": getattr(self, f"{phase}_{kind}")
-            for phase in ("shared", "personal1", "personal2")
-            for kind in ("bcast", "relay")
-        }
-
 
 def source_step_outages(
     topology: NetworkTopology, config: SystemConfig, source: int
-) -> tuple[float, float, float]:
-    """(broadcast outage, relay-step outage, empty-set probability) for one source.
+) -> SourceOutages:
+    """Broadcast outage, relay-step outage and empty-set probability of one source.
 
     The relay sum is binned from the closed form where it is defined and by
     convolving per-path masses otherwise (tied rates, or more than
     ``MAX_RELAYS_CLOSED_FORM`` relays).
     """
     if math.isinf(config.snr_linear()):
-        return 0.0, 0.0, 0.0
+        return SourceOutages(0.0, 0.0, 0.0)
     rates = link_rates(topology, config, source)
     gamma_th = config.gamma_th
     fails = decode_fail_probs(topology, config, source)
@@ -325,9 +300,9 @@ def source_step_outages(
     empty = float(np.prod(fails))
     if gamma_th == 0.0:
         # Zero threshold: every reception succeeds and the relay step never runs.
-        return 0.0, 0.0, 0.0
+        return SourceOutages(0.0, 0.0, 0.0)
     if empty >= 1.0:
-        return bcast, 1.0, empty
+        return SourceOutages(bcast, 1.0, empty)
     if closed_form_applies(gates):
         relay_pmf = bin_relay_sum(relay_sum_cdf(gates), gamma_th, config.granularity)
     else:
@@ -336,23 +311,14 @@ def source_step_outages(
         LinkParam(rates.direct), gamma_th, config.granularity
     )
     relay = step2_outage(relay_pmf, direct_pmf, gates)
-    return bcast, relay, empty
+    return SourceOutages(bcast, relay, empty)
 
 
-def step_outages(topology: NetworkTopology, config: SystemConfig) -> StepOutageSet:
-    """All six per-step outage probabilities of the protocol."""
-    b1, r1, e1 = source_step_outages(topology, config, 1)
-    b2, r2, e2 = source_step_outages(topology, config, 2)
-    return StepOutageSet(
-        shared_bcast=b1,
-        shared_relay=r1,
-        personal1_bcast=b1,
-        personal1_relay=r1,
-        personal2_bcast=b2,
-        personal2_relay=r2,
-        empty_set_prob_s1=e1,
-        empty_set_prob_s2=e2,
-    )
+def step_outages(
+    topology: NetworkTopology, config: SystemConfig
+) -> dict[int, SourceOutages]:
+    """The step outages of sources 1 and 2, keyed by source."""
+    return {source: source_step_outages(topology, config, source) for source in (1, 2)}
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .experiments import (
     validate,
     write_rows_csv,
 )
-from .markov import chain_to_json, solve_chain
+from .markov import build_chain, chain_to_json, labelled, solve_chain
 from .analytic import step_outages
 from .simulator import SCHEMES, SimOptions, simulate, trace_to_csv_rows
 from .topology import ConfigError, default_paper_setup, load_setup, read_json
@@ -88,7 +88,7 @@ def cmd_analyze(args) -> int:
         "gamma_th": cfg.gamma_th,
         "beta_s": cfg.beta_s,
         "beta_p": cfg.beta_p,
-        "step_outages": outs.labelled(),
+        "step_outages": labelled(outs),
         "overall_op": sol.overall_op,
         "slot_cost": sol.slot_cost,
         "efficiency": sol.efficiency,
@@ -149,7 +149,8 @@ def cmd_dump_chain(args) -> int:
     outs = step_outages(topo, cfg)
     sol = solve_chain(outs, cfg.beta_s, cfg.beta_p, cfg.bandwidth_units, cfg.power_units,
                       literal_personal1_wrap=args.literal_personal1_wrap)
-    _emit(chain_to_json(sol, outs), args.out)
+    chain = build_chain(outs, cfg.beta_s, cfg.beta_p, args.literal_personal1_wrap)
+    _emit(chain_to_json(sol, chain, outs), args.out)
     return 0
 
 

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from .analytic import (
     relay_sum_cdf,
     step_outages,
 )
-from .markov import ChainSolution, solve_chain
+from .markov import ChainSolution, labelled, solve_chain
 from .oracles import relay_sum_cdf_quadrature
 from .simulator import SCHEMES, SimOptions, simulate
 from .topology import (
@@ -56,6 +57,12 @@ class SweepSpec:
         if not self.values:
             raise ConfigError("sweep grid must be nonempty")
         vals = tuple(self.values)
+        for v in vals:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ConfigError(f"sweep values must be numbers, got {v!r}")
+            whole = isinstance(v, numbers.Integral) or float(v).is_integer()
+            if self.parameter in ("granularity", "relay_count") and not whole:
+                raise ConfigError(f"{self.parameter} values must be whole numbers, got {v!r}")
         if list(vals) != sorted(vals):
             raise ConfigError("sweep grid must be sorted")
         object.__setattr__(self, "values", vals)
@@ -129,18 +136,11 @@ def _apply_parameter(
     raise ConfigError(f"unknown parameter {parameter!r}")
 
 
-def analytic_solution(
-    topology: NetworkTopology, config: SystemConfig, literal_personal1_wrap: bool = False
-) -> ChainSolution:
+def analytic_solution(topology: NetworkTopology, config: SystemConfig) -> ChainSolution:
     """Closed-form step outages, chain solution and scalar metrics."""
     outs = step_outages(topology, config)
     return solve_chain(
-        outs,
-        config.beta_s,
-        config.beta_p,
-        config.bandwidth_units,
-        config.power_units,
-        literal_personal1_wrap,
+        outs, config.beta_s, config.beta_p, config.bandwidth_units, config.power_units
     )
 
 
@@ -155,7 +155,7 @@ def run_sweep(
     for gi, value in enumerate(spec.values):
         try:
             topo_v, cfg_v = _apply_parameter(topology, config, spec.parameter, value)
-        except Exception as exc:
+        except ConfigError as exc:
             for scheme in spec.schemes:
                 rows.append(
                     ResultRow(
@@ -193,7 +193,7 @@ def run_sweep(
                 row.sim_tc = est.tc_empirical
                 row.sim_phi = est.phi_empirical
                 row.sim_phi_stderr = est.phi_stderr
-            except Exception as exc:
+            except ConfigError as exc:
                 row.error = str(exc)
             rows.append(row)
     return rows
@@ -315,12 +315,10 @@ def validate(
     sol = solve_chain(outs, config.beta_s, config.beta_p, config.bandwidth_units, config.power_units)
     est = simulate("mdma", topology, config, trials, seed=seed, options=options)
 
-    step_keys = sorted({f"{s.phase}:{'bcast' if s.step == 1 else 'relay'}" for s in sol.chain.states})
-    for key in step_keys:
-        phase, kind = key.split(":")
-        analytic = outs.by_step(phase, 1 if kind == "bcast" else 2)
-        stats = est.per_step[key]
-        if stats.attempts == 0:
+    for key, analytic in sorted(labelled(outs).items()):
+        # The simulator counts only the steps of phases with repetitions.
+        stats = est.per_step.get(key)
+        if stats is None or stats.attempts == 0:
             continue
         checks.append(_sigma_gate(analytic, stats.op, stats.attempts, f"step_outage:{key}"))
 

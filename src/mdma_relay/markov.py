@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import StepOutageSet
+from .analytic import SourceOutages
 from .topology import ConfigError
 
 ROW_SUM_TOL = 1e-12
@@ -25,6 +25,7 @@ ROW_SUM_TOL = 1e-12
 # source 1, personalized payload of source 2, then new information.
 PHASE_ORDER = ("shared", "personal1", "personal2")
 PHASE_SOURCE = {"shared": 1, "personal1": 1, "personal2": 2}
+STEP_KINDS = ("bcast", "relay")  # step 1 and step 2, as SourceOutages names them
 
 
 class ProtocolState(NamedTuple):
@@ -33,9 +34,12 @@ class ProtocolState(NamedTuple):
     rep: int    # repetition index within the phase, 1-based
 
     @property
+    def kind(self) -> str:
+        return STEP_KINDS[self.step - 1]
+
+    @property
     def label(self) -> str:
-        kind = "bcast" if self.step == 1 else "relay"
-        return f"{self.phase}:{kind}:{self.rep}"
+        return f"{self.phase}:{self.kind}:{self.rep}"
 
 
 def phase_plan(beta_s: int, beta_p: int) -> list[tuple[str, int]]:
@@ -82,30 +86,24 @@ class TransitionMatrix:
         return [(int(i), int(j), float(self.matrix[i, j])) for i, j in zip(rows, cols)]
 
 
-def _check_prob(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"{name} must be a probability, got {value}")
-    return value
-
-
-def _phase_probs(outages: StepOutageSet, phase: str) -> tuple[float, float, float]:
-    """Broadcast outage, relay outage and empty-decode-set probability of a phase."""
-    src = PHASE_SOURCE[phase]
-    empty = outages.empty_set_prob_s1 if src == 1 else outages.empty_set_prob_s2
-    return (
-        _check_prob(f"{phase} broadcast outage", outages.by_step(phase, 1)),
-        _check_prob(f"{phase} relay outage", outages.by_step(phase, 2)),
-        _check_prob(f"empty_set_prob_s{src}", empty),
-    )
+def labelled(outages: dict[int, SourceOutages]) -> dict[str, float]:
+    """The six step outages keyed "phase:bcast" / "phase:relay"; each phase
+    takes its source's record."""
+    return {
+        f"{phase}:{kind}": getattr(outages[PHASE_SOURCE[phase]], kind)
+        for phase in PHASE_ORDER
+        for kind in STEP_KINDS
+    }
 
 
 def build_chain(
-    outages: StepOutageSet,
+    outages: dict[int, SourceOutages],
     beta_s: int,
     beta_p: int,
     literal_personal1_wrap: bool = False,
 ) -> TransitionMatrix:
-    """Transition matrix of the slotted protocol.
+    """Transition matrix of the slotted protocol, from the step outages
+    keyed by source.
 
     From a broadcast state: self-loop with probability (broadcast outage) *
     (all-relays-miss), move to the relay step with (broadcast outage) *
@@ -133,7 +131,8 @@ def build_chain(
         next_phase[phase] = successor
 
     for phase, reps in plan:
-        op_b, op_r, empty = _phase_probs(outages, phase)
+        src = outages[PHASE_SOURCE[phase]]
+        op_b, op_r, empty = src.bcast, src.relay, src.empty
         for j in range(1, reps + 1):
             bcast = index[ProtocolState(phase, 1, j)]
             relay = index[ProtocolState(phase, 2, j)]
@@ -152,7 +151,7 @@ def build_chain(
 
 
 def ring_distribution(
-    outages: StepOutageSet,
+    outages: dict[int, SourceOutages],
     beta_s: int,
     beta_p: int,
     literal_personal1_wrap: bool = False,
@@ -177,7 +176,8 @@ def ring_distribution(
     pi = np.zeros(2 * sum(reps for _, reps in plan))
     base, reached = 0, True
     for phase, reps in plan:
-        op_b, op_r, empty = _phase_probs(outages, phase)
+        src = outages[PHASE_SOURCE[phase]]
+        op_b, op_r, empty = src.bcast, src.relay, src.empty
         q = (1.0 - op_b) + op_b * (1.0 - empty) * (1.0 - op_r)
         visits = np.array([1.0, op_b * (1.0 - empty)])
         if q <= 0.0 and reached:
@@ -193,18 +193,29 @@ def ring_distribution(
 
 
 def stationary_distribution(chain: TransitionMatrix) -> np.ndarray:
-    """Stationary row vector with pi @ T == pi and sum(pi) == 1.
+    """Stationary row vector, started from the first state, with pi @ T == pi
+    and sum(pi) == 1.
 
-    Grassmann-Taksar-Heyman elimination: states are censored out from the
-    last one down, using only sums of nonnegative terms, so every entry
-    keeps its relative accuracy even on nearly absorbing chains.  A state
-    that can no longer reach any earlier one is absorbing in the censored
-    chain, so the earlier states are transient and get no mass (the
-    ``literal_personal1_wrap`` variant).  It is the independent check on
-    ``ring_distribution``.
+    Only the states reachable from the first one take part: a phase that
+    never advances makes each of its repetitions a closed class, and the
+    chain stays in the first one it reaches.  Grassmann-Taksar-Heyman
+    elimination then censors states out from the last one down, using only
+    sums of nonnegative terms, so every entry keeps its relative accuracy
+    even on nearly absorbing chains.  A state that can no longer reach any
+    earlier one is absorbing in the censored chain, so the earlier states
+    are transient and get no mass (the ``literal_personal1_wrap`` variant).
+    It is the independent check on ``ring_distribution``.
     """
-    p = chain.matrix.astype(float)
-    n = chain.size
+    reached = np.zeros(chain.size, dtype=bool)
+    reached[0] = True
+    while True:
+        grown = reached | (chain.matrix[reached] > 0).any(axis=0)
+        if (grown == reached).all():
+            break
+        reached = grown
+    kept = np.flatnonzero(reached)
+    p = chain.matrix[np.ix_(kept, kept)].astype(float)
+    n = kept.size
     first = 0
     for k in range(n - 1, 0, -1):
         out = p[k, :k].sum()
@@ -217,18 +228,20 @@ def stationary_distribution(chain: TransitionMatrix) -> np.ndarray:
     pi[first] = 1.0
     for k in range(first + 1, n):
         pi[k] = pi[:k] @ p[:k, k]
-    return pi / pi.sum()
+    full = np.zeros(chain.size)
+    full[kept] = pi / pi.sum()
+    return full
 
 
 def overall_outage(
-    pi: np.ndarray, outages: StepOutageSet, states: list[ProtocolState]
+    pi: np.ndarray, outages: dict[int, SourceOutages], states: list[ProtocolState]
 ) -> float:
     """Occupancy-weighted average of the per-step outage probabilities."""
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (len(states),):
         raise ConfigError("pi must align with the state list")
     return float(
-        sum(p * outages.by_step(s.phase, s.step) for p, s in zip(pi, states))
+        sum(p * getattr(outages[PHASE_SOURCE[s.phase]], s.kind) for p, s in zip(pi, states))
     )
 
 
@@ -253,9 +266,9 @@ def resource_efficiency(
 
 @dataclass(frozen=True)
 class ChainSolution:
-    """Chain, stationary occupancies and the derived scalar metrics."""
+    """States, stationary occupancies and the derived scalar metrics."""
 
-    chain: TransitionMatrix
+    states: tuple[ProtocolState, ...]
     stationary: np.ndarray
     overall_op: float
     slot_cost: float
@@ -263,31 +276,35 @@ class ChainSolution:
 
 
 def solve_chain(
-    outages: StepOutageSet,
+    outages: dict[int, SourceOutages],
     beta_s: int,
     beta_p: int,
     bandwidth_units: float = 1.0,
     power_units: float = 1.0,
     literal_personal1_wrap: bool = False,
 ) -> ChainSolution:
-    chain = build_chain(outages, beta_s, beta_p, literal_personal1_wrap)
+    """Stationary law and scalar metrics from the ring law; builds no
+    transition matrix."""
+    states = protocol_states(beta_s, beta_p)
     pi = ring_distribution(outages, beta_s, beta_p, literal_personal1_wrap)
-    op = overall_outage(pi, outages, list(chain.states))
+    op = overall_outage(pi, outages, states)
     tc = slot_cost(op)
     phi = resource_efficiency(tc, beta_s, beta_p, bandwidth_units, power_units)
-    return ChainSolution(chain, pi, op, tc, phi)
+    return ChainSolution(tuple(states), pi, op, tc, phi)
 
 
-def chain_to_json(solution: ChainSolution, outages: StepOutageSet | None = None) -> str:
-    """State list, sparse transition triples and occupancies as a JSON document."""
+def chain_to_json(
+    solution: ChainSolution, chain: TransitionMatrix, outages: dict[int, SourceOutages]
+) -> str:
+    """State list, sparse transition triples, occupancies and step outages
+    as a JSON document."""
     doc = {
-        "states": [s.label for s in solution.chain.states],
-        "transitions": solution.chain.sparse_triples(),
+        "states": [s.label for s in chain.states],
+        "transitions": chain.sparse_triples(),
         "stationary": [float(x) for x in solution.stationary],
         "overall_outage": solution.overall_op,
         "slot_cost": solution.slot_cost,
         "efficiency": solution.efficiency,
+        "step_outages": labelled(outages),
     }
-    if outages is not None:
-        doc["step_outages"] = outages.labelled()
     return json.dumps(doc, indent=2, sort_keys=True)

@@ -165,28 +165,34 @@ class SimEstimate:
         return {lab: float(occ[i]) for i, lab in enumerate(self.occupancy_labels)}
 
     def to_dict(self) -> dict:
+        """JSON-ready estimates; an undefined one (NaN, such as the outage of
+        a step never attempted) becomes None, since JSON has no NaN."""
         return {
             "scheme": self.scheme,
             "slots": self.slots,
             "seed": self.seed,
-            "overall_op": self.overall_op,
-            "overall_op_stderr": self.overall_op_stderr,
+            "overall_op": _defined(self.overall_op),
+            "overall_op_stderr": _defined(self.overall_op_stderr),
             "per_step": {
                 k: {
                     "attempts": v.attempts,
                     "failures": v.failures,
-                    "op": v.op,
-                    "stderr": v.stderr,
+                    "op": _defined(v.op),
+                    "stderr": _defined(v.stderr),
                 }
                 for k, v in sorted(self.per_step.items())
             },
             "pairs": self.pairs,
-            "slots_per_pair": self.slots_per_pair,
-            "tc_empirical": self.tc_empirical,
+            "slots_per_pair": _defined(self.slots_per_pair),
+            "tc_empirical": _defined(self.tc_empirical),
             "phi_empirical": self.phi_empirical,
-            "phi_stderr": self.phi_stderr,
+            "phi_stderr": _defined(self.phi_stderr),
             "occupancy": self.occupancy_dict(),
         }
+
+
+def _defined(x: float) -> float | None:
+    return None if math.isnan(x) else x
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -79,7 +79,7 @@ def test_criterion_2_step2_vs_conditional_monte_carlo(power_dbm, paper_setup):
     outs = step_outages(topo, cfg)
     est = run_mdma(topo, cfg, 2_000_000, seed=int(200 + power_dbm))
     stats = est.per_step["shared:relay"]
-    analytic = outs.shared_relay
+    analytic = outs[1].relay
     sigma = math.sqrt(max(analytic * (1.0 - analytic), 0.0) / stats.attempts)
     dev = abs(stats.op - analytic)
     elapsed = time.time() - t0
@@ -268,7 +268,7 @@ def test_criterion_7_degenerate_inputs(paper_setup):
     # End to end: the relay-step outage of each source against quadrature.
     outs = step_outages(topo, cfg)
     step_err = 0.0
-    for source, relay_op in ((1, outs.shared_relay), (2, outs.personal2_relay)):
+    for source, relay_op in ((1, outs[1].relay), (2, outs[2].relay)):
         r = link_rates(topo, cfg, source)
         g = [GatedExponential(float(a), float(lam))
              for a, lam in zip(decode_fail_probs(topo, cfg, source), r.relay_dest)]

@@ -20,6 +20,7 @@ from mdma_relay.analytic import (
     step2_outage,
     step_outages,
 )
+from mdma_relay.markov import labelled
 from mdma_relay.topology import (
     ConfigError,
     LinkParam,
@@ -346,7 +347,7 @@ def test_step2_monotone_in_power(paper_setup):
     values = []
     for p in np.linspace(0.0, 30.0, 11):
         outs = step_outages(topo, replace(cfg, power_dbm=float(p)))
-        values.append(outs.shared_relay)
+        values.append(outs[1].relay)
     assert all(b <= a + 1e-8 for a, b in zip(values, values[1:]))
 
 
@@ -362,24 +363,28 @@ def test_symmetric_geometry_gives_equal_sources():
         relay_pos=[(25, 0), (35, 0), (45, 0)], alpha=2.7,
     )
     cfg = SystemConfig(power_dbm=8.0, granularity=400)
-    outs = step_outages(topo, cfg)
-    assert outs.shared_bcast == pytest.approx(outs.personal2_bcast, rel=1e-12)
-    assert outs.shared_relay == pytest.approx(outs.personal2_relay, rel=1e-9, abs=1e-12)
-    assert outs.empty_set_prob_s1 == pytest.approx(outs.empty_set_prob_s2, rel=1e-12)
+    s1, s2 = step_outages(topo, cfg).values()
+    assert s1.bcast == pytest.approx(s2.bcast, rel=1e-12)
+    assert s1.relay == pytest.approx(s2.relay, rel=1e-9, abs=1e-12)
+    assert s1.empty == pytest.approx(s2.empty, rel=1e-12)
 
 
 def test_personalized_phase_copies_shared(paper_setup):
+    # Source 1 carries shared and personal1, source 2 carries personal2.
     topo, cfg = paper_setup
     outs = step_outages(topo, cfg)
-    assert outs.personal1_bcast == outs.shared_bcast
-    assert outs.personal1_relay == outs.shared_relay
+    steps = labelled(outs)
+    assert steps["personal1:bcast"] == steps["shared:bcast"] == outs[1].bcast
+    assert steps["personal1:relay"] == steps["shared:relay"] == outs[1].relay
+    assert (steps["personal2:bcast"], steps["personal2:relay"]) == (outs[2].bcast, outs[2].relay)
+    assert steps["personal2:bcast"] != steps["shared:bcast"]
 
 
 def test_all_outages_vanish_at_huge_snr(paper_setup):
     topo, cfg = paper_setup
     outs = step_outages(topo, replace(cfg, power_dbm=150.0))
-    for name in ("shared_bcast", "shared_relay", "personal2_bcast", "personal2_relay"):
-        assert getattr(outs, name) < 1e-9
+    for src in outs.values():
+        assert src.bcast < 1e-9 and src.relay < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -415,18 +420,18 @@ def test_numeric_fallback_handles_many_relays(paper_setup):
     relays = tuple((50.0, 48.75 - 3.4 * i) for i in range(24))
     topo = NetworkTopology(topo8.s1_pos, topo8.s2_pos, topo8.d_pos, relays, 3.0)
     outs = step_outages(topo, cfg)
-    assert 0.0 <= outs.shared_relay <= 1.0 and 0.0 <= outs.empty_set_prob_s1 < 1.0
+    assert 0.0 <= outs[1].relay <= 1.0 and 0.0 <= outs[1].empty < 1.0
     # More relays than the reference layout can only help the relay step.
     ref = step_outages(topo8, cfg)
-    assert outs.shared_relay <= ref.shared_relay + 1e-9
-    assert outs.personal2_relay <= ref.personal2_relay + 1e-9
+    assert outs[1].relay <= ref[1].relay + 1e-9
+    assert outs[2].relay <= ref[2].relay + 1e-9
 
 
 def test_numeric_fallback_agrees_with_closed_form(paper_setup):
     topo, cfg = paper_setup
     low = replace(cfg, power_dbm=4.0)
     n = low.granularity
-    bcast, closed, empty = source_step_outages(topo, low, 1)
+    closed = source_step_outages(topo, low, 1).relay
     rates = link_rates(topo, low, 1)
     fails = decode_fail_probs(topo, low, 1)
     gates = [GatedExponential(a, r) for a, r in zip(fails, rates.relay_dest)]

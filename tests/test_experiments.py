@@ -210,10 +210,10 @@ def test_validate_discretization_error_shrinks(setup10):
     from mdma_relay.analytic import step_outages
 
     low = replace(cfg, power_dbm=4.0)
-    coarse = step_outages(topo, replace(low, granularity=10)).shared_relay
-    mid = step_outages(topo, replace(low, granularity=100)).shared_relay
-    fine = step_outages(topo, replace(low, granularity=2000)).shared_relay
-    ref = step_outages(topo, replace(low, granularity=8000)).shared_relay
+    coarse = step_outages(topo, replace(low, granularity=10))[1].relay
+    mid = step_outages(topo, replace(low, granularity=100))[1].relay
+    fine = step_outages(topo, replace(low, granularity=2000))[1].relay
+    ref = step_outages(topo, replace(low, granularity=8000))[1].relay
     assert abs(fine - ref) < abs(mid - ref) < abs(coarse - ref)
 
 
@@ -279,6 +279,30 @@ def test_cli_simulate_with_trace(tmp_path):
     lines = trace.read_text().strip().splitlines()
     assert lines[0] == "slot,scheme,state,outcome,mrc_total,decode_set_bitmask"
     assert len(lines) == 51
+
+
+@pytest.mark.parametrize("scheme, power", [
+    pytest.param("noma", [], id="noma-solo1-never-tried"),
+    pytest.param("mdma", ["--power-dbm", "-30"], id="mdma-no-pairs"),
+])
+def test_cli_simulate_writes_strict_json(tmp_path, scheme, power):
+    # NOMA at rho 0.7 almost never sends stream 1 solo; at -30 dBm MDMA never
+    # delivers.  Such estimates are undefined and written as null, not NaN.
+    out = tmp_path / "sim.json"
+    argv = ["simulate", "--paper-defaults", "--scheme", scheme, "--trials", "20000",
+            "--seed", "1", "--out", str(out)] + power
+    assert main(argv) == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(out.read_text(), parse_constant=refuse)
+    if scheme == "noma":
+        assert doc["per_step"]["solo1"]["attempts"] == 0
+        assert doc["per_step"]["solo1"]["op"] is None
+    else:
+        assert doc["overall_op"] == 1.0 and doc["pairs"] == 0
+        assert doc["tc_empirical"] is None and doc["slots_per_pair"] is None
 
 
 def test_cli_refuses_trace_requests_it_cannot_honour(tmp_path, capsys):
@@ -347,6 +371,12 @@ def _spec(**edits) -> dict:
         pytest.param("--spec", _spec(values="04"), "'values' must be a list", id="string-values"),
         pytest.param("--spec", _spec(schemes="mdma"), "'schemes' must be a list",
                      id="string-schemes"),
+        pytest.param("--spec", _spec(values=["a"]), "sweep values must be numbers",
+                     id="non-numeric-value"),
+        pytest.param("--spec", _spec(parameter="granularity", values=[1.5]),
+                     "granularity values must be whole numbers", id="fractional-granularity"),
+        pytest.param("--spec", _spec(parameter="relay_count", values=[2.5]),
+                     "relay_count values must be whole numbers", id="fractional-relay-count"),
     ],
 )
 def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, flag, content, message):

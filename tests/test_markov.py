@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from mdma_relay.analytic import StepOutageSet, step_outages
+from mdma_relay.analytic import SourceOutages, step_outages
+from mdma_relay import markov
 from mdma_relay.markov import (
     ProtocolState,
     TransitionMatrix,
     build_chain,
     chain_to_json,
+    labelled,
     overall_outage,
     phase_plan,
     protocol_states,
@@ -23,12 +25,13 @@ from mdma_relay.topology import ConfigError
 
 
 def uniform_outages(q, empty=0.2):
-    return StepOutageSet(q, q, q, q, q, q, empty, empty)
+    return {1: SourceOutages(q, q, empty), 2: SourceOutages(q, q, empty)}
 
 
 def random_outages(rng):
-    vals = rng.uniform(0.05, 0.9, 6)
-    return StepOutageSet(*vals, float(rng.uniform(0.0, 0.9)), float(rng.uniform(0.0, 0.9)))
+    b1, r1, b2, r2 = rng.uniform(0.05, 0.9, 4)
+    e1, e2 = rng.uniform(0.0, 0.9, 2)
+    return {1: SourceOutages(b1, r1, e1), 2: SourceOutages(b2, r2, e2)}
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +120,9 @@ def test_sparsity_at_most_three_per_row():
 
 
 def test_invalid_outage_rejected():
-    with pytest.raises(ConfigError):
-        build_chain(uniform_outages(0.5).__class__(1.2, 0, 0, 0, 0, 0, 0, 0), 1, 1)
+    for bad in ((1.2, 0.0, 0.0), (0.0, -0.1, 0.0), (0.0, 0.0, math.nan)):
+        with pytest.raises(ConfigError):
+            SourceOutages(*bad)
     with pytest.raises(ConfigError):
         build_chain(uniform_outages(0.5), 0, 0)
 
@@ -126,19 +130,24 @@ def test_invalid_outage_rejected():
 def test_transition_targets_follow_protocol_cycle():
     rng = np.random.default_rng(3)
     outs = random_outages(rng)
+    s1, s2 = outs[1], outs[2]
     chain = build_chain(outs, 2, 2)
     idx = {s: i for i, s in enumerate(chain.states)}
     t = chain.matrix
     # Broadcast success advances within the phase.
     i = idx[ProtocolState("shared", 1, 1)]
-    assert t[i, idx[ProtocolState("shared", 1, 2)]] == pytest.approx(1 - outs.shared_bcast)
+    assert t[i, idx[ProtocolState("shared", 1, 2)]] == pytest.approx(1 - s1.bcast)
     # Relay failure returns to the same repetition's broadcast.
     i = idx[ProtocolState("shared", 2, 2)]
-    assert t[i, idx[ProtocolState("shared", 1, 2)]] == pytest.approx(outs.shared_relay)
-    # Phase boundaries: shared -> personal1 -> personal2 -> shared.
-    assert t[idx[ProtocolState("shared", 1, 2)], idx[ProtocolState("personal1", 1, 1)]] == pytest.approx(1 - outs.shared_bcast)
-    assert t[idx[ProtocolState("personal1", 2, 2)], idx[ProtocolState("personal2", 1, 1)]] == pytest.approx(1 - outs.personal1_relay)
-    assert t[idx[ProtocolState("personal2", 1, 2)], idx[ProtocolState("shared", 1, 1)]] == pytest.approx(1 - outs.personal2_bcast)
+    assert t[i, idx[ProtocolState("shared", 1, 2)]] == pytest.approx(s1.relay)
+    # Phase boundaries: shared -> personal1 -> personal2 -> shared; source 1
+    # carries shared and personal1, source 2 carries personal2.
+    assert t[idx[ProtocolState("shared", 1, 2)], idx[ProtocolState("personal1", 1, 1)]] == pytest.approx(1 - s1.bcast)
+    assert t[idx[ProtocolState("personal1", 2, 2)], idx[ProtocolState("personal2", 1, 1)]] == pytest.approx(1 - s1.relay)
+    assert t[idx[ProtocolState("personal2", 1, 2)], idx[ProtocolState("shared", 1, 1)]] == pytest.approx(1 - s2.bcast)
+    # The empty decode set of source 2 gives the personal2 self-loop.
+    i = idx[ProtocolState("personal2", 1, 1)]
+    assert t[i, i] == pytest.approx(s2.bcast * s2.empty)
 
 
 def test_literal_wrap_variant_traps_first_personal_phase():
@@ -147,7 +156,7 @@ def test_literal_wrap_variant_traps_first_personal_phase():
     chain = build_chain(outs, 2, 2, literal_personal1_wrap=True)
     idx = {s: i for i, s in enumerate(chain.states)}
     src = idx[ProtocolState("personal1", 1, 2)]
-    assert chain.matrix[src, idx[ProtocolState("personal1", 1, 1)]] == pytest.approx(1 - outs.personal1_bcast)
+    assert chain.matrix[src, idx[ProtocolState("personal1", 1, 1)]] == pytest.approx(1 - outs[1].bcast)
     pi = stationary_distribution(chain)
     p2_mass = sum(p for p, s in zip(pi, chain.states) if s.phase == "personal2")
     assert p2_mass < 1e-9
@@ -191,20 +200,22 @@ def test_stationary_properties():
 
 
 def test_ring_law_of_a_phase_that_never_advances_holds_the_mass():
-    # personal2: the broadcast always fails and no relay ever decodes, so the
-    # chain reaches its first broadcast state and stays there.
-    stuck = StepOutageSet(0.3, 0.3, 0.3, 0.3, 1.0, 0.3, 0.2, 1.0)
+    # Source 2 (personal2): the broadcast always fails and no relay ever
+    # decodes, so the chain reaches its first broadcast state and stays there.
+    stuck = {1: SourceOutages(0.3, 0.3, 0.2), 2: SourceOutages(1.0, 0.3, 1.0)}
     assert ring_distribution(stuck, 2, 2).tolist() == [0.0] * 8 + [1.0] + [0.0] * 3
     sol = solve_chain(stuck, 2, 2)
     assert (sol.overall_op, sol.slot_cost, sol.efficiency) == (1.0, math.inf, 0.0)
-    # shared as well, with relays that decode but never deliver: the first
-    # such phase holds the chain, 1 : op_b (1 - e) between its two states.
-    both = StepOutageSet(1.0, 1.0, 0.3, 0.3, 1.0, 0.3, 0.2, 1.0)
+    # Source 1 as well, with relays that decode but never deliver: shared,
+    # the first such phase, holds the chain, 1 : op_b (1 - e) between its
+    # two states.
+    both = {1: SourceOutages(1.0, 1.0, 0.2), 2: SourceOutages(1.0, 0.3, 1.0)}
     pi = ring_distribution(both, 2, 2)
     assert pi[:2] == pytest.approx([1.0 / 1.8, 0.8 / 1.8]) and not pi[2:].any()
-    # Where the chain has one closed class, the direct solve agrees.
-    shared_only = StepOutageSet(1.0, 1.0, 0.3, 0.3, 0.3, 0.3, 0.2, 0.2)
-    for outs, beta_s, beta_p in ((stuck, 2, 1), (shared_only, 1, 1)):
+    # Every stuck repetition is a closed class of its own; the direct solve
+    # follows the chain from shared:bcast:1 into the one the ring law names.
+    s1_stuck = {1: both[1], 2: stuck[1]}
+    for outs, beta_s, beta_p in ((stuck, 2, 2), (stuck, 2, 1), (both, 2, 2), (s1_stuck, 1, 1)):
         pi = ring_distribution(outs, beta_s, beta_p)
         assert np.max(np.abs(pi - stationary_distribution(build_chain(outs, beta_s, beta_p)))) < 1e-12
 
@@ -229,11 +240,7 @@ def test_overall_outage_bounded_by_step_extremes():
     for _ in range(10):
         outs = random_outages(rng)
         sol = solve_chain(outs, 2, 2)
-        steps = [
-            outs.shared_bcast, outs.shared_relay,
-            outs.personal1_bcast, outs.personal1_relay,
-            outs.personal2_bcast, outs.personal2_relay,
-        ]
+        steps = labelled(outs).values()
         assert min(steps) - 1e-12 <= sol.overall_op <= max(steps) + 1e-12
 
 
@@ -287,7 +294,7 @@ def test_empty_phase_chains_run(beta_s, beta_p):
     rng = np.random.default_rng(9)
     outs = random_outages(rng)
     sol = solve_chain(outs, beta_s, beta_p)
-    assert len(sol.chain.states) == 2 * beta_s + 4 * beta_p
+    assert len(sol.states) == 2 * beta_s + 4 * beta_p
     assert 0.0 <= sol.overall_op < 1.0
     assert sol.slot_cost >= 1.0
     assert sol.efficiency > 0.0
@@ -297,7 +304,7 @@ def test_chain_json_dump(paper_setup):
     topo, cfg = paper_setup
     outs = step_outages(topo, cfg)
     sol = solve_chain(outs, cfg.beta_s, cfg.beta_p)
-    doc = json.loads(chain_to_json(sol, outs))
+    doc = json.loads(chain_to_json(sol, build_chain(outs, cfg.beta_s, cfg.beta_p), outs))
     assert len(doc["states"]) == 30
     assert doc["states"][0] == "shared:bcast:1"
     assert math.isclose(sum(doc["stationary"]), 1.0, abs_tol=1e-9)
@@ -305,4 +312,20 @@ def test_chain_json_dump(paper_setup):
     for i, j, p in doc["transitions"]:
         total[i, j] = p
     assert np.max(np.abs(total.sum(axis=1) - 1.0)) < 1e-12
-    assert doc["step_outages"]["shared:bcast"] == pytest.approx(outs.shared_bcast)
+    assert doc["step_outages"] == labelled(outs)
+    assert doc["step_outages"]["personal2:relay"] == outs[2].relay
+
+
+def test_solve_chain_builds_no_matrix(monkeypatch):
+    outs = random_outages(np.random.default_rng(10))
+    expect = solve_chain(outs, 3, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_chain built the transition matrix")
+
+    monkeypatch.setattr(markov, "build_chain", refuse)
+    sol = solve_chain(outs, 3, 2)
+    assert sol.states == tuple(protocol_states(3, 2))
+    assert sol.overall_op == expect.overall_op
+    assert np.array_equal(sol.stationary, expect.stationary)
+

@@ -223,7 +223,7 @@ def test_occupancy_tracks_stationary_distribution(setup10):
     outs = step_outages(topo, cfg)
     sol = solve_chain(outs, cfg.beta_s, cfg.beta_p)
     est = run_mdma(topo, cfg, 400_000, seed=21)
-    assert est.occupancy_labels == [s.label for s in sol.chain.states]
+    assert est.occupancy_labels == [s.label for s in sol.states]
     assert np.max(np.abs(est.occupancy - sol.stationary)) < 5e-3
 
 
@@ -241,10 +241,10 @@ def test_per_step_frequencies_match(setup10):
     outs = step_outages(topo, low)
     est = run_mdma(topo, low, 400_000, seed=27)
     for key, analytic in [
-        ("shared:bcast", outs.shared_bcast),
-        ("personal1:bcast", outs.personal1_bcast),
-        ("personal2:bcast", outs.personal2_bcast),
-        ("shared:relay", outs.shared_relay),
+        ("shared:bcast", outs[1].bcast),
+        ("personal1:bcast", outs[1].bcast),
+        ("personal2:bcast", outs[2].bcast),
+        ("shared:relay", outs[1].relay),
     ]:
         stats = est.per_step[key]
         sigma = math.sqrt(max(analytic * (1 - analytic), 1e-12) / stats.attempts)
