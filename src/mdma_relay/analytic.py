@@ -7,11 +7,19 @@ the destination is exponential with the relay-to-destination rate.  The sum
 over the random decode set has a defective CDF obtained by expanding the
 product of the per-path transforms over nonempty relay subsets; each subset
 contributes a distinct-rate exponential-sum CDF whose coefficients are
-products of pairwise pole ratios.  The second-step outage then follows from
-binning that CDF and the threshold-conditioned direct-link SNR on a common
-grid and convolving the two mass functions.  Where the expansion is
-undefined (tied rates) or too large (more than ``MAX_RELAYS_CLOSED_FORM``
-relays) the relay sum is binned by convolving the per-path masses instead.
+products of pairwise pole ratios.  The expansion is computed as whole arrays
+over all 2^m - 1 subsets, bit for bit the floats a per-subset loop gives;
+it costs about 1 ms at m = 8 and grows as m * 2^m.
+
+The second-step outage then follows from binning that CDF and the
+threshold-conditioned direct-link SNR on a common grid and convolving the
+two mass functions.  The convolution is O(n^2) in the bin count n.  A
+prefix-sum form would be O(n) but sums in another order, and that moves the
+relay step by an ulp: where every attempt fails (the paper layout at -12 dBm)
+the overall outage would then read 1 - 2^-53 instead of 1, and the slot cost
+9e15 instead of infinity.  Where the expansion is undefined (tied rates) or
+too large (more than ``MAX_RELAYS_CLOSED_FORM`` relays) the relay sum is
+binned by convolving the per-path masses instead.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,14 +54,6 @@ class GatedExponential:
         if not self.rate > 0:
             raise ConfigError(f"rate must be positive, got {self.rate}")
 
-    def mgf(self, s):
-        """Laplace-domain transform gate + (1 - gate) * rate / (s + rate).
-
-        The product over paths is the transform of the relay sum; the subset
-        expansion is its exact inversion.
-        """
-        return self.gate_prob + (1.0 - self.gate_prob) * self.rate / (np.asarray(s) + self.rate)
-
 
 def direct_outage(link: LinkParam, gamma_th: float) -> float:
     """Probability the link SNR falls below the threshold: 1 - exp(-rate*g)."""
@@ -74,8 +75,8 @@ def _kahan_sum(terms: np.ndarray) -> float:
     order = np.argsort(-np.abs(terms), kind="stable")
     total = 0.0
     carry = 0.0
-    for t in terms[order]:
-        y = float(t) - carry
+    for t in terms[order].tolist():
+        y = t - carry
         s = total + y
         carry = (s - total) - y
         total = s
@@ -97,28 +98,57 @@ class DefectiveCdf:
 
     Evaluates to 0 at 0 and to ``total_mass`` (one minus the all-gates-closed
     probability) at infinity.  ``coeff_per_rate`` aggregates every subset term
-    so evaluation is O(m); the per-subset expansion is kept for inspection.
+    so evaluation is O(m).  The per-subset expansion is kept as arrays, one
+    row per subset: ``membership`` (which relays decoded), ``weights`` (the
+    subset's probability) and ``coeffs`` (the pole-ratio coefficient of each
+    member; 1 elsewhere).  ``subset_terms`` presents them as ``SubsetTerm``s.
     """
 
     rates: np.ndarray
     gate_probs: np.ndarray
     coeff_per_rate: np.ndarray
     total_mass: float
-    subset_terms: tuple[SubsetTerm, ...] = field(repr=False)
+    membership: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+    coeffs: np.ndarray = field(repr=False)
 
     def __call__(self, gamma) -> np.ndarray | float:
         g = np.asarray(gamma, dtype=float)
         out = -np.expm1(-np.multiply.outer(g, self.rates)) @ self.coeff_per_rate
         return float(out) if np.isscalar(gamma) else out
 
+    @cached_property
+    def subset_terms(self) -> tuple[SubsetTerm, ...]:
+        """The expansion as one ``SubsetTerm`` per subset, built when first read."""
+        return tuple(
+            SubsetTerm(tuple(np.flatnonzero(row).tolist()), w, c[row])
+            for row, w, c in zip(self.membership, self.weights.tolist(), self.coeffs)
+        )
+
+
+def _subset_membership(m: int) -> np.ndarray:
+    """Nonempty subsets of ``range(m)`` as a boolean matrix, one row each, in
+    ``itertools.combinations`` order: size ascending, then lexicographic."""
+    combos = [c for k in range(1, m + 1) for c in itertools.combinations(range(m), k)]
+    member = np.zeros((len(combos), m), dtype=bool)
+    rows = np.repeat(np.arange(len(combos)), [len(c) for c in combos])
+    member[rows, list(itertools.chain.from_iterable(combos))] = True
+    return member
+
 
 def relay_sum_cdf(gates: list[GatedExponential]) -> DefectiveCdf:
     """Closed-form defective CDF of the decoded relays' summed SNR.
 
-    Enumerates every nonempty relay subset; a subset's CDF is the
+    Expands over every nonempty relay subset at once; a subset's CDF is the
     distinct-rate exponential-sum mixture with pairwise pole-ratio
     coefficients.  Only defined where ``closed_form_applies``; elsewhere it
     raises ``ConfigError``.
+
+    Every product takes its factors one relay column at a time in ascending
+    order, and entries a column does not touch stay as they are (as if
+    multiplied by exactly 1).  So each weight and coefficient is the same
+    float as a per-subset ``np.prod`` over the ascending members, and the
+    descending-magnitude Kahan sum sees the terms in the same order.
     """
     if not gates:
         raise ConfigError("at least one relay path is required")
@@ -137,28 +167,31 @@ def relay_sum_cdf(gates: list[GatedExponential]) -> DefectiveCdf:
             if x != y:
                 theta[x, y] = lam[y] / (lam[y] - lam[x])
 
-    subset_terms = []
-    per_rate = [[] for _ in range(m)]
-    for k in range(1, m + 1):
-        for members in itertools.combinations(range(m), k):
-            idx = np.array(members)
-            outside = np.setdiff1d(np.arange(m), idx, assume_unique=True)
-            weight = float(np.prod(1.0 - a[idx]) * np.prod(a[outside]))
-            coeffs = np.array(
-                [np.prod(theta[x, [y for y in members if y != x]]) for x in members]
-            )
-            subset_terms.append(SubsetTerm(members, weight, coeffs))
-            for x, c in zip(members, coeffs):
-                per_rate[x].append(weight * c)
+    member = _subset_membership(m)
+    inside = np.ones(len(member))
+    outside = np.ones(len(member))
+    coeffs = np.ones(member.shape)
+    for y in range(m):
+        has_y = member[:, y]
+        np.multiply(inside, 1.0 - a[y], out=inside, where=has_y)
+        np.multiply(outside, a[y], out=outside, where=~has_y)
+        # Every other member x of a subset holding y gains the factor theta[x, y].
+        others = member & has_y[:, None]
+        others[:, y] = False
+        np.multiply(coeffs, theta[:, y], out=coeffs, where=others)
+    weights = inside * outside
 
-    coeff_per_rate = np.array([_kahan_sum(np.array(ts)) for ts in per_rate])
+    terms = weights[:, None] * coeffs
+    coeff_per_rate = np.array([_kahan_sum(terms[member[:, x], x]) for x in range(m)])
     total_mass = float(1.0 - np.prod(a))
     return DefectiveCdf(
         rates=lam,
         gate_probs=a,
         coeff_per_rate=coeff_per_rate,
         total_mass=total_mass,
-        subset_terms=tuple(subset_terms),
+        membership=member,
+        weights=weights,
+        coeffs=coeffs,
     )
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -90,10 +91,10 @@ def cmd_analyze(args) -> int:
         "beta_p": cfg.beta_p,
         "step_outages": labelled(outs),
         "overall_op": sol.overall_op,
-        "slot_cost": sol.slot_cost,
+        "slot_cost": None if math.isinf(sol.slot_cost) else sol.slot_cost,
         "efficiency": sol.efficiency,
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
+    _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False), args.out)
     return 0
 
 
@@ -103,7 +104,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("--trace-out needs --trace-slots of at least 1")
     est = simulate(args.scheme, topo, cfg, args.trials, seed=args.seed, options=_options(args))
     doc = est.to_dict()
-    _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
+    _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False), args.out)
     if args.trace_out:
         rows = trace_to_csv_rows(est.trace)
         with open(args.trace_out, "w", encoding="utf-8", newline="\n") as fh:
@@ -122,14 +123,15 @@ def cmd_sweep(args) -> int:
             "pass --allow-small-trials to override"
         )
     options = _options(args)
+    # Built first, so a setting the manifest cannot record stops the sweep before it runs.
+    manifest = run_manifest(spec, topo, cfg, options)
     rows = run_sweep(spec, topo, cfg, options)
     outdir = args.out or Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"sweep_{spec.parameter}.csv"
     write_rows_csv(csv_path, rows)
-    manifest = run_manifest(spec, topo, cfg, options)
     (outdir / f"sweep_{spec.parameter}.manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
     )
     print(f"wrote {csv_path}")
     return 0

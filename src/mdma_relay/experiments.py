@@ -60,6 +60,8 @@ class SweepSpec:
         for v in vals:
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise ConfigError(f"sweep values must be numbers, got {v!r}")
+            if not math.isfinite(v):
+                raise ConfigError(f"sweep values must be finite, got {v!r}")
             whole = isinstance(v, numbers.Integral) or float(v).is_integer()
             if self.parameter in ("granularity", "relay_count") and not whole:
                 raise ConfigError(f"{self.parameter} values must be whole numbers, got {v!r}")
@@ -233,7 +235,10 @@ def run_manifest(
         },
         "options": dataclasses.asdict(options),
     }
-    blob = json.dumps(doc, sort_keys=True).encode()
+    unrecordable = [k for k, v in doc["system"].items() if not math.isfinite(v)]
+    if unrecordable:
+        raise ConfigError(f"JSON cannot record the non-finite settings {unrecordable} in a manifest")
+    blob = json.dumps(doc, sort_keys=True, allow_nan=False).encode()
     doc["config_sha256"] = hashlib.sha256(blob).hexdigest()
     doc["versions"] = {"mdma_relay": __version__, "numpy": np.__version__}
     return doc

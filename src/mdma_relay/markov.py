@@ -303,8 +303,8 @@ def chain_to_json(
         "transitions": chain.sparse_triples(),
         "stationary": [float(x) for x in solution.stationary],
         "overall_outage": solution.overall_op,
-        "slot_cost": solution.slot_cost,
+        "slot_cost": None if math.isinf(solution.slot_cost) else solution.slot_cost,
         "efficiency": solution.efficiency,
         "step_outages": labelled(outages),
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)

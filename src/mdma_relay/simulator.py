@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import markov
-from .topology import ConfigError, LinkParam, NetworkTopology, SystemConfig, link_rates
+from .topology import ConfigError, NetworkTopology, SystemConfig, link_rates
 
 SCHEMES = ("mdma", "tdma", "fdma", "noma")
 
@@ -198,11 +198,6 @@ def _defined(x: float) -> float | None:
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic, platform-independent generator for (seed, stream)."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
-
-
-def draw_link_snr(link: LinkParam, rng: np.random.Generator, size=None):
-    """Fresh exponential SNR draw(s) with mean 1/rate."""
-    return rng.standard_exponential(size) / link.rate_lambda
 
 
 def _means(rates) -> np.ndarray | float:

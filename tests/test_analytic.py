@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from mdma_relay.topology import (
     LinkParam,
     NetworkTopology,
     SystemConfig,
+    default_paper_setup,
     link_rates,
 )
 from dataclasses import replace
@@ -173,6 +175,90 @@ def test_subset_expansion_shape():
     # Every per-subset coefficient vector sums to 1 (valid defective CDF piece).
     for term in cdf.subset_terms:
         assert float(np.sum(term.coeffs)) == pytest.approx(1.0, abs=1e-9)
+
+
+def _loop_relay_sum_cdf(gates):
+    """The per-subset loop that ``relay_sum_cdf`` replaced, frozen as the
+    reference for its bits: (coeff_per_rate, total_mass, [(members, weight,
+    coeffs), ...])."""
+
+    def kahan_sum(terms):
+        order = np.argsort(-np.abs(terms), kind="stable")
+        total = 0.0
+        carry = 0.0
+        for t in terms[order]:
+            y = float(t) - carry
+            s = total + y
+            carry = (s - total) - y
+            total = s
+        return total
+
+    m = len(gates)
+    a = np.array([g.gate_prob for g in gates])
+    lam = np.array([g.rate for g in gates], dtype=float)
+    theta = np.zeros((m, m))
+    for x in range(m):
+        for y in range(m):
+            if x != y:
+                theta[x, y] = lam[y] / (lam[y] - lam[x])
+    subset_terms = []
+    per_rate = [[] for _ in range(m)]
+    for k in range(1, m + 1):
+        for members in itertools.combinations(range(m), k):
+            idx = np.array(members)
+            outside = np.setdiff1d(np.arange(m), idx, assume_unique=True)
+            weight = float(np.prod(1.0 - a[idx]) * np.prod(a[outside]))
+            coeffs = np.array(
+                [np.prod(theta[x, [y for y in members if y != x]]) for x in members]
+            )
+            subset_terms.append((members, weight, coeffs))
+            for x, c in zip(members, coeffs):
+                per_rate[x].append(weight * c)
+    coeff_per_rate = np.array([kahan_sum(np.array(ts)) for ts in per_rate])
+    return coeff_per_rate, float(1.0 - np.prod(a)), subset_terms
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_vectorized_expansion_is_bit_identical_to_the_subset_loop():
+    cases = []
+    for power in range(-16, 31, 2):
+        topo, cfg = default_paper_setup(power_dbm=float(power))
+        cases += [(topo, cfg, 1), (topo, cfg, 2)]
+    topo, cfg = default_paper_setup()
+    line = tuple((50.0, 55.0 - 100.0 * (i - 0.5) / 16) for i in range(1, 17))
+    line16 = NetworkTopology(topo.s1_pos, topo.s2_pos, topo.d_pos, line, topo.alpha)
+    cases.append((line16, cfg, 1))
+    gate_sets = []
+    for topo, cfg, source in cases:
+        fails = decode_fail_probs(topo, cfg, source)
+        rates = link_rates(topo, cfg, source).relay_dest
+        gate_sets.append([GatedExponential(a, r) for a, r in zip(fails, rates)])
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        m = int(rng.integers(1, 13))
+        probs, lam = rng.uniform(0.0, 1.0, m), rng.uniform(0.05, 5.0, m)
+        gate_sets.append([GatedExponential(float(a), float(r)) for a, r in zip(probs, lam)])
+
+    checked = 0
+    for gates in gate_sets:
+        if not closed_form_applies(gates):
+            continue
+        cdf = relay_sum_cdf(gates)
+        # The SubsetTerm view is built only when read.
+        assert "subset_terms" not in vars(cdf)
+        coeff_per_rate, total_mass, terms = _loop_relay_sum_cdf(gates)
+        assert _bits(cdf.coeff_per_rate) == _bits(coeff_per_rate)
+        assert _bits(cdf.total_mass) == _bits(total_mass)
+        assert len(cdf.subset_terms) == len(terms) == 2 ** len(gates) - 1
+        for got, (members, weight, coeffs) in zip(cdf.subset_terms, terms):
+            assert got.members == members
+            assert _bits(got.weight) == _bits(weight)
+            assert got.coeffs.dtype == coeffs.dtype and _bits(got.coeffs) == _bits(coeffs)
+        checked += 1
+    assert checked >= 340
 
 
 def test_aggregated_coefficients_match_product_identity():
@@ -442,10 +528,3 @@ def test_numeric_fallback_agrees_with_closed_form(paper_setup):
         gates,
     )
     assert abs(numeric - closed) < 5.0 / n
-
-
-def test_mgf_matches_gate_and_tail():
-    g = GatedExponential(0.25, 1.8)
-    assert g.mgf(0.0) == pytest.approx(1.0)
-    # Transform of the mixture: gate + (1-gate) * rate / (s + rate).
-    assert g.mgf(2.0) == pytest.approx(0.25 + 0.75 * 1.8 / 3.8)

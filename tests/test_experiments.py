@@ -161,6 +161,13 @@ def test_manifest_contains_hash_and_versions(setup10):
     assert doc["config_sha256"] == again["config_sha256"]
 
 
+def test_manifest_refuses_a_setting_json_cannot_hold(setup10):
+    topo, cfg = setup10
+    spec = SweepSpec("eta", (0.5,), ("mdma",), 10000)
+    with pytest.raises(ConfigError, match="noise_dbm"):
+        run_manifest(spec, topo, replace(cfg, noise_dbm=-math.inf), SimOptions())
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -246,11 +253,18 @@ def test_cli_analyze_at_low_power_matches_the_direct_solve(tmp_path, power_dbm):
 @pytest.mark.parametrize("power_dbm", ["-12", "-14", "-16"])
 def test_cli_analyze_where_every_attempt_fails(tmp_path, power_dbm):
     out = tmp_path / "a.json"
+    chain = tmp_path / "c.json"
     assert main(["analyze", "--paper-defaults", "--power-dbm", power_dbm, "--out", str(out)]) == 0
-    text = out.read_text()
-    assert '"slot_cost": Infinity' in text
-    doc = json.loads(text)
-    assert (doc["overall_op"], doc["slot_cost"], doc["efficiency"]) == (1.0, math.inf, 0.0)
+    assert main(["dump-chain", "--paper-defaults", "--power-dbm", power_dbm, "--out", str(chain)]) == 0
+    # Strict JSON: the infinite slot cost is written as null, not Infinity.
+    doc = json.loads(out.read_text(), parse_constant=_refuse)
+    assert (doc["overall_op"], doc["slot_cost"], doc["efficiency"]) == (1.0, None, 0.0)
+    doc = json.loads(chain.read_text(), parse_constant=_refuse)
+    assert (doc["overall_outage"], doc["slot_cost"], doc["efficiency"]) == (1.0, None, 0.0)
+
+
+def _refuse(token):
+    raise AssertionError(f"{token} is not valid JSON")
 
 
 @pytest.mark.parametrize("relays", [10, 24])
@@ -377,6 +391,10 @@ def _spec(**edits) -> dict:
                      "granularity values must be whole numbers", id="fractional-granularity"),
         pytest.param("--spec", _spec(parameter="relay_count", values=[2.5]),
                      "relay_count values must be whole numbers", id="fractional-relay-count"),
+        pytest.param("--spec", _spec(values=[math.nan]), "sweep values must be finite",
+                     id="nan-value"),
+        pytest.param("--spec", _spec(parameter="eta", values=[0.5, math.inf]),
+                     "sweep values must be finite", id="infinite-value"),
     ],
 )
 def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, flag, content, message):

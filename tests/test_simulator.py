@@ -12,7 +12,6 @@ from mdma_relay.markov import solve_chain
 from mdma_relay.simulator import (
     SCHEMES,
     SimOptions,
-    draw_link_snr,
     make_rng,
     run_baseline,
     run_mdma,
@@ -30,6 +29,11 @@ from mdma_relay.topology import (
 @pytest.fixture(scope="module")
 def setup10():
     return default_paper_setup(power_dbm=10.0)
+
+
+def draw_link_snr(link: LinkParam, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Fresh exponential SNR draws with mean 1/rate."""
+    return rng.standard_exponential(size) / link.rate_lambda
 
 
 # ---------------------------------------------------------------------------
