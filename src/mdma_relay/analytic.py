@@ -12,14 +12,13 @@ over all 2^m - 1 subsets, bit for bit the floats a per-subset loop gives;
 it costs about 1 ms at m = 8 and grows as m * 2^m.
 
 The second-step outage then follows from binning that CDF and the
-threshold-conditioned direct-link SNR on a common grid and convolving the
-two mass functions.  The convolution is O(n^2) in the bin count n.  A
-prefix-sum form would be O(n) but sums in another order, and that moves the
-relay step by an ulp: where every attempt fails (the paper layout at -12 dBm)
-the overall outage would then read 1 - 2^-53 instead of 1, and the slot cost
-9e15 instead of infinity.  Where the expansion is undefined (tied rates) or
-too large (more than ``MAX_RELAYS_CLOSED_FORM`` relays) the relay sum is
-binned by convolving the per-path masses instead.
+threshold-conditioned direct-link SNR on a common grid and summing the mass
+of their sum below the threshold.  That is one dot product of the relay mass
+with the reversed prefix sums of the direct mass, O(n) in the bin count n.
+Where the expansion is undefined (tied rates) or too large (more than
+``MAX_RELAYS_CLOSED_FORM`` relays) the relay sum is binned by convolving the
+per-path masses instead, ``numeric_relay_sum_pmf``, which is still
+O(m * n^2).
 """
 
 from __future__ import annotations
@@ -272,10 +271,12 @@ def bin_conditional_direct(
 def step2_outage(relay_pmf: BinnedPmf, direct_pmf: BinnedPmf, gates) -> float:
     """Failure probability of the relay-forwarding step.
 
-    Convolves the relay-sum and conditioned-direct mass functions and keeps
-    output bins 1..n, then renormalizes by the nonempty-decode-set
-    probability.  Summing raw convolution indices up to n undercounts the
-    boundary band, a documented O(1/n) bias of this estimator.
+    Sums the mass of the relay-sum plus conditioned-direct SNR over output
+    bins 1..n, as one O(n) dot product of the relay mass with the reversed
+    prefix sums of the direct mass, then renormalizes by the
+    nonempty-decode-set probability.  Summing raw index pairs up to n
+    undercounts the boundary band, a documented O(1/n) bias of this
+    estimator.
     """
     if relay_pmf.granularity != direct_pmf.granularity or not math.isclose(
         relay_pmf.gamma_th, direct_pmf.gamma_th
@@ -288,9 +289,13 @@ def step2_outage(relay_pmf: BinnedPmf, direct_pmf: BinnedPmf, gates) -> float:
             "no relay can ever decode; the relay step is unreachable"
         )
     n = relay_pmf.granularity
-    combined = np.convolve(relay_pmf.probs, direct_pmf.probs)
-    # Raw convolution index k (0-based) holds bin-index sum k+2.
-    below = float(combined[: max(n - 1, 0)].sum())
+    # Raw index pair (i, j) holds bin-index sum i+j+2, so output bins 1..n are
+    # the pairs with i + j <= n - 2: relay bin i meets direct bins 0..n-2-i.
+    below = (
+        float(relay_pmf.probs[: n - 1] @ np.cumsum(direct_pmf.probs)[n - 2 :: -1])
+        if n >= 2
+        else 0.0
+    )
     return min(max(below / (1.0 - empty_prob), 0.0), 1.0)
 
 

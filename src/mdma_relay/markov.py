@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +21,10 @@ from .analytic import SourceOutages
 from .topology import ConfigError
 
 ROW_SUM_TOL = 1e-12
+# The state list and the ring law grow linearly in the state count; at this
+# cap `analyze` already needs about 200 MB, and a payload of 1e308 bits would
+# run until memory is exhausted.
+MAX_CHAIN_STATES = 1_000_000
 
 # Protocol cycle: shared broadcast by source 1, personalized payload of
 # source 1, personalized payload of source 2, then new information.
@@ -48,6 +53,12 @@ def phase_plan(beta_s: int, beta_p: int) -> list[tuple[str, int]]:
         raise ConfigError("repetition counts must be nonnegative")
     if beta_s + beta_p == 0:
         raise ConfigError("at least one phase must be nonempty")
+    states = 2 * (beta_s + 2 * beta_p)  # a broadcast and a relay state per slot
+    if states > MAX_CHAIN_STATES:
+        raise ConfigError(
+            f"the protocol chain would have {Decimal(states):.7g} states, "
+            f"more than the {MAX_CHAIN_STATES} supported"
+        )
     plan = [("shared", beta_s), ("personal1", beta_p), ("personal2", beta_p)]
     return [(name, reps) for name, reps in plan if reps > 0]
 
@@ -236,13 +247,21 @@ def stationary_distribution(chain: TransitionMatrix) -> np.ndarray:
 def overall_outage(
     pi: np.ndarray, outages: dict[int, SourceOutages], states: list[ProtocolState]
 ) -> float:
-    """Occupancy-weighted average of the per-step outage probabilities."""
+    """Occupancy-weighted average of the per-step outage probabilities.
+
+    An outage above one half is formed as one minus the weighted success
+    mass: that sum has only nonnegative terms, so the result never exceeds 1
+    and is exactly 1 wherever the success mass is below half an ulp of 1,
+    whereas summing outages near 1 lands on either side of 1 by rounding.
+    """
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (len(states),):
         raise ConfigError("pi must align with the state list")
-    return float(
-        sum(p * getattr(outages[PHASE_SOURCE[s.phase]], s.kind) for p, s in zip(pi, states))
-    )
+    ops = [getattr(outages[PHASE_SOURCE[s.phase]], s.kind) for s in states]
+    fail = float(sum(p * op for p, op in zip(pi, ops)))
+    if fail < 0.5:
+        return fail
+    return 1.0 - float(sum(p * (1.0 - op) for p, op in zip(pi, ops)))
 
 
 def slot_cost(op: float) -> float:

@@ -128,14 +128,32 @@ class SystemConfig:
             raise ConfigError(f"eta must lie in [0, 1], got {self.eta}")
         if self.rate_r0 <= 0:
             raise ConfigError("rate_r0 must be positive")
-        if self.total_bits <= 0:
-            raise ConfigError("total_bits must be positive")
+        if not 0 < self.total_bits < math.inf:
+            raise ConfigError("total_bits must be positive and finite")
         if self.granularity < 1:
             raise ConfigError("granularity must be a positive integer")
         if self.bandwidth_units <= 0 or self.power_units <= 0:
             raise ConfigError("resource unit counts must be positive")
         if self.beta_s + self.beta_p < 1:
             raise ConfigError("payload requires at least one slot")
+        try:
+            snr = self.snr_linear()
+        except OverflowError:
+            raise ConfigError(
+                f"power_dbm {self.power_dbm} over noise_dbm {self.noise_dbm} "
+                "overflows the linear SNR"
+            ) from None
+        if snr == 0.0:
+            raise ConfigError(
+                f"power_dbm {self.power_dbm} over noise_dbm {self.noise_dbm} "
+                "gives a linear SNR of 0"
+            )
+        try:
+            self.gamma_th
+        except OverflowError:
+            raise ConfigError(
+                f"rate_r0 {self.rate_r0} overflows the threshold 2**rate_r0 - 1"
+            ) from None
 
     def snr_linear(self) -> float:
         """Transmit-power to noise ratio in linear units (inf if noiseless)."""

@@ -528,3 +528,47 @@ def test_numeric_fallback_agrees_with_closed_form(paper_setup):
         gates,
     )
     assert abs(numeric - closed) < 5.0 / n
+
+
+def _step2_by_convolution(relay_pmf, direct_pmf, gates):
+    """Frozen reference: the relay step by a full O(n^2) convolution."""
+    empty_prob = float(np.prod([g.gate_prob for g in gates]))
+    n = relay_pmf.granularity
+    combined = np.convolve(relay_pmf.probs, direct_pmf.probs)
+    # Raw convolution index k (0-based) holds bin-index sum k+2.
+    below = float(combined[: max(n - 1, 0)].sum())
+    return min(max(below / (1.0 - empty_prob), 0.0), 1.0)
+
+
+def _paper_pmfs(power_dbm, n):
+    topo, cfg = default_paper_setup(power_dbm=power_dbm, granularity=n)
+    for source in (1, 2):
+        rates = link_rates(topo, cfg, source)
+        gates = [GatedExponential(float(a), float(r))
+                 for a, r in zip(decode_fail_probs(topo, cfg, source), rates.relay_dest)]
+        yield (
+            bin_relay_sum(relay_sum_cdf(gates), cfg.gamma_th, n),
+            bin_conditional_direct(LinkParam(rates.direct), cfg.gamma_th, n),
+            gates,
+        )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 4096])
+def test_step2_prefix_sum_matches_the_convolution(n):
+    rng = np.random.default_rng(20_000 + n)
+    cases = [c for p in (-10.0, 0.0, 10.0, 20.0, 30.0) for c in _paper_pmfs(p, n)]
+    for _ in range(20):
+        gates = [GatedExponential(float(a), 1.0) for a in rng.uniform(0.0, 0.9, 3)]
+        relay, direct = (rng.random(n) * rng.random(n) ** 4 for _ in range(2))
+        cases.append((
+            BinnedPmf(relay / relay.sum() * rng.uniform(0.1, 1.0), 1.0, n),
+            BinnedPmf(direct / direct.sum(), 1.0, n),
+            gates,
+        ))
+    for relay_pmf, direct_pmf, gates in cases:
+        got = step2_outage(relay_pmf, direct_pmf, gates)
+        ref = _step2_by_convolution(relay_pmf, direct_pmf, gates)
+        if n == 1:
+            assert got == ref == 0.0
+        else:
+            assert abs(got - ref) <= 1e-13 * ref

@@ -263,6 +263,22 @@ def test_cli_analyze_where_every_attempt_fails(tmp_path, power_dbm):
     assert (doc["overall_outage"], doc["slot_cost"], doc["efficiency"]) == (1.0, None, 0.0)
 
 
+@pytest.mark.parametrize("eta", ["0.3", "0.5", "0.7", "0.9"])
+@pytest.mark.parametrize("power_dbm", ["-12", "-14", "-16"])
+def test_every_attempt_fails_at_every_eta(tmp_path, power_dbm, eta):
+    # A sum of outages near 1 rounds to either side of 1; the overall outage
+    # must still be exactly 1 here, whatever the payload split.
+    out = tmp_path / "a.json"
+    chain = tmp_path / "c.json"
+    setup = ["--paper-defaults", "--power-dbm", power_dbm, "--eta", eta]
+    assert main(["analyze", *setup, "--out", str(out)]) == 0
+    assert main(["dump-chain", *setup, "--out", str(chain)]) == 0
+    doc = json.loads(out.read_text(), parse_constant=_refuse)
+    assert (doc["overall_op"], doc["slot_cost"], doc["efficiency"]) == (1.0, None, 0.0)
+    doc = json.loads(chain.read_text(), parse_constant=_refuse)
+    assert (doc["overall_outage"], doc["slot_cost"], doc["efficiency"]) == (1.0, None, 0.0)
+
+
 def _refuse(token):
     raise AssertionError(f"{token} is not valid JSON")
 
@@ -395,6 +411,16 @@ def _spec(**edits) -> dict:
                      id="nan-value"),
         pytest.param("--spec", _spec(parameter="eta", values=[0.5, math.inf]),
                      "sweep values must be finite", id="infinite-value"),
+        pytest.param("--config", dict(_paper_config(), system={"power_dbm": -math.inf}),
+                     "linear SNR of 0", id="zero-snr"),
+        pytest.param("--config", dict(_paper_config(), system={"power_dbm": 4000.0}),
+                     "overflows the linear SNR", id="overflowing-snr"),
+        pytest.param("--config", dict(_paper_config(), system={"rate_r0": 2000.0}),
+                     "overflows the threshold", id="overflowing-threshold"),
+        pytest.param("--config", dict(_paper_config(), system={"total_bits": math.inf}),
+                     "total_bits must be positive and finite", id="infinite-payload"),
+        pytest.param("--config", dict(_paper_config(), system={"total_bits": 1e308}),
+                     "protocol chain would have 3.000000e+308 states", id="unbounded-chain"),
     ],
 )
 def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, flag, content, message):
