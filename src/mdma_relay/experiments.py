@@ -21,13 +21,13 @@ from .analytic import (
     step_outages,
 )
 from .markov import ChainSolution, labelled, solve_chain
-from .oracles import relay_sum_cdf_quadrature
 from .simulator import SCHEMES, SimOptions, simulate
 from .topology import (
     ConfigError,
     NetworkTopology,
     SystemConfig,
     config_to_dict,
+    is_whole,
     link_rates,
     topology_to_dict,
 )
@@ -62,8 +62,7 @@ class SweepSpec:
                 raise ConfigError(f"sweep values must be numbers, got {v!r}")
             if not math.isfinite(v):
                 raise ConfigError(f"sweep values must be finite, got {v!r}")
-            whole = isinstance(v, numbers.Integral) or float(v).is_integer()
-            if self.parameter in ("granularity", "relay_count") and not whole:
+            if self.parameter in ("granularity", "relay_count") and not is_whole(v):
                 raise ConfigError(f"{self.parameter} values must be whole numbers, got {v!r}")
         if list(vals) != sorted(vals):
             raise ConfigError("sweep grid must be sorted")
@@ -74,8 +73,15 @@ class SweepSpec:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
+        for name in ("trials", "seed"):
+            v = getattr(self, name)
+            if not is_whole(v):
+                raise ConfigError(f"sweep {name} must be a whole number, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if self.trials < 1:
             raise ConfigError("trials must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"sweep seed must be non-negative, got {self.seed}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepSpec":
@@ -84,8 +90,8 @@ class SweepSpec:
                 parameter=doc["parameter"],
                 values=doc["values"],
                 schemes=doc["schemes"],
-                trials=int(doc["trials"]),
-                seed=int(doc.get("seed", 0)),
+                trials=doc["trials"],
+                seed=doc.get("seed", 0),
             )
         except KeyError as exc:
             raise ConfigError(f"sweep spec missing field {exc}") from exc
@@ -296,6 +302,10 @@ def validate(
     options: SimOptions = SimOptions(),
 ) -> ValidationReport:
     """Run the full analytic-vs-numeric oracle suite and report per check."""
+    # Imported here, not at module level: the oracles load scipy, which no
+    # other command needs.
+    from .oracles import relay_sum_cdf_quadrature
+
     checks: list[CheckResult] = []
 
     # Closed-form relay-sum CDF against the iterated-quadrature oracle, for

@@ -637,6 +637,8 @@ def simulate(
     options: SimOptions = SimOptions(),
 ) -> SimEstimate:
     """Dispatch on scheme name; MDMA plus the three baselines."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     if scheme == "mdma":
         return run_mdma(topology, config, slots, seed, options)
     return run_baseline(scheme, topology, config, slots, seed, options)

@@ -27,6 +27,14 @@ class DegenerateGeometryError(ConfigError):
     """A transmitter/receiver pair sits at zero distance."""
 
 
+def is_whole(v) -> bool:
+    """True for an int or a finite float with no fractional part; a bool,
+    which JSON's `true` becomes, is not a number here."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    return isinstance(v, numbers.Integral) or (math.isfinite(v) and float(v).is_integer())
+
+
 def _as_coord(p) -> Coord:
     x, y = float(p[0]), float(p[1])
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -122,8 +130,14 @@ class SystemConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if not isinstance(getattr(self, f.name), numbers.Real):
-                raise ConfigError(f"{f.name} must be a number, got {getattr(self, f.name)!r}")
+            v = getattr(self, f.name)
+            # A JSON `true` would otherwise pass as the number 1.
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ConfigError(f"{f.name} must be a number, got {v!r}")
+        if not is_whole(self.granularity):
+            raise ConfigError(f"granularity must be a whole number, got {self.granularity!r}")
+        # A JSON 1000.0 is stored as 1000, so it bins and prints as 1000 does.
+        object.__setattr__(self, "granularity", int(self.granularity))
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError(f"eta must lie in [0, 1], got {self.eta}")
         if self.rate_r0 <= 0:

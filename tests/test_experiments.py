@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mdma_relay
 from mdma_relay.analytic import step_outages
 from mdma_relay.cli import main
 from mdma_relay.experiments import (
@@ -421,12 +426,35 @@ def _spec(**edits) -> dict:
                      "total_bits must be positive and finite", id="infinite-payload"),
         pytest.param("--config", dict(_paper_config(), system={"total_bits": 1e308}),
                      "protocol chain would have 3.000000e+308 states", id="unbounded-chain"),
+        pytest.param("--config", dict(_paper_config(), system={"granularity": 1000.5}),
+                     "granularity must be a whole number", id="fractional-config-granularity"),
+        pytest.param("--config", dict(_paper_config(), system={"granularity": math.nan}),
+                     "granularity must be a whole number", id="nan-granularity"),
+        pytest.param("--config", dict(_paper_config(), system={"granularity": math.inf}),
+                     "granularity must be a whole number", id="infinite-granularity"),
+        pytest.param("--config", dict(_paper_config(), system={"granularity": True}),
+                     "granularity must be a number, got True", id="boolean-granularity"),
+        pytest.param("--spec", _spec(trials=math.inf), "sweep trials must be a whole number",
+                     id="infinite-trials"),
+        pytest.param("--spec", _spec(trials="10000"), "sweep trials must be a whole number",
+                     id="string-trials"),
+        pytest.param("--spec", _spec(trials=10000.7), "sweep trials must be a whole number",
+                     id="fractional-trials"),
+        pytest.param("--spec", _spec(trials=True), "sweep trials must be a whole number",
+                     id="boolean-trials"),
+        # Python's json reads a number too large for a float as inf.
+        pytest.param("--spec", json.dumps(_spec()).replace("}", ', "seed": 1e400}'),
+                     "sweep seed must be a whole number", id="overflowing-seed"),
+        pytest.param("--spec", _spec(seed=1.5), "sweep seed must be a whole number",
+                     id="fractional-seed"),
+        pytest.param("--spec", _spec(seed=-1), "sweep seed must be non-negative",
+                     id="negative-seed"),
     ],
 )
 def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, flag, content, message):
     path = tmp_path / "input.json"
     if content is not None:
-        path.write_text(json.dumps(content))
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
     if flag == "--config":
         argv = ["analyze", "--config", str(path)]
     else:
@@ -434,6 +462,62 @@ def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, flag, conte
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and message in err
+
+
+def test_config_granularity_written_as_a_float_is_the_same_setting(tmp_path):
+    outs = []
+    for g in (1000, 1000.0):
+        config, out = tmp_path / f"config-{g!r}.json", tmp_path / f"analyze-{g!r}.json"
+        config.write_text(json.dumps(dict(_paper_config(), system={"granularity": g})))
+        assert main(["analyze", "--config", str(config), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_cli_negative_seed_is_an_error(capsys, command):
+    assert main([command, "--paper-defaults", "--trials", "100", "--seed", "-1"]) == 2
+    assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+
+
+def _fresh_main(cwd: Path, *argvs: list[str]) -> tuple[list[int], str, list[str]]:
+    """Run cli.main on each argv in a new interpreter (this one has loaded
+    scipy already); return the exit codes, stdout and the scipy modules the
+    interpreter loaded."""
+    script = (
+        "import json, sys\n"
+        "from mdma_relay.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(mdma_relay.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    out, _, last = proc.stdout.rstrip("\n").rpartition("\n")
+    codes, scipy_modules = json.loads(last)
+    return codes, out, scipy_modules
+
+
+def test_only_validate_loads_scipy(tmp_path):
+    (tmp_path / "spec.json").write_text(json.dumps(_spec(trials=500, seed=1)))
+    codes, _, scipy_modules = _fresh_main(
+        tmp_path,
+        ["analyze", "--paper-defaults", "--out", "analyze.json"],
+        ["dump-chain", "--paper-defaults", "--out", "chain.json"],
+        ["simulate", "--paper-defaults", "--trials", "2000", "--out", "simulate.json"],
+        ["sweep", "--paper-defaults", "--spec", "spec.json", "--allow-small-trials", "--out", "."],
+    )
+    assert codes == [0, 0, 0, 0]
+    assert scipy_modules == []
+
+
+def test_validate_still_checks_against_quadrature(tmp_path):
+    codes, out, scipy_modules = _fresh_main(
+        tmp_path, ["validate", "--paper-defaults", "--trials", "20000", "--seed", "1"]
+    )
+    assert codes == [0]
+    assert "PASS relay_sum_cdf_vs_quadrature" in out
+    assert "scipy.integrate" in scipy_modules
 
 
 def test_cli_requires_setup_source(capsys):
