@@ -7,9 +7,11 @@ the destination is exponential with the relay-to-destination rate.  The sum
 over the random decode set has a defective CDF obtained by expanding the
 product of the per-path transforms over nonempty relay subsets; each subset
 contributes a distinct-rate exponential-sum CDF whose coefficients are
-products of pairwise pole ratios.  The expansion is computed as whole arrays
-over all 2^m - 1 subsets, bit for bit the floats a per-subset loop gives;
-it costs about 1 ms at m = 8 and grows as m * 2^m.
+products of pairwise pole ratios.  The expansion indexes the subsets by
+bitmask and builds them by doubling, one relay at a time, so every product
+is the float a per-subset loop over ascending members gives; each rate's
+coefficient is then the exactly rounded sum (``math.fsum``) of its terms.
+It costs O(m * 2^m): about 0.15 ms at m = 8 and 40 ms at m = 16.
 
 The second-step outage then follows from binning that CDF and the
 threshold-conditioned direct-link SNR on a common grid and summing the mass
@@ -69,19 +71,6 @@ def decode_fail_probs(
     return -np.expm1(-rates.source_relay * config.gamma_th)
 
 
-def _kahan_sum(terms: np.ndarray) -> float:
-    """Compensated sum in descending magnitude (terms alternate in sign)."""
-    order = np.argsort(-np.abs(terms), kind="stable")
-    total = 0.0
-    carry = 0.0
-    for t in terms[order].tolist():
-        y = t - carry
-        s = total + y
-        carry = (s - total) - y
-        total = s
-    return total
-
-
 @dataclass(frozen=True)
 class SubsetTerm:
     """One nonempty decode set: its probability and exponential-CDF mixture."""
@@ -97,17 +86,17 @@ class DefectiveCdf:
 
     Evaluates to 0 at 0 and to ``total_mass`` (one minus the all-gates-closed
     probability) at infinity.  ``coeff_per_rate`` aggregates every subset term
-    so evaluation is O(m).  The per-subset expansion is kept as arrays, one
-    row per subset: ``membership`` (which relays decoded), ``weights`` (the
-    subset's probability) and ``coeffs`` (the pole-ratio coefficient of each
-    member; 1 elsewhere).  ``subset_terms`` presents them as ``SubsetTerm``s.
+    so evaluation is O(m).  The per-subset expansion is kept as arrays indexed
+    by decode set as a bitmask (bit x set when relay x decoded; row 0 is the
+    empty set): ``weights`` (the set's probability) and ``coeffs`` (the
+    pole-ratio coefficient of each member; entries of non-members carry no
+    meaning).  ``subset_terms`` presents the nonempty sets as ``SubsetTerm``s.
     """
 
     rates: np.ndarray
     gate_probs: np.ndarray
     coeff_per_rate: np.ndarray
     total_mass: float
-    membership: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     coeffs: np.ndarray = field(repr=False)
 
@@ -118,36 +107,35 @@ class DefectiveCdf:
 
     @cached_property
     def subset_terms(self) -> tuple[SubsetTerm, ...]:
-        """The expansion as one ``SubsetTerm`` per subset, built when first read."""
-        return tuple(
-            SubsetTerm(tuple(np.flatnonzero(row).tolist()), w, c[row])
-            for row, w, c in zip(self.membership, self.weights.tolist(), self.coeffs)
-        )
-
-
-def _subset_membership(m: int) -> np.ndarray:
-    """Nonempty subsets of ``range(m)`` as a boolean matrix, one row each, in
-    ``itertools.combinations`` order: size ascending, then lexicographic."""
-    combos = [c for k in range(1, m + 1) for c in itertools.combinations(range(m), k)]
-    member = np.zeros((len(combos), m), dtype=bool)
-    rows = np.repeat(np.arange(len(combos)), [len(c) for c in combos])
-    member[rows, list(itertools.chain.from_iterable(combos))] = True
-    return member
+        """The expansion as one ``SubsetTerm`` per nonempty subset, in
+        ``itertools.combinations`` order (size ascending, then lexicographic),
+        built when first read."""
+        m = len(self.rates)
+        terms = []
+        for k in range(1, m + 1):
+            members = list(itertools.combinations(range(m), k))
+            idx = np.array(members)
+            masks = (1 << idx).sum(axis=1)
+            coeffs = self.coeffs[masks[:, None], idx]
+            terms += map(SubsetTerm, members, self.weights[masks].tolist(), coeffs)
+        return tuple(terms)
 
 
 def relay_sum_cdf(gates: list[GatedExponential]) -> DefectiveCdf:
     """Closed-form defective CDF of the decoded relays' summed SNR.
 
     Expands over every nonempty relay subset at once; a subset's CDF is the
-    distinct-rate exponential-sum mixture with pairwise pole-ratio
-    coefficients.  Only defined where ``closed_form_applies``; elsewhere it
-    raises ``ConfigError``.
+    distinct-rate exponential-sum mixture with pairwise pole ratios
+    ``theta[x, y] = rate_y / (rate_y - rate_x)`` as coefficients.  Only
+    defined where ``closed_form_applies``; elsewhere it raises ``ConfigError``.
 
-    Every product takes its factors one relay column at a time in ascending
-    order, and entries a column does not touch stay as they are (as if
-    multiplied by exactly 1).  So each weight and coefficient is the same
-    float as a per-subset ``np.prod`` over the ascending members, and the
-    descending-magnitude Kahan sum sees the terms in the same order.
+    The subsets are built by doubling: adding relay y copies the sets built so
+    far into those that also hold y, whose weights gain the factor 1 - a_y
+    and whose coefficients gain theta[:, y]; the sets without y gain a_y.  So
+    every product takes its factors in ascending relay order, the same floats
+    as a per-subset ``np.prod`` over the members.  Each rate's coefficient is
+    the exactly rounded sum (``math.fsum``) of its members' terms.  Cost
+    O(m * 2^m): about 0.15 ms at m = 8, 40 ms at m = 16 and 1.2 s at m = 20.
     """
     if not gates:
         raise ConfigError("at least one relay path is required")
@@ -159,36 +147,30 @@ def relay_sum_cdf(gates: list[GatedExponential]) -> DefectiveCdf:
     m = len(gates)
     a = np.array([g.gate_prob for g in gates])
     lam = np.array([g.rate for g in gates], dtype=float)
+    gap = lam - lam[:, None]
+    # x / x is exactly 1.0, so the diagonal leaves a member's own factor as is.
+    np.fill_diagonal(gap, lam)
+    theta = lam / gap
 
-    theta = np.zeros((m, m))
-    for x in range(m):
-        for y in range(m):
-            if x != y:
-                theta[x, y] = lam[y] / (lam[y] - lam[x])
-
-    member = _subset_membership(m)
-    inside = np.ones(len(member))
-    outside = np.ones(len(member))
-    coeffs = np.ones(member.shape)
+    inside, outside, coeffs = np.empty(1 << m), np.empty(1 << m), np.empty((1 << m, m))
+    inside[0] = outside[0] = coeffs[0] = 1.0  # the empty set
     for y in range(m):
-        has_y = member[:, y]
-        np.multiply(inside, 1.0 - a[y], out=inside, where=has_y)
-        np.multiply(outside, a[y], out=outside, where=~has_y)
-        # Every other member x of a subset holding y gains the factor theta[x, y].
-        others = member & has_y[:, None]
-        others[:, y] = False
-        np.multiply(coeffs, theta[:, y], out=coeffs, where=others)
+        lo, hi = slice(0, 1 << y), slice(1 << y, 2 << y)
+        np.multiply(inside[lo], 1.0 - a[y], out=inside[hi])
+        outside[hi] = outside[lo]
+        outside[lo] *= a[y]
+        np.multiply(coeffs[lo], theta[:, y], out=coeffs[hi])
     weights = inside * outside
 
-    terms = weights[:, None] * coeffs
-    coeff_per_rate = np.array([_kahan_sum(terms[member[:, x], x]) for x in range(m)])
+    # The subsets holding relay x are the odd blocks of 2^x consecutive masks.
+    held = ((weights * coeffs[:, x]).reshape(-1, 2, 1 << x)[:, 1] for x in range(m))
+    coeff_per_rate = np.array([math.fsum(t.ravel().tolist()) for t in held])
     total_mass = float(1.0 - np.prod(a))
     return DefectiveCdf(
         rates=lam,
         gate_probs=a,
         coeff_per_rate=coeff_per_rate,
         total_mass=total_mass,
-        membership=member,
         weights=weights,
         coeffs=coeffs,
     )

@@ -27,6 +27,7 @@ from .topology import (
     NetworkTopology,
     SystemConfig,
     config_to_dict,
+    fits_float,
     is_whole,
     link_rates,
     topology_to_dict,
@@ -60,6 +61,8 @@ class SweepSpec:
         for v in vals:
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise ConfigError(f"sweep values must be numbers, got {v!r}")
+            if not fits_float(v):
+                raise ConfigError(f"sweep value of {self.parameter} is too large for a float")
             if not math.isfinite(v):
                 raise ConfigError(f"sweep values must be finite, got {v!r}")
             if self.parameter in ("granularity", "relay_count") and not is_whole(v):

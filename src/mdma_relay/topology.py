@@ -17,6 +17,8 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 
 Coord = tuple[float, float]
+# Bins per threshold interval; each analysis holds a few arrays of this length.
+MAX_GRANULARITY = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -33,6 +35,15 @@ def is_whole(v) -> bool:
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         return False
     return isinstance(v, numbers.Integral) or (math.isfinite(v) and float(v).is_integer())
+
+
+def fits_float(v) -> bool:
+    """False for an int too large for a float; JSON reads any integer exactly."""
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
 
 
 def _as_coord(p) -> Coord:
@@ -134,6 +145,8 @@ class SystemConfig:
             # A JSON `true` would otherwise pass as the number 1.
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise ConfigError(f"{f.name} must be a number, got {v!r}")
+            if not fits_float(v):
+                raise ConfigError(f"{f.name} is too large for a float")
         if not is_whole(self.granularity):
             raise ConfigError(f"granularity must be a whole number, got {self.granularity!r}")
         # A JSON 1000.0 is stored as 1000, so it bins and prints as 1000 does.
@@ -144,8 +157,8 @@ class SystemConfig:
             raise ConfigError("rate_r0 must be positive")
         if not 0 < self.total_bits < math.inf:
             raise ConfigError("total_bits must be positive and finite")
-        if self.granularity < 1:
-            raise ConfigError("granularity must be a positive integer")
+        if not 1 <= self.granularity <= MAX_GRANULARITY:
+            raise ConfigError(f"granularity {self.granularity} is outside [1, {MAX_GRANULARITY}]")
         if self.bandwidth_units <= 0 or self.power_units <= 0:
             raise ConfigError("resource unit counts must be positive")
         if self.beta_s + self.beta_p < 1:

@@ -434,6 +434,19 @@ def _spec(**edits) -> dict:
                      "granularity must be a whole number", id="infinite-granularity"),
         pytest.param("--config", dict(_paper_config(), system={"granularity": True}),
                      "granularity must be a number, got True", id="boolean-granularity"),
+        pytest.param("--config", dict(_paper_config(), system={"granularity": 1e20}),
+                     "granularity 100000000000000000000 is outside [1, 1000000]",
+                     id="unallocatable-granularity"),
+        pytest.param("--config", dict(_paper_config(), system={"granularity": 10**10}),
+                     "granularity 10000000000 is outside [1, 1000000]",
+                     id="oversized-granularity"),
+        # Python's json reads an integer exactly, however long.
+        pytest.param("--config", dict(_paper_config(), system={"total_bits": 10**400}),
+                     "total_bits is too large for a float",
+                     id="overflowing-integer-payload"),
+        pytest.param("--spec", _spec(values=[10**400]),
+                     "sweep value of power_dbm is too large for a float",
+                     id="overflowing-integer-value"),
         pytest.param("--spec", _spec(trials=math.inf), "sweep trials must be a whole number",
                      id="infinite-trials"),
         pytest.param("--spec", _spec(trials="10000"), "sweep trials must be a whole number",
