@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ def test_subset_expansion_shape():
 
 
 def _loop_relay_sum_cdf(gates):
-    """The per-subset loop that ``relay_sum_cdf`` replaced, frozen as the
+    """The per-subset loop that the doubling build replaced, frozen as the
     reference for its bits: (coeff_per_rate, total_mass, [(members, weight,
     coeffs), ...])."""
 
@@ -222,7 +223,27 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
-def test_vectorized_expansion_is_bit_identical_to_the_subset_loop():
+def _assert_near_exact_residues(cdf):
+    """Each coefficient c_x is within 2 * m * eps * S_x of its residue
+    evaluated to 60 digits, where S_x is the same product with every pole
+    ratio replaced by its absolute value (the size of the terms that cancel)."""
+    mp = pytest.importorskip("mpmath").mp
+    m = len(cdf.rates)
+    with mp.workdps(60):
+        a = [mp.mpf(float(v)) for v in cdf.gate_probs]
+        lam = [mp.mpf(float(v)) for v in cdf.rates]
+        for x in range(m):
+            exact = scale = 1 - a[x]
+            for y in range(m):
+                if y != x:
+                    theta = lam[y] / (lam[y] - lam[x])
+                    exact *= a[y] + (1 - a[y]) * theta
+                    scale *= a[y] + (1 - a[y]) * abs(theta)
+            err = abs(mp.mpf(float(cdf.coeff_per_rate[x])) - exact)
+            assert err <= 2 * m * np.finfo(float).eps * scale, (x, err, scale)
+
+
+def test_residue_coefficients_are_near_exact_and_subset_view_is_bit_identical_to_the_loop():
     cases = []
     for power in range(-16, 31, 2):
         topo, cfg = default_paper_setup(power_dbm=float(power))
@@ -249,8 +270,8 @@ def test_vectorized_expansion_is_bit_identical_to_the_subset_loop():
         cdf = relay_sum_cdf(gates)
         # The SubsetTerm view is built only when read.
         assert "subset_terms" not in vars(cdf)
-        coeff_per_rate, total_mass, terms = _loop_relay_sum_cdf(gates)
-        assert _bits(cdf.coeff_per_rate) == _bits(coeff_per_rate)
+        _, total_mass, terms = _loop_relay_sum_cdf(gates)
+        _assert_near_exact_residues(cdf)
         assert _bits(cdf.total_mass) == _bits(total_mass)
         assert len(cdf.subset_terms) == len(terms) == 2 ** len(gates) - 1
         for got, (members, weight, coeffs) in zip(cdf.subset_terms, terms):
@@ -259,6 +280,21 @@ def test_vectorized_expansion_is_bit_identical_to_the_subset_loop():
             assert got.coeffs.dtype == coeffs.dtype and _bits(got.coeffs) == _bits(coeffs)
         checked += 1
     assert checked >= 340
+
+
+def test_relay_sum_cdf_needs_no_subset_expansion():
+    # 20 relays: the 2^20 decode sets would take about 168 MB as doubles.
+    gates = [GatedExponential(0.05 + 0.04 * i, 0.5 + 0.15 * i) for i in range(20)]
+    tracemalloc.start()
+    try:
+        cdf = relay_sum_cdf(gates)
+        cdf(np.linspace(0.0, 5.0, 1001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert "subset_terms" not in vars(cdf)
+    _assert_near_exact_residues(cdf)
 
 
 def test_aggregated_coefficients_match_product_identity():
