@@ -14,6 +14,10 @@ cumsum of episode lengths and the counters come from `bincount`.  TDMA,
 FDMA and NOMA baselines reuse the same relay cooperation mechanics and
 differ only in medium access.  Where the baselines are underspecified,
 every assumption is a configurable ``SimOptions`` field.
+
+Whole cycles and NOMA pairs are placed at once from these cumsums; only one
+that reaches past a chunk or the end of the run is walked take by take.
+NOMA's cancellation needs no choice of the stronger stream (see `_sic`).
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ class SimOptions:
             raise ConfigError("noma_rho must lie strictly between 0 and 1")
         if self.noma_sic_order not in ("mean", "instant"):
             raise ConfigError("noma_sic_order must be 'mean' or 'instant'")
+        if self.trace_limit < 0:
+            raise ConfigError(f"trace_limit must be non-negative, got {self.trace_limit}")
 
 
 @dataclass(frozen=True)
@@ -226,16 +232,18 @@ def _relay_slots(rng, need, retained, decoded, rd_means, gamma_th):
     return rows, mrc, ok
 
 
-def _sic(first, x1, x2, gamma_th):
+def _sic(first, x1, x2, gamma_th, sinr=False):
     """Successive interference cancellation of streams received at powers x1
-    and x2, stream 1 first where `first`: whether each decodes, and its SINR."""
-    xs, xw = np.where(first, x1, x2), np.where(first, x2, x1)
+    and x2, stream 1 first where `first`: whether each decodes, and its SINR if
+    `sinr`.  With s_k that stream k clears g against the other, stream 1 decodes
+    iff s1 | (~first & s2 & x1 >= g), and so on: the first decodes iff its s_k,
+    the second meets g*(1.0 + 0.0) == g once the first is cancelled, s_k => x_k >= g."""
     with np.errstate(invalid="ignore"):  # inf/inf without noise, where all decode
-        ok_s, sinr_s = xs >= gamma_th * (1.0 + xw), xs / (1.0 + xw)
-        resid = np.where(ok_s, 0.0, xs)
-        ok_w, sinr_w = xw >= gamma_th * (1.0 + resid), xw / (1.0 + resid)
-    return ({1: np.where(first, ok_s, ok_w), 2: np.where(first, ok_w, ok_s)},
-            {1: np.where(first, sinr_s, sinr_w), 2: np.where(first, sinr_w, sinr_s)})
+        s1, s2 = x1 >= gamma_th * (1.0 + x2), x2 >= gamma_th * (1.0 + x1)
+        clear = {1: ~np.asarray(first) & s2, 2: first & s1}  # the other was cancelled first
+        ok = {1: s1 | (clear[1] & (x1 >= gamma_th)), 2: s2 | (clear[2] & (x2 >= gamma_th))}
+        return ok, ({1: x1 / (1.0 + np.where(clear[1], 0.0, x2)),
+                     2: x2 / (1.0 + np.where(clear[2], 0.0, x1))} if sinr else None)
 
 
 def _bitmask(flags) -> int:
@@ -331,6 +339,11 @@ class _Stream:
         stop = self.succ_at[0][self.cum_succ[0].item(self.pos) + reps - 1 :: reps] + 1
         first = np.concatenate(([self.pos], stop[:-1]))
         return first, stop, self.cum_len[stop] - self.cum_len[first]
+
+    def after(self, lane: int, k):
+        """The episode after success `k` (from 0) of `lane`; n + 1 past the chunk."""
+        at = self.succ_at[lane]
+        return np.append(at + 1, self.n + 1)[np.minimum(k, at.size)]
 
     def take_runs(self, first, stop, slot, tag: int) -> None:
         """Place whole runs found by `runs` from the given slots on."""
@@ -439,6 +452,50 @@ def _whole_cycles(prog, band: int, t: int, tally: _Tally) -> int:
     return int(ends[c - 1])
 
 
+def _whole_pairs(joint, solo, beta_t: int, t: int, tally: _Tally) -> int:
+    """Place the NOMA pairs from slot `t` on that the chunks hold whole and
+    that end within the run; return the slot after them.  A pair sends jointly
+    until a stream has `beta_t` successes, then the other alone until it has them too."""
+    if joint.pos == joint.n:  # the walk draws the next chunk of a spent stream
+        return t
+    # The joint stop of a pair begun at each episode; chase the chain of starts.
+    stop_from = np.minimum(*(joint.after(lane, cum[:-1] + beta_t - 1)
+                             for lane, cum in enumerate(joint.cum_succ))).tolist()
+    starts, i = [], joint.pos
+    while i < joint.n and stop_from[i] <= joint.n:
+        starts.append(i)
+        i = stop_from[i]
+    if not starts:
+        return t
+    first, stop = np.array(starts), np.array(starts[1:] + [i])
+    joint_dur = joint.cum_len[stop] - joint.cum_len[first]
+    dur, c, solo_runs = joint_dur.copy(), first.size, []
+    # The lagging stream's solo stream meets the pairs' needs in order.
+    for stream, cum in zip(solo, joint.cum_succ):
+        need = beta_t - (cum[stop] - cum[first])
+        lag, s_first, s_stop = np.flatnonzero(need), [], []
+        if stream.pos < stream.n:  # a spent one holds no pair until the walk redraws it
+            s_stop = stream.after(0, stream.cum_succ[0][stream.pos] + np.cumsum(need[lag]) - 1)
+            s_stop = s_stop[: np.searchsorted(s_stop, stream.n, side="right")]
+            s_first = np.concatenate(([stream.pos], s_stop))[:-1]
+            dur[lag[: s_stop.size]] += stream.cum_len[s_stop] - stream.cum_len[s_first]
+        if len(s_stop) < lag.size:
+            c = min(c, int(lag[len(s_stop)]))
+        solo_runs.append((stream, lag, s_first, s_stop))
+    ends = t + np.cumsum(dur[:c])
+    c = int(np.searchsorted(ends, tally.slots, side="right"))
+    if c == 0:
+        return t
+    pair_slot = np.concatenate(([t], ends[: c - 1]))
+    joint.take_runs(first[:c], stop[:c], pair_slot, 0)
+    for stream, lag, s_first, s_stop in solo_runs:
+        k = int(np.searchsorted(lag, c))
+        if k:
+            stream.take_runs(s_first[:k], s_stop[:k], (pair_slot + joint_dur[:c])[lag[:k]], 0)
+    tally.cycle_end(0, ends[:c].tolist())
+    return int(ends[c - 1])
+
+
 def _run_bands(
     topology: NetworkTopology,
     config: SystemConfig,
@@ -538,7 +595,7 @@ class _JointStream(_Stream):
         gains = {s: _exp(self.rngs[s][1], (n, self.at_r[s].size), self.at_r[s]) for s in (1, 2)}
         # Cancellation at the destination, and at each relay.
         first = p[1] >= p[2] if instant else self.at_d[1] >= self.at_d[2]
-        ok, sinr = _sic(first, p[1], p[2], g)
+        ok, sinr = _sic(first, p[1], p[2], g, sinr=True)
         first = gains[1] >= gains[2] if instant else self.at_r[1] >= self.at_r[2]
         dec, _ = _sic(first, gains[1], gains[2], g)
         ep = {"ok": ok, "empty": {}, "relay": {}, "relay_ok": {}}
@@ -582,19 +639,22 @@ def _run_noma(topology, config, slots, seed, options) -> SimEstimate:
     ]
     joint = _JointStream(tally, seed, rates, config.gamma_th, options)
 
-    t, done = 0, [0, 0]  # slot, deliveries of each stream in the current pair
+    t = 0
     while t < slots:
-        if max(done) < beta_t:
-            dur, got = joint.take((beta_t - done[0], beta_t - done[1]), t, 0, 0)
-            done = [d + n for d, n in zip(done, got)]
-        else:
-            lane = 0 if done[0] < beta_t else 1
-            dur, (n,) = solo[lane].take((beta_t - done[lane],), t, 0, 0)
-            done[lane] += n
-        t += dur
-        if min(done) >= beta_t:
-            tally.cycle_end(0, [t])
-            done = [0, 0]
+        # Whole pairs, then the one that reaches past a chunk or the run, walked:
+        t, done = _whole_pairs(joint, solo, beta_t, t, tally), [0, 0]  # its deliveries
+        while t < slots:
+            if max(done) < beta_t:
+                dur, got = joint.take((beta_t - done[0], beta_t - done[1]), t, 0, 0)
+                done = [d + n for d, n in zip(done, got)]
+            else:
+                lane = 0 if done[0] < beta_t else 1
+                dur, (n,) = solo[lane].take((beta_t - done[lane],), t, 0, 0)
+                done[lane] += n
+            t += dur
+            if min(done) >= beta_t:
+                tally.cycle_end(0, [t])
+                break
     for stream in (joint, *solo):
         stream.flush()
     return tally.estimate(config, seed)

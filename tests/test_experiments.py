@@ -493,6 +493,16 @@ def test_cli_negative_seed_is_an_error(capsys, command):
     assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", ["mdma", "noma"])
+def test_cli_negative_trace_slots_is_an_error(capsys, scheme):
+    argv = ["simulate", "--paper-defaults", "--scheme", scheme, "--trials", "100", "--seed", "1"]
+    assert main(argv + ["--trace-slots", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert "error: trace_limit must be non-negative, got -3" in captured.err
+
+
 def _fresh_main(cwd: Path, *argvs: list[str]) -> tuple[list[int], str, list[str]]:
     """Run cli.main on each argv in a new interpreter (this one has loaded
     scipy already); return the exit codes, stdout and the scipy modules the

@@ -339,6 +339,93 @@ def test_relay_cooperation_flag(setup10):
     assert relay_visits == 0
 
 
+def _sic_by_selection(first, x1, x2, gamma_th):
+    """Successive cancellation spelled out: pick the stream decoded first,
+    decode it against the other, then the other against what is left."""
+    xs, xw = np.where(first, x1, x2), np.where(first, x2, x1)
+    with np.errstate(invalid="ignore"):
+        ok_s, sinr_s = xs >= gamma_th * (1.0 + xw), xs / (1.0 + xw)
+        resid = np.where(ok_s, 0.0, xs)
+        ok_w, sinr_w = xw >= gamma_th * (1.0 + resid), xw / (1.0 + resid)
+    return ({1: np.where(first, ok_s, ok_w), 2: np.where(first, ok_w, ok_s)},
+            {1: np.where(first, sinr_s, sinr_w), 2: np.where(first, sinr_w, sinr_s)})
+
+
+@pytest.mark.parametrize("gamma_th", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("order", ["scalar", "column", "element"])
+def test_sic_rule_equals_successive_cancellation(gamma_th, order):
+    rng = np.random.default_rng(23)
+    x1, x2 = rng.exponential(2.0, (2, 3_000, 6))
+    for x in (x1, x2):  # no noise, deep fades, and powers exactly at a threshold
+        x[rng.random(x.shape) < 0.05] = math.inf
+        x[rng.random(x.shape) < 0.05] = 0.0
+    at = rng.random(x1.shape) < 0.05
+    x1[at] = gamma_th * (1.0 + x2[at])
+    x2[at[::-1]] = gamma_th
+    firsts = {
+        "scalar": [True, False, np.True_, np.False_],
+        "column": [rng.random(6) < 0.5],
+        "element": [x1 >= x2],
+    }[order]
+    for first in firsts:
+        ok, sinr = simulator._sic(first, x1, x2, gamma_th, sinr=True)
+        ref_ok, ref_sinr = _sic_by_selection(first, x1, x2, gamma_th)
+        flags, none = simulator._sic(first, x1, x2, gamma_th)
+        assert none is None
+        for s in (1, 2):
+            assert ok[s].dtype == bool and flags[s].dtype == bool
+            assert np.array_equal(ok[s], ref_ok[s]) and np.array_equal(flags[s], ref_ok[s])
+            assert np.array_equal(sinr[s].view(np.uint64), ref_sinr[s].view(np.uint64))
+
+
+def _noma_outputs(topo, cfg, slots, options):
+    est = run_baseline("noma", topo, cfg, slots, seed=4, options=options)
+    return (json.dumps(est.to_dict()), est.occupancy_counts.tolist(), est.decode_attempts,
+            est.decode_empties, est.pair_duration_sum, est.pair_duration_sumsq)
+
+
+@pytest.mark.parametrize("link", ["-30dBm", "4dBm", "10dBm", "30dBm", "noiseless"])
+def test_noma_whole_pairs_equal_the_pair_by_pair_walk(setup10, link, monkeypatch):
+    topo, cfg = setup10
+    cfg = replace(cfg, noise_dbm=-math.inf) if link == "noiseless" else replace(
+        cfg, power_dbm=float(link[:-3]))
+    variants = [(SimOptions(), 10), (SimOptions(noma_rho=0.1), 10),
+                (SimOptions(noma_sic_order="instant"), 10),
+                (SimOptions(relay_cooperation=False), 10), (SimOptions(), 1), (SimOptions(), 25)]
+    cases = [(replace(cfg, total_bits=bits), slots, options)
+             for options, bits in variants
+             for slots in sorted({1, bits - 1, bits, bits + 1, simulator._CHUNK + 1} - {0})]
+    cases.append((cfg, 50_000, SimOptions()))
+    whole, placed, counted = simulator._whole_pairs, [], []
+
+    def spy(joint, solo, beta_t, t, tally):
+        end = whole(joint, solo, beta_t, t, tally)
+        placed.append(end - t)
+        return end
+
+    def outputs():
+        counted.clear()
+        out = [_noma_outputs(topo, c, slots, options) for c, slots, options in cases]
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "_CHUNK", 7)
+            out.append(_noma_outputs(topo, cfg, 3_000, SimOptions()))
+        return out, list(counted)
+
+    # Each counted episode's stream, chunk position and slot: NOMA records no
+    # trace, so this is the only place a misplaced slot shows.
+    for cls in (simulator._JointStream, simulator._BcastStream):
+        def count(self, idx, start, rep, tag, _count=cls.count):
+            counted.append((type(self).__name__, getattr(self, "source", 0), idx, start.tolist()))
+            _count(self, idx, start, rep, tag)
+        monkeypatch.setattr(cls, "count", count)
+    monkeypatch.setattr(simulator, "_whole_pairs", spy)
+    ref = outputs()
+    assert (sum(placed) > 0) == (link != "-30dBm")  # at -30 dBm no pair ever ends
+    # With no pair placed whole, the take-by-take walk places every pair.
+    monkeypatch.setattr(simulator, "_whole_pairs", lambda joint, solo, beta_t, t, tally: t)
+    assert outputs() == ref
+
+
 def test_invalid_options():
     with pytest.raises(ConfigError):
         SimOptions(noma_rho=0.0)
