@@ -21,7 +21,7 @@ from .analytic import (
     step_outages,
 )
 from .markov import ChainSolution, labelled, solve_chain
-from .simulator import SCHEMES, SimOptions, simulate
+from .simulator import SCHEMES, SimOptions, shared_draws, simulate
 from .topology import (
     ConfigError,
     NetworkTopology,
@@ -73,9 +73,11 @@ class SweepSpec:
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
         object.__setattr__(self, "schemes", tuple(self.schemes))
-        for s in self.schemes:
+        for i, s in enumerate(self.schemes):
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
+            if s in self.schemes[:i]:  # its rows would be written twice
+                raise ConfigError(f"scheme {s!r} is listed more than once")
         for name in ("trials", "seed"):
             v = getattr(self, name)
             if not is_whole(v):
@@ -161,7 +163,14 @@ def run_sweep(
     config: SystemConfig,
     options: SimOptions = SimOptions(),
 ) -> list[ResultRow]:
-    """Analytic values plus simulation estimates for every grid point and scheme."""
+    """Analytic values plus simulation estimates for every grid point and scheme.
+
+    The schemes of one grid point share its broadcast draws (`shared_draws`):
+    each chunk of a source's episodes is drawn once, by the first scheme to
+    reach it, and read by the others.  Every row is the one a lone `simulate`
+    of its scheme gives, but the schemes' estimates at one point are
+    correlated, so their difference is not one of independent samples.
+    """
     rows: list[ResultRow] = []
     for gi, value in enumerate(spec.values):
         try:
@@ -176,6 +185,9 @@ def run_sweep(
                     )
                 )
             continue
+        seed = spec.seed + gi
+        # A traced run draws its own: shared draws keep no SNRs.
+        draws = None if options.trace_limit else shared_draws(topo_v, cfg_v, seed, options)
         for scheme in spec.schemes:
             row = ResultRow(
                 scheme=scheme,
@@ -198,7 +210,8 @@ def run_sweep(
                     row.analytic_op = sol.overall_op
                     row.analytic_tc = sol.slot_cost
                     row.analytic_phi = sol.efficiency
-                est = simulate(scheme, topo_v, cfg_v, spec.trials, seed=spec.seed + gi, options=options)
+                est = simulate(scheme, topo_v, cfg_v, spec.trials, seed=seed, options=options,
+                               draws=draws)
                 row.sim_op = est.overall_op
                 row.sim_op_stderr = est.overall_op_stderr
                 row.sim_tc = est.tc_empirical

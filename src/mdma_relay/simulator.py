@@ -18,6 +18,13 @@ every assumption is a configurable ``SimOptions`` field.
 Whole cycles and NOMA pairs are placed at once from these cumsums; only one
 that reaches past a chunk or the end of the run is walked take by take.
 NOMA's cancellation needs no choice of the stronger stream (see `_sic`).
+
+A source's broadcast episodes come from the same generators in MDMA, TDMA,
+FDMA and NOMA's solo streams.  The schemes of one sweep point share them
+(`shared_draws`): each chunk is drawn once and read by every scheme, so each
+result is the one a lone run gives, but the schemes' estimates at that point
+are correlated, and a difference between schemes is not a difference of
+independent samples.
 """
 
 from __future__ import annotations
@@ -222,6 +229,15 @@ def _exp(rng, shape, means) -> np.ndarray:
     return out
 
 
+def _none_set(flags) -> np.ndarray:
+    """Rows of an n x m bool array with no flag set.  On a few thousand rows,
+    m column ANDs take a quarter of the time of ~flags.any(axis=1)."""
+    out = ~flags[:, 0]
+    for j in range(1, flags.shape[1]):
+        out &= ~flags[:, j]
+    return out
+
+
 def _relay_slots(rng, need, retained, decoded, rd_means, gamma_th):
     """Relay-to-destination rows of the episodes in `need`, their MRC totals
     (retained SNR plus decoding relays), and which episodes decode there."""
@@ -351,15 +367,16 @@ class _Stream:
         self.pos = int(stop[-1])
 
     def _refill(self, slot: int) -> None:
-        """Count the chunk, then draw the next; from `slot` on, the run has
-        room for at most one episode per slot left."""
+        """Count the chunk, then read the next.  From `slot` on, the run has
+        room for at most one episode per slot left, so no more are asked for;
+        a chunk another run drew first may hold more."""
         self.flush()
-        self.n, self.pos = min(_CHUNK, self.tally.slots - slot), 0
-        self.ep = self.draw(self.n)
+        self.ep = self.draw(min(_CHUNK, self.tally.slots - slot))
         # Slots and successes per lane before each episode, and where the successes are.
         self.cum_len = np.concatenate(([0], np.cumsum(self.ep["length"])))
         self.cum_succ = [np.concatenate(([0], np.cumsum(s))) for s in self.ep["success"]]
         self.succ_at = [np.flatnonzero(s) for s in self.ep["success"]]
+        self.n, self.pos = self.cum_len.size - 1, 0
 
     def flush(self) -> None:
         """Count the episodes placed from the current chunk."""
@@ -378,27 +395,90 @@ class _Stream:
         self.segs, self.runs_placed = [], []
 
 
-class _BcastStream(_Stream):
-    """Full-power broadcast episodes of one source (MDMA, TDMA, FDMA, NOMA solo).
-    `table[tag, rep]`: broadcast and relay labels, their step keys, and band."""
+def _draw_key(seed, source, rates, gamma_th, cooperate) -> tuple:
+    """Everything a source's broadcast episodes depend on."""
+    return (seed, source, gamma_th, cooperate, float(rates.direct),
+            tuple(rates.source_relay.tolist()), tuple(rates.relay_dest.tolist()))
 
-    def __init__(self, tally, seed, source, rates, gamma_th, cooperate, table):
-        super().__init__(tally)
-        self.source, self.gamma_th, self.cooperate, self.table = source, gamma_th, cooperate, table
+
+# What `_BcastStream.count` reads of an episode, and all that a shared chunk keeps.
+_FLAGS = ("ok", "empty", "relay", "relay_ok")
+
+
+class _Episodes:
+    """Full-power broadcast episodes of one source, drawn a chunk at a time
+    from its direct, source-relay and relay-destination generators.
+
+    Chunk k is drawn when it is first read, with the size that reader asks
+    for.  A private source has one reader, which holds the chunk it reads, so
+    the source keeps none.  A shared one (`shared_draws`) keeps every chunk it
+    draws, as its flags only, for the other schemes of one operating point."""
+
+    def __init__(self, seed, source, rates, gamma_th, cooperate, shared=False):
+        self.key = _draw_key(seed, source, rates, gamma_th, cooperate)
+        self.source, self.gamma_th, self.cooperate = source, gamma_th, cooperate
         self.rngs = [make_rng(seed, 3 * (source - 1) + k) for k in range(3)]
         self.means = [_means(rates.direct), _means(rates.source_relay), _means(rates.relay_dest)]
+        self.kept, self.drawn = ([] if shared else None), 0
+
+    def chunk(self, k: int, n: int) -> dict:
+        """Chunk k, drawn with n episodes if no reader has reached it, plus each
+        episode's length and success, which a shared chunk does not keep."""
+        if k < self.drawn:
+            ep = self.kept[k]
+        else:
+            ep, self.drawn = self.draw(n), self.drawn + 1
+            if self.kept is not None:
+                ep = {f: ep[f] for f in _FLAGS}
+                self.kept.append(ep)
+        return dict(ep, length=1 + ep["relay"], success=[ep["ok"] | ep["relay_ok"]])
 
     def draw(self, n: int) -> dict:
         g = self.gamma_th
         direct = _exp(self.rngs[0], n, self.means[0])
         sr = _exp(self.rngs[1], (n, self.means[1].size), self.means[1])
         decoded = sr >= g if self.cooperate else np.zeros(sr.shape, dtype=bool)
-        ok, empty = direct >= g, ~decoded.any(axis=1)  # no relay decoded
+        ok, empty = direct >= g, _none_set(decoded)  # no relay decoded
         relay = ~ok & ~empty
         rows, mrc, relay_ok = _relay_slots(self.rngs[2], relay, direct, decoded, self.means[2], g)
         return {"direct": direct, "sr": sr, "decoded": decoded, "ok": ok, "empty": empty,
-                "relay": relay, "rows": rows, "mrc": mrc, "relay_ok": relay_ok,
-                "length": 1 + relay, "success": [ok | relay_ok]}
+                "relay": relay, "rows": rows, "mrc": mrc, "relay_ok": relay_ok}
+
+
+def shared_draws(topology: NetworkTopology, config: SystemConfig, seed: int,
+                 options: SimOptions = SimOptions()) -> dict[int, _Episodes]:
+    """Broadcast episodes of both sources, to pass as `simulate(..., draws=...)`
+    to every scheme run at one operating point with this seed and these options.
+    Each chunk is drawn once, by the first scheme to reach it, and kept as four
+    flags per episode, without SNRs, for the others to read."""
+    return {s: _Episodes(seed, s, link_rates(topology, config, s), config.gamma_th,
+                         options.relay_cooperation, shared=True) for s in (1, 2)}
+
+
+def _broadcasts(draws, tally, seed, source, rates, gamma_th, cooperate) -> _Episodes:
+    """The episodes of `source` for one run: from `draws` if given, else private."""
+    if draws is None:
+        return _Episodes(seed, source, rates, gamma_th, cooperate)
+    if tally.trace_limit:
+        raise ValueError("shared draws keep no SNRs; a traced run must draw its own")
+    episodes = draws[source]
+    if episodes.key != _draw_key(seed, source, rates, gamma_th, cooperate):
+        raise ValueError(f"the shared draws of source {source} were made for another run")
+    return episodes
+
+
+class _BcastStream(_Stream):
+    """Full-power broadcast episodes of one source (MDMA, TDMA, FDMA, NOMA solo),
+    read chunk by chunk from `episodes`.
+    `table[tag, rep]`: broadcast and relay labels, their step keys, and band."""
+
+    def __init__(self, tally, episodes: _Episodes, table):
+        super().__init__(tally)
+        self.episodes, self.source, self.table, self.chunks = episodes, episodes.source, table, 0
+
+    def draw(self, n: int) -> dict:
+        self.chunks += 1
+        return self.episodes.chunk(self.chunks - 1, n)
 
     def count(self, idx, start, rep, tag) -> None:
         ep, tally, slots = self.ep, self.tally, self.tally.slots
@@ -504,6 +584,7 @@ def _run_bands(
     slots: int,
     seed: int,
     options: SimOptions,
+    draws: dict | None,
 ) -> SimEstimate:
     """MDMA, TDMA and FDMA: each band cycles through its phases of (name,
     source, repetitions), and consecutive phases of one source form a run.
@@ -520,8 +601,9 @@ def _run_bands(
     tally = _Tally(scheme, labels, step_keys, len(bands), slots, options.trace_limit)
     width = max(len(r[2]) for r in runs)
     table = np.array([r[2] + r[2][:1] * (width - len(r[2])) for r in runs])
-    streams = {s: _BcastStream(tally, seed, s, link_rates(topology, config, s), config.gamma_th,
-                               options.relay_cooperation, table) for s in (1, 2)}
+    streams = {s: _BcastStream(tally, _broadcasts(draws, tally, seed, s, link_rates(topology, config, s),
+                                                  config.gamma_th, options.relay_cooperation), table)
+               for s in (1, 2)}
     programs = [[(streams[src], len(reps), tag) for tag, (b, src, reps) in enumerate(runs) if b == band]
                 for band in range(len(bands))]
 
@@ -555,15 +637,17 @@ def run_mdma(
     slots: int,
     seed: int = 0,
     options: SimOptions = SimOptions(),
+    *,
+    draws: dict | None = None,
 ) -> SimEstimate:
-    """Simulate the shared/personalized two-phase protocol."""
+    """Simulate the shared/personalized two-phase protocol; `draws` as in `simulate`."""
     if slots < 1:
         raise ConfigError("slots must be at least 1")
     plan = [
         (name, markov.PHASE_SOURCE[name], reps)
         for name, reps in markov.phase_plan(config.beta_s, config.beta_p)
     ]
-    return _run_bands(topology, config, "mdma", [plan], slots, seed, options)
+    return _run_bands(topology, config, "mdma", [plan], slots, seed, options, draws)
 
 
 def _payload_reps(config: SystemConfig) -> int:
@@ -600,7 +684,7 @@ class _JointStream(_Stream):
         dec, _ = _sic(first, gains[1], gains[2], g)
         ep = {"ok": ok, "empty": {}, "relay": {}, "relay_ok": {}}
         for s in (1, 2):
-            ep["empty"][s] = ~dec[s].any(axis=1) | (not self.options.relay_cooperation)
+            ep["empty"][s] = _none_set(dec[s]) | (not self.options.relay_cooperation)
             ep["relay"][s] = ~ok[s] & ~ep["empty"][s]
             _, _, ep["relay_ok"][s] = _relay_slots(
                 self.rngs[s][2], ep["relay"][s], sinr[s], dec[s], self.rd_means, g)
@@ -624,7 +708,7 @@ class _JointStream(_Stream):
             tally.decode_empties[s] += int((b & ep["empty"][s][idx]).sum())
 
 
-def _run_noma(topology, config, slots, seed, options) -> SimEstimate:
+def _run_noma(topology, config, slots, seed, options, draws) -> SimEstimate:
     if options.trace_limit > 0:
         raise ConfigError("the NOMA simulator records no slot trace")
     beta_t = _payload_reps(config)
@@ -633,7 +717,8 @@ def _run_noma(topology, config, slots, seed, options) -> SimEstimate:
     rates = {s: link_rates(topology, config, s) for s in (1, 2)}
     # A lone unfinished source transmits at full power: a broadcast episode.
     solo = [
-        _BcastStream(tally, seed, s, rates[s], config.gamma_th, options.relay_cooperation,
+        _BcastStream(tally, _broadcasts(draws, tally, seed, s, rates[s], config.gamma_th,
+                                        options.relay_cooperation),
                      np.array([[(s, 2 + s, s, 2 + s, 0)] * beta_t]))
         for s in (1, 2)
     ]
@@ -667,17 +752,20 @@ def run_baseline(
     slots: int,
     seed: int = 0,
     options: SimOptions = SimOptions(),
+    *,
+    draws: dict | None = None,
 ) -> SimEstimate:
     """Simulate a TDMA, FDMA or NOMA baseline under identical cooperation mechanics.
 
     TDMA alternates the sources, each delivering its full payload in turn.
     FDMA runs the single-source protocol for both sources concurrently on
-    orthogonal bands (two bandwidth units, two power units).
+    orthogonal bands (two bandwidth units, two power units).  `draws` as in
+    `simulate`.
     """
     if slots < 1:
         raise ConfigError("slots must be at least 1")
     if scheme == "noma":
-        return _run_noma(topology, config, slots, seed, options)
+        return _run_noma(topology, config, slots, seed, options, draws)
     beta_t = _payload_reps(config)
     if scheme == "tdma":
         bands = [[("payload1", 1, beta_t), ("payload2", 2, beta_t)]]
@@ -685,7 +773,7 @@ def run_baseline(
         bands = [[("band1", 1, beta_t)], [("band2", 2, beta_t)]]
     else:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    return _run_bands(topology, config, scheme, bands, slots, seed, options)
+    return _run_bands(topology, config, scheme, bands, slots, seed, options, draws)
 
 
 def simulate(
@@ -695,13 +783,23 @@ def simulate(
     slots: int,
     seed: int = 0,
     options: SimOptions = SimOptions(),
+    *,
+    draws: dict | None = None,
 ) -> SimEstimate:
-    """Dispatch on scheme name; MDMA plus the three baselines."""
+    """Dispatch on scheme name; MDMA plus the three baselines.
+
+    `draws`, from `shared_draws` with the same topology, config, seed and
+    options, supplies the broadcast episodes: schemes run with one set read
+    each chunk that another has drawn instead of drawing it again, and give
+    the results they give without it.  Without it a run draws its own and
+    keeps only the chunk in use.  Draws made for another run, or handed to a
+    traced one, raise ValueError.
+    """
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     if scheme == "mdma":
-        return run_mdma(topology, config, slots, seed, options)
-    return run_baseline(scheme, topology, config, slots, seed, options)
+        return run_mdma(topology, config, slots, seed, options, draws=draws)
+    return run_baseline(scheme, topology, config, slots, seed, options, draws=draws)
 
 
 def trace_to_csv_rows(trace: list[SlotEvent]) -> list[dict]:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import mdma_relay
+from mdma_relay import experiments, simulator
 from mdma_relay.analytic import step_outages
 from mdma_relay.cli import main
 from mdma_relay.experiments import (
@@ -27,7 +29,7 @@ from mdma_relay.markov import (
     ring_distribution,
     stationary_distribution,
 )
-from mdma_relay.simulator import SimOptions
+from mdma_relay.simulator import SimOptions, shared_draws, simulate
 from mdma_relay.topology import (
     ConfigError,
     NetworkTopology,
@@ -71,6 +73,13 @@ def test_spec_rejects_unknown_fields():
         SweepSpec("noise_floor", (1.0,), ("mdma",), 1000)
     with pytest.raises(ConfigError):
         SweepSpec("power_dbm", (1.0,), ("ofdma",), 1000)
+
+
+def test_spec_refuses_a_repeated_scheme():
+    with pytest.raises(ConfigError, match="scheme 'mdma' is listed more than once"):
+        SweepSpec("power_dbm", (4.0,), ("mdma", "mdma"), 1000)
+    with pytest.raises(ConfigError, match="scheme 'tdma' is listed more than once"):
+        SweepSpec.from_dict(dict(_spec(), schemes=["tdma", "noma", "tdma"]))
 
 
 def test_spec_refuses_strings_for_lists():
@@ -138,6 +147,121 @@ def test_granularity_sweep_runs(setup10):
     spec = SweepSpec("granularity", (10, 100), ("mdma",), 2000, seed=4)
     rows = run_sweep(spec, topo, cfg)
     assert all(not r.error for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# broadcast draws shared by the schemes of a sweep point
+# ---------------------------------------------------------------------------
+
+ALL_SCHEMES = ("mdma", "tdma", "fdma", "noma")
+README_POWERS = tuple(float(p) for p in range(0, 31, 2))
+
+
+def _sweep_outputs(monkeypatch, tmp_path, spec, topo, cfg, options, share):
+    """The CSV of `run_sweep` and every estimate behind it.  Without `share`,
+    each scheme runs as a lone `simulate`, drawing its own episodes."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        est = simulate(*args, **kwargs)
+        assert (kwargs["draws"] is not None) == share
+        seen.append((json.dumps(est.to_dict()), est.occupancy_counts.tolist(),
+                     est.decode_attempts, est.decode_empties))
+        return est
+
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "simulate", spy)
+        if not share:
+            m.setattr(experiments, "shared_draws", lambda *args: None)
+        rows = run_sweep(spec, topo, cfg, options)
+    path = tmp_path / f"shared-{share}.csv"
+    write_rows_csv(path, rows)
+    return path.read_bytes(), seen
+
+
+@pytest.mark.parametrize("order", ["readme", "reversed"])
+@pytest.mark.parametrize("parameter, values, trials, edits, options, chunk", [
+    pytest.param("power_dbm", (-30.0, *README_POWERS), 20_000, {}, SimOptions(), None, id="readme"),
+    pytest.param("power_dbm", (0.0, 30.0), 20_000, {"noise_dbm": -math.inf}, SimOptions(), None,
+                 id="noiseless"),
+    pytest.param("relay_count", (1, 3, 8), 20_000, {}, SimOptions(), None, id="relay-count"),
+    pytest.param("power_dbm", README_POWERS, 10_000, {}, SimOptions(relay_cooperation=False), None,
+                 id="no-cooperation"),
+    *[pytest.param("power_dbm", (-30.0, 0.0, 4.0, 10.0, 30.0), trials, {}, SimOptions(), None,
+                   id=f"trials-{trials}") for trials in (1, 7, simulator._CHUNK + 1)],
+    pytest.param("power_dbm", (4.0, 10.0), 3_000, {}, SimOptions(), 7, id="chunk-7"),
+])
+def test_shared_draws_change_no_result(setup10, monkeypatch, tmp_path, order, parameter, values,
+                                       trials, edits, options, chunk):
+    topo, cfg = setup10
+    if chunk:
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+    schemes = ALL_SCHEMES if order == "readme" else ALL_SCHEMES[::-1]
+    spec = SweepSpec(parameter, values, schemes, trials, seed=1)
+    shared = _sweep_outputs(monkeypatch, tmp_path, spec, topo, replace(cfg, **edits), options, True)
+    lone = _sweep_outputs(monkeypatch, tmp_path, spec, topo, replace(cfg, **edits), options, False)
+    assert len(shared[1]) == len(values) * len(schemes)
+    assert shared == lone
+
+
+@pytest.mark.parametrize("power", [4.0, 30.0])
+def test_a_sweep_point_draws_each_broadcast_chunk_once(setup10, monkeypatch, power):
+    topo, cfg = setup10
+    drawn = {1: 0, 2: 0}
+    draw = simulator._Episodes.draw
+
+    def spy(self, n):
+        drawn[self.source] += n
+        return draw(self, n)
+
+    def episodes(schemes):
+        drawn.update({1: 0, 2: 0})
+        run_sweep(SweepSpec("power_dbm", (power,), schemes, 20_000, seed=2), topo, cfg)
+        return dict(drawn)
+
+    monkeypatch.setattr(simulator._Episodes, "draw", spy)
+    alone = {scheme: episodes((scheme,)) for scheme in ALL_SCHEMES}
+    for schemes in (ALL_SCHEMES, ALL_SCHEMES[::-1]):
+        together = episodes(schemes)
+        for source in (1, 2):
+            assert together[source] <= alone["fdma"][source] + simulator._CHUNK
+        # Drawn apart, the schemes draw about twice as much.
+        assert sum(together.values()) < 0.7 * sum(sum(d.values()) for d in alone.values())
+
+
+def test_a_shared_sweep_point_keeps_little_memory(setup10):
+    topo, cfg = setup10
+    run_sweep(SweepSpec("power_dbm", (10.0,), ALL_SCHEMES, 100), topo, cfg)  # warm caches
+    tracemalloc.start()
+    try:
+        run_sweep(SweepSpec("power_dbm", (10.0,), ALL_SCHEMES, 200_000, seed=3), topo, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Flags only: keeping each chunk's cumsums as well peaked at 9.4 MB, its SNRs at 38 MB.
+    assert peak < 5e6
+
+
+def test_shared_draws_refuse_a_traced_or_different_run(setup10):
+    topo, cfg = setup10
+    draws = shared_draws(topo, cfg, 3)
+    for scheme in ("mdma", "tdma", "fdma"):
+        with pytest.raises(ValueError, match="traced run"):
+            simulate(scheme, topo, cfg, 100, seed=3, options=SimOptions(trace_limit=10), draws=draws)
+    others = [
+        (topo, cfg, 4, SimOptions(), draws),  # seed
+        (topo, cfg, 3, SimOptions(), {1: draws[2], 2: draws[1]}),  # source
+        (topo, replace(cfg, power_dbm=11.0), 3, SimOptions(), draws),  # rates
+        (replace(topo, relay_pos=topo.relay_pos[:3]), cfg, 3, SimOptions(), draws),  # relays
+        (topo, replace(cfg, rate_r0=1.5), 3, SimOptions(), draws),  # threshold
+        (topo, cfg, 3, SimOptions(relay_cooperation=False), draws),  # cooperation
+    ]
+    for scheme in ALL_SCHEMES:
+        for t, c, seed, options, d in others:
+            with pytest.raises(ValueError, match="made for another run"):
+                simulate(scheme, t, c, 100, seed=seed, options=options, draws=d)
+        shared = simulate(scheme, topo, cfg, 100, seed=3, draws=draws)
+        assert shared.to_dict() == simulate(scheme, topo, cfg, 100, seed=3).to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +586,8 @@ def _spec(**edits) -> dict:
                      id="fractional-seed"),
         pytest.param("--spec", _spec(seed=-1), "sweep seed must be non-negative",
                      id="negative-seed"),
+        pytest.param("--spec", _spec(schemes=["mdma", "mdma"]),
+                     "scheme 'mdma' is listed more than once", id="repeated-scheme"),
     ],
 )
 def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, flag, content, message):
@@ -474,7 +600,7 @@ def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, flag, conte
         argv = ["sweep", "--paper-defaults", "--spec", str(path), "--out", str(tmp_path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "error:" in err and message in err
+    assert err.count("error:") == 1 and message in err
 
 
 def test_config_granularity_written_as_a_float_is_the_same_setting(tmp_path):

@@ -339,6 +339,17 @@ def test_relay_cooperation_flag(setup10):
     assert relay_visits == 0
 
 
+@pytest.mark.parametrize("m", [1, 3, 8, 16])
+def test_empty_decode_sets_from_column_ands_equal_any(m):
+    rng = np.random.default_rng(m)
+    flags = rng.random((4_096, m)) < 0.2
+    flags[::7] = True
+    flags[3::11] = False
+    empty = simulator._none_set(flags)
+    assert empty.dtype == bool and empty.any() and not empty.all()
+    assert np.array_equal(empty, ~flags.any(axis=1))
+
+
 def _sic_by_selection(first, x1, x2, gamma_th):
     """Successive cancellation spelled out: pick the stream decoded first,
     decode it against the other, then the other against what is left."""
