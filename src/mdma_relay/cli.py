@@ -39,9 +39,10 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=100_000, help="slots to simulate")
     p.add_argument("--no-relay-cooperation", action="store_true",
                    help="disable relay forwarding for baselines and MDMA alike")
-    p.add_argument("--noma-rho", type=float, default=0.7,
+    p.add_argument("--noma-rho", type=float, default=SimOptions.noma_rho,
                    help="NOMA power fraction for source 1")
-    p.add_argument("--noma-sic-order", choices=("mean", "instant"), default="mean")
+    p.add_argument("--noma-sic-order", choices=("mean", "instant"),
+                   default=SimOptions.noma_sic_order)
 
 
 def _setup(args) -> tuple:
@@ -67,10 +68,10 @@ def _setup(args) -> tuple:
 
 def _options(args) -> SimOptions:
     return SimOptions(
-        relay_cooperation=not getattr(args, "no_relay_cooperation", False),
-        noma_rho=getattr(args, "noma_rho", 0.7),
-        noma_sic_order=getattr(args, "noma_sic_order", "mean"),
-        trace_limit=getattr(args, "trace_slots", 0) or 0,
+        relay_cooperation=not args.no_relay_cooperation,
+        noma_rho=args.noma_rho,
+        noma_sic_order=args.noma_sic_order,
+        trace_limit=getattr(args, "trace_slots", 0),
     )
 
 

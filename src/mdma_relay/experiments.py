@@ -109,20 +109,22 @@ class SweepSpec:
 @dataclass
 class ResultRow:
     """One (scheme, grid point) outcome; analytic fields stay empty for
-    simulation-only baseline schemes."""
+    simulation-only baseline schemes, and every result field for a failed
+    point."""
 
     scheme: str
     parameter: str
     value: float
     eta: float
-    analytic_op: float | None
-    sim_op: float | None
-    sim_op_stderr: float | None
-    analytic_tc: float | None
-    sim_tc: float | None
-    analytic_phi: float | None
-    sim_phi: float | None
-    sim_phi_stderr: float | None
+    _: dataclasses.KW_ONLY
+    analytic_op: float | None = None
+    sim_op: float | None = None
+    sim_op_stderr: float | None = None
+    analytic_tc: float | None = None
+    sim_tc: float | None = None
+    analytic_phi: float | None = None
+    sim_phi: float | None = None
+    sim_phi_stderr: float | None = None
     trials: int
     error: str = ""
 
@@ -176,34 +178,14 @@ def run_sweep(
         try:
             topo_v, cfg_v = _apply_parameter(topology, config, spec.parameter, value)
         except ConfigError as exc:
-            for scheme in spec.schemes:
-                rows.append(
-                    ResultRow(
-                        scheme, spec.parameter, float(value), config.eta,
-                        None, None, None, None, None, None, None, None,
-                        spec.trials, error=str(exc),
-                    )
-                )
+            rows += [ResultRow(scheme, spec.parameter, float(value), config.eta,
+                               trials=spec.trials, error=str(exc)) for scheme in spec.schemes]
             continue
         seed = spec.seed + gi
         # A traced run draws its own: shared draws keep no SNRs.
         draws = None if options.trace_limit else shared_draws(topo_v, cfg_v, seed, options)
         for scheme in spec.schemes:
-            row = ResultRow(
-                scheme=scheme,
-                parameter=spec.parameter,
-                value=float(value),
-                eta=cfg_v.eta,
-                analytic_op=None,
-                sim_op=None,
-                sim_op_stderr=None,
-                analytic_tc=None,
-                sim_tc=None,
-                analytic_phi=None,
-                sim_phi=None,
-                sim_phi_stderr=None,
-                trials=spec.trials,
-            )
+            row = ResultRow(scheme, spec.parameter, float(value), cfg_v.eta, trials=spec.trials)
             try:
                 if scheme == "mdma":
                     sol = analytic_solution(topo_v, cfg_v)

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -21,9 +22,10 @@ from .analytic import SourceOutages
 from .topology import ConfigError
 
 ROW_SUM_TOL = 1e-12
-# The state list and the ring law grow linearly in the state count; at this
-# cap `analyze` already needs about 200 MB, and a payload of 1e308 bits would
-# run until memory is exhausted.
+# Every structure here grows linearly in the state count.  At 300 000 states
+# `dump-chain` takes 6.8 s and 580 MB (peak RSS) and `analyze` 0.4 s and 71 MB,
+# so at this cap they need about 1.9 GB and 200 MB; a payload of 1e308 bits
+# would run until memory is exhausted.
 MAX_CHAIN_STATES = 1_000_000
 
 # Protocol cycle: shared broadcast by source 1, personalized payload of
@@ -65,36 +67,35 @@ def phase_plan(beta_s: int, beta_p: int) -> list[tuple[str, int]]:
 
 def protocol_states(beta_s: int, beta_p: int) -> list[ProtocolState]:
     """States ordered phase-major with (bcast, relay) interleaved per repetition."""
-    states = []
-    for phase, reps in phase_plan(beta_s, beta_p):
-        for j in range(1, reps + 1):
-            states.append(ProtocolState(phase, 1, j))
-            states.append(ProtocolState(phase, 2, j))
-    return states
+    return [ProtocolState(phase, step, j) for phase, reps in phase_plan(beta_s, beta_p)
+            for j in range(1, reps + 1) for step in (1, 2)]
 
 
 @dataclass(frozen=True)
 class TransitionMatrix:
+    """The chain's nonzero transitions as (row, column, probability) triples."""
+
     states: tuple[ProtocolState, ...]
-    matrix: np.ndarray
+    triples: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        t = np.asarray(self.matrix, dtype=float)
-        if t.shape != (len(self.states), len(self.states)):
-            raise ConfigError("matrix shape must match the state count")
-        if (t < 0).any() or (t > 1).any():
+        n = len(self.states)
+        i, j, p = np.array(self.triples, dtype=float).reshape(-1, 3).T
+        if not ((np.minimum(i, j) >= 0) & (np.maximum(i, j) < n)).all():
+            raise ConfigError("transitions must join states of the state list")
+        if not ((p >= 0.0) & (p <= 1.0)).all():
             raise ConfigError("transition probabilities must lie in [0, 1]")
-        rows = t.sum(axis=1)
+        rows = np.bincount(i.astype(np.int64), weights=p, minlength=n)
         if not np.allclose(rows, 1.0, rtol=0.0, atol=ROW_SUM_TOL):
             raise ConfigError(f"rows must sum to 1 within {ROW_SUM_TOL:g}")
 
-    @property
-    def size(self) -> int:
-        return len(self.states)
-
-    def sparse_triples(self) -> list[tuple[int, int, float]]:
-        rows, cols = np.nonzero(self.matrix)
-        return [(int(i), int(j), float(self.matrix[i, j])) for i, j in zip(rows, cols)]
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense n x n view, built on first read, for the direct solve."""
+        t = np.zeros((len(self.states), len(self.states)))
+        for i, j, p in self.triples:
+            t[i, j] += p
+        return t
 
 
 def labelled(outages: dict[int, SourceOutages]) -> dict[str, float]:
@@ -107,58 +108,59 @@ def labelled(outages: dict[int, SourceOutages]) -> dict[str, float]:
     }
 
 
+def _phases(
+    outages: dict[int, SourceOutages], beta_s: int, beta_p: int, literal_personal1_wrap: bool
+) -> list[tuple[SourceOutages, int, int, int]]:
+    """The ring's nonempty phases in protocol order, each as (source's
+    outages, first repetition counted over the ring, repetition count,
+    position of the phase it advances into).  Each advances into the next
+    and the last wraps to the first, but ``literal_personal1_wrap`` sends
+    the first personalized phase back into itself (a transition-table
+    variant in which the second source's phase is unreachable)."""
+    plan = phase_plan(beta_s, beta_p)
+    phases, first = [], 0
+    for k, (name, reps) in enumerate(plan):
+        into = k if literal_personal1_wrap and name == "personal1" else (k + 1) % len(plan)
+        phases.append((outages[PHASE_SOURCE[name]], first, reps, into))
+        first += reps
+    return phases
+
+
+def _row(i: int, entries: list[tuple[int, float]]) -> list[tuple[int, int, float]]:
+    """Row i's nonzero triples by column; entries sharing a column add in order."""
+    cols: dict[int, float] = {}
+    for j, p in entries:
+        cols[j] = cols.get(j, 0.0) + p
+    return [(i, j, p) for j, p in sorted(cols.items()) if p != 0.0]
+
+
 def build_chain(
     outages: dict[int, SourceOutages],
     beta_s: int,
     beta_p: int,
     literal_personal1_wrap: bool = False,
 ) -> TransitionMatrix:
-    """Transition matrix of the slotted protocol, from the step outages
-    keyed by source.
+    """Sparse transitions of the slotted protocol, from the step outages
+    keyed by source, in O(states).
 
     From a broadcast state: self-loop with probability (broadcast outage) *
     (all-relays-miss), move to the relay step with (broadcast outage) *
     (some relay decoded), and advance with (1 - broadcast outage).  From a
     relay state: fall back to the same repetition's broadcast on failure,
     advance on success.  Advancing out of a phase's last repetition enters
-    the next phase's first broadcast state, wrapping to the start of the
-    cycle after the second personalized phase.
-
-    ``literal_personal1_wrap`` redirects the advance out of the first
-    personalized phase's last repetition back to that phase's own first
-    state, reproducing a transition-table variant in which the second
-    source's phase is unreachable.
+    the first broadcast state of the phase it advances into (`_phases`).
     """
-    plan = phase_plan(beta_s, beta_p)
-    states = protocol_states(beta_s, beta_p)
-    index = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    t = np.zeros((n, n))
-
-    first_state = {phase: ProtocolState(phase, 1, 1) for phase, _ in plan}
-    next_phase = {}
-    for k, (phase, _) in enumerate(plan):
-        successor = plan[(k + 1) % len(plan)][0]
-        next_phase[phase] = successor
-
-    for phase, reps in plan:
-        src = outages[PHASE_SOURCE[phase]]
+    phases = _phases(outages, beta_s, beta_p, literal_personal1_wrap)
+    triples = []
+    for src, first, reps, into in phases:
         op_b, op_r, empty = src.bcast, src.relay, src.empty
-        for j in range(1, reps + 1):
-            bcast = index[ProtocolState(phase, 1, j)]
-            relay = index[ProtocolState(phase, 2, j)]
-            if j < reps:
-                advance = index[ProtocolState(phase, 1, j + 1)]
-            elif literal_personal1_wrap and phase == "personal1":
-                advance = index[first_state["personal1"]]
-            else:
-                advance = index[first_state[next_phase[phase]]]
-            t[bcast, bcast] += op_b * empty
-            t[bcast, relay] += op_b * (1.0 - empty)
-            t[bcast, advance] += 1.0 - op_b
-            t[relay, bcast] += op_r
-            t[relay, advance] += 1.0 - op_r
-    return TransitionMatrix(tuple(states), t)
+        for j in range(first, first + reps):
+            bcast, relay = 2 * j, 2 * j + 1
+            advance = 2 * (j + 1 if j + 1 < first + reps else phases[into][1])
+            triples += _row(bcast, [(bcast, op_b * empty), (relay, op_b * (1.0 - empty)),
+                                    (advance, 1.0 - op_b)])
+            triples += _row(relay, [(bcast, op_r), (advance, 1.0 - op_r)])
+    return TransitionMatrix(tuple(protocol_states(beta_s, beta_p)), tuple(triples))
 
 
 def ring_distribution(
@@ -174,50 +176,47 @@ def ring_distribution(
     broadcast visit leads to an advance, directly or through the relay
     state, with probability q = (1 - op_b) + op_b (1 - e) (1 - op_r), so
     per cycle the broadcast state is visited 1/q times and the relay state
-    op_b (1 - e)/q times.  Under ``literal_personal1_wrap`` the first
-    personalized phase is a closed ring of its own and holds all the mass.
+    op_b (1 - e)/q times.
 
-    A phase that never advances (q = 0: every attempt fails) keeps the
-    chain in its first repetition once entered, so the first such phase
-    the cycle reaches from its start holds all the mass, on its first
-    repetition, in the ratio 1 : op_b (1 - e) between the two states.
+    The chain starts in the first phase and follows the phases it advances
+    into.  The first phase on that path that never advances (q = 0: every
+    attempt fails) holds all the mass on its first repetition, 1 : op_b (1 - e)
+    between its two states; otherwise the cycle the path closes holds it
+    (under ``literal_personal1_wrap``, the first personalized phase alone).
     """
-    plan = phase_plan(beta_s, beta_p)
-    trapped = literal_personal1_wrap and beta_p > 0
-    pi = np.zeros(2 * sum(reps for _, reps in plan))
-    base, reached = 0, True
-    for phase, reps in plan:
-        src = outages[PHASE_SOURCE[phase]]
+    phases = _phases(outages, beta_s, beta_p, literal_personal1_wrap)
+    pi = np.zeros(2 * sum(reps for _, _, reps, _ in phases))
+    path, k = [], 0
+    while k not in path:
+        path.append(k)
+        src, first, reps, into = phases[k]
         op_b, op_r, empty = src.bcast, src.relay, src.empty
         q = (1.0 - op_b) + op_b * (1.0 - empty) * (1.0 - op_r)
         visits = np.array([1.0, op_b * (1.0 - empty)])
-        if q <= 0.0 and reached:
-            pi[:] = 0.0
-            pi[base : base + 2] = visits
+        if q <= 0.0:
+            pi[2 * first : 2 * first + 2] = visits
             break
-        if not trapped or phase == "personal1":
-            pi[base : base + 2 * reps] = np.tile(visits / q, reps)
-        # Under the literal wrap the cycle never gets past personal1.
-        reached = reached and not (trapped and phase == "personal1")
-        base += 2 * reps
+        pi[2 * first : 2 * (first + reps)] = np.tile(visits / q, reps)
+        k = into
+    # The path takes the phases in order, so those ahead of phase k, where it
+    # stopped or closed its cycle, are transient.
+    pi[: 2 * phases[k][1]] = 0.0
     return pi / pi.sum()
 
 
 def stationary_distribution(chain: TransitionMatrix) -> np.ndarray:
-    """Stationary row vector, started from the first state, with pi @ T == pi
-    and sum(pi) == 1.
+    """Stationary row vector of the dense matrix, started from the first
+    state; the independent check on ``ring_distribution``.
 
-    Only the states reachable from the first one take part: a phase that
-    never advances makes each of its repetitions a closed class, and the
-    chain stays in the first one it reaches.  Grassmann-Taksar-Heyman
-    elimination then censors states out from the last one down, using only
-    sums of nonnegative terms, so every entry keeps its relative accuracy
-    even on nearly absorbing chains.  A state that can no longer reach any
-    earlier one is absorbing in the censored chain, so the earlier states
-    are transient and get no mass (the ``literal_personal1_wrap`` variant).
-    It is the independent check on ``ring_distribution``.
+    Only the states reachable from the first one take part (a phase that
+    never advances makes each of its repetitions a closed class).
+    Grassmann-Taksar-Heyman elimination censors states out from the last
+    one down with sums of nonnegative terms only, so every entry keeps its
+    relative accuracy even on nearly absorbing chains.  A state that can no
+    longer reach an earlier one is absorbing in the censored chain, and the
+    earlier states get no mass (the ``literal_personal1_wrap`` variant).
     """
-    reached = np.zeros(chain.size, dtype=bool)
+    reached = np.zeros(len(chain.states), dtype=bool)
     reached[0] = True
     while True:
         grown = reached | (chain.matrix[reached] > 0).any(axis=0)
@@ -239,7 +238,7 @@ def stationary_distribution(chain: TransitionMatrix) -> np.ndarray:
     pi[first] = 1.0
     for k in range(first + 1, n):
         pi[k] = pi[:k] @ p[:k, k]
-    full = np.zeros(chain.size)
+    full = np.zeros(len(chain.states))
     full[kept] = pi / pi.sum()
     return full
 
@@ -319,7 +318,7 @@ def chain_to_json(
     as a JSON document."""
     doc = {
         "states": [s.label for s in chain.states],
-        "transitions": chain.sparse_triples(),
+        "transitions": chain.triples,
         "stationary": [float(x) for x in solution.stationary],
         "overall_outage": solution.overall_op,
         "slot_cost": None if math.isinf(solution.slot_cost) else solution.slot_cost,

@@ -498,6 +498,24 @@ def test_cli_dump_chain(tmp_path):
     assert math.isclose(sum(doc["stationary"]), 1.0, abs_tol=1e-9)
 
 
+def test_cli_dump_chain_memory_is_linear_in_the_states(tmp_path):
+    topo, cfg = default_paper_setup()
+    config = tmp_path / "long.json"
+    save_setup(config, topo, replace(cfg, total_bits=2000.0))
+    out = tmp_path / "chain.json"
+    argv = ["dump-chain", "--config", str(config), "--out", str(out)]
+    main(argv)  # warm caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads(out.read_text())["states"]) == 6000
+    # A dense 6 000 x 6 000 matrix alone is 288 MB; the sparse dump peaks near 10 MB.
+    assert peak < 20e6
+
+
 def test_cli_validate_small(capsys):
     rc = main(["validate", "--paper-defaults", "--trials", "60000", "--seed", "2"])
     captured = capsys.readouterr()

@@ -169,11 +169,56 @@ def test_literal_wrap_variant_traps_first_personal_phase():
 # stationary distribution
 # ---------------------------------------------------------------------------
 
+TWO_STATES = (ProtocolState("shared", 1, 1), ProtocolState("shared", 1, 2))
+
+
 def test_two_state_symmetric_chain():
-    states = (ProtocolState("shared", 1, 1), ProtocolState("shared", 1, 2))
-    chain = TransitionMatrix(states, np.array([[0.5, 0.5], [0.5, 0.5]]))
+    chain = TransitionMatrix(TWO_STATES, ((0, 0, 0.5), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 0.5)))
+    assert np.array_equal(chain.matrix, np.full((2, 2), 0.5))
     pi = stationary_distribution(chain)
     assert pi == pytest.approx([0.5, 0.5])
+
+
+@pytest.mark.parametrize("triples,refusal", [
+    (((0, 2, 1.0), (1, 0, 1.0)), "join states"),
+    (((0, 0, 1.0), (-1, 0, 1.0), (1, 0, 1.0)), "join states"),
+    (((0, 0, 1.5), (0, 1, -0.5), (1, 0, 1.0)), r"\[0, 1\]"),
+    (((0, 0, math.nan), (1, 0, 1.0)), r"\[0, 1\]"),
+    (((0, 0, 0.5), (0, 1, 0.5 - 2e-12), (1, 0, 1.0)), "sum to 1"),
+    (((0, 0, 0.5), (0, 1, 0.5 + 2e-12), (1, 0, 1.0)), "sum to 1"),
+    (((0, 0, 1.0),), "sum to 1"),
+    ((), "sum to 1"),
+])
+def test_transition_matrix_refuses_bad_triples(triples, refusal):
+    with pytest.raises(ConfigError, match=refusal):
+        TransitionMatrix(TWO_STATES, triples)
+
+
+def test_transition_matrix_accepts_rows_within_the_tolerance():
+    chain = TransitionMatrix(TWO_STATES, ((0, 0, 0.5), (0, 1, 0.5 - 5e-13), (1, 1, 1.0)))
+    assert chain.matrix[0, 1] == 0.5 - 5e-13
+
+
+@pytest.mark.parametrize("beta_s,beta_p", [(1, 0), (0, 1), (1, 1), (3, 2), (2, 0)])
+@pytest.mark.parametrize("literal", [False, True])
+def test_triples_are_the_nonzero_scan_of_the_dense_view(beta_s, beta_p, literal):
+    # One-repetition phases that advance into themselves put two entries on
+    # one target; the triples must hold their sum once, in (row, column) order.
+    outs = random_outages(np.random.default_rng(12))
+    outs[2] = SourceOutages(0.0, 0.4, 0.3)  # personal2 broadcasts never fail
+    chain = build_chain(outs, beta_s, beta_p, literal_personal1_wrap=literal)
+    t = chain.matrix
+    assert chain.triples == tuple((i, j, t[i, j]) for i, j in zip(*np.nonzero(t)))
+
+
+def test_build_chain_and_its_dump_leave_the_dense_view_unbuilt():
+    outs = random_outages(np.random.default_rng(11))
+    chain = build_chain(outs, 3, 2)
+    chain_to_json(solve_chain(outs, 3, 2), chain, outs)
+    assert "matrix" not in vars(chain)
+    dense = chain.matrix
+    assert dense.shape == (14, 14) and "matrix" in vars(chain)
+    assert chain.matrix is dense
 
 
 def test_power_and_direct_agree():
