@@ -151,6 +151,11 @@ class SystemConfig:
             raise ConfigError(f"granularity must be a whole number, got {self.granularity!r}")
         # A JSON 1000.0 is stored as 1000, so it bins and prints as 1000 does.
         object.__setattr__(self, "granularity", int(self.granularity))
+        # Every comparison below is false for NaN, so it would pass them and
+        # fail later under another name.  A NaN granularity is not whole.
+        for f in fields(self):
+            if math.isnan(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must not be NaN")
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError(f"eta must lie in [0, 1], got {self.eta}")
         if self.rate_r0 <= 0:

@@ -118,6 +118,7 @@ def test_criterion_3_chain_correctness(paper_setup):
     assert elapsed < 120.0
 
 
+@pytest.mark.slow
 def test_criterion_4_overall_op_on_power_grid(paper_setup):
     """Analytic overall outage vs per-slot failure frequency, 3 sigma, 16 points."""
     topo, cfg0 = paper_setup
@@ -167,6 +168,7 @@ def _read_csv(path):
         return list(csv.DictReader(fh))
 
 
+@pytest.mark.slow
 def test_criterion_6_qualitative_claims(paper_setup, tmp_path):
     """Scheme orderings and crossovers, verified from the sweep CSV files."""
     topo, cfg0 = paper_setup

@@ -1,12 +1,16 @@
 import itertools
 import math
 import tracemalloc
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from mdma_relay.analytic import (
+    MAX_RELAYS_CLOSED_FORM,
+    RATE_TIE_RTOL,
     BinnedPmf,
     ConditioningError,
     GatedExponential,
@@ -243,6 +247,7 @@ def _assert_near_exact_residues(cdf):
             assert err <= 2 * m * np.finfo(float).eps * scale, (x, err, scale)
 
 
+@pytest.mark.slow
 def test_residue_coefficients_are_near_exact_and_subset_view_is_bit_identical_to_the_loop():
     cases = []
     for power in range(-16, 31, 2):
@@ -337,6 +342,57 @@ def test_relay_count_cap():
     assert closed_form_applies(gates[:20])
     with pytest.raises(ConfigError):
         relay_sum_cdf(gates)
+
+
+def _isclose_form(rates) -> bool:
+    """``closed_form_applies`` as it was written with ``np.isclose``."""
+    if len(rates) > MAX_RELAYS_CLOSED_FORM:
+        return False
+    s = np.sort(rates)
+    return not np.isclose(s[1:], s[:-1], rtol=RATE_TIE_RTOL, atol=0.0).any()
+
+
+def _tie_gap_rate_sets() -> list[list[float]]:
+    """Pairs at, and one ulp either side of, the relative gap RATE_TIE_RTOL."""
+    sets = []
+    # At 1e9 and 5e9 the pair sits exactly on the gap: y - x == RATE_TIE_RTOL * x.
+    for x in (5e-324, 1e-300, 1e-9, 0.37, 1.0, 2.0, 3.3e7, 1e9, 5e9, 1e300):
+        gap = x + RATE_TIE_RTOL * x
+        for y in (np.nextafter(gap, 0.0), gap, np.nextafter(gap, np.inf)):
+            sets += [[x, y], [y, x], [0.5 * x, y, x], [x, y, 4.0 * y]]
+    return sets
+
+
+def _tie_edge_rate_sets() -> list[list[float]]:
+    """Infinities, NaN, one relay, and the relay cap and one past it."""
+    inf, nan = math.inf, math.nan
+    sets = [[inf, inf], [1.0, inf], [inf, 1.0], [1.0, 2.0, inf], [inf, 1.0, inf],
+            [nan, 1.0], [nan, nan], [1.0, nan, 1.0], [nan, 1.0, 2.0], [nan, inf, inf],
+            [1.0], [inf], [nan]]
+    distinct = [1.0 + 0.01 * i for i in range(MAX_RELAYS_CLOSED_FORM + 1)]
+    sets += [distinct, distinct[:-1], distinct[:-1] + [distinct[3]], distinct[:-2] + [1.0]]
+    return sets
+
+
+def test_closed_form_applies_matches_the_isclose_form():
+    rng = np.random.default_rng(14)
+    gap_sets = _tie_gap_rate_sets()
+    at_gap = [_isclose_form(r) for r in gap_sets]
+    assert any(at_gap) and not all(at_gap)  # the ulp neighbours fall on both sides
+    assert any(y - x == RATE_TIE_RTOL * x for x, y in (r[:2] for r in gap_sets))
+    sets = gap_sets + _tie_edge_rate_sets()
+    for _ in range(500):
+        rates = rng.lognormal(0.0, 3.0, rng.integers(1, MAX_RELAYS_CLOSED_FORM + 2))
+        if len(rates) > 1 and rng.random() < 0.5:
+            i, j = rng.choice(len(rates), 2, replace=False)
+            rates[j] = rates[i] * (1.0 + rng.uniform(0.0, 2.0) * RATE_TIE_RTOL)
+        sets.append(list(rates))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf - inf must not warn on stderr
+        for rates in sets:
+            # Only the rates are read; NaN cannot reach a GatedExponential.
+            gates = [SimpleNamespace(rate=r) for r in rates]
+            assert closed_form_applies(gates) == _isclose_form(rates), rates
 
 
 def test_cdf_nondecreasing_property():

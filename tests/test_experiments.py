@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import mdma_relay
-from mdma_relay import experiments, simulator
+from mdma_relay import analytic, cli, experiments, simulator
 from mdma_relay.analytic import step_outages
 from mdma_relay.cli import main
 from mdma_relay.experiments import (
@@ -34,6 +36,7 @@ from mdma_relay.topology import (
     ConfigError,
     NetworkTopology,
     default_paper_setup,
+    link_rates,
     save_setup,
     topology_to_dict,
 )
@@ -301,6 +304,7 @@ def test_manifest_refuses_a_setting_json_cannot_hold(setup10):
 # validate
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_validate_passes_at_reference_setup(setup10):
     topo, cfg = setup10
     report = validate(topo, cfg, trials=150_000, seed=11)
@@ -312,6 +316,7 @@ def test_validate_passes_at_reference_setup(setup10):
     assert any(n.startswith("step_outage:") for n in names)
 
 
+@pytest.mark.slow
 def test_validate_stable_across_seeds(setup10):
     topo, cfg = setup10
     for seed in (1, 2, 3, 4, 5):
@@ -516,6 +521,7 @@ def test_cli_dump_chain_memory_is_linear_in_the_states(tmp_path):
     assert peak < 20e6
 
 
+@pytest.mark.slow
 def test_cli_validate_small(capsys):
     rc = main(["validate", "--paper-defaults", "--trials", "60000", "--seed", "2"])
     captured = capsys.readouterr()
@@ -606,19 +612,112 @@ def _spec(**edits) -> dict:
                      id="negative-seed"),
         pytest.param("--spec", _spec(schemes=["mdma", "mdma"]),
                      "scheme 'mdma' is listed more than once", id="repeated-scheme"),
+        # NaN passes every range check, so each field is refused by name up front.
+        pytest.param("--power-dbm", "nan", "power_dbm must not be NaN", id="nan-power-flag"),
+        *(pytest.param("--config", dict(_paper_config(), system={name: math.nan}),
+                       f"{name} must not be NaN", id=f"nan-{name}")
+          for name in ("power_dbm", "noise_dbm", "rate_r0", "total_bits", "eta",
+                       "bandwidth_units", "power_units")),
     ],
 )
 def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, flag, content, message):
     path = tmp_path / "input.json"
-    if content is not None:
+    if content is not None and flag != "--power-dbm":
         path.write_text(content if isinstance(content, str) else json.dumps(content))
-    if flag == "--config":
+    if flag == "--power-dbm":
+        argv = ["analyze", "--paper-defaults", flag, content]
+    elif flag == "--config":
         argv = ["analyze", "--config", str(path)]
     else:
         argv = ["sweep", "--paper-defaults", "--spec", str(path), "--out", str(tmp_path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and message in err
+
+
+def _main_output(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one cli.main call; argparse's own
+    exits (help, bad arguments) come as SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_a_reused_parser_leaks_nothing_between_commands(tmp_path, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    argvs = [
+        ["analyze", "--paper-defaults", "--granularity", "200", "--out", "analyze.json"],
+        ["--help"],
+        ["simulate", "--paper-defaults", "--trials", "500", "--seed", "3", "--out", "sim.json"],
+        ["no-such-command"],
+        ["analyze", "--paper-defaults"],
+        ["analyze", "--help"],
+        ["sweep", "--paper-defaults", "--spec", "spec.json", "--allow-small-trials",
+         "--out", "sweep"],
+        ["analyze", "--paper-defaults", "--no-such-flag"],
+        ["dump-chain", "--paper-defaults", "--eta", "0.7", "--literal-personal1-wrap"],
+        ["sweep", "--paper-defaults"],
+        ["simulate", "--paper-defaults", "--trials", "500"],
+        ["dump-chain", "--paper-defaults", "--eta", "0.7"],
+    ]
+    # Every command twice, each time after a different one.
+    argvs += argvs[::-1]
+
+    setup = cli._setup
+
+    def run_all(side: str) -> tuple[list, dict, dict]:
+        cwd = tmp_path / side
+        cwd.mkdir()
+        (cwd / "spec.json").write_text(json.dumps(_spec(trials=500, seed=1)))
+        monkeypatch.chdir(cwd)
+        results, namespaces = [], {}
+        for i, argv in enumerate(argvs):
+            # Every command's first step; records the namespace main passes on.
+            def spy(args, i=i):
+                namespaces[i] = dict(vars(args))
+                return setup(args)
+
+            monkeypatch.setattr(cli, "_setup", spy)
+            # The help width is read when help is printed, not when the parser is built.
+            monkeypatch.setenv("COLUMNS", str(60 + 40 * (i % 2)))
+            results.append(_main_output(argv))
+        files = {str(p.relative_to(cwd)): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
+        return results, files, namespaces
+
+    cached = run_all("cached")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = run_all("fresh")
+    assert cached == fresh
+    codes = [0, 0, 0, 2, 0, 0, 0, 2, 0, 2, 0, 0]
+    assert [code for code, _, _ in cached[0]] == codes + codes[::-1]
+    assert len(cached[2]) == 14  # every command that parsed
+    # The --granularity and --out of the first analyze are gone in the next one.
+    assert cached[2][4]["granularity"] is None and cached[2][4]["out"] is None
+
+
+@pytest.mark.parametrize("relays, power_dbm, granularity", [
+    (8, 10.0, 1000), (10, 10.0, 1000), (8, -30.0, 1000), (8, 30.0, 1), (8, 20.0, 100_000),
+])
+def test_step_outages_read_each_sources_link_rates_once(monkeypatch, relays, power_dbm,
+                                                         granularity):
+    calls = []
+
+    def spy(topology, config, source):
+        calls.append(source)
+        return link_rates(topology, config, source)
+
+    monkeypatch.setattr(analytic, "link_rates", spy)
+    topo = line_topology(relays)
+    cfg = replace(default_paper_setup()[1], power_dbm=power_dbm, granularity=granularity)
+    outs = step_outages(topo, cfg)
+    assert calls == [1, 2]
+    # The decode-failure probabilities are the ones decode_fail_probs gives.
+    for source, out in outs.items():
+        assert out.empty == float(np.prod(analytic.decode_fail_probs(topo, cfg, source)))
 
 
 def test_config_granularity_written_as_a_float_is_the_same_setting(tmp_path):
@@ -631,7 +730,7 @@ def test_config_granularity_written_as_a_float_is_the_same_setting(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("command", ["simulate", pytest.param("validate", marks=pytest.mark.slow)])
 def test_cli_negative_seed_is_an_error(capsys, command):
     assert main([command, "--paper-defaults", "--trials", "100", "--seed", "-1"]) == 2
     assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
@@ -678,6 +777,7 @@ def test_only_validate_loads_scipy(tmp_path):
     assert scipy_modules == []
 
 
+@pytest.mark.slow
 def test_validate_still_checks_against_quadrature(tmp_path):
     codes, out, scipy_modules = _fresh_main(
         tmp_path, ["validate", "--paper-defaults", "--trials", "20000", "--seed", "1"]

@@ -73,6 +73,7 @@ def test_snr_linear():
     cfg = SystemConfig(power_dbm=20.0, noise_dbm=-50.0)
     assert cfg.snr_linear() == pytest.approx(1e7)
     assert SystemConfig(noise_dbm=-math.inf).snr_linear() == math.inf
+    assert SystemConfig(power_dbm=math.inf).snr_linear() == math.inf
 
 
 def test_gamma_th_monotone_in_rate():
