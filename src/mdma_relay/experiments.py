@@ -300,6 +300,8 @@ def validate(
     options: SimOptions = SimOptions(),
 ) -> ValidationReport:
     """Run the full analytic-vs-numeric oracle suite and report per check."""
+    # First, so that a bad seed or slot count is refused before the quadrature.
+    est = simulate("mdma", topology, config, trials, seed=seed, options=options)
     # Imported here, not at module level: the oracles load scipy, which no
     # other command needs.
     from .oracles import relay_sum_cdf_quadrature
@@ -323,10 +325,8 @@ def validate(
         worst = max(errors)
         checks.append(CheckResult("relay_sum_cdf_vs_quadrature", worst < 1e-7, worst, 1e-7))
 
-    # One simulation run feeds the remaining comparisons.
     outs = step_outages(topology, config)
     sol = solve_chain(outs, config.beta_s, config.beta_p, config.bandwidth_units, config.power_units)
-    est = simulate("mdma", topology, config, trials, seed=seed, options=options)
 
     for key, analytic in sorted(labelled(outs).items()):
         # The simulator counts only the steps of phases with repetitions.

@@ -28,15 +28,23 @@ ROW_SUM_TOL = 1e-12
 # would run until memory is exhausted.
 MAX_CHAIN_STATES = 1_000_000
 
-# Protocol cycle: shared broadcast by source 1, personalized payload of
-# source 1, personalized payload of source 2, then new information.
-PHASE_ORDER = ("shared", "personal1", "personal2")
+# Protocol cycle, in order, with the source that sends each phase: shared
+# broadcast by source 1, personalized payload of source 1, personalized
+# payload of source 2, then new information.
 PHASE_SOURCE = {"shared": 1, "personal1": 1, "personal2": 2}
 STEP_KINDS = ("bcast", "relay")  # step 1 and step 2, as SourceOutages names them
 
 
+class Phase(NamedTuple):
+    """One phase of a protocol cycle: sent by `source`, `reps` repetitions long."""
+
+    name: str
+    source: int
+    reps: int
+
+
 class ProtocolState(NamedTuple):
-    phase: str  # one of PHASE_ORDER
+    phase: str  # a phase name
     step: int   # 1 = source broadcast, 2 = relay forwarding
     rep: int    # repetition index within the phase, 1-based
 
@@ -46,11 +54,16 @@ class ProtocolState(NamedTuple):
 
     @property
     def label(self) -> str:
-        return f"{self.phase}:{self.kind}:{self.rep}"
+        return state_label(*self)
 
 
-def phase_plan(beta_s: int, beta_p: int) -> list[tuple[str, int]]:
-    """Nonempty phases with their repetition counts, in protocol order."""
+def state_label(phase: str, step: int, rep: int) -> str:
+    """A state's "phase:kind:rep" label, without building the state (a quarter of the time)."""
+    return f"{phase}:{STEP_KINDS[step - 1]}:{rep}"
+
+
+def phase_plan(beta_s: int, beta_p: int) -> list[Phase]:
+    """The MDMA cycle's nonempty phases, in protocol order."""
     if beta_s < 0 or beta_p < 0:
         raise ConfigError("repetition counts must be nonnegative")
     if beta_s + beta_p == 0:
@@ -61,14 +74,14 @@ def phase_plan(beta_s: int, beta_p: int) -> list[tuple[str, int]]:
             f"the protocol chain would have {Decimal(states):.7g} states, "
             f"more than the {MAX_CHAIN_STATES} supported"
         )
-    plan = [("shared", beta_s), ("personal1", beta_p), ("personal2", beta_p)]
-    return [(name, reps) for name, reps in plan if reps > 0]
+    reps = {"shared": beta_s, "personal1": beta_p, "personal2": beta_p}
+    return [Phase(name, source, reps[name]) for name, source in PHASE_SOURCE.items() if reps[name] > 0]
 
 
 def protocol_states(beta_s: int, beta_p: int) -> list[ProtocolState]:
     """States ordered phase-major with (bcast, relay) interleaved per repetition."""
-    return [ProtocolState(phase, step, j) for phase, reps in phase_plan(beta_s, beta_p)
-            for j in range(1, reps + 1) for step in (1, 2)]
+    return [ProtocolState(phase.name, step, j) for phase in phase_plan(beta_s, beta_p)
+            for j in range(1, phase.reps + 1) for step in (1, 2)]
 
 
 @dataclass(frozen=True)
@@ -102,8 +115,8 @@ def labelled(outages: dict[int, SourceOutages]) -> dict[str, float]:
     """The six step outages keyed "phase:bcast" / "phase:relay"; each phase
     takes its source's record."""
     return {
-        f"{phase}:{kind}": getattr(outages[PHASE_SOURCE[phase]], kind)
-        for phase in PHASE_ORDER
+        f"{phase}:{kind}": getattr(outages[source], kind)
+        for phase, source in PHASE_SOURCE.items()
         for kind in STEP_KINDS
     }
 
@@ -119,9 +132,9 @@ def _phases(
     variant in which the second source's phase is unreachable)."""
     plan = phase_plan(beta_s, beta_p)
     phases, first = [], 0
-    for k, (name, reps) in enumerate(plan):
+    for k, (name, source, reps) in enumerate(plan):
         into = k if literal_personal1_wrap and name == "personal1" else (k + 1) % len(plan)
-        phases.append((outages[PHASE_SOURCE[name]], first, reps, into))
+        phases.append((outages[source], first, reps, into))
         first += reps
     return phases
 

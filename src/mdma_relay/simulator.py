@@ -15,6 +15,12 @@ FDMA and NOMA baselines reuse the same relay cooperation mechanics and
 differ only in medium access.  Where the baselines are underspecified,
 every assumption is a configurable ``SimOptions`` field.
 
+`simulate(scheme, ...)` is the one entry point.  MDMA, TDMA and FDMA are
+band schemes: a list of bands, each a list of `markov.Phase(name, source,
+reps)` that the band cycles through, with the chain's state labels.  MDMA
+and TDMA run one band, FDMA one per source; NOMA runs one.  Each band is
+charged one bandwidth and one power unit.
+
 Whole cycles and NOMA pairs are placed at once from these cumsums; only one
 that reaches past a chunk or the end of the run is walked take by take.
 NOMA's cancellation needs no choice of the stronger stream (see `_sic`).
@@ -34,19 +40,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import markov
+from .markov import STEP_KINDS, Phase, phase_plan, state_label
 from .topology import ConfigError, NetworkTopology, SystemConfig, link_rates
 
 SCHEMES = ("mdma", "tdma", "fdma", "noma")
-
-# Resource units (bandwidth, power) charged per scheme: FDMA runs the two
-# sources on two bands with two power budgets.
-SCHEME_RESOURCES = {
-    "mdma": (1.0, 1.0),
-    "tdma": (1.0, 1.0),
-    "fdma": (2.0, 2.0),
-    "noma": (1.0, 1.0),
-}
 
 # Episodes drawn per refill of a stream.  Each stream's generators are read
 # in order, so results do not depend on this size; it only bounds memory.
@@ -125,14 +122,11 @@ class SimEstimate:
 
     @property
     def overall_op(self) -> float:
-        return self.failures / self.attempts if self.attempts else math.nan
+        return StepStats(self.attempts, self.failures).op
 
     @property
     def overall_op_stderr(self) -> float:
-        if not self.attempts:
-            return math.nan
-        p = self.overall_op
-        return math.sqrt(max(p * (1.0 - p), 0.0) / self.attempts)
+        return StepStats(self.attempts, self.failures).stderr
 
     @property
     def occupancy(self) -> np.ndarray:
@@ -308,7 +302,7 @@ class _Tally:
         per_step = {key: StepStats(int(a), int(f))
                     for key, a, f in zip(self.step_keys, self.attempts, self.failures)}
         attempts, failures = int(self.attempts.sum()), int(self.failures.sum())
-        bw, pw = SCHEME_RESOURCES[self.scheme]
+        bands = len(self.cycle_ends)  # each band takes a bandwidth and a power unit
         self.events.sort(key=lambda e: e[:2])
         return SimEstimate(
             scheme=self.scheme, slots=self.slots, seed=seed,
@@ -316,7 +310,7 @@ class _Tally:
             per_step=per_step, occupancy_labels=self.labels, occupancy_counts=self.occupancy,
             pairs=self.pairs, pair_duration_sum=float(self.dur_sum),
             pair_duration_sumsq=float(self.dur_sumsq),
-            bandwidth_units=bw * config.bandwidth_units, power_units=pw * config.power_units,
+            bandwidth_units=bands * config.bandwidth_units, power_units=bands * config.power_units,
             decode_attempts=self.decode_attempts, decode_empties=self.decode_empties,
             trace=[ev for _, _, ev in self.events[: self.trace_limit]],
         )
@@ -325,13 +319,13 @@ class _Tally:
 class _Stream:
     """I.i.d. episodes of one kind, drawn a chunk at a time and placed in order.
 
-    Each run placed is a segment (first, stop, start slot, repetitions before
-    it, tag); a chunk's segments are counted before the next chunk is drawn,
-    so memory is bounded by the chunk.  Lane l of `success` flags stream l+1.
+    Each placement records its runs as arrays (first, stop, start slot,
+    repetitions before it, tag), counted before the next chunk is drawn, so
+    memory is bounded by the chunk.  Lane l of `success` flags stream l+1.
     """
 
     def __init__(self, tally: _Tally):
-        self.tally, self.n, self.pos, self.segs, self.runs_placed = tally, 0, 0, [], []
+        self.tally, self.n, self.pos, self.runs_placed = tally, 0, 0, []
 
     def take(self, needs, slot: int, before: int, tag: int) -> tuple[int, list[int]]:
         """Place episodes from `slot` on, up to the first lane to gain its `needs`
@@ -345,7 +339,7 @@ class _Stream:
                 stop = min(stop, at.item(j) + 1)
         got = [cum.item(stop) - cum.item(start) for cum in self.cum_succ]
         self.pos = stop
-        self.segs.append((start, stop, slot, before, tag))
+        self.runs_placed.append(([start], [stop], [slot], [before], [tag]))
         return self.cum_len.item(stop) - self.cum_len.item(start), got
 
     def runs(self, reps: int, slot: int):
@@ -380,10 +374,9 @@ class _Stream:
 
     def flush(self) -> None:
         """Count the episodes placed from the current chunk."""
-        parts = self.runs_placed + ([tuple(map(np.array, zip(*self.segs)))] if self.segs else [])
-        if not parts:
+        if not self.runs_placed:
             return
-        cols = [np.concatenate(c) for c in zip(*parts)]
+        cols = [np.concatenate(c) for c in zip(*self.runs_placed)]
         order = np.argsort(cols[0])  # runs placed whole and one by one interleave
         first, stop, slot, before, tag = (c[order] for c in cols)
         seg = np.repeat(np.arange(first.size), stop - first)
@@ -392,7 +385,7 @@ class _Stream:
         start = slot[seg] + cum_len[idx] - cum_len[first][seg]
         rep = before[seg] + cum_succ[idx] - cum_succ[first][seg]
         self.count(idx, start, rep, tag[seg])
-        self.segs, self.runs_placed = [], []
+        self.runs_placed = []
 
 
 def _draw_key(seed, source, rates, gamma_th, cooperate) -> tuple:
@@ -580,15 +573,15 @@ def _run_bands(
     topology: NetworkTopology,
     config: SystemConfig,
     scheme: str,
-    bands: list[list[tuple[str, int, int]]],
+    bands: list[list[Phase]],
     slots: int,
     seed: int,
     options: SimOptions,
     draws: dict | None,
 ) -> SimEstimate:
-    """MDMA, TDMA and FDMA: each band cycles through its phases of (name,
-    source, repetitions), and consecutive phases of one source form a run.
-    MDMA and TDMA run one band; FDMA runs one band per source."""
+    """MDMA, TDMA and FDMA: each band cycles through its phases, and
+    consecutive phases of one source form a run.  MDMA and TDMA run one band;
+    FDMA runs one band per source."""
     labels, step_keys, runs = [], [], []  # runs: band, source, labels and keys per rep
     for band, plan in enumerate(bands):
         for name, src, reps in plan:
@@ -596,8 +589,8 @@ def _run_bands(
                 runs.append((band, src, []))
             for j in range(1, reps + 1):
                 runs[-1][2].append((len(labels), len(labels) + 1, len(step_keys), len(step_keys) + 1, band))
-                labels += [f"{name}:bcast:{j}", f"{name}:relay:{j}"]
-            step_keys += [f"{name}:bcast", f"{name}:relay"]
+                labels += [state_label(name, step, j) for step in (1, 2)]
+            step_keys += [f"{name}:{kind}" for kind in STEP_KINDS]
     tally = _Tally(scheme, labels, step_keys, len(bands), slots, options.trace_limit)
     width = max(len(r[2]) for r in runs)
     table = np.array([r[2] + r[2][:1] * (width - len(r[2])) for r in runs])
@@ -607,15 +600,15 @@ def _run_bands(
     programs = [[(streams[src], len(reps), tag) for tag, (b, src, reps) in enumerate(runs) if b == band]
                 for band in range(len(bands))]
 
-    state = [[0, 0, 0] for _ in bands]  # run index, repetitions done, slot
-    while any(st[2] < slots for st in state):
+    starts = [0] * len(bands)  # the slot each band's next cycle begins at
+    while any(t < slots for t in starts):
         # Per band: whole cycles at once, then one cycle run by run, which
         # draws the next chunk of a stream that ran out or reaches the end of
         # the run.  Taking turns keeps the bands' cycle counts close.
-        for band, (prog, st) in enumerate(zip(programs, state)):
-            i, done, t = st
-            if t < slots:
-                t = _whole_cycles(prog, band, t, tally)
+        for band, prog in enumerate(programs):
+            if starts[band] >= slots:
+                continue
+            t, i, done = _whole_cycles(prog, band, starts[band], tally), 0, 0
             while t < slots:
                 stream, reps, tag = prog[i]
                 dur, got = stream.take((reps - done,), t, done, tag)
@@ -625,33 +618,10 @@ def _run_bands(
                     if i == 0:
                         tally.cycle_end(band, [t])
                         break
-            st[:] = i, done, t
+            starts[band] = t
     for stream in streams.values():
         stream.flush()
     return tally.estimate(config, seed)
-
-
-def run_mdma(
-    topology: NetworkTopology,
-    config: SystemConfig,
-    slots: int,
-    seed: int = 0,
-    options: SimOptions = SimOptions(),
-    *,
-    draws: dict | None = None,
-) -> SimEstimate:
-    """Simulate the shared/personalized two-phase protocol; `draws` as in `simulate`."""
-    if slots < 1:
-        raise ConfigError("slots must be at least 1")
-    plan = [
-        (name, markov.PHASE_SOURCE[name], reps)
-        for name, reps in markov.phase_plan(config.beta_s, config.beta_p)
-    ]
-    return _run_bands(topology, config, "mdma", [plan], slots, seed, options, draws)
-
-
-def _payload_reps(config: SystemConfig) -> int:
-    return max(1, math.ceil(round(config.total_bits / config.rate_r0, 9)))
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +681,7 @@ class _JointStream(_Stream):
 def _run_noma(topology, config, slots, seed, options, draws) -> SimEstimate:
     if options.trace_limit > 0:
         raise ConfigError("the NOMA simulator records no slot trace")
-    beta_t = _payload_reps(config)
+    beta_t = config.beta_t
     labels = ["joint", "solo1", "solo2", "relay1", "relay2"]
     tally = _Tally("noma", labels, labels, 1, slots, 0)
     rates = {s: link_rates(topology, config, s) for s in (1, 2)}
@@ -745,37 +715,6 @@ def _run_noma(topology, config, slots, seed, options, draws) -> SimEstimate:
     return tally.estimate(config, seed)
 
 
-def run_baseline(
-    scheme: str,
-    topology: NetworkTopology,
-    config: SystemConfig,
-    slots: int,
-    seed: int = 0,
-    options: SimOptions = SimOptions(),
-    *,
-    draws: dict | None = None,
-) -> SimEstimate:
-    """Simulate a TDMA, FDMA or NOMA baseline under identical cooperation mechanics.
-
-    TDMA alternates the sources, each delivering its full payload in turn.
-    FDMA runs the single-source protocol for both sources concurrently on
-    orthogonal bands (two bandwidth units, two power units).  `draws` as in
-    `simulate`.
-    """
-    if slots < 1:
-        raise ConfigError("slots must be at least 1")
-    if scheme == "noma":
-        return _run_noma(topology, config, slots, seed, options, draws)
-    beta_t = _payload_reps(config)
-    if scheme == "tdma":
-        bands = [[("payload1", 1, beta_t), ("payload2", 2, beta_t)]]
-    elif scheme == "fdma":
-        bands = [[("band1", 1, beta_t)], [("band2", 2, beta_t)]]
-    else:
-        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    return _run_bands(topology, config, scheme, bands, slots, seed, options, draws)
-
-
 def simulate(
     scheme: str,
     topology: NetworkTopology,
@@ -786,7 +725,10 @@ def simulate(
     *,
     draws: dict | None = None,
 ) -> SimEstimate:
-    """Dispatch on scheme name; MDMA plus the three baselines.
+    """Simulate `slots` slots of MDMA, or of the TDMA, FDMA or NOMA baseline
+    under the same relay cooperation mechanics.  TDMA alternates the sources,
+    each delivering its full payload in turn; FDMA runs the single-source
+    protocol for both sources concurrently on orthogonal bands.
 
     `draws`, from `shared_draws` with the same topology, config, seed and
     options, supplies the broadcast episodes: schemes run with one set read
@@ -797,9 +739,19 @@ def simulate(
     """
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    if scheme == "mdma":
-        return run_mdma(topology, config, slots, seed, options, draws=draws)
-    return run_baseline(scheme, topology, config, slots, seed, options, draws=draws)
+    if slots < 1:
+        raise ConfigError("slots must be at least 1")
+    if scheme == "mdma":  # only MDMA's plan is a chain, and bound by its state cap
+        bands = [phase_plan(config.beta_s, config.beta_p)]
+    elif scheme == "tdma":
+        bands = [[Phase("payload1", 1, config.beta_t), Phase("payload2", 2, config.beta_t)]]
+    elif scheme == "fdma":
+        bands = [[Phase("band1", 1, config.beta_t)], [Phase("band2", 2, config.beta_t)]]
+    elif scheme == "noma":
+        return _run_noma(topology, config, slots, seed, options, draws)
+    else:
+        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    return _run_bands(topology, config, scheme, bands, slots, seed, options, draws)
 
 
 def trace_to_csv_rows(trace: list[SlotEvent]) -> list[dict]:

@@ -208,6 +208,11 @@ class SystemConfig:
         """Slots of personalized payload per source per image pair."""
         return _ceil_slots((1.0 - self.eta) * self.total_bits, self.rate_r0)
 
+    @property
+    def beta_t(self) -> int:
+        """Slots of a source's whole payload (TDMA, FDMA, NOMA); at least 1, as beta_s + beta_p is."""
+        return _ceil_slots(self.total_bits, self.rate_r0)
+
 
 @dataclass(frozen=True)
 class LinkParam:

@@ -30,7 +30,7 @@ from mdma_relay.experiments import (
 )
 from mdma_relay.markov import build_chain, ring_distribution, stationary_distribution
 from mdma_relay.oracles import relay_sum_cdf_quadrature, step2_outage_quadrature
-from mdma_relay.simulator import run_mdma, simulate
+from mdma_relay.simulator import simulate
 from mdma_relay.topology import NetworkTopology, link_rates
 
 
@@ -77,7 +77,7 @@ def test_criterion_2_step2_vs_conditional_monte_carlo(power_dbm, paper_setup):
     cfg = replace(cfg, power_dbm=power_dbm)
     t0 = time.time()
     outs = step_outages(topo, cfg)
-    est = run_mdma(topo, cfg, 2_000_000, seed=int(200 + power_dbm))
+    est = simulate("mdma", topo, cfg, 2_000_000, seed=int(200 + power_dbm))
     stats = est.per_step["shared:relay"]
     analytic = outs[1].relay
     sigma = math.sqrt(max(analytic * (1.0 - analytic), 0.0) / stats.attempts)
@@ -103,7 +103,7 @@ def test_criterion_3_chain_correctness(paper_setup):
     pi_ring = ring_distribution(outs, cfg.beta_s, cfg.beta_p)
     pi_direct = stationary_distribution(chain)
     solver_gap = float(np.max(np.abs(pi_ring - pi_direct)))
-    est = run_mdma(topo, cfg, 10_000_000, seed=303)
+    est = simulate("mdma", topo, cfg, 10_000_000, seed=303)
     occ_gap = float(np.max(np.abs(est.occupancy - pi_ring)))
     elapsed = time.time() - t0
     ok = row_err < 1e-12 and solver_gap < 1e-9 and occ_gap < 5e-3 and elapsed < 120.0
@@ -126,7 +126,7 @@ def test_criterion_4_overall_op_on_power_grid(paper_setup):
     for p in DEFAULT_POWER_GRID:
         cfg = replace(cfg0, power_dbm=p)
         sol = analytic_solution(topo, cfg)
-        est = run_mdma(topo, cfg, 1_000_000, seed=40 + int(p))
+        est = simulate("mdma", topo, cfg, 1_000_000, seed=40 + int(p))
         z = abs(est.overall_op - sol.overall_op) / est.overall_op_stderr
         worst_z = max(worst_z, z)
         assert z <= 3.0, f"{p} dBm: z={z:.2f}"
@@ -141,7 +141,7 @@ def test_criterion_5_slot_cost_and_efficiency_identities(paper_setup):
     """T_c and phi formulas reproduced by the simulator's pair statistics."""
     topo, cfg = paper_setup
     sol = analytic_solution(topo, cfg)
-    est = run_mdma(topo, cfg, 1_000_000, seed=505)
+    est = simulate("mdma", topo, cfg, 1_000_000, seed=505)
     per_pair = cfg.beta_s + 2 * cfg.beta_p
 
     tc_hat = est.slots_per_pair / per_pair

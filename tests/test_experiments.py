@@ -730,10 +730,26 @@ def test_config_granularity_written_as_a_float_is_the_same_setting(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("command", ["simulate", pytest.param("validate", marks=pytest.mark.slow)])
+@pytest.mark.parametrize("command", ["simulate", "validate"])
 def test_cli_negative_seed_is_an_error(capsys, command):
     assert main([command, "--paper-defaults", "--trials", "100", "--seed", "-1"]) == 2
     assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--trials", "100", "--seed", "-1"], "seed must be non-negative, got -1"),
+    (["--trials", "0"], "slots must be at least 1"),
+])
+def test_validate_refuses_a_bad_seed_or_trial_count_before_the_quadrature(capsys, monkeypatch, flags, message):
+    from mdma_relay import oracles
+
+    def quadrature(*args, **kwargs):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr(oracles, "relay_sum_cdf_quadrature", quadrature)
+    assert main(["validate", "--paper-defaults", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("scheme", ["mdma", "noma"])

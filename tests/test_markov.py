@@ -7,6 +7,7 @@ import pytest
 from mdma_relay.analytic import SourceOutages, step_outages
 from mdma_relay import markov
 from mdma_relay.markov import (
+    Phase,
     ProtocolState,
     TransitionMatrix,
     build_chain,
@@ -72,8 +73,8 @@ def test_state_ordering_interleaves_steps():
 
 
 def test_phase_plan_drops_empty_phases():
-    assert phase_plan(0, 2) == [("personal1", 2), ("personal2", 2)]
-    assert phase_plan(3, 0) == [("shared", 3)]
+    assert phase_plan(0, 2) == [Phase("personal1", 1, 2), Phase("personal2", 2, 2)]
+    assert phase_plan(3, 0) == [Phase("shared", 1, 3)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,11 @@ from scipy.stats import ks_2samp
 
 from mdma_relay import simulator
 from mdma_relay.analytic import step_outages
-from mdma_relay.markov import solve_chain
+from mdma_relay.markov import STEP_KINDS, Phase, ProtocolState, phase_plan, solve_chain
 from mdma_relay.simulator import (
     SCHEMES,
     SimOptions,
     make_rng,
-    run_baseline,
-    run_mdma,
     simulate,
     trace_to_csv_rows,
 )
@@ -77,11 +75,11 @@ def test_equal_distance_links_have_equal_laws():
 
 def test_identical_seeds_reproduce_everything(setup10):
     topo, cfg = setup10
-    a = run_mdma(topo, cfg, 30_000, seed=5)
-    b = run_mdma(topo, cfg, 30_000, seed=5)
+    a = simulate("mdma", topo, cfg, 30_000, seed=5)
+    b = simulate("mdma", topo, cfg, 30_000, seed=5)
     assert a.to_dict() == b.to_dict()
     assert np.array_equal(a.occupancy_counts, b.occupancy_counts)
-    c = run_mdma(topo, cfg, 30_000, seed=6)
+    c = simulate("mdma", topo, cfg, 30_000, seed=6)
     assert c.failures != a.failures
 
 
@@ -92,7 +90,7 @@ def test_identical_seeds_reproduce_everything(setup10):
 def test_infinite_snr_failure_free(setup10):
     topo, cfg = setup10
     quiet = replace(cfg, noise_dbm=-math.inf)
-    est = run_mdma(topo, quiet, 4_500, seed=1)
+    est = simulate("mdma", topo, quiet, 4_500, seed=1)
     assert est.failures == 0
     cycle = quiet.beta_s + 2 * quiet.beta_p
     assert est.pairs == 4_500 // cycle
@@ -102,7 +100,7 @@ def test_infinite_snr_failure_free(setup10):
 def test_tdma_infinite_snr_pair_cost(setup10):
     topo, cfg = setup10
     quiet = replace(cfg, noise_dbm=-math.inf)
-    est = run_baseline("tdma", topo, quiet, 4_000, seed=1)
+    est = simulate("tdma", topo, quiet, 4_000, seed=1)
     assert est.failures == 0
     assert est.slots_per_pair == pytest.approx(2 * math.ceil(cfg.total_bits / cfg.rate_r0))
 
@@ -192,7 +190,7 @@ def test_trace_decode_set_and_mrc_identities(setup10, scheme):
 def test_decode_set_law(setup10):
     topo, cfg = setup10
     low = replace(cfg, power_dbm=-2.0)
-    est = run_mdma(topo, low, 200_000, seed=13)
+    est = simulate("mdma", topo, low, 200_000, seed=13)
     from mdma_relay.analytic import decode_fail_probs
 
     for src in (1, 2):
@@ -206,7 +204,7 @@ def test_decode_set_law(setup10):
 
 def test_outcome_independence_within_state(setup10):
     topo, cfg = setup10
-    est = run_mdma(topo, cfg, 60_000, seed=17, options=SimOptions(trace_limit=60_000))
+    est = simulate("mdma", topo, cfg, 60_000, seed=17, options=SimOptions(trace_limit=60_000))
     outcomes = [1.0 if ev.outcome == "failure" else 0.0 for ev in est.trace if ev.state == "shared:bcast:1"]
     x = np.array(outcomes)
     x -= x.mean()
@@ -226,7 +224,7 @@ def test_occupancy_tracks_stationary_distribution(setup10):
     topo, cfg = setup10
     outs = step_outages(topo, cfg)
     sol = solve_chain(outs, cfg.beta_s, cfg.beta_p)
-    est = run_mdma(topo, cfg, 400_000, seed=21)
+    est = simulate("mdma", topo, cfg, 400_000, seed=21)
     assert est.occupancy_labels == [s.label for s in sol.states]
     assert np.max(np.abs(est.occupancy - sol.stationary)) < 5e-3
 
@@ -235,7 +233,7 @@ def test_overall_op_matches_analytic(setup10):
     topo, cfg = setup10
     outs = step_outages(topo, cfg)
     sol = solve_chain(outs, cfg.beta_s, cfg.beta_p)
-    est = run_mdma(topo, cfg, 400_000, seed=23)
+    est = simulate("mdma", topo, cfg, 400_000, seed=23)
     assert abs(est.overall_op - sol.overall_op) <= 3 * est.overall_op_stderr
 
 
@@ -243,7 +241,7 @@ def test_per_step_frequencies_match(setup10):
     topo, cfg = setup10
     low = replace(cfg, power_dbm=6.0)
     outs = step_outages(topo, low)
-    est = run_mdma(topo, low, 400_000, seed=27)
+    est = simulate("mdma", topo, low, 400_000, seed=27)
     for key, analytic in [
         ("shared:bcast", outs[1].bcast),
         ("personal1:bcast", outs[1].bcast),
@@ -262,12 +260,36 @@ def test_per_step_frequencies_match(setup10):
 def test_unknown_scheme_rejected(setup10):
     topo, cfg = setup10
     with pytest.raises(ConfigError):
-        run_baseline("cdma", topo, cfg, 100)
+        simulate("cdma", topo, cfg, 100)
+
+
+@pytest.mark.parametrize("scheme", ["mdma", "tdma", "fdma"])
+def test_band_schemes_take_their_labels_from_markov(setup10, scheme):
+    topo, cfg = setup10
+    plan = {
+        "mdma": phase_plan(cfg.beta_s, cfg.beta_p),
+        "tdma": [Phase("payload1", 1, cfg.beta_t), Phase("payload2", 2, cfg.beta_t)],
+        "fdma": [Phase("band1", 1, cfg.beta_t), Phase("band2", 2, cfg.beta_t)],
+    }[scheme]
+    est = simulate(scheme, topo, cfg, 2_000, seed=1)
+    assert est.occupancy_labels == [ProtocolState(p.name, step, j).label
+                                    for p in plan for j in range(1, p.reps + 1) for step in (1, 2)]
+    assert list(est.per_step) == [f"{p.name}:{kind}" for p in plan for kind in STEP_KINDS]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_each_band_is_charged_one_bandwidth_and_one_power_unit(setup10, scheme):
+    topo, cfg = setup10
+    bands = 2 if scheme == "fdma" else 1
+    est = simulate(scheme, topo, cfg, 1_000, seed=2)
+    assert (est.bandwidth_units, est.power_units) == (bands, bands)
+    est = simulate(scheme, topo, replace(cfg, bandwidth_units=1.5, power_units=3.0), 1_000, seed=2)
+    assert (est.bandwidth_units, est.power_units) == (bands * 1.5, bands * 3.0)
 
 
 def test_fdma_resource_accounting(setup10):
     topo, cfg = setup10
-    est = run_baseline("fdma", topo, cfg, 50_000, seed=3)
+    est = simulate("fdma", topo, cfg, 50_000, seed=3)
     assert est.bandwidth_units == 2.0 and est.power_units == 2.0
     # Identical pair statistics at one resource set would score four times higher.
     rescaled = 2.0 * est.pairs / est.slots
@@ -276,7 +298,7 @@ def test_fdma_resource_accounting(setup10):
 
 def test_fdma_runs_both_bands_every_slot(setup10):
     topo, cfg = setup10
-    est = run_baseline("fdma", topo, cfg, 20_000, seed=4)
+    est = simulate("fdma", topo, cfg, 20_000, seed=4)
     assert est.attempts == 2 * est.slots
     band1 = sum(est.occupancy_counts[i] for i, lab in enumerate(est.occupancy_labels) if lab.startswith("band1"))
     assert band1 == est.slots
@@ -302,7 +324,7 @@ def test_baseline_broadcasts_fail_as_the_direct_link_law(setup10, scheme, step, 
 
 def test_noma_runs_and_reports(setup10):
     topo, cfg = setup10
-    est = run_baseline("noma", topo, cfg, 50_000, seed=5)
+    est = simulate("noma", topo, cfg, 50_000, seed=5)
     assert est.pairs > 0
     assert 0.0 < est.overall_op < 1.0
     assert est.bandwidth_units == 1.0 and est.power_units == 1.0
@@ -320,16 +342,16 @@ def test_noma_sic_order_options(setup10):
     # chance after cancellation, so it clearly lowers outage at high power.
     topo, cfg = setup10
     high = replace(cfg, power_dbm=30.0)
-    mean_order = run_baseline("noma", topo, high, 30_000, seed=7)
-    instant = run_baseline("noma", topo, high, 30_000, seed=7, options=SimOptions(noma_sic_order="instant"))
+    mean_order = simulate("noma", topo, high, 30_000, seed=7)
+    instant = simulate("noma", topo, high, 30_000, seed=7, options=SimOptions(noma_sic_order="instant"))
     assert instant.overall_op < mean_order.overall_op
 
 
 def test_relay_cooperation_flag(setup10):
     topo, cfg = setup10
     low = replace(cfg, power_dbm=4.0)
-    with_relays = run_mdma(topo, low, 60_000, seed=8)
-    without = run_mdma(topo, low, 60_000, seed=8, options=SimOptions(relay_cooperation=False))
+    with_relays = simulate("mdma", topo, low, 60_000, seed=8)
+    without = simulate("mdma", topo, low, 60_000, seed=8, options=SimOptions(relay_cooperation=False))
     assert without.overall_op > with_relays.overall_op
     relay_visits = sum(
         without.occupancy_counts[i]
@@ -390,7 +412,7 @@ def test_sic_rule_equals_successive_cancellation(gamma_th, order):
 
 
 def _noma_outputs(topo, cfg, slots, options):
-    est = run_baseline("noma", topo, cfg, slots, seed=4, options=options)
+    est = simulate("noma", topo, cfg, slots, seed=4, options=options)
     return (json.dumps(est.to_dict()), est.occupancy_counts.tolist(), est.decode_attempts,
             est.decode_empties, est.pair_duration_sum, est.pair_duration_sumsq)
 
@@ -446,7 +468,8 @@ def test_invalid_options():
 
 def test_slots_validation(setup10):
     topo, cfg = setup10
-    with pytest.raises(ConfigError):
-        run_mdma(topo, cfg, 0)
-    with pytest.raises(ConfigError):
-        run_baseline("tdma", topo, cfg, 0)
+    for scheme in SCHEMES:
+        with pytest.raises(ConfigError, match="slots must be at least 1"):
+            simulate(scheme, topo, cfg, 0)
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            simulate(scheme, topo, cfg, 100, seed=-1)

@@ -88,12 +88,14 @@ def test_slot_split_ceiling_identity(eta, total_bits, rate):
     whole = math.ceil(round(total_bits / rate, 9))
     assert cfg.beta_s + cfg.beta_p in (whole, whole + 1)
     assert cfg.beta_s >= 0 and cfg.beta_p >= 0
+    assert cfg.beta_t == whole >= 1
 
 
 def test_eta_float_fuzz_does_not_overcount():
     # 0.7*10 and 0.3*10 both carry float error; ceilings must stay exact.
     cfg = SystemConfig(eta=0.7, total_bits=10.0, rate_r0=1.0)
     assert (cfg.beta_s, cfg.beta_p) == (7, 3)
+    assert SystemConfig(total_bits=0.1 * 3, rate_r0=0.1).beta_t == 3  # 3.0000000000000004 slots
 
 
 def test_rate_lambda_scales_with_alpha():
@@ -142,6 +144,7 @@ def test_setup_roundtrip(tmp_path, paper_setup):
     doc = json.loads(path.read_text())
     assert doc["topology"]["s1"] == [20.0, 20.0]
     assert doc["system"]["noise_dbm"] == -50.0
+    assert "beta_t" not in doc["system"]  # derived, like beta_s and beta_p
 
 
 def test_malformed_setup_file(tmp_path):
