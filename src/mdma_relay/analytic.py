@@ -12,13 +12,18 @@ or 20 on a 2-core host.  The same law expanded over the 2^m decode sets is
 kept only as a view (``DefectiveCdf.subset_terms``), built when read.
 
 The second-step outage then follows from binning that CDF and the
-threshold-conditioned direct-link SNR on a common grid and summing the mass
-of their sum below the threshold.  That is one dot product of the relay mass
-with the reversed prefix sums of the direct mass, O(n) in the bin count n.
-Where the closed form is undefined (tied rates) or cancels away (more than
+threshold-conditioned direct-link SNR on a common grid of n bins and summing
+the mass of their sum below the threshold.  Binning evaluates the CDF at the
+n + 1 bin edges, one ``1 - exp(-rate * gamma)`` per edge and rate: an
+(n + 1)-by-m basis (``exp_cdf_basis``).  The rates are those of the
+relay-to-destination hops, which both sources share, so ``step_outages``
+builds that basis once per call and bins both sources' relay sums from it.
+Summing the mass below the threshold is one dot product of the relay mass
+with the reversed prefix sums of the direct mass, O(n).  Where the closed
+form is undefined (tied rates) or cancels away (more than
 ``MAX_RELAYS_CLOSED_FORM`` relays) the relay sum is binned by convolving the
 per-path masses instead, ``numeric_relay_sum_pmf``, which is still
-O(m * n^2).
+O(m * n^2), and no basis is built.
 """
 
 from __future__ import annotations
@@ -98,8 +103,7 @@ class DefectiveCdf:
     total_mass: float
 
     def __call__(self, gamma) -> np.ndarray | float:
-        g = np.asarray(gamma, dtype=float)
-        out = -np.expm1(-np.multiply.outer(g, self.rates)) @ self.coeff_per_rate
+        out = exp_cdf_basis(np.asarray(gamma, dtype=float), self.rates) @ self.coeff_per_rate
         return float(out) if np.isscalar(gamma) else out
 
     @cached_property
@@ -132,6 +136,20 @@ class DefectiveCdf:
             masks = (1 << idx).sum(axis=1)
             terms += map(SubsetTerm, members, weights[masks].tolist(), coeffs[masks[:, None], idx])
         return tuple(terms)
+
+
+def exp_cdf_basis(gammas: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """``1 - exp(-rates[x] * gammas[k])`` at index ``[k, x]``, built in one buffer.
+
+    A relay-sum CDF is this basis times its coefficients, taken as
+    ``basis @ coeff_per_rate``: the rows stay points and the columns rates,
+    because transposing the product reorders its sums and moves the
+    cancellation noise.
+    """
+    basis = np.multiply.outer(gammas, rates)
+    np.negative(basis, out=basis)
+    np.expm1(basis, out=basis)
+    return np.negative(basis, out=basis)
 
 
 def _pole_ratios(lam: np.ndarray) -> np.ndarray:
@@ -215,17 +233,32 @@ class BinnedPmf:
         return float(self.probs.sum())
 
 
-def bin_relay_sum(cdf: DefectiveCdf, gamma_th: float, granularity: int) -> BinnedPmf:
+def bin_relay_sum(
+    cdf: DefectiveCdf, gamma_th: float, granularity: int, basis: np.ndarray
+) -> BinnedPmf:
     """CDF increments of the relay sum over the threshold interval.
 
-    The partial-fraction coefficients alternate in sign, so evaluating the
-    CDF carries absolute noise of order eps * sum(|coefficients|); increments
-    below that floor are clamped to zero, anything more negative is a bug.
+    ``basis`` is ``exp_cdf_basis(np.linspace(0, gamma_th, granularity + 1),
+    cdf.rates)``, built by the caller so that sources sharing the rates share
+    it; a basis whose shape, first or last row shows another grid or other
+    rates is refused.  The partial-fraction coefficients alternate in sign,
+    so evaluating the CDF carries absolute noise of order eps *
+    sum(|coefficients|); increments below that floor are clamped to zero,
+    anything more negative is a bug.
     """
     if granularity < 1:
         raise ConfigError("granularity must be at least 1")
-    edges = cdf(np.linspace(0.0, gamma_th, granularity + 1))
-    diffs = np.diff(edges)
+    last = exp_cdf_basis(np.array([gamma_th]), cdf.rates)[0]
+    if (
+        basis.shape != (granularity + 1, len(cdf.rates))
+        or basis[0].any()
+        or not (np.abs(basis[-1] - last) <= 1e-9 * last).all()
+    ):
+        raise ConfigError(
+            f"the CDF basis must hold {len(cdf.rates)} rates on "
+            f"{granularity + 1} edges from 0 to {gamma_th:g}"
+        )
+    diffs = np.diff(basis @ cdf.coeff_per_rate)
     noise = 64.0 * np.finfo(float).eps * max(1.0, float(np.abs(cdf.coeff_per_rate).sum()))
     if (diffs < -noise).any():
         raise ConfigError(
@@ -305,44 +338,63 @@ class SourceOutages:
 
 
 def source_step_outages(
-    topology: NetworkTopology, config: SystemConfig, source: int
+    direct: LinkParam, gates: list[GatedExponential], config: SystemConfig,
+    basis: np.ndarray | None,
 ) -> SourceOutages:
-    """Broadcast outage, relay-step outage and empty-set probability of one source.
+    """Broadcast outage, relay-step outage and empty-set probability of one
+    source, at a positive threshold and finite SNR.
 
-    The relay sum is binned from the closed form where it is defined and by
-    convolving per-path masses otherwise (tied rates, or more than
-    ``MAX_RELAYS_CLOSED_FORM`` relays).
+    ``basis`` is the relay-to-destination CDF basis on the threshold grid
+    (see ``bin_relay_sum``), or None where ``closed_form_applies`` does not
+    hold (tied rates, or more than ``MAX_RELAYS_CLOSED_FORM`` relays): the
+    relay sum is then binned by convolving per-path masses.
     """
-    if math.isinf(config.snr_linear()):
-        return SourceOutages(0.0, 0.0, 0.0)
-    rates = link_rates(topology, config, source)
-    gamma_th = config.gamma_th
-    # decode_fail_probs(topology, config, source), without a second link_rates.
-    fails = -np.expm1(-rates.source_relay * gamma_th)
-    bcast = direct_outage(LinkParam(rates.direct), gamma_th)
-    gates = [GatedExponential(a, r) for a, r in zip(fails, rates.relay_dest)]
-    empty = float(np.prod(fails))
-    if gamma_th == 0.0:
-        # Zero threshold: every reception succeeds and the relay step never runs.
-        return SourceOutages(0.0, 0.0, 0.0)
+    gamma_th, n = config.gamma_th, config.granularity
+    bcast = direct_outage(direct, gamma_th)
+    empty = float(np.prod([g.gate_prob for g in gates]))
     if empty >= 1.0:
         return SourceOutages(bcast, 1.0, empty)
-    if closed_form_applies(gates):
-        relay_pmf = bin_relay_sum(relay_sum_cdf(gates), gamma_th, config.granularity)
+    if basis is None:
+        relay_pmf = numeric_relay_sum_pmf(gates, gamma_th, n)
     else:
-        relay_pmf = numeric_relay_sum_pmf(gates, gamma_th, config.granularity)
-    direct_pmf = bin_conditional_direct(
-        LinkParam(rates.direct), gamma_th, config.granularity
-    )
-    relay = step2_outage(relay_pmf, direct_pmf, gates)
+        relay_pmf = bin_relay_sum(relay_sum_cdf(gates), gamma_th, n, basis)
+    relay = step2_outage(relay_pmf, bin_conditional_direct(direct, gamma_th, n), gates)
     return SourceOutages(bcast, relay, empty)
 
 
 def step_outages(
     topology: NetworkTopology, config: SystemConfig
 ) -> dict[int, SourceOutages]:
-    """The step outages of sources 1 and 2, keyed by source."""
-    return {source: source_step_outages(topology, config, source) for source in (1, 2)}
+    """The step outages of sources 1 and 2, keyed by source.
+
+    Both sources' relay sums have the relay-to-destination rates, so whether
+    the closed form applies, and its CDF basis on the threshold grid, are
+    settled here once for both.  The basis is built only when some relay can
+    decode some source's broadcast.
+    """
+    if math.isinf(config.snr_linear()):
+        return {source: SourceOutages(0.0, 0.0, 0.0) for source in (1, 2)}
+    links = {source: link_rates(topology, config, source) for source in (1, 2)}
+    gamma_th = config.gamma_th
+    if gamma_th == 0.0:
+        # Zero threshold: every reception succeeds and the relay step never runs.
+        return {source: SourceOutages(0.0, 0.0, 0.0) for source in (1, 2)}
+    gates = {}
+    for source, rates in links.items():
+        # decode_fail_probs(topology, config, source), without a second link_rates.
+        fails = -np.expm1(-rates.source_relay * gamma_th)
+        gates[source] = [GatedExponential(a, r) for a, r in zip(fails, rates.relay_dest)]
+    basis = None
+    if closed_form_applies(gates[1]) and any(
+        g.gate_prob < 1.0 for paths in gates.values() for g in paths
+    ):
+        basis = exp_cdf_basis(
+            np.linspace(0.0, gamma_th, config.granularity + 1), links[1].relay_dest
+        )
+    return {
+        source: source_step_outages(LinkParam(rates.direct), gates[source], config, basis)
+        for source, rates in links.items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -8,21 +8,23 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mdma_relay import analytic
 from mdma_relay.analytic import (
     MAX_RELAYS_CLOSED_FORM,
     RATE_TIE_RTOL,
     BinnedPmf,
     ConditioningError,
     GatedExponential,
+    SourceOutages,
     bin_conditional_direct,
     bin_relay_sum,
     closed_form_applies,
     decode_fail_probs,
     direct_outage,
+    exp_cdf_basis,
     numeric_relay_sum_cdf,
     numeric_relay_sum_pmf,
     relay_sum_cdf,
-    source_step_outages,
     step2_outage,
     step_outages,
 )
@@ -36,6 +38,12 @@ from mdma_relay.topology import (
     link_rates,
 )
 from dataclasses import replace
+
+
+def binned_relay_sum(cdf, gamma_th, n):
+    """``bin_relay_sum`` on the basis built for its grid and the CDF's rates."""
+    edges = np.linspace(0.0, gamma_th, n + 1)
+    return bin_relay_sum(cdf, gamma_th, n, exp_cdf_basis(edges, cdf.rates))
 
 
 def random_gates(rng, m, rate_lo=0.3, rate_hi=4.0):
@@ -331,7 +339,7 @@ def test_tie_switches_to_the_convolution_continuously():
     grid = np.linspace(0.05, 5.0, 40)
     assert np.max(np.abs(relay_sum_cdf(apart)(grid) - numeric_relay_sum_cdf(tied, grid))) < 1e-5
     n = 1000
-    closed = bin_relay_sum(relay_sum_cdf(apart), 2.0, n)
+    closed = binned_relay_sum(relay_sum_cdf(apart), 2.0, n)
     numeric = numeric_relay_sum_pmf(tied, 2.0, n)
     assert 0.5 * float(np.sum(np.abs(closed.probs - numeric.probs))) < 4.0 * len(tied) / n
 
@@ -425,13 +433,39 @@ def test_bin_relay_sum_telescopes():
     rng = np.random.default_rng(29)
     gates = random_gates(rng, 3)
     cdf = relay_sum_cdf(gates)
-    pmf = bin_relay_sum(cdf, 2.0, 250)
+    pmf = binned_relay_sum(cdf, 2.0, 250)
     assert pmf.total == pytest.approx(float(cdf(2.0)), abs=1e-12)
-    single = bin_relay_sum(cdf, 2.0, 1)
+    single = binned_relay_sum(cdf, 2.0, 1)
     assert single.probs.shape == (1,)
     assert single.probs[0] == pytest.approx(float(cdf(2.0)), abs=1e-12)
-    refined = bin_relay_sum(cdf, 2.0, 500)
+    refined = binned_relay_sum(cdf, 2.0, 500)
     assert refined.total == pytest.approx(pmf.total, abs=1e-12)
+
+
+def test_bin_relay_sum_refuses_a_basis_for_another_grid_or_rates():
+    gates = random_gates(np.random.default_rng(31), 3)
+    cdf = relay_sum_cdf(gates)
+    edges = np.linspace(0.0, 2.0, 101)
+    assert binned_relay_sum(cdf, 2.0, 100).probs.shape == (100,)
+    for basis in (
+        exp_cdf_basis(edges, cdf.rates * 1.5),           # other rates
+        exp_cdf_basis(edges, cdf.rates[:2]),             # fewer rates
+        exp_cdf_basis(edges * 1.1, cdf.rates),           # another threshold
+        exp_cdf_basis(edges + 0.01, cdf.rates),          # a grid not from 0
+        exp_cdf_basis(np.linspace(0.0, 2.0, 51), cdf.rates),  # another bin count
+    ):
+        with pytest.raises(ConfigError, match="basis"):
+            bin_relay_sum(cdf, 2.0, 100, basis)
+
+
+def test_cdf_basis_in_one_buffer_keeps_the_bits_of_the_temporaries():
+    rng = np.random.default_rng(33)
+    for m in (1, 3, 8, 16):
+        cdf = relay_sum_cdf(random_gates(rng, m))
+        for gammas in (np.linspace(0.0, 3.0, 1001), rng.uniform(0.0, 5.0, 37)):
+            reference = -np.expm1(-np.multiply.outer(gammas, cdf.rates)) @ cdf.coeff_per_rate
+            assert np.array_equal(cdf(gammas), reference)
+        assert cdf(0.7) == float(-np.expm1(-0.7 * cdf.rates) @ cdf.coeff_per_rate)
 
 
 def test_bin_conditional_direct_normalizes():
@@ -481,7 +515,7 @@ def test_step2_requires_matching_grids():
     cdf = relay_sum_cdf(gates)
     with pytest.raises(ConfigError):
         step2_outage(
-            bin_relay_sum(cdf, 1.0, 100),
+            binned_relay_sum(cdf, 1.0, 100),
             bin_conditional_direct(LinkParam(1.0), 1.0, 200),
             gates,
         )
@@ -492,7 +526,7 @@ def test_step2_impossible_conditioning():
     cdf = relay_sum_cdf(gates)
     with pytest.raises(ConditioningError):
         step2_outage(
-            bin_relay_sum(cdf, 1.0, 50),
+            binned_relay_sum(cdf, 1.0, 50),
             bin_conditional_direct(LinkParam(1.0), 1.0, 50),
             gates,
         )
@@ -504,7 +538,7 @@ def test_step2_single_relay_against_quadrature():
     direct_rate, relay_rate, gamma_th, n = 1.1, 0.7, 1.0, 4000
     gates = [GatedExponential(0.35, relay_rate)]
     est = step2_outage(
-        bin_relay_sum(relay_sum_cdf(gates), gamma_th, n),
+        binned_relay_sum(relay_sum_cdf(gates), gamma_th, n),
         bin_conditional_direct(LinkParam(direct_rate), gamma_th, n),
         gates,
     )
@@ -565,6 +599,114 @@ def test_all_outages_vanish_at_huge_snr(paper_setup):
         assert src.bcast < 1e-9 and src.relay < 1e-9
 
 
+def _line_topology(m):
+    """The paper layout with its relay line generalised to m relays; m = 10
+    ties two relay-destination distances (y = 40 and y = -40)."""
+    topo, _ = default_paper_setup()
+    relays = tuple((50.0, 55.0 - 100.0 * (i - 0.5) / m) for i in range(1, m + 1))
+    return NetworkTopology(topo.s1_pos, topo.s2_pos, topo.d_pos, relays, topo.alpha)
+
+
+def _per_source_pipeline(topo, cfg, source):
+    """One source's step outages through the public steps, with its own
+    relay-sum basis where the closed form applies."""
+    rates = link_rates(topo, cfg, source)
+    fails = decode_fail_probs(topo, cfg, source)
+    gates = [GatedExponential(a, r) for a, r in zip(fails, rates.relay_dest)]
+    direct, gamma_th, n = LinkParam(rates.direct), cfg.gamma_th, cfg.granularity
+    empty = float(np.prod(fails))
+    if empty >= 1.0:
+        return SourceOutages(direct_outage(direct, gamma_th), 1.0, empty)
+    if closed_form_applies(gates):
+        relay_pmf = binned_relay_sum(relay_sum_cdf(gates), gamma_th, n)
+    else:
+        relay_pmf = numeric_relay_sum_pmf(gates, gamma_th, n)
+    relay = step2_outage(relay_pmf, bin_conditional_direct(direct, gamma_th, n), gates)
+    return SourceOutages(direct_outage(direct, gamma_th), relay, empty)
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000, 100_000])
+@pytest.mark.parametrize("relays", [8, 16])
+def test_step_outages_equal_the_per_source_pipeline(paper_setup, relays, n):
+    # Both sources bin their relay sums from one shared basis; every output
+    # keeps the bits a basis of its own gives.
+    topo = paper_setup[0] if relays == 8 else _line_topology(relays)
+    for p in range(-10, 31, 2):
+        cfg = replace(paper_setup[1], power_dbm=float(p), granularity=n)
+        outs = step_outages(topo, cfg)
+        for source in (1, 2):
+            assert outs[source] == _per_source_pipeline(topo, cfg, source), (p, source)
+
+
+def test_tied_rates_take_the_convolution_for_both_sources(monkeypatch, paper_setup):
+    topo = _line_topology(10)
+    cfg = paper_setup[1]
+    assert not closed_form_applies(
+        [GatedExponential(0.5, r) for r in link_rates(topo, cfg, 1).relay_dest])
+    seen, bases = [], []
+
+    def numeric(gates, gamma_th, granularity):
+        seen.append(len(gates))
+        return numeric_relay_sum_pmf(gates, gamma_th, granularity)
+
+    monkeypatch.setattr(analytic, "numeric_relay_sum_pmf", numeric)
+    monkeypatch.setattr(analytic, "exp_cdf_basis", lambda *a: bases.append(a))
+    outs = step_outages(topo, cfg)
+    assert seen == [10, 10] and bases == []
+    for source in (1, 2):
+        assert outs[source] == _per_source_pipeline(topo, cfg, source)
+
+
+def _basis_sizes(monkeypatch, topo, cfg):
+    """Row counts of every ``exp_cdf_basis`` one ``step_outages`` call builds."""
+    sizes = []
+
+    def spy(gammas, rates):
+        sizes.append(len(gammas))
+        return exp_cdf_basis(gammas, rates)
+
+    monkeypatch.setattr(analytic, "exp_cdf_basis", spy)
+    step_outages(topo, cfg)
+    return sizes
+
+
+def test_one_basis_per_step_outages_call(monkeypatch, paper_setup):
+    topo, cfg = paper_setup
+    # One (n + 1)-row basis, then each source's check of its last row.
+    assert _basis_sizes(monkeypatch, topo, cfg) == [cfg.granularity + 1, 1, 1]
+    # At -20 dBm no relay decodes source 2, but some decode source 1.
+    low = replace(cfg, power_dbm=-20.0)
+    assert (decode_fail_probs(topo, low, 2) == 1.0).all()
+    assert _basis_sizes(monkeypatch, topo, low) == [cfg.granularity + 1, 1]
+
+
+@pytest.mark.parametrize("case", ["noiseless", "zero-threshold", "tied", "21-relays", "all-fail"])
+def test_no_basis_where_no_source_bins_the_closed_form(monkeypatch, paper_setup, case):
+    topo, cfg = paper_setup
+    topo, cfg = {
+        "noiseless": (topo, replace(cfg, noise_dbm=-math.inf)),
+        "zero-threshold": (topo, replace(cfg, rate_r0=1e-17)),
+        "tied": (_line_topology(10), cfg),
+        "21-relays": (_line_topology(MAX_RELAYS_CLOSED_FORM + 1), cfg),
+        "all-fail": (topo, replace(cfg, power_dbm=-30.0)),
+    }[case]
+    assert _basis_sizes(monkeypatch, topo, cfg) == []
+
+
+def test_step_outages_peak_memory_is_one_basis(paper_setup):
+    topo, cfg = paper_setup
+    cfg = replace(cfg, power_dbm=20.0, granularity=100_000)
+    step_outages(topo, replace(cfg, granularity=10))  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        step_outages(topo, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The basis is (n + 1) * m doubles; a second copy of it would break this.
+    assert peak < 2 * (cfg.granularity + 1) * len(topo.relay_pos) * 8
+
+
 # ---------------------------------------------------------------------------
 # convolution path consistency
 # ---------------------------------------------------------------------------
@@ -578,7 +720,7 @@ def test_transform_inversion_consistency_small_m():
         m = int(rng.integers(1, 5))
         gates = random_gates(rng, m)
         gamma_th = 1.5 / min(g.rate for g in gates)
-        closed = bin_relay_sum(relay_sum_cdf(gates), gamma_th, n)
+        closed = binned_relay_sum(relay_sum_cdf(gates), gamma_th, n)
         numeric = numeric_relay_sum_pmf(gates, gamma_th, n)
         tv = 0.5 * float(np.sum(np.abs(closed.probs - numeric.probs)))
         assert tv < 4.0 * m / n
@@ -609,7 +751,7 @@ def test_numeric_fallback_agrees_with_closed_form(paper_setup):
     topo, cfg = paper_setup
     low = replace(cfg, power_dbm=4.0)
     n = low.granularity
-    closed = source_step_outages(topo, low, 1).relay
+    closed = step_outages(topo, low)[1].relay
     rates = link_rates(topo, low, 1)
     fails = decode_fail_probs(topo, low, 1)
     gates = [GatedExponential(a, r) for a, r in zip(fails, rates.relay_dest)]
@@ -639,7 +781,7 @@ def _paper_pmfs(power_dbm, n):
         gates = [GatedExponential(float(a), float(r))
                  for a, r in zip(decode_fail_probs(topo, cfg, source), rates.relay_dest)]
         yield (
-            bin_relay_sum(relay_sum_cdf(gates), cfg.gamma_th, n),
+            binned_relay_sum(relay_sum_cdf(gates), cfg.gamma_th, n),
             bin_conditional_direct(LinkParam(rates.direct), cfg.gamma_th, n),
             gates,
         )
