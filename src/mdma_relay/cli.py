@@ -20,7 +20,7 @@ from .experiments import (
     validate,
     write_rows_csv,
 )
-from .markov import build_chain, chain_to_json, labelled, solve_chain
+from .markov import build_chain, chain_to_json, labelled, ring_distribution, solve_chain
 from .analytic import step_outages
 from .simulator import SCHEMES, SimOptions, simulate, trace_to_csv_rows
 from .topology import ConfigError, default_paper_setup, load_setup, read_json
@@ -151,10 +151,11 @@ def cmd_validate(args) -> int:
 def cmd_dump_chain(args) -> int:
     topo, cfg = _setup(args)
     outs = step_outages(topo, cfg)
-    sol = solve_chain(outs, cfg.beta_s, cfg.beta_p, cfg.bandwidth_units, cfg.power_units,
-                      literal_personal1_wrap=args.literal_personal1_wrap)
-    chain = build_chain(outs, cfg.beta_s, cfg.beta_p, args.literal_personal1_wrap)
-    _emit(chain_to_json(sol, chain, outs), args.out)
+    wrap = args.literal_personal1_wrap
+    chain = build_chain(outs, cfg.beta_s, cfg.beta_p, wrap)
+    pi = ring_distribution(outs, cfg.beta_s, cfg.beta_p, wrap)
+    sol = solve_chain(outs, cfg.beta_s, cfg.beta_p, cfg.bandwidth_units, cfg.power_units, wrap)
+    _emit(chain_to_json(sol, chain, pi, outs), args.out)
     return 0
 
 

@@ -1,10 +1,9 @@
-"""Protocol state machine as a finite Markov chain.
+"""Protocol state machine as a finite Markov chain, and its metrics.
 
-One state per (phase, step, repetition); one state transition per time slot,
-including the broadcast-step self-loop taken when the destination and every
-relay miss the broadcast.  The stationary distribution weights the per-step
-outage probabilities into the overall outage, from which the expected slot
-cost per delivered reception and the resource utilization efficiency follow.
+One state per (phase, step, repetition), labelled "phase:kind:rep", and one
+transition per time slot, including the broadcast self-loop taken when the
+destination and every relay miss.  The overall outage, slot cost and
+efficiency come from renewal-reward sums over the phases.
 """
 
 from __future__ import annotations
@@ -13,19 +12,17 @@ import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .analytic import SourceOutages
-from .topology import ConfigError
+from .topology import ConfigError, fits_float
 
 ROW_SUM_TOL = 1e-12
-# Every structure here grows linearly in the state count.  At 300 000 states
-# `dump-chain` takes 6.8 s and 580 MB (peak RSS) and `analyze` 0.4 s and 71 MB,
-# so at this cap they need about 1.9 GB and 200 MB; a payload of 1e308 bits
-# would run until memory is exhausted.
+# Bounds the code that builds one entry per state (`capped_plan`).  At 300 000
+# states `dump-chain` takes 7.6 s and 535 MB (peak RSS, 2-core host), so at
+# this cap it needs about 1.8 GB; a payload of 1e308 bits would exhaust memory.
 MAX_CHAIN_STATES = 1_000_000
 
 # Protocol cycle, in order, with the source that sends each phase: shared
@@ -43,22 +40,8 @@ class Phase(NamedTuple):
     reps: int
 
 
-class ProtocolState(NamedTuple):
-    phase: str  # a phase name
-    step: int   # 1 = source broadcast, 2 = relay forwarding
-    rep: int    # repetition index within the phase, 1-based
-
-    @property
-    def kind(self) -> str:
-        return STEP_KINDS[self.step - 1]
-
-    @property
-    def label(self) -> str:
-        return state_label(*self)
-
-
 def state_label(phase: str, step: int, rep: int) -> str:
-    """A state's "phase:kind:rep" label, without building the state (a quarter of the time)."""
+    """The "phase:kind:rep" label of a state; step 1 broadcasts, step 2 relays."""
     return f"{phase}:{STEP_KINDS[step - 1]}:{rep}"
 
 
@@ -68,27 +51,24 @@ def phase_plan(beta_s: int, beta_p: int) -> list[Phase]:
         raise ConfigError("repetition counts must be nonnegative")
     if beta_s + beta_p == 0:
         raise ConfigError("at least one phase must be nonempty")
-    states = 2 * (beta_s + 2 * beta_p)  # a broadcast and a relay state per slot
-    if states > MAX_CHAIN_STATES:
-        raise ConfigError(
-            f"the protocol chain would have {Decimal(states):.7g} states, "
-            f"more than the {MAX_CHAIN_STATES} supported"
-        )
     reps = {"shared": beta_s, "personal1": beta_p, "personal2": beta_p}
     return [Phase(name, source, reps[name]) for name, source in PHASE_SOURCE.items() if reps[name] > 0]
 
 
-def protocol_states(beta_s: int, beta_p: int) -> list[ProtocolState]:
-    """States ordered phase-major with (bcast, relay) interleaved per repetition."""
-    return [ProtocolState(phase.name, step, j) for phase in phase_plan(beta_s, beta_p)
-            for j in range(1, phase.reps + 1) for step in (1, 2)]
+def capped_plan(beta_s: int, beta_p: int) -> list[Phase]:
+    """`phase_plan` past MAX_CHAIN_STATES states refused, for code that lists the states."""
+    states = 2 * (beta_s + 2 * beta_p)  # a broadcast and a relay state per slot
+    if states > MAX_CHAIN_STATES:
+        raise ConfigError(f"the protocol chain would have {Decimal(states):.7g} states, "
+                          f"more than the {MAX_CHAIN_STATES} supported")
+    return phase_plan(beta_s, beta_p)
 
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """The chain's nonzero transitions as (row, column, probability) triples."""
+    """State labels, and the nonzero transitions as (row, column, probability) triples."""
 
-    states: tuple[ProtocolState, ...]
+    states: tuple[str, ...]
     triples: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
@@ -102,14 +82,6 @@ class TransitionMatrix:
         if not np.allclose(rows, 1.0, rtol=0.0, atol=ROW_SUM_TOL):
             raise ConfigError(f"rows must sum to 1 within {ROW_SUM_TOL:g}")
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense n x n view, built on first read, for the direct solve."""
-        t = np.zeros((len(self.states), len(self.states)))
-        for i, j, p in self.triples:
-            t[i, j] += p
-        return t
-
 
 def labelled(outages: dict[int, SourceOutages]) -> dict[str, float]:
     """The six step outages keyed "phase:bcast" / "phase:relay"; each phase
@@ -122,21 +94,36 @@ def labelled(outages: dict[int, SourceOutages]) -> dict[str, float]:
 
 
 def _phases(
-    outages: dict[int, SourceOutages], beta_s: int, beta_p: int, literal_personal1_wrap: bool
-) -> list[tuple[SourceOutages, int, int, int]]:
-    """The ring's nonempty phases in protocol order, each as (source's
-    outages, first repetition counted over the ring, repetition count,
-    position of the phase it advances into).  Each advances into the next
-    and the last wraps to the first, but ``literal_personal1_wrap`` sends
-    the first personalized phase back into itself (a transition-table
-    variant in which the second source's phase is unreachable)."""
-    plan = phase_plan(beta_s, beta_p)
+    outages: dict[int, SourceOutages], plan: list[Phase], literal_personal1_wrap: bool
+) -> list[tuple[str, SourceOutages, int, int, int, float]]:
+    """The ring's phases in order as (name, source's outages, first repetition
+    over the ring, repetitions, position of the phase it advances into, q),
+    q being the chance that a broadcast visit leads to an advance.  Each
+    advances into the next and the last wraps to the first, but
+    ``literal_personal1_wrap`` sends the first personalized phase back into
+    itself (a variant in which the second source's phase is unreachable)."""
     phases, first = [], 0
     for k, (name, source, reps) in enumerate(plan):
         into = k if literal_personal1_wrap and name == "personal1" else (k + 1) % len(plan)
-        phases.append((outages[source], first, reps, into))
+        src = outages[source]
+        q = (1.0 - src.bcast) + src.bcast * (1.0 - src.empty) * (1.0 - src.relay)
+        phases.append((name, src, first, reps, into, q))
         first += reps
     return phases
+
+
+def _held(phases: list[tuple]) -> tuple[list[tuple], bool]:
+    """The phases that hold the chain's mass, and whether that is a phase
+    that never advances (q = 0), which holds it on its first repetition.
+    The chain starts in the first phase and follows the phases it advances
+    into until one never advances or the path closes a cycle."""
+    path, k = [], 0
+    while k not in path:
+        if phases[k][5] <= 0.0:
+            return [phases[k]], True
+        path.append(k)
+        k = phases[k][4]
+    return [phases[i] for i in path[path.index(k):]], False
 
 
 def _row(i: int, entries: list[tuple[int, float]]) -> list[tuple[int, int, float]]:
@@ -153,9 +140,10 @@ def build_chain(
     beta_p: int,
     literal_personal1_wrap: bool = False,
 ) -> TransitionMatrix:
-    """Sparse transitions of the slotted protocol, from the step outages
-    keyed by source, in O(states).
+    """State labels and sparse transitions of the slotted protocol, from the
+    step outages keyed by source, in O(states).
 
+    States run phase-major with (bcast, relay) interleaved per repetition.
     From a broadcast state: self-loop with probability (broadcast outage) *
     (all-relays-miss), move to the relay step with (broadcast outage) *
     (some relay decoded), and advance with (1 - broadcast outage).  From a
@@ -163,17 +151,18 @@ def build_chain(
     advance on success.  Advancing out of a phase's last repetition enters
     the first broadcast state of the phase it advances into (`_phases`).
     """
-    phases = _phases(outages, beta_s, beta_p, literal_personal1_wrap)
-    triples = []
-    for src, first, reps, into in phases:
+    phases = _phases(outages, capped_plan(beta_s, beta_p), literal_personal1_wrap)
+    labels, triples = [], []
+    for name, src, first, reps, into, _ in phases:
         op_b, op_r, empty = src.bcast, src.relay, src.empty
         for j in range(first, first + reps):
             bcast, relay = 2 * j, 2 * j + 1
-            advance = 2 * (j + 1 if j + 1 < first + reps else phases[into][1])
+            advance = 2 * (j + 1 if j + 1 < first + reps else phases[into][2])
+            labels += [state_label(name, step, j - first + 1) for step in (1, 2)]
             triples += _row(bcast, [(bcast, op_b * empty), (relay, op_b * (1.0 - empty)),
                                     (advance, 1.0 - op_b)])
             triples += _row(relay, [(bcast, op_r), (advance, 1.0 - op_r)])
-    return TransitionMatrix(tuple(protocol_states(beta_s, beta_p)), tuple(triples))
+    return TransitionMatrix(tuple(labels), tuple(triples))
 
 
 def ring_distribution(
@@ -182,98 +171,22 @@ def ring_distribution(
     beta_p: int,
     literal_personal1_wrap: bool = False,
 ) -> np.ndarray:
-    """Stationary vector of the protocol chain in closed form.
+    """Stationary vector over `build_chain`'s states, in closed form.
 
-    The chain is a ring of (broadcast, relay) state pairs, each entered once
-    per cycle at its broadcast state and left only by advancing.  A
-    broadcast visit leads to an advance, directly or through the relay
-    state, with probability q = (1 - op_b) + op_b (1 - e) (1 - op_r), so
-    per cycle the broadcast state is visited 1/q times and the relay state
-    op_b (1 - e)/q times.
-
-    The chain starts in the first phase and follows the phases it advances
-    into.  The first phase on that path that never advances (q = 0: every
-    attempt fails) holds all the mass on its first repetition, 1 : op_b (1 - e)
-    between its two states; otherwise the cycle the path closes holds it
-    (under ``literal_personal1_wrap``, the first personalized phase alone).
+    Each (broadcast, relay) pair is entered once per cycle at its broadcast
+    state and left only by advancing, so per cycle the broadcast state is
+    visited 1/q times and the relay state op_b (1 - e)/q times; a phase that
+    never advances holds the mass 1 : op_b (1 - e) on its first repetition.
     """
-    phases = _phases(outages, beta_s, beta_p, literal_personal1_wrap)
-    pi = np.zeros(2 * sum(reps for _, _, reps, _ in phases))
-    path, k = [], 0
-    while k not in path:
-        path.append(k)
-        src, first, reps, into = phases[k]
-        op_b, op_r, empty = src.bcast, src.relay, src.empty
-        q = (1.0 - op_b) + op_b * (1.0 - empty) * (1.0 - op_r)
-        visits = np.array([1.0, op_b * (1.0 - empty)])
-        if q <= 0.0:
+    held, stuck = _held(_phases(outages, capped_plan(beta_s, beta_p), literal_personal1_wrap))
+    pi = np.zeros(2 * (beta_s + 2 * beta_p))
+    for _, src, first, reps, _, q in held:
+        visits = np.array([1.0, src.bcast * (1.0 - src.empty)])
+        if stuck:
             pi[2 * first : 2 * first + 2] = visits
-            break
-        pi[2 * first : 2 * (first + reps)] = np.tile(visits / q, reps)
-        k = into
-    # The path takes the phases in order, so those ahead of phase k, where it
-    # stopped or closed its cycle, are transient.
-    pi[: 2 * phases[k][1]] = 0.0
+        else:
+            pi[2 * first : 2 * (first + reps)] = np.tile(visits / q, reps)
     return pi / pi.sum()
-
-
-def stationary_distribution(chain: TransitionMatrix) -> np.ndarray:
-    """Stationary row vector of the dense matrix, started from the first
-    state; the independent check on ``ring_distribution``.
-
-    Only the states reachable from the first one take part (a phase that
-    never advances makes each of its repetitions a closed class).
-    Grassmann-Taksar-Heyman elimination censors states out from the last
-    one down with sums of nonnegative terms only, so every entry keeps its
-    relative accuracy even on nearly absorbing chains.  A state that can no
-    longer reach an earlier one is absorbing in the censored chain, and the
-    earlier states get no mass (the ``literal_personal1_wrap`` variant).
-    """
-    reached = np.zeros(len(chain.states), dtype=bool)
-    reached[0] = True
-    while True:
-        grown = reached | (chain.matrix[reached] > 0).any(axis=0)
-        if (grown == reached).all():
-            break
-        reached = grown
-    kept = np.flatnonzero(reached)
-    p = chain.matrix[np.ix_(kept, kept)].astype(float)
-    n = kept.size
-    first = 0
-    for k in range(n - 1, 0, -1):
-        out = p[k, :k].sum()
-        if out <= 0.0:
-            first = k
-            break
-        p[:k, k] /= out
-        p[:k, :k] += np.outer(p[:k, k], p[k, :k])
-    pi = np.zeros(n)
-    pi[first] = 1.0
-    for k in range(first + 1, n):
-        pi[k] = pi[:k] @ p[:k, k]
-    full = np.zeros(len(chain.states))
-    full[kept] = pi / pi.sum()
-    return full
-
-
-def overall_outage(
-    pi: np.ndarray, outages: dict[int, SourceOutages], states: list[ProtocolState]
-) -> float:
-    """Occupancy-weighted average of the per-step outage probabilities.
-
-    An outage above one half is formed as one minus the weighted success
-    mass: that sum has only nonnegative terms, so the result never exceeds 1
-    and is exactly 1 wherever the success mass is below half an ulp of 1,
-    whereas summing outages near 1 lands on either side of 1 by rounding.
-    """
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != (len(states),):
-        raise ConfigError("pi must align with the state list")
-    ops = [getattr(outages[PHASE_SOURCE[s.phase]], s.kind) for s in states]
-    fail = float(sum(p * op for p, op in zip(pi, ops)))
-    if fail < 0.5:
-        return fail
-    return 1.0 - float(sum(p * (1.0 - op) for p, op in zip(pi, ops)))
 
 
 def slot_cost(op: float) -> float:
@@ -288,8 +201,10 @@ def resource_efficiency(
     t_c: float, beta_s: int, beta_p: int, bandwidth_units: float, power_units: float
 ) -> float:
     """Delivered payload pairs per slot, bandwidth unit and power unit; 0
-    when the slot cost is infinite."""
-    denom = t_c * (beta_s + 2 * beta_p) * bandwidth_units * power_units
+    when the slot cost is infinite or the cycle's slot count is past the
+    float range."""
+    slots = beta_s + 2 * beta_p
+    denom = t_c * (slots if fits_float(slots) else math.inf) * bandwidth_units * power_units
     if not (t_c > 0 and denom > 0):
         raise ConfigError("slot cost, slot counts and resource units must be positive")
     return 2.0 / denom
@@ -297,10 +212,8 @@ def resource_efficiency(
 
 @dataclass(frozen=True)
 class ChainSolution:
-    """States, stationary occupancies and the derived scalar metrics."""
+    """The chain's scalar metrics."""
 
-    states: tuple[ProtocolState, ...]
-    stationary: np.ndarray
     overall_op: float
     slot_cost: float
     efficiency: float
@@ -314,25 +227,38 @@ def solve_chain(
     power_units: float = 1.0,
     literal_personal1_wrap: bool = False,
 ) -> ChainSolution:
-    """Stationary law and scalar metrics from the ring law; builds no
-    transition matrix."""
-    states = protocol_states(beta_s, beta_p)
-    pi = ring_distribution(outages, beta_s, beta_p, literal_personal1_wrap)
-    op = overall_outage(pi, outages, states)
+    """Overall outage, slot cost and efficiency from per-phase renewal sums,
+    in O(phases); builds nothing per state.
+
+    Each repetition is a renewal cycle that ends in one success: it lasts
+    (1 + op_b (1 - e))/q slots on average and fails in op_b (1 + (1 - e) op_r)/q
+    of them.  Weighting each phase by its share of the repetitions keeps the
+    sums finite; OP is fails/slots, or 1 - 1/slots from one half up, which
+    never exceeds 1 and is exactly 1 where the success share is below half an ulp.
+    """
+    held, stuck = _held(_phases(outages, phase_plan(beta_s, beta_p), literal_personal1_wrap))
+    op = 1.0
+    if not stuck:
+        total = sum(phase[3] for phase in held)
+        slots = fails = 0.0
+        for _, src, _, reps, _, q in held:
+            share = reps / total / q
+            slots += share * (1.0 + src.bcast * (1.0 - src.empty))
+            fails += share * src.bcast * (1.0 + (1.0 - src.empty) * src.relay)
+        op = fails / slots if fails / slots < 0.5 else 1.0 - 1.0 / slots
     tc = slot_cost(op)
     phi = resource_efficiency(tc, beta_s, beta_p, bandwidth_units, power_units)
-    return ChainSolution(tuple(states), pi, op, tc, phi)
+    return ChainSolution(op, tc, phi)
 
 
-def chain_to_json(
-    solution: ChainSolution, chain: TransitionMatrix, outages: dict[int, SourceOutages]
-) -> str:
-    """State list, sparse transition triples, occupancies and step outages
-    as a JSON document."""
+def chain_to_json(solution: ChainSolution, chain: TransitionMatrix, stationary: np.ndarray,
+                  outages: dict[int, SourceOutages]) -> str:
+    """State list, sparse transition triples, stationary occupancies, scalar
+    metrics and step outages as a JSON document."""
     doc = {
-        "states": [s.label for s in chain.states],
+        "states": list(chain.states),
         "transitions": chain.triples,
-        "stationary": [float(x) for x in solution.stationary],
+        "stationary": [float(x) for x in stationary],
         "overall_outage": solution.overall_op,
         "slot_cost": None if math.isinf(solution.slot_cost) else solution.slot_cost,
         "efficiency": solution.efficiency,

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .markov import STEP_KINDS, Phase, phase_plan, state_label
+from .markov import STEP_KINDS, Phase, capped_plan, state_label
 from .topology import ConfigError, NetworkTopology, SystemConfig, link_rates
 
 SCHEMES = ("mdma", "tdma", "fdma", "noma")
@@ -742,7 +742,7 @@ def simulate(
     if slots < 1:
         raise ConfigError("slots must be at least 1")
     if scheme == "mdma":  # only MDMA's plan is a chain, and bound by its state cap
-        bands = [phase_plan(config.beta_s, config.beta_p)]
+        bands = [capped_plan(config.beta_s, config.beta_p)]
     elif scheme == "tdma":
         bands = [[Phase("payload1", 1, config.beta_t), Phase("payload2", 2, config.beta_t)]]
     elif scheme == "fdma":

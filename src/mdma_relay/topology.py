@@ -166,6 +166,9 @@ class SystemConfig:
             raise ConfigError(f"granularity {self.granularity} is outside [1, {MAX_GRANULARITY}]")
         if self.bandwidth_units <= 0 or self.power_units <= 0:
             raise ConfigError("resource unit counts must be positive")
+        if self.total_bits / self.rate_r0 == math.inf:
+            raise ConfigError(f"total_bits {self.total_bits} over rate_r0 "
+                              f"{self.rate_r0} overflows the slot count")
         if self.beta_s + self.beta_p < 1:
             raise ConfigError("payload requires at least one slot")
         try:

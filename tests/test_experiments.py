@@ -25,12 +25,8 @@ from mdma_relay.experiments import (
     validate,
     write_rows_csv,
 )
-from mdma_relay.markov import (
-    build_chain,
-    overall_outage,
-    ring_distribution,
-    stationary_distribution,
-)
+from chain_reference import overall_outage, stationary_distribution
+from mdma_relay.markov import build_chain, ring_distribution
 from mdma_relay.simulator import SimOptions, shared_draws, simulate
 from mdma_relay.topology import (
     ConfigError,
@@ -379,7 +375,7 @@ def test_cli_analyze_at_low_power_matches_the_direct_solve(tmp_path, power_dbm):
     outs = step_outages(topo, cfg)
     chain = build_chain(outs, cfg.beta_s, cfg.beta_p)
     pi = stationary_distribution(chain)
-    direct = overall_outage(pi, outs, list(chain.states))
+    direct = overall_outage(pi, outs, chain.states)
     assert abs(json.loads(out.read_text())["overall_op"] - direct) < 1e-9
     assert np.max(np.abs(pi - ring_distribution(outs, cfg.beta_s, cfg.beta_p))) < 1e-12
 
@@ -521,6 +517,54 @@ def test_cli_dump_chain_memory_is_linear_in_the_states(tmp_path):
     assert peak < 20e6
 
 
+def _analyze_at(tmp_path, total_bits: float, eta: str) -> dict:
+    topo, cfg = default_paper_setup()
+    config = tmp_path / f"payload{total_bits:g}.json"
+    save_setup(config, topo, replace(cfg, total_bits=total_bits))
+    out = tmp_path / "a.json"
+    assert main(["analyze", "--config", str(config), "--eta", eta, "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("eta", ["1", "0.5"])
+def test_cli_analyze_past_the_state_cap(tmp_path, eta):
+    # 4.9e5 bits at eta 0.5 would be a chain of 1 470 000 states, past the
+    # cap, but analyze sums over phases and lists no state.  A single phase
+    # (eta 1) and phases of equal length (eta 0.5) make OP independent of
+    # the payload size, exactly.
+    doc = _analyze_at(tmp_path, 4.9e5, eta)
+    small = _analyze_at(tmp_path, 10.0, eta)
+    assert doc["overall_op"] == small["overall_op"]
+    assert doc["slot_cost"] == small["slot_cost"]
+    slots = doc["beta_s"] + 2 * doc["beta_p"]
+    assert 2 * slots == {"1": 980_000, "0.5": 1_470_000}[eta]  # chain states
+    assert doc["efficiency"] == pytest.approx(2.0 / (doc["slot_cost"] * slots), rel=1e-15)
+
+
+def test_cli_analyze_where_the_slot_count_passes_the_float_range(tmp_path):
+    # beta_s + 2 beta_p is an int of about 2.55e308: the efficiency would be
+    # below the smallest normal float, so it is 0; OP and T_c are finite.
+    doc = _analyze_at(tmp_path, 1.7e308, "0.5")
+    assert doc["beta_s"] + 2 * doc["beta_p"] > sys.float_info.max
+    assert doc["overall_op"] == _analyze_at(tmp_path, 10.0, "0.5")["overall_op"]
+    assert math.isfinite(doc["slot_cost"]) and doc["efficiency"] == 0.0
+
+
+@pytest.mark.parametrize("total_bits", [4.9e5, 1e308])
+@pytest.mark.parametrize("command", [["dump-chain"], ["simulate", "--scheme", "mdma", "--trials", "10"]],
+                         ids=["dump-chain", "simulate-mdma"])
+def test_cli_per_state_commands_refuse_a_chain_past_the_cap(tmp_path, capsys, command, total_bits):
+    topo, cfg = default_paper_setup()
+    config = tmp_path / "long.json"
+    save_setup(config, topo, replace(cfg, total_bits=total_bits))
+    assert main([*command, "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    states = "1470000" if total_bits == 4.9e5 else "3.000000e+308"
+    assert captured.out == ""
+    assert captured.err == (f"error: the protocol chain would have {states} states, "
+                            "more than the 1000000 supported\n")
+
+
 @pytest.mark.slow
 def test_cli_validate_small(capsys):
     rc = main(["validate", "--paper-defaults", "--trials", "60000", "--seed", "2"])
@@ -572,8 +616,10 @@ def _spec(**edits) -> dict:
                      "overflows the threshold", id="overflowing-threshold"),
         pytest.param("--config", dict(_paper_config(), system={"total_bits": math.inf}),
                      "total_bits must be positive and finite", id="infinite-payload"),
-        pytest.param("--config", dict(_paper_config(), system={"total_bits": 1e308}),
-                     "protocol chain would have 3.000000e+308 states", id="unbounded-chain"),
+        pytest.param("--config", dict(_paper_config(), system={"total_bits": 1e308,
+                                                               "rate_r0": 1e-10}),
+                     "total_bits 1e+308 over rate_r0 1e-10 overflows the slot count",
+                     id="overflowing-slot-count"),
         pytest.param("--config", dict(_paper_config(), system={"granularity": 1000.5}),
                      "granularity must be a whole number", id="fractional-config-granularity"),
         pytest.param("--config", dict(_paper_config(), system={"granularity": math.nan}),

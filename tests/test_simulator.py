@@ -8,7 +8,15 @@ from scipy.stats import ks_2samp
 
 from mdma_relay import simulator
 from mdma_relay.analytic import step_outages
-from mdma_relay.markov import STEP_KINDS, Phase, ProtocolState, phase_plan, solve_chain
+from mdma_relay.markov import (
+    STEP_KINDS,
+    Phase,
+    build_chain,
+    phase_plan,
+    ring_distribution,
+    solve_chain,
+    state_label,
+)
 from mdma_relay.simulator import (
     SCHEMES,
     SimOptions,
@@ -223,10 +231,9 @@ def test_outcome_independence_within_state(setup10):
 def test_occupancy_tracks_stationary_distribution(setup10):
     topo, cfg = setup10
     outs = step_outages(topo, cfg)
-    sol = solve_chain(outs, cfg.beta_s, cfg.beta_p)
     est = simulate("mdma", topo, cfg, 400_000, seed=21)
-    assert est.occupancy_labels == [s.label for s in sol.states]
-    assert np.max(np.abs(est.occupancy - sol.stationary)) < 5e-3
+    assert est.occupancy_labels == list(build_chain(outs, cfg.beta_s, cfg.beta_p).states)
+    assert np.max(np.abs(est.occupancy - ring_distribution(outs, cfg.beta_s, cfg.beta_p))) < 5e-3
 
 
 def test_overall_op_matches_analytic(setup10):
@@ -272,7 +279,7 @@ def test_band_schemes_take_their_labels_from_markov(setup10, scheme):
         "fdma": [Phase("band1", 1, cfg.beta_t), Phase("band2", 2, cfg.beta_t)],
     }[scheme]
     est = simulate(scheme, topo, cfg, 2_000, seed=1)
-    assert est.occupancy_labels == [ProtocolState(p.name, step, j).label
+    assert est.occupancy_labels == [state_label(p.name, step, j)
                                     for p in plan for j in range(1, p.reps + 1) for step in (1, 2)]
     assert list(est.per_step) == [f"{p.name}:{kind}" for p in plan for kind in STEP_KINDS]
 
