@@ -13,13 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .analytic import (
-    GatedExponential,
-    closed_form_applies,
-    decode_fail_probs,
-    relay_sum_cdf,
-    step_outages,
-)
+from .analytic import GatedPaths, decode_fail_probs, relay_sum_cdf, step_outages
 from .markov import ChainSolution, labelled, ring_distribution, solve_chain
 from .simulator import SCHEMES, SimOptions, shared_draws, simulate
 from .topology import (
@@ -314,12 +308,11 @@ def validate(
     errors = []
     for source in (1, 2):
         rates = link_rates(topology, config, source)
-        fails = decode_fail_probs(topology, config, source)
-        gates = [GatedExponential(a, r) for a, r in zip(fails, rates.relay_dest)]
-        if not closed_form_applies(gates):
+        paths = GatedPaths(decode_fail_probs(topology, config, source), rates.relay_dest)
+        if not paths.closed_form:
             continue
-        closed = relay_sum_cdf(gates)(gamma_grid)
-        oracle = relay_sum_cdf_quadrature(gates, gamma_grid)
+        closed = relay_sum_cdf(paths)(gamma_grid)
+        oracle = relay_sum_cdf_quadrature(paths, gamma_grid)
         errors.append(float(np.max(np.abs(closed - oracle))))
     if errors:
         worst = max(errors)

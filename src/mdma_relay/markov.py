@@ -20,9 +20,10 @@ from .analytic import SourceOutages
 from .topology import ConfigError, fits_float
 
 ROW_SUM_TOL = 1e-12
-# Bounds the code that builds one entry per state (`capped_plan`).  At 300 000
-# states `dump-chain` takes 7.6 s and 535 MB (peak RSS, 2-core host), so at
-# this cap it needs about 1.8 GB; a payload of 1e308 bits would exhaust memory.
+# Bounds the code that builds one entry per state (`refuse_past_cap`).  At
+# 300 000 states `dump-chain` takes 7.6 s and 535 MB (peak RSS, 2-core host),
+# so at this cap it needs about 1.8 GB; a payload of 1e308 bits would exhaust
+# memory.
 MAX_CHAIN_STATES = 1_000_000
 
 # Protocol cycle, in order, with the source that sends each phase: shared
@@ -55,13 +56,20 @@ def phase_plan(beta_s: int, beta_p: int) -> list[Phase]:
     return [Phase(name, source, reps[name]) for name, source in PHASE_SOURCE.items() if reps[name] > 0]
 
 
-def capped_plan(beta_s: int, beta_p: int) -> list[Phase]:
-    """`phase_plan` past MAX_CHAIN_STATES states refused, for code that lists the states."""
-    states = 2 * (beta_s + 2 * beta_p)  # a broadcast and a relay state per slot
+def refuse_past_cap(*bands: list[Phase]) -> None:
+    """Refuse, for code that lists the states, bands of more than
+    MAX_CHAIN_STATES states in all: a broadcast and a relay state per slot."""
+    states = 2 * sum(reps for plan in bands for _, _, reps in plan)
     if states > MAX_CHAIN_STATES:
         raise ConfigError(f"the protocol chain would have {Decimal(states):.7g} states, "
                           f"more than the {MAX_CHAIN_STATES} supported")
-    return phase_plan(beta_s, beta_p)
+
+
+def capped_plan(beta_s: int, beta_p: int) -> list[Phase]:
+    """`phase_plan`, refused past MAX_CHAIN_STATES states."""
+    plan = phase_plan(beta_s, beta_p)
+    refuse_past_cap(plan)
+    return plan
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import quad, quad_vec
 from scipy.interpolate import BarycentricInterpolator
 
-from .analytic import GatedExponential
+from .analytic import GatedPaths
 
 _CHEB_POINTS = 33
 _QUAD_TOL = 1e-11
@@ -66,14 +66,10 @@ def exp_sum_cdf_quadrature(rates: list[float], gammas: np.ndarray) -> np.ndarray
     return _convolve_level(rates[-1], prev, gammas)
 
 
-def relay_sum_cdf_quadrature(
-    gates: list[GatedExponential], gammas: np.ndarray
-) -> np.ndarray:
+def relay_sum_cdf_quadrature(paths: GatedPaths, gammas: np.ndarray) -> np.ndarray:
     """Defective relay-sum CDF as the subset mixture of quadrature CDFs."""
     gammas = np.asarray(gammas, dtype=float)
-    m = len(gates)
-    a = np.array([g.gate_prob for g in gates])
-    lam = np.array([g.rate for g in gates])
+    m, a, lam = len(paths), paths.gate_probs, paths.rates
     total = np.zeros_like(gammas)
     for mask in range(1, 1 << m):
         members = [i for i in range(m) if mask >> i & 1]
@@ -104,14 +100,10 @@ def truncated_direct_plus_exp_sum_outage(
     return val
 
 
-def step2_outage_quadrature(
-    direct_rate: float, gamma_th: float, gates: list[GatedExponential]
-) -> float:
+def step2_outage_quadrature(direct_rate: float, gamma_th: float, paths: GatedPaths) -> float:
     """Relay-step outage by quadrature over every nonempty decode set."""
-    m = len(gates)
-    a = np.array([g.gate_prob for g in gates])
-    lam = np.array([g.rate for g in gates])
-    empty = float(np.prod(a))
+    m, a, lam = len(paths), paths.gate_probs, paths.rates
+    empty = paths.empty
     total = 0.0
     for mask in range(1, 1 << m):
         members = [i for i in range(m) if mask >> i & 1]

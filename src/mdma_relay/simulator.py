@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .markov import STEP_KINDS, Phase, capped_plan, state_label
+from .markov import STEP_KINDS, Phase, phase_plan, refuse_past_cap, state_label
 from .topology import ConfigError, NetworkTopology, SystemConfig, link_rates
 
 SCHEMES = ("mdma", "tdma", "fdma", "noma")
@@ -741,8 +741,8 @@ def simulate(
         raise ConfigError(f"seed must be non-negative, got {seed}")
     if slots < 1:
         raise ConfigError("slots must be at least 1")
-    if scheme == "mdma":  # only MDMA's plan is a chain, and bound by its state cap
-        bands = [capped_plan(config.beta_s, config.beta_p)]
+    if scheme == "mdma":
+        bands = [phase_plan(config.beta_s, config.beta_p)]
     elif scheme == "tdma":
         bands = [[Phase("payload1", 1, config.beta_t), Phase("payload2", 2, config.beta_t)]]
     elif scheme == "fdma":
@@ -751,6 +751,7 @@ def simulate(
         return _run_noma(topology, config, slots, seed, options, draws)
     else:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    refuse_past_cap(*bands)  # a band run lists a label and an occupancy entry per state
     return _run_bands(topology, config, scheme, bands, slots, seed, options, draws)
 
 

@@ -62,6 +62,8 @@ class NetworkTopology:
     """Positions of the two sources, the relays and the destination.
 
     Coordinates are unitless lengths; mean link gains are d**-alpha.
+    ``link_distances`` holds every link's length, measured once, as the
+    topology is built.
     """
 
     s1_pos: Coord
@@ -81,17 +83,22 @@ class NetworkTopology:
             raise ConfigError("at least one relay is required")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ConfigError(f"path-loss exponent must be positive, got {self.alpha}")
-        # Reject any zero-length link the model actually uses.
+        # Measure every link the model uses, once (`link_rates` reads these
+        # lengths), and reject any of zero length.
         pairs = [("s1", self.s1_pos, "d", self.d_pos), ("s2", self.s2_pos, "d", self.d_pos)]
         for i, r in enumerate(self.relay_pos, start=1):
             pairs.append(("s1", self.s1_pos, f"r{i}", r))
             pairs.append(("s2", self.s2_pos, f"r{i}", r))
             pairs.append((f"r{i}", r, "d", self.d_pos))
-        for name_a, a, name_b, b in pairs:
-            if euclidean(a, b) <= 0.0:
+        lengths = [euclidean(a, b) for _, a, _, b in pairs]
+        for (name_a, a, name_b, _), length in zip(pairs, lengths):
+            if length <= 0.0:
                 raise DegenerateGeometryError(
                     f"nodes {name_a} and {name_b} are coincident at {a}"
                 )
+        per_relay = np.array(lengths[2:]).reshape(-1, 3).T  # rows: s1-r, s2-r, r-d
+        per_relay.flags.writeable = False
+        object.__setattr__(self, "link_distances", LinkDistances(lengths[0], lengths[1], *per_relay))
 
     @property
     def num_relays(self) -> int:
@@ -100,24 +107,14 @@ class NetworkTopology:
 
 @dataclass(frozen=True)
 class LinkDistances:
-    """All link distances the two-source relay network uses."""
+    """All link distances the two-source relay network uses, as
+    ``NetworkTopology.link_distances`` holds them (read-only arrays)."""
 
     s1_d: float
     s2_d: float
     s1_r: np.ndarray  # source 1 to each relay
     s2_r: np.ndarray  # source 2 to each relay
     r_d: np.ndarray   # each relay to destination
-
-
-def distances(topology: NetworkTopology) -> LinkDistances:
-    """Euclidean distances for every link in the network (deterministic)."""
-    return LinkDistances(
-        s1_d=euclidean(topology.s1_pos, topology.d_pos),
-        s2_d=euclidean(topology.s2_pos, topology.d_pos),
-        s1_r=np.array([euclidean(topology.s1_pos, r) for r in topology.relay_pos]),
-        s2_r=np.array([euclidean(topology.s2_pos, r) for r in topology.relay_pos]),
-        r_d=np.array([euclidean(r, topology.d_pos) for r in topology.relay_pos]),
-    )
 
 
 def _ceil_slots(bits: float, rate: float) -> int:
@@ -250,7 +247,7 @@ def link_rates(topology: NetworkTopology, config: SystemConfig, source: int) -> 
     """Rates d**alpha/snr for the links used when `source` (1 or 2) transmits."""
     if source not in (1, 2):
         raise ConfigError(f"source must be 1 or 2, got {source}")
-    d = distances(topology)
+    d = topology.link_distances
     snr = config.snr_linear()
     a = topology.alpha
     sd = d.s1_d if source == 1 else d.s2_d

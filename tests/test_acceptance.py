@@ -14,11 +14,11 @@ import pytest
 
 from chain_reference import dense, stationary_distribution
 from conftest import record_acceptance
+from relay_reference import numeric_relay_sum_cdf
 
 from mdma_relay.analytic import (
-    GatedExponential,
+    GatedPaths,
     decode_fail_probs,
-    numeric_relay_sum_cdf,
     relay_sum_cdf,
     step_outages,
 )
@@ -44,7 +44,7 @@ def random_distinct_gates(rng, m):
         if gaps.min() > 0.02 * lam.max():
             break
     probs = rng.uniform(0.05, 0.9, m)
-    return [GatedExponential(float(a), float(r)) for a, r in zip(probs, lam)]
+    return GatedPaths(probs, lam)
 
 
 def test_criterion_1_cdf_vs_quadrature():
@@ -55,7 +55,7 @@ def test_criterion_1_cdf_vs_quadrature():
     for k in range(100):
         m = 1 + k % 4
         gates = random_distinct_gates(rng, m)
-        gmax = 3.0 / min(g.rate for g in gates)
+        gmax = 3.0 / gates.rates.min()
         gammas = np.linspace(gmax / 20.0, gmax, 20)
         closed = relay_sum_cdf(gates)(gammas)
         oracle = relay_sum_cdf_quadrature(gates, gammas)
@@ -262,7 +262,7 @@ def test_criterion_7_degenerate_inputs(paper_setup):
     rates = link_rates(topo, cfg, 1)
     assert rates.relay_dest[0] == rates.relay_dest[1]
     fails = decode_fail_probs(topo, cfg, 1)
-    gates = [GatedExponential(float(a), float(r)) for a, r in zip(fails, rates.relay_dest)]
+    gates = GatedPaths(fails, rates.relay_dest)
     grid = np.linspace(0.05, 4.0, 25)
     numeric = numeric_relay_sum_cdf(gates, grid)
     oracle = relay_sum_cdf_quadrature(gates, grid)
@@ -273,8 +273,7 @@ def test_criterion_7_degenerate_inputs(paper_setup):
     step_err = 0.0
     for source, relay_op in ((1, outs[1].relay), (2, outs[2].relay)):
         r = link_rates(topo, cfg, source)
-        g = [GatedExponential(float(a), float(lam))
-             for a, lam in zip(decode_fail_probs(topo, cfg, source), r.relay_dest)]
+        g = GatedPaths(decode_fail_probs(topo, cfg, source), r.relay_dest)
         exact = step2_outage_quadrature(r.direct, cfg.gamma_th, g)
         step_err = max(step_err, abs(relay_op - exact))
     step_tol = 5.0 / cfg.granularity

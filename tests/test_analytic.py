@@ -2,7 +2,6 @@ import itertools
 import math
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from mdma_relay.analytic import (
     RATE_TIE_RTOL,
     BinnedPmf,
     ConditioningError,
-    GatedExponential,
+    GatedPaths,
     SourceOutages,
     bin_conditional_direct,
     bin_relay_sum,
@@ -22,7 +21,6 @@ from mdma_relay.analytic import (
     decode_fail_probs,
     direct_outage,
     exp_cdf_basis,
-    numeric_relay_sum_cdf,
     numeric_relay_sum_pmf,
     relay_sum_cdf,
     step2_outage,
@@ -38,6 +36,8 @@ from mdma_relay.topology import (
     link_rates,
 )
 from dataclasses import replace
+
+from relay_reference import numeric_relay_sum_cdf
 
 
 def binned_relay_sum(cdf, gamma_th, n):
@@ -56,7 +56,45 @@ def random_gates(rng, m, rate_lo=0.3, rate_hi=4.0):
         if gaps.min() > 0.02 * lam.max():
             break
     probs = rng.uniform(0.05, 0.9, m)
-    return [GatedExponential(float(a), float(r)) for a, r in zip(probs, lam)]
+    return GatedPaths(probs, lam)
+
+
+# ---------------------------------------------------------------------------
+# GatedPaths
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("gate_probs, rates, message", [
+    ([0.5, -0.1], [1.0, 2.0], "gate probabilities must lie in"),
+    ([0.5, 1.1], [1.0, 2.0], "gate probabilities must lie in"),
+    ([0.5, math.nan], [1.0, 2.0], "gate probabilities must lie in"),
+    ([0.5, 0.5], [1.0, 0.0], "rates must be positive"),
+    ([0.5, 0.5], [1.0, -2.0], "rates must be positive"),
+    ([0.5, 0.5], [1.0, math.nan], "rates must be positive"),
+    ([0.5, 0.5], [1.0], "of one length"),
+    ([[0.5]], [[1.0]], "of one length"),
+    ([], [], "at least one relay path"),
+])
+def test_gated_paths_refuse_bad_input(gate_probs, rates, message):
+    with pytest.raises(ConfigError, match=message):
+        GatedPaths(gate_probs, rates)
+
+
+def test_gated_paths_hold_float_arrays_and_share_the_tie_check(monkeypatch):
+    paths = GatedPaths([0, 1], [2, math.inf])  # both ends of the gate range, an infinite rate
+    assert paths.gate_probs.dtype == paths.rates.dtype == np.float64
+    assert len(paths) == 2 and paths.empty == 0.0
+    calls = []
+
+    def counted(rates):
+        calls.append(len(rates))
+        return True
+
+    monkeypatch.setattr(analytic, "closed_form_applies", counted)
+    other = paths.with_gates([0.25, 0.5])
+    assert other.rates is paths.rates and other.empty == 0.125
+    assert paths.closed_form and other.closed_form and calls == [2]
+    with pytest.raises(ConfigError, match="gate probabilities"):
+        paths.with_gates([0.5, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +145,7 @@ def test_decode_fail_probs_zero_threshold(paper_setup):
 def test_decode_fail_probs_increase_with_distance(paper_setup):
     topo, cfg = paper_setup
     fails = decode_fail_probs(topo, cfg, 1)
-    from mdma_relay.topology import distances
-
-    order = np.argsort(distances(topo).s1_r)
+    order = np.argsort(topo.link_distances.s1_r)
     assert np.all(np.diff(fails[order]) > 0)
 
 
@@ -120,8 +156,7 @@ def test_decode_fail_probs_increase_with_distance(paper_setup):
 def pair_coeffs(rate_x: float, rate_y: float) -> np.ndarray:
     # With both gates open only the two-relay subset has weight, so the
     # aggregated coefficients are the pair's pole ratios r_y / (r_y - r_x).
-    gates = [GatedExponential(0.0, rate_x), GatedExponential(0.0, rate_y)]
-    return relay_sum_cdf(gates).coeff_per_rate
+    return relay_sum_cdf(GatedPaths([0.0, 0.0], [rate_x, rate_y])).coeff_per_rate
 
 
 def test_coeff_pair_sums_to_one():
@@ -148,8 +183,7 @@ def test_coeff_tie_rejected():
 # ---------------------------------------------------------------------------
 
 def test_single_relay_closed_form():
-    gate = GatedExponential(0.4, 1.7)
-    cdf = relay_sum_cdf([gate])
+    cdf = relay_sum_cdf(GatedPaths([0.4], [1.7]))
     for g in (0.1, 0.8, 2.5):
         assert cdf(g) == pytest.approx(0.6 * -math.expm1(-1.7 * g), abs=1e-14)
 
@@ -160,14 +194,13 @@ def test_cdf_limits():
         gates = random_gates(rng, int(rng.integers(1, 5)))
         cdf = relay_sum_cdf(gates)
         assert cdf(0.0) == pytest.approx(0.0, abs=1e-12)
-        expect = 1.0 - np.prod([g.gate_prob for g in gates])
+        expect = 1.0 - np.prod(gates.gate_probs)
         assert cdf(1e6) == pytest.approx(expect, abs=1e-10)
         assert cdf.total_mass == pytest.approx(expect, abs=1e-14)
 
 
 def test_two_relay_value_against_quadrature():
-    gates = [GatedExponential(0.3, 1.0), GatedExponential(0.6, 2.0)]
-    cdf = relay_sum_cdf(gates)
+    cdf = relay_sum_cdf(GatedPaths([0.3, 0.6], [1.0, 2.0]))
 
     # Oracle: integrate each decode set's density directly.
     only_1 = 0.7 * 0.6 * quad(lambda x: math.exp(-x), 0, 1.0)[0]
@@ -180,8 +213,7 @@ def test_two_relay_value_against_quadrature():
 
 
 def test_subset_expansion_shape():
-    gates = [GatedExponential(0.2, 1.0), GatedExponential(0.5, 2.0), GatedExponential(0.7, 3.5)]
-    cdf = relay_sum_cdf(gates)
+    cdf = relay_sum_cdf(GatedPaths([0.2, 0.5, 0.7], [1.0, 2.0, 3.5]))
     assert len(cdf.subset_terms) == 7
     weights = sum(t.weight for t in cdf.subset_terms)
     assert weights == pytest.approx(cdf.total_mass)
@@ -206,9 +238,7 @@ def _loop_relay_sum_cdf(gates):
             total = s
         return total
 
-    m = len(gates)
-    a = np.array([g.gate_prob for g in gates])
-    lam = np.array([g.rate for g in gates], dtype=float)
+    m, a, lam = len(gates), gates.gate_probs, gates.rates
     theta = np.zeros((m, m))
     for x in range(m):
         for y in range(m):
@@ -269,16 +299,16 @@ def test_residue_coefficients_are_near_exact_and_subset_view_is_bit_identical_to
     for topo, cfg, source in cases:
         fails = decode_fail_probs(topo, cfg, source)
         rates = link_rates(topo, cfg, source).relay_dest
-        gate_sets.append([GatedExponential(a, r) for a, r in zip(fails, rates)])
+        gate_sets.append(GatedPaths(fails, rates))
     rng = np.random.default_rng(2024)
     for _ in range(300):
         m = int(rng.integers(1, 13))
         probs, lam = rng.uniform(0.0, 1.0, m), rng.uniform(0.05, 5.0, m)
-        gate_sets.append([GatedExponential(float(a), float(r)) for a, r in zip(probs, lam)])
+        gate_sets.append(GatedPaths(probs, lam))
 
     checked = 0
     for gates in gate_sets:
-        if not closed_form_applies(gates):
+        if not gates.closed_form:
             continue
         cdf = relay_sum_cdf(gates)
         # The SubsetTerm view is built only when read.
@@ -297,7 +327,7 @@ def test_residue_coefficients_are_near_exact_and_subset_view_is_bit_identical_to
 
 def test_relay_sum_cdf_needs_no_subset_expansion():
     # 20 relays: the 2^20 decode sets would take about 168 MB as doubles.
-    gates = [GatedExponential(0.05 + 0.04 * i, 0.5 + 0.15 * i) for i in range(20)]
+    gates = GatedPaths([0.05 + 0.04 * i for i in range(20)], [0.5 + 0.15 * i for i in range(20)])
     tracemalloc.start()
     try:
         cdf = relay_sum_cdf(gates)
@@ -316,8 +346,7 @@ def test_aggregated_coefficients_match_product_identity():
     for _ in range(20):
         gates = random_gates(rng, int(rng.integers(2, 6)))
         cdf = relay_sum_cdf(gates)
-        a = np.array([g.gate_prob for g in gates])
-        lam = np.array([g.rate for g in gates])
+        a, lam = gates.gate_probs, gates.rates
         for x in range(len(gates)):
             prod = 1.0 - a[x]
             for y in range(len(gates)):
@@ -328,14 +357,14 @@ def test_aggregated_coefficients_match_product_identity():
 
 
 def test_tie_switches_to_the_convolution_continuously():
-    tied = [GatedExponential(0.3, 2.0), GatedExponential(0.5, 2.0)]
-    assert not closed_form_applies(tied)
+    tied = GatedPaths([0.3, 0.5], [2.0, 2.0])
+    assert not tied.closed_form
     with pytest.raises(ConfigError):
         relay_sum_cdf(tied)
     # Just outside the tie tolerance the closed form applies again and
     # agrees with the convolution of the tied paths.
-    apart = [GatedExponential(0.3, 2.0), GatedExponential(0.5, 2.0 * (1 + 1e-6))]
-    assert closed_form_applies(apart)
+    apart = GatedPaths([0.3, 0.5], [2.0, 2.0 * (1 + 1e-6)])
+    assert apart.closed_form
     grid = np.linspace(0.05, 5.0, 40)
     assert np.max(np.abs(relay_sum_cdf(apart)(grid) - numeric_relay_sum_cdf(tied, grid))) < 1e-5
     n = 1000
@@ -345,9 +374,10 @@ def test_tie_switches_to_the_convolution_continuously():
 
 
 def test_relay_count_cap():
-    gates = [GatedExponential(0.5, 1.0 + 0.01 * i) for i in range(21)]
-    assert not closed_form_applies(gates)
-    assert closed_form_applies(gates[:20])
+    rates = [1.0 + 0.01 * i for i in range(21)]
+    gates = GatedPaths([0.5] * 21, rates)
+    assert not gates.closed_form
+    assert GatedPaths([0.5] * 20, rates[:20]).closed_form
     with pytest.raises(ConfigError):
         relay_sum_cdf(gates)
 
@@ -398,9 +428,8 @@ def test_closed_form_applies_matches_the_isclose_form():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # inf - inf must not warn on stderr
         for rates in sets:
-            # Only the rates are read; NaN cannot reach a GatedExponential.
-            gates = [SimpleNamespace(rate=r) for r in rates]
-            assert closed_form_applies(gates) == _isclose_form(rates), rates
+            # Called on the rates alone: NaN cannot reach a GatedPaths.
+            assert closed_form_applies(rates) == _isclose_form(rates), rates
 
 
 def test_cdf_nondecreasing_property():
@@ -408,7 +437,7 @@ def test_cdf_nondecreasing_property():
     for _ in range(15):
         gates = random_gates(rng, int(rng.integers(1, 6)))
         cdf = relay_sum_cdf(gates)
-        grid = np.linspace(0.0, 10.0 / min(g.rate for g in gates), 1000)
+        grid = np.linspace(0.0, 10.0 / gates.rates.min(), 1000)
         vals = cdf(grid)
         noise = 64 * np.finfo(float).eps * max(1.0, float(np.abs(cdf.coeff_per_rate).sum()))
         assert np.all(np.diff(vals) >= -noise)
@@ -421,7 +450,7 @@ def test_cdf_invariant_under_reordering():
     base = relay_sum_cdf(gates)(grid)
     for _ in range(5):
         perm = rng.permutation(len(gates))
-        shuffled = [gates[i] for i in perm]
+        shuffled = GatedPaths(gates.gate_probs[perm], gates.rates[perm])
         assert np.max(np.abs(relay_sum_cdf(shuffled)(grid) - base)) < 1e-11
 
 
@@ -468,6 +497,17 @@ def test_cdf_basis_in_one_buffer_keeps_the_bits_of_the_temporaries():
         assert cdf(0.7) == float(-np.expm1(-0.7 * cdf.rates) @ cdf.coeff_per_rate)
 
 
+def test_bin_edges_are_the_linspace_grid_bit_for_bit():
+    rng = np.random.default_rng(35)
+    # The smallest threshold a config accepts (2**-52, from 2**rate_r0 - 1),
+    # the paper's, and random ones over the whole float range.
+    thresholds = [2.0 ** -52, 1.0, 3.0, math.pi, 1e300, *(10.0 ** rng.uniform(-15, 300, 40))]
+    for gamma_th in thresholds:
+        for n in (1, 2, 3, 7, 999, 1000, 4096, 100_003, 1_000_000):
+            edges = analytic.bin_edges(gamma_th, n)
+            assert _bits(edges) == _bits(np.linspace(0.0, gamma_th, n + 1)), (gamma_th, n)
+
+
 def test_bin_conditional_direct_normalizes():
     link = LinkParam(0.8)
     pmf = bin_conditional_direct(link, 1.0, 400)
@@ -504,14 +544,14 @@ def test_binned_pmf_validation():
 # ---------------------------------------------------------------------------
 
 def test_step2_zero_when_relay_mass_above_threshold():
-    gates = [GatedExponential(0.2, 0.5)]
+    gates = GatedPaths([0.2], [0.5])
     relay_pmf = BinnedPmf(np.zeros(100), 1.0, 100)
     direct_pmf = bin_conditional_direct(LinkParam(1.0), 1.0, 100)
     assert step2_outage(relay_pmf, direct_pmf, gates) == 0.0
 
 
 def test_step2_requires_matching_grids():
-    gates = [GatedExponential(0.2, 0.5)]
+    gates = GatedPaths([0.2], [0.5])
     cdf = relay_sum_cdf(gates)
     with pytest.raises(ConfigError):
         step2_outage(
@@ -522,7 +562,7 @@ def test_step2_requires_matching_grids():
 
 
 def test_step2_impossible_conditioning():
-    gates = [GatedExponential(1.0, 0.5)]
+    gates = GatedPaths([1.0], [0.5])
     cdf = relay_sum_cdf(gates)
     with pytest.raises(ConditioningError):
         step2_outage(
@@ -536,7 +576,7 @@ def test_step2_single_relay_against_quadrature():
     # Two-path brute force: direct SNR conditioned below the threshold plus
     # one decoded relay's exponential, integrated exactly.
     direct_rate, relay_rate, gamma_th, n = 1.1, 0.7, 1.0, 4000
-    gates = [GatedExponential(0.35, relay_rate)]
+    gates = GatedPaths([0.35], [relay_rate])
     est = step2_outage(
         binned_relay_sum(relay_sum_cdf(gates), gamma_th, n),
         bin_conditional_direct(LinkParam(direct_rate), gamma_th, n),
@@ -612,12 +652,12 @@ def _per_source_pipeline(topo, cfg, source):
     relay-sum basis where the closed form applies."""
     rates = link_rates(topo, cfg, source)
     fails = decode_fail_probs(topo, cfg, source)
-    gates = [GatedExponential(a, r) for a, r in zip(fails, rates.relay_dest)]
+    gates = GatedPaths(fails, rates.relay_dest)
     direct, gamma_th, n = LinkParam(rates.direct), cfg.gamma_th, cfg.granularity
     empty = float(np.prod(fails))
     if empty >= 1.0:
         return SourceOutages(direct_outage(direct, gamma_th), 1.0, empty)
-    if closed_form_applies(gates):
+    if gates.closed_form:
         relay_pmf = binned_relay_sum(relay_sum_cdf(gates), gamma_th, n)
     else:
         relay_pmf = numeric_relay_sum_pmf(gates, gamma_th, n)
@@ -641,8 +681,7 @@ def test_step_outages_equal_the_per_source_pipeline(paper_setup, relays, n):
 def test_tied_rates_take_the_convolution_for_both_sources(monkeypatch, paper_setup):
     topo = _line_topology(10)
     cfg = paper_setup[1]
-    assert not closed_form_applies(
-        [GatedExponential(0.5, r) for r in link_rates(topo, cfg, 1).relay_dest])
+    assert not closed_form_applies(link_rates(topo, cfg, 1).relay_dest)
     seen, bases = [], []
 
     def numeric(gates, gamma_th, granularity):
@@ -672,12 +711,12 @@ def _basis_sizes(monkeypatch, topo, cfg):
 
 def test_one_basis_per_step_outages_call(monkeypatch, paper_setup):
     topo, cfg = paper_setup
-    # One (n + 1)-row basis, then each source's check of its last row.
-    assert _basis_sizes(monkeypatch, topo, cfg) == [cfg.granularity + 1, 1, 1]
+    # One (n + 1)-row basis; the check of its last row builds no other.
+    assert _basis_sizes(monkeypatch, topo, cfg) == [cfg.granularity + 1]
     # At -20 dBm no relay decodes source 2, but some decode source 1.
     low = replace(cfg, power_dbm=-20.0)
     assert (decode_fail_probs(topo, low, 2) == 1.0).all()
-    assert _basis_sizes(monkeypatch, topo, low) == [cfg.granularity + 1, 1]
+    assert _basis_sizes(monkeypatch, topo, low) == [cfg.granularity + 1]
 
 
 @pytest.mark.parametrize("case", ["noiseless", "zero-threshold", "tied", "21-relays", "all-fail"])
@@ -691,6 +730,40 @@ def test_no_basis_where_no_source_bins_the_closed_form(monkeypatch, paper_setup,
         "all-fail": (topo, replace(cfg, power_dbm=-30.0)),
     }[case]
     assert _basis_sizes(monkeypatch, topo, cfg) == []
+
+
+def test_one_tie_check_per_step_outages_and_each_link_measured_once_per_analyze(
+        monkeypatch, capsys, paper_setup):
+    from mdma_relay import topology
+    from mdma_relay.cli import main
+
+    ties, measured = [], []
+    real_euclidean = topology.euclidean
+
+    def tie_check(rates):
+        ties.append(len(rates))
+        return closed_form_applies(rates)
+
+    def euclidean(a, b):
+        measured.append((a, b))
+        return real_euclidean(a, b)
+
+    monkeypatch.setattr(analytic, "closed_form_applies", tie_check)
+    monkeypatch.setattr(topology, "euclidean", euclidean)
+    topo, cfg = default_paper_setup()
+    assert len(measured) == 2 + 3 * 8  # each link once, as the topology is built
+    step_outages(topo, cfg)
+    step_outages(topo, replace(cfg, power_dbm=20.0))
+    assert ties == [8, 8] and len(measured) == 26
+    ties.clear(), measured.clear()
+    assert main(["analyze", "--paper-defaults"]) == 0
+    capsys.readouterr()
+    assert ties == [8, 8]  # two step_outages calls, one tie check each
+    assert len(measured) == 26
+    # Called directly, the closed form still checks its rates.
+    for paths in (GatedPaths([0.5, 0.5], [2.0, 2.0]), GatedPaths([0.5] * 21, 1.0 + 0.01 * np.arange(21))):
+        with pytest.raises(ConfigError, match="subset expansion"):
+            relay_sum_cdf(paths)
 
 
 def test_step_outages_peak_memory_is_one_basis(paper_setup):
@@ -719,7 +792,7 @@ def test_transform_inversion_consistency_small_m():
     for _ in range(8):
         m = int(rng.integers(1, 5))
         gates = random_gates(rng, m)
-        gamma_th = 1.5 / min(g.rate for g in gates)
+        gamma_th = 1.5 / gates.rates.min()
         closed = binned_relay_sum(relay_sum_cdf(gates), gamma_th, n)
         numeric = numeric_relay_sum_pmf(gates, gamma_th, n)
         tv = 0.5 * float(np.sum(np.abs(closed.probs - numeric.probs)))
@@ -727,7 +800,7 @@ def test_transform_inversion_consistency_small_m():
 
 
 def test_numeric_cdf_tracks_closed_form():
-    gates = [GatedExponential(0.3, 1.0), GatedExponential(0.6, 2.2), GatedExponential(0.1, 3.1)]
+    gates = GatedPaths([0.3, 0.6, 0.1], [1.0, 2.2, 3.1])
     grid = np.linspace(0.2, 6.0, 25)
     closed = relay_sum_cdf(gates)(grid)
     numeric = numeric_relay_sum_cdf(gates, grid)
@@ -754,8 +827,8 @@ def test_numeric_fallback_agrees_with_closed_form(paper_setup):
     closed = step_outages(topo, low)[1].relay
     rates = link_rates(topo, low, 1)
     fails = decode_fail_probs(topo, low, 1)
-    gates = [GatedExponential(a, r) for a, r in zip(fails, rates.relay_dest)]
-    assert closed_form_applies(gates)
+    gates = GatedPaths(fails, rates.relay_dest)
+    assert gates.closed_form
     numeric = step2_outage(
         numeric_relay_sum_pmf(gates, low.gamma_th, n),
         bin_conditional_direct(LinkParam(rates.direct), low.gamma_th, n),
@@ -766,7 +839,7 @@ def test_numeric_fallback_agrees_with_closed_form(paper_setup):
 
 def _step2_by_convolution(relay_pmf, direct_pmf, gates):
     """Frozen reference: the relay step by a full O(n^2) convolution."""
-    empty_prob = float(np.prod([g.gate_prob for g in gates]))
+    empty_prob = float(np.prod(gates.gate_probs))
     n = relay_pmf.granularity
     combined = np.convolve(relay_pmf.probs, direct_pmf.probs)
     # Raw convolution index k (0-based) holds bin-index sum k+2.
@@ -778,8 +851,7 @@ def _paper_pmfs(power_dbm, n):
     topo, cfg = default_paper_setup(power_dbm=power_dbm, granularity=n)
     for source in (1, 2):
         rates = link_rates(topo, cfg, source)
-        gates = [GatedExponential(float(a), float(r))
-                 for a, r in zip(decode_fail_probs(topo, cfg, source), rates.relay_dest)]
+        gates = GatedPaths(decode_fail_probs(topo, cfg, source), rates.relay_dest)
         yield (
             binned_relay_sum(relay_sum_cdf(gates), cfg.gamma_th, n),
             bin_conditional_direct(LinkParam(rates.direct), cfg.gamma_th, n),
@@ -792,7 +864,7 @@ def test_step2_prefix_sum_matches_the_convolution(n):
     rng = np.random.default_rng(20_000 + n)
     cases = [c for p in (-10.0, 0.0, 10.0, 20.0, 30.0) for c in _paper_pmfs(p, n)]
     for _ in range(20):
-        gates = [GatedExponential(float(a), 1.0) for a in rng.uniform(0.0, 0.9, 3)]
+        gates = GatedPaths(rng.uniform(0.0, 0.9, 3), np.ones(3))
         relay, direct = (rng.random(n) * rng.random(n) ** 4 for _ in range(2))
         cases.append((
             BinnedPmf(relay / relay.sum() * rng.uniform(0.1, 1.0), 1.0, n),

@@ -565,6 +565,24 @@ def test_cli_per_state_commands_refuse_a_chain_past_the_cap(tmp_path, capsys, co
                             "more than the 1000000 supported\n")
 
 
+@pytest.mark.parametrize("total_bits, states", [(2e6, "8000000"), (1e308, "4.000000e+308")])
+@pytest.mark.parametrize("scheme", ["tdma", "fdma"])
+def test_band_baselines_refuse_a_run_past_the_cap(tmp_path, capsys, scheme, total_bits, states):
+    # TDMA and FDMA list a label and an occupancy entry for each of their
+    # 4 * beta_t states, as MDMA does for its chain's, so they share its cap.
+    topo, cfg = default_paper_setup()
+    config = tmp_path / "long.json"
+    save_setup(config, topo, replace(cfg, total_bits=total_bits))
+    assert main(["simulate", "--scheme", scheme, "--trials", "10", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    message = f"the protocol chain would have {states} states, more than the 1000000 supported"
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    # A sweep records the refusal in the scheme's row.
+    spec = SweepSpec("power_dbm", (10.0, 20.0), (scheme,), 100, seed=1)
+    rows = run_sweep(spec, topo, replace(cfg, total_bits=total_bits))
+    assert [(row.error, row.sim_op) for row in rows] == [(message, None)] * 2
+
+
 @pytest.mark.slow
 def test_cli_validate_small(capsys):
     rc = main(["validate", "--paper-defaults", "--trials", "60000", "--seed", "2"])

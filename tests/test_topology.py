@@ -11,7 +11,6 @@ from mdma_relay.topology import (
     NetworkTopology,
     SystemConfig,
     default_paper_setup,
-    distances,
     euclidean,
     link_rates,
     load_setup,
@@ -21,7 +20,7 @@ from mdma_relay.topology import (
 
 def test_s1_to_destination_distance(paper_setup):
     topo, _ = paper_setup
-    d = distances(topo)
+    d = topo.link_distances
     assert d.s1_d == pytest.approx(82.4621, abs=1e-4)
     assert d.s2_d == pytest.approx(101.9804, abs=1e-4)
 
