@@ -20,6 +20,11 @@ a call takes about 0.25 ms at n = 1 000 and 8 ms at n = 1e5 on the paper
 layout.  Where the closed form is undefined (tied rates) or cancels away
 (more than ``MAX_RELAYS_CLOSED_FORM`` relays), ``numeric_relay_sum_pmf``
 convolves the per-path masses instead, O(m * n^2), and no basis is built.
+
+``relay_sum_cdf_uniformized`` gives the relay sum's CDF exactly, as a
+uniformized phase-type series of nonnegative terms, at any relay count and
+with tied rates.  ``experiments.validate`` checks the closed form against
+it; no step outage uses it.
 """
 
 from __future__ import annotations
@@ -223,6 +228,51 @@ def relay_sum_cdf(paths: GatedPaths) -> DefectiveCdf:
         coeff_per_rate=factors.prod(axis=1),
         total_mass=1.0 - paths.empty,
     )
+
+
+def relay_sum_cdf_uniformized(paths: GatedPaths, gammas) -> np.ndarray:
+    """``P(relay sum <= g, some relay decoded)`` at each g of ``gammas``, exactly.
+
+    The relay sum is a phase-type law (Neuts 1981) whose phases are the
+    relays in order: relay k is entered with probability ``1 - a_k`` times
+    the product of the gates it skipped, and the law is absorbed once every
+    later gate is closed.  Uniformization at the largest rate Lam (Jensen
+    1953) writes the CDF as ``sum_k Pois(k; Lam g) * A_k``, with A_k >= 0 the
+    mass absorbed within k jumps of the uniformized chain: nothing cancels,
+    so the deep tail keeps its relative accuracy, and tied rates and any
+    relay count need no special case.  The Poisson weights are taken in log
+    space, as e^{-Lam g} underflows past Lam g = 745.  Past k = 2 Lam g each
+    weight is less than half the one before and no A_k exceeds the entry
+    mass, so the sum stops once twice the weight times that mass is below
+    1e-17 of the sum at every point: O(Lam g) jumps, for all points at once.
+    """
+    # A relay whose gate is closed is never entered, so dropping it is exact
+    # and keeps its rate from setting Lam.
+    a, lam = paths.gate_probs, paths.rates
+    a, lam = a[a < 1.0], lam[a < 1.0]
+    m, total = len(a), np.zeros(np.shape(gammas))
+    if not m:
+        return total
+    # Row 0 is the start and row r > 0 leaves relay r - 1.  passed[r, j]: the
+    # gates of relays r to j - 1 are all closed; nxt[r, j >= r]: relay j is next.
+    later = np.arange(m) >= np.arange(m + 1)[:, None]
+    passed = np.ones((m + 1, m + 1))
+    np.cumprod(np.where(later, a, 1.0), axis=1, out=passed[:, 1:])
+    nxt = np.where(later, (1.0 - a) * passed[:, :m], 0.0)
+    scale = lam / lam.max()
+    jump = scale[:, None] * nxt[1:] + np.diag(1.0 - scale)
+    exit_, mass, x = scale * passed[1:, m], nxt[0].sum(), lam.max() * np.asarray(gammas, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_x = np.log(x)
+    occupied, absorbed, log_w, past = nxt[0], 0.0, -x, 2.0 * x.max(initial=0.0)
+    for k in itertools.count():
+        w = np.exp(log_w)
+        if k > past and (2.0 * w * mass <= 1e-17 * total).all():
+            return total
+        total += w * absorbed
+        absorbed += occupied @ exit_
+        occupied = occupied @ jump
+        log_w += log_x - math.log(k + 1)
 
 
 def closed_form_applies(rates: np.ndarray) -> bool:

@@ -682,6 +682,7 @@ def _run_noma(topology, config, slots, seed, options, draws) -> SimEstimate:
     if options.trace_limit > 0:
         raise ConfigError("the NOMA simulator records no slot trace")
     beta_t = config.beta_t
+    refuse_past_cap([Phase("solo1", 1, beta_t), Phase("solo2", 2, beta_t)])  # a row per solo slot
     labels = ["joint", "solo1", "solo2", "relay1", "relay2"]
     tally = _Tally("noma", labels, labels, 1, slots, 0)
     rates = {s: link_rates(topology, config, s) for s in (1, 2)}

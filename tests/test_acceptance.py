@@ -14,7 +14,7 @@ import pytest
 
 from chain_reference import dense, stationary_distribution
 from conftest import record_acceptance
-from relay_reference import numeric_relay_sum_cdf
+from relay_reference import numeric_relay_sum_cdf, relay_sum_cdf_quadrature, step2_outage_quadrature
 
 from mdma_relay.analytic import (
     GatedPaths,
@@ -30,7 +30,6 @@ from mdma_relay.experiments import (
     write_rows_csv,
 )
 from mdma_relay.markov import build_chain, ring_distribution
-from mdma_relay.oracles import relay_sum_cdf_quadrature, step2_outage_quadrature
 from mdma_relay.simulator import simulate
 from mdma_relay.topology import NetworkTopology, link_rates
 

@@ -23,6 +23,7 @@ from mdma_relay.analytic import (
     exp_cdf_basis,
     numeric_relay_sum_pmf,
     relay_sum_cdf,
+    relay_sum_cdf_uniformized,
     step2_outage,
     step_outages,
 )
@@ -37,7 +38,7 @@ from mdma_relay.topology import (
 )
 from dataclasses import replace
 
-from relay_reference import numeric_relay_sum_cdf
+from relay_reference import numeric_relay_sum_cdf, relay_sum_cdf_quadrature
 
 
 def binned_relay_sum(cdf, gamma_th, n):
@@ -452,6 +453,89 @@ def test_cdf_invariant_under_reordering():
         perm = rng.permutation(len(gates))
         shuffled = GatedPaths(gates.gate_probs[perm], gates.rates[perm])
         assert np.max(np.abs(relay_sum_cdf(shuffled)(grid) - base)) < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# the uniformized phase-type series
+# ---------------------------------------------------------------------------
+
+def _partial_fractions_60(paths, gammas) -> list:
+    """``sum_x c_x (1 - exp(-lam_x g))`` with the residues c_x at 60 digits."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(60):
+        a = [mp.mpf(v) for v in paths.gate_probs.tolist()]
+        lam = [mp.mpf(v) for v in paths.rates.tolist()]
+        coeffs = []
+        for x in range(len(a)):
+            c = 1 - a[x]
+            for y in range(len(a)):
+                if y != x:
+                    c *= a[y] + (1 - a[y]) * lam[y] / (lam[y] - lam[x])
+            coeffs.append(c)
+        return [mp.fsum(c * -mp.expm1(-r * mp.mpf(g)) for c, r in zip(coeffs, lam))
+                for g in gammas.tolist()]
+
+
+@pytest.mark.parametrize("m, power_dbm", [(8, 0.0), (8, 20.0), (8, 30.0), (16, 10.0), (24, 10.0)])
+def test_uniformized_relay_sum_matches_60_digit_partial_fractions(m, power_dbm):
+    # 20 and 30 dBm reach CDF values of 1e-25, where the closed form is off
+    # by up to 3e9 relative; 24 relays are past the closed form's cap.
+    topo = _line_topology(m)
+    _, cfg = default_paper_setup(power_dbm=power_dbm)
+    grid = np.linspace(0.2, 3.0, 8) * cfg.gamma_th
+    for source in (1, 2):
+        paths = GatedPaths(decode_fail_probs(topo, cfg, source), link_rates(topo, cfg, source).relay_dest)
+        assert paths.closed_form == (m <= MAX_RELAYS_CLOSED_FORM)
+        got = relay_sum_cdf_uniformized(paths, grid)
+        exact = _partial_fractions_60(paths, grid)
+        rel = max(float(abs(g - e) / e) for g, e in zip(got.tolist(), exact))
+        assert rel <= 1e-12, (source, rel)
+
+
+def test_uniformized_relay_sum_matches_quadrature_on_tied_rates(paper_setup):
+    # Criterion 7's layout: two relays mirrored about the source-destination
+    # axis, so their relay-destination rates tie exactly.
+    topo8, cfg = paper_setup
+    topo = NetworkTopology(topo8.s1_pos, topo8.s2_pos, (100.0, 0.0),
+                           ((50.0, 20.0), (50.0, -20.0)), 3.0)
+    paths = GatedPaths(decode_fail_probs(topo, cfg, 1), link_rates(topo, cfg, 1).relay_dest)
+    assert paths.rates[0] == paths.rates[1] and not paths.closed_form
+    grid = np.linspace(0.05, 4.0, 25)
+    err = np.abs(relay_sum_cdf_uniformized(paths, grid) - relay_sum_cdf_quadrature(paths, grid))
+    assert err.max() < 1e-10
+
+
+def test_uniformized_relay_sum_is_exactly_zero_at_zero_and_with_every_gate_closed():
+    paths = GatedPaths([0.3, 0.6, 0.1], [1.0, 2.2, 3.1])
+    assert relay_sum_cdf_uniformized(paths, np.array([0.0, 0.0])).tolist() == [0.0, 0.0]
+    closed = paths.with_gates([1.0, 1.0, 1.0])
+    assert relay_sum_cdf_uniformized(closed, np.array([0.0, 0.5, 50.0])).tolist() == [0.0] * 3
+
+
+def test_uniformized_relay_sum_ignores_a_closed_relay():
+    # Uniformized at its rate, the closed relay would take 2e9 jumps to reach g = 1.
+    grid = np.array([0.1, 1.0])
+    with_closed = GatedPaths([0.3, 1.0, 0.6], [1.0, 1e9, 2.2])
+    without = GatedPaths([0.3, 0.6], [1.0, 2.2])
+    assert _bits(relay_sum_cdf_uniformized(with_closed, grid)) == _bits(relay_sum_cdf_uniformized(without, grid))
+
+
+def test_uniformized_relay_sum_saturates_where_exp_of_minus_lam_g_underflows():
+    # Lam g = 900 and 3000: e^{-Lam g} is 0.0 in floats, the log weights are not.
+    paths = GatedPaths([0.5, 0.2], [1.0, 3.0])
+    got = relay_sum_cdf_uniformized(paths, np.array([300.0, 1000.0]))
+    assert got.tolist() == pytest.approx([0.9, 0.9], rel=1e-14)
+
+
+@pytest.mark.parametrize("power_dbm", [-20.0, -30.0])
+def test_uniformized_relay_sum_is_finite_at_very_low_power(power_dbm):
+    # At -20 dBm only two relays can decode source 1, and none at -30 dBm.
+    topo, cfg = default_paper_setup(power_dbm=power_dbm)
+    grid = np.linspace(0.2, 3.0, 8) * cfg.gamma_th
+    for source in (1, 2):
+        paths = GatedPaths(decode_fail_probs(topo, cfg, source), link_rates(topo, cfg, source).relay_dest)
+        got = relay_sum_cdf_uniformized(paths, grid)
+        assert np.isfinite(got).all() and (got >= 0.0).all() and (got <= 1.0).all()
 
 
 # ---------------------------------------------------------------------------

@@ -300,19 +300,17 @@ def test_manifest_refuses_a_setting_json_cannot_hold(setup10):
 # validate
 # ---------------------------------------------------------------------------
 
-@pytest.mark.slow
 def test_validate_passes_at_reference_setup(setup10):
     topo, cfg = setup10
     report = validate(topo, cfg, trials=150_000, seed=11)
     assert report.passed, "\n".join(report.lines())
     names = [c.name for c in report.checks]
-    assert "relay_sum_cdf_vs_quadrature" in names
+    assert "relay_sum_cdf_vs_uniformization" in names
     assert "stationary_vs_occupancy" in names
     assert "overall_op_vs_frequency" in names
     assert any(n.startswith("step_outage:") for n in names)
 
 
-@pytest.mark.slow
 def test_validate_stable_across_seeds(setup10):
     topo, cfg = setup10
     for seed in (1, 2, 3, 4, 5):
@@ -336,7 +334,7 @@ def test_validate_tied_layout_skips_only_the_closed_form_check(setup10):
     report = validate(line_topology(10), cfg, trials=50_000, seed=12)
     assert report.passed, "\n".join(report.lines())
     names = [c.name for c in report.checks]
-    assert "relay_sum_cdf_vs_quadrature" not in names
+    assert "relay_sum_cdf_vs_uniformization" not in names
     assert "overall_op_vs_frequency" in names
 
 
@@ -566,10 +564,11 @@ def test_cli_per_state_commands_refuse_a_chain_past_the_cap(tmp_path, capsys, co
 
 
 @pytest.mark.parametrize("total_bits, states", [(2e6, "8000000"), (1e308, "4.000000e+308")])
-@pytest.mark.parametrize("scheme", ["tdma", "fdma"])
-def test_band_baselines_refuse_a_run_past_the_cap(tmp_path, capsys, scheme, total_bits, states):
+@pytest.mark.parametrize("scheme", ["tdma", "fdma", "noma"])
+def test_baselines_refuse_a_run_past_the_cap(tmp_path, capsys, scheme, total_bits, states):
     # TDMA and FDMA list a label and an occupancy entry for each of their
-    # 4 * beta_t states, as MDMA does for its chain's, so they share its cap.
+    # 4 * beta_t states, as MDMA does for its chain's, and NOMA's two solo
+    # streams a row per slot of their beta_t payloads, so they share its cap.
     topo, cfg = default_paper_setup()
     config = tmp_path / "long.json"
     save_setup(config, topo, replace(cfg, total_bits=total_bits))
@@ -583,7 +582,6 @@ def test_band_baselines_refuse_a_run_past_the_cap(tmp_path, capsys, scheme, tota
     assert [(row.error, row.sim_op) for row in rows] == [(message, None)] * 2
 
 
-@pytest.mark.slow
 def test_cli_validate_small(capsys):
     rc = main(["validate", "--paper-defaults", "--trials", "60000", "--seed", "2"])
     captured = capsys.readouterr()
@@ -804,13 +802,11 @@ def test_cli_negative_seed_is_an_error(capsys, command):
     (["--trials", "100", "--seed", "-1"], "seed must be non-negative, got -1"),
     (["--trials", "0"], "slots must be at least 1"),
 ])
-def test_validate_refuses_a_bad_seed_or_trial_count_before_the_quadrature(capsys, monkeypatch, flags, message):
-    from mdma_relay import oracles
+def test_validate_refuses_a_bad_seed_or_trial_count_before_any_check(capsys, monkeypatch, flags, message):
+    def series(*args, **kwargs):
+        raise AssertionError("the relay-sum check ran")
 
-    def quadrature(*args, **kwargs):
-        raise AssertionError("the quadrature ran")
-
-    monkeypatch.setattr(oracles, "relay_sum_cdf_quadrature", quadrature)
+    monkeypatch.setattr(experiments, "relay_sum_cdf_uniformized", series)
     assert main(["validate", "--paper-defaults", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
@@ -826,9 +822,9 @@ def test_cli_negative_trace_slots_is_an_error(capsys, scheme):
     assert "error: trace_limit must be non-negative, got -3" in captured.err
 
 
-def _fresh_main(cwd: Path, *argvs: list[str]) -> tuple[list[int], str, list[str]]:
+def _fresh_main(cwd: Path, *argvs: list[str]) -> tuple[list[int], list[str]]:
     """Run cli.main on each argv in a new interpreter (this one has loaded
-    scipy already); return the exit codes, stdout and the scipy modules the
+    scipy already); return the exit codes and the scipy modules the
     interpreter loaded."""
     script = (
         "import json, sys\n"
@@ -839,32 +835,27 @@ def _fresh_main(cwd: Path, *argvs: list[str]) -> tuple[list[int], str, list[str]
     env = dict(os.environ, PYTHONPATH=str(Path(mdma_relay.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300, check=True)
-    out, _, last = proc.stdout.rstrip("\n").rpartition("\n")
-    codes, scipy_modules = json.loads(last)
-    return codes, out, scipy_modules
+    codes, scipy_modules = json.loads(proc.stdout.rstrip("\n").rpartition("\n")[2])
+    return codes, scipy_modules
 
 
-def test_only_validate_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     (tmp_path / "spec.json").write_text(json.dumps(_spec(trials=500, seed=1)))
-    codes, _, scipy_modules = _fresh_main(
+    codes, scipy_modules = _fresh_main(
         tmp_path,
         ["analyze", "--paper-defaults", "--out", "analyze.json"],
         ["dump-chain", "--paper-defaults", "--out", "chain.json"],
         ["simulate", "--paper-defaults", "--trials", "2000", "--out", "simulate.json"],
         ["sweep", "--paper-defaults", "--spec", "spec.json", "--allow-small-trials", "--out", "."],
+        ["validate", "--paper-defaults", "--trials", "20000", "--seed", "1"],
     )
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0, 0, 0, 0, 0]
     assert scipy_modules == []
 
 
-@pytest.mark.slow
-def test_validate_still_checks_against_quadrature(tmp_path):
-    codes, out, scipy_modules = _fresh_main(
-        tmp_path, ["validate", "--paper-defaults", "--trials", "20000", "--seed", "1"]
-    )
-    assert codes == [0]
-    assert "PASS relay_sum_cdf_vs_quadrature" in out
-    assert "scipy.integrate" in scipy_modules
+def test_validate_checks_the_closed_form_against_uniformization(capsys):
+    assert main(["validate", "--paper-defaults", "--trials", "20000", "--seed", "1"]) == 0
+    assert "PASS relay_sum_cdf_vs_uniformization" in capsys.readouterr().out
 
 
 def test_cli_requires_setup_source(capsys):
