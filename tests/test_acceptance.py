@@ -248,7 +248,7 @@ def test_criterion_6_qualitative_claims(paper_setup, tmp_path):
 
 
 def test_criterion_7_degenerate_inputs(paper_setup):
-    """Tied rates take the convolution path and match quadrature; eta 0 and 1 run end to end."""
+    """Tied rates take the stepped phase-type path and match quadrature; eta 0 and 1 run end to end."""
     topo8, cfg = paper_setup
     # Two relays at mirrored positions share the destination distance exactly.
     topo = NetworkTopology(

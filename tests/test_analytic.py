@@ -16,12 +16,13 @@ from mdma_relay.analytic import (
     GatedPaths,
     SourceOutages,
     bin_conditional_direct,
+    bin_edges,
     bin_relay_sum,
     closed_form_applies,
     decode_fail_probs,
     direct_outage,
     exp_cdf_basis,
-    numeric_relay_sum_pmf,
+    relay_sum_bins,
     relay_sum_cdf,
     relay_sum_cdf_uniformized,
     step2_outage,
@@ -45,6 +46,11 @@ def binned_relay_sum(cdf, gamma_th, n):
     """``bin_relay_sum`` on the basis built for its grid and the CDF's rates."""
     edges = np.linspace(0.0, gamma_th, n + 1)
     return bin_relay_sum(cdf, gamma_th, n, exp_cdf_basis(edges, cdf.rates))
+
+
+def stepped_bins(paths, gamma_th, n):
+    """The relay sum binned on the threshold grid by stepping its phase-type chain."""
+    return BinnedPmf(relay_sum_bins(paths, gamma_th, n), gamma_th, n)
 
 
 def random_gates(rng, m, rate_lo=0.3, rate_hi=4.0):
@@ -357,21 +363,28 @@ def test_aggregated_coefficients_match_product_identity():
             assert cdf.coeff_per_rate[x] == pytest.approx(prod, rel=1e-9, abs=1e-12)
 
 
-def test_tie_switches_to_the_convolution_continuously():
+def test_tie_switches_to_the_stepped_bins_continuously():
     tied = GatedPaths([0.3, 0.5], [2.0, 2.0])
     assert not tied.closed_form
     with pytest.raises(ConfigError):
         relay_sum_cdf(tied)
     # Just outside the tie tolerance the closed form applies again and
-    # agrees with the convolution of the tied paths.
+    # agrees with the tied law, as a CDF and binned.
     apart = GatedPaths([0.3, 0.5], [2.0, 2.0 * (1 + 1e-6)])
     assert apart.closed_form
     grid = np.linspace(0.05, 5.0, 40)
     assert np.max(np.abs(relay_sum_cdf(apart)(grid) - numeric_relay_sum_cdf(tied, grid))) < 1e-5
     n = 1000
     closed = binned_relay_sum(relay_sum_cdf(apart), 2.0, n)
-    numeric = numeric_relay_sum_pmf(tied, 2.0, n)
-    assert 0.5 * float(np.sum(np.abs(closed.probs - numeric.probs))) < 4.0 * len(tied) / n
+    assert 0.5 * float(np.sum(np.abs(closed.probs - stepped_bins(tied, 2.0, n).probs))) < 4.0 * len(tied) / n
+    # The stepped bins on either side of the switch agree.
+    edge = GatedPaths([0.3, 0.5], [2.0, 2.0 * (1 + 1.5 * RATE_TIE_RTOL)])
+    assert edge.closed_form
+    assert np.max(np.abs(stepped_bins(edge, 2.0, n).probs - stepped_bins(tied, 2.0, n).probs)) < 1e-12
+    # Where the gap keeps the closed form well conditioned, its bins are the stepped ones.
+    apart = GatedPaths([0.3, 0.5], [2.0, 2.0 * (1 + 1e-3)])
+    closed = binned_relay_sum(relay_sum_cdf(apart), 2.0, n)
+    assert np.max(np.abs(closed.probs - stepped_bins(apart, 2.0, n).probs)) < 1e-12
 
 
 def test_relay_count_cap():
@@ -733,7 +746,7 @@ def _line_topology(m):
 
 def _per_source_pipeline(topo, cfg, source):
     """One source's step outages through the public steps, with its own
-    relay-sum basis where the closed form applies."""
+    relay-sum basis where the closed form applies and stepped bins elsewhere."""
     rates = link_rates(topo, cfg, source)
     fails = decode_fail_probs(topo, cfg, source)
     gates = GatedPaths(fails, rates.relay_dest)
@@ -744,7 +757,7 @@ def _per_source_pipeline(topo, cfg, source):
     if gates.closed_form:
         relay_pmf = binned_relay_sum(relay_sum_cdf(gates), gamma_th, n)
     else:
-        relay_pmf = numeric_relay_sum_pmf(gates, gamma_th, n)
+        relay_pmf = stepped_bins(gates, gamma_th, n)
     relay = step2_outage(relay_pmf, bin_conditional_direct(direct, gamma_th, n), gates)
     return SourceOutages(direct_outage(direct, gamma_th), relay, empty)
 
@@ -762,20 +775,23 @@ def test_step_outages_equal_the_per_source_pipeline(paper_setup, relays, n):
             assert outs[source] == _per_source_pipeline(topo, cfg, source), (p, source)
 
 
-def test_tied_rates_take_the_convolution_for_both_sources(monkeypatch, paper_setup):
-    topo = _line_topology(10)
+@pytest.mark.parametrize("relays", [10, MAX_RELAYS_CLOSED_FORM + 4])
+def test_tied_and_over_cap_rates_step_the_chain_for_both_sources(monkeypatch, paper_setup, relays):
+    topo = _line_topology(relays)
     cfg = paper_setup[1]
     assert not closed_form_applies(link_rates(topo, cfg, 1).relay_dest)
     seen, bases = [], []
 
-    def numeric(gates, gamma_th, granularity):
-        seen.append(len(gates))
-        return numeric_relay_sum_pmf(gates, gamma_th, granularity)
+    def spy(paths, gamma_th, n):
+        seen.append((len(paths), gamma_th, n))
+        return relay_sum_bins(paths, gamma_th, n)
 
-    monkeypatch.setattr(analytic, "numeric_relay_sum_pmf", numeric)
+    monkeypatch.setattr(analytic, "relay_sum_bins", spy)
+    monkeypatch.setattr(analytic, "relay_sum_cdf_uniformized", lambda *a: bases.append(a))
     monkeypatch.setattr(analytic, "exp_cdf_basis", lambda *a: bases.append(a))
     outs = step_outages(topo, cfg)
-    assert seen == [10, 10] and bases == []
+    # One stepped chain per source, on the threshold grid; no basis, no series.
+    assert seen == [(relays, cfg.gamma_th, cfg.granularity)] * 2 and bases == []
     for source in (1, 2):
         assert outs[source] == _per_source_pipeline(topo, cfg, source)
 
@@ -865,12 +881,27 @@ def test_step_outages_peak_memory_is_one_basis(paper_setup):
 
 
 # ---------------------------------------------------------------------------
-# convolution path consistency
+# stepped-chain path consistency: tied rates and more relays than the cap
 # ---------------------------------------------------------------------------
 
-def test_transform_inversion_consistency_small_m():
-    # Binned convolution of per-path masses reproduces the closed-form bins
-    # within O(1/granularity) total variation.
+@pytest.mark.parametrize("m", [10, 24])
+@pytest.mark.parametrize("power_dbm", [0.0, 10.0, 30.0])
+def test_stepped_bins_are_the_increments_of_the_series(m, power_dbm):
+    # Two evaluations of one law: each bin agrees to 5e-12 relative, down to
+    # bins of 1e-77 at 30 dBm.
+    topo = _line_topology(m)
+    _, cfg = default_paper_setup(power_dbm=power_dbm)
+    n = cfg.granularity
+    for source in (1, 2):
+        paths = GatedPaths(decode_fail_probs(topo, cfg, source), link_rates(topo, cfg, source).relay_dest)
+        stepped = relay_sum_bins(paths, cfg.gamma_th, n)
+        series = np.diff(relay_sum_cdf_uniformized(paths, bin_edges(cfg.gamma_th, n)))
+        assert stepped.min() > 0.0
+        assert np.max(np.abs(stepped - series) / stepped) < 5e-12
+
+def test_stepped_bins_match_the_closed_form_small_m():
+    # Well-separated rates and m <= 4 keep the closed form well conditioned,
+    # so the two evaluations of the same CDF bin alike to rounding.
     rng = np.random.default_rng(37)
     n = 500
     for _ in range(8):
@@ -878,9 +909,7 @@ def test_transform_inversion_consistency_small_m():
         gates = random_gates(rng, m)
         gamma_th = 1.5 / gates.rates.min()
         closed = binned_relay_sum(relay_sum_cdf(gates), gamma_th, n)
-        numeric = numeric_relay_sum_pmf(gates, gamma_th, n)
-        tv = 0.5 * float(np.sum(np.abs(closed.probs - numeric.probs)))
-        assert tv < 4.0 * m / n
+        assert np.max(np.abs(closed.probs - stepped_bins(gates, gamma_th, n).probs)) < 1e-12
 
 
 def test_numeric_cdf_tracks_closed_form():
@@ -891,8 +920,8 @@ def test_numeric_cdf_tracks_closed_form():
     assert np.max(np.abs(closed - numeric)) < 1e-5
 
 
-def test_numeric_fallback_handles_many_relays(paper_setup):
-    # 24 relays exceed the subset-enumeration cap; the convolution path runs.
+def test_stepped_path_handles_many_relays(paper_setup):
+    # 24 relays exceed the closed form's cap; the stepped path runs.
     topo8, cfg = paper_setup
     relays = tuple((50.0, 48.75 - 3.4 * i) for i in range(24))
     topo = NetworkTopology(topo8.s1_pos, topo8.s2_pos, topo8.d_pos, relays, 3.0)
@@ -904,21 +933,138 @@ def test_numeric_fallback_handles_many_relays(paper_setup):
     assert outs[2].relay <= ref[2].relay + 1e-9
 
 
-def test_numeric_fallback_agrees_with_closed_form(paper_setup):
+@pytest.mark.parametrize("power_dbm", [0.0, 4.0, 10.0])
+def test_stepped_relay_step_agrees_with_closed_form(paper_setup, power_dbm):
+    # On the paper layout the closed form carries cancellation noise of up to
+    # 64 eps sum|c| per bin (bin_relay_sum's clamp floor); the stepped bins and
+    # the relay step they give agree with it within that floor.
     topo, cfg = paper_setup
-    low = replace(cfg, power_dbm=4.0)
+    low = replace(cfg, power_dbm=power_dbm)
     n = low.granularity
-    closed = step_outages(topo, low)[1].relay
-    rates = link_rates(topo, low, 1)
-    fails = decode_fail_probs(topo, low, 1)
-    gates = GatedPaths(fails, rates.relay_dest)
-    assert gates.closed_form
-    numeric = step2_outage(
-        numeric_relay_sum_pmf(gates, low.gamma_th, n),
-        bin_conditional_direct(LinkParam(rates.direct), low.gamma_th, n),
-        gates,
-    )
-    assert abs(numeric - closed) < 5.0 / n
+    outs = step_outages(topo, low)
+    for source in (1, 2):
+        rates = link_rates(topo, low, source)
+        gates = GatedPaths(decode_fail_probs(topo, low, source), rates.relay_dest)
+        assert gates.closed_form
+        cdf = relay_sum_cdf(gates)
+        floor = 64.0 * np.finfo(float).eps * np.abs(cdf.coeff_per_rate).sum()
+        stepped = stepped_bins(gates, low.gamma_th, n)
+        closed = binned_relay_sum(cdf, low.gamma_th, n)
+        assert np.max(np.abs(stepped.probs - closed.probs)) < floor
+        relay = step2_outage(stepped, bin_conditional_direct(LinkParam(rates.direct), low.gamma_th, n), gates)
+        assert abs(relay - outs[source].relay) < floor
+
+
+def _relay_step_60(direct_rate, gamma_th, paths):
+    """The relay-step outage at 60 digits, from the phase-type law of the
+    direct SNR followed by the decoded relays' SNRs: [exp(Q g)]_{direct,
+    absorb} / ((1 - e^{-lam_d g}) (1 - prod a)).  Tied rates need no care."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(60):
+        a = [mp.mpf(v) for v in paths.gate_probs.tolist()]
+        lam = [mp.mpf(v) for v in paths.rates.tolist()]
+        lam_d, g, m = mp.mpf(direct_rate), mp.mpf(gamma_th), len(a)
+        absorb, empty = m + 1, m + 2
+        q = mp.zeros(m + 3, m + 3)
+
+        def route(frm, out_rate, first):
+            # To the next decoded relay from `first` on; returns the mass that skips them all.
+            skipped = mp.mpf(1)
+            for k in range(first, m):
+                q[frm, 1 + k] += out_rate * skipped * (1 - a[k])
+                skipped *= a[k]
+            return skipped
+
+        q[0, 0] = -lam_d
+        q[0, empty] += lam_d * route(0, lam_d, 0)
+        for j in range(m):
+            q[1 + j, 1 + j] = -lam[j]
+            q[1 + j, absorb] += lam[j] * route(1 + j, lam[j], j + 1)
+        return mp.expm(q * g)[0, absorb] / (-mp.expm1(-lam_d * g) * (1 - mp.fprod(a)))
+
+
+def _relay_step_rel_errs(topo, cfg):
+    """``step_outages`` and the relative error of each source's relay step
+    against 60 digits."""
+    outs = step_outages(topo, cfg)
+    errs = []
+    for source in (1, 2):
+        rates = link_rates(topo, cfg, source)
+        paths = GatedPaths(decode_fail_probs(topo, cfg, source), rates.relay_dest)
+        exact = _relay_step_60(rates.direct, cfg.gamma_th, paths)
+        errs.append(float(abs(outs[source].relay - exact) / exact))
+    return outs, errs
+
+
+@pytest.mark.parametrize("m, power_dbm", [(10, 10.0), (10, 30.0), (24, 10.0)])
+def test_stepped_relay_step_is_within_the_binning_bias_of_60_digits(m, power_dbm):
+    # Tied (m = 10) and over-cap (m = 24) lines reach relay steps of 1e-29
+    # and 6e-24; what is left is the O(1/n) bias of summing bins, about
+    # 2.2/n and 3.6/n here.
+    topo = _line_topology(m)
+    _, cfg = default_paper_setup(power_dbm=power_dbm)
+    assert not closed_form_applies(link_rates(topo, cfg, 1).relay_dest)
+    _, errs = _relay_step_rel_errs(topo, cfg)
+    assert max(errs) < 5.0 / cfg.granularity, errs
+
+
+def test_tied_line_runs_at_a_million_bins(paper_setup):
+    # At n = 1e6 the relay step is within 5/n of the 60-digit value and
+    # within 5/n_c of the n_c = 1e5 result: the O(1/n) bias of summing bins,
+    # about 2.2/n here, shrinks tenfold.
+    topo = _line_topology(10)
+    fine = replace(paper_setup[1], granularity=1_000_000)
+    coarse = replace(fine, granularity=100_000)
+    outs, errs = _relay_step_rel_errs(topo, fine)
+    assert max(errs) < 5.0 / fine.granularity, errs
+    near = step_outages(topo, coarse)
+    for source in (1, 2):
+        assert 0.0 < outs[source].relay < 1.0
+        assert abs(outs[source].relay - near[source].relay) < 5.0 / coarse.granularity * outs[source].relay
+
+
+def _near_source_pair():
+    """Two relays mirrored about the source-1-to-destination axis, 10 m from
+    source 1 and 90 m from the destination, so their rates tie."""
+    topo, _ = default_paper_setup()
+    s1, d = np.array(topo.s1_pos), np.array(topo.d_pos)
+    span = float(np.linalg.norm(d - s1))
+    along = (d - s1) / span
+    across = np.array([-along[1], along[0]])
+    x = (10.0**2 - 90.0**2 + span**2) / (2.0 * span)
+    mid, off = s1 + x * along, math.sqrt(10.0**2 - x**2) * across
+    return NetworkTopology(topo.s1_pos, topo.s2_pos, topo.d_pos,
+                           (tuple(mid + off), tuple(mid - off)), topo.alpha)
+
+
+@pytest.mark.parametrize("power_dbm", [-30.0, -20.0, -10.0, 0.0, 10.0])
+def test_tied_pair_near_a_source_steps_at_any_lam_gamma(power_dbm):
+    # The relays decode often but reach the destination weakly: Lam gamma_th
+    # runs from 0.73 at 10 dBm to 7 290 at -30 dBm.  Differences of the
+    # series' CDF at the edges fell below the bins' noise floor from -10 dBm
+    # down; the stepped bins are nonnegative at any Lam gamma_th and n.
+    topo = _near_source_pair()
+    _, cfg = default_paper_setup(power_dbm=power_dbm)
+    for n in (1, 1000, 1_000_000):
+        for source in (1, 2):
+            paths = GatedPaths(decode_fail_probs(topo, cfg, source), link_rates(topo, cfg, source).relay_dest)
+            assert not paths.closed_form
+            bins = relay_sum_bins(paths, cfg.gamma_th, n)
+            assert bins.min() >= 0.0
+            whole = relay_sum_cdf_uniformized(paths, np.array([cfg.gamma_th]))[0]
+            assert bins.sum() == pytest.approx(whole, rel=1e-10)
+    _, errs = _relay_step_rel_errs(topo, cfg)
+    assert max(errs) < 5.0 / cfg.granularity, errs
+    outs = step_outages(topo, replace(cfg, granularity=1_000_000))
+    assert all(0.0 < out.relay <= 1.0 for out in outs.values())
+
+
+def test_stepped_bins_ignore_closed_gates():
+    # Stepped at its rate, the closed relay would set Lam h = 1e6.
+    with_closed = GatedPaths([0.3, 1.0, 0.6], [1.0, 1e9, 2.2])
+    without = GatedPaths([0.3, 0.6], [1.0, 2.2])
+    assert _bits(relay_sum_bins(with_closed, 1.0, 1000)) == _bits(relay_sum_bins(without, 1.0, 1000))
+    assert relay_sum_bins(with_closed.with_gates([1.0] * 3), 1.0, 7).tolist() == [0.0] * 7
 
 
 def _step2_by_convolution(relay_pmf, direct_pmf, gates):

@@ -3,7 +3,10 @@
 ``golden_step_outages.json`` holds ``float.hex`` of each source's
 ``bcast``, ``relay`` and ``empty`` at the cases ``CASES`` lists.  It was
 written from commit 2c15618, before the relay step moved to array pairs,
-so a change that keeps these bits keeps the shipped outages exactly.
+so a change that keeps these bits keeps the shipped outages exactly.  The
+tied ``line10`` entries with n > 1 were rewritten when tied and over-cap
+relay sums moved from convolved per-path masses to the bins of the exact
+phase-type law (``relay_sum_bins``); every other entry keeps its first bits.
 Rewrite it only for a change that means to move those numbers:
 
     PYTHONPATH=src python tests/test_golden_step_outages.py
@@ -37,7 +40,7 @@ def cases():
             for n in (1, 2, 7, 1000, 100_000):
                 out.append((f"paper-{power}dBm-eta{eta}-n{n}", "paper",
                             {"power_dbm": float(power), "eta": eta, "granularity": n}))
-    for layout in ("line16", "line10"):  # line10 is tied: the convolution path
+    for layout in ("line16", "line10"):  # line10 is tied: relay_sum_bins
         for power in (-10, 0, 10, 20, 30):
             for n in (1, 2, 7, 1000):
                 out.append((f"{layout}-{power}dBm-n{n}", layout,
