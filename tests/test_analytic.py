@@ -858,12 +858,111 @@ def test_one_tie_check_per_step_outages_and_each_link_measured_once_per_analyze(
     ties.clear(), measured.clear()
     assert main(["analyze", "--paper-defaults"]) == 0
     capsys.readouterr()
-    assert ties == [8, 8]  # two step_outages calls, one tie check each
+    assert ties == [8]  # two step_outages calls, the second a lookup
     assert len(measured) == 26
     # Called directly, the closed form still checks its rates.
     for paths in (GatedPaths([0.5, 0.5], [2.0, 2.0]), GatedPaths([0.5] * 21, 1.0 + 0.01 * np.arange(21))):
         with pytest.raises(ConfigError, match="subset expansion"):
             relay_sum_cdf(paths)
+
+
+# ---------------------------------------------------------------------------
+# step_outages keeps its last result, and nothing else
+# ---------------------------------------------------------------------------
+
+def _computed(monkeypatch):
+    """The sources whose links ``step_outages`` reads: two per computation."""
+    sources = []
+
+    def spy(topology, config, source):
+        sources.append(source)
+        return link_rates(topology, config, source)
+
+    monkeypatch.setattr(analytic, "link_rates", spy)
+    return sources
+
+
+def _outage_bits(outs):
+    return {source: _bits((o.bcast, o.relay, o.empty)) for source, o in outs.items()}
+
+
+def _fresh_bits(topo, cfg):
+    analytic._step_outages.cache_clear()
+    return _outage_bits(step_outages(topo, cfg))
+
+
+def test_step_outages_keep_one_entry(monkeypatch, paper_setup):
+    topo, a = paper_setup
+    b = replace(a, power_dbm=20.0)
+    computed = _computed(monkeypatch)
+    for cfg in (a, a, b, a):
+        step_outages(topo, cfg)
+    assert computed == [1, 2] * 3  # a, b, a: the entry of a is gone by the second a
+
+
+@pytest.mark.parametrize("case", ["paper", "20dBm", "n1e5", "tied", "noiseless", "all-fail"])
+def test_a_stored_result_has_the_bits_of_a_fresh_one(paper_setup, case):
+    topo, cfg = paper_setup
+    topo, cfg = {
+        "paper": (topo, cfg),
+        "20dBm": (topo, replace(cfg, power_dbm=20.0)),
+        "n1e5": (topo, replace(cfg, granularity=100_000)),
+        "tied": (_line_topology(10), cfg),
+        "noiseless": (topo, replace(cfg, noise_dbm=-math.inf)),
+        "all-fail": (topo, replace(cfg, power_dbm=-30.0)),
+    }[case]
+    first = step_outages(topo, cfg)
+    again = step_outages(topo, cfg)
+    assert again is not first and _outage_bits(again) == _outage_bits(first) == _fresh_bits(topo, cfg)
+
+
+def test_an_equal_key_built_otherwise_reads_the_entry_with_fresh_bits(monkeypatch, paper_setup):
+    topo, cfg = paper_setup
+    # Whole numbers as ints, relays as a list, and a granularity written as a float.
+    relays = [(50, 55 - 25 * (2 * i - 1) / 4) for i in range(1, 9)]
+    topo_int = NetworkTopology((20, 20), (0, 20), (100, 0), relays, 3)
+    cfg_int = SystemConfig(power_dbm=10, noise_dbm=-50, rate_r0=1, total_bits=10, granularity=1000.0)
+    computed = _computed(monkeypatch)
+    for t, c in ((topo, replace(cfg)), (topo_int, cfg_int), (topo_int, cfg)):
+        assert (t, c) == (topo, cfg) and hash((t, c)) == hash((topo, cfg))
+        expected = _fresh_bits(t, c)
+        analytic._step_outages.cache_clear()
+        step_outages(topo, cfg)
+        computed.clear()
+        assert _outage_bits(step_outages(t, c)) == expected and computed == []
+
+
+def test_a_changed_result_leaves_the_entry_as_it_was(paper_setup):
+    topo, cfg = paper_setup
+    expected = _fresh_bits(topo, cfg)
+    outs = step_outages(topo, cfg)
+    outs[1] = SourceOutages(1.0, 1.0, 1.0)
+    del outs[2]
+    assert _outage_bits(step_outages(topo, cfg)) == expected
+
+
+def test_a_refused_input_is_not_stored(monkeypatch, paper_setup):
+    topo, cfg = paper_setup
+    # Source 1 so close to the destination that its link rate underflows to 0.
+    near = NetworkTopology((0.0, 0.0), topo.s2_pos, (1e-110, 0.0), topo.relay_pos, topo.alpha)
+    step_outages(topo, cfg)
+    computed = _computed(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="link rate must be positive"):
+            step_outages(near, cfg)
+    assert computed == [1, 2] * 2
+    step_outages(topo, cfg)  # the entry before the refusal is still there
+    assert computed == [1, 2] * 2
+
+
+def test_a_power_sweep_computes_every_point(monkeypatch, paper_setup):
+    from mdma_relay.experiments import SweepSpec, run_sweep
+
+    topo, cfg = paper_setup
+    spec = SweepSpec("power_dbm", tuple(float(p) for p in range(0, 31, 2)), ("mdma",), 100)
+    computed = _computed(monkeypatch)
+    rows = run_sweep(spec, topo, cfg)
+    assert len(rows) == 16 and computed == [1, 2] * 16
 
 
 def test_step_outages_peak_memory_is_one_basis(paper_setup):

@@ -785,6 +785,42 @@ def test_step_outages_read_each_sources_link_rates_once(monkeypatch, relays, pow
         assert out.empty == float(np.prod(analytic.decode_fail_probs(topo, cfg, source)))
 
 
+def _spy(monkeypatch, module, name) -> list[tuple]:
+    """The arguments of every call to ``module.name`` from here on."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("where, bases, stepped", [
+    (["--paper-defaults"], 1, 0),
+    (["--paper-defaults", "--power-dbm", "20", "--granularity", "100000"], 1, 0),
+    (["--config", "line10.json"], 0, 2),
+], ids=["paper", "paper-n1e5", "line10-tied"])
+def test_analyze_computes_its_step_outages_once(monkeypatch, tmp_path, where, bases, stepped):
+    # `analyze` reads the step outages twice, for the chain and to print them;
+    # the second read is a lookup, so each source's links, the closed form's
+    # basis and the tied layout's stepped bins are computed once.
+    save_setup(tmp_path / "line10.json", line_topology(10), default_paper_setup()[1])
+    argv = ["analyze", *(str(tmp_path / a) if a.endswith(".json") else a for a in where)]
+    # The same command without the memo prints the same bytes.
+    with monkeypatch.context() as m:
+        m.setattr(analytic, "_step_outages", analytic._step_outages.__wrapped__)
+        assert main([*argv, "--out", str(tmp_path / "unmemoized.json")]) == 0
+    links = _spy(monkeypatch, analytic, "link_rates")
+    basis = _spy(monkeypatch, analytic, "exp_cdf_basis")
+    bins = _spy(monkeypatch, analytic, "relay_sum_bins")
+    assert main([*argv, "--out", str(tmp_path / "a.json")]) == 0
+    assert [source for *_, source in links] == [1, 2]
+    assert (len(basis), len(bins)) == (bases, stepped)
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "unmemoized.json").read_bytes()
+
+
 def test_config_granularity_written_as_a_float_is_the_same_setting(tmp_path):
     outs = []
     for g in (1000, 1000.0):
