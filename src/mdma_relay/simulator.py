@@ -21,8 +21,9 @@ reps)` that the band cycles through, with the chain's state labels.  MDMA
 and TDMA run one band, FDMA one per source; NOMA runs one.  Each band is
 charged one bandwidth and one power unit.
 
-Whole cycles and NOMA pairs are placed at once from these cumsums; only one
-that reaches past a chunk or the end of the run is walked take by take.
+Each band, and NOMA, places its episodes through one resumable cursor: runs
+or pairs are placed at once from these cumsums up to the first that a chunk
+end cuts, which is placed up to the chunk end and resumed from the next chunk.
 NOMA's cancellation needs no choice of the stronger stream (see `_sic`).
 
 A source's broadcast episodes come from the same generators in MDMA, TDMA,
@@ -319,46 +320,36 @@ class _Tally:
 class _Stream:
     """I.i.d. episodes of one kind, drawn a chunk at a time and placed in order.
 
-    Each placement records its runs as arrays (first, stop, start slot,
-    repetitions before it, tag), counted before the next chunk is drawn, so
-    memory is bounded by the chunk.  Lane l of `success` flags stream l+1.
+    A placement records runs of consecutive episodes as arrays (first, stop,
+    start slot, repetitions before it, tag) in chunk order; a run a chunk end
+    cuts goes on in the next chunk with its repetitions so far in `before`.
+    They are counted before the next chunk is drawn, so memory is bounded by
+    the chunk.  Lane l of `success` flags stream l+1; until the first draw
+    the stream holds an empty chunk.
     """
 
-    def __init__(self, tally: _Tally):
+    def __init__(self, tally: _Tally, lanes: int):
         self.tally, self.n, self.pos, self.runs_placed = tally, 0, 0, []
+        self.cum_len, self.cum_succ = np.zeros(1, dtype=np.int64), [np.zeros(1, dtype=np.int64)] * lanes
+        self.succ_end = [np.ones(1, dtype=np.int64)] * lanes
 
-    def take(self, needs, slot: int, before: int, tag: int) -> tuple[int, list[int]]:
-        """Place episodes from `slot` on, up to the first lane to gain its `needs`
-        successes or to the chunk end; return their slots and successes per lane."""
+    def ready(self, slot: int) -> None:
+        """Draw the next chunk if this one is spent."""
         if self.pos == self.n:
             self._refill(slot)
-        start, stop = self.pos, self.n
-        for at, cum, need in zip(self.succ_at, self.cum_succ, needs):
-            j = cum.item(start) + need - 1  # the success that meets the need
-            if j < len(at):
-                stop = min(stop, at.item(j) + 1)
-        got = [cum.item(stop) - cum.item(start) for cum in self.cum_succ]
-        self.pos = stop
-        self.runs_placed.append(([start], [stop], [slot], [before], [tag]))
-        return self.cum_len.item(stop) - self.cum_len.item(start), got
-
-    def runs(self, reps: int, slot: int):
-        """(first, stop, slots) of each whole run of `reps` lane-0 successes left."""
-        if self.pos == self.n:
-            self._refill(slot)
-        stop = self.succ_at[0][self.cum_succ[0].item(self.pos) + reps - 1 :: reps] + 1
-        first = np.concatenate(([self.pos], stop[:-1]))
-        return first, stop, self.cum_len[stop] - self.cum_len[first]
 
     def after(self, lane: int, k):
         """The episode after success `k` (from 0) of `lane`; n + 1 past the chunk."""
-        at = self.succ_at[lane]
-        return np.append(at + 1, self.n + 1)[np.minimum(k, at.size)]
+        end = self.succ_end[lane]
+        return end[np.minimum(k, end.size - 1)]
 
-    def take_runs(self, first, stop, slot, tag: int) -> None:
-        """Place whole runs found by `runs` from the given slots on."""
-        self.runs_placed.append((first, stop, slot, np.zeros_like(stop), np.full_like(stop, tag)))
-        self.pos = int(stop[-1])
+    def place(self, first, stop, slot, before, tag: int) -> None:
+        """Place the runs [first, stop), which go on from `pos`, at the given
+        slots.  Runs that hold no episode are dropped: before its first draw
+        a stream has no chunk to count them in."""
+        if stop.size and stop[-1] > first[0]:
+            self.runs_placed.append((first, stop, slot, before, np.full_like(stop, tag)))
+            self.pos = int(stop[-1])
 
     def _refill(self, slot: int) -> None:
         """Count the chunk, then read the next.  From `slot` on, the run has
@@ -366,19 +357,18 @@ class _Stream:
         a chunk another run drew first may hold more."""
         self.flush()
         self.ep = self.draw(min(_CHUNK, self.tally.slots - slot))
-        # Slots and successes per lane before each episode, and where the successes are.
+        # Slots and successes per lane before each episode, and the episode
+        # after each success, then n + 1.
         self.cum_len = np.concatenate(([0], np.cumsum(self.ep["length"])))
-        self.cum_succ = [np.concatenate(([0], np.cumsum(s))) for s in self.ep["success"]]
-        self.succ_at = [np.flatnonzero(s) for s in self.ep["success"]]
         self.n, self.pos = self.cum_len.size - 1, 0
+        self.cum_succ = [np.concatenate(([0], np.cumsum(s))) for s in self.ep["success"]]
+        self.succ_end = [np.append(np.flatnonzero(s) + 1, self.n + 1) for s in self.ep["success"]]
 
     def flush(self) -> None:
         """Count the episodes placed from the current chunk."""
         if not self.runs_placed:
             return
-        cols = [np.concatenate(c) for c in zip(*self.runs_placed)]
-        order = np.argsort(cols[0])  # runs placed whole and one by one interleave
-        first, stop, slot, before, tag = (c[order] for c in cols)
+        first, stop, slot, before, tag = (np.concatenate(c) for c in zip(*self.runs_placed))
         seg = np.repeat(np.arange(first.size), stop - first)
         idx = slice(first[0], stop[-1])  # the segments tile it in order
         cum_len, cum_succ = self.cum_len, self.cum_succ[0]
@@ -466,7 +456,7 @@ class _BcastStream(_Stream):
     `table[tag, rep]`: broadcast and relay labels, their step keys, and band."""
 
     def __init__(self, tally, episodes: _Episodes, table):
-        super().__init__(tally)
+        super().__init__(tally, 1)
         self.episodes, self.source, self.table, self.chunks = episodes, episodes.source, table, 0
 
     def draw(self, n: int) -> dict:
@@ -506,67 +496,41 @@ class _BcastStream(_Stream):
                     mask, float(ep["mrc"][k]))))
 
 
-def _whole_cycles(prog, band: int, t: int, tally: _Tally) -> int:
-    """Place the cycles from slot `t` on that every stream's chunk holds whole
-    and that end within the run; return the slot after them.  A stream
-    transmits one run of repetitions per cycle of its band."""
-    runs = [stream.runs(reps, t) for stream, reps, _ in prog]
-    c = min(len(stop) for _, stop, _ in runs)
-    dur = np.array([d[:c] for _, _, d in runs]).reshape(len(prog), c)
-    ends = t + np.cumsum(dur.sum(axis=0))
-    c = int(np.searchsorted(ends, tally.slots, side="right"))
-    if c == 0:
-        return t
-    dur = dur[:, :c]
-    run_slot = np.concatenate(([t], ends[: c - 1])) + np.cumsum(dur, axis=0) - dur
-    for (stream, reps, tag), (first, stop, _), slot in zip(prog, runs, run_slot):
-        stream.take_runs(first[:c], stop[:c], slot, tag)
-    tally.cycle_end(band, ends[:c].tolist())
-    return int(ends[c - 1])
-
-
-def _whole_pairs(joint, solo, beta_t: int, t: int, tally: _Tally) -> int:
-    """Place the NOMA pairs from slot `t` on that the chunks hold whole and
-    that end within the run; return the slot after them.  A pair sends jointly
-    until a stream has `beta_t` successes, then the other alone until it has them too."""
-    if joint.pos == joint.n:  # the walk draws the next chunk of a spent stream
-        return t
-    # The joint stop of a pair begun at each episode; chase the chain of starts.
-    stop_from = np.minimum(*(joint.after(lane, cum[:-1] + beta_t - 1)
-                             for lane, cum in enumerate(joint.cum_succ))).tolist()
-    starts, i = [], joint.pos
-    while i < joint.n and stop_from[i] <= joint.n:
-        starts.append(i)
-        i = stop_from[i]
-    if not starts:
-        return t
-    first, stop = np.array(starts), np.array(starts[1:] + [i])
-    joint_dur = joint.cum_len[stop] - joint.cum_len[first]
-    dur, c, solo_runs = joint_dur.copy(), first.size, []
-    # The lagging stream's solo stream meets the pairs' needs in order.
-    for stream, cum in zip(solo, joint.cum_succ):
-        need = beta_t - (cum[stop] - cum[first])
-        lag, s_first, s_stop = np.flatnonzero(need), [], []
-        if stream.pos < stream.n:  # a spent one holds no pair until the walk redraws it
-            s_stop = stream.after(0, stream.cum_succ[0][stream.pos] + np.cumsum(need[lag]) - 1)
-            s_stop = s_stop[: np.searchsorted(s_stop, stream.n, side="right")]
-            s_first = np.concatenate(([stream.pos], s_stop))[:-1]
-            dur[lag[: s_stop.size]] += stream.cum_len[s_stop] - stream.cum_len[s_first]
-        if len(s_stop) < lag.size:
-            c = min(c, int(lag[len(s_stop)]))
-        solo_runs.append((stream, lag, s_first, s_stop))
-    ends = t + np.cumsum(dur[:c])
-    c = int(np.searchsorted(ends, tally.slots, side="right"))
-    if c == 0:
-        return t
-    pair_slot = np.concatenate(([t], ends[: c - 1]))
-    joint.take_runs(first[:c], stop[:c], pair_slot, 0)
-    for stream, lag, s_first, s_stop in solo_runs:
-        k = int(np.searchsorted(lag, c))
-        if k:
-            stream.take_runs(s_first[:k], s_stop[:k], (pair_slot + joint_dur[:c])[lag[:k]], 0)
-    tally.cycle_end(0, ends[:c].tolist())
-    return int(ends[c - 1])
+def _place_runs(prog, band: int, cursor, tally: _Tally):
+    """Place the band's runs from `cursor` = (j, done, t): run j of its cycle,
+    `done` repetitions into it, at slot t.  Runs go whole, in cycle order, up
+    to the first that a chunk end cuts, which goes up to the chunk end; none
+    begins past the end of the run.  Return the cursor after them, which is
+    not read once it reaches the end of the run.  A stream transmits one run
+    of repetitions per cycle of its band."""
+    j, done, t = cursor
+    order, size = prog[j:] + prog[:j], len(prog)  # the cycle from run j on
+    order[0][0].ready(t)
+    # The stops of the runs each stream's chunk holds whole; run j needs reps - done.
+    whole = [s.succ_end[0][s.cum_succ[0].item(s.pos) + reps - (done if i == 0 else 0) - 1 : -1 : reps]
+             for i, (s, reps, _) in enumerate(order)]
+    # Run k from the cursor is run k // size of order[k % size]; run `cut` is the first a chunk end cuts.
+    cut = min(w.size * size + i for i, w in enumerate(whole))
+    cycles = cut // size + 1
+    first, stop, dur = (np.empty((size, cycles), dtype=np.int64) for _ in range(3))
+    for i, ((s, _, _), w) in enumerate(zip(order, whole)):
+        stop[i] = s.n  # the cut run goes up to the chunk end
+        stop[i, : w.size] = w[:cycles]
+        first[i] = np.concatenate(([s.pos], stop[i, :-1]))
+        dur[i] = s.cum_len[stop[i]] - s.cum_len[first[i]]
+    dur = dur.T.ravel()[: cut + 1]
+    ends = t + np.cumsum(dur)
+    slot = ends - dur
+    placed = int(np.searchsorted(slot, tally.slots))
+    for i, (s, _, tag) in enumerate(order):
+        k = len(range(i, placed, size))
+        before = np.zeros(k, dtype=np.int64)
+        before[:1] = done if i == 0 else 0
+        s.place(first[i, :k], stop[i, :k], slot[i:placed:size], before, tag)
+    tally.cycle_end(band, ends[(size - 1 - j) % size : min(placed, cut) : size].tolist())
+    cum = order[cut % size][0].cum_succ[0]
+    done = (cut == 0) * done + int(cum[-1] - cum[first[cut % size, -1]])  # the cut run's, at the chunk end
+    return (j + cut) % size, done, int(ends[placed - 1])
 
 
 def _run_bands(
@@ -600,25 +564,13 @@ def _run_bands(
     programs = [[(streams[src], len(reps), tag) for tag, (b, src, reps) in enumerate(runs) if b == band]
                 for band in range(len(bands))]
 
-    starts = [0] * len(bands)  # the slot each band's next cycle begins at
-    while any(t < slots for t in starts):
-        # Per band: whole cycles at once, then one cycle run by run, which
-        # draws the next chunk of a stream that ran out or reaches the end of
-        # the run.  Taking turns keeps the bands' cycle counts close.
+    cursors = [(0, 0, 0)] * len(bands)  # per band: run of the cycle, repetitions into it, slot
+    while any(t < slots for _, _, t in cursors):
+        # Each turn places a band's runs up to a chunk end or the end of the
+        # run.  Taking turns keeps the bands' cycle counts close.
         for band, prog in enumerate(programs):
-            if starts[band] >= slots:
-                continue
-            t, i, done = _whole_cycles(prog, band, starts[band], tally), 0, 0
-            while t < slots:
-                stream, reps, tag = prog[i]
-                dur, got = stream.take((reps - done,), t, done, tag)
-                t, done = t + dur, done + got[0]
-                if done == reps:
-                    done, i = 0, (i + 1) % len(prog)
-                    if i == 0:
-                        tally.cycle_end(band, [t])
-                        break
-            starts[band] = t
+            if cursors[band][2] < slots:
+                cursors[band] = _place_runs(prog, band, cursors[band], tally)
     for stream in streams.values():
         stream.flush()
     return tally.estimate(config, seed)
@@ -634,7 +586,7 @@ class _JointStream(_Stream):
     if it needs one, then one for stream 2."""
 
     def __init__(self, tally, seed, rates, gamma_th, options):
-        super().__init__(tally)
+        super().__init__(tally, 2)
         self.gamma_th, self.options = gamma_th, options
         self.rngs = {s: [make_rng(seed, 6 + 3 * (s - 1) + k) for k in range(3)] for s in (1, 2)}
         # Mean received powers in noise units at each stream's power share.
@@ -678,6 +630,60 @@ class _JointStream(_Stream):
             tally.decode_empties[s] += int((b & ep["empty"][s][idx]).sum())
 
 
+def _place_pairs(joint, solo, beta_t: int, cursor, tally: _Tally):
+    """Place NOMA pairs from `cursor` = (done, t): the pair whose streams have
+    `done` deliveries, at slot t.  A pair sends jointly until a stream has
+    `beta_t` successes, then the other alone until it has them too.  Pairs go
+    whole up to the first that a chunk end cuts, in its joint part or a solo
+    part, which goes up to the chunk end; none begins past the end of the run.
+    Return the cursor after them, which is not read once it reaches the end
+    of the run."""
+    done, t = cursor
+    alone = max(done) >= beta_t  # the cursor's pair is in its solo part
+    (solo[done.index(min(done))] if alone else joint).ready(t)
+    n, pos = joint.n, joint.pos
+    # The joint stop of a pair begun at each episode, and of the cursor's pair
+    # (at once if it is alone); chase the chain of starts.
+    stop_from = np.minimum(*(joint.after(lane, cum + beta_t - 1)
+                             for lane, cum in enumerate(joint.cum_succ))).tolist()
+    i = pos if alone else min(joint.after(lane, cum.item(pos) + beta_t - d - 1)
+                              for lane, (cum, d) in enumerate(zip(joint.cum_succ, done)))
+    starts = [pos]
+    while i <= n:
+        starts.append(i)
+        i = stop_from[i]
+    first = np.array(starts)
+    stop = np.append(first[1:], n)  # the last pair's joint part is cut
+    need = beta_t - np.array([cum[stop] - cum[first] for cum in joint.cum_succ])
+    need[:, 0] -= done
+    joint_dur = joint.cum_len[stop] - joint.cum_len[first]
+    # The cut pair and its deliveries at the chunk end: so far, the pair the joint chunk cuts.
+    cut, at_cut = first.size - 1, (beta_t - need[:, -1]).tolist()
+    dur, solo_runs = joint_dur.copy(), []
+    # The lagging stream's solo stream meets the pairs' needs in order.
+    for lane, stream in enumerate(solo):
+        lag = np.flatnonzero(need[lane, :-1])
+        due = stream.cum_succ[0].item(stream.pos) + np.cumsum(need[lane, lag])
+        s_stop = np.minimum(stream.after(0, due - 1), stream.n)
+        s_first = np.concatenate(([stream.pos], s_stop[:-1]))
+        dur[lag] += stream.cum_len[s_stop] - stream.cum_len[s_first]
+        w = int(np.searchsorted(due, stream.cum_succ[0][-1], side="right"))  # solo parts held whole
+        if w < lag.size and lag[w] < cut:  # this solo chunk cuts a pair first
+            cut, at_cut = int(lag[w]), [beta_t, beta_t]
+            at_cut[lane] -= int(due[w] - stream.cum_succ[0][-1])
+        solo_runs.append((stream, lag, s_first, s_stop))
+    ends = t + np.cumsum(dur[: cut + 1])
+    pair_slot = ends - dur[: cut + 1]
+    placed = int(np.searchsorted(pair_slot, tally.slots))
+    joint.place(first[:placed], stop[:placed], pair_slot[:placed], np.zeros(placed, dtype=np.int64), 0)
+    for stream, lag, s_first, s_stop in solo_runs:
+        k = int(np.searchsorted(lag, placed))
+        stream.place(s_first[:k], s_stop[:k], (pair_slot + joint_dur[: cut + 1])[lag[:k]],
+                     np.zeros(k, dtype=np.int64), 0)
+    tally.cycle_end(0, ends[: min(placed, cut)].tolist())
+    return at_cut, int(ends[placed - 1])
+
+
 def _run_noma(topology, config, slots, seed, options, draws) -> SimEstimate:
     if options.trace_limit > 0:
         raise ConfigError("the NOMA simulator records no slot trace")
@@ -695,22 +701,9 @@ def _run_noma(topology, config, slots, seed, options, draws) -> SimEstimate:
     ]
     joint = _JointStream(tally, seed, rates, config.gamma_th, options)
 
-    t = 0
-    while t < slots:
-        # Whole pairs, then the one that reaches past a chunk or the run, walked:
-        t, done = _whole_pairs(joint, solo, beta_t, t, tally), [0, 0]  # its deliveries
-        while t < slots:
-            if max(done) < beta_t:
-                dur, got = joint.take((beta_t - done[0], beta_t - done[1]), t, 0, 0)
-                done = [d + n for d, n in zip(done, got)]
-            else:
-                lane = 0 if done[0] < beta_t else 1
-                dur, (n,) = solo[lane].take((beta_t - done[lane],), t, 0, 0)
-                done[lane] += n
-            t += dur
-            if min(done) >= beta_t:
-                tally.cycle_end(0, [t])
-                break
+    cursor = ([0, 0], 0)  # the current pair's deliveries per stream, and slot
+    while cursor[1] < slots:
+        cursor = _place_pairs(joint, solo, beta_t, cursor, tally)
     for stream in (joint, *solo):
         stream.flush()
     return tally.estimate(config, seed)

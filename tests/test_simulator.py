@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -158,6 +159,21 @@ def test_results_do_not_depend_on_the_draw_chunk(setup10, scheme, monkeypatch):
     for a, b in zip(small.trace, ref.trace):
         assert a.snrs.keys() == b.snrs.keys()
         assert all(np.array_equal(a.snrs[k], b.snrs[k]) for k in a.snrs)
+
+
+@pytest.mark.parametrize("scheme", ["mdma", "noma"])
+def test_a_cycle_longer_than_a_chunk_keeps_memory_bounded_by_the_chunk(setup10, scheme):
+    # At -30 dBm nothing succeeds, so no cycle or pair ever ends: memory that
+    # held a cycle whole would grow with the run.  A chunk takes well under 1 MB.
+    topo, cfg = setup10
+    tracemalloc.start()
+    try:
+        est = simulate(scheme, topo, replace(cfg, power_dbm=-30.0), 300_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.pairs == 0
+    assert peak < 5e6, f"{peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -416,54 +432,6 @@ def test_sic_rule_equals_successive_cancellation(gamma_th, order):
             assert ok[s].dtype == bool and flags[s].dtype == bool
             assert np.array_equal(ok[s], ref_ok[s]) and np.array_equal(flags[s], ref_ok[s])
             assert np.array_equal(sinr[s].view(np.uint64), ref_sinr[s].view(np.uint64))
-
-
-def _noma_outputs(topo, cfg, slots, options):
-    est = simulate("noma", topo, cfg, slots, seed=4, options=options)
-    return (json.dumps(est.to_dict()), est.occupancy_counts.tolist(), est.decode_attempts,
-            est.decode_empties, est.pair_duration_sum, est.pair_duration_sumsq)
-
-
-@pytest.mark.parametrize("link", ["-30dBm", "4dBm", "10dBm", "30dBm", "noiseless"])
-def test_noma_whole_pairs_equal_the_pair_by_pair_walk(setup10, link, monkeypatch):
-    topo, cfg = setup10
-    cfg = replace(cfg, noise_dbm=-math.inf) if link == "noiseless" else replace(
-        cfg, power_dbm=float(link[:-3]))
-    variants = [(SimOptions(), 10), (SimOptions(noma_rho=0.1), 10),
-                (SimOptions(noma_sic_order="instant"), 10),
-                (SimOptions(relay_cooperation=False), 10), (SimOptions(), 1), (SimOptions(), 25)]
-    cases = [(replace(cfg, total_bits=bits), slots, options)
-             for options, bits in variants
-             for slots in sorted({1, bits - 1, bits, bits + 1, simulator._CHUNK + 1} - {0})]
-    cases.append((cfg, 50_000, SimOptions()))
-    whole, placed, counted = simulator._whole_pairs, [], []
-
-    def spy(joint, solo, beta_t, t, tally):
-        end = whole(joint, solo, beta_t, t, tally)
-        placed.append(end - t)
-        return end
-
-    def outputs():
-        counted.clear()
-        out = [_noma_outputs(topo, c, slots, options) for c, slots, options in cases]
-        with monkeypatch.context() as m:
-            m.setattr(simulator, "_CHUNK", 7)
-            out.append(_noma_outputs(topo, cfg, 3_000, SimOptions()))
-        return out, list(counted)
-
-    # Each counted episode's stream, chunk position and slot: NOMA records no
-    # trace, so this is the only place a misplaced slot shows.
-    for cls in (simulator._JointStream, simulator._BcastStream):
-        def count(self, idx, start, rep, tag, _count=cls.count):
-            counted.append((type(self).__name__, getattr(self, "source", 0), idx, start.tolist()))
-            _count(self, idx, start, rep, tag)
-        monkeypatch.setattr(cls, "count", count)
-    monkeypatch.setattr(simulator, "_whole_pairs", spy)
-    ref = outputs()
-    assert (sum(placed) > 0) == (link != "-30dBm")  # at -30 dBm no pair ever ends
-    # With no pair placed whole, the take-by-take walk places every pair.
-    monkeypatch.setattr(simulator, "_whole_pairs", lambda joint, solo, beta_t, t, tally: t)
-    assert outputs() == ref
 
 
 def test_invalid_options():
