@@ -12,7 +12,9 @@ all m cost O(m^2).  The same law over the 2^m decode sets is a view
 The relay-step outage bins that CDF and the threshold-conditioned direct
 SNR on n bins and sums the mass of their sum below the threshold, one O(n)
 dot product.  Binning evaluates ``1 - exp(-rate * gamma)`` at the n + 1 bin
-edges for every rate, an (n + 1)-by-m basis (``exp_cdf_basis``).  Both
+edges for every rate, an (n + 1)-by-m basis (``exp_cdf_basis``), and takes
+its product with the coefficients a fixed number of rows at a time, so the
+bits do not depend on how many threads the BLAS library runs.  Both
 sources share the relay-to-destination rates, so ``step_outages`` checks
 them for ties once, builds the basis once and bins both sources from it;
 ``BinnedPmf`` validates and clamps each binned mass once.  On a 2-core host
@@ -49,6 +51,11 @@ from .topology import ConfigError, LinkParam, NetworkTopology, SystemConfig, lin
 MAX_RELAYS_CLOSED_FORM = 20
 RATE_TIE_RTOL = 1e-9
 _EPS = float(np.finfo(float).eps)
+# Rows of a basis per matrix-vector product.  OpenBLAS splits a product of
+# more than about 460 000 elements over its threads (seen with 0.3.31), which
+# moves the last bits of some rows; 4096 rows of at most 20 rates stay far
+# below that, so the binned law does not depend on the thread count.
+_BASIS_ROWS = 4096
 
 
 class ConditioningError(ValueError):
@@ -407,7 +414,9 @@ def bin_relay_sum(
             f"{granularity + 1} edges from 0 to {gamma_th:g}"
         )
     noise = 64.0 * _EPS * max(1.0, float(np.abs(cdf.coeff_per_rate).sum()))
-    at_edges = basis @ cdf.coeff_per_rate
+    at_edges = np.empty(len(basis))
+    for k in range(0, len(basis), _BASIS_ROWS):
+        np.matmul(basis[k : k + _BASIS_ROWS], cdf.coeff_per_rate, out=at_edges[k : k + _BASIS_ROWS])
     return BinnedPmf(at_edges[1:] - at_edges[:-1], gamma_th, granularity, noise)
 
 

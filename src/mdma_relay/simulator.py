@@ -10,7 +10,9 @@ The engine works on episodes: a broadcast slot plus, when the destination
 missed it and some relay decoded it, a relay slot.  Given the source they
 are i.i.d., so they are drawn as arrays, one generator per (source, link
 kind), and cut into repetitions at their successes; an episode's slot is a
-cumsum of episode lengths and the counters come from `bincount`.  TDMA,
+cumsum of episode lengths.  The counters are kept per (run, repetition)
+cell: each chunk's episodes are counted per cell with `bincount`, and the
+cells' counts are added to their labels.  TDMA,
 FDMA and NOMA baselines reuse the same relay cooperation mechanics and
 differ only in medium access.  Where the baselines are underspecified,
 every assumption is a configurable ``SimOptions`` field.
@@ -272,24 +274,18 @@ class _Tally:
         self.failures = np.zeros(len(step_keys), dtype=np.int64)
         self.decode_attempts, self.decode_empties = {1: 0, 2: 0}, {1: 0, 2: 0}
         self.events: list[tuple[int, int, SlotEvent]] = []  # (slot, band, event)
-        self.cycle_ends: list[list[int]] = [[] for _ in range(bands)]
+        self.cycle_ends = [np.zeros(0, dtype=np.int64) for _ in range(bands)]
         self.pairs, self.last_close, self.dur_sum, self.dur_sumsq = 0, 0, 0.0, 0.0
 
-    def add(self, labels, keys, failed) -> None:
-        """Count slots in occupancy `labels` and attempts of step `keys`."""
-        self.occupancy += np.bincount(labels, minlength=self.occupancy.size)
-        self.attempts += np.bincount(keys, minlength=self.attempts.size)
-        self.failures += np.bincount(keys[failed], minlength=self.failures.size)
-
-    def cycle_end(self, band: int, ends: list[int]) -> None:
+    def cycle_end(self, band: int, ends: np.ndarray) -> None:
         """Band `band` ended cycles before the slots `ends`."""
-        self.cycle_ends[band] += [e for e in ends if e <= self.slots]
-        if len(self.cycle_ends[band]) >= _CHUNK:
+        self.cycle_ends[band] = np.concatenate((self.cycle_ends[band], ends[ends <= self.slots]))
+        if self.cycle_ends[band].size >= _CHUNK:
             self._settle()
 
     def _settle(self) -> None:
         """A pair is delivered once every band has ended that cycle, at the latest end."""
-        n = min(len(e) for e in self.cycle_ends)
+        n = min(e.size for e in self.cycle_ends)
         if n:
             close = np.max([e[:n] for e in self.cycle_ends], axis=0)
             d = np.diff(close, prepend=self.last_close).astype(float)
@@ -369,12 +365,12 @@ class _Stream:
         if not self.runs_placed:
             return
         first, stop, slot, before, tag = (np.concatenate(c) for c in zip(*self.runs_placed))
-        seg = np.repeat(np.arange(first.size), stop - first)
-        idx = slice(first[0], stop[-1])  # the segments tile it in order
+        idx, size = slice(first[0], stop[-1]), stop - first  # the runs tile idx in order
+        # An episode's slot and repetition are its run's offsets plus its cumsums.
         cum_len, cum_succ = self.cum_len, self.cum_succ[0]
-        start = slot[seg] + cum_len[idx] - cum_len[first][seg]
-        rep = before[seg] + cum_succ[idx] - cum_succ[first][seg]
-        self.count(idx, start, rep, tag[seg])
+        start = np.repeat(slot - cum_len[first], size) + cum_len[idx]
+        rep = np.repeat(before - cum_succ[first], size) + cum_succ[idx]
+        self.count(idx, start, rep, np.repeat(tag, size))
         self.runs_placed = []
 
 
@@ -453,11 +449,18 @@ def _broadcasts(draws, tally, seed, source, rates, gamma_th, cooperate) -> _Epis
 class _BcastStream(_Stream):
     """Full-power broadcast episodes of one source (MDMA, TDMA, FDMA, NOMA solo),
     read chunk by chunk from `episodes`.
-    `table[tag, rep]`: broadcast and relay labels, their step keys, and band."""
+    `table[tag, rep]`: broadcast and relay labels, their step keys, and band.
+
+    Episodes are counted per cell (tag, rep) of the table, then added to the
+    cells' labels.  A short run's row is padded with its first repetition's
+    labels, so a label can stand in several cells: only `np.add.at` sums them."""
 
     def __init__(self, tally, episodes: _Episodes, table):
         super().__init__(tally, 1)
         self.episodes, self.source, self.table, self.chunks = episodes, episodes.source, table, 0
+        # Per cell: the broadcast's label and step key, then the relay slot's.
+        lab_b, lab_r, key_b, key_r, _ = table.reshape(-1, table.shape[-1]).T
+        self.cells = ((lab_b, key_b, "ok"), (lab_r, key_r, "relay_ok"))
 
     def draw(self, n: int) -> dict:
         self.chunks += 1
@@ -465,14 +468,18 @@ class _BcastStream(_Stream):
 
     def count(self, idx, start, rep, tag) -> None:
         ep, tally, slots = self.ep, self.tally, self.tally.slots
-        lab_b, lab_r, key_b, key_r, band = self.table[tag, rep].T
+        cell = tag * self.table.shape[1] + rep
         b = start < slots
         r = ep["relay"][idx] & (start + 1 < slots)
-        tally.add(lab_b[b], key_b[b], ~ep["ok"][idx][b])
-        tally.add(lab_r[r], key_r[r], ~ep["relay_ok"][idx][r])
-        tally.decode_attempts[self.source] += int(b.sum())
-        tally.decode_empties[self.source] += int((b & ep["empty"][idx]).sum())
+        for sent, (lab, key, ok) in zip((b, r), self.cells):
+            per_cell = np.bincount(cell[sent], minlength=lab.size)
+            np.add.at(tally.occupancy, lab, per_cell)
+            np.add.at(tally.attempts, key, per_cell)
+            np.add.at(tally.failures, key, np.bincount(cell[sent & ~ep[ok][idx]], minlength=lab.size))
+        tally.decode_attempts[self.source] += int(np.count_nonzero(b))
+        tally.decode_empties[self.source] += int(np.count_nonzero(b & ep["empty"][idx]))
         if tally.trace_limit:
+            lab_b, lab_r, _, _, band = self.table[tag, rep].T
             self._trace(idx, start, lab_b, lab_r, band)
 
     def _trace(self, idx, start, lab_b, lab_r, band) -> None:
@@ -527,7 +534,7 @@ def _place_runs(prog, band: int, cursor, tally: _Tally):
         before = np.zeros(k, dtype=np.int64)
         before[:1] = done if i == 0 else 0
         s.place(first[i, :k], stop[i, :k], slot[i:placed:size], before, tag)
-    tally.cycle_end(band, ends[(size - 1 - j) % size : min(placed, cut) : size].tolist())
+    tally.cycle_end(band, ends[(size - 1 - j) % size : min(placed, cut) : size])
     cum = order[cut % size][0].cum_succ[0]
     done = (cut == 0) * done + int(cum[-1] - cum[first[cut % size, -1]])  # the cut run's, at the chunk end
     return (j + cut) % size, done, int(ends[placed - 1])
@@ -680,7 +687,7 @@ def _place_pairs(joint, solo, beta_t: int, cursor, tally: _Tally):
         k = int(np.searchsorted(lag, placed))
         stream.place(s_first[:k], s_stop[:k], (pair_slot + joint_dur[: cut + 1])[lag[:k]],
                      np.zeros(k, dtype=np.int64), 0)
-    tally.cycle_end(0, ends[: min(placed, cut)].tolist())
+    tally.cycle_end(0, ends[: min(placed, cut)])
     return at_cut, int(ends[placed - 1])
 
 

@@ -6,13 +6,20 @@ written from commit 2c15618, before the relay step moved to array pairs,
 so a change that keeps these bits keeps the shipped outages exactly.  The
 tied ``line10`` entries with n > 1 were rewritten when tied and over-cap
 relay sums moved from convolved per-path masses to the bins of the exact
-phase-type law (``relay_sum_bins``); every other entry keeps its first bits.
-Rewrite it only for a change that means to move those numbers:
+phase-type law (``relay_sum_bins``).  The 24 paper entries at n = 1e5 from
+5 to 40 dBm were rewritten when the basis product went to fixed row blocks:
+OpenBLAS had split it over its threads, so those bits depended on the thread
+count, and the rewritten bits are what one thread gave before.  Every other
+entry keeps its first bits.  Rewrite it only for a change that means to move
+those numbers:
 
     PYTHONPATH=src python tests/test_golden_step_outages.py
 """
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -50,6 +57,10 @@ def cases():
 
 
 CASES = cases()
+# Where a product long enough for OpenBLAS to thread it can reach the outputs.
+THREAD_CASES = [case for case in CASES if case[0].startswith("paper-") and case[0].endswith("-n100000")] + [
+    (f"line16-{power}dBm-n100000", "line16", {"power_dbm": float(power), "granularity": 100_000})
+    for power in (-10, 0, 10, 20, 30)]
 
 
 def record(layout, edits):
@@ -73,6 +84,21 @@ def test_golden_file_covers_every_case(golden):
 @pytest.mark.parametrize("case_id, layout, edits", CASES, ids=[c[0] for c in CASES])
 def test_step_outages_keep_their_recorded_bits(golden, case_id, layout, edits):
     assert record(layout, edits) == golden[case_id]
+
+
+def test_step_outages_do_not_depend_on_the_blas_thread_count():
+    """OpenBLAS reads its thread count when it loads, so each count gets a
+    process of its own.  Asked for 3 threads (it runs at most one per core),
+    it splits an unblocked n = 1e5 basis product, and one thread does not."""
+    here = Path(__file__).resolve().parent
+    code = ("import json, sys; sys.path[:0] = sys.argv[1:]; import test_golden_step_outages as g; "
+            "print(json.dumps({c: g.record(layout, edits) for c, layout, edits in g.THREAD_CASES}))")
+    outs = [subprocess.run([sys.executable, "-c", code, str(here), str(here.parent / "src")],
+                           env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                           capture_output=True, text=True, check=True, timeout=300).stdout
+            for threads in ("1", "3")]
+    assert len(json.loads(outs[0])) == len(THREAD_CASES)
+    assert outs[0] == outs[1]
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -393,6 +394,93 @@ def test_empty_decode_sets_from_column_ands_equal_any(m):
     empty = simulator._none_set(flags)
     assert empty.dtype == bool and empty.any() and not empty.all()
     assert np.array_equal(empty, ~flags.any(axis=1))
+
+
+def _walk(ep, runs):
+    """Each placed episode's start slot, repetition and tag, run by run."""
+    cum_len = np.concatenate(([0], np.cumsum(ep["length"])))
+    start, rep, tag = [], [], []
+    for first, stop, slot, before, t in runs:
+        for i in range(first, stop):
+            start.append(slot + cum_len[i] - cum_len[first])
+            rep.append(before)
+            tag.append(t)
+            before += int(ep["success"][0][i])
+    return np.array(start), np.array(rep), np.array(tag)
+
+
+def _count_per_episode(tally, ep, table, source, runs):
+    """The reference for `_BcastStream.count`: gather every episode's labels
+    from the table, then bincount them per label."""
+    start, rep, tag = _walk(ep, runs)
+    idx = slice(runs[0][0], runs[-1][1])
+    lab_b, lab_r, key_b, key_r, _ = table[tag, rep].T
+    b = start < tally.slots
+    r = ep["relay"][idx] & (start + 1 < tally.slots)
+    for lab, key, sent, ok in (lab_b, key_b, b, ep["ok"]), (lab_r, key_r, r, ep["relay_ok"]):
+        tally.occupancy += np.bincount(lab[sent], minlength=tally.occupancy.size)
+        tally.attempts += np.bincount(key[sent], minlength=tally.attempts.size)
+        tally.failures += np.bincount(key[sent & ~ok[idx]], minlength=tally.failures.size)
+    tally.decode_attempts[source] += int(b.sum())
+    tally.decode_empties[source] += int((b & ep["empty"][idx]).sum())
+
+
+def test_per_cell_counts_equal_the_per_episode_count():
+    """Random chunks and placements: runs of 1 to 5 repetitions in tables
+    padded to the widest, a first run resumed mid-way, a last run that the
+    chunk end may cut, and a run end that may fall on a relay slot."""
+    seen = {"padded": 0, "cut": 0, "relay episode at slots - 1": 0}
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        ok = rng.random(n) < 0.5
+        empty = ~ok & (rng.random(n) < 0.3)
+        relay = ~ok & ~empty
+        relay_ok = relay & (rng.random(n) < 0.6)
+        ep = {"ok": ok, "empty": empty, "relay": relay, "relay_ok": relay_ok,
+              "length": 1 + relay, "success": [ok | relay_ok]}
+        reps = rng.integers(1, 6, int(rng.integers(1, 5)))
+        # Occupancy labels, step keys and band per cell; a short run's row is
+        # padded with its first repetition's, as `_run_bands` builds it.
+        table = np.zeros((len(reps), reps.max(), 5), dtype=np.int64)
+        table[..., :2] = rng.integers(0, 12, table[..., :2].shape)
+        table[..., 2:4] = rng.integers(0, 6, table[..., 2:4].shape)
+        for t, k in enumerate(reps):
+            table[t, k:] = table[t, 0]
+        runs, i, slot = [], int(rng.integers(0, 3)), int(rng.integers(0, 5))
+        tag = int(rng.integers(len(reps)))
+        before = int(rng.integers(reps[tag]))  # resumed from the last chunk
+        while i < n:
+            first, need = i, reps[tag] - before
+            while i < n and need:
+                need -= int(ep["success"][0][i])
+                i += 1
+            runs.append((first, i, slot, before, tag))
+            seen["cut"] += bool(need)
+            slot += 2 * (i - first) + int(rng.integers(0, 4))  # other streams' slots between runs
+            tag, before = int(rng.integers(len(reps))), 0
+        if not runs:
+            continue
+        start, _, _ = _walk(ep, runs)
+        relays = start[relay[runs[0][0]:]]
+        if seed % 3 == 0 and relays.size:
+            slots = int(rng.choice(relays)) + 1
+            seen["relay episode at slots - 1"] += 1
+        else:
+            slots = int(rng.integers(1, start[-1] + 3))
+        seen["padded"] += bool((reps < reps.max()).any())
+
+        got, want = (simulator._Tally("mdma", list(range(12)), list(range(6)), 1, slots, 0) for _ in range(2))
+        stream = simulator._BcastStream(got, SimpleNamespace(source=2, chunk=lambda k, size: ep), table)
+        stream.ready(0)
+        for first, stop, at, before, tag in runs:
+            stream.place(*(np.array([v]) for v in (first, stop, at, before)), tag)
+        stream.flush()
+        _count_per_episode(want, ep, table, 2, runs)
+        for name in ("occupancy", "attempts", "failures"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (seed, name)
+        assert (got.decode_attempts, got.decode_empties) == (want.decode_attempts, want.decode_empties)
+    assert min(seen.values()) >= 20, seen
 
 
 def _sic_by_selection(first, x1, x2, gamma_th):
