@@ -10,12 +10,13 @@ The engine works on episodes: a broadcast slot plus, when the destination
 missed it and some relay decoded it, a relay slot.  Given the source they
 are i.i.d., so they are drawn as arrays, one generator per (source, link
 kind), and cut into repetitions at their successes; an episode's slot is a
-cumsum of episode lengths.  The counters are kept per (run, repetition)
-cell: each chunk's episodes are counted per cell with `bincount`, and the
-cells' counts are added to their labels.  TDMA,
-FDMA and NOMA baselines reuse the same relay cooperation mechanics and
-differ only in medium access.  Where the baselines are underspecified,
-every assumption is a configurable ``SimOptions`` field.
+cumsum of episode lengths, derived once per chunk where it is made
+(`_prepare`).  The counters are kept per (run, repetition) cell: each
+chunk's episodes are counted per cell with `bincount`, and the cells'
+counts are added to their labels.  TDMA, FDMA and NOMA baselines reuse
+the same relay cooperation mechanics and differ only in medium access.
+Where the baselines are underspecified, every assumption is a configurable
+``SimOptions`` field.
 
 `simulate(scheme, ...)` is the one entry point.  MDMA, TDMA and FDMA are
 band schemes: a list of bands, each a list of `markov.Phase(name, source,
@@ -30,10 +31,10 @@ NOMA's cancellation needs no choice of the stronger stream (see `_sic`).
 
 A source's broadcast episodes come from the same generators in MDMA, TDMA,
 FDMA and NOMA's solo streams.  The schemes of one sweep point share them
-(`shared_draws`): each chunk is drawn once and read by every scheme, so each
-result is the one a lone run gives, but the schemes' estimates at that point
-are correlated, and a difference between schemes is not a difference of
-independent samples.
+(`shared_draws`): each chunk is drawn and prepared once and read, read-only,
+by every scheme, so each result is the one a lone run gives, but the
+schemes' estimates at that point are correlated, and a difference between
+schemes is not a difference of independent samples.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ SCHEMES = ("mdma", "tdma", "fdma", "noma")
 # in order, so results do not depend on this size; it only bounds memory.
 _CHUNK = 1 << 12
 
+# Traced slots a run may record: a traced slot keeps its event, SNR arrays
+# included, until the run ends, about 0.7 kB (MDMA) to 1.4 kB (FDMA) each.
+MAX_TRACE_SLOTS = 100_000
+
 
 @dataclass(frozen=True)
 class SimOptions:
@@ -69,6 +74,8 @@ class SimOptions:
             raise ConfigError("noma_sic_order must be 'mean' or 'instant'")
         if self.trace_limit < 0:
             raise ConfigError(f"trace_limit must be non-negative, got {self.trace_limit}")
+        if self.trace_limit > MAX_TRACE_SLOTS:
+            raise ConfigError(f"trace_limit must be at most {MAX_TRACE_SLOTS}, got {self.trace_limit}")
 
 
 @dataclass(frozen=True)
@@ -238,10 +245,11 @@ def _none_set(flags) -> np.ndarray:
 def _relay_slots(rng, need, retained, decoded, rd_means, gamma_th):
     """Relay-to-destination rows of the episodes in `need`, their MRC totals
     (retained SNR plus decoding relays), and which episodes decode there."""
-    rows = _exp(rng, (int(need.sum()), decoded.shape[1]), rd_means)
-    mrc = retained[need] + np.einsum("ij,ij->i", rows, decoded[need])
+    idx = np.flatnonzero(need)  # `take` by index is several times faster than a mask
+    rows = _exp(rng, (idx.size, decoded.shape[1]), rd_means)
+    mrc = retained.take(idx) + np.einsum("ij,ij->i", rows, decoded.take(idx, axis=0))
     ok = np.zeros(need.size, dtype=bool)
-    ok[need] = mrc >= gamma_th
+    ok[idx] = mrc >= gamma_th
     return rows, mrc, ok
 
 
@@ -320,8 +328,9 @@ class _Stream:
     start slot, repetitions before it, tag) in chunk order; a run a chunk end
     cuts goes on in the next chunk with its repetitions so far in `before`.
     They are counted before the next chunk is drawn, so memory is bounded by
-    the chunk.  Lane l of `success` flags stream l+1; until the first draw
-    the stream holds an empty chunk.
+    the chunk.  It reads a chunk prepared where it was made (`_prepare`),
+    read-only if shared; lane l is stream l+1.  Until the first draw the
+    stream holds an empty chunk.
     """
 
     def __init__(self, tally: _Tally, lanes: int):
@@ -344,21 +353,17 @@ class _Stream:
         slots.  Runs that hold no episode are dropped: before its first draw
         a stream has no chunk to count them in."""
         if stop.size and stop[-1] > first[0]:
-            self.runs_placed.append((first, stop, slot, before, np.full_like(stop, tag)))
+            self.runs_placed.append((first, stop, slot, before, np.full(stop.size, tag)))
             self.pos = int(stop[-1])
 
     def _refill(self, slot: int) -> None:
-        """Count the chunk, then read the next.  From `slot` on, the run has
-        room for at most one episode per slot left, so no more are asked for;
-        a chunk another run drew first may hold more."""
+        """Count the chunk, then read the next, prepared (`_prepare`).  From
+        `slot` on, the run has room for at most one episode per slot left, so
+        no more are asked for; a chunk another run drew first may hold more."""
         self.flush()
-        self.ep = self.draw(min(_CHUNK, self.tally.slots - slot))
-        # Slots and successes per lane before each episode, and the episode
-        # after each success, then n + 1.
-        self.cum_len = np.concatenate(([0], np.cumsum(self.ep["length"])))
+        ep = self.ep = self.draw(min(_CHUNK, self.tally.slots - slot))
+        self.cum_len, self.cum_succ, self.succ_end = ep["cum_len"], ep["cum_succ"], ep["succ_end"]
         self.n, self.pos = self.cum_len.size - 1, 0
-        self.cum_succ = [np.concatenate(([0], np.cumsum(s))) for s in self.ep["success"]]
-        self.succ_end = [np.append(np.flatnonzero(s) + 1, self.n + 1) for s in self.ep["success"]]
 
     def flush(self) -> None:
         """Count the episodes placed from the current chunk."""
@@ -374,14 +379,27 @@ class _Stream:
         self.runs_placed = []
 
 
+def _prepare(ep: dict, length, success) -> dict:
+    """Add to chunk `ep` what placing it reads: slots and, per lane, successes
+    before each episode, and the episode after each success, then n + 1; int16
+    while 3 slots per episode fit, a quarter of int64's memory in a kept chunk."""
+    n = length.size
+    cum = np.zeros((1 + len(success), n + 1), np.int16 if 3 * n < 1 << 15 else np.int64)
+    for row, x in zip(cum, (length, *success)):
+        np.cumsum(x, out=row[1:])
+    ep["cum_len"], *ep["cum_succ"] = cum
+    ep["succ_end"] = [np.append(s.nonzero()[0] + 1, n + 1).astype(cum.dtype) for s in success]
+    return ep
+
+
 def _draw_key(seed, source, rates, gamma_th, cooperate) -> tuple:
     """Everything a source's broadcast episodes depend on."""
     return (seed, source, gamma_th, cooperate, float(rates.direct),
             tuple(rates.source_relay.tolist()), tuple(rates.relay_dest.tolist()))
 
 
-# What `_BcastStream.count` reads of an episode, and all that a shared chunk keeps.
-_FLAGS = ("ok", "empty", "relay", "relay_ok")
+# All a shared chunk keeps: the flags `_BcastStream.count` reads, then `_prepare`'s.
+_KEPT = ("ok", "empty", "relay", "relay_ok", "cum_len", "cum_succ", "succ_end")
 
 
 class _Episodes:
@@ -389,9 +407,11 @@ class _Episodes:
     from its direct, source-relay and relay-destination generators.
 
     Chunk k is drawn when it is first read, with the size that reader asks
-    for.  A private source has one reader, which holds the chunk it reads, so
-    the source keeps none.  A shared one (`shared_draws`) keeps every chunk it
-    draws, as its flags only, for the other schemes of one operating point."""
+    for, and prepared there (`_prepare`): its lengths, success cumsums and
+    success ends are derived once.  A private source has one reader, which
+    holds the chunk it reads, so the source keeps none.  A shared one
+    (`shared_draws`) keeps every chunk it draws, as read-only flags and
+    prepared arrays, for the other schemes of one operating point."""
 
     def __init__(self, seed, source, rates, gamma_th, cooperate, shared=False):
         self.key = _draw_key(seed, source, rates, gamma_th, cooperate)
@@ -401,16 +421,18 @@ class _Episodes:
         self.kept, self.drawn = ([] if shared else None), 0
 
     def chunk(self, k: int, n: int) -> dict:
-        """Chunk k, drawn with n episodes if no reader has reached it, plus each
-        episode's length and success, which a shared chunk does not keep."""
+        """Chunk k, prepared, drawn with n episodes if no reader has reached it."""
         if k < self.drawn:
-            ep = self.kept[k]
-        else:
-            ep, self.drawn = self.draw(n), self.drawn + 1
-            if self.kept is not None:
-                ep = {f: ep[f] for f in _FLAGS}
-                self.kept.append(ep)
-        return dict(ep, length=1 + ep["relay"], success=[ep["ok"] | ep["relay_ok"]])
+            return self.kept[k]
+        ep, self.drawn = self.draw(n), self.drawn + 1
+        ep = _prepare(ep, 1 + ep["relay"], [ep["ok"] | ep["relay_ok"]])
+        if self.kept is not None:
+            ep = {f: ep[f] for f in _KEPT}
+            for v in ep.values():  # read-only: no reader may change what a later one reads
+                for a in v if isinstance(v, list) else [v]:
+                    a.setflags(write=False)
+            self.kept.append(ep)
+        return ep
 
     def draw(self, n: int) -> dict:
         g = self.gamma_th
@@ -428,8 +450,9 @@ def shared_draws(topology: NetworkTopology, config: SystemConfig, seed: int,
                  options: SimOptions = SimOptions()) -> dict[int, _Episodes]:
     """Broadcast episodes of both sources, to pass as `simulate(..., draws=...)`
     to every scheme run at one operating point with this seed and these options.
-    Each chunk is drawn once, by the first scheme to reach it, and kept as four
-    flags per episode, without SNRs, for the others to read."""
+    Each chunk is drawn and prepared once, by the first scheme to reach it, and
+    kept read-only as four flags per episode and its prepared arrays, without
+    SNRs, for the others to read."""
     return {s: _Episodes(seed, s, link_rates(topology, config, s), config.gamma_th,
                          options.relay_cooperation, shared=True) for s in (1, 2)}
 
@@ -617,9 +640,8 @@ class _JointStream(_Stream):
             ep["relay"][s] = ~ok[s] & ~ep["empty"][s]
             _, _, ep["relay_ok"][s] = _relay_slots(
                 self.rngs[s][2], ep["relay"][s], sinr[s], dec[s], self.rd_means, g)
-        ep["length"] = 1 + ep["relay"][1] + ep["relay"][2]
-        ep["success"] = [ok[s] | ep["relay_ok"][s] for s in (1, 2)]
-        return ep
+        return _prepare(ep, 1 + ep["relay"][1] + ep["relay"][2],
+                        [ok[s] | ep["relay_ok"][s] for s in (1, 2)])
 
     def count(self, idx, start, rep, tag) -> None:
         ep, tally, slots = self.ep, self.tally, self.tally.slots
@@ -651,7 +673,8 @@ def _place_pairs(joint, solo, beta_t: int, cursor, tally: _Tally):
     n, pos = joint.n, joint.pos
     # The joint stop of a pair begun at each episode, and of the cursor's pair
     # (at once if it is alone); chase the chain of starts.
-    stop_from = np.minimum(*(joint.after(lane, cum + beta_t - 1)
+    # Prepared arrays may be int16; what mixes them with beta_t is int64.
+    stop_from = np.minimum(*(joint.after(lane, np.add(cum, beta_t - 1, dtype=np.int64))
                              for lane, cum in enumerate(joint.cum_succ))).tolist()
     i = pos if alone else min(joint.after(lane, cum.item(pos) + beta_t - d - 1)
                               for lane, (cum, d) in enumerate(zip(joint.cum_succ, done)))
@@ -661,12 +684,12 @@ def _place_pairs(joint, solo, beta_t: int, cursor, tally: _Tally):
         i = stop_from[i]
     first = np.array(starts)
     stop = np.append(first[1:], n)  # the last pair's joint part is cut
-    need = beta_t - np.array([cum[stop] - cum[first] for cum in joint.cum_succ])
+    need = beta_t - np.array([cum[stop] - cum[first] for cum in joint.cum_succ], dtype=np.int64)
     need[:, 0] -= done
     joint_dur = joint.cum_len[stop] - joint.cum_len[first]
     # The cut pair and its deliveries at the chunk end: so far, the pair the joint chunk cuts.
     cut, at_cut = first.size - 1, (beta_t - need[:, -1]).tolist()
-    dur, solo_runs = joint_dur.copy(), []
+    dur, solo_runs = joint_dur.astype(np.int64), []
     # The lagging stream's solo stream meets the pairs' needs in order.
     for lane, stream in enumerate(solo):
         lag = np.flatnonzero(need[lane, :-1])

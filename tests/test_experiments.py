@@ -157,19 +157,30 @@ README_POWERS = tuple(float(p) for p in range(0, 31, 2))
 
 
 def _sweep_outputs(monkeypatch, tmp_path, spec, topo, cfg, options, share):
-    """The CSV of `run_sweep` and every estimate behind it.  Without `share`,
-    each scheme runs as a lone `simulate`, drawing its own episodes."""
-    seen = []
+    """The CSV of `run_sweep` and every estimate behind it, with the start
+    slots that each of its streams counts.  Without `share`, each scheme runs
+    as a lone `simulate`, drawing its own episodes."""
+    seen, counted = [], {}  # counted: stream -> start slot of each episode it counts
 
     def spy(*args, **kwargs):
+        counted.clear()
         est = simulate(*args, **kwargs)
         assert (kwargs["draws"] is not None) == share
         seen.append((json.dumps(est.to_dict()), est.occupancy_counts.tolist(),
-                     est.decode_attempts, est.decode_empties))
+                     est.decode_attempts, est.decode_empties, sorted(counted.items())))
         return est
+
+    def count_spy(cls):
+        def count(self, idx, start, rep, tag, _count=cls.count):
+            stream = f"{type(self).__name__}{getattr(self, 'source', '')}"
+            counted.setdefault(stream, []).extend(start[start < self.tally.slots].tolist())
+            _count(self, idx, start, rep, tag)
+        return count
 
     with monkeypatch.context() as m:
         m.setattr(experiments, "simulate", spy)
+        for cls in (simulator._BcastStream, simulator._JointStream):
+            m.setattr(cls, "count", count_spy(cls))
         if not share:
             m.setattr(experiments, "shared_draws", lambda *args: None)
         rows = run_sweep(spec, topo, cfg, options)
@@ -200,6 +211,7 @@ def test_shared_draws_change_no_result(setup10, monkeypatch, tmp_path, order, pa
     shared = _sweep_outputs(monkeypatch, tmp_path, spec, topo, replace(cfg, **edits), options, True)
     lone = _sweep_outputs(monkeypatch, tmp_path, spec, topo, replace(cfg, **edits), options, False)
     assert len(shared[1]) == len(values) * len(schemes)
+    assert all(streams for *_, streams in shared[1])
     assert shared == lone
 
 
@@ -228,6 +240,46 @@ def test_a_sweep_point_draws_each_broadcast_chunk_once(setup10, monkeypatch, pow
         assert sum(together.values()) < 0.7 * sum(sum(d.values()) for d in alone.values())
 
 
+@pytest.mark.parametrize("power", [-30.0, 4.0, 30.0])
+def test_a_sweep_point_prepares_each_chunk_once(setup10, monkeypatch, power):
+    """Each chunk's placement arrays are derived where it is drawn: once per
+    broadcast chunk, however many schemes read it, and once per joint chunk."""
+    topo, cfg = setup10
+    drawn, prepared, read = [0], [0], [0]
+
+    def spy(counter, fn):
+        def wrapped(*args, **kwargs):
+            counter[0] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(simulator._Episodes, "draw", spy(drawn, simulator._Episodes.draw))
+    monkeypatch.setattr(simulator._JointStream, "draw", spy(drawn, simulator._JointStream.draw))
+    monkeypatch.setattr(simulator, "_prepare", spy(prepared, simulator._prepare))
+    monkeypatch.setattr(simulator._Stream, "_refill", spy(read, simulator._Stream._refill))
+    run_sweep(SweepSpec("power_dbm", (power,), ALL_SCHEMES, 20_000, seed=2), topo, cfg)
+    assert prepared[0] == drawn[0]
+    assert read[0] > 1.5 * drawn[0]  # most chunks have several readers, which did not prepare them
+
+
+def test_a_shared_chunk_is_read_only(setup10):
+    topo, cfg = setup10
+    draws = shared_draws(topo, cfg, 3)
+    for scheme in ALL_SCHEMES:
+        simulate(scheme, topo, cfg, 5_000, seed=3, draws=draws)
+    arrays = 0
+    for episodes in draws.values():
+        assert episodes.kept
+        for ep in episodes.kept:
+            assert set(ep) == {"ok", "empty", "relay", "relay_ok", "cum_len", "cum_succ", "succ_end"}
+            for value in ep.values():
+                for a in value if isinstance(value, list) else [value]:
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[0] = a[-1]
+                    arrays += 1
+    assert arrays >= 2 * 7
+
+
 def test_a_shared_sweep_point_keeps_little_memory(setup10):
     topo, cfg = setup10
     run_sweep(SweepSpec("power_dbm", (10.0,), ALL_SCHEMES, 100), topo, cfg)  # warm caches
@@ -237,7 +289,8 @@ def test_a_shared_sweep_point_keeps_little_memory(setup10):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Flags only: keeping each chunk's cumsums as well peaked at 9.4 MB, its SNRs at 38 MB.
+    # Flags and int16 placement arrays read 4.1 MB; int64 arrays peaked at 9.0 MB,
+    # flags only at 2.9 MB, and keeping each chunk's SNRs at 38 MB.
     assert peak < 5e6
 
 
@@ -859,6 +912,28 @@ def test_cli_negative_trace_slots_is_an_error(capsys, scheme):
     assert captured.out == ""
     assert captured.err.count("error:") == 1
     assert "error: trace_limit must be non-negative, got -3" in captured.err
+
+
+def test_cli_refuses_a_trace_past_the_cap_before_drawing(capsys, monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("episodes were drawn")
+
+    monkeypatch.setattr(simulator._Episodes, "draw", draw)
+    argv = ["simulate", "--paper-defaults", "--trials", "3000000"]
+    assert main(argv + ["--trace-slots", str(simulator.MAX_TRACE_SLOTS + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: trace_limit must be at most {simulator.MAX_TRACE_SLOTS}, " \
+                           f"got {simulator.MAX_TRACE_SLOTS + 1}\n"
+
+
+def test_cli_accepts_a_trace_at_the_cap(tmp_path):
+    trace = tmp_path / "trace.csv"
+    argv = ["simulate", "--paper-defaults", "--trials", "300", "--seed", "1",
+            "--trace-slots", str(simulator.MAX_TRACE_SLOTS), "--trace-out", str(trace), "--out",
+            str(tmp_path / "sim.json")]
+    assert main(argv) == 0
+    assert len(trace.read_text().splitlines()) == 1 + 300  # header, then every slot of the run
 
 
 def _fresh_main(cwd: Path, *argvs: list[str]) -> tuple[list[int], list[str]]:

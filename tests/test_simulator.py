@@ -162,6 +162,24 @@ def test_results_do_not_depend_on_the_draw_chunk(setup10, scheme, monkeypatch):
         assert all(np.array_equal(a.snrs[k], b.snrs[k]) for k in a.snrs)
 
 
+@pytest.mark.parametrize("power", [10.0, 30.0])
+def test_payloads_past_the_int16_range_do_not_depend_on_the_chunk_size(monkeypatch, power):
+    """A chunk of 4 096 episodes keeps its placement arrays as int16, and a
+    payload of 40 000 slots, past int16, is placed with them; a chunk of
+    16 384 keeps them as int64.  An overflow would tell the two apart."""
+    topo, cfg = default_paper_setup(power_dbm=power)
+    cfg = replace(cfg, total_bits=40_000.0)
+
+    def run(chunk, shared):
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        draws = simulator.shared_draws(topo, cfg, 5) if shared else None
+        return [simulate(s, topo, cfg, 150_000, seed=5, draws=draws).to_dict() for s in SCHEMES]
+
+    narrow = run(4096, True)
+    assert all(est["pairs"] for est in narrow)
+    assert narrow == run(1 << 14, False)
+
+
 @pytest.mark.parametrize("scheme", ["mdma", "noma"])
 def test_a_cycle_longer_than_a_chunk_keeps_memory_bounded_by_the_chunk(setup10, scheme):
     # At -30 dBm nothing succeeds, so no cycle or pair ever ends: memory that
@@ -439,6 +457,7 @@ def test_per_cell_counts_equal_the_per_episode_count():
         relay_ok = relay & (rng.random(n) < 0.6)
         ep = {"ok": ok, "empty": empty, "relay": relay, "relay_ok": relay_ok,
               "length": 1 + relay, "success": [ok | relay_ok]}
+        simulator._prepare(ep, ep["length"], ep["success"])
         reps = rng.integers(1, 6, int(rng.integers(1, 5)))
         # Occupancy labels, step keys and band per cell; a short run's row is
         # padded with its first repetition's, as `_run_bands` builds it.
