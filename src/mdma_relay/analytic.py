@@ -114,10 +114,13 @@ def direct_outage(link: LinkParam, gamma_th: float) -> float:
 
 
 def decode_fail_probs(
-    topology: NetworkTopology, config: SystemConfig, source: int
+    topology: NetworkTopology, config: SystemConfig, source: int, cooperate: bool = True
 ) -> np.ndarray:
-    """Per-relay probability of failing to decode the source broadcast."""
-    rates = link_rates(topology, config, source)
+    """Per-relay probability of failing to decode the source broadcast: 1
+    without relay cooperation, 0 at a zero threshold (inf * 0 is NaN)."""
+    rates = link_rates(topology, config, source, cooperate)
+    if not config.gamma_th:  # even an SNR of 0 meets it
+        return np.zeros(rates.source_relay.shape)
     return -np.expm1(-rates.source_relay * config.gamma_th)
 
 
@@ -516,17 +519,18 @@ def source_step_outages(
 
 
 def step_outages(
-    topology: NetworkTopology, config: SystemConfig
+    topology: NetworkTopology, config: SystemConfig, cooperate: bool = True
 ) -> dict[int, SourceOutages]:
     """The step outages of sources 1 and 2, keyed by source.
 
     Both sources' relay sums have the relay-to-destination rates, so their
     paths share one rates array and its tie check, and the closed form's CDF
     basis on the threshold grid is built here once for both.  The basis is
-    built only when some relay can decode some source's broadcast.
+    built only when some relay can decode some source's broadcast: without
+    relay cooperation (``link_rates``) every gate is 1 and no relay step is taken.
 
-    The last result is kept, keyed on the whole ``(topology, config)``
-    (both frozen, compared by value); a call with an equal key returns a
+    The last result is kept, keyed on the whole ``(topology, config,
+    cooperate)`` (frozen, compared by value); a call with an equal key returns a
     new dict of the same frozen ``SourceOutages``, bit for bit what a fresh
     computation gives.  One entry is all ``analyze`` needs: it calls this
     twice with one key, through ``analytic_solution`` and to print the
@@ -535,16 +539,16 @@ def step_outages(
     nothing.  Delete the memo once ``analyze`` makes one call, which needs
     the ``calls_per_op == 2.0`` pin in ``perfbench/test_perfbench.py`` moved.
     """
-    return dict(_step_outages(topology, config))
+    return dict(_step_outages(topology, config, cooperate))
 
 
 @lru_cache(maxsize=1)
 def _step_outages(
-    topology: NetworkTopology, config: SystemConfig
+    topology: NetworkTopology, config: SystemConfig, cooperate: bool
 ) -> dict[int, SourceOutages]:
     if math.isinf(config.snr_linear()):
         return {source: SourceOutages(0.0, 0.0, 0.0) for source in (1, 2)}
-    links = {source: link_rates(topology, config, source) for source in (1, 2)}
+    links = {source: link_rates(topology, config, source, cooperate) for source in (1, 2)}
     gamma_th = config.gamma_th
     if gamma_th == 0.0:
         # Zero threshold: every reception succeeds and the relay step never runs.

@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .analytic import GatedPaths, decode_fail_probs, relay_sum_cdf, relay_sum_cdf_uniformized, step_outages
 from .markov import ChainSolution, labelled, ring_distribution, solve_chain
-from .simulator import SCHEMES, SimOptions, shared_draws, simulate
+from .simulator import SCHEMES, SimOptions, simulate
 from .topology import (
     ConfigError,
     NetworkTopology,
@@ -145,9 +145,10 @@ def _apply_parameter(
     raise ConfigError(f"unknown parameter {parameter!r}")
 
 
-def analytic_solution(topology: NetworkTopology, config: SystemConfig) -> ChainSolution:
+def analytic_solution(topology: NetworkTopology, config: SystemConfig,
+                      cooperate: bool = True) -> ChainSolution:
     """Closed-form step outages, chain solution and scalar metrics."""
-    outs = step_outages(topology, config)
+    outs = step_outages(topology, config, cooperate)
     return solve_chain(
         outs, config.beta_s, config.beta_p, config.bandwidth_units, config.power_units
     )
@@ -161,11 +162,12 @@ def run_sweep(
 ) -> list[ResultRow]:
     """Analytic values plus simulation estimates for every grid point and scheme.
 
-    The schemes of one grid point share its broadcast draws (`shared_draws`):
-    each chunk of a source's episodes is drawn once, by the first scheme to
-    reach it, and read by the others.  Every row is the one a lone `simulate`
-    of its scheme gives, but the schemes' estimates at one point are
-    correlated, so their difference is not one of independent samples.
+    The analytic columns take the simulator's relay cooperation option.  The
+    schemes of one grid point share its broadcast draws through one `pool`:
+    each chunk is drawn once, by the first untraced scheme to reach it.  Every
+    row is the one a lone `simulate` of its scheme gives, but the schemes'
+    estimates at one point are correlated, so their difference is not one of
+    independent samples.
     """
     rows: list[ResultRow] = []
     for gi, value in enumerate(spec.values):
@@ -175,19 +177,16 @@ def run_sweep(
             rows += [ResultRow(scheme, spec.parameter, float(value), config.eta,
                                trials=spec.trials, error=str(exc)) for scheme in spec.schemes]
             continue
-        seed = spec.seed + gi
-        # A traced run draws its own: shared draws keep no SNRs.
-        draws = None if options.trace_limit else shared_draws(topo_v, cfg_v, seed, options)
+        seed, pool = spec.seed + gi, {}
         for scheme in spec.schemes:
             row = ResultRow(scheme, spec.parameter, float(value), cfg_v.eta, trials=spec.trials)
             try:
                 if scheme == "mdma":
-                    sol = analytic_solution(topo_v, cfg_v)
+                    sol = analytic_solution(topo_v, cfg_v, options.relay_cooperation)
                     row.analytic_op = sol.overall_op
                     row.analytic_tc = sol.slot_cost
                     row.analytic_phi = sol.efficiency
-                est = simulate(scheme, topo_v, cfg_v, spec.trials, seed=seed, options=options,
-                               draws=draws)
+                est = simulate(scheme, topo_v, cfg_v, spec.trials, seed=seed, options=options, pool=pool)
                 row.sim_op = est.overall_op
                 row.sim_op_stderr = est.overall_op_stderr
                 row.sim_tc = est.tc_empirical
@@ -293,7 +292,8 @@ def validate(
     seed: int = 0,
     options: SimOptions = SimOptions(),
 ) -> ValidationReport:
-    """Run the full analytic-vs-numeric oracle suite and report per check."""
+    """Run the full analytic-vs-numeric oracle suite and report per check;
+    the closed form takes the simulator's relay cooperation option."""
     # First, so that a bad seed or slot count is refused before any check.
     est = simulate("mdma", topology, config, trials, seed=seed, options=options)
     checks: list[CheckResult] = []
@@ -302,10 +302,10 @@ def validate(
     # series, for each source whose step outage uses the closed form.  The
     # gate is absolute, so it cannot see relative error in the deep tail.
     gamma_grid = np.linspace(0.2, 3.0, 8) * max(config.gamma_th, 1e-6)
-    errors = []
+    errors, cooperate = [], options.relay_cooperation
     for source in (1, 2):
         rates = link_rates(topology, config, source)
-        paths = GatedPaths(decode_fail_probs(topology, config, source), rates.relay_dest)
+        paths = GatedPaths(decode_fail_probs(topology, config, source, cooperate), rates.relay_dest)
         if not paths.closed_form:
             continue
         closed = relay_sum_cdf(paths)(gamma_grid)
@@ -315,7 +315,7 @@ def validate(
         worst = max(errors)
         checks.append(CheckResult("relay_sum_cdf_vs_uniformization", worst < 1e-7, worst, 1e-7))
 
-    outs = step_outages(topology, config)
+    outs = step_outages(topology, config, cooperate)
     sol = solve_chain(outs, config.beta_s, config.beta_p, config.bandwidth_units, config.power_units)
 
     for key, analytic in sorted(labelled(outs).items()):

@@ -243,8 +243,11 @@ def solve_chain(
     of them.  Weighting each phase by its share of the repetitions keeps the
     sums finite; OP is fails/slots, or 1 - 1/slots from one half up, which
     never exceeds 1 and is exactly 1 where the success share is below half an ulp.
+    A pair is delivered once per pass through the whole plan, so a chain held
+    in part of it (the literal personal1 wrap) has efficiency 0.
     """
-    held, stuck = _held(_phases(outages, phase_plan(beta_s, beta_p), literal_personal1_wrap))
+    plan = phase_plan(beta_s, beta_p)
+    held, stuck = _held(_phases(outages, plan, literal_personal1_wrap))
     op = 1.0
     if not stuck:
         total = sum(phase[3] for phase in held)
@@ -256,7 +259,7 @@ def solve_chain(
         op = fails / slots if fails / slots < 0.5 else 1.0 - 1.0 / slots
     tc = slot_cost(op)
     phi = resource_efficiency(tc, beta_s, beta_p, bandwidth_units, power_units)
-    return ChainSolution(op, tc, phi)
+    return ChainSolution(op, tc, phi if len(held) == len(plan) else 0.0)
 
 
 def chain_to_json(solution: ChainSolution, chain: TransitionMatrix, stationary: np.ndarray,

@@ -30,11 +30,13 @@ end cuts, which is placed up to the chunk end and resumed from the next chunk.
 NOMA's cancellation needs no choice of the stronger stream (see `_sic`).
 
 A source's broadcast episodes come from the same generators in MDMA, TDMA,
-FDMA and NOMA's solo streams.  The schemes of one sweep point share them
-(`shared_draws`): each chunk is drawn and prepared once and read, read-only,
-by every scheme, so each result is the one a lone run gives, but the
-schemes' estimates at that point are correlated, and a difference between
-schemes is not a difference of independent samples.
+FDMA and NOMA's solo streams, and depend on its seed, link rates and
+threshold alone (without relay cooperation, `link_rates` makes the
+source-relay rates infinite).  Runs given one `pool`, as the schemes of one
+sweep point are, share them by that key: each chunk is drawn and prepared
+once and read, read-only, by every untraced run, so each result is the one
+a lone run gives, but the schemes' estimates at that point are correlated,
+and a difference between schemes is not a difference of independent samples.
 """
 
 from __future__ import annotations
@@ -392,12 +394,6 @@ def _prepare(ep: dict, length, success) -> dict:
     return ep
 
 
-def _draw_key(seed, source, rates, gamma_th, cooperate) -> tuple:
-    """Everything a source's broadcast episodes depend on."""
-    return (seed, source, gamma_th, cooperate, float(rates.direct),
-            tuple(rates.source_relay.tolist()), tuple(rates.relay_dest.tolist()))
-
-
 # All a shared chunk keeps: the flags `_BcastStream.count` reads, then `_prepare`'s.
 _KEPT = ("ok", "empty", "relay", "relay_ok", "cum_len", "cum_succ", "succ_end")
 
@@ -409,13 +405,12 @@ class _Episodes:
     Chunk k is drawn when it is first read, with the size that reader asks
     for, and prepared there (`_prepare`): its lengths, success cumsums and
     success ends are derived once.  A private source has one reader, which
-    holds the chunk it reads, so the source keeps none.  A shared one
-    (`shared_draws`) keeps every chunk it draws, as read-only flags and
-    prepared arrays, for the other schemes of one operating point."""
+    holds the chunk it reads, so the source keeps none.  A shared one (kept
+    in a `pool`) keeps every chunk it draws, as read-only flags and prepared
+    arrays, for the other runs given that pool."""
 
-    def __init__(self, seed, source, rates, gamma_th, cooperate, shared=False):
-        self.key = _draw_key(seed, source, rates, gamma_th, cooperate)
-        self.source, self.gamma_th, self.cooperate = source, gamma_th, cooperate
+    def __init__(self, seed, source, rates, gamma_th, shared=False):
+        self.source, self.gamma_th = source, gamma_th
         self.rngs = [make_rng(seed, 3 * (source - 1) + k) for k in range(3)]
         self.means = [_means(rates.direct), _means(rates.source_relay), _means(rates.relay_dest)]
         self.kept, self.drawn = ([] if shared else None), 0
@@ -438,7 +433,7 @@ class _Episodes:
         g = self.gamma_th
         direct = _exp(self.rngs[0], n, self.means[0])
         sr = _exp(self.rngs[1], (n, self.means[1].size), self.means[1])
-        decoded = sr >= g if self.cooperate else np.zeros(sr.shape, dtype=bool)
+        decoded = sr >= g
         ok, empty = direct >= g, _none_set(decoded)  # no relay decoded
         relay = ~ok & ~empty
         rows, mrc, relay_ok = _relay_slots(self.rngs[2], relay, direct, decoded, self.means[2], g)
@@ -446,27 +441,17 @@ class _Episodes:
                 "relay": relay, "rows": rows, "mrc": mrc, "relay_ok": relay_ok}
 
 
-def shared_draws(topology: NetworkTopology, config: SystemConfig, seed: int,
-                 options: SimOptions = SimOptions()) -> dict[int, _Episodes]:
-    """Broadcast episodes of both sources, to pass as `simulate(..., draws=...)`
-    to every scheme run at one operating point with this seed and these options.
-    Each chunk is drawn and prepared once, by the first scheme to reach it, and
-    kept read-only as four flags per episode and its prepared arrays, without
-    SNRs, for the others to read."""
-    return {s: _Episodes(seed, s, link_rates(topology, config, s), config.gamma_th,
-                         options.relay_cooperation, shared=True) for s in (1, 2)}
-
-
-def _broadcasts(draws, tally, seed, source, rates, gamma_th, cooperate) -> _Episodes:
-    """The episodes of `source` for one run: from `draws` if given, else private."""
-    if draws is None:
-        return _Episodes(seed, source, rates, gamma_th, cooperate)
-    if tally.trace_limit:
-        raise ValueError("shared draws keep no SNRs; a traced run must draw its own")
-    episodes = draws[source]
-    if episodes.key != _draw_key(seed, source, rates, gamma_th, cooperate):
-        raise ValueError(f"the shared draws of source {source} were made for another run")
-    return episodes
+def _broadcasts(pool, tally, seed, source, rates, gamma_th) -> _Episodes:
+    """The episodes of `source` for one run: private if it is traced (shared
+    chunks keep no SNRs) or has no `pool`, else the ones `pool` keeps under
+    all they depend on, added there by the first run to ask."""
+    if pool is None or tally.trace_limit:
+        return _Episodes(seed, source, rates, gamma_th)
+    key = (seed, source, gamma_th, float(rates.direct),
+           tuple(rates.source_relay.tolist()), tuple(rates.relay_dest.tolist()))
+    if key not in pool:
+        pool[key] = _Episodes(seed, source, rates, gamma_th, shared=True)
+    return pool[key]
 
 
 class _BcastStream(_Stream):
@@ -571,7 +556,7 @@ def _run_bands(
     slots: int,
     seed: int,
     options: SimOptions,
-    draws: dict | None,
+    pool: dict | None,
 ) -> SimEstimate:
     """MDMA, TDMA and FDMA: each band cycles through its phases, and
     consecutive phases of one source form a run.  MDMA and TDMA run one band;
@@ -588,8 +573,8 @@ def _run_bands(
     tally = _Tally(scheme, labels, step_keys, len(bands), slots, options.trace_limit)
     width = max(len(r[2]) for r in runs)
     table = np.array([r[2] + r[2][:1] * (width - len(r[2])) for r in runs])
-    streams = {s: _BcastStream(tally, _broadcasts(draws, tally, seed, s, link_rates(topology, config, s),
-                                                  config.gamma_th, options.relay_cooperation), table)
+    rates = {s: link_rates(topology, config, s, options.relay_cooperation) for s in (1, 2)}
+    streams = {s: _BcastStream(tally, _broadcasts(pool, tally, seed, s, rates[s], config.gamma_th), table)
                for s in (1, 2)}
     programs = [[(streams[src], len(reps), tag) for tag, (b, src, reps) in enumerate(runs) if b == band]
                 for band in range(len(bands))]
@@ -636,7 +621,7 @@ class _JointStream(_Stream):
         dec, _ = _sic(first, gains[1], gains[2], g)
         ep = {"ok": ok, "empty": {}, "relay": {}, "relay_ok": {}}
         for s in (1, 2):
-            ep["empty"][s] = _none_set(dec[s]) | (not self.options.relay_cooperation)
+            ep["empty"][s] = _none_set(dec[s])
             ep["relay"][s] = ~ok[s] & ~ep["empty"][s]
             _, _, ep["relay_ok"][s] = _relay_slots(
                 self.rngs[s][2], ep["relay"][s], sinr[s], dec[s], self.rd_means, g)
@@ -714,18 +699,17 @@ def _place_pairs(joint, solo, beta_t: int, cursor, tally: _Tally):
     return at_cut, int(ends[placed - 1])
 
 
-def _run_noma(topology, config, slots, seed, options, draws) -> SimEstimate:
+def _run_noma(topology, config, slots, seed, options, pool) -> SimEstimate:
     if options.trace_limit > 0:
         raise ConfigError("the NOMA simulator records no slot trace")
     beta_t = config.beta_t
     refuse_past_cap([Phase("solo1", 1, beta_t), Phase("solo2", 2, beta_t)])  # a row per solo slot
     labels = ["joint", "solo1", "solo2", "relay1", "relay2"]
     tally = _Tally("noma", labels, labels, 1, slots, 0)
-    rates = {s: link_rates(topology, config, s) for s in (1, 2)}
+    rates = {s: link_rates(topology, config, s, options.relay_cooperation) for s in (1, 2)}
     # A lone unfinished source transmits at full power: a broadcast episode.
     solo = [
-        _BcastStream(tally, _broadcasts(draws, tally, seed, s, rates[s], config.gamma_th,
-                                        options.relay_cooperation),
+        _BcastStream(tally, _broadcasts(pool, tally, seed, s, rates[s], config.gamma_th),
                      np.array([[(s, 2 + s, s, 2 + s, 0)] * beta_t]))
         for s in (1, 2)
     ]
@@ -747,19 +731,20 @@ def simulate(
     seed: int = 0,
     options: SimOptions = SimOptions(),
     *,
-    draws: dict | None = None,
+    pool: dict | None = None,
 ) -> SimEstimate:
     """Simulate `slots` slots of MDMA, or of the TDMA, FDMA or NOMA baseline
     under the same relay cooperation mechanics.  TDMA alternates the sources,
     each delivering its full payload in turn; FDMA runs the single-source
     protocol for both sources concurrently on orthogonal bands.
 
-    `draws`, from `shared_draws` with the same topology, config, seed and
-    options, supplies the broadcast episodes: schemes run with one set read
-    each chunk that another has drawn instead of drawing it again, and give
-    the results they give without it.  Without it a run draws its own and
-    keeps only the chunk in use.  Draws made for another run, or handed to a
-    traced one, raise ValueError.
+    `pool`, a dict, shares broadcast episodes between the runs given it: an
+    untraced run reads a source's episodes from the pool if a run with the
+    same seed, link rates and threshold put them there, else adds its own.
+    So runs read each chunk that another has drawn instead of drawing it
+    again, and give the results they give alone; the pool keeps every chunk
+    until it is dropped.  Without one a run draws its own and keeps only the
+    chunk in use.
     """
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
@@ -772,11 +757,11 @@ def simulate(
     elif scheme == "fdma":
         bands = [[Phase("band1", 1, config.beta_t)], [Phase("band2", 2, config.beta_t)]]
     elif scheme == "noma":
-        return _run_noma(topology, config, slots, seed, options, draws)
+        return _run_noma(topology, config, slots, seed, options, pool)
     else:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     refuse_past_cap(*bands)  # a band run lists a label and an occupancy entry per state
-    return _run_bands(topology, config, scheme, bands, slots, seed, options, draws)
+    return _run_bands(topology, config, scheme, bands, slots, seed, options, pool)
 
 
 def trace_to_csv_rows(trace: list[SlotEvent]) -> list[dict]:

@@ -243,8 +243,11 @@ class LinkSet:
     relay_dest: np.ndarray    # each relay -> destination
 
 
-def link_rates(topology: NetworkTopology, config: SystemConfig, source: int) -> LinkSet:
-    """Rates d**alpha/snr for the links used when `source` (1 or 2) transmits."""
+def link_rates(topology: NetworkTopology, config: SystemConfig, source: int,
+               cooperate: bool = True) -> LinkSet:
+    """Rates d**alpha/snr for the links used when `source` (1 or 2) transmits.
+    Without relay cooperation no relay hears the source: its source-relay
+    rates are infinite, an SNR of 0."""
     if source not in (1, 2):
         raise ConfigError(f"source must be 1 or 2, got {source}")
     d = topology.link_distances
@@ -254,7 +257,7 @@ def link_rates(topology: NetworkTopology, config: SystemConfig, source: int) -> 
     sr = d.s1_r if source == 1 else d.s2_r
     return LinkSet(
         direct=link_rate(sd, a, snr),
-        source_relay=sr**a / snr,
+        source_relay=np.where(cooperate, sr**a / snr, math.inf),
         relay_dest=d.r_d**a / snr,
     )
 

@@ -729,6 +729,29 @@ def test_personalized_phase_copies_shared(paper_setup):
     assert steps["personal2:bcast"] != steps["shared:bcast"]
 
 
+@pytest.mark.parametrize("power", [-30.0, 4.0, 10.0, 30.0])
+def test_without_relay_cooperation_every_relay_step_is_skipped(monkeypatch, paper_setup, power):
+    # No relay hears a source, so every gate is 1: no relay step is taken,
+    # and neither a basis nor stepped bins are built.  The broadcast outages
+    # are the cooperative ones.
+    topo, cfg = paper_setup
+    cfg = replace(cfg, power_dbm=power)
+    coop = step_outages(topo, cfg)
+    built = []
+    with monkeypatch.context() as m:
+        m.setattr(analytic, "exp_cdf_basis", lambda *args: built.append(args))
+        m.setattr(analytic, "relay_sum_bins", lambda *args: built.append(args))
+        alone = step_outages(topo, cfg, False)
+    assert built == []
+    for source, out in alone.items():
+        assert (out.bcast, out.relay, out.empty) == (coop[source].bcast, 1.0, 1.0)
+        assert (analytic.decode_fail_probs(topo, cfg, source, False) == 1.0).all()
+    assert step_outages(topo, cfg, True) == coop  # the option is part of the memo's key
+    # At a zero threshold an SNR of 0 decodes, and the gates read 0, not NaN.
+    zero = replace(cfg, rate_r0=1e-300)
+    assert zero.gamma_th == 0.0 and not analytic.decode_fail_probs(topo, zero, 1, False).any()
+
+
 def test_all_outages_vanish_at_huge_snr(paper_setup):
     topo, cfg = paper_setup
     outs = step_outages(topo, replace(cfg, power_dbm=150.0))
@@ -874,9 +897,9 @@ def _computed(monkeypatch):
     """The sources whose links ``step_outages`` reads: two per computation."""
     sources = []
 
-    def spy(topology, config, source):
+    def spy(topology, config, source, *cooperate):
         sources.append(source)
-        return link_rates(topology, config, source)
+        return link_rates(topology, config, source, *cooperate)
 
     monkeypatch.setattr(analytic, "link_rates", spy)
     return sources

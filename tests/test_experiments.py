@@ -20,6 +20,7 @@ from mdma_relay.experiments import (
     CSV_COLUMNS,
     SweepSpec,
     _sigma_gate,
+    analytic_solution,
     run_manifest,
     run_sweep,
     validate,
@@ -27,7 +28,7 @@ from mdma_relay.experiments import (
 )
 from chain_reference import overall_outage, stationary_distribution
 from mdma_relay.markov import build_chain, ring_distribution
-from mdma_relay.simulator import SimOptions, shared_draws, simulate
+from mdma_relay.simulator import SimOptions, simulate, trace_to_csv_rows
 from mdma_relay.topology import (
     ConfigError,
     NetworkTopology,
@@ -159,13 +160,13 @@ README_POWERS = tuple(float(p) for p in range(0, 31, 2))
 def _sweep_outputs(monkeypatch, tmp_path, spec, topo, cfg, options, share):
     """The CSV of `run_sweep` and every estimate behind it, with the start
     slots that each of its streams counts.  Without `share`, each scheme runs
-    as a lone `simulate`, drawing its own episodes."""
+    as a lone `simulate`, without the point's pool, drawing its own episodes."""
     seen, counted = [], {}  # counted: stream -> start slot of each episode it counts
 
-    def spy(*args, **kwargs):
+    def spy(*args, pool, **kwargs):
+        assert pool is not None
         counted.clear()
-        est = simulate(*args, **kwargs)
-        assert (kwargs["draws"] is not None) == share
+        est = simulate(*args, pool=pool if share else None, **kwargs)
         seen.append((json.dumps(est.to_dict()), est.occupancy_counts.tolist(),
                      est.decode_attempts, est.decode_empties, sorted(counted.items())))
         return est
@@ -181,8 +182,6 @@ def _sweep_outputs(monkeypatch, tmp_path, spec, topo, cfg, options, share):
         m.setattr(experiments, "simulate", spy)
         for cls in (simulator._BcastStream, simulator._JointStream):
             m.setattr(cls, "count", count_spy(cls))
-        if not share:
-            m.setattr(experiments, "shared_draws", lambda *args: None)
         rows = run_sweep(spec, topo, cfg, options)
     path = tmp_path / f"shared-{share}.csv"
     write_rows_csv(path, rows)
@@ -264,11 +263,12 @@ def test_a_sweep_point_prepares_each_chunk_once(setup10, monkeypatch, power):
 
 def test_a_shared_chunk_is_read_only(setup10):
     topo, cfg = setup10
-    draws = shared_draws(topo, cfg, 3)
+    pool = {}
     for scheme in ALL_SCHEMES:
-        simulate(scheme, topo, cfg, 5_000, seed=3, draws=draws)
+        simulate(scheme, topo, cfg, 5_000, seed=3, pool=pool)
+    assert len(pool) == 2  # one entry per source, read by every scheme
     arrays = 0
-    for episodes in draws.values():
+    for episodes in pool.values():
         assert episodes.kept
         for ep in episodes.kept:
             assert set(ep) == {"ok", "empty", "relay", "relay_ok", "cum_len", "cum_succ", "succ_end"}
@@ -294,26 +294,30 @@ def test_a_shared_sweep_point_keeps_little_memory(setup10):
     assert peak < 5e6
 
 
-def test_shared_draws_refuse_a_traced_or_different_run(setup10):
+def test_one_pool_gives_every_run_its_lone_result(setup10):
+    """A pool reused across seeds, sources' rates, thresholds, cooperation and
+    a traced run: each run reads only episodes drawn under its own key."""
     topo, cfg = setup10
-    draws = shared_draws(topo, cfg, 3)
-    for scheme in ("mdma", "tdma", "fdma"):
-        with pytest.raises(ValueError, match="traced run"):
-            simulate(scheme, topo, cfg, 100, seed=3, options=SimOptions(trace_limit=10), draws=draws)
-    others = [
-        (topo, cfg, 4, SimOptions(), draws),  # seed
-        (topo, cfg, 3, SimOptions(), {1: draws[2], 2: draws[1]}),  # source
-        (topo, replace(cfg, power_dbm=11.0), 3, SimOptions(), draws),  # rates
-        (replace(topo, relay_pos=topo.relay_pos[:3]), cfg, 3, SimOptions(), draws),  # relays
-        (topo, replace(cfg, rate_r0=1.5), 3, SimOptions(), draws),  # threshold
-        (topo, cfg, 3, SimOptions(relay_cooperation=False), draws),  # cooperation
+    runs = [
+        (topo, cfg, 3, SimOptions()),
+        (topo, cfg, 4, SimOptions()),  # seed
+        (topo, replace(cfg, power_dbm=11.0), 3, SimOptions()),  # rates
+        (replace(topo, relay_pos=topo.relay_pos[:3]), cfg, 3, SimOptions()),  # relays
+        (topo, replace(cfg, rate_r0=1.5), 3, SimOptions()),  # threshold
+        (topo, cfg, 3, SimOptions(relay_cooperation=False)),  # cooperation
+        (topo, cfg, 3, SimOptions(trace_limit=10)),  # traced: draws its own
     ]
+    pool = {}
     for scheme in ALL_SCHEMES:
-        for t, c, seed, options, d in others:
-            with pytest.raises(ValueError, match="made for another run"):
-                simulate(scheme, t, c, 100, seed=seed, options=options, draws=d)
-        shared = simulate(scheme, topo, cfg, 100, seed=3, draws=draws)
-        assert shared.to_dict() == simulate(scheme, topo, cfg, 100, seed=3).to_dict()
+        for t, c, seed, options in runs:
+            if scheme == "noma" and options.trace_limit:
+                continue  # NOMA records no trace
+            shared = simulate(scheme, t, c, 2_000, seed=seed, options=options, pool=pool)
+            lone = simulate(scheme, t, c, 2_000, seed=seed, options=options)
+            assert shared.to_dict() == lone.to_dict()
+            assert trace_to_csv_rows(shared.trace) == trace_to_csv_rows(lone.trace)
+    # Two sources for each untraced run; a traced run adds nothing.
+    assert len(pool) == 2 * (len(runs) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +372,28 @@ def test_validate_stable_across_seeds(setup10):
     topo, cfg = setup10
     for seed in (1, 2, 3, 4, 5):
         assert validate(topo, cfg, trials=50_000, seed=seed).passed
+
+
+@pytest.mark.parametrize("power", [4.0, 10.0])
+def test_validate_passes_without_relay_cooperation(setup10, power):
+    # The closed form takes the option too: every gate is 1, so it skips the
+    # relay steps that the simulator never takes.
+    topo, cfg = setup10
+    options = SimOptions(relay_cooperation=False)
+    report = validate(topo, replace(cfg, power_dbm=power), trials=100_000, seed=0, options=options)
+    assert report.passed, "\n".join(report.lines())
+    assert not any(c.name.endswith(":relay") for c in report.checks)
+
+
+def test_a_sweep_without_relay_cooperation_agrees_with_its_closed_form(setup10):
+    topo, cfg = setup10
+    spec = SweepSpec("power_dbm", (4.0, 10.0), ("mdma",), 20_000, seed=0)
+    for row in run_sweep(spec, topo, cfg, SimOptions(relay_cooperation=False)):
+        alone = analytic_solution(topo, replace(cfg, power_dbm=row.value), False)
+        assert row.analytic_op == alone.overall_op
+        assert abs(row.analytic_op - row.sim_op) < 5 * row.sim_op_stderr
+        # Relays lower the outage, so without them it is higher.
+        assert row.analytic_op > analytic_solution(topo, replace(cfg, power_dbm=row.value)).overall_op
 
 
 def test_step_gate_allows_half_a_count():
@@ -824,9 +850,9 @@ def test_step_outages_read_each_sources_link_rates_once(monkeypatch, relays, pow
                                                          granularity):
     calls = []
 
-    def spy(topology, config, source):
+    def spy(topology, config, source, *cooperate):
         calls.append(source)
-        return link_rates(topology, config, source)
+        return link_rates(topology, config, source, *cooperate)
 
     monkeypatch.setattr(analytic, "link_rates", spy)
     topo = line_topology(relays)
@@ -869,7 +895,7 @@ def test_analyze_computes_its_step_outages_once(monkeypatch, tmp_path, where, ba
     basis = _spy(monkeypatch, analytic, "exp_cdf_basis")
     bins = _spy(monkeypatch, analytic, "relay_sum_bins")
     assert main([*argv, "--out", str(tmp_path / "a.json")]) == 0
-    assert [source for *_, source in links] == [1, 2]
+    assert [source for _, _, source, *_ in links] == [1, 2]
     assert (len(basis), len(bins)) == (bases, stepped)
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "unmemoized.json").read_bytes()
 

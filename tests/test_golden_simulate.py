@@ -8,9 +8,12 @@ is where a misplaced NOMA slot shows).  It was written
 from commit f69a3b8, which placed whole cycles and pairs from cumsums and
 walked the one that crossed a chunk end take by take, before every episode
 went through one resumable cursor, so a change that keeps these digests
-keeps every simulated output exactly.  The cases run each scheme at slot
-counts around a cycle, a draw chunk and the run's end, with the draw chunk
-at its shipped size and at 7 episodes.  Rewrite the file only for a change
+keeps every simulated output exactly.  The no-cooperation cases of MDMA,
+TDMA and FDMA (``-nocoop``) were added from commit 6e26645, where the
+simulator still zeroed the relays' decode sets itself, before a run without
+relay cooperation took infinite source-relay rates instead.  The cases run
+each scheme at slot counts around a cycle, a draw chunk and the run's end,
+with the draw chunk at its shipped size and at 7 episodes.  Rewrite the file only for a change
 that means to move those numbers:
 
     PYTHONPATH=src python tests/test_golden_simulate.py
@@ -30,8 +33,9 @@ from mdma_relay.topology import default_paper_setup
 
 GOLDEN = Path(__file__).with_name("golden_simulate.json")
 LINKS = ("-30dBm", "4dBm", "10dBm", "30dBm", "noiseless")
+NOCOOP = SimOptions(relay_cooperation=False)
 NOMA_VARIANTS = {"rho0.1": SimOptions(noma_rho=0.1), "instant": SimOptions(noma_sic_order="instant"),
-                 "nocoop": SimOptions(relay_cooperation=False)}
+                 "nocoop": NOCOOP}
 
 
 def config(link, bits):
@@ -67,6 +71,12 @@ def cases():
         for scheme in ("mdma", "tdma", "fdma"):
             for link in ("4dBm", "10dBm", "30dBm"):
                 add(scheme, link, 10, min(long, 3_000), chunk, "-trace", SimOptions(trace_limit=3_000))
+        for scheme in ("mdma", "tdma", "fdma"):
+            for link in LINKS:
+                c = cycle(scheme, config(link, 10))
+                for slots in sorted({1, c - 1, c, c + 1, chunk + 1, long}):
+                    add(scheme, link, 10, slots, chunk, "-nocoop", NOCOOP)
+                add(scheme, link, 10, min(long, 3_000), chunk, "-nocoop-trace", replace(NOCOOP, trace_limit=3_000))
         for tag, options in NOMA_VARIANTS.items():
             for link in LINKS:
                 for slots in (1, 9, 10, 11, chunk + 1, long):

@@ -309,6 +309,29 @@ def test_renewal_outage_where_a_phase_never_advances():
     assert sol.overall_op == 1.0
 
 
+def test_literal_wrap_variant_delivers_no_pair(paper_setup):
+    # The chain never leaves personal1, so it never completes a cycle and
+    # delivers no pair: efficiency 0.  Its outage and slot cost are
+    # personal1's own, from the renewal sums.
+    from dataclasses import replace
+
+    topo, cfg = paper_setup
+    outs = step_outages(topo, cfg)
+    for eta in (0.0, 0.5):
+        split = replace(cfg, eta=eta)
+        sol = solve_chain(outs, split.beta_s, split.beta_p, literal_personal1_wrap=True)
+        assert sol.efficiency == 0.0 < solve_chain(outs, split.beta_s, split.beta_p).efficiency
+        assert sol.overall_op == solve_chain(outs, 0, split.beta_p, literal_personal1_wrap=True).overall_op
+        assert sol.slot_cost == slot_cost(sol.overall_op) < math.inf
+    # Without a personalized phase the variant is the protocol.
+    whole = replace(cfg, eta=1.0)
+    assert (solve_chain(outs, whole.beta_s, whole.beta_p, literal_personal1_wrap=True)
+            == solve_chain(outs, whole.beta_s, whole.beta_p))
+    # Resource units are still checked.
+    with pytest.raises(ConfigError, match="resource units"):
+        solve_chain(outs, 2, 2, 0.0, literal_personal1_wrap=True)
+
+
 def test_state_cap_binds_only_the_per_state_structures():
     beta = MAX_CHAIN_STATES // 2  # a chain of 3 * MAX_CHAIN_STATES states
     outs = uniform_outages(0.37)

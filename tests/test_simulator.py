@@ -172,8 +172,8 @@ def test_payloads_past_the_int16_range_do_not_depend_on_the_chunk_size(monkeypat
 
     def run(chunk, shared):
         monkeypatch.setattr(simulator, "_CHUNK", chunk)
-        draws = simulator.shared_draws(topo, cfg, 5) if shared else None
-        return [simulate(s, topo, cfg, 150_000, seed=5, draws=draws).to_dict() for s in SCHEMES]
+        pool = {} if shared else None
+        return [simulate(s, topo, cfg, 150_000, seed=5, pool=pool).to_dict() for s in SCHEMES]
 
     narrow = run(4096, True)
     assert all(est["pairs"] for est in narrow)
@@ -401,6 +401,11 @@ def test_relay_cooperation_flag(setup10):
         if ":relay:" in lab
     )
     assert relay_visits == 0
+    # No relay hears a source: a traced broadcast records source-relay SNRs of 0.
+    options = SimOptions(relay_cooperation=False, trace_limit=200)
+    bcasts = [ev for ev in simulate("mdma", topo, low, 200, seed=8, options=options).trace
+              if "source_relay" in ev.snrs]
+    assert bcasts and all(not ev.snrs["source_relay"].any() and ev.decode_mask == 0 for ev in bcasts)
 
 
 @pytest.mark.parametrize("m", [1, 3, 8, 16])

@@ -114,6 +114,15 @@ def test_rate_lambda_scales_with_alpha():
     assert scaled.direct == pytest.approx(base.direct * 2**topo.alpha)
 
 
+def test_without_relay_cooperation_no_relay_hears_a_source():
+    topo, cfg = default_paper_setup()
+    for source in (1, 2):
+        coop, alone = link_rates(topo, cfg, source), link_rates(topo, cfg, source, cooperate=False)
+        assert np.isinf(alone.source_relay).all() and alone.source_relay.shape == coop.source_relay.shape
+        assert alone.direct == coop.direct
+        assert np.array_equal(alone.relay_dest, coop.relay_dest)
+
+
 def test_link_param_validation():
     with pytest.raises(ConfigError):
         LinkParam(0.0)
