@@ -26,11 +26,10 @@ The relay sum is also a phase-type law, exact at any relay count and with
 tied rates.  ``relay_sum_cdf_uniformized`` evaluates its CDF as a series of
 nonnegative terms; ``experiments.validate`` checks the closed form against
 it.  Where the closed form is undefined (tied rates) or cancels away (more
-than ``MAX_RELAYS_CLOSED_FORM`` relays), ``relay_sum_bins`` gives the bin
-masses by stepping that law's chain one bin width at a time, and no basis
-is built: about 0.84 ms a call at n = 1 000 and 42 ms at n = 1e6 on a
-tied 10-relay line.  So both paths bin the exact law on one grid and share the
-O(1/n) binning bias.
+than ``MAX_RELAYS_CLOSED_FORM`` relays), ``relay_step_outage`` evaluates the
+relay step from the same chain with the direct SNR as a phase in front: one
+absorption probability per source, exact to rounding, with no bins and no
+basis, so ``granularity`` does not change it.
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ from .topology import ConfigError, LinkParam, NetworkTopology, SystemConfig, lin
 
 # The coefficients alternate in sign and their absolute sum grows fast with m:
 # on 24 relays of the paper's line (source 1, 0 dBm) it is 8.9e12, the binned
-# closed form is off by 4.9e2 relative where the stepped bins are within
-# 2.4e-3, and at 10 and 20 dBm its bins total more than 1.
+# closed form is off by 4.9e2 relative, and at 10 and 20 dBm its bins total
+# more than 1.  Past the cap, ``relay_step_outage`` is exact at any m.
 MAX_RELAYS_CLOSED_FORM = 20
 RATE_TIE_RTOL = 1e-9
 _EPS = float(np.finfo(float).eps)
@@ -244,7 +243,7 @@ def relay_sum_cdf(paths: GatedPaths) -> DefectiveCdf:
     )
 
 
-def _phase_type_chain(paths: GatedPaths):
+def _phase_type_chain(paths: GatedPaths, direct_rate: float = 0.0):
     """The relay sum as a phase-type law (Neuts 1981), uniformized at its
     largest rate Lam (Jensen 1953).
 
@@ -254,6 +253,10 @@ def _phase_type_chain(paths: GatedPaths):
     probabilities, the jump matrix, the absorption probability per jump and
     Lam, or None where no gate can open.  A relay whose gate is closed is
     never entered, so dropping it is exact and keeps its rate from setting Lam.
+
+    A positive ``direct_rate`` puts a direct phase of that rate in front, and
+    Lam covers it too.  It jumps to the relays with the entry probabilities,
+    still the ones returned, and absorbs nothing: its no-relay share is lost.
     """
     a, lam = paths.gate_probs, paths.rates
     a, lam = a[a < 1.0], lam[a < 1.0]
@@ -266,9 +269,16 @@ def _phase_type_chain(paths: GatedPaths):
     passed = np.ones((m + 1, m + 1))
     np.cumprod(np.where(later, a, 1.0), axis=1, out=passed[:, 1:])
     nxt = np.where(later, (1.0 - a) * passed[:, :m], 0.0)
-    scale = lam / lam.max()
+    lam_max = max(lam.max(), direct_rate)
+    scale = lam / lam_max
     jump = scale[:, None] * nxt[1:] + np.diag(1.0 - scale)
-    return nxt[0], jump, scale * passed[1:, m], lam.max()
+    exit_ = scale * passed[1:, m]
+    if direct_rate:
+        d = direct_rate / lam_max
+        jump = np.pad(jump, ((1, 0), (1, 0)))
+        jump[0] = np.append(1.0 - d, d * nxt[0])
+        exit_ = np.append(0.0, exit_)
+    return nxt[0], jump, exit_, lam_max
 
 
 def _chain_over(chain, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -315,34 +325,20 @@ def relay_sum_cdf_uniformized(paths: GatedPaths, gammas) -> np.ndarray:
     return np.array(at).reshape(points.shape)
 
 
-def _orbit(row: np.ndarray, matrix: np.ndarray, count: int) -> np.ndarray:
-    """``row @ matrix^r`` for r < count, as rows, doubling the rows per step."""
-    rows = row[None, :]
-    while len(rows) < count:
-        rows = np.vstack([rows, rows @ matrix])
-        matrix = matrix @ matrix
-    return rows[:count]
-
-
-def relay_sum_bins(paths: GatedPaths, gamma_th: float, n: int) -> np.ndarray:
-    """``P(relay sum in bin j, some relay decoded)`` for the n equal bins of
-    (0, gamma_th].
-
-    Over one bin width the chain moves by P and phase i absorbs e_i
-    (``_chain_over``), so bin j holds ``entry @ P^(j-1) @ e``: a sum of
-    nonnegative products, exact to rounding at any Lam gamma_th.  The bins
-    are blocks of B >= sqrt(n), ``entry @ P^(bB)`` for each block times
-    ``P^r @ e`` for each offset r, both by doubling: O(m^3 log n + n m)
-    after ``_chain_over``.
+def relay_step_outage(direct: LinkParam, paths: GatedPaths, gamma_th: float) -> float:
+    """Failure probability of the relay-forwarding step, exactly: ``P(D + R
+    <= gamma_th | D <= gamma_th, some relay decoded)``, D the direct SNR and R
+    the decoded relays' sum.  D then R is the relays' chain with a direct
+    phase in front; the mass it absorbs within gamma_th is divided by ``P(D
+    <= gamma_th)`` and by the relays' entry mass (``1 - empty`` as a sum).
+    Every term is nonnegative, so any rates, tied or not, and any relay
+    count keep their relative accuracy.
     """
-    chain = _phase_type_chain(paths)
+    chain = _phase_type_chain(paths, direct.rate_lambda)
     if chain is None:
-        return np.zeros(n)
-    step, out = _chain_over(chain, gamma_th / n)
-    block = math.isqrt(n - 1) + 1
-    offsets = _orbit(out, step.T, block)
-    starts = _orbit(chain[0], np.linalg.matrix_power(step, block), -(-n // block))
-    return (starts @ offsets.T).ravel()[:n]
+        raise ConditioningError("no relay can ever decode; the relay step is unreachable")
+    absorbed = _chain_over(chain, gamma_th)[1][0]
+    return min(float(absorbed / (direct_outage(direct, gamma_th) * chain[0].sum())), 1.0)
 
 
 def closed_form_applies(rates: np.ndarray) -> bool:
@@ -500,10 +496,11 @@ def source_step_outages(
     source, at a positive threshold and finite SNR.
 
     ``basis`` is the relay-to-destination CDF basis on the threshold grid
-    (see ``bin_relay_sum``), or None where ``paths.closed_form`` does not
-    hold (tied rates, or more than ``MAX_RELAYS_CLOSED_FORM`` relays): the
-    relay sum's bins then come from ``relay_sum_bins``.  Either way the
-    binned relay sum goes to ``step2_outage``.
+    (see ``bin_relay_sum``), on which the closed form is binned for
+    ``step2_outage``.  It is None where ``paths.closed_form`` does not hold
+    (tied rates, or more than ``MAX_RELAYS_CLOSED_FORM`` relays): the relay
+    step is then ``relay_step_outage``, exact and independent of
+    ``granularity``.
     """
     gamma_th, n = config.gamma_th, config.granularity
     bcast = direct_outage(direct, gamma_th)
@@ -511,9 +508,8 @@ def source_step_outages(
     if empty >= 1.0:
         return SourceOutages(bcast, 1.0, empty)
     if basis is None:
-        relay_pmf = BinnedPmf(relay_sum_bins(paths, gamma_th, n), gamma_th, n)
-    else:
-        relay_pmf = bin_relay_sum(relay_sum_cdf(paths), gamma_th, n, basis)
+        return SourceOutages(bcast, relay_step_outage(direct, paths, gamma_th), empty)
+    relay_pmf = bin_relay_sum(relay_sum_cdf(paths), gamma_th, n, basis)
     relay = step2_outage(relay_pmf, bin_conditional_direct(direct, gamma_th, n), paths)
     return SourceOutages(bcast, relay, empty)
 

@@ -32,7 +32,8 @@ def _add_setup_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="JSON configuration file")
     p.add_argument("--power-dbm", type=float, default=None, help="override transmit power")
     p.add_argument("--eta", type=float, default=None, help="override shared-information ratio")
-    p.add_argument("--granularity", type=int, default=None, help="override bin count")
+    p.add_argument("--granularity", type=int, default=None,
+                   help="override the closed form's bin count (tied or over-cap relays take no bins)")
 
 
 def _add_sim_args(p: argparse.ArgumentParser) -> None:

@@ -22,9 +22,9 @@ from mdma_relay.analytic import (
     decode_fail_probs,
     direct_outage,
     exp_cdf_basis,
-    relay_sum_bins,
     relay_sum_cdf,
     relay_sum_cdf_uniformized,
+    relay_step_outage,
     step2_outage,
     step_outages,
 )
@@ -39,6 +39,7 @@ from mdma_relay.topology import (
 )
 from dataclasses import replace
 
+from layouts import line_topology
 from relay_reference import numeric_relay_sum_cdf, relay_sum_cdf_quadrature
 
 
@@ -48,9 +49,11 @@ def binned_relay_sum(cdf, gamma_th, n):
     return bin_relay_sum(cdf, gamma_th, n, exp_cdf_basis(edges, cdf.rates))
 
 
-def stepped_bins(paths, gamma_th, n):
-    """The relay sum binned on the threshold grid by stepping its phase-type chain."""
-    return BinnedPmf(relay_sum_bins(paths, gamma_th, n), gamma_th, n)
+def series_bins(paths, gamma_th, n):
+    """The relay sum binned on the threshold grid as increments of its
+    uniformized series: a reference for the closed form's bins that shares
+    none of its arithmetic."""
+    return BinnedPmf(np.diff(relay_sum_cdf_uniformized(paths, bin_edges(gamma_th, n))), gamma_th, n)
 
 
 def random_gates(rng, m, rate_lo=0.3, rate_hi=4.0):
@@ -298,10 +301,7 @@ def test_residue_coefficients_are_near_exact_and_subset_view_is_bit_identical_to
     for power in range(-16, 31, 2):
         topo, cfg = default_paper_setup(power_dbm=float(power))
         cases += [(topo, cfg, 1), (topo, cfg, 2)]
-    topo, cfg = default_paper_setup()
-    line = tuple((50.0, 55.0 - 100.0 * (i - 0.5) / 16) for i in range(1, 17))
-    line16 = NetworkTopology(topo.s1_pos, topo.s2_pos, topo.d_pos, line, topo.alpha)
-    cases.append((line16, cfg, 1))
+    cases.append((line_topology(16), default_paper_setup()[1], 1))
     gate_sets = []
     for topo, cfg, source in cases:
         fails = decode_fail_probs(topo, cfg, source)
@@ -363,28 +363,31 @@ def test_aggregated_coefficients_match_product_identity():
             assert cdf.coeff_per_rate[x] == pytest.approx(prod, rel=1e-9, abs=1e-12)
 
 
-def test_tie_switches_to_the_stepped_bins_continuously():
+def test_tie_switches_to_the_exact_step_continuously():
     tied = GatedPaths([0.3, 0.5], [2.0, 2.0])
     assert not tied.closed_form
     with pytest.raises(ConfigError):
         relay_sum_cdf(tied)
     # Just outside the tie tolerance the closed form applies again and
-    # agrees with the tied law, as a CDF and binned.
+    # agrees with the tied law, as a CDF and as a relay step within the
+    # O(1/n) bias of its bins.
     apart = GatedPaths([0.3, 0.5], [2.0, 2.0 * (1 + 1e-6)])
     assert apart.closed_form
     grid = np.linspace(0.05, 5.0, 40)
     assert np.max(np.abs(relay_sum_cdf(apart)(grid) - numeric_relay_sum_cdf(tied, grid))) < 1e-5
-    n = 1000
-    closed = binned_relay_sum(relay_sum_cdf(apart), 2.0, n)
-    assert 0.5 * float(np.sum(np.abs(closed.probs - stepped_bins(tied, 2.0, n).probs))) < 4.0 * len(tied) / n
-    # The stepped bins on either side of the switch agree.
+    direct, n = LinkParam(0.8), 1000
+    closed = step2_outage(binned_relay_sum(relay_sum_cdf(apart), 2.0, n),
+                          bin_conditional_direct(direct, 2.0, n), apart)
+    exact = relay_step_outage(direct, tied, 2.0)
+    assert abs(closed - exact) < 5.0 / n * exact
+    # The exact step on either side of the switch moves with the rates only.
     edge = GatedPaths([0.3, 0.5], [2.0, 2.0 * (1 + 1.5 * RATE_TIE_RTOL)])
     assert edge.closed_form
-    assert np.max(np.abs(stepped_bins(edge, 2.0, n).probs - stepped_bins(tied, 2.0, n).probs)) < 1e-12
-    # Where the gap keeps the closed form well conditioned, its bins are the stepped ones.
+    assert relay_step_outage(direct, edge, 2.0) == pytest.approx(exact, rel=1e-8)
+    # Where the gap keeps the closed form well conditioned, its bins are the series' ones.
     apart = GatedPaths([0.3, 0.5], [2.0, 2.0 * (1 + 1e-3)])
     closed = binned_relay_sum(relay_sum_cdf(apart), 2.0, n)
-    assert np.max(np.abs(closed.probs - stepped_bins(apart, 2.0, n).probs)) < 1e-12
+    assert np.max(np.abs(closed.probs - series_bins(apart, 2.0, n).probs)) < 1e-12
 
 
 def test_relay_count_cap():
@@ -493,7 +496,7 @@ def _partial_fractions_60(paths, gammas) -> list:
 def test_uniformized_relay_sum_matches_60_digit_partial_fractions(m, power_dbm):
     # 20 and 30 dBm reach CDF values of 1e-25, where the closed form is off
     # by up to 3e9 relative; 24 relays are past the closed form's cap.
-    topo = _line_topology(m)
+    topo = line_topology(m)
     _, cfg = default_paper_setup(power_dbm=power_dbm)
     grid = np.linspace(0.2, 3.0, 8) * cfg.gamma_th
     for source in (1, 2):
@@ -732,15 +735,15 @@ def test_personalized_phase_copies_shared(paper_setup):
 @pytest.mark.parametrize("power", [-30.0, 4.0, 10.0, 30.0])
 def test_without_relay_cooperation_every_relay_step_is_skipped(monkeypatch, paper_setup, power):
     # No relay hears a source, so every gate is 1: no relay step is taken,
-    # and neither a basis nor stepped bins are built.  The broadcast outages
-    # are the cooperative ones.
+    # and neither a basis nor the exact step is computed.  The broadcast
+    # outages are the cooperative ones.
     topo, cfg = paper_setup
     cfg = replace(cfg, power_dbm=power)
     coop = step_outages(topo, cfg)
     built = []
     with monkeypatch.context() as m:
         m.setattr(analytic, "exp_cdf_basis", lambda *args: built.append(args))
-        m.setattr(analytic, "relay_sum_bins", lambda *args: built.append(args))
+        m.setattr(analytic, "relay_step_outage", lambda *args: built.append(args))
         alone = step_outages(topo, cfg, False)
     assert built == []
     for source, out in alone.items():
@@ -759,17 +762,9 @@ def test_all_outages_vanish_at_huge_snr(paper_setup):
         assert src.bcast < 1e-9 and src.relay < 1e-9
 
 
-def _line_topology(m):
-    """The paper layout with its relay line generalised to m relays; m = 10
-    ties two relay-destination distances (y = 40 and y = -40)."""
-    topo, _ = default_paper_setup()
-    relays = tuple((50.0, 55.0 - 100.0 * (i - 0.5) / m) for i in range(1, m + 1))
-    return NetworkTopology(topo.s1_pos, topo.s2_pos, topo.d_pos, relays, topo.alpha)
-
-
 def _per_source_pipeline(topo, cfg, source):
     """One source's step outages through the public steps, with its own
-    relay-sum basis where the closed form applies and stepped bins elsewhere."""
+    relay-sum basis where the closed form applies and the exact step elsewhere."""
     rates = link_rates(topo, cfg, source)
     fails = decode_fail_probs(topo, cfg, source)
     gates = GatedPaths(fails, rates.relay_dest)
@@ -777,10 +772,9 @@ def _per_source_pipeline(topo, cfg, source):
     empty = float(np.prod(fails))
     if empty >= 1.0:
         return SourceOutages(direct_outage(direct, gamma_th), 1.0, empty)
-    if gates.closed_form:
-        relay_pmf = binned_relay_sum(relay_sum_cdf(gates), gamma_th, n)
-    else:
-        relay_pmf = stepped_bins(gates, gamma_th, n)
+    if not gates.closed_form:
+        return SourceOutages(direct_outage(direct, gamma_th), relay_step_outage(direct, gates, gamma_th), empty)
+    relay_pmf = binned_relay_sum(relay_sum_cdf(gates), gamma_th, n)
     relay = step2_outage(relay_pmf, bin_conditional_direct(direct, gamma_th, n), gates)
     return SourceOutages(direct_outage(direct, gamma_th), relay, empty)
 
@@ -790,7 +784,7 @@ def _per_source_pipeline(topo, cfg, source):
 def test_step_outages_equal_the_per_source_pipeline(paper_setup, relays, n):
     # Both sources bin their relay sums from one shared basis; every output
     # keeps the bits a basis of its own gives.
-    topo = paper_setup[0] if relays == 8 else _line_topology(relays)
+    topo = paper_setup[0] if relays == 8 else line_topology(relays)
     for p in range(-10, 31, 2):
         cfg = replace(paper_setup[1], power_dbm=float(p), granularity=n)
         outs = step_outages(topo, cfg)
@@ -799,22 +793,22 @@ def test_step_outages_equal_the_per_source_pipeline(paper_setup, relays, n):
 
 
 @pytest.mark.parametrize("relays", [10, MAX_RELAYS_CLOSED_FORM + 4])
-def test_tied_and_over_cap_rates_step_the_chain_for_both_sources(monkeypatch, paper_setup, relays):
-    topo = _line_topology(relays)
+def test_tied_and_over_cap_rates_take_the_exact_step_for_both_sources(monkeypatch, paper_setup, relays):
+    topo = line_topology(relays)
     cfg = paper_setup[1]
     assert not closed_form_applies(link_rates(topo, cfg, 1).relay_dest)
     seen, bases = [], []
 
-    def spy(paths, gamma_th, n):
-        seen.append((len(paths), gamma_th, n))
-        return relay_sum_bins(paths, gamma_th, n)
+    def spy(direct, paths, gamma_th):
+        seen.append((len(paths), gamma_th))
+        return relay_step_outage(direct, paths, gamma_th)
 
-    monkeypatch.setattr(analytic, "relay_sum_bins", spy)
+    monkeypatch.setattr(analytic, "relay_step_outage", spy)
     monkeypatch.setattr(analytic, "relay_sum_cdf_uniformized", lambda *a: bases.append(a))
     monkeypatch.setattr(analytic, "exp_cdf_basis", lambda *a: bases.append(a))
     outs = step_outages(topo, cfg)
-    # One stepped chain per source, on the threshold grid; no basis, no series.
-    assert seen == [(relays, cfg.gamma_th, cfg.granularity)] * 2 and bases == []
+    # One exact step per source at the threshold; no basis, no series.
+    assert seen == [(relays, cfg.gamma_th)] * 2 and bases == []
     for source in (1, 2):
         assert outs[source] == _per_source_pipeline(topo, cfg, source)
 
@@ -848,8 +842,8 @@ def test_no_basis_where_no_source_bins_the_closed_form(monkeypatch, paper_setup,
     topo, cfg = {
         "noiseless": (topo, replace(cfg, noise_dbm=-math.inf)),
         "zero-threshold": (topo, replace(cfg, rate_r0=1e-17)),
-        "tied": (_line_topology(10), cfg),
-        "21-relays": (_line_topology(MAX_RELAYS_CLOSED_FORM + 1), cfg),
+        "tied": (line_topology(10), cfg),
+        "21-relays": (line_topology(MAX_RELAYS_CLOSED_FORM + 1), cfg),
         "all-fail": (topo, replace(cfg, power_dbm=-30.0)),
     }[case]
     assert _basis_sizes(monkeypatch, topo, cfg) == []
@@ -930,7 +924,7 @@ def test_a_stored_result_has_the_bits_of_a_fresh_one(paper_setup, case):
         "paper": (topo, cfg),
         "20dBm": (topo, replace(cfg, power_dbm=20.0)),
         "n1e5": (topo, replace(cfg, granularity=100_000)),
-        "tied": (_line_topology(10), cfg),
+        "tied": (line_topology(10), cfg),
         "noiseless": (topo, replace(cfg, noise_dbm=-math.inf)),
         "all-fail": (topo, replace(cfg, power_dbm=-30.0)),
     }[case]
@@ -1003,25 +997,10 @@ def test_step_outages_peak_memory_is_one_basis(paper_setup):
 
 
 # ---------------------------------------------------------------------------
-# stepped-chain path consistency: tied rates and more relays than the cap
+# the exact relay step: tied rates and more relays than the cap
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("m", [10, 24])
-@pytest.mark.parametrize("power_dbm", [0.0, 10.0, 30.0])
-def test_stepped_bins_are_the_increments_of_the_series(m, power_dbm):
-    # Two evaluations of one law: each bin agrees to 5e-12 relative, down to
-    # bins of 1e-77 at 30 dBm.
-    topo = _line_topology(m)
-    _, cfg = default_paper_setup(power_dbm=power_dbm)
-    n = cfg.granularity
-    for source in (1, 2):
-        paths = GatedPaths(decode_fail_probs(topo, cfg, source), link_rates(topo, cfg, source).relay_dest)
-        stepped = relay_sum_bins(paths, cfg.gamma_th, n)
-        series = np.diff(relay_sum_cdf_uniformized(paths, bin_edges(cfg.gamma_th, n)))
-        assert stepped.min() > 0.0
-        assert np.max(np.abs(stepped - series) / stepped) < 5e-12
-
-def test_stepped_bins_match_the_closed_form_small_m():
+def test_closed_form_bins_match_the_series_small_m():
     # Well-separated rates and m <= 4 keep the closed form well conditioned,
     # so the two evaluations of the same CDF bin alike to rounding.
     rng = np.random.default_rng(37)
@@ -1031,7 +1010,7 @@ def test_stepped_bins_match_the_closed_form_small_m():
         gates = random_gates(rng, m)
         gamma_th = 1.5 / gates.rates.min()
         closed = binned_relay_sum(relay_sum_cdf(gates), gamma_th, n)
-        assert np.max(np.abs(closed.probs - stepped_bins(gates, gamma_th, n).probs)) < 1e-12
+        assert np.max(np.abs(closed.probs - series_bins(gates, gamma_th, n).probs)) < 1e-12
 
 
 def test_numeric_cdf_tracks_closed_form():
@@ -1042,8 +1021,8 @@ def test_numeric_cdf_tracks_closed_form():
     assert np.max(np.abs(closed - numeric)) < 1e-5
 
 
-def test_stepped_path_handles_many_relays(paper_setup):
-    # 24 relays exceed the closed form's cap; the stepped path runs.
+def test_exact_step_handles_many_relays(paper_setup):
+    # 24 relays exceed the closed form's cap; the exact step runs.
     topo8, cfg = paper_setup
     relays = tuple((50.0, 48.75 - 3.4 * i) for i in range(24))
     topo = NetworkTopology(topo8.s1_pos, topo8.s2_pos, topo8.d_pos, relays, 3.0)
@@ -1056,10 +1035,26 @@ def test_stepped_path_handles_many_relays(paper_setup):
 
 
 @pytest.mark.parametrize("power_dbm", [0.0, 4.0, 10.0])
-def test_stepped_relay_step_agrees_with_closed_form(paper_setup, power_dbm):
+def test_exact_step_agrees_with_the_binned_closed_form(paper_setup, power_dbm):
+    # On the paper layout the closed form's relay step sums bins, which
+    # undercounts by O(1/n): about 2/n relative here.
+    topo, cfg = paper_setup
+    low = replace(cfg, power_dbm=power_dbm)
+    outs = step_outages(topo, low)
+    for source in (1, 2):
+        rates = link_rates(topo, low, source)
+        gates = GatedPaths(decode_fail_probs(topo, low, source), rates.relay_dest)
+        assert gates.closed_form
+        exact = relay_step_outage(LinkParam(rates.direct), gates, low.gamma_th)
+        assert outs[source].relay <= exact
+        assert abs(outs[source].relay - exact) < 5.0 / low.granularity * exact
+
+
+@pytest.mark.parametrize("power_dbm", [0.0, 4.0, 10.0])
+def test_closed_form_relay_step_agrees_with_the_series_bins(paper_setup, power_dbm):
     # On the paper layout the closed form carries cancellation noise of up to
-    # 64 eps sum|c| per bin (bin_relay_sum's clamp floor); the stepped bins and
-    # the relay step they give agree with it within that floor.
+    # 64 eps sum|c| per bin (bin_relay_sum's clamp floor); the series' bins
+    # and the relay step they give agree with it within that floor.
     topo, cfg = paper_setup
     low = replace(cfg, power_dbm=power_dbm)
     n = low.granularity
@@ -1070,10 +1065,10 @@ def test_stepped_relay_step_agrees_with_closed_form(paper_setup, power_dbm):
         assert gates.closed_form
         cdf = relay_sum_cdf(gates)
         floor = 64.0 * np.finfo(float).eps * np.abs(cdf.coeff_per_rate).sum()
-        stepped = stepped_bins(gates, low.gamma_th, n)
+        series = series_bins(gates, low.gamma_th, n)
         closed = binned_relay_sum(cdf, low.gamma_th, n)
-        assert np.max(np.abs(stepped.probs - closed.probs)) < floor
-        relay = step2_outage(stepped, bin_conditional_direct(LinkParam(rates.direct), low.gamma_th, n), gates)
+        assert np.max(np.abs(series.probs - closed.probs)) < floor
+        relay = step2_outage(series, bin_conditional_direct(LinkParam(rates.direct), low.gamma_th, n), gates)
         assert abs(relay - outs[source].relay) < floor
 
 
@@ -1113,36 +1108,10 @@ def _relay_step_rel_errs(topo, cfg):
     for source in (1, 2):
         rates = link_rates(topo, cfg, source)
         paths = GatedPaths(decode_fail_probs(topo, cfg, source), rates.relay_dest)
+        assert not paths.closed_form
         exact = _relay_step_60(rates.direct, cfg.gamma_th, paths)
         errs.append(float(abs(outs[source].relay - exact) / exact))
     return outs, errs
-
-
-@pytest.mark.parametrize("m, power_dbm", [(10, 10.0), (10, 30.0), (24, 10.0)])
-def test_stepped_relay_step_is_within_the_binning_bias_of_60_digits(m, power_dbm):
-    # Tied (m = 10) and over-cap (m = 24) lines reach relay steps of 1e-29
-    # and 6e-24; what is left is the O(1/n) bias of summing bins, about
-    # 2.2/n and 3.6/n here.
-    topo = _line_topology(m)
-    _, cfg = default_paper_setup(power_dbm=power_dbm)
-    assert not closed_form_applies(link_rates(topo, cfg, 1).relay_dest)
-    _, errs = _relay_step_rel_errs(topo, cfg)
-    assert max(errs) < 5.0 / cfg.granularity, errs
-
-
-def test_tied_line_runs_at_a_million_bins(paper_setup):
-    # At n = 1e6 the relay step is within 5/n of the 60-digit value and
-    # within 5/n_c of the n_c = 1e5 result: the O(1/n) bias of summing bins,
-    # about 2.2/n here, shrinks tenfold.
-    topo = _line_topology(10)
-    fine = replace(paper_setup[1], granularity=1_000_000)
-    coarse = replace(fine, granularity=100_000)
-    outs, errs = _relay_step_rel_errs(topo, fine)
-    assert max(errs) < 5.0 / fine.granularity, errs
-    near = step_outages(topo, coarse)
-    for source in (1, 2):
-        assert 0.0 < outs[source].relay < 1.0
-        assert abs(outs[source].relay - near[source].relay) < 5.0 / coarse.granularity * outs[source].relay
 
 
 def _near_source_pair():
@@ -1159,34 +1128,55 @@ def _near_source_pair():
                            (tuple(mid + off), tuple(mid - off)), topo.alpha)
 
 
-@pytest.mark.parametrize("power_dbm", [-30.0, -20.0, -10.0, 0.0, 10.0])
-def test_tied_pair_near_a_source_steps_at_any_lam_gamma(power_dbm):
-    # The relays decode often but reach the destination weakly: Lam gamma_th
-    # runs from 0.73 at 10 dBm to 7 290 at -30 dBm.  Differences of the
-    # series' CDF at the edges fell below the bins' noise floor from -10 dBm
-    # down; the stepped bins are nonnegative at any Lam gamma_th and n.
-    topo = _near_source_pair()
+@pytest.mark.parametrize("layout, power_dbm", [
+    *((f"line{m}", p) for m in (10, 24) for p in (-10.0, 0.0, 10.0, 30.0)),
+    *(("near-pair", p) for p in (-30.0, -20.0, -10.0, 0.0, 10.0)),
+])
+def test_exact_step_is_within_1e_13_of_60_digits(layout, power_dbm):
+    # Tied (line10, the near-source pair) and over-cap (line24) layouts.  The
+    # relay steps reach 1e-29 on line10 at 30 dBm, and the near pair's relays
+    # decode often but reach the destination weakly: Lam gamma_th is 7 290 at
+    # -30 dBm.  Binned on n = 1 000 bins these steps were off by up to 3.6e-3.
+    topo = _near_source_pair() if layout == "near-pair" else line_topology(int(layout[4:]))
     _, cfg = default_paper_setup(power_dbm=power_dbm)
-    for n in (1, 1000, 1_000_000):
-        for source in (1, 2):
-            paths = GatedPaths(decode_fail_probs(topo, cfg, source), link_rates(topo, cfg, source).relay_dest)
-            assert not paths.closed_form
-            bins = relay_sum_bins(paths, cfg.gamma_th, n)
-            assert bins.min() >= 0.0
-            whole = relay_sum_cdf_uniformized(paths, np.array([cfg.gamma_th]))[0]
-            assert bins.sum() == pytest.approx(whole, rel=1e-10)
-    _, errs = _relay_step_rel_errs(topo, cfg)
-    assert max(errs) < 5.0 / cfg.granularity, errs
-    outs = step_outages(topo, replace(cfg, granularity=1_000_000))
+    outs, errs = _relay_step_rel_errs(topo, cfg)
+    assert max(errs) <= 1e-13, errs
     assert all(0.0 < out.relay <= 1.0 for out in outs.values())
 
 
-def test_stepped_bins_ignore_closed_gates():
-    # Stepped at its rate, the closed relay would set Lam h = 1e6.
+@pytest.mark.parametrize("layout", ["line10", "line24", "near-pair"])
+def test_exact_step_does_not_depend_on_the_granularity(layout):
+    topo = _near_source_pair() if layout == "near-pair" else line_topology(int(layout[4:]))
+    for power in (-10.0, 10.0, 30.0):
+        _, cfg = default_paper_setup(power_dbm=power)
+        bits = {tuple(_outage_bits(step_outages(topo, replace(cfg, granularity=n))).items())
+                for n in (1, 2, 7, 1000, 1_000_000)}
+        assert len(bits) == 1, (power, bits)
+
+
+def test_exact_step_ignores_closed_gates():
+    # Uniformized at its rate, the closed relay would set Lam gamma = 1e9.
+    direct = LinkParam(1.3)
     with_closed = GatedPaths([0.3, 1.0, 0.6], [1.0, 1e9, 2.2])
     without = GatedPaths([0.3, 0.6], [1.0, 2.2])
-    assert _bits(relay_sum_bins(with_closed, 1.0, 1000)) == _bits(relay_sum_bins(without, 1.0, 1000))
-    assert relay_sum_bins(with_closed.with_gates([1.0] * 3), 1.0, 7).tolist() == [0.0] * 7
+    got = relay_step_outage(direct, with_closed, 1.0)
+    assert _bits(got) == _bits(relay_step_outage(direct, without, 1.0)) and 0.0 < got < 1.0
+    with pytest.raises(ConditioningError):
+        relay_step_outage(direct, with_closed.with_gates([1.0] * 3), 1.0)
+
+
+@pytest.mark.parametrize("layout", ["line10", "line24", "near-pair"])
+@pytest.mark.parametrize("power_dbm", [-61.0, 201.0])
+def test_exact_step_is_a_probability_at_extreme_powers(layout, power_dbm):
+    # At -61 dBm no relay decodes; at 201 dBm every rate is about 1e-20 and
+    # the relay steps fall to 1e-40 and below.
+    topo = _near_source_pair() if layout == "near-pair" else line_topology(int(layout[4:]))
+    _, cfg = default_paper_setup(power_dbm=power_dbm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outs = step_outages(topo, cfg)
+    for out in outs.values():
+        assert type(out.relay) is float and 0.0 <= out.relay <= 1.0
 
 
 def _step2_by_convolution(relay_pmf, direct_pmf, gates):

@@ -27,24 +27,16 @@ from mdma_relay.experiments import (
     write_rows_csv,
 )
 from chain_reference import overall_outage, stationary_distribution
+from layouts import line_topology
 from mdma_relay.markov import build_chain, ring_distribution
 from mdma_relay.simulator import SimOptions, simulate, trace_to_csv_rows
 from mdma_relay.topology import (
     ConfigError,
-    NetworkTopology,
     default_paper_setup,
     link_rates,
     save_setup,
     topology_to_dict,
 )
-
-
-def line_topology(m: int) -> NetworkTopology:
-    """The reference layout with m relays on its x=50 line; m=10 ties two
-    relay-destination distances (y=40 and y=-40)."""
-    topo, _ = default_paper_setup()
-    relays = tuple((50.0, 55.0 - 100.0 * (i - 0.5) / m) for i in range(1, m + 1))
-    return NetworkTopology(topo.s1_pos, topo.s2_pos, topo.d_pos, relays, topo.alpha)
 
 
 @pytest.fixture(scope="module")
@@ -490,8 +482,8 @@ def _refuse(token):
     raise AssertionError(f"{token} is not valid JSON")
 
 
-# The tied relay sum's bins come from stepping its phase-type chain, O(n m),
-# so the largest granularity accepted takes well under a second.
+# Tied and over-cap relay steps are exact and use no bins, so the largest
+# granularity accepted costs them nothing.
 @pytest.mark.parametrize("relays, extra", [(10, []), (24, []), (10, ["--granularity", "1000000"])],
                          ids=["10", "24", "10-n1e6"])
 def test_cli_analyze_tied_and_many_relays(tmp_path, relays, extra):
@@ -876,15 +868,15 @@ def _spy(monkeypatch, module, name) -> list[tuple]:
     return calls
 
 
-@pytest.mark.parametrize("where, bases, stepped", [
+@pytest.mark.parametrize("where, bases, exact", [
     (["--paper-defaults"], 1, 0),
     (["--paper-defaults", "--power-dbm", "20", "--granularity", "100000"], 1, 0),
     (["--config", "line10.json"], 0, 2),
 ], ids=["paper", "paper-n1e5", "line10-tied"])
-def test_analyze_computes_its_step_outages_once(monkeypatch, tmp_path, where, bases, stepped):
+def test_analyze_computes_its_step_outages_once(monkeypatch, tmp_path, where, bases, exact):
     # `analyze` reads the step outages twice, for the chain and to print them;
     # the second read is a lookup, so each source's links, the closed form's
-    # basis and the tied layout's stepped bins are computed once.
+    # basis and the tied layout's exact relay steps are computed once.
     save_setup(tmp_path / "line10.json", line_topology(10), default_paper_setup()[1])
     argv = ["analyze", *(str(tmp_path / a) if a.endswith(".json") else a for a in where)]
     # The same command without the memo prints the same bytes.
@@ -893,10 +885,10 @@ def test_analyze_computes_its_step_outages_once(monkeypatch, tmp_path, where, ba
         assert main([*argv, "--out", str(tmp_path / "unmemoized.json")]) == 0
     links = _spy(monkeypatch, analytic, "link_rates")
     basis = _spy(monkeypatch, analytic, "exp_cdf_basis")
-    bins = _spy(monkeypatch, analytic, "relay_sum_bins")
+    steps = _spy(monkeypatch, analytic, "relay_step_outage")
     assert main([*argv, "--out", str(tmp_path / "a.json")]) == 0
     assert [source for _, _, source, *_ in links] == [1, 2]
-    assert (len(basis), len(bins)) == (bases, stepped)
+    assert (len(basis), len(steps)) == (bases, exact)
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "unmemoized.json").read_bytes()
 
 

@@ -2,8 +2,9 @@
 
 ``golden_simulate.json`` maps each case ``CASES`` lists to the sha256 of
 its ``to_dict()``, occupancy counts, decode attempts and empties, pair
-duration sums, ``trace_to_csv_rows`` of its trace, and the slot of every
-episode each stream counts within the run (NOMA records no trace, so this
+duration sums, ``trace_to_csv_rows`` of its trace, the ``float.hex`` of
+every SNR its traced slots record (only where it traced any), and the slot
+of every episode each stream counts within the run (NOMA records no trace, so this
 is where a misplaced NOMA slot shows).  It was written
 from commit f69a3b8, which placed whole cycles and pairs from cumsums and
 walked the one that crossed a chunk end take by take, before every episode
@@ -11,7 +12,10 @@ went through one resumable cursor, so a change that keeps these digests
 keeps every simulated output exactly.  The no-cooperation cases of MDMA,
 TDMA and FDMA (``-nocoop``) were added from commit 6e26645, where the
 simulator still zeroed the relays' decode sets itself, before a run without
-relay cooperation took infinite source-relay rates instead.  The cases run
+relay cooperation took infinite source-relay rates instead.  The traced
+cases (``-trace`` and ``-nocoop-trace``) were rewritten from commit 0fffeff
+when their digests took in the recorded SNRs; that change left the
+simulator as it was.  The cases run
 each scheme at slot counts around a cycle, a draw chunk and the run's end,
 with the draw chunk at its shipped size and at 7 episodes.  Rewrite the file only for a change
 that means to move those numbers:
@@ -25,6 +29,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mdma_relay import simulator
@@ -107,6 +112,9 @@ def digest(scheme, link, bits, slots, options):
     out = [est.to_dict(), est.occupancy_counts.tolist(), est.decode_attempts, est.decode_empties,
            float.hex(est.pair_duration_sum), float.hex(est.pair_duration_sumsq),
            trace_to_csv_rows(est.trace), sorted(counted.items())]
+    if est.trace:  # the SNRs each traced slot records; the CSV rows leave them out
+        out.append([{name: [float.hex(v) for v in np.ravel(snr).tolist()] for name, snr in sorted(ev.snrs.items())}
+                    for ev in est.trace])
     return hashlib.sha256(json.dumps(out).encode()).hexdigest()
 
 

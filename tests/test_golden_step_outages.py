@@ -6,7 +6,11 @@ written from commit 2c15618, before the relay step moved to array pairs,
 so a change that keeps these bits keeps the shipped outages exactly.  The
 tied ``line10`` entries with n > 1 were rewritten when tied and over-cap
 relay sums moved from convolved per-path masses to the bins of the exact
-phase-type law (``relay_sum_bins``).  The 24 paper entries at n = 1e5 from
+phase-type law.  Their ``relay`` fields were rewritten again, at every n,
+when tied and over-cap relay steps became one exact absorption probability
+of that law with the direct SNR in front (``relay_step_outage``), which
+no longer depends on n; their ``bcast`` and ``empty`` fields kept their
+bits.  The 24 paper entries at n = 1e5 from
 5 to 40 dBm were rewritten when the basis product went to fixed row blocks:
 OpenBLAS had split it over its threads, so those bits depended on the thread
 count, and the rewritten bits are what one thread gave before.  Every other
@@ -26,17 +30,11 @@ from pathlib import Path
 import pytest
 
 from mdma_relay.analytic import step_outages
-from mdma_relay.topology import NetworkTopology, default_paper_setup
+from mdma_relay.topology import default_paper_setup
+
+from layouts import line_topology
 
 GOLDEN = Path(__file__).with_name("golden_step_outages.json")
-
-
-def line_topology(m):
-    """The paper layout with its relay line generalised to m relays; m = 10
-    ties two relay-destination distances (y = 40 and y = -40)."""
-    topo, _ = default_paper_setup()
-    relays = tuple((50.0, 55.0 - 100.0 * (i - 0.5) / m) for i in range(1, m + 1))
-    return NetworkTopology(topo.s1_pos, topo.s2_pos, topo.d_pos, relays, topo.alpha)
 
 
 def cases():
@@ -47,7 +45,7 @@ def cases():
             for n in (1, 2, 7, 1000, 100_000):
                 out.append((f"paper-{power}dBm-eta{eta}-n{n}", "paper",
                             {"power_dbm": float(power), "eta": eta, "granularity": n}))
-    for layout in ("line16", "line10"):  # line10 is tied: relay_sum_bins
+    for layout in ("line16", "line10"):  # line10 is tied: relay_step_outage
         for power in (-10, 0, 10, 20, 30):
             for n in (1, 2, 7, 1000):
                 out.append((f"{layout}-{power}dBm-n{n}", layout,
