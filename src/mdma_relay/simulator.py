@@ -9,9 +9,11 @@ draws (maximal ratio combining adds branch SNRs).
 The engine works on episodes: a broadcast slot plus, when the destination
 missed it and some relay decoded it, a relay slot.  Given the source they
 are i.i.d., so they are drawn as arrays, one generator per (source, link
-kind), and cut into repetitions at their successes; an episode's slot is a
-cumsum of episode lengths, derived once per chunk where it is made
-(`_prepare`).  The counters are kept per (run, repetition) cell: each
+kind), and cut into repetitions at their successes.  Relay-side SNRs are
+drawn only for the broadcasts the destination missed, the only ones whose
+decode sets matter, and decode sets are counted over those alone.  An
+episode's slot is a cumsum of episode lengths, derived once per chunk where
+it is made (`_prepare`).  The counters are kept per (run, repetition) cell: each
 chunk's episodes are counted per cell with `bincount`, and the cells'
 counts are added to their labels.  TDMA, FDMA and NOMA baselines reuse
 the same relay cooperation mechanics and differ only in medium access.
@@ -89,7 +91,10 @@ class SlotEvent:
     state: str
     outcome: str                  # "success" or "failure"
     snrs: dict = field(repr=False)
-    decode_mask: int = 0          # bitmask of relays that decoded the broadcast
+    # Bitmask of relays that decoded the broadcast.  Relays are drawn only for
+    # a broadcast the destination missed: one it decoded records an empty
+    # "source_relay" array and mask 0.
+    decode_mask: int = 0
     mrc_total: float | None = None
 
 
@@ -128,6 +133,9 @@ class SimEstimate:
     pair_duration_sumsq: float
     bandwidth_units: float
     power_units: float
+    # Per source: broadcasts the destination missed, and those no relay
+    # decoded either.  Decode sets do not depend on the direct SNR, so
+    # empties / attempts estimates the empty-set probability without bias.
     decode_attempts: dict[int, int]
     decode_empties: dict[int, int]
     trace: list[SlotEvent]
@@ -245,8 +253,8 @@ def _none_set(flags) -> np.ndarray:
 
 
 def _relay_slots(rng, need, retained, decoded, rd_means, gamma_th):
-    """Relay-to-destination rows of the episodes in `need`, their MRC totals
-    (retained SNR plus decoding relays), and which episodes decode there."""
+    """Relay-to-destination SNRs of the rows flagged in `need`, their MRC
+    totals (retained SNR plus decoding relays), and which rows decode there."""
     idx = np.flatnonzero(need)  # `take` by index is several times faster than a mask
     rows = _exp(rng, (idx.size, decoded.shape[1]), rd_means)
     mrc = retained.take(idx) + np.einsum("ij,ij->i", rows, decoded.take(idx, axis=0))
@@ -395,19 +403,31 @@ def _prepare(ep: dict, length, success) -> dict:
 
 
 # All a shared chunk keeps: the flags `_BcastStream.count` reads, then `_prepare`'s.
-_KEPT = ("ok", "empty", "relay", "relay_ok", "cum_len", "cum_succ", "succ_end")
+_KEPT = ("ok", "relay", "relay_ok", "cum_len", "cum_succ", "succ_end")
+
+
+def _scatter(miss, flags, n: int) -> np.ndarray:
+    """n-long flags that are `flags` at the rows `miss` and False elsewhere."""
+    out = np.zeros(n, dtype=bool)
+    out[miss] = flags
+    return out
 
 
 class _Episodes:
     """Full-power broadcast episodes of one source, drawn a chunk at a time
     from its direct, source-relay and relay-destination generators.
 
+    A relay's decode flag matters only for a broadcast the destination
+    missed, so source-relay SNRs are drawn only for those: `sr` and `decoded`
+    hold one row per missed broadcast, in episode order, and `rows` and `mrc`
+    one per relay episode.
+
     Chunk k is drawn when it is first read, with the size that reader asks
     for, and prepared there (`_prepare`): its lengths, success cumsums and
     success ends are derived once.  A private source has one reader, which
     holds the chunk it reads, so the source keeps none.  A shared one (kept
-    in a `pool`) keeps every chunk it draws, as read-only flags and prepared
-    arrays, for the other runs given that pool."""
+    in a `pool`) keeps every chunk it draws, as three read-only flags per
+    episode and the prepared arrays, for the other runs given that pool."""
 
     def __init__(self, seed, source, rates, gamma_th, shared=False):
         self.source, self.gamma_th = source, gamma_th
@@ -432,13 +452,14 @@ class _Episodes:
     def draw(self, n: int) -> dict:
         g = self.gamma_th
         direct = _exp(self.rngs[0], n, self.means[0])
-        sr = _exp(self.rngs[1], (n, self.means[1].size), self.means[1])
+        ok = direct >= g
+        miss = np.flatnonzero(~ok)
+        sr = _exp(self.rngs[1], (miss.size, self.means[1].size), self.means[1])
         decoded = sr >= g
-        ok, empty = direct >= g, _none_set(decoded)  # no relay decoded
-        relay = ~ok & ~empty
-        rows, mrc, relay_ok = _relay_slots(self.rngs[2], relay, direct, decoded, self.means[2], g)
-        return {"direct": direct, "sr": sr, "decoded": decoded, "ok": ok, "empty": empty,
-                "relay": relay, "rows": rows, "mrc": mrc, "relay_ok": relay_ok}
+        relay = ~_none_set(decoded)  # some relay decoded
+        rows, mrc, relay_ok = _relay_slots(self.rngs[2], relay, direct.take(miss), decoded, self.means[2], g)
+        return {"direct": direct, "sr": sr, "decoded": decoded, "ok": ok, "relay": _scatter(miss, relay, n),
+                "rows": rows, "mrc": mrc, "relay_ok": _scatter(miss, relay_ok, n)}
 
 
 def _broadcasts(pool, tally, seed, source, rates, gamma_th) -> _Episodes:
@@ -484,24 +505,28 @@ class _BcastStream(_Stream):
             np.add.at(tally.occupancy, lab, per_cell)
             np.add.at(tally.attempts, key, per_cell)
             np.add.at(tally.failures, key, np.bincount(cell[sent & ~ep[ok][idx]], minlength=lab.size))
-        tally.decode_attempts[self.source] += int(np.count_nonzero(b))
-        tally.decode_empties[self.source] += int(np.count_nonzero(b & ep["empty"][idx]))
+        miss = b & ~ep["ok"][idx]
+        tally.decode_attempts[self.source] += int(np.count_nonzero(miss))
+        tally.decode_empties[self.source] += int(np.count_nonzero(miss & ~ep["relay"][idx]))
         if tally.trace_limit:
             lab_b, lab_r, _, _, band = self.table[tag, rep].T
             self._trace(idx, start, lab_b, lab_r, band)
 
     def _trace(self, idx, start, lab_b, lab_r, band) -> None:
-        """Decode the placed episodes that fall in the traced slots into events."""
+        """Decode the placed episodes that fall in the traced slots into events.
+        An episode's source-relay row is its rank among missed broadcasts, and
+        its relay row its rank among relay episodes."""
         ep, tally = self.ep, self.tally
         end = min(tally.trace_limit, tally.slots)
-        relay_row = np.cumsum(ep["relay"]) - 1
+        miss_row, relay_row = np.cumsum(~ep["ok"]) - 1, np.cumsum(ep["relay"]) - 1
         for j in np.flatnonzero(start < end):
             i, t = idx.start + j, int(start[j])
-            direct, mask = float(ep["direct"][i]), _bitmask(ep["decoded"][i])
+            k, direct = miss_row[i], float(ep["direct"][i])
+            sr, mask = (np.empty(0), 0) if ep["ok"][i] else (ep["sr"][k].copy(), _bitmask(ep["decoded"][k]))
             tally.events.append((t, band[j], SlotEvent(
                 t, tally.scheme, tally.labels[lab_b[j]],
                 "success" if ep["ok"][i] else "failure",
-                {"direct": direct, "source_relay": ep["sr"][i].copy()}, mask)))
+                {"direct": direct, "source_relay": sr}, mask)))
             if ep["relay"][i] and t + 1 < end:
                 k = relay_row[i]
                 tally.events.append((t + 1, band[j], SlotEvent(
@@ -598,7 +623,8 @@ def _run_bands(
 
 class _JointStream(_Stream):
     """NOMA joint episodes: one superposed slot, then a relay slot for stream 1
-    if it needs one, then one for stream 2."""
+    if it needs one, then one for stream 2.  Relay gains are drawn, and each
+    relay cancels, only for episodes where the destination missed some stream."""
 
     def __init__(self, tally, seed, rates, gamma_th, options):
         super().__init__(tally, 2)
@@ -613,18 +639,18 @@ class _JointStream(_Stream):
     def draw(self, n: int) -> dict:
         g, instant = self.gamma_th, self.options.noma_sic_order == "instant"
         p = {s: _exp(self.rngs[s][0], n, self.at_d[s]) for s in (1, 2)}
-        gains = {s: _exp(self.rngs[s][1], (n, self.at_r[s].size), self.at_r[s]) for s in (1, 2)}
-        # Cancellation at the destination, and at each relay.
+        # Cancellation at the destination, then at each relay where it missed a stream.
         first = p[1] >= p[2] if instant else self.at_d[1] >= self.at_d[2]
         ok, sinr = _sic(first, p[1], p[2], g, sinr=True)
+        miss = np.flatnonzero(~(ok[1] & ok[2]))
+        gains = {s: _exp(self.rngs[s][1], (miss.size, self.at_r[s].size), self.at_r[s]) for s in (1, 2)}
         first = gains[1] >= gains[2] if instant else self.at_r[1] >= self.at_r[2]
         dec, _ = _sic(first, gains[1], gains[2], g)
-        ep = {"ok": ok, "empty": {}, "relay": {}, "relay_ok": {}}
+        ep = {"ok": ok, "relay": {}, "relay_ok": {}}
         for s in (1, 2):
-            ep["empty"][s] = _none_set(dec[s])
-            ep["relay"][s] = ~ok[s] & ~ep["empty"][s]
-            _, _, ep["relay_ok"][s] = _relay_slots(
-                self.rngs[s][2], ep["relay"][s], sinr[s], dec[s], self.rd_means, g)
+            relay = ~ok[s].take(miss) & ~_none_set(dec[s])
+            _, _, relay_ok = _relay_slots(self.rngs[s][2], relay, sinr[s].take(miss), dec[s], self.rd_means, g)
+            ep["relay"][s], ep["relay_ok"][s] = _scatter(miss, relay, n), _scatter(miss, relay_ok, n)
         return _prepare(ep, 1 + ep["relay"][1] + ep["relay"][2],
                         [ok[s] | ep["relay_ok"][s] for s in (1, 2)])
 
@@ -638,10 +664,10 @@ class _JointStream(_Stream):
             relay_slot = relay_slot + ep["relay"][s][idx]
             tally.occupancy[2 + s] += int(r.sum())
             tally.attempts[[0, 2 + s]] += (nb, int(r.sum()))
-            tally.failures[[0, 2 + s]] += (int((b & ~ep["ok"][s][idx]).sum()),
-                                           int((r & ~ep["relay_ok"][s][idx]).sum()))
-            tally.decode_attempts[s] += nb
-            tally.decode_empties[s] += int((b & ep["empty"][s][idx]).sum())
+            miss = b & ~ep["ok"][s][idx]  # a failed joint slot, and a decode attempt
+            tally.failures[[0, 2 + s]] += (int(miss.sum()), int((r & ~ep["relay_ok"][s][idx]).sum()))
+            tally.decode_attempts[s] += int(miss.sum())
+            tally.decode_empties[s] += int((miss & ~ep["relay"][s][idx]).sum())
 
 
 def _place_pairs(joint, solo, beta_t: int, cursor, tally: _Tally):

@@ -263,13 +263,13 @@ def test_a_shared_chunk_is_read_only(setup10):
     for episodes in pool.values():
         assert episodes.kept
         for ep in episodes.kept:
-            assert set(ep) == {"ok", "empty", "relay", "relay_ok", "cum_len", "cum_succ", "succ_end"}
+            assert set(ep) == {"ok", "relay", "relay_ok", "cum_len", "cum_succ", "succ_end"}
             for value in ep.values():
                 for a in value if isinstance(value, list) else [value]:
                     with pytest.raises(ValueError, match="read-only"):
                         a[0] = a[-1]
                     arrays += 1
-    assert arrays >= 2 * 7
+    assert arrays >= 2 * 6  # per source, at least one chunk of the six arrays above
 
 
 def test_a_shared_sweep_point_keeps_little_memory(setup10):

@@ -15,7 +15,11 @@ simulator still zeroed the relays' decode sets itself, before a run without
 relay cooperation took infinite source-relay rates instead.  The traced
 cases (``-trace`` and ``-nocoop-trace``) were rewritten from commit 0fffeff
 when their digests took in the recorded SNRs; that change left the
-simulator as it was.  The cases run
+simulator as it was.  Every case not at -30 dBm was re-recorded from the
+child of commit 0acf231, which draws relay-side SNRs only for broadcasts
+the destination missed and counts decode sets over those alone; at -30 dBm
+the destination misses every broadcast, so those 197 cases read the same
+streams and kept the digests recorded before.  The cases run
 each scheme at slot counts around a cycle, a draw chunk and the run's end,
 with the draw chunk at its shipped size and at 7 episodes.  Rewrite the file only for a change
 that means to move those numbers:

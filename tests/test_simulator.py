@@ -210,6 +210,8 @@ def test_trace_decode_set_and_mrc_identities(setup10, scheme):
     for ev in est.trace:
         phase, kind, rep = ev.state.split(":")
         if kind == "bcast":
+            # Relays are drawn only for a broadcast the destination missed.
+            assert ev.snrs["source_relay"].size == (0 if ev.outcome == "success" else len(topo.relay_pos))
             mask = 0
             for i, snr in enumerate(ev.snrs["source_relay"]):
                 if snr >= low.gamma_th:
@@ -230,9 +232,18 @@ def test_trace_decode_set_and_mrc_identities(setup10, scheme):
     assert saw_relay > 100
 
 
-def test_decode_set_law(setup10):
+@pytest.mark.parametrize("power, relay_pos", [
+    pytest.param(-2.0, None, id="-2dBm"),  # the destination misses nearly every broadcast
+    # It misses 5-10% of them, so decode sets are counted over those alone.  On
+    # the paper layout every set would be nonempty (P = 1e-14); two far relays
+    # leave it empty often enough for a 3-sigma gate to show a bias.
+    pytest.param(20.0, ((-150.0, 40.0), (-150.0, 0.0)), id="20dBm-far-relays"),
+])
+def test_decode_set_law(setup10, power, relay_pos):
     topo, cfg = setup10
-    low = replace(cfg, power_dbm=-2.0)
+    if relay_pos:
+        topo = replace(topo, relay_pos=relay_pos)
+    low = replace(cfg, power_dbm=power)
     est = simulate("mdma", topo, low, 200_000, seed=13)
     from mdma_relay.analytic import decode_fail_probs
 
@@ -243,6 +254,58 @@ def test_decode_set_law(setup10):
         freq = est.decode_empties[src] / n
         sigma = math.sqrt(p_empty * (1 - p_empty) / n)
         assert abs(freq - p_empty) <= 3 * sigma
+
+
+class _RowSpy:
+    """A generator that adds the rows each draw reads to `rows[stream]`."""
+
+    def __init__(self, rng, rows, stream):
+        self.rng, self.rows, self.stream = rng, rows, stream
+
+    def standard_exponential(self, shape):
+        self.rows[self.stream] += shape[0]
+        return self.rng.standard_exponential(shape)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("power", [4.0, 30.0])
+def test_relays_are_drawn_only_for_missed_broadcasts(setup10, monkeypatch, scheme, power):
+    """Source-relay generators (streams 1 and 4 for broadcasts, 7 and 10 for
+    NOMA's joint episodes) read one row per broadcast the destination missed,
+    and per joint episode where it missed some stream; a decoded broadcast
+    adds no decode attempt."""
+    topo, cfg = setup10
+    rows, missed, drawn = ({k: 0 for k in (1, 4, 7, 10)} for _ in range(3))
+    make_rng, bcast, joint = simulator.make_rng, simulator._Episodes.draw, simulator._JointStream.draw
+
+    def spy_rng(seed, stream=0):
+        rng = make_rng(seed, stream)
+        return _RowSpy(rng, rows, stream) if stream in rows else rng
+
+    def spy_bcast(self, n):
+        ep = bcast(self, n)
+        drawn[3 * self.source - 2] += n
+        missed[3 * self.source - 2] += int(np.count_nonzero(~ep["ok"]))
+        return ep
+
+    def spy_joint(self, n):
+        ep = joint(self, n)
+        for stream in (7, 10):
+            drawn[stream] += n
+            missed[stream] += int(np.count_nonzero(~(ep["ok"][1] & ep["ok"][2])))
+        return ep
+
+    monkeypatch.setattr(simulator, "make_rng", spy_rng)
+    monkeypatch.setattr(simulator._Episodes, "draw", spy_bcast)
+    monkeypatch.setattr(simulator._JointStream, "draw", spy_joint)
+    est = simulate(scheme, topo, replace(cfg, power_dbm=power), 20_000, seed=11)
+    assert rows == missed
+    assert sum(missed.values()) > 0
+    if power == 30.0:  # about 1% of broadcasts miss, and 23% of NOMA's joint episodes
+        assert sum(rows.values()) < 0.5 * sum(drawn.values()), (rows, drawn)
+    # A broadcast the run counts is a decode attempt exactly when it failed.
+    bcast_failures = sum(v.failures for key, v in est.per_step.items() if "relay" not in key)
+    assert sum(est.decode_attempts.values()) == bcast_failures
 
 
 def test_outcome_independence_within_state(setup10):
@@ -434,7 +497,8 @@ def _walk(ep, runs):
 
 def _count_per_episode(tally, ep, table, source, runs):
     """The reference for `_BcastStream.count`: gather every episode's labels
-    from the table, then bincount them per label."""
+    from the table, then bincount them per label.  Decode sets are counted
+    over the broadcasts the destination missed, the only ones drawn."""
     start, rep, tag = _walk(ep, runs)
     idx = slice(runs[0][0], runs[-1][1])
     lab_b, lab_r, key_b, key_r, _ = table[tag, rep].T
@@ -444,8 +508,9 @@ def _count_per_episode(tally, ep, table, source, runs):
         tally.occupancy += np.bincount(lab[sent], minlength=tally.occupancy.size)
         tally.attempts += np.bincount(key[sent], minlength=tally.attempts.size)
         tally.failures += np.bincount(key[sent & ~ok[idx]], minlength=tally.failures.size)
-    tally.decode_attempts[source] += int(b.sum())
-    tally.decode_empties[source] += int((b & ep["empty"][idx]).sum())
+    miss = b & ~ep["ok"][idx]
+    tally.decode_attempts[source] += int(miss.sum())
+    tally.decode_empties[source] += int((miss & ~ep["relay"][idx]).sum())
 
 
 def test_per_cell_counts_equal_the_per_episode_count():
@@ -460,7 +525,7 @@ def test_per_cell_counts_equal_the_per_episode_count():
         empty = ~ok & (rng.random(n) < 0.3)
         relay = ~ok & ~empty
         relay_ok = relay & (rng.random(n) < 0.6)
-        ep = {"ok": ok, "empty": empty, "relay": relay, "relay_ok": relay_ok,
+        ep = {"ok": ok, "relay": relay, "relay_ok": relay_ok,
               "length": 1 + relay, "success": [ok | relay_ok]}
         simulator._prepare(ep, ep["length"], ep["success"])
         reps = rng.integers(1, 6, int(rng.integers(1, 5)))
