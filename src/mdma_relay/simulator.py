@@ -29,6 +29,9 @@ charged one bandwidth and one power unit.
 Each band, and NOMA, places its episodes through one resumable cursor: runs
 or pairs are placed at once from these cumsums up to the first that a chunk
 end cuts, which is placed up to the chunk end and resumed from the next chunk.
+NOMA computes the joint stop of a pair begun at every episode as one array
+and reads only the stops along its chain of pair starts.  A band plan's
+labels, step keys and count table are built once per plan (`_layout`).
 NOMA's cancellation needs no choice of the stronger stream (see `_sic`).
 
 A source's broadcast episodes come from the same generators in MDMA, TDMA,
@@ -43,6 +46,7 @@ and a difference between schemes is not a difference of independent samples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -235,11 +239,16 @@ def _means(rates) -> np.ndarray | float:
 
 
 def _exp(rng, shape, means) -> np.ndarray:
-    """Exponential SNRs with the given means; infinite means (no noise) give inf."""
-    if np.isinf(means).any():
+    """Exponential SNRs with the given means, per element; an infinite mean
+    (no noise, or a link so short that its rate underflows) gives inf.  When
+    every mean is infinite nothing is drawn."""
+    inf = np.isinf(means)
+    if inf.all():
         return np.full(shape, math.inf)
     out = rng.standard_exponential(shape)
     out *= means
+    if inf.any():
+        np.copyto(out, math.inf, where=inf)  # a draw of 0 times inf would be NaN
     return out
 
 
@@ -303,19 +312,22 @@ class _Tally:
 
     def _settle(self) -> None:
         """A pair is delivered once every band has ended that cycle, at the latest end."""
-        n = min(e.size for e in self.cycle_ends)
+        ends = self.cycle_ends
+        n = min(e.size for e in ends)
         if n:
-            close = np.max([e[:n] for e in self.cycle_ends], axis=0)
-            d = np.diff(close, prepend=self.last_close).astype(float)
+            close = functools.reduce(np.maximum, [e[:n] for e in ends])  # one band: its own ends
+            d = np.empty(n)  # the pairs' durations
+            d[0] = close[0] - self.last_close
+            np.subtract(close[1:], close[:-1], out=d[1:])
             self.pairs, self.last_close = self.pairs + n, int(close[-1])
             self.dur_sum, self.dur_sumsq = self.dur_sum + d.sum(), self.dur_sumsq + d @ d
-            self.cycle_ends = [e[n:] for e in self.cycle_ends]
+            self.cycle_ends = [e[n:] for e in ends]
 
     def estimate(self, config: SystemConfig, seed: int) -> SimEstimate:
         self._settle()
         # Every attempt is one step of one state and either fails or succeeds.
-        per_step = {key: StepStats(int(a), int(f))
-                    for key, a, f in zip(self.step_keys, self.attempts, self.failures)}
+        per_step = {key: StepStats(a, f)
+                    for key, a, f in zip(self.step_keys, self.attempts.tolist(), self.failures.tolist())}
         attempts, failures = int(self.attempts.sum()), int(self.failures.sum())
         bands = len(self.cycle_ends)  # each band takes a bandwidth and a power unit
         self.events.sort(key=lambda e: e[:2])
@@ -377,9 +389,10 @@ class _Stream:
 
     def flush(self) -> None:
         """Count the episodes placed from the current chunk."""
-        if not self.runs_placed:
+        placed = self.runs_placed
+        if not placed:
             return
-        first, stop, slot, before, tag = (np.concatenate(c) for c in zip(*self.runs_placed))
+        first, stop, slot, before, tag = placed[0] if len(placed) == 1 else map(np.concatenate, zip(*placed))
         idx, size = slice(first[0], stop[-1]), stop - first  # the runs tile idx in order
         # An episode's slot and repetition are its run's offsets plus its cumsums.
         cum_len, cum_succ = self.cum_len, self.cum_succ[0]
@@ -573,19 +586,11 @@ def _place_runs(prog, band: int, cursor, tally: _Tally):
     return (j + cut) % size, done, int(ends[placed - 1])
 
 
-def _run_bands(
-    topology: NetworkTopology,
-    config: SystemConfig,
-    scheme: str,
-    bands: list[list[Phase]],
-    slots: int,
-    seed: int,
-    options: SimOptions,
-    pool: dict | None,
-) -> SimEstimate:
-    """MDMA, TDMA and FDMA: each band cycles through its phases, and
-    consecutive phases of one source form a run.  MDMA and TDMA run one band;
-    FDMA runs one band per source."""
+@functools.lru_cache(maxsize=4)  # a sweep point runs at most three plans
+def _layout(bands: tuple[tuple[Phase, ...], ...]):
+    """What a run of `bands` counts into: its state labels and step keys, its
+    runs as (band, source, repetitions), and `table[run, rep]` for
+    `_BcastStream`, read-only since every run of the plan shares it."""
     labels, step_keys, runs = [], [], []  # runs: band, source, labels and keys per rep
     for band, plan in enumerate(bands):
         for name, src, reps in plan:
@@ -595,13 +600,30 @@ def _run_bands(
                 runs[-1][2].append((len(labels), len(labels) + 1, len(step_keys), len(step_keys) + 1, band))
                 labels += [state_label(name, step, j) for step in (1, 2)]
             step_keys += [f"{name}:{kind}" for kind in STEP_KINDS]
-    tally = _Tally(scheme, labels, step_keys, len(bands), slots, options.trace_limit)
     width = max(len(r[2]) for r in runs)
     table = np.array([r[2] + r[2][:1] * (width - len(r[2])) for r in runs])
-    rates = {s: link_rates(topology, config, s, options.relay_cooperation) for s in (1, 2)}
+    table.setflags(write=False)
+    return tuple(labels), tuple(step_keys), tuple((b, src, len(reps)) for b, src, reps in runs), table
+
+
+def _run_bands(
+    config: SystemConfig,
+    scheme: str,
+    bands: list[list[Phase]],
+    slots: int,
+    seed: int,
+    options: SimOptions,
+    pool: dict | None,
+    rates: dict,
+) -> SimEstimate:
+    """MDMA, TDMA and FDMA: each band cycles through its phases, and
+    consecutive phases of one source form a run.  MDMA and TDMA run one band;
+    FDMA runs one band per source."""
+    labels, step_keys, runs, table = _layout(tuple(map(tuple, bands)))
+    tally = _Tally(scheme, list(labels), list(step_keys), len(bands), slots, options.trace_limit)
     streams = {s: _BcastStream(tally, _broadcasts(pool, tally, seed, s, rates[s], config.gamma_th), table)
                for s in (1, 2)}
-    programs = [[(streams[src], len(reps), tag) for tag, (b, src, reps) in enumerate(runs) if b == band]
+    programs = [[(streams[src], reps, tag) for tag, (b, src, reps) in enumerate(runs) if b == band]
                 for band in range(len(bands))]
 
     cursors = [(0, 0, 0)] * len(bands)  # per band: run of the cycle, repetitions into it, slot
@@ -657,17 +679,21 @@ class _JointStream(_Stream):
     def count(self, idx, start, rep, tag) -> None:
         ep, tally, slots = self.ep, self.tally, self.tally.slots
         b = start < slots
-        nb, relay_slot = int(b.sum()), start + 1  # stream 2's relay slot follows stream 1's
+        nb, relay_slot = np.count_nonzero(b), start + 1  # stream 2's relay slot follows stream 1's
         tally.occupancy[0] += nb
+        tally.attempts[0] += 2 * nb  # one per stream
         for s in (1, 2):
-            r = ep["relay"][s][idx] & (relay_slot < slots)
-            relay_slot = relay_slot + ep["relay"][s][idx]
-            tally.occupancy[2 + s] += int(r.sum())
-            tally.attempts[[0, 2 + s]] += (nb, int(r.sum()))
+            relay = ep["relay"][s][idx]
+            r = relay & (relay_slot < slots)
+            relay_slot = relay_slot + relay
             miss = b & ~ep["ok"][s][idx]  # a failed joint slot, and a decode attempt
-            tally.failures[[0, 2 + s]] += (int(miss.sum()), int((r & ~ep["relay_ok"][s][idx]).sum()))
-            tally.decode_attempts[s] += int(miss.sum())
-            tally.decode_empties[s] += int((miss & ~ep["relay"][s][idx]).sum())
+            nr, nmiss = np.count_nonzero(r), int(np.count_nonzero(miss))
+            tally.occupancy[2 + s] += nr
+            tally.attempts[2 + s] += nr
+            tally.failures[0] += nmiss
+            tally.failures[2 + s] += np.count_nonzero(r & ~ep["relay_ok"][s][idx])
+            tally.decode_attempts[s] += nmiss
+            tally.decode_empties[s] += int(np.count_nonzero(miss & ~relay))
 
 
 def _place_pairs(joint, solo, beta_t: int, cursor, tally: _Tally):
@@ -683,16 +709,17 @@ def _place_pairs(joint, solo, beta_t: int, cursor, tally: _Tally):
     (solo[done.index(min(done))] if alone else joint).ready(t)
     n, pos = joint.n, joint.pos
     # The joint stop of a pair begun at each episode, and of the cursor's pair
-    # (at once if it is alone); chase the chain of starts.
+    # (at once if it is alone); chase the chain of starts, reading only the
+    # stops it visits (a pair is several episodes long).
     # Prepared arrays may be int16; what mixes them with beta_t is int64.
     stop_from = np.minimum(*(joint.after(lane, np.add(cum, beta_t - 1, dtype=np.int64))
-                             for lane, cum in enumerate(joint.cum_succ))).tolist()
+                             for lane, cum in enumerate(joint.cum_succ)))
     i = pos if alone else min(joint.after(lane, cum.item(pos) + beta_t - d - 1)
                               for lane, (cum, d) in enumerate(zip(joint.cum_succ, done)))
     starts = [pos]
     while i <= n:
         starts.append(i)
-        i = stop_from[i]
+        i = stop_from.item(i)
     first = np.array(starts)
     stop = np.append(first[1:], n)  # the last pair's joint part is cut
     need = beta_t - np.array([cum[stop] - cum[first] for cum in joint.cum_succ], dtype=np.int64)
@@ -725,14 +752,13 @@ def _place_pairs(joint, solo, beta_t: int, cursor, tally: _Tally):
     return at_cut, int(ends[placed - 1])
 
 
-def _run_noma(topology, config, slots, seed, options, pool) -> SimEstimate:
+def _run_noma(config, slots, seed, options, pool, rates) -> SimEstimate:
     if options.trace_limit > 0:
         raise ConfigError("the NOMA simulator records no slot trace")
     beta_t = config.beta_t
     refuse_past_cap([Phase("solo1", 1, beta_t), Phase("solo2", 2, beta_t)])  # a row per solo slot
     labels = ["joint", "solo1", "solo2", "relay1", "relay2"]
     tally = _Tally("noma", labels, labels, 1, slots, 0)
-    rates = {s: link_rates(topology, config, s, options.relay_cooperation) for s in (1, 2)}
     # A lone unfinished source transmits at full power: a broadcast episode.
     solo = [
         _BcastStream(tally, _broadcasts(pool, tally, seed, s, rates[s], config.gamma_th),
@@ -776,18 +802,26 @@ def simulate(
         raise ConfigError(f"seed must be non-negative, got {seed}")
     if slots < 1:
         raise ConfigError("slots must be at least 1")
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    rates = {s: link_rates(topology, config, s, options.relay_cooperation) for s in (1, 2)}
+    # A relay-destination rate that underflows to 0 is an infinite mean SNR,
+    # and MRC would add it times a relay that did not decode: inf * 0 = NaN.
+    # Refused where the closed form refuses it: not noiseless (every rate 0),
+    # nor at a zero threshold (every reception succeeds).
+    rd = rates[1].relay_dest
+    if not rd.min() > 0.0 and math.isfinite(config.snr_linear()) and config.gamma_th > 0.0:
+        raise ConfigError(f"rates must be positive, got {rd}")
     if scheme == "mdma":
         bands = [phase_plan(config.beta_s, config.beta_p)]
     elif scheme == "tdma":
         bands = [[Phase("payload1", 1, config.beta_t), Phase("payload2", 2, config.beta_t)]]
     elif scheme == "fdma":
         bands = [[Phase("band1", 1, config.beta_t)], [Phase("band2", 2, config.beta_t)]]
-    elif scheme == "noma":
-        return _run_noma(topology, config, slots, seed, options, pool)
     else:
-        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+        return _run_noma(config, slots, seed, options, pool, rates)
     refuse_past_cap(*bands)  # a band run lists a label and an occupancy entry per state
-    return _run_bands(topology, config, scheme, bands, slots, seed, options, pool)
+    return _run_bands(config, scheme, bands, slots, seed, options, pool, rates)
 
 
 def trace_to_csv_rows(trace: list[SlotEvent]) -> list[dict]:

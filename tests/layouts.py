@@ -14,3 +14,18 @@ def line_topology(m: int) -> NetworkTopology:
     topo, _ = default_paper_setup()
     relays = tuple((50.0, 55.0 - 100.0 * (i - 0.5) / m) for i in range(1, m + 1))
     return NetworkTopology(topo.s1_pos, topo.s2_pos, topo.d_pos, relays, topo.alpha)
+
+
+def underflow_topology(origin: tuple[float, float]) -> NetworkTopology:
+    """The paper layout moved so that `origin` is at (0, 0), with relay 1 at
+    (1e-200, 0): its link to whatever node sits at the origin has a rate
+    d**alpha/snr that underflows to 0, an infinite mean SNR.  Origin (20, 20)
+    puts source 1 there; (100, 0) puts the destination there."""
+    topo, _ = default_paper_setup()
+    ox, oy = origin
+
+    def moved(p):
+        return (p[0] - ox, p[1] - oy)
+
+    relays = ((1e-200, 0.0), *(moved(r) for r in topo.relay_pos[1:]))
+    return NetworkTopology(moved(topo.s1_pos), moved(topo.s2_pos), moved(topo.d_pos), relays, topo.alpha)

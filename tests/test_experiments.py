@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -27,7 +28,7 @@ from mdma_relay.experiments import (
     write_rows_csv,
 )
 from chain_reference import overall_outage, stationary_distribution
-from layouts import line_topology
+from layouts import line_topology, underflow_topology
 from mdma_relay.markov import build_chain, ring_distribution
 from mdma_relay.simulator import SimOptions, simulate, trace_to_csv_rows
 from mdma_relay.topology import (
@@ -326,6 +327,30 @@ def test_csv_byte_stability(tmp_path, setup10):
     assert b1 == b2
     header = b1.split(b"\n", 1)[0].decode()
     assert header == ",".join(CSV_COLUMNS)
+
+
+# sha256 of the CSV of README's power sweep over every scheme at 1e4 trials
+# per point, seed 1, on the paper layout, recorded from commit 8619c2a.  It
+# pins the shared pool and the CSV as `golden_simulate.json` pins `simulate`.
+README_SWEEP_CSV_SHA256 = "90306812de8afbf18f6dba2fb2e648310c95793d2db67021bd4c51bf1e3130f8"
+
+
+@pytest.mark.parametrize("chunk", [4096, pytest.param(7, marks=pytest.mark.slow)])
+def test_the_readme_sweep_keeps_its_csv_bytes(monkeypatch, tmp_path, chunk):
+    monkeypatch.setattr(simulator, "_CHUNK", chunk)
+    topo, cfg = default_paper_setup()
+    path = tmp_path / "sweep.csv"
+    write_rows_csv(path, run_sweep(SweepSpec("power_dbm", README_POWERS, ALL_SCHEMES, 10_000, seed=1), topo, cfg))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == README_SWEEP_CSV_SHA256
+
+
+def test_a_sweep_row_records_a_relay_dest_rate_that_underflows():
+    """Relay 1 at 1e-200 from the destination: every scheme's row carries the
+    closed form's refusal instead of relay-step outages near 1."""
+    topo, cfg = underflow_topology((100.0, 0.0)), default_paper_setup()[1]
+    rows = run_sweep(SweepSpec("power_dbm", (4.0, 10.0), ALL_SCHEMES, 1_000), topo, cfg)
+    assert len(rows) == 8
+    assert all(row.error.startswith("rates must be positive") and row.sim_op is None for row in rows)
 
 
 def test_manifest_contains_hash_and_versions(setup10):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from layouts import underflow_topology
 from mdma_relay import simulator
 from mdma_relay.analytic import step_outages
 from mdma_relay.markov import (
@@ -625,3 +626,112 @@ def test_slots_validation(setup10):
             simulate(scheme, topo, cfg, 0)
         with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
             simulate(scheme, topo, cfg, 100, seed=-1)
+
+
+# ---------------------------------------------------------------------------
+# per-run bookkeeping
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("scheme", ["mdma", "fdma", "noma"])
+def test_an_estimate_cannot_change_what_later_runs_count_into(setup10, scheme):
+    topo, cfg = setup10
+    first = simulate(scheme, topo, cfg, 200, seed=3)
+    labels, keys = list(first.occupancy_labels), sorted(first.per_step)
+    first.occupancy_labels[0] = "changed"
+    first.occupancy_labels.append("extra")
+    again = simulate(scheme, topo, cfg, 200, seed=3)
+    assert again.occupancy_labels == labels and sorted(again.per_step) == keys
+    assert json.dumps(again.to_dict()) == json.dumps(simulate(scheme, topo, cfg, 200, seed=3).to_dict())
+
+
+def test_the_shared_layout_is_read_only():
+    labels, keys, _, table = simulator._layout((tuple(phase_plan(5, 6)),))
+    assert isinstance(labels, tuple) and isinstance(keys, tuple)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 0] = 1
+
+
+def _settle_by_list_max(tally):
+    """The reference for `_Tally._settle`: the latest end over a list of
+    every band's ends, and durations from `np.diff` with a prepend."""
+    n = min(e.size for e in tally.cycle_ends)
+    if n:
+        close = np.max([e[:n] for e in tally.cycle_ends], axis=0)
+        d = np.diff(close, prepend=tally.last_close).astype(float)
+        tally.pairs, tally.last_close = tally.pairs + n, int(close[-1])
+        tally.dur_sum, tally.dur_sumsq = tally.dur_sum + d.sum(), tally.dur_sumsq + d @ d
+        tally.cycle_ends = [e[n:] for e in tally.cycle_ends]
+
+
+@pytest.mark.parametrize("bands", [1, 2])
+def test_settle_matches_the_list_max_and_diff_reference(bands):
+    """Random cycle ends, bands of unequal lengths, several settles per run,
+    and ends past `slots`, which are dropped."""
+    seen = {"past slots": 0, "left over": 0}
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        slots = int(rng.integers(20, 2_000))
+        got, want = (simulator._Tally("fdma", [], [], bands, slots, 0) for _ in range(2))
+        t = [0] * bands
+        for _ in range(int(rng.integers(2, 9))):
+            band = int(rng.integers(bands))
+            ends = t[band] + np.cumsum(rng.integers(1, 40, int(rng.integers(0, 60))))
+            t[band] = int(ends[-1]) if ends.size else t[band]
+            for tally in got, want:
+                tally.cycle_end(band, ends)
+            got._settle()
+            _settle_by_list_max(want)
+            assert (got.pairs, got.last_close, got.dur_sum, got.dur_sumsq) == \
+                (want.pairs, want.last_close, want.dur_sum, want.dur_sumsq), seed
+            assert all(np.array_equal(g, w) for g, w in zip(got.cycle_ends, want.cycle_ends))
+            seen["left over"] += any(e.size for e in got.cycle_ends)  # one band ahead of the other
+        seen["past slots"] += max(t) > slots
+    assert seen["past slots"] >= 20 and (seen["left over"] >= 20 or bands == 1), seen
+
+
+def test_infinite_means_give_infinite_snrs_per_element():
+    means = np.array([math.inf, 2.0, math.inf, 0.5])
+    got = simulator._exp(make_rng(1), (6, 4), means)
+    want = make_rng(1).standard_exponential((6, 4)) * means
+    assert np.isinf(got[:, [0, 2]]).all()
+    assert np.array_equal(got[:, [1, 3]], want[:, [1, 3]])
+    rng = make_rng(1)
+    assert np.isinf(simulator._exp(rng, (6, 4), np.full(4, math.inf))).all()
+    assert rng.random() == make_rng(1).random()  # nothing drawn
+
+
+def test_a_source_relay_rate_that_underflows_makes_only_that_relay_decode():
+    """Relay 1 at 1e-200 from source 1: it decodes every broadcast of source 1,
+    and the others are drawn as before, so the relay step agrees with the
+    closed form instead of never failing."""
+    topo, cfg = underflow_topology((20.0, 20.0)), default_paper_setup(power_dbm=4.0)[1]
+    rates = link_rates(topo, cfg, 1)
+    assert rates.source_relay[0] == 0.0 and rates.source_relay[1:].min() > 0.0
+    est = simulate("mdma", topo, cfg, 200_000, seed=1)
+    want = step_outages(topo, cfg)[1].relay
+    for key in ("shared:relay", "personal1:relay"):
+        step = est.per_step[key]
+        assert step.failures > 0
+        assert abs(step.op - want) <= 4 * math.sqrt(want * (1 - want) / step.attempts) + 0.5 / step.attempts
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_relay_dest_rate_that_underflows_is_refused_as_the_closed_form_refuses_it(scheme):
+    topo, cfg = underflow_topology((100.0, 0.0)), default_paper_setup(power_dbm=4.0)[1]
+    assert link_rates(topo, cfg, 1).relay_dest[0] == 0.0
+    with pytest.raises(ConfigError, match="rates must be positive") as analyze:
+        step_outages(topo, cfg)
+    with pytest.raises(ConfigError, match="rates must be positive") as sim:
+        simulate(scheme, topo, cfg, 100)
+    assert str(sim.value) == str(analyze.value)
+
+
+def test_a_relay_dest_rate_of_0_is_taken_where_the_closed_form_takes_it():
+    """Noiseless every rate is 0, and at a zero threshold every reception
+    succeeds: neither is refused, and nothing fails."""
+    topo, cfg = underflow_topology((100.0, 0.0)), default_paper_setup()[1]
+    for edge in (replace(cfg, noise_dbm=-math.inf), replace(cfg, rate_r0=1e-17, total_bits=1e-17)):
+        assert not link_rates(topo, edge, 1).relay_dest[0] > 0.0
+        assert all(out.bcast == out.relay == 0.0 for out in step_outages(topo, edge).values())
+        for scheme in SCHEMES:
+            assert simulate(scheme, topo, edge, 50).overall_op == 0.0
