@@ -13,12 +13,15 @@ kind), and cut into repetitions at their successes.  Relay-side SNRs are
 drawn only for the broadcasts the destination missed, the only ones whose
 decode sets matter, and decode sets are counted over those alone.  An
 episode's slot is a cumsum of episode lengths, derived once per chunk where
-it is made (`_prepare`).  The counters are kept per (run, repetition) cell: each
-chunk's episodes are counted per cell with `bincount`, and the cells'
-counts are added to their labels.  TDMA, FDMA and NOMA baselines reuse
-the same relay cooperation mechanics and differ only in medium access.
-Where the baselines are underspecified, every assumption is a configurable
-``SimOptions`` field.
+it is made (`_prepare`).  A broadcast draw is sized by the source's expected
+episode length for the slots the run has left, up to the int16 limit of the
+placement arrays, so a run of 1e4 slots reads one chunk per source; NOMA's
+joint draws take at most one episode per slot left, and 4 096.  The
+counters are kept per (run, repetition) cell: each chunk's episodes are
+counted per cell with `bincount`, and the cells' counts are added to their
+labels.  TDMA, FDMA and NOMA baselines reuse the same relay cooperation
+mechanics and differ only in medium access.  Where the baselines are
+underspecified, every assumption is a configurable ``SimOptions`` field.
 
 `simulate(scheme, ...)` is the one entry point.  MDMA, TDMA and FDMA are
 band schemes: a list of bands, each a list of `markov.Phase(name, source,
@@ -57,8 +60,13 @@ from .topology import ConfigError, NetworkTopology, SystemConfig, link_rates
 
 SCHEMES = ("mdma", "tdma", "fdma", "noma")
 
-# Episodes drawn per refill of a stream.  Each stream's generators are read
-# in order, so results do not depend on this size; it only bounds memory.
+# Each stream's generators are read in order, so results depend on no draw
+# size; the caps bound memory.  A broadcast stream draws the episodes the run
+# can still use (`_BcastStream.size`), at most the largest n with 3n < 2**15,
+# so that a kept chunk keeps its placement arrays as int16 (`_prepare`).
+_BCAST_CHUNK = (1 << 15) // 3
+# NOMA's joint stream draws at most one episode per slot left and at most
+# this many; a tally settles its cycle ends once a band holds this many.
 _CHUNK = 1 << 12
 
 # Traced slots a run may record: a traced slot keeps its event, SNR arrays
@@ -379,11 +387,12 @@ class _Stream:
             self.pos = int(stop[-1])
 
     def _refill(self, slot: int) -> None:
-        """Count the chunk, then read the next, prepared (`_prepare`).  From
-        `slot` on, the run has room for at most one episode per slot left, so
-        no more are asked for; a chunk another run drew first may hold more."""
+        """Count the chunk, then read the next, prepared (`_prepare`).  It is
+        asked for with the size the stream wants (`size`) for the slots the
+        run has left from `slot` on; a chunk another run drew first keeps the
+        size its first reader asked for."""
         self.flush()
-        ep = self.ep = self.draw(min(_CHUNK, self.tally.slots - slot))
+        ep = self.ep = self.draw(self.size(self.tally.slots - slot))
         self.cum_len, self.cum_succ, self.succ_end = ep["cum_len"], ep["cum_succ"], ep["succ_end"]
         self.n, self.pos = self.cum_len.size - 1, 0
 
@@ -447,6 +456,14 @@ class _Episodes:
         self.rngs = [make_rng(seed, 3 * (source - 1) + k) for k in range(3)]
         self.means = [_means(rates.direct), _means(rates.source_relay), _means(rates.relay_dest)]
         self.kept, self.drawn = ([] if shared else None), 0
+        # Mean slots per episode: 1, plus a relay slot when the destination
+        # missed, with P(miss) = 1 - exp(-g rate), and some relay decoded.  At
+        # g = 0 every reception succeeds (and 0 times an infinite rate is NaN).
+        self.mean_len = 1.0
+        if gamma_th > 0.0:
+            miss = -math.expm1(-gamma_th * rates.direct)
+            empty = float(np.prod(-np.expm1(-gamma_th * rates.source_relay)))
+            self.mean_len += miss * (1.0 - empty)
 
     def chunk(self, k: int, n: int) -> dict:
         """Chunk k, prepared, drawn with n episodes if no reader has reached it."""
@@ -503,6 +520,15 @@ class _BcastStream(_Stream):
         # Per cell: the broadcast's label and step key, then the relay slot's.
         lab_b, lab_r, key_b, key_r, _ = table.reshape(-1, table.shape[-1]).T
         self.cells = ((lab_b, key_b, "ok"), (lab_r, key_r, "relay_ok"))
+
+    def size(self, left: int) -> int:
+        """Episodes that fill `left` slots at the mean episode length, plus
+        4 sqrt(left) and 64: an episode's length (1 or 2) has a variance of at
+        most 1/4, so the count that fills them has a standard deviation of at
+        most sqrt(left) / 2, and a second draw is rare.  This is what FDMA's
+        band, which runs one source, reads; a band that alternates sources reads
+        less, but in a sweep the first reader sizes each chunk for all."""
+        return min(_BCAST_CHUNK, math.ceil(left / self.episodes.mean_len + 4.0 * math.sqrt(left) + 64))
 
     def draw(self, n: int) -> dict:
         self.chunks += 1
@@ -657,6 +683,10 @@ class _JointStream(_Stream):
         self.at_d = {s: share[s] * _means(rates[s].direct) for s in (1, 2)}
         self.at_r = {s: share[s] * _means(rates[s].source_relay) for s in (1, 2)}
         self.rd_means = _means(rates[1].relay_dest)
+
+    def size(self, left: int) -> int:
+        """At most one episode per slot left: the run has no room for more."""
+        return min(_CHUNK, left)
 
     def draw(self, n: int) -> dict:
         g, instant = self.gamma_th, self.options.noma_sic_order == "instant"

@@ -1,6 +1,6 @@
 import pytest
 
-from mdma_relay import analytic, default_paper_setup
+from mdma_relay import analytic, default_paper_setup, simulator
 
 # One pass/fail line per acceptance criterion, printed even under capture.
 ACCEPTANCE_LINES: list[str] = []
@@ -16,6 +16,16 @@ def _fresh_step_outages():
     # `step_outages` keeps its last result; without this a test could read
     # the one an earlier test left and count no calls to what it spies on.
     analytic._step_outages.cache_clear()
+
+
+@pytest.fixture
+def draw_cap(monkeypatch):
+    """`draw_cap(n)` caps every stream's draws at n episodes, broadcast and
+    joint alike; the tally then settles its cycle ends every n too."""
+    def cap(n):
+        for name in ("_BCAST_CHUNK", "_CHUNK"):
+            monkeypatch.setattr(simulator, name, n)
+    return cap
 
 
 def record_acceptance(name: str, passed: bool, detail: str = "") -> None:

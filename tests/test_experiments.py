@@ -193,11 +193,11 @@ def _sweep_outputs(monkeypatch, tmp_path, spec, topo, cfg, options, share):
                    id=f"trials-{trials}") for trials in (1, 7, simulator._CHUNK + 1)],
     pytest.param("power_dbm", (4.0, 10.0), 3_000, {}, SimOptions(), 7, id="chunk-7"),
 ])
-def test_shared_draws_change_no_result(setup10, monkeypatch, tmp_path, order, parameter, values,
+def test_shared_draws_change_no_result(setup10, monkeypatch, draw_cap, tmp_path, order, parameter, values,
                                        trials, edits, options, chunk):
     topo, cfg = setup10
     if chunk:
-        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        draw_cap(chunk)
     schemes = ALL_SCHEMES if order == "readme" else ALL_SCHEMES[::-1]
     spec = SweepSpec(parameter, values, schemes, trials, seed=1)
     shared = _sweep_outputs(monkeypatch, tmp_path, spec, topo, replace(cfg, **edits), options, True)
@@ -237,21 +237,39 @@ def test_a_sweep_point_prepares_each_chunk_once(setup10, monkeypatch, power):
     """Each chunk's placement arrays are derived where it is drawn: once per
     broadcast chunk, however many schemes read it, and once per joint chunk."""
     topo, cfg = setup10
-    drawn, prepared, read = [0], [0], [0]
+    counts = dict.fromkeys(("bcast_drawn", "bcast_read", "joint_drawn", "prepared"), 0)
 
-    def spy(counter, fn):
+    def spy(name, fn):
         def wrapped(*args, **kwargs):
-            counter[0] += 1
+            counts[name] += 1
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(simulator._Episodes, "draw", spy(drawn, simulator._Episodes.draw))
-    monkeypatch.setattr(simulator._JointStream, "draw", spy(drawn, simulator._JointStream.draw))
-    monkeypatch.setattr(simulator, "_prepare", spy(prepared, simulator._prepare))
-    monkeypatch.setattr(simulator._Stream, "_refill", spy(read, simulator._Stream._refill))
+    for name, owner, attr in (("bcast_drawn", simulator._Episodes, "draw"),
+                              ("bcast_read", simulator._BcastStream, "draw"),
+                              ("joint_drawn", simulator._JointStream, "draw"),
+                              ("prepared", simulator, "_prepare")):
+        monkeypatch.setattr(owner, attr, spy(name, getattr(owner, attr)))
     run_sweep(SweepSpec("power_dbm", (power,), ALL_SCHEMES, 20_000, seed=2), topo, cfg)
-    assert prepared[0] == drawn[0]
-    assert read[0] > 1.5 * drawn[0]  # most chunks have several readers, which did not prepare them
+    assert counts["prepared"] == counts["bcast_drawn"] + counts["joint_drawn"]
+    # Broadcast chunks have several readers, which did not prepare them.
+    assert counts["bcast_read"] >= 2 * counts["bcast_drawn"]
+
+
+@pytest.mark.parametrize("power", [4.0, 30.0])
+def test_a_sweep_point_draws_few_broadcast_chunks(setup10, monkeypatch, power):
+    """Draws sized by the slots a run has left: a 1e4-trial 4-scheme point
+    draws at most 2 broadcast chunks per source."""
+    topo, cfg = setup10
+    drawn, draw = [], simulator._Episodes.draw  # the source of each draw
+
+    def spy(self, n):
+        drawn.append(self.source)
+        return draw(self, n)
+
+    monkeypatch.setattr(simulator._Episodes, "draw", spy)
+    run_sweep(SweepSpec("power_dbm", (power,), ALL_SCHEMES, 10_000, seed=2), topo, cfg)
+    assert 1 <= drawn.count(1) <= 2 and 1 <= drawn.count(2) <= 2
 
 
 def test_a_shared_chunk_is_read_only(setup10):
@@ -336,8 +354,11 @@ README_SWEEP_CSV_SHA256 = "90306812de8afbf18f6dba2fb2e648310c95793d2db67021bd4c5
 
 
 @pytest.mark.parametrize("chunk", [4096, pytest.param(7, marks=pytest.mark.slow)])
-def test_the_readme_sweep_keeps_its_csv_bytes(monkeypatch, tmp_path, chunk):
-    monkeypatch.setattr(simulator, "_CHUNK", chunk)
+def test_the_readme_sweep_keeps_its_csv_bytes(draw_cap, tmp_path, chunk):
+    """At the shipped caps (broadcast draws sized by need, joint draws at most
+    4 096) and with every draw capped at 7 episodes."""
+    if chunk == 7:
+        draw_cap(chunk)
     topo, cfg = default_paper_setup()
     path = tmp_path / "sweep.csv"
     write_rows_csv(path, run_sweep(SweepSpec("power_dbm", README_POWERS, ALL_SCHEMES, 10_000, seed=1), topo, cfg))

@@ -21,8 +21,12 @@ the destination missed and counts decode sets over those alone; at -30 dBm
 the destination misses every broadcast, so those 197 cases read the same
 streams and kept the digests recorded before.  The cases run
 each scheme at slot counts around a cycle, a draw chunk and the run's end,
-with the draw chunk at its shipped size and at 7 episodes.  Rewrite the file only for a change
-that means to move those numbers:
+with the draws at their shipped caps (``c4096``: broadcast draws sized by
+the slots left, up to ``_BCAST_CHUNK`` episodes, and joint draws up to
+``_CHUNK``, 4 096) and with every draw capped at 7 episodes (``c7``).  The
+digests were recorded when every draw was capped at 4 096 or 7; each
+generator is read in order, so no digest depends on the draw sizes.
+Rewrite the file only for a change that means to move those numbers:
 
     PYTHONPATH=src python tests/test_golden_simulate.py
 """
@@ -132,17 +136,28 @@ def test_golden_file_covers_every_case(golden):
 
 
 @pytest.mark.parametrize("chunk", [4096, 7])
-def test_simulate_keeps_its_recorded_outputs(golden, chunk, monkeypatch):
-    monkeypatch.setattr(simulator, "_CHUNK", chunk)
+def test_simulate_keeps_its_recorded_outputs(golden, chunk, monkeypatch, draw_cap):
+    if chunk == 7:
+        draw_cap(chunk)
+    sizes = {simulator._Episodes: [], simulator._JointStream: []}  # episodes per draw
+    for cls, seen in sizes.items():
+        def draw(self, n, _draw=cls.draw, _seen=seen):
+            _seen.append(n)
+            return _draw(self, n)
+        monkeypatch.setattr(cls, "draw", draw)
     got = {case_id: digest(scheme, link, bits, slots, options)
            for case_id, scheme, link, bits, slots, c, options in CASES if c == chunk}
     assert got == {k: golden[k] for k in got}
+    # The cases reach each cap, and no draw passes it.
+    assert max(sizes[simulator._Episodes]) == simulator._BCAST_CHUNK
+    assert max(sizes[simulator._JointStream]) == simulator._CHUNK
 
 
 if __name__ == "__main__":
     doc = {}
+    shipped = simulator._BCAST_CHUNK, simulator._CHUNK
     for case_id, scheme, link, bits, slots, chunk, options in CASES:
-        simulator._CHUNK = chunk
+        simulator._BCAST_CHUNK, simulator._CHUNK = shipped if chunk == shipped[1] else (chunk, chunk)
         doc[case_id] = digest(scheme, link, bits, slots, options)
     GOLDEN.write_text("{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items())
                       + "\n}\n", encoding="utf-8")

@@ -131,7 +131,7 @@ def test_every_scheme_fills_exactly_the_requested_slots(setup10, scheme, link):
     }[link]
     cycle = CYCLE[scheme]
     bands = ["band1", "band2"] if scheme == "fdma" else [""]
-    for slots in (1, 2, cycle - 1, cycle, cycle + 1, simulator._CHUNK + 1):
+    for slots in (1, 2, cycle - 1, cycle, cycle + 1, simulator._CHUNK + 1, simulator._BCAST_CHUNK + 1):
         est = simulate(scheme, topo, cfg, slots, seed=2)
         for band in bands:
             used = [c for lab, c in zip(est.occupancy_labels, est.occupancy_counts) if lab.startswith(band)]
@@ -145,12 +145,12 @@ def test_every_scheme_fills_exactly_the_requested_slots(setup10, scheme, link):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_results_do_not_depend_on_the_draw_chunk(setup10, scheme, monkeypatch):
+def test_results_do_not_depend_on_the_draw_chunk(setup10, scheme, draw_cap):
     topo, cfg = setup10
     low = replace(cfg, power_dbm=4.0)
     options = SimOptions(trace_limit=0 if scheme == "noma" else 5_000)
     runs = [simulate(scheme, topo, low, 5_000, seed=3, options=options)]
-    monkeypatch.setattr(simulator, "_CHUNK", 7)
+    draw_cap(7)
     runs.append(simulate(scheme, topo, low, 5_000, seed=3, options=options))
     ref, small = runs
     assert json.dumps(small.to_dict()) == json.dumps(ref.to_dict())
@@ -164,21 +164,31 @@ def test_results_do_not_depend_on_the_draw_chunk(setup10, scheme, monkeypatch):
 
 
 @pytest.mark.parametrize("power", [10.0, 30.0])
-def test_payloads_past_the_int16_range_do_not_depend_on_the_chunk_size(monkeypatch, power):
-    """A chunk of 4 096 episodes keeps its placement arrays as int16, and a
-    payload of 40 000 slots, past int16, is placed with them; a chunk of
-    16 384 keeps them as int64.  An overflow would tell the two apart."""
+def test_payloads_past_the_int16_range_do_not_depend_on_the_chunk_size(monkeypatch, draw_cap, power):
+    """Chunks at the shipped caps keep their placement arrays as int16, and a
+    payload of 40 000 slots, past int16, is placed with them; chunks of
+    16 384 keep them as int64.  An overflow would tell the two apart."""
     topo, cfg = default_paper_setup(power_dbm=power)
     cfg = replace(cfg, total_bits=40_000.0)
+    dtypes, chunk = set(), simulator._Episodes.chunk
 
-    def run(chunk, shared):
-        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+    def spy(self, k, n):
+        ep = chunk(self, k, n)
+        dtypes.add(ep["cum_len"].dtype)
+        return ep
+
+    def run(shared):
+        dtypes.clear()
         pool = {} if shared else None
         return [simulate(s, topo, cfg, 150_000, seed=5, pool=pool).to_dict() for s in SCHEMES]
 
-    narrow = run(4096, True)
+    monkeypatch.setattr(simulator._Episodes, "chunk", spy)
+    narrow = run(True)
     assert all(est["pairs"] for est in narrow)
-    assert narrow == run(1 << 14, False)
+    assert dtypes == {np.dtype(np.int16)}
+    draw_cap(1 << 14)
+    assert narrow == run(False)
+    assert np.dtype(np.int64) in dtypes
 
 
 @pytest.mark.parametrize("scheme", ["mdma", "noma"])
@@ -561,7 +571,8 @@ def test_per_cell_counts_equal_the_per_episode_count():
         seen["padded"] += bool((reps < reps.max()).any())
 
         got, want = (simulator._Tally("mdma", list(range(12)), list(range(6)), 1, slots, 0) for _ in range(2))
-        stream = simulator._BcastStream(got, SimpleNamespace(source=2, chunk=lambda k, size: ep), table)
+        episodes = SimpleNamespace(source=2, mean_len=float(ep["length"].mean()), chunk=lambda k, size: ep)
+        stream = simulator._BcastStream(got, episodes, table)
         stream.ready(0)
         for first, stop, at, before, tag in runs:
             stream.place(*(np.array([v]) for v in (first, stop, at, before)), tag)
@@ -724,6 +735,44 @@ def test_a_relay_dest_rate_that_underflows_is_refused_as_the_closed_form_refuses
     with pytest.raises(ConfigError, match="rates must be positive") as sim:
         simulate(scheme, topo, cfg, 100)
     assert str(sim.value) == str(analyze.value)
+
+
+_PAPER = default_paper_setup()
+
+
+@pytest.mark.parametrize("topo, cfg, cooperate", [
+    pytest.param(_PAPER[0], replace(_PAPER[1], noise_dbm=-math.inf), True, id="noiseless"),
+    pytest.param(_PAPER[0], replace(_PAPER[1], rate_r0=1e-17, total_bits=1e-17), True, id="zero-threshold"),
+    pytest.param(_PAPER[0], _PAPER[1], False, id="no-cooperation"),
+    # 0 times the infinite source-relay rates of no cooperation is NaN.
+    pytest.param(_PAPER[0], replace(_PAPER[1], rate_r0=1e-17, total_bits=1e-17), False,
+                 id="zero-threshold-no-cooperation"),
+    pytest.param(underflow_topology((20.0, 20.0)), _PAPER[1], True, id="underflow-source1"),
+    pytest.param(underflow_topology((100.0, 0.0)), _PAPER[1], True, id="underflow-destination"),
+    pytest.param(_PAPER[0], replace(_PAPER[1], power_dbm=-61.0), True, id="-61dBm"),
+    pytest.param(_PAPER[0], replace(_PAPER[1], power_dbm=200.0), True, id="200dBm"),
+])
+def test_broadcast_draw_sizes_are_defined_at_the_edge_inputs(topo, cfg, cooperate):
+    """The mean episode length that sizes broadcast draws is finite and in
+    [1, 2], and every draw size a positive int no larger than the cap."""
+    for source in (1, 2):
+        episodes = simulator._Episodes(0, source, link_rates(topo, cfg, source, cooperate), cfg.gamma_th)
+        assert 1.0 <= episodes.mean_len <= 2.0
+        tally = simulator._Tally("mdma", [], [], 1, 1, 0)
+        stream = simulator._BcastStream(tally, episodes, np.zeros((1, 1, 5), dtype=np.int64))
+        for left in (1, 7, 10_000, 10**15):
+            n = stream.size(left)
+            assert type(n) is int and 1 <= n <= simulator._BCAST_CHUNK
+
+
+@pytest.mark.parametrize("power, cooperate", [(4.0, True), (10.0, True), (4.0, False), (30.0, True)])
+def test_the_mean_episode_length_is_that_of_the_drawn_episodes(power, cooperate):
+    topo, cfg = default_paper_setup(power_dbm=power)
+    for source in (1, 2):
+        episodes = simulator._Episodes(7, source, link_rates(topo, cfg, source, cooperate), cfg.gamma_th)
+        relay = episodes.draw(200_000)["relay"]
+        p = episodes.mean_len - 1.0  # the share of episodes with a relay slot
+        assert abs(relay.mean() - p) <= 4 * math.sqrt(p * (1 - p) / relay.size) + 1e-9, (source, p)
 
 
 def test_a_relay_dest_rate_of_0_is_taken_where_the_closed_form_takes_it():
