@@ -15,13 +15,15 @@ decode sets matter, and decode sets are counted over those alone.  An
 episode's slot is a cumsum of episode lengths, derived once per chunk where
 it is made (`_prepare`).  A broadcast draw is sized by the source's expected
 episode length for the slots the run has left, up to the int16 limit of the
-placement arrays, so a run of 1e4 slots reads one chunk per source; NOMA's
-joint draws take at most one episode per slot left, and 4 096.  The
-counters are kept per (run, repetition) cell: each chunk's episodes are
-counted per cell with `bincount`, and the cells' counts are added to their
-labels.  TDMA, FDMA and NOMA baselines reuse the same relay cooperation
-mechanics and differ only in medium access.  Where the baselines are
-underspecified, every assumption is a configurable ``SimOptions`` field.
+placement arrays: all of them for a chunk a source keeps, so a run of 1e4
+slots reads one chunk per source, and the stream's share of its band's
+repetitions for one a run draws alone.  NOMA's joint draws take at most
+one episode per slot left, and 4 096.  The counters are kept per (run,
+repetition) cell: each chunk's episodes are counted per cell with
+`bincount`, and the cells' counts are added to their labels.  TDMA, FDMA
+and NOMA baselines reuse the same relay cooperation mechanics and differ
+only in medium access.  Where the baselines are underspecified, every
+assumption is a configurable ``SimOptions`` field.
 
 `simulate(scheme, ...)` is the one entry point.  MDMA, TDMA and FDMA are
 band schemes: a list of bands, each a list of `markov.Phase(name, source,
@@ -42,13 +44,23 @@ FDMA and NOMA's solo streams, and depend on its seed, link rates and
 threshold alone (without relay cooperation, `link_rates` makes the
 source-relay rates infinite).  Runs given one `pool`, as the schemes of one
 sweep point are, share them by that key: each chunk is drawn and prepared
-once and read, read-only, by every untraced run, so each result is the one
-a lone run gives, but the schemes' estimates at that point are correlated,
-and a difference between schemes is not a difference of independent samples.
+once and kept, read-only, for every untraced run, while the source's kept
+chunks fit `_KEEP_BYTES`, 16 MiB.  That is twice what a 1e6-trial point
+keeps of a source, so such a point draws each chunk once.  A run that needs
+a chunk past the kept ones draws the rest itself, from the generators as the
+last kept chunk left them: the first such run takes them, and each later
+one a copy of their state.  So past the budget each scheme draws the tail
+itself, trading time for memory (a 1e7-trial point at 10 dBm took 8.5-9.2 s
+and 78 MB, against 7.0-8.0 s and 165 MB keeping every chunk).  A lone or
+traced run's source has no budget, and its run draws every chunk itself.
+Each generator is read in order either way, so each result is the one a
+lone run gives, but the schemes' estimates at a point are correlated, and a
+difference between schemes is not a difference of independent samples.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field
@@ -65,8 +77,11 @@ SCHEMES = ("mdma", "tdma", "fdma", "noma")
 # can still use (`_BcastStream.size`), at most the largest n with 3n < 2**15,
 # so that a kept chunk keeps its placement arrays as int16 (`_prepare`).
 _BCAST_CHUNK = (1 << 15) // 3
-# NOMA's joint stream draws at most one episode per slot left and at most
-# this many; a tally settles its cycle ends once a band holds this many.
+# A pooled source keeps the chunks it draws while they fit this many bytes,
+# each charged the most it can hold (`_kept_bytes`, 9 bytes an episode): about
+# 1.9M episodes, twice what a 1e6-trial sweep point keeps of either source.
+_KEEP_BYTES = 16 << 20
+# NOMA's joint stream draws at most one episode per slot left and at most this many.
 _CHUNK = 1 << 12
 
 # Traced slots a run may record: a traced slot keeps its event, SNR arrays
@@ -310,16 +325,17 @@ class _Tally:
         self.decode_attempts, self.decode_empties = {1: 0, 2: 0}, {1: 0, 2: 0}
         self.events: list[tuple[int, int, SlotEvent]] = []  # (slot, band, event)
         self.cycle_ends = [np.zeros(0, dtype=np.int64) for _ in range(bands)]
-        self.pairs, self.last_close, self.dur_sum, self.dur_sumsq = 0, 0, 0.0, 0.0
+        self.pairs, self.last_close, self.dur_sumsq = 0, 0, 0.0
 
     def cycle_end(self, band: int, ends: np.ndarray) -> None:
-        """Band `band` ended cycles before the slots `ends`."""
+        """Band `band` ended cycles before the slots `ends`.  The bands take
+        turns, so the ends a band holds past the others' are about a chunk's."""
         self.cycle_ends[band] = np.concatenate((self.cycle_ends[band], ends[ends <= self.slots]))
-        if self.cycle_ends[band].size >= _CHUNK:
-            self._settle()
+        self._settle()
 
     def _settle(self) -> None:
-        """A pair is delivered once every band has ended that cycle, at the latest end."""
+        """A pair is delivered once every band has ended that cycle, at the
+        latest end.  The pairs' durations sum to `last_close`."""
         ends = self.cycle_ends
         n = min(e.size for e in ends)
         if n:
@@ -328,11 +344,10 @@ class _Tally:
             d[0] = close[0] - self.last_close
             np.subtract(close[1:], close[:-1], out=d[1:])
             self.pairs, self.last_close = self.pairs + n, int(close[-1])
-            self.dur_sum, self.dur_sumsq = self.dur_sum + d.sum(), self.dur_sumsq + d @ d
+            self.dur_sumsq += d @ d
             self.cycle_ends = [e[n:] for e in ends]
 
     def estimate(self, config: SystemConfig, seed: int) -> SimEstimate:
-        self._settle()
         # Every attempt is one step of one state and either fails or succeeds.
         per_step = {key: StepStats(a, f)
                     for key, a, f in zip(self.step_keys, self.attempts.tolist(), self.failures.tolist())}
@@ -343,7 +358,7 @@ class _Tally:
             scheme=self.scheme, slots=self.slots, seed=seed,
             attempts=attempts, failures=failures, successes=attempts - failures,
             per_step=per_step, occupancy_labels=self.labels, occupancy_counts=self.occupancy,
-            pairs=self.pairs, pair_duration_sum=float(self.dur_sum),
+            pairs=self.pairs, pair_duration_sum=float(self.last_close),  # integer durations: exact
             pair_duration_sumsq=float(self.dur_sumsq),
             bandwidth_units=bands * config.bandwidth_units, power_units=bands * config.power_units,
             decode_attempts=self.decode_attempts, decode_empties=self.decode_empties,
@@ -357,10 +372,10 @@ class _Stream:
     A placement records runs of consecutive episodes as arrays (first, stop,
     start slot, repetitions before it, tag) in chunk order; a run a chunk end
     cuts goes on in the next chunk with its repetitions so far in `before`.
-    They are counted before the next chunk is drawn, so memory is bounded by
+    They are counted before the next chunk is read, so memory is bounded by
     the chunk.  It reads a chunk prepared where it was made (`_prepare`),
-    read-only if shared; lane l is stream l+1.  Until the first draw the
-    stream holds an empty chunk.
+    read-only if a source keeps it; lane l is stream l+1.  Until the first
+    read the stream holds an empty chunk.
     """
 
     def __init__(self, tally: _Tally, lanes: int):
@@ -387,12 +402,10 @@ class _Stream:
             self.pos = int(stop[-1])
 
     def _refill(self, slot: int) -> None:
-        """Count the chunk, then read the next, prepared (`_prepare`).  It is
-        asked for with the size the stream wants (`size`) for the slots the
-        run has left from `slot` on; a chunk another run drew first keeps the
-        size its first reader asked for."""
+        """Count the chunk, then read the next, prepared (`_prepare`), for the
+        slots the run has left from `slot` on."""
         self.flush()
-        ep = self.ep = self.draw(self.size(self.tally.slots - slot))
+        ep = self.ep = self.draw(self.tally.slots - slot)
         self.cum_len, self.cum_succ, self.succ_end = ep["cum_len"], ep["cum_succ"], ep["succ_end"]
         self.n, self.pos = self.cum_len.size - 1, 0
 
@@ -416,7 +429,7 @@ def _prepare(ep: dict, length, success) -> dict:
     before each episode, and the episode after each success, then n + 1; int16
     while 3 slots per episode fit, a quarter of int64's memory in a kept chunk."""
     n = length.size
-    cum = np.zeros((1 + len(success), n + 1), np.int16 if 3 * n < 1 << 15 else np.int64)
+    cum = np.zeros((1 + len(success), n + 1), _cum_dtype(n))
     for row, x in zip(cum, (length, *success)):
         np.cumsum(x, out=row[1:])
     ep["cum_len"], *ep["cum_succ"] = cum
@@ -424,8 +437,18 @@ def _prepare(ep: dict, length, success) -> dict:
     return ep
 
 
-# All a shared chunk keeps: the flags `_BcastStream.count` reads, then `_prepare`'s.
+def _cum_dtype(n: int) -> type:
+    return np.int16 if 3 * n < 1 << 15 else np.int64
+
+
+# All a kept chunk keeps: the flags `_BcastStream.count` reads, then `_prepare`'s.
 _KEPT = ("ok", "relay", "relay_ok", "cum_len", "cum_succ", "succ_end")
+
+
+def _kept_bytes(n: int) -> int:
+    """The most a kept chunk of n episodes holds: three flags per episode,
+    then `_prepare`'s two cumsums and its success ends, n + 1 long at most."""
+    return 3 * n + 3 * (n + 1) * np.dtype(_cum_dtype(n)).itemsize
 
 
 def _scatter(miss, flags, n: int) -> np.ndarray:
@@ -444,18 +467,21 @@ class _Episodes:
     hold one row per missed broadcast, in episode order, and `rows` and `mrc`
     one per relay episode.
 
-    Chunk k is drawn when it is first read, with the size that reader asks
-    for, and prepared there (`_prepare`): its lengths, success cumsums and
-    success ends are derived once.  A private source has one reader, which
-    holds the chunk it reads, so the source keeps none.  A shared one (kept
-    in a `pool`) keeps every chunk it draws, as three read-only flags per
-    episode and the prepared arrays, for the other runs given that pool."""
+    Chunk k is drawn when a reader first needs it, with the size that reader
+    asks for, and prepared there (`_prepare`): its lengths, success cumsums
+    and success ends are derived once.  The source keeps it for later readers
+    while it fits the byte budget, as three read-only flags per episode and
+    the prepared arrays.  It draws nothing past the first chunk that does
+    not fit: a reader that needs that chunk goes on alone (`fork`), from the
+    generators as the last kept chunk left them, so each generator is still
+    read in order.  A source without a budget keeps nothing, and its reader
+    goes on alone at once."""
 
-    def __init__(self, seed, source, rates, gamma_th, shared=False):
+    def __init__(self, seed, source, rates, gamma_th, budget=0):
         self.source, self.gamma_th = source, gamma_th
         self.rngs = [make_rng(seed, 3 * (source - 1) + k) for k in range(3)]
         self.means = [_means(rates.direct), _means(rates.source_relay), _means(rates.relay_dest)]
-        self.kept, self.drawn = ([] if shared else None), 0
+        self.kept, self.room, self.states = [], budget, None  # states: see `fork`
         # Mean slots per episode: 1, plus a relay slot when the destination
         # missed, with P(miss) = 1 - exp(-g rate), and some relay decoded.  At
         # g = 0 every reception succeeds (and 0 times an infinite rate is NaN).
@@ -465,19 +491,42 @@ class _Episodes:
             empty = float(np.prod(-np.expm1(-gamma_th * rates.source_relay)))
             self.mean_len += miss * (1.0 - empty)
 
-    def chunk(self, k: int, n: int) -> dict:
-        """Chunk k, prepared, drawn with n episodes if no reader has reached it."""
-        if k < self.drawn:
+    def chunk(self, k: int, n: int) -> dict | None:
+        """Kept chunk k, drawn with n episodes if no reader has reached it;
+        None if the budget has no room left for it."""
+        if k < len(self.kept):
             return self.kept[k]
-        ep, self.drawn = self.draw(n), self.drawn + 1
-        ep = _prepare(ep, 1 + ep["relay"], [ep["ok"] | ep["relay_ok"]])
-        if self.kept is not None:
-            ep = {f: ep[f] for f in _KEPT}
-            for v in ep.values():  # read-only: no reader may change what a later one reads
-                for a in v if isinstance(v, list) else [v]:
-                    a.setflags(write=False)
-            self.kept.append(ep)
+        need = _kept_bytes(n)
+        if need > self.room:
+            return None
+        self.room -= need
+        ep = self.prepared(n)
+        ep = {f: ep[f] for f in _KEPT}
+        for v in ep.values():  # read-only: no reader may change what a later one reads
+            for a in v if isinstance(v, list) else [v]:
+                a.setflags(write=False)
+        self.kept.append(ep)
         return ep
+
+    def fork(self) -> _Episodes:
+        """A source for one reader past the kept chunks, which keeps nothing.
+        The first such reader takes the generators, past the last kept chunk,
+        and this source keeps their `states` there and no more chunks; each
+        later reader starts from a copy of them, so a lone run copies none."""
+        own = copy.copy(self)
+        own.kept, own.room = [], 0
+        if self.states is None:
+            self.room, self.states = 0, [g.bit_generator.state for g in self.rngs]
+        else:
+            own.rngs = [np.random.default_rng() for _ in self.states]
+            for g, state in zip(own.rngs, self.states):
+                g.bit_generator.state = state
+        return own
+
+    def prepared(self, n: int) -> dict:
+        """The next n episodes, prepared (`_prepare`)."""
+        ep = self.draw(n)
+        return _prepare(ep, 1 + ep["relay"], [ep["ok"] | ep["relay_ok"]])
 
     def draw(self, n: int) -> dict:
         g = self.gamma_th
@@ -493,46 +542,57 @@ class _Episodes:
 
 
 def _broadcasts(pool, tally, seed, source, rates, gamma_th) -> _Episodes:
-    """The episodes of `source` for one run: private if it is traced (shared
-    chunks keep no SNRs) or has no `pool`, else the ones `pool` keeps under
-    all they depend on, added there by the first run to ask."""
+    """The episodes of `source` for one run: the ones `pool` keeps under all
+    they depend on, added there with a budget of `_KEEP_BYTES` by the first
+    run to ask; without a `pool`, or for a traced run (a kept chunk keeps no
+    SNRs), a source of its own with no budget."""
     if pool is None or tally.trace_limit:
         return _Episodes(seed, source, rates, gamma_th)
     key = (seed, source, gamma_th, float(rates.direct),
            tuple(rates.source_relay.tolist()), tuple(rates.relay_dest.tolist()))
     if key not in pool:
-        pool[key] = _Episodes(seed, source, rates, gamma_th, shared=True)
+        pool[key] = _Episodes(seed, source, rates, gamma_th, _KEEP_BYTES)
     return pool[key]
 
 
 class _BcastStream(_Stream):
     """Full-power broadcast episodes of one source (MDMA, TDMA, FDMA, NOMA solo),
-    read chunk by chunk from `episodes`.
+    read chunk by chunk from `episodes`, then from `own`, a source of its own
+    (`_Episodes.fork`), from the first chunk `episodes` has no room to keep.
+    `share` is the stream's share of its band's repetitions.
     `table[tag, rep]`: broadcast and relay labels, their step keys, and band.
 
     Episodes are counted per cell (tag, rep) of the table, then added to the
     cells' labels.  A short run's row is padded with its first repetition's
     labels, so a label can stand in several cells: only `np.add.at` sums them."""
 
-    def __init__(self, tally, episodes: _Episodes, table):
+    def __init__(self, tally, episodes: _Episodes, table, share=1.0):
         super().__init__(tally, 1)
-        self.episodes, self.source, self.table, self.chunks = episodes, episodes.source, table, 0
+        self.episodes, self.own, self.share, self.chunks = episodes, None, share, 0
+        self.source, self.table = episodes.source, table
         # Per cell: the broadcast's label and step key, then the relay slot's.
         lab_b, lab_r, key_b, key_r, _ = table.reshape(-1, table.shape[-1]).T
         self.cells = ((lab_b, key_b, "ok"), (lab_r, key_r, "relay_ok"))
 
-    def size(self, left: int) -> int:
-        """Episodes that fill `left` slots at the mean episode length, plus
-        4 sqrt(left) and 64: an episode's length (1 or 2) has a variance of at
+    def size(self, slots: float) -> int:
+        """Episodes that fill `slots` slots at the mean episode length, plus
+        4 sqrt(slots) and 64: an episode's length (1 or 2) has a variance of at
         most 1/4, so the count that fills them has a standard deviation of at
-        most sqrt(left) / 2, and a second draw is rare.  This is what FDMA's
-        band, which runs one source, reads; a band that alternates sources reads
-        less, but in a sweep the first reader sizes each chunk for all."""
-        return min(_BCAST_CHUNK, math.ceil(left / self.episodes.mean_len + 4.0 * math.sqrt(left) + 64))
+        most sqrt(slots) / 2, and a second draw is rare."""
+        return min(_BCAST_CHUNK, math.ceil(slots / self.episodes.mean_len + 4.0 * math.sqrt(slots) + 64))
 
-    def draw(self, n: int) -> dict:
-        self.chunks += 1
-        return self.episodes.chunk(self.chunks - 1, n)
+    def draw(self, left: int) -> dict:
+        """The next chunk for a run with `left` slots left.  A chunk the source
+        keeps, which every run of a sweep point reads, fills them all, as FDMA's
+        band, which runs one source, does; one this stream draws alone fills
+        its share of them."""
+        k, self.chunks = self.chunks, self.chunks + 1
+        if self.own is None:
+            ep = self.episodes.chunk(k, self.size(left))
+            if ep is not None:
+                return ep
+            self.own = self.episodes.fork()
+        return self.own.prepared(self.size(self.share * left))
 
     def count(self, idx, start, rep, tag) -> None:
         ep, tally, slots = self.ep, self.tally, self.tally.slots
@@ -647,7 +707,9 @@ def _run_bands(
     FDMA runs one band per source."""
     labels, step_keys, runs, table = _layout(tuple(map(tuple, bands)))
     tally = _Tally(scheme, list(labels), list(step_keys), len(bands), slots, options.trace_limit)
-    streams = {s: _BcastStream(tally, _broadcasts(pool, tally, seed, s, rates[s], config.gamma_th), table)
+    band_reps = [sum(reps for b, _, reps in runs if b == band) for band in range(len(bands))]
+    streams = {s: _BcastStream(tally, _broadcasts(pool, tally, seed, s, rates[s], config.gamma_th), table,
+                               sum(reps / band_reps[b] for b, src, reps in runs if src == s))
                for s in (1, 2)}
     programs = [[(streams[src], reps, tag) for tag, (b, src, reps) in enumerate(runs) if b == band]
                 for band in range(len(bands))]
@@ -684,11 +746,9 @@ class _JointStream(_Stream):
         self.at_r = {s: share[s] * _means(rates[s].source_relay) for s in (1, 2)}
         self.rd_means = _means(rates[1].relay_dest)
 
-    def size(self, left: int) -> int:
+    def draw(self, left: int) -> dict:
         """At most one episode per slot left: the run has no room for more."""
-        return min(_CHUNK, left)
-
-    def draw(self, n: int) -> dict:
+        n = min(_CHUNK, left)
         g, instant = self.gamma_th, self.options.noma_sic_order == "instant"
         p = {s: _exp(self.rngs[s][0], n, self.at_d[s]) for s in (1, 2)}
         # Cancellation at the destination, then at each relay where it missed a stream.
@@ -824,9 +884,14 @@ def simulate(
     untraced run reads a source's episodes from the pool if a run with the
     same seed, link rates and threshold put them there, else adds its own.
     So runs read each chunk that another has drawn instead of drawing it
-    again, and give the results they give alone; the pool keeps every chunk
-    until it is dropped.  Without one a run draws its own and keeps only the
-    chunk in use.
+    again, and give the results they give alone.  The pool keeps a source's
+    chunks, until it is dropped, while they fit 16 MiB (at most 9 bytes an
+    episode), twice what a 1e6-trial sweep point keeps; past that each run
+    draws the rest itself, from the source's generators as the last kept
+    chunk left them, so a 1e7-trial point takes up to a third longer and
+    half the memory.
+    Without a pool, or traced, a run draws its own and keeps only the chunk
+    in use.
     """
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")

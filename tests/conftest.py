@@ -20,8 +20,8 @@ def _fresh_step_outages():
 
 @pytest.fixture
 def draw_cap(monkeypatch):
-    """`draw_cap(n)` caps every stream's draws at n episodes, broadcast and
-    joint alike; the tally then settles its cycle ends every n too."""
+    """`draw_cap(n)` caps every stream's draws at n episodes: broadcast draws
+    (`_BCAST_CHUNK`) and NOMA's joint draws (`_CHUNK`, which caps nothing else)."""
     def cap(n):
         for name in ("_BCAST_CHUNK", "_CHUNK"):
             monkeypatch.setattr(simulator, name, n)

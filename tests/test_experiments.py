@@ -182,22 +182,36 @@ def _sweep_outputs(monkeypatch, tmp_path, spec, topo, cfg, options, share):
 
 
 @pytest.mark.parametrize("order", ["readme", "reversed"])
-@pytest.mark.parametrize("parameter, values, trials, edits, options, chunk", [
-    pytest.param("power_dbm", (-30.0, *README_POWERS), 20_000, {}, SimOptions(), None, id="readme"),
-    pytest.param("power_dbm", (0.0, 30.0), 20_000, {"noise_dbm": -math.inf}, SimOptions(), None,
+@pytest.mark.parametrize("parameter, values, trials, edits, options, chunk, keep", [
+    pytest.param("power_dbm", (-30.0, *README_POWERS), 20_000, {}, SimOptions(), None, None, id="readme"),
+    pytest.param("power_dbm", (0.0, 30.0), 20_000, {"noise_dbm": -math.inf}, SimOptions(), None, None,
                  id="noiseless"),
-    pytest.param("relay_count", (1, 3, 8), 20_000, {}, SimOptions(), None, id="relay-count"),
-    pytest.param("power_dbm", README_POWERS, 10_000, {}, SimOptions(relay_cooperation=False), None,
+    pytest.param("relay_count", (1, 3, 8), 20_000, {}, SimOptions(), None, None, id="relay-count"),
+    pytest.param("power_dbm", README_POWERS, 10_000, {}, SimOptions(relay_cooperation=False), None, None,
                  id="no-cooperation"),
-    *[pytest.param("power_dbm", (-30.0, 0.0, 4.0, 10.0, 30.0), trials, {}, SimOptions(), None,
+    *[pytest.param("power_dbm", (-30.0, 0.0, 4.0, 10.0, 30.0), trials, {}, SimOptions(), None, None,
                    id=f"trials-{trials}") for trials in (1, 7, simulator._CHUNK + 1)],
-    pytest.param("power_dbm", (4.0, 10.0), 3_000, {}, SimOptions(), 7, id="chunk-7"),
+    pytest.param("power_dbm", (4.0, 10.0), 3_000, {}, SimOptions(), 7, None, id="chunk-7"),
+    # Budgets of no chunk, one chunk and one and a half at the cap: past the
+    # kept chunks, the first run takes the source's generators, and each later
+    # one a copy of their state, even if a smaller chunk would still fit.
+    *[pytest.param("power_dbm", (-30.0, 0.0, 4.0, 10.0, 30.0), 20_000, {}, SimOptions(), None, keep,
+                   id=f"keep-{keep}") for keep in (0, 1, 1.5)],
+    *[pytest.param("power_dbm", (4.0, 10.0), 3_000, {}, SimOptions(), 7, keep,
+                   id=f"chunk-7-keep-{keep}") for keep in (0, 1, 1.5)],
 ])
 def test_shared_draws_change_no_result(setup10, monkeypatch, draw_cap, tmp_path, order, parameter, values,
-                                       trials, edits, options, chunk):
+                                       trials, edits, options, chunk, keep):
+    """`keep`: the chunks at the cap that a pooled source has room to keep,
+    if not the shipped `_KEEP_BYTES`."""
     topo, cfg = setup10
     if chunk:
         draw_cap(chunk)
+    if keep is not None:
+        monkeypatch.setattr(simulator, "_KEEP_BYTES", keep * simulator._kept_bytes(simulator._BCAST_CHUNK))
+    kept_at_fork, fork = [], simulator._Episodes.fork  # what a source kept when a reader forked it
+    monkeypatch.setattr(simulator._Episodes, "fork",
+                        lambda self: kept_at_fork.append(len(self.kept)) or fork(self))
     schemes = ALL_SCHEMES if order == "readme" else ALL_SCHEMES[::-1]
     spec = SweepSpec(parameter, values, schemes, trials, seed=1)
     shared = _sweep_outputs(monkeypatch, tmp_path, spec, topo, replace(cfg, **edits), options, True)
@@ -205,6 +219,8 @@ def test_shared_draws_change_no_result(setup10, monkeypatch, draw_cap, tmp_path,
     assert len(shared[1]) == len(values) * len(schemes)
     assert all(streams for *_, streams in shared[1])
     assert shared == lone
+    if keep is not None:  # runs went on alone, with room for a chunk after reading what was kept
+        assert max(kept_at_fork) >= int(keep)
 
 
 @pytest.mark.parametrize("power", [4.0, 30.0])
@@ -303,6 +319,30 @@ def test_a_shared_sweep_point_keeps_little_memory(setup10):
     # Flags and int16 placement arrays read 4.1 MB; int64 arrays peaked at 9.0 MB,
     # flags only at 2.9 MB, and keeping each chunk's SNRs at 38 MB.
     assert peak < 5e6
+
+
+def _peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_sweep_point_past_its_budget_keeps_what_lone_runs_keep(setup10, monkeypatch):
+    """With room for one chunk per source, a 1e6-trial point keeps that and
+    each run draws the rest itself, from the source's generators, so the point
+    peaks near a lone run.  Keeping every chunk, it peaked at 13.6 MB, against
+    3.8 MB for the lone runs."""
+    topo, cfg = setup10
+    monkeypatch.setattr(simulator, "_KEEP_BYTES", simulator._kept_bytes(simulator._BCAST_CHUNK))
+    run_sweep(SweepSpec("power_dbm", (10.0,), ALL_SCHEMES, 100), topo, cfg)  # warm caches
+    lone = max(_peak(lambda: simulate(scheme, topo, cfg, 1_000_000, seed=3)) for scheme in ALL_SCHEMES)
+    spec = SweepSpec("power_dbm", (10.0,), ALL_SCHEMES, 1_000_000, seed=3)
+    point = _peak(lambda: run_sweep(spec, topo, cfg))
+    assert lone < 5e6, lone  # a lone run keeps only the chunk in use
+    assert point < lone + 1.5e6, (point, lone)
 
 
 def test_one_pool_gives_every_run_its_lone_result(setup10):

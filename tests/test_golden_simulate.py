@@ -139,18 +139,26 @@ def test_golden_file_covers_every_case(golden):
 def test_simulate_keeps_its_recorded_outputs(golden, chunk, monkeypatch, draw_cap):
     if chunk == 7:
         draw_cap(chunk)
-    sizes = {simulator._Episodes: [], simulator._JointStream: []}  # episodes per draw
-    for cls, seen in sizes.items():
-        def draw(self, n, _draw=cls.draw, _seen=seen):
-            _seen.append(n)
-            return _draw(self, n)
-        monkeypatch.setattr(cls, "draw", draw)
+    sizes = {"broadcast": [], "joint": []}  # episodes per draw
+    bcast_draw, joint_draw = simulator._Episodes.draw, simulator._JointStream.draw
+
+    def bcast(self, n):
+        sizes["broadcast"].append(n)
+        return bcast_draw(self, n)
+
+    def joint(self, left):  # a joint stream sizes its draw from the slots left
+        ep = joint_draw(self, left)
+        sizes["joint"].append(ep["cum_len"].size - 1)
+        return ep
+
+    monkeypatch.setattr(simulator._Episodes, "draw", bcast)
+    monkeypatch.setattr(simulator._JointStream, "draw", joint)
     got = {case_id: digest(scheme, link, bits, slots, options)
            for case_id, scheme, link, bits, slots, c, options in CASES if c == chunk}
     assert got == {k: golden[k] for k in got}
     # The cases reach each cap, and no draw passes it.
-    assert max(sizes[simulator._Episodes]) == simulator._BCAST_CHUNK
-    assert max(sizes[simulator._JointStream]) == simulator._CHUNK
+    assert max(sizes["broadcast"]) == simulator._BCAST_CHUNK
+    assert max(sizes["joint"]) == simulator._CHUNK
 
 
 if __name__ == "__main__":

@@ -170,10 +170,10 @@ def test_payloads_past_the_int16_range_do_not_depend_on_the_chunk_size(monkeypat
     16 384 keep them as int64.  An overflow would tell the two apart."""
     topo, cfg = default_paper_setup(power_dbm=power)
     cfg = replace(cfg, total_bits=40_000.0)
-    dtypes, chunk = set(), simulator._Episodes.chunk
+    dtypes, prepared = set(), simulator._Episodes.prepared  # every chunk, kept or not
 
-    def spy(self, k, n):
-        ep = chunk(self, k, n)
+    def spy(self, n):
+        ep = prepared(self, n)
         dtypes.add(ep["cum_len"].dtype)
         return ep
 
@@ -182,7 +182,7 @@ def test_payloads_past_the_int16_range_do_not_depend_on_the_chunk_size(monkeypat
         pool = {} if shared else None
         return [simulate(s, topo, cfg, 150_000, seed=5, pool=pool).to_dict() for s in SCHEMES]
 
-    monkeypatch.setattr(simulator._Episodes, "chunk", spy)
+    monkeypatch.setattr(simulator._Episodes, "prepared", spy)
     narrow = run(True)
     assert all(est["pairs"] for est in narrow)
     assert dtypes == {np.dtype(np.int16)}
@@ -272,6 +272,7 @@ class _RowSpy:
 
     def __init__(self, rng, rows, stream):
         self.rng, self.rows, self.stream = rng, rows, stream
+        self.bit_generator = rng.bit_generator  # a reader taking the generators saves its state
 
     def standard_exponential(self, shape):
         self.rows[self.stream] += shape[0]
@@ -299,8 +300,9 @@ def test_relays_are_drawn_only_for_missed_broadcasts(setup10, monkeypatch, schem
         missed[3 * self.source - 2] += int(np.count_nonzero(~ep["ok"]))
         return ep
 
-    def spy_joint(self, n):
-        ep = joint(self, n)
+    def spy_joint(self, left):
+        ep = joint(self, left)
+        n = ep["cum_len"].size - 1
         for stream in (7, 10):
             drawn[stream] += n
             missed[stream] += int(np.count_nonzero(~(ep["ok"][1] & ep["ok"][2])))
@@ -664,7 +666,8 @@ def test_the_shared_layout_is_read_only():
 
 def _settle_by_list_max(tally):
     """The reference for `_Tally._settle`: the latest end over a list of
-    every band's ends, and durations from `np.diff` with a prepend."""
+    every band's ends, and durations from `np.diff` with a prepend, summed
+    in `dur_sum` as `_Tally` once did."""
     n = min(e.size for e in tally.cycle_ends)
     if n:
         close = np.max([e[:n] for e in tally.cycle_ends], axis=0)
@@ -677,22 +680,24 @@ def _settle_by_list_max(tally):
 @pytest.mark.parametrize("bands", [1, 2])
 def test_settle_matches_the_list_max_and_diff_reference(bands):
     """Random cycle ends, bands of unequal lengths, several settles per run,
-    and ends past `slots`, which are dropped."""
+    and ends past `slots`, which are dropped.  The durations' float sum is
+    exact, so it is `last_close`, which `estimate` reports."""
     seen = {"past slots": 0, "left over": 0}
     for seed in range(100):
         rng = np.random.default_rng(seed)
         slots = int(rng.integers(20, 2_000))
-        got, want = (simulator._Tally("fdma", [], [], bands, slots, 0) for _ in range(2))
+        got = simulator._Tally("fdma", [], [], bands, slots, 0)
+        want = SimpleNamespace(cycle_ends=[np.zeros(0, dtype=np.int64)] * bands,
+                               pairs=0, last_close=0, dur_sum=0.0, dur_sumsq=0.0)
         t = [0] * bands
         for _ in range(int(rng.integers(2, 9))):
             band = int(rng.integers(bands))
             ends = t[band] + np.cumsum(rng.integers(1, 40, int(rng.integers(0, 60))))
             t[band] = int(ends[-1]) if ends.size else t[band]
-            for tally in got, want:
-                tally.cycle_end(band, ends)
-            got._settle()
+            got.cycle_end(band, ends)  # settles
+            want.cycle_ends[band] = np.concatenate((want.cycle_ends[band], ends[ends <= slots]))
             _settle_by_list_max(want)
-            assert (got.pairs, got.last_close, got.dur_sum, got.dur_sumsq) == \
+            assert (got.pairs, got.last_close, float(got.last_close), got.dur_sumsq) == \
                 (want.pairs, want.last_close, want.dur_sum, want.dur_sumsq), seed
             assert all(np.array_equal(g, w) for g, w in zip(got.cycle_ends, want.cycle_ends))
             seen["left over"] += any(e.size for e in got.cycle_ends)  # one band ahead of the other
@@ -763,6 +768,32 @@ def test_broadcast_draw_sizes_are_defined_at_the_edge_inputs(topo, cfg, cooperat
         for left in (1, 7, 10_000, 10**15):
             n = stream.size(left)
             assert type(n) is int and 1 <= n <= simulator._BCAST_CHUNK
+
+
+@pytest.mark.parametrize("scheme", ["mdma", "tdma"])
+def test_a_lone_run_draws_for_its_share_of_the_band(monkeypatch, scheme):
+    """A band that alternates the sources sizes each source's own draws by
+    its share of the band's repetitions: a lone 1e4-slot run draws at most
+    1.3 times the broadcast episodes it places.  Sized for a band of one
+    source alone, they drew about 2.1 times as many."""
+    drawn, placed = [0], [0]
+    draw, count = simulator._Episodes.draw, simulator._BcastStream.count
+
+    def spy_draw(self, n):
+        drawn[0] += n
+        return draw(self, n)
+
+    def spy_count(self, idx, start, rep, tag):
+        placed[0] += idx.stop - idx.start
+        count(self, idx, start, rep, tag)
+
+    monkeypatch.setattr(simulator._Episodes, "draw", spy_draw)
+    monkeypatch.setattr(simulator._BcastStream, "count", spy_count)
+    topo, cfg = default_paper_setup()
+    for power in range(0, 31, 2):
+        drawn[0] = placed[0] = 0
+        simulate(scheme, topo, replace(cfg, power_dbm=float(power)), 10_000, seed=1)
+        assert placed[0] <= drawn[0] <= 1.3 * placed[0], (power, drawn, placed)
 
 
 @pytest.mark.parametrize("power, cooperate", [(4.0, True), (10.0, True), (4.0, False), (30.0, True)])
