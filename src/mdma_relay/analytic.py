@@ -12,15 +12,15 @@ all m cost O(m^2).  The same law over the 2^m decode sets is a view
 The relay-step outage bins that CDF and the threshold-conditioned direct
 SNR on n bins and sums the mass of their sum below the threshold, one O(n)
 dot product.  Binning evaluates ``1 - exp(-rate * gamma)`` at the n + 1 bin
-edges for every rate, an (n + 1)-by-m basis (``exp_cdf_basis``), and takes
-its product with the coefficients a fixed number of rows at a time, so the
-bits do not depend on how many threads the BLAS library runs.  Both
-sources share the relay-to-destination rates, so ``step_outages`` checks
-them for ties once, builds the basis once and bins both sources from it;
-``BinnedPmf`` validates and clamps each binned mass once.  On a 2-core host
-this takes about 0.35 ms at n = 1 000 and 11 ms at n = 1e5 on the paper
-layout.  ``step_outages`` keeps its last result, so ``analyze``, which reads
-the step outages twice, does this work once.
+edges for every rate, ``_BASIS_ROWS`` edges at a time in one reused buffer,
+and takes each block's product with the coefficients, so the bits do not
+depend on how many threads the BLAS library runs.  Both sources share the
+relay-to-destination rates, so ``step_outages`` checks them for ties once
+and bins both in one pass: each block meets both sources' coefficients, and
+nothing of (n + 1) * m size is held.  ``BinnedPmf`` validates and clamps
+each binned mass once.  On a 2-core host this takes about 0.22 ms at 1 000
+bins and 6 ms at 1e5 on the paper layout.  ``step_outages`` keeps its last
+result, so ``analyze``, which reads the step outages twice, does it once.
 
 The relay sum is also a phase-type law, exact at any relay count and with
 tied rates.  ``relay_sum_cdf_uniformized`` evaluates its CDF as a series of
@@ -197,13 +197,27 @@ def exp_cdf_basis(gammas: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return np.negative(basis, out=basis)
 
 
-def bin_edges(gamma_th: float, n: int) -> np.ndarray:
-    """``np.linspace(0.0, gamma_th, n + 1)``, bit for bit: the same steps
-    numpy takes for a nonzero step, without its argument handling."""
-    edges = np.arange(n + 1.0)
-    edges *= gamma_th / n
-    edges[-1] = gamma_th
-    return edges
+def _basis_blocks(gamma_th: float, n: int, rates: np.ndarray, scratch: np.ndarray):
+    """``exp_cdf_basis(np.linspace(0.0, gamma_th, n + 1), rates)`` bit for bit
+    (edge k is ``k * (gamma_th / n)``, the last gamma_th), as (first row,
+    block) pairs of rows = ``min(_BASIS_ROWS, n + 1)`` rows or fewer, views of
+    ``scratch``: 3 * rows * m doubles for the edge indices repeated m times,
+    ``-rates`` tiled and the block, so each step is one flat pass.  On rows
+    of a few rates a broadcast outer product costs more than the ``expm1``."""
+    m, rows, width = len(rates), min(_BASIS_ROWS, n + 1), gamma_th / n
+    index, neg_rates, buf = scratch.reshape(3, rows * m)
+    index[:] = np.repeat(np.arange(rows, dtype=float), m)
+    neg_rates[:] = np.tile(-rates, rows)
+    for k in range(0, n + 1, rows):
+        if k:
+            index += rows
+        block = buf[: min(rows, n + 1 - k) * m]
+        np.multiply(index[: len(block)], width, out=block)
+        if k + rows > n:
+            block[(n - k) * m :] = gamma_th
+        block *= neg_rates[: len(block)]
+        np.expm1(block, out=block)
+        yield k, np.negative(block, out=block).reshape(-1, m)
 
 
 def _pole_ratios(lam: np.ndarray) -> np.ndarray:
@@ -271,13 +285,13 @@ def _phase_type_chain(paths: GatedPaths, direct_rate: float = 0.0):
     nxt = np.where(later, (1.0 - a) * passed[:, :m], 0.0)
     lam_max = max(lam.max(), direct_rate)
     scale = lam / lam_max
-    jump = scale[:, None] * nxt[1:] + np.diag(1.0 - scale)
-    exit_ = scale * passed[1:, m]
-    if direct_rate:
+    front = 1 if direct_rate else 0  # the direct phase, if any, is phase 0
+    jump, exit_ = np.zeros((front + m, front + m)), np.zeros(front + m)
+    jump[front:, front:] = scale[:, None] * nxt[1:] + np.diag(1.0 - scale)
+    exit_[front:] = scale * passed[1:, m]
+    if front:
         d = direct_rate / lam_max
-        jump = np.pad(jump, ((1, 0), (1, 0)))
-        jump[0] = np.append(1.0 - d, d * nxt[0])
-        exit_ = np.append(0.0, exit_)
+        jump[0, 0], jump[0, 1:] = 1.0 - d, d * nxt[0]
     return nxt[0], jump, exit_, lam_max
 
 
@@ -290,7 +304,8 @@ def _chain_over(chain, t: float) -> tuple[np.ndarray, np.ndarray]:
     nonnegative, so the smallest entries keep their relative accuracy.  Past
     the first jump each weight is at most half the one before and no entry
     of a jump power or an absorbed mass exceeds 1, so the series stops once
-    twice the weight is below 1e-17 of every entry that can be positive.
+    twice the weight is below 1e-17 of every entry that can be positive;
+    no entry exceeds 1, so the entries are not scanned while it is above 2e-17.
     """
     _, jump, exit_, lam_max = chain
     m = len(exit_)
@@ -300,7 +315,7 @@ def _chain_over(chain, t: float) -> tuple[np.ndarray, np.ndarray]:
     power, absorbed = np.eye(m), np.zeros(m)
     step, out, w = np.zeros((m, m)), np.zeros(m), math.exp(-x)
     for k in itertools.count():
-        if k > 1 and 2.0 * w <= 1e-17 * min(step[reachable].min(), out.min()):
+        if k > 1 and 2.0 * w <= 2e-17 and 2.0 * w <= 1e-17 * min(step[reachable].min(), out.min()):
             break
         step += w * power
         out += w * absorbed
@@ -387,36 +402,37 @@ class BinnedPmf:
         return float(self.probs.sum())
 
 
-def bin_relay_sum(
-    cdf: DefectiveCdf, gamma_th: float, granularity: int, basis: np.ndarray
-) -> BinnedPmf:
-    """CDF increments of the relay sum over the threshold interval.
+def bin_relay_sum(cdfs: list[DefectiveCdf], gamma_th: float, granularity: int) -> list[BinnedPmf]:
+    """CDF increments over the threshold interval of relay sums that share
+    their rates, one ``BinnedPmf`` per CDF.
 
-    ``basis`` is ``exp_cdf_basis(bin_edges(gamma_th, granularity),
-    cdf.rates)``, built by the caller so that sources sharing the rates
-    share it; a basis whose shape, first or last row shows another grid or
-    other rates is refused.  The partial-fraction coefficients alternate in
-    sign, so evaluating the CDF carries absolute noise of order eps *
-    sum(|coefficients|); ``BinnedPmf`` clamps increments above minus that
-    floor to zero, and anything more negative is a bug.
+    The CDFs are evaluated at the n + 1 bin edges one ``_basis_blocks`` block
+    at a time, and each block meets every CDF's coefficients before the next:
+    sources sharing the rates share that work, and nothing of (n + 1) * m
+    size is held.  The increments then overwrite the values in place.  The
+    coefficients alternate in sign, so a CDF carries absolute noise of order
+    eps * sum(|coefficients|); ``BinnedPmf`` clamps increments above minus
+    that floor to zero, and anything more negative is a bug.
     """
     if granularity < 1:
         raise ConfigError("granularity must be at least 1")
-    last = -np.expm1(-gamma_th * cdf.rates)
-    if (
-        basis.shape != (granularity + 1, len(cdf.rates))
-        or basis[0].any()
-        or not (np.abs(basis[-1] - last) <= 1e-9 * last).all()
-    ):
-        raise ConfigError(
-            f"the CDF basis must hold {len(cdf.rates)} rates on "
-            f"{granularity + 1} edges from 0 to {gamma_th:g}"
-        )
-    noise = 64.0 * _EPS * max(1.0, float(np.abs(cdf.coeff_per_rate).sum()))
-    at_edges = np.empty(len(basis))
-    for k in range(0, len(basis), _BASIS_ROWS):
-        np.matmul(basis[k : k + _BASIS_ROWS], cdf.coeff_per_rate, out=at_edges[k : k + _BASIS_ROWS])
-    return BinnedPmf(at_edges[1:] - at_edges[:-1], gamma_th, granularity, noise)
+    rates = cdfs[0].rates
+    if not all(cdf.rates is rates or np.array_equal(cdf.rates, rates) for cdf in cdfs):
+        raise ConfigError("relay sums binned together must share their rates")
+    # One allocation for the values and the blocks' scratch: with two sources
+    # glibc keeps it from call to call, where apart they left more than its
+    # trim threshold free at a call's end, about 1 100 page faults at n = 1e5.
+    size = len(cdfs) * (granularity + 1)
+    work = np.empty(size + 3 * min(_BASIS_ROWS, granularity + 1) * len(rates))
+    at_edges = work[:size].reshape(len(cdfs), granularity + 1)
+    for k, block in _basis_blocks(gamma_th, granularity, rates, work[size:]):
+        for cdf, out in zip(cdfs, at_edges):
+            np.matmul(block, cdf.coeff_per_rate, out=out[k : k + len(block)])
+    for at in at_edges:  # each difference reads its upper edge before it is overwritten
+        np.subtract(at[1:], at[:-1], out=at[:-1])
+    return [BinnedPmf(at[:-1], gamma_th, granularity,
+                      64.0 * _EPS * max(1.0, float(np.abs(cdf.coeff_per_rate).sum())))
+            for cdf, at in zip(cdfs, at_edges)]
 
 
 def bin_conditional_direct(
@@ -430,12 +446,11 @@ def bin_conditional_direct(
             "conditioning on SNR below a zero threshold is undefined"
         )
     # Factored form keeps full precision when rate*gamma_th is tiny.
-    lam = link.rate_lambda
-    width = gamma_th / granularity
-    lower = np.exp(-lam * width * np.arange(granularity))
-    seg = -math.expm1(-lam * width)
-    denom = -math.expm1(-lam * gamma_th)
-    return BinnedPmf(lower * (seg / denom), gamma_th, granularity)
+    lam, width = link.rate_lambda, gamma_th / granularity
+    probs = np.arange(granularity, dtype=float)
+    np.exp(np.multiply(probs, -lam * width, out=probs), out=probs)
+    probs *= -math.expm1(-lam * width) / -math.expm1(-lam * gamma_th)
+    return BinnedPmf(probs, gamma_th, granularity)
 
 
 def step2_outage(relay_pmf: BinnedPmf, direct_pmf: BinnedPmf, paths: GatedPaths) -> float:
@@ -490,28 +505,25 @@ class SourceOutages:
 
 def source_step_outages(
     direct: LinkParam, paths: GatedPaths, config: SystemConfig,
-    basis: np.ndarray | None,
+    relay_pmf: BinnedPmf | None,
 ) -> SourceOutages:
     """Broadcast outage, relay-step outage and empty-set probability of one
     source, at a positive threshold and finite SNR.
 
-    ``basis`` is the relay-to-destination CDF basis on the threshold grid
-    (see ``bin_relay_sum``), on which the closed form is binned for
-    ``step2_outage``.  It is None where ``paths.closed_form`` does not hold
-    (tied rates, or more than ``MAX_RELAYS_CLOSED_FORM`` relays): the relay
-    step is then ``relay_step_outage``, exact and independent of
-    ``granularity``.
+    ``relay_pmf`` is the closed form binned on the threshold grid
+    (``bin_relay_sum``) for ``step2_outage``, or None where not
+    ``paths.closed_form`` (tied rates, or more than ``MAX_RELAYS_CLOSED_FORM``
+    relays): the relay step is then ``relay_step_outage``, exact at any n.
     """
-    gamma_th, n = config.gamma_th, config.granularity
+    gamma_th = config.gamma_th
     bcast = direct_outage(direct, gamma_th)
     empty = paths.empty
     if empty >= 1.0:
         return SourceOutages(bcast, 1.0, empty)
-    if basis is None:
+    if relay_pmf is None:
         return SourceOutages(bcast, relay_step_outage(direct, paths, gamma_th), empty)
-    relay_pmf = bin_relay_sum(relay_sum_cdf(paths), gamma_th, n, basis)
-    relay = step2_outage(relay_pmf, bin_conditional_direct(direct, gamma_th, n), paths)
-    return SourceOutages(bcast, relay, empty)
+    direct_pmf = bin_conditional_direct(direct, gamma_th, config.granularity)
+    return SourceOutages(bcast, step2_outage(relay_pmf, direct_pmf, paths), empty)
 
 
 def step_outages(
@@ -520,9 +532,9 @@ def step_outages(
     """The step outages of sources 1 and 2, keyed by source.
 
     Both sources' relay sums have the relay-to-destination rates, so their
-    paths share one rates array and its tie check, and the closed form's CDF
-    basis on the threshold grid is built here once for both.  The basis is
-    built only when some relay can decode some source's broadcast: without
+    paths share one rates array and its tie check, and the closed form bins
+    both sources in one ``bin_relay_sum`` pass over the threshold grid.  A
+    source is binned only when some relay can decode its broadcast: without
     relay cooperation (``link_rates``) every gate is 1 and no relay step is taken.
 
     The last result is kept, keyed on the whole ``(topology, config,
@@ -553,11 +565,11 @@ def _step_outages(
     fails = {source: -np.expm1(-rates.source_relay * gamma_th) for source, rates in links.items()}
     first = GatedPaths(fails[1], links[1].relay_dest)
     paths = {1: first, 2: first.with_gates(fails[2])}
-    basis = None
-    if first.closed_form and min(p.empty for p in paths.values()) < 1.0:
-        basis = exp_cdf_basis(bin_edges(gamma_th, config.granularity), first.rates)
+    binned = [source for source, p in paths.items() if p.closed_form and p.empty < 1.0]
+    cdfs = [relay_sum_cdf(paths[source]) for source in binned]
+    relay_pmfs = dict(zip(binned, bin_relay_sum(cdfs, gamma_th, config.granularity) if cdfs else ()))
     return {
-        source: source_step_outages(LinkParam(rates.direct), paths[source], config, basis)
+        source: source_step_outages(LinkParam(rates.direct), paths[source], config, relay_pmfs.get(source))
         for source, rates in links.items()
     }
 

@@ -16,7 +16,6 @@ from mdma_relay.analytic import (
     GatedPaths,
     SourceOutages,
     bin_conditional_direct,
-    bin_edges,
     bin_relay_sum,
     closed_form_applies,
     decode_fail_probs,
@@ -43,17 +42,20 @@ from layouts import line_topology
 from relay_reference import numeric_relay_sum_cdf, relay_sum_cdf_quadrature
 
 
+BLOCK_ROWS = analytic._BASIS_ROWS
+
+
 def binned_relay_sum(cdf, gamma_th, n):
-    """``bin_relay_sum`` on the basis built for its grid and the CDF's rates."""
-    edges = np.linspace(0.0, gamma_th, n + 1)
-    return bin_relay_sum(cdf, gamma_th, n, exp_cdf_basis(edges, cdf.rates))
+    """``bin_relay_sum`` of this relay sum alone."""
+    [pmf] = bin_relay_sum([cdf], gamma_th, n)
+    return pmf
 
 
 def series_bins(paths, gamma_th, n):
     """The relay sum binned on the threshold grid as increments of its
     uniformized series: a reference for the closed form's bins that shares
     none of its arithmetic."""
-    return BinnedPmf(np.diff(relay_sum_cdf_uniformized(paths, bin_edges(gamma_th, n))), gamma_th, n)
+    return BinnedPmf(np.diff(relay_sum_cdf_uniformized(paths, np.linspace(0.0, gamma_th, n + 1))), gamma_th, n)
 
 
 def random_gates(rng, m, rate_lo=0.3, rate_hi=4.0):
@@ -571,20 +573,27 @@ def test_bin_relay_sum_telescopes():
     assert refined.total == pytest.approx(pmf.total, abs=1e-12)
 
 
-def test_bin_relay_sum_refuses_a_basis_for_another_grid_or_rates():
+@pytest.mark.parametrize("n", [1, 1000, BLOCK_ROWS - 1, BLOCK_ROWS, 3 * BLOCK_ROWS + 5])
+def test_relay_sums_binned_together_keep_the_bits_each_gets_alone(n):
+    rng = np.random.default_rng(31)
+    gates = random_gates(rng, 5)
+    # One shares the rates array, as both sources' paths do; one has a copy.
+    others = [gates.with_gates(rng.uniform(0.05, 0.9, 5)), GatedPaths(rng.uniform(0.05, 0.9, 5), gates.rates.copy())]
+    cdfs = [relay_sum_cdf(g) for g in (gates, *others)]
+    together = bin_relay_sum(cdfs, 2.0, n)
+    assert len(together) == 3
+    for cdf, pmf in zip(cdfs, together):
+        alone = binned_relay_sum(cdf, 2.0, n)
+        assert (pmf.granularity, pmf.noise) == (n, alone.noise)
+        assert _bits(pmf.probs) == _bits(alone.probs)
+
+
+def test_bin_relay_sum_refuses_relay_sums_of_other_rates():
     gates = random_gates(np.random.default_rng(31), 3)
-    cdf = relay_sum_cdf(gates)
-    edges = np.linspace(0.0, 2.0, 101)
-    assert binned_relay_sum(cdf, 2.0, 100).probs.shape == (100,)
-    for basis in (
-        exp_cdf_basis(edges, cdf.rates * 1.5),           # other rates
-        exp_cdf_basis(edges, cdf.rates[:2]),             # fewer rates
-        exp_cdf_basis(edges * 1.1, cdf.rates),           # another threshold
-        exp_cdf_basis(edges + 0.01, cdf.rates),          # a grid not from 0
-        exp_cdf_basis(np.linspace(0.0, 2.0, 51), cdf.rates),  # another bin count
-    ):
-        with pytest.raises(ConfigError, match="basis"):
-            bin_relay_sum(cdf, 2.0, 100, basis)
+    for rates in (gates.rates * 1.5, gates.rates[:2]):
+        other = relay_sum_cdf(GatedPaths(gates.gate_probs[: len(rates)], rates))
+        with pytest.raises(ConfigError, match="share their rates"):
+            bin_relay_sum([relay_sum_cdf(gates), other], 2.0, 100)
 
 
 def test_cdf_basis_in_one_buffer_keeps_the_bits_of_the_temporaries():
@@ -597,15 +606,23 @@ def test_cdf_basis_in_one_buffer_keeps_the_bits_of_the_temporaries():
         assert cdf(0.7) == float(-np.expm1(-0.7 * cdf.rates) @ cdf.coeff_per_rate)
 
 
-def test_bin_edges_are_the_linspace_grid_bit_for_bit():
+def test_basis_blocks_are_the_linspace_basis_bit_for_bit():
     rng = np.random.default_rng(35)
     # The smallest threshold a config accepts (2**-52, from 2**rate_r0 - 1),
-    # the paper's, and random ones over the whole float range.
+    # the paper's, and random ones over the whole float range; rates from
+    # the paper's relay links down to ones whose exponents underflow.
     thresholds = [2.0 ** -52, 1.0, 3.0, math.pi, 1e300, *(10.0 ** rng.uniform(-15, 300, 40))]
+    rates = np.array([1e-300, 0.37, 2.0, 7.5])
     for gamma_th in thresholds:
-        for n in (1, 2, 3, 7, 999, 1000, 4096, 100_003, 1_000_000):
-            edges = analytic.bin_edges(gamma_th, n)
-            assert _bits(edges) == _bits(np.linspace(0.0, gamma_th, n + 1)), (gamma_th, n)
+        for n in (1, 2, 3, 7, 999, 1000, BLOCK_ROWS - 1, BLOCK_ROWS, 100_003, 1_000_000):
+            some = rates[: 1 + n % 4] if n < 100_000 else rates[1:2]
+            scratch = np.empty(3 * min(BLOCK_ROWS, n + 1) * len(some))
+            blocks = analytic._basis_blocks(gamma_th, n, some, scratch)
+            firsts, blocks = zip(*((k, block.copy()) for k, block in blocks))
+            assert firsts == tuple(range(0, n + 1, BLOCK_ROWS))
+            assert all(len(b) == BLOCK_ROWS for b in blocks[:-1]) and len(blocks[-1]) >= 1
+            reference = exp_cdf_basis(np.linspace(0.0, gamma_th, n + 1), some)
+            assert _bits(np.concatenate(blocks)) == _bits(reference), (gamma_th, n)
 
 
 def test_bin_conditional_direct_normalizes():
@@ -735,14 +752,14 @@ def test_personalized_phase_copies_shared(paper_setup):
 @pytest.mark.parametrize("power", [-30.0, 4.0, 10.0, 30.0])
 def test_without_relay_cooperation_every_relay_step_is_skipped(monkeypatch, paper_setup, power):
     # No relay hears a source, so every gate is 1: no relay step is taken,
-    # and neither a basis nor the exact step is computed.  The broadcast
-    # outages are the cooperative ones.
+    # and neither a basis block nor the exact step is computed.  The
+    # broadcast outages are the cooperative ones.
     topo, cfg = paper_setup
     cfg = replace(cfg, power_dbm=power)
     coop = step_outages(topo, cfg)
     built = []
     with monkeypatch.context() as m:
-        m.setattr(analytic, "exp_cdf_basis", lambda *args: built.append(args))
+        m.setattr(analytic, "_basis_blocks", lambda *args: built.append(args))
         m.setattr(analytic, "relay_step_outage", lambda *args: built.append(args))
         alone = step_outages(topo, cfg, False)
     assert built == []
@@ -782,8 +799,8 @@ def _per_source_pipeline(topo, cfg, source):
 @pytest.mark.parametrize("n", [1, 2, 1000, 100_000])
 @pytest.mark.parametrize("relays", [8, 16])
 def test_step_outages_equal_the_per_source_pipeline(paper_setup, relays, n):
-    # Both sources bin their relay sums from one shared basis; every output
-    # keeps the bits a basis of its own gives.
+    # Both sources bin their relay sums in one pass over the edges; every
+    # output keeps the bits binning that source alone gives.
     topo = paper_setup[0] if relays == 8 else line_topology(relays)
     for p in range(-10, 31, 2):
         cfg = replace(paper_setup[1], power_dbm=float(p), granularity=n)
@@ -805,35 +822,49 @@ def test_tied_and_over_cap_rates_take_the_exact_step_for_both_sources(monkeypatc
 
     monkeypatch.setattr(analytic, "relay_step_outage", spy)
     monkeypatch.setattr(analytic, "relay_sum_cdf_uniformized", lambda *a: bases.append(a))
-    monkeypatch.setattr(analytic, "exp_cdf_basis", lambda *a: bases.append(a))
+    monkeypatch.setattr(analytic, "_basis_blocks", lambda *a: bases.append(a))
     outs = step_outages(topo, cfg)
-    # One exact step per source at the threshold; no basis, no series.
+    # One exact step per source at the threshold; no basis block, no series.
     assert seen == [(relays, cfg.gamma_th)] * 2 and bases == []
     for source in (1, 2):
         assert outs[source] == _per_source_pipeline(topo, cfg, source)
 
 
-def _basis_sizes(monkeypatch, topo, cfg):
-    """Row counts of every ``exp_cdf_basis`` one ``step_outages`` call builds."""
-    sizes = []
+def _binning(monkeypatch, topo, cfg):
+    """What one ``step_outages`` call bins: how many relay sums each
+    ``bin_relay_sum`` call takes, and the row count of every basis block."""
+    sums, rows = [], []
+    real_bin, real_blocks = analytic.bin_relay_sum, analytic._basis_blocks
 
-    def spy(gammas, rates):
-        sizes.append(len(gammas))
-        return exp_cdf_basis(gammas, rates)
+    def bin_spy(cdfs, *args):
+        sums.append(len(cdfs))
+        return real_bin(cdfs, *args)
 
-    monkeypatch.setattr(analytic, "exp_cdf_basis", spy)
-    step_outages(topo, cfg)
-    return sizes
+    def blocks_spy(*args):
+        for k, block in real_blocks(*args):
+            rows.append(len(block))
+            yield k, block
+
+    with monkeypatch.context() as m:
+        m.setattr(analytic, "bin_relay_sum", bin_spy)
+        m.setattr(analytic, "_basis_blocks", blocks_spy)
+        step_outages(topo, cfg)
+    return sums, rows
 
 
-def test_one_basis_per_step_outages_call(monkeypatch, paper_setup):
+@pytest.mark.parametrize("n", [1, 1000, BLOCK_ROWS - 1, BLOCK_ROWS, 100_000])
+def test_each_edge_is_built_once_per_step_outages_call_for_both_sources(monkeypatch, paper_setup, n):
     topo, cfg = paper_setup
-    # One (n + 1)-row basis; the check of its last row builds no other.
-    assert _basis_sizes(monkeypatch, topo, cfg) == [cfg.granularity + 1]
+    cfg = replace(cfg, granularity=n)
+    # One pass for both sources builds the n + 1 edges once, in
+    # ceil((n + 1) / BLOCK_ROWS) blocks.
+    blocks = -(-(n + 1) // BLOCK_ROWS)
+    rows = [BLOCK_ROWS] * (blocks - 1) + [n + 1 - BLOCK_ROWS * (blocks - 1)]
+    assert _binning(monkeypatch, topo, cfg) == ([2], rows)
     # At -20 dBm no relay decodes source 2, but some decode source 1.
     low = replace(cfg, power_dbm=-20.0)
     assert (decode_fail_probs(topo, low, 2) == 1.0).all()
-    assert _basis_sizes(monkeypatch, topo, low) == [cfg.granularity + 1]
+    assert _binning(monkeypatch, topo, low) == ([1], rows)
 
 
 @pytest.mark.parametrize("case", ["noiseless", "zero-threshold", "tied", "21-relays", "all-fail"])
@@ -846,7 +877,7 @@ def test_no_basis_where_no_source_bins_the_closed_form(monkeypatch, paper_setup,
         "21-relays": (line_topology(MAX_RELAYS_CLOSED_FORM + 1), cfg),
         "all-fail": (topo, replace(cfg, power_dbm=-30.0)),
     }[case]
-    assert _basis_sizes(monkeypatch, topo, cfg) == []
+    assert _binning(monkeypatch, topo, cfg) == ([], [])
 
 
 def test_one_tie_check_per_step_outages_and_each_link_measured_once_per_analyze(
@@ -982,9 +1013,12 @@ def test_a_power_sweep_computes_every_point(monkeypatch, paper_setup):
     assert len(rows) == 16 and computed == [1, 2] * 16
 
 
-def test_step_outages_peak_memory_is_one_basis(paper_setup):
-    topo, cfg = paper_setup
-    cfg = replace(cfg, power_dbm=20.0, granularity=100_000)
+@pytest.mark.parametrize("layout, power_dbm, n", [
+    ("paper", 20.0, 100_000), ("line16", 10.0, 100_000), ("line16", 10.0, 1_000_000),
+])
+def test_step_outages_peak_memory_does_not_grow_with_the_relay_count(paper_setup, layout, power_dbm, n):
+    topo = paper_setup[0] if layout == "paper" else line_topology(16)
+    cfg = replace(paper_setup[1], power_dbm=power_dbm, granularity=n)
     step_outages(topo, replace(cfg, granularity=10))  # lazy set-up outside the trace
     tracemalloc.start()
     try:
@@ -992,8 +1026,9 @@ def test_step_outages_peak_memory_is_one_basis(paper_setup):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The basis is (n + 1) * m doubles; a second copy of it would break this.
-    assert peak < 2 * (cfg.granularity + 1) * len(topo.relay_pos) * 8
+    # A few vectors of the n + 1 edges and fixed-size blocks; an (n + 1)-by-m
+    # basis, 8 vectors on the paper layout and 16 on the line, breaks this.
+    assert peak < 10 * (n + 1) * 8
 
 
 # ---------------------------------------------------------------------------

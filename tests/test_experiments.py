@@ -954,15 +954,16 @@ def _spy(monkeypatch, module, name) -> list[tuple]:
     return calls
 
 
-@pytest.mark.parametrize("where, bases, exact", [
-    (["--paper-defaults"], 1, 0),
-    (["--paper-defaults", "--power-dbm", "20", "--granularity", "100000"], 1, 0),
-    (["--config", "line10.json"], 0, 2),
+@pytest.mark.parametrize("where, rows, exact", [
+    (["--paper-defaults"], [1001], 0),
+    (["--paper-defaults", "--power-dbm", "20", "--granularity", "100000"], [4096] * 24 + [1697], 0),
+    (["--config", "line10.json"], [], 2),
 ], ids=["paper", "paper-n1e5", "line10-tied"])
-def test_analyze_computes_its_step_outages_once(monkeypatch, tmp_path, where, bases, exact):
+def test_analyze_computes_its_step_outages_once(monkeypatch, tmp_path, where, rows, exact):
     # `analyze` reads the step outages twice, for the chain and to print them;
     # the second read is a lookup, so each source's links, the closed form's
-    # basis and the tied layout's exact relay steps are computed once.
+    # basis blocks (each edge once, for both sources) and the tied layout's
+    # exact relay steps are computed once.
     save_setup(tmp_path / "line10.json", line_topology(10), default_paper_setup()[1])
     argv = ["analyze", *(str(tmp_path / a) if a.endswith(".json") else a for a in where)]
     # The same command without the memo prints the same bytes.
@@ -970,11 +971,20 @@ def test_analyze_computes_its_step_outages_once(monkeypatch, tmp_path, where, ba
         m.setattr(analytic, "_step_outages", analytic._step_outages.__wrapped__)
         assert main([*argv, "--out", str(tmp_path / "unmemoized.json")]) == 0
     links = _spy(monkeypatch, analytic, "link_rates")
-    basis = _spy(monkeypatch, analytic, "exp_cdf_basis")
+    binned = _spy(monkeypatch, analytic, "bin_relay_sum")
     steps = _spy(monkeypatch, analytic, "relay_step_outage")
+    built, real_blocks = [], analytic._basis_blocks
+
+    def blocks(*args):
+        for k, block in real_blocks(*args):
+            built.append(len(block))
+            yield k, block
+
+    monkeypatch.setattr(analytic, "_basis_blocks", blocks)
     assert main([*argv, "--out", str(tmp_path / "a.json")]) == 0
     assert [source for _, _, source, *_ in links] == [1, 2]
-    assert (len(basis), len(steps)) == (bases, exact)
+    assert [len(cdfs) for cdfs, *_ in binned] == ([2] if rows else [])
+    assert (built, len(steps)) == (rows, exact)
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "unmemoized.json").read_bytes()
 
 
