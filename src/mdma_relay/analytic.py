@@ -12,24 +12,24 @@ all m cost O(m^2).  The same law over the 2^m decode sets is a view
 The relay-step outage bins that CDF and the threshold-conditioned direct
 SNR on n bins and sums the mass of their sum below the threshold, one O(n)
 dot product.  Binning evaluates ``1 - exp(-rate * gamma)`` at the n + 1 bin
-edges for every rate, ``_BASIS_ROWS`` edges at a time in one reused buffer,
-and takes each block's product with the coefficients, so the bits do not
-depend on how many threads the BLAS library runs.  Both sources share the
+edges for every rate, one basis of at most ``_BASIS_ROWS`` edges, and takes
+its product with the coefficients.  Both sources share the
 relay-to-destination rates, so ``step_outages`` checks them for ties once
-and bins both in one pass: each block meets both sources' coefficients, and
-nothing of (n + 1) * m size is held.  ``BinnedPmf`` validates and clamps
-each binned mass once.  On a 2-core host this takes about 0.22 ms at 1 000
-bins and 6 ms at 1e5 on the paper layout.  ``step_outages`` keeps its last
-result, so ``analyze``, which reads the step outages twice, does it once.
+and bins both on one basis.  ``BinnedPmf`` validates and clamps each binned
+mass once.  ``step_outages`` keeps its last result, so ``analyze``, which
+reads the step outages twice, does it once.
 
 The relay sum is also a phase-type law, exact at any relay count and with
 tied rates.  ``relay_sum_cdf_uniformized`` evaluates its CDF as a series of
 nonnegative terms; ``experiments.validate`` checks the closed form against
-it.  Where the closed form is undefined (tied rates) or cancels away (more
-than ``MAX_RELAYS_CLOSED_FORM`` relays), ``relay_step_outage`` evaluates the
+it.  Where the closed form is undefined (tied rates), cancels away (more
+than ``MAX_RELAYS_CLOSED_FORM`` relays) or would need more than one basis
+block of edges (``bins_closed_form``), ``relay_step_outage`` evaluates the
 relay step from the same chain with the direct SNR as a phase in front: one
 absorption probability per source, exact to rounding, with no bins and no
-basis, so ``granularity`` does not change it.
+basis, so ``granularity`` does not change it.  On a 2-core host one
+``step_outages`` call on the paper layout takes about 0.35 ms binned at
+1 000 bins and 0.4-0.6 ms exact at any n.
 """
 
 from __future__ import annotations
@@ -50,10 +50,11 @@ from .topology import ConfigError, LinkParam, NetworkTopology, SystemConfig, lin
 MAX_RELAYS_CLOSED_FORM = 20
 RATE_TIE_RTOL = 1e-9
 _EPS = float(np.finfo(float).eps)
-# Rows of a basis per matrix-vector product.  OpenBLAS splits a product of
-# more than about 460 000 elements over its threads (seen with 0.3.31), which
-# moves the last bits of some rows; 4096 rows of at most 20 rates stay far
-# below that, so the binned law does not depend on the thread count.
+# Most edges of the one basis the closed form is binned on.  OpenBLAS splits
+# a product of more than about 460 000 elements over its threads (seen with
+# 0.3.31), which moves the last bits of some rows; 4096 rows of at most 20
+# rates stay far below that, so the binned law does not depend on the thread
+# count.  Past it the relay step is exact (``bins_closed_form``).
 _BASIS_ROWS = 4096
 
 
@@ -195,29 +196,6 @@ def exp_cdf_basis(gammas: np.ndarray, rates: np.ndarray) -> np.ndarray:
     basis = np.multiply.outer(gammas, -rates)
     np.expm1(basis, out=basis)
     return np.negative(basis, out=basis)
-
-
-def _basis_blocks(gamma_th: float, n: int, rates: np.ndarray, scratch: np.ndarray):
-    """``exp_cdf_basis(np.linspace(0.0, gamma_th, n + 1), rates)`` bit for bit
-    (edge k is ``k * (gamma_th / n)``, the last gamma_th), as (first row,
-    block) pairs of rows = ``min(_BASIS_ROWS, n + 1)`` rows or fewer, views of
-    ``scratch``: 3 * rows * m doubles for the edge indices repeated m times,
-    ``-rates`` tiled and the block, so each step is one flat pass.  On rows
-    of a few rates a broadcast outer product costs more than the ``expm1``."""
-    m, rows, width = len(rates), min(_BASIS_ROWS, n + 1), gamma_th / n
-    index, neg_rates, buf = scratch.reshape(3, rows * m)
-    index[:] = np.repeat(np.arange(rows, dtype=float), m)
-    neg_rates[:] = np.tile(-rates, rows)
-    for k in range(0, n + 1, rows):
-        if k:
-            index += rows
-        block = buf[: min(rows, n + 1 - k) * m]
-        np.multiply(index[: len(block)], width, out=block)
-        if k + rows > n:
-            block[(n - k) * m :] = gamma_th
-        block *= neg_rates[: len(block)]
-        np.expm1(block, out=block)
-        yield k, np.negative(block, out=block).reshape(-1, m)
 
 
 def _pole_ratios(lam: np.ndarray) -> np.ndarray:
@@ -370,6 +348,17 @@ def closed_form_applies(rates: np.ndarray) -> bool:
     return not any(hi - lo <= RATE_TIE_RTOL * abs(lo) or hi == lo for lo, hi in zip(s, s[1:]))
 
 
+def bins_closed_form(paths: GatedPaths, granularity: int) -> bool:
+    """Whether the relay step of these paths bins the closed form
+    (``bin_relay_sum``) rather than taking ``relay_step_outage``: some gate
+    can open, ``paths.closed_form`` holds and the n + 1 bin edges fit one
+    basis block of ``_BASIS_ROWS``.  Past that block, binning costs more than
+    the exact step and its cancellation noise piles up over the bins: on
+    the paper layout at 1e5 bins it took 7-11 ms against 0.4-0.6 ms, and
+    was off by 8.3e5 relative at 20 dBm."""
+    return granularity < _BASIS_ROWS and paths.empty < 1.0 and paths.closed_form
+
+
 @dataclass(frozen=True)
 class BinnedPmf:
     """Probabilities of equal SNR bins of width gamma_th/granularity.
@@ -406,33 +395,23 @@ def bin_relay_sum(cdfs: list[DefectiveCdf], gamma_th: float, granularity: int) -
     """CDF increments over the threshold interval of relay sums that share
     their rates, one ``BinnedPmf`` per CDF.
 
-    The CDFs are evaluated at the n + 1 bin edges one ``_basis_blocks`` block
-    at a time, and each block meets every CDF's coefficients before the next:
-    sources sharing the rates share that work, and nothing of (n + 1) * m
-    size is held.  The increments then overwrite the values in place.  The
-    coefficients alternate in sign, so a CDF carries absolute noise of order
-    eps * sum(|coefficients|); ``BinnedPmf`` clamps increments above minus
-    that floor to zero, and anything more negative is a bug.
+    The basis ``exp_cdf_basis(np.linspace(0, gamma_th, n + 1), rates)`` is
+    built once, and each CDF is one product with it, so sources sharing the
+    rates share the basis.  It is one block of at most ``_BASIS_ROWS`` edges:
+    more than ``_BASIS_ROWS - 1`` bins are refused, as are CDFs of other
+    rates.  The coefficients alternate in sign, so a CDF carries absolute
+    noise of order eps * sum(|coefficients|); ``BinnedPmf`` clamps increments
+    above minus that floor to zero, and anything more negative is a bug.
     """
-    if granularity < 1:
-        raise ConfigError("granularity must be at least 1")
+    if not 1 <= granularity < _BASIS_ROWS:
+        raise ConfigError(f"the closed form is binned on 1 to {_BASIS_ROWS - 1} bins, got {granularity}")
     rates = cdfs[0].rates
     if not all(cdf.rates is rates or np.array_equal(cdf.rates, rates) for cdf in cdfs):
         raise ConfigError("relay sums binned together must share their rates")
-    # One allocation for the values and the blocks' scratch: with two sources
-    # glibc keeps it from call to call, where apart they left more than its
-    # trim threshold free at a call's end, about 1 100 page faults at n = 1e5.
-    size = len(cdfs) * (granularity + 1)
-    work = np.empty(size + 3 * min(_BASIS_ROWS, granularity + 1) * len(rates))
-    at_edges = work[:size].reshape(len(cdfs), granularity + 1)
-    for k, block in _basis_blocks(gamma_th, granularity, rates, work[size:]):
-        for cdf, out in zip(cdfs, at_edges):
-            np.matmul(block, cdf.coeff_per_rate, out=out[k : k + len(block)])
-    for at in at_edges:  # each difference reads its upper edge before it is overwritten
-        np.subtract(at[1:], at[:-1], out=at[:-1])
-    return [BinnedPmf(at[:-1], gamma_th, granularity,
+    basis = exp_cdf_basis(np.linspace(0.0, gamma_th, granularity + 1), rates)
+    return [BinnedPmf(np.diff(basis @ cdf.coeff_per_rate), gamma_th, granularity,
                       64.0 * _EPS * max(1.0, float(np.abs(cdf.coeff_per_rate).sum())))
-            for cdf, at in zip(cdfs, at_edges)]
+            for cdf in cdfs]
 
 
 def bin_conditional_direct(
@@ -511,9 +490,10 @@ def source_step_outages(
     source, at a positive threshold and finite SNR.
 
     ``relay_pmf`` is the closed form binned on the threshold grid
-    (``bin_relay_sum``) for ``step2_outage``, or None where not
-    ``paths.closed_form`` (tied rates, or more than ``MAX_RELAYS_CLOSED_FORM``
-    relays): the relay step is then ``relay_step_outage``, exact at any n.
+    (``bin_relay_sum``) for ``step2_outage``, or None where the closed form
+    is not binned (``bins_closed_form``: tied rates, more than
+    ``MAX_RELAYS_CLOSED_FORM`` relays, or more than ``_BASIS_ROWS - 1``
+    bins): the relay step is then ``relay_step_outage``, exact at any n.
     """
     gamma_th = config.gamma_th
     bcast = direct_outage(direct, gamma_th)
@@ -532,10 +512,11 @@ def step_outages(
     """The step outages of sources 1 and 2, keyed by source.
 
     Both sources' relay sums have the relay-to-destination rates, so their
-    paths share one rates array and its tie check, and the closed form bins
-    both sources in one ``bin_relay_sum`` pass over the threshold grid.  A
-    source is binned only when some relay can decode its broadcast: without
-    relay cooperation (``link_rates``) every gate is 1 and no relay step is taken.
+    paths share one rates array and its tie check, and where
+    ``bins_closed_form`` holds one ``bin_relay_sum`` call bins both sources
+    on one basis; past 4 095 bins every relay step is ``relay_step_outage``.
+    A source's relay step is taken only when some relay can decode its
+    broadcast: without relay cooperation (``link_rates``) every gate is 1.
 
     The last result is kept, keyed on the whole ``(topology, config,
     cooperate)`` (frozen, compared by value); a call with an equal key returns a
@@ -565,7 +546,7 @@ def _step_outages(
     fails = {source: -np.expm1(-rates.source_relay * gamma_th) for source, rates in links.items()}
     first = GatedPaths(fails[1], links[1].relay_dest)
     paths = {1: first, 2: first.with_gates(fails[2])}
-    binned = [source for source, p in paths.items() if p.closed_form and p.empty < 1.0]
+    binned = [source for source, p in paths.items() if bins_closed_form(p, config.granularity)]
     cdfs = [relay_sum_cdf(paths[source]) for source in binned]
     relay_pmfs = dict(zip(binned, bin_relay_sum(cdfs, gamma_th, config.granularity) if cdfs else ()))
     return {

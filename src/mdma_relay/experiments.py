@@ -13,7 +13,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .analytic import GatedPaths, decode_fail_probs, relay_sum_cdf, relay_sum_cdf_uniformized, step_outages
+from .analytic import (
+    GatedPaths,
+    bins_closed_form,
+    decode_fail_probs,
+    relay_sum_cdf,
+    relay_sum_cdf_uniformized,
+    step_outages,
+)
 from .markov import ChainSolution, labelled, ring_distribution, solve_chain
 from .simulator import SCHEMES, SimOptions, simulate
 from .topology import (
@@ -306,7 +313,7 @@ def validate(
     for source in (1, 2):
         rates = link_rates(topology, config, source)
         paths = GatedPaths(decode_fail_probs(topology, config, source, cooperate), rates.relay_dest)
-        if not paths.closed_form:
+        if not bins_closed_form(paths, config.granularity):
             continue
         closed = relay_sum_cdf(paths)(gamma_grid)
         exact = relay_sum_cdf_uniformized(paths, gamma_grid)

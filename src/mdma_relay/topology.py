@@ -17,7 +17,8 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 
 Coord = tuple[float, float]
-# Bins per threshold interval; each analysis holds a few arrays of this length.
+# Bins per threshold interval, checked as input.  Past 4 095 bins the relay
+# step is exact and no printed number depends on the value.
 MAX_GRANULARITY = 1_000_000
 
 

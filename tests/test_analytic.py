@@ -17,10 +17,10 @@ from mdma_relay.analytic import (
     SourceOutages,
     bin_conditional_direct,
     bin_relay_sum,
+    bins_closed_form,
     closed_form_applies,
     decode_fail_probs,
     direct_outage,
-    exp_cdf_basis,
     relay_sum_cdf,
     relay_sum_cdf_uniformized,
     relay_step_outage,
@@ -573,7 +573,7 @@ def test_bin_relay_sum_telescopes():
     assert refined.total == pytest.approx(pmf.total, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 1000, BLOCK_ROWS - 1, BLOCK_ROWS, 3 * BLOCK_ROWS + 5])
+@pytest.mark.parametrize("n", [1, 1000, BLOCK_ROWS - 1])
 def test_relay_sums_binned_together_keep_the_bits_each_gets_alone(n):
     rng = np.random.default_rng(31)
     gates = random_gates(rng, 5)
@@ -596,6 +596,13 @@ def test_bin_relay_sum_refuses_relay_sums_of_other_rates():
             bin_relay_sum([relay_sum_cdf(gates), other], 2.0, 100)
 
 
+@pytest.mark.parametrize("n", [0, BLOCK_ROWS, 100_000])
+def test_bin_relay_sum_refuses_more_bins_than_one_basis_block(n):
+    cdf = relay_sum_cdf(random_gates(np.random.default_rng(31), 3))
+    with pytest.raises(ConfigError, match=f"binned on 1 to {BLOCK_ROWS - 1} bins, got {n}"):
+        bin_relay_sum([cdf], 2.0, n)
+
+
 def test_cdf_basis_in_one_buffer_keeps_the_bits_of_the_temporaries():
     rng = np.random.default_rng(33)
     for m in (1, 3, 8, 16):
@@ -606,23 +613,23 @@ def test_cdf_basis_in_one_buffer_keeps_the_bits_of_the_temporaries():
         assert cdf(0.7) == float(-np.expm1(-0.7 * cdf.rates) @ cdf.coeff_per_rate)
 
 
-def test_basis_blocks_are_the_linspace_basis_bit_for_bit():
+def test_binned_relay_sum_is_the_cdf_on_the_edge_grid_bit_for_bit():
     rng = np.random.default_rng(35)
     # The smallest threshold a config accepts (2**-52, from 2**rate_r0 - 1),
     # the paper's, and random ones over the whole float range; rates from
-    # the paper's relay links down to ones whose exponents underflow.
+    # the paper's relay links down to ones whose exponents underflow.  The
+    # coefficients are positive, so no increment is clamped.
     thresholds = [2.0 ** -52, 1.0, 3.0, math.pi, 1e300, *(10.0 ** rng.uniform(-15, 300, 40))]
-    rates = np.array([1e-300, 0.37, 2.0, 7.5])
+    rates, coeffs = np.array([1e-300, 0.37, 2.0, 7.5]), np.array([0.1, 0.2, 0.3, 0.25])
     for gamma_th in thresholds:
-        for n in (1, 2, 3, 7, 999, 1000, BLOCK_ROWS - 1, BLOCK_ROWS, 100_003, 1_000_000):
-            some = rates[: 1 + n % 4] if n < 100_000 else rates[1:2]
-            scratch = np.empty(3 * min(BLOCK_ROWS, n + 1) * len(some))
-            blocks = analytic._basis_blocks(gamma_th, n, some, scratch)
-            firsts, blocks = zip(*((k, block.copy()) for k, block in blocks))
-            assert firsts == tuple(range(0, n + 1, BLOCK_ROWS))
-            assert all(len(b) == BLOCK_ROWS for b in blocks[:-1]) and len(blocks[-1]) >= 1
-            reference = exp_cdf_basis(np.linspace(0.0, gamma_th, n + 1), some)
-            assert _bits(np.concatenate(blocks)) == _bits(reference), (gamma_th, n)
+        for n in (1, 2, 3, 7, 999, 1000, BLOCK_ROWS - 1):
+            k = 1 + n % 4
+            cdf = analytic.DefectiveCdf(rates[:k], np.zeros(k), coeffs[:k], float(coeffs[:k].sum()))
+            # Edge i is i * (gamma_th / n), and the last is gamma_th.
+            edges = np.arange(n + 1.0) * (gamma_th / n)
+            edges[-1] = gamma_th
+            [pmf] = bin_relay_sum([cdf], gamma_th, n)
+            assert _bits(pmf.probs) == _bits(np.diff(cdf(edges))), (gamma_th, n)
 
 
 def test_bin_conditional_direct_normalizes():
@@ -752,14 +759,14 @@ def test_personalized_phase_copies_shared(paper_setup):
 @pytest.mark.parametrize("power", [-30.0, 4.0, 10.0, 30.0])
 def test_without_relay_cooperation_every_relay_step_is_skipped(monkeypatch, paper_setup, power):
     # No relay hears a source, so every gate is 1: no relay step is taken,
-    # and neither a basis block nor the exact step is computed.  The
-    # broadcast outages are the cooperative ones.
+    # and neither a basis nor the exact step is computed.  The broadcast
+    # outages are the cooperative ones.
     topo, cfg = paper_setup
     cfg = replace(cfg, power_dbm=power)
     coop = step_outages(topo, cfg)
     built = []
     with monkeypatch.context() as m:
-        m.setattr(analytic, "_basis_blocks", lambda *args: built.append(args))
+        m.setattr(analytic, "exp_cdf_basis", lambda *args: built.append(args))
         m.setattr(analytic, "relay_step_outage", lambda *args: built.append(args))
         alone = step_outages(topo, cfg, False)
     assert built == []
@@ -781,7 +788,7 @@ def test_all_outages_vanish_at_huge_snr(paper_setup):
 
 def _per_source_pipeline(topo, cfg, source):
     """One source's step outages through the public steps, with its own
-    relay-sum basis where the closed form applies and the exact step elsewhere."""
+    relay-sum basis where the closed form is binned and the exact step elsewhere."""
     rates = link_rates(topo, cfg, source)
     fails = decode_fail_probs(topo, cfg, source)
     gates = GatedPaths(fails, rates.relay_dest)
@@ -789,7 +796,7 @@ def _per_source_pipeline(topo, cfg, source):
     empty = float(np.prod(fails))
     if empty >= 1.0:
         return SourceOutages(direct_outage(direct, gamma_th), 1.0, empty)
-    if not gates.closed_form:
+    if not bins_closed_form(gates, n):
         return SourceOutages(direct_outage(direct, gamma_th), relay_step_outage(direct, gates, gamma_th), empty)
     relay_pmf = binned_relay_sum(relay_sum_cdf(gates), gamma_th, n)
     relay = step2_outage(relay_pmf, bin_conditional_direct(direct, gamma_th, n), gates)
@@ -799,8 +806,9 @@ def _per_source_pipeline(topo, cfg, source):
 @pytest.mark.parametrize("n", [1, 2, 1000, 100_000])
 @pytest.mark.parametrize("relays", [8, 16])
 def test_step_outages_equal_the_per_source_pipeline(paper_setup, relays, n):
-    # Both sources bin their relay sums in one pass over the edges; every
-    # output keeps the bits binning that source alone gives.
+    # Both sources bin their relay sums on one basis; every output keeps
+    # the bits binning that source alone gives.  Past one basis block of
+    # edges (n = 1e5), both take the exact step.
     topo = paper_setup[0] if relays == 8 else line_topology(relays)
     for p in range(-10, 31, 2):
         cfg = replace(paper_setup[1], power_dbm=float(p), granularity=n)
@@ -822,49 +830,53 @@ def test_tied_and_over_cap_rates_take_the_exact_step_for_both_sources(monkeypatc
 
     monkeypatch.setattr(analytic, "relay_step_outage", spy)
     monkeypatch.setattr(analytic, "relay_sum_cdf_uniformized", lambda *a: bases.append(a))
-    monkeypatch.setattr(analytic, "_basis_blocks", lambda *a: bases.append(a))
+    monkeypatch.setattr(analytic, "exp_cdf_basis", lambda *a: bases.append(a))
     outs = step_outages(topo, cfg)
-    # One exact step per source at the threshold; no basis block, no series.
+    # One exact step per source at the threshold; no basis, no series.
     assert seen == [(relays, cfg.gamma_th)] * 2 and bases == []
     for source in (1, 2):
         assert outs[source] == _per_source_pipeline(topo, cfg, source)
 
 
 def _binning(monkeypatch, topo, cfg):
-    """What one ``step_outages`` call bins: how many relay sums each
-    ``bin_relay_sum`` call takes, and the row count of every basis block."""
-    sums, rows = [], []
-    real_bin, real_blocks = analytic.bin_relay_sum, analytic._basis_blocks
+    """What one ``step_outages`` call computes: how many relay sums each
+    ``bin_relay_sum`` call takes, the edge count of every basis, and how
+    many exact relay steps it takes."""
+    sums, rows, exact = [], [], []
+    real_bin, real_basis, real_step = analytic.bin_relay_sum, analytic.exp_cdf_basis, analytic.relay_step_outage
 
     def bin_spy(cdfs, *args):
         sums.append(len(cdfs))
         return real_bin(cdfs, *args)
 
-    def blocks_spy(*args):
-        for k, block in real_blocks(*args):
-            rows.append(len(block))
-            yield k, block
+    def basis_spy(gammas, rates):
+        rows.append(len(gammas))
+        return real_basis(gammas, rates)
+
+    def step_spy(*args):
+        exact.append(args)
+        return real_step(*args)
 
     with monkeypatch.context() as m:
         m.setattr(analytic, "bin_relay_sum", bin_spy)
-        m.setattr(analytic, "_basis_blocks", blocks_spy)
+        m.setattr(analytic, "exp_cdf_basis", basis_spy)
+        m.setattr(analytic, "relay_step_outage", step_spy)
         step_outages(topo, cfg)
-    return sums, rows
+    return sums, rows, len(exact)
 
 
 @pytest.mark.parametrize("n", [1, 1000, BLOCK_ROWS - 1, BLOCK_ROWS, 100_000])
 def test_each_edge_is_built_once_per_step_outages_call_for_both_sources(monkeypatch, paper_setup, n):
     topo, cfg = paper_setup
     cfg = replace(cfg, granularity=n)
-    # One pass for both sources builds the n + 1 edges once, in
-    # ceil((n + 1) / BLOCK_ROWS) blocks.
-    blocks = -(-(n + 1) // BLOCK_ROWS)
-    rows = [BLOCK_ROWS] * (blocks - 1) + [n + 1 - BLOCK_ROWS * (blocks - 1)]
-    assert _binning(monkeypatch, topo, cfg) == ([2], rows)
+    # One basis for both sources holds the n + 1 edges once; past one basis
+    # block of edges, each source takes the exact step and nothing is binned.
+    binned = n + 1 <= BLOCK_ROWS
+    assert _binning(monkeypatch, topo, cfg) == (([2], [n + 1], 0) if binned else ([], [], 2))
     # At -20 dBm no relay decodes source 2, but some decode source 1.
     low = replace(cfg, power_dbm=-20.0)
     assert (decode_fail_probs(topo, low, 2) == 1.0).all()
-    assert _binning(monkeypatch, topo, low) == ([1], rows)
+    assert _binning(monkeypatch, topo, low) == (([1], [n + 1], 0) if binned else ([], [], 1))
 
 
 @pytest.mark.parametrize("case", ["noiseless", "zero-threshold", "tied", "21-relays", "all-fail"])
@@ -877,7 +889,7 @@ def test_no_basis_where_no_source_bins_the_closed_form(monkeypatch, paper_setup,
         "21-relays": (line_topology(MAX_RELAYS_CLOSED_FORM + 1), cfg),
         "all-fail": (topo, replace(cfg, power_dbm=-30.0)),
     }[case]
-    assert _binning(monkeypatch, topo, cfg) == ([], [])
+    assert _binning(monkeypatch, topo, cfg)[:2] == ([], [])
 
 
 def test_one_tie_check_per_step_outages_and_each_link_measured_once_per_analyze(
@@ -1016,7 +1028,7 @@ def test_a_power_sweep_computes_every_point(monkeypatch, paper_setup):
 @pytest.mark.parametrize("layout, power_dbm, n", [
     ("paper", 20.0, 100_000), ("line16", 10.0, 100_000), ("line16", 10.0, 1_000_000),
 ])
-def test_step_outages_peak_memory_does_not_grow_with_the_relay_count(paper_setup, layout, power_dbm, n):
+def test_step_outages_past_one_basis_block_hold_nothing_of_the_bin_count(paper_setup, layout, power_dbm, n):
     topo = paper_setup[0] if layout == "paper" else line_topology(16)
     cfg = replace(paper_setup[1], power_dbm=power_dbm, granularity=n)
     step_outages(topo, replace(cfg, granularity=10))  # lazy set-up outside the trace
@@ -1026,9 +1038,9 @@ def test_step_outages_peak_memory_does_not_grow_with_the_relay_count(paper_setup
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # A few vectors of the n + 1 edges and fixed-size blocks; an (n + 1)-by-m
-    # basis, 8 vectors on the paper layout and 16 on the line, breaks this.
-    assert peak < 10 * (n + 1) * 8
+    # The exact step holds a few (m + 1)-square matrices, 15 to 23 kB here;
+    # one vector of the n + 1 edges alone is 0.8 MB at n = 1e5.
+    assert peak < 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -1143,7 +1155,6 @@ def _relay_step_rel_errs(topo, cfg):
     for source in (1, 2):
         rates = link_rates(topo, cfg, source)
         paths = GatedPaths(decode_fail_probs(topo, cfg, source), rates.relay_dest)
-        assert not paths.closed_form
         exact = _relay_step_60(rates.direct, cfg.gamma_th, paths)
         errs.append(float(abs(outs[source].relay - exact) / exact))
     return outs, errs
@@ -1163,30 +1174,65 @@ def _near_source_pair():
                            (tuple(mid + off), tuple(mid - off)), topo.alpha)
 
 
-@pytest.mark.parametrize("layout, power_dbm", [
-    *((f"line{m}", p) for m in (10, 24) for p in (-10.0, 0.0, 10.0, 30.0)),
-    *(("near-pair", p) for p in (-30.0, -20.0, -10.0, 0.0, 10.0)),
+def _layout(name):
+    """The topology of a layout name: "paper", "near-pair" or "line<m>"."""
+    if name == "paper":
+        return default_paper_setup()[0]
+    return _near_source_pair() if name == "near-pair" else line_topology(int(name[4:]))
+
+
+@pytest.mark.parametrize("layout, power_dbm, n", [
+    *(pytest.param(f"line{m}", p, 1000, id=f"line{m}-{p}") for m in (10, 24) for p in (-10.0, 0.0, 10.0, 30.0)),
+    *(pytest.param("near-pair", p, 1000, id=f"near-pair-{p}") for p in (-30.0, -20.0, -10.0, 0.0, 10.0)),
+    *(pytest.param(layout, p, 100_000, id=f"{layout}-{p}-n1e5")
+      for layout in ("paper", "line16") for p in (-10.0, 0.0, 10.0, 20.0, 30.0, 40.0)),
 ])
-def test_exact_step_is_within_1e_13_of_60_digits(layout, power_dbm):
-    # Tied (line10, the near-source pair) and over-cap (line24) layouts.  The
-    # relay steps reach 1e-29 on line10 at 30 dBm, and the near pair's relays
+def test_exact_step_is_within_1e_13_of_60_digits(layout, power_dbm, n):
+    # Tied (line10, the near-source pair) and over-cap (line24) layouts, and
+    # the paper layout and line16 past one basis block of bins.  The relay
+    # steps reach 1e-29 on line10 at 30 dBm, and the near pair's relays
     # decode often but reach the destination weakly: Lam gamma_th is 7 290 at
-    # -30 dBm.  Binned on n = 1 000 bins these steps were off by up to 3.6e-3.
-    topo = _near_source_pair() if layout == "near-pair" else line_topology(int(layout[4:]))
-    _, cfg = default_paper_setup(power_dbm=power_dbm)
-    outs, errs = _relay_step_rel_errs(topo, cfg)
+    # -30 dBm.  Binned on n = 1 000 bins the tied steps were off by up to
+    # 3.6e-3, and binned on 1e5 bins the paper layout by 8.3e5 at 20 dBm.
+    _, cfg = default_paper_setup(power_dbm=power_dbm, granularity=n)
+    outs, errs = _relay_step_rel_errs(_layout(layout), cfg)
     assert max(errs) <= 1e-13, errs
     assert all(0.0 < out.relay <= 1.0 for out in outs.values())
 
 
-@pytest.mark.parametrize("layout", ["line10", "line24", "near-pair"])
-def test_exact_step_does_not_depend_on_the_granularity(layout):
-    topo = _near_source_pair() if layout == "near-pair" else line_topology(int(layout[4:]))
+@pytest.mark.parametrize("layout, ns", [
+    *((layout, (1, 2, 7, 1000, 1_000_000)) for layout in ("line10", "line24", "near-pair")),
+    *((layout, (BLOCK_ROWS, 100_000, 1_000_000)) for layout in ("paper", "line16")),
+], ids=["line10", "line24", "near-pair", "paper", "line16"])
+def test_exact_step_does_not_depend_on_the_granularity(layout, ns):
+    topo = _layout(layout)
     for power in (-10.0, 10.0, 30.0):
         _, cfg = default_paper_setup(power_dbm=power)
-        bits = {tuple(_outage_bits(step_outages(topo, replace(cfg, granularity=n))).items())
-                for n in (1, 2, 7, 1000, 1_000_000)}
+        bits = {tuple(_outage_bits(step_outages(topo, replace(cfg, granularity=n))).items()) for n in ns}
         assert len(bits) == 1, (power, bits)
+        for source in (1, 2):
+            rates = link_rates(topo, cfg, source)
+            paths = GatedPaths(decode_fail_probs(topo, cfg, source), rates.relay_dest)
+            exact = relay_step_outage(LinkParam(rates.direct), paths, cfg.gamma_th)
+            assert _bits(step_outages(topo, replace(cfg, granularity=ns[0]))[source].relay) == _bits(exact)
+
+
+# Relay steps of the paper layout at 20 dBm on 4 095 bins, the most the
+# closed form is binned on: the bits it had when it was binned at any n.
+BINNED_AT_4095 = {1: "0x1.4de14b651cf74p-35", 2: "0x1.3a1a9a0285afdp-35"}
+
+
+def test_the_closed_form_is_binned_up_to_4095_bins_and_exact_from_4096(paper_setup):
+    topo, cfg = paper_setup
+    cfg = replace(cfg, power_dbm=20.0)
+    below, at = (step_outages(topo, replace(cfg, granularity=n)) for n in (BLOCK_ROWS - 1, BLOCK_ROWS))
+    for source in (1, 2):
+        rates = link_rates(topo, cfg, source)
+        paths = GatedPaths(decode_fail_probs(topo, cfg, source), rates.relay_dest)
+        assert bins_closed_form(paths, BLOCK_ROWS - 1) and not bins_closed_form(paths, BLOCK_ROWS)
+        assert below[source].relay.hex() == BINNED_AT_4095[source]
+        assert _bits(at[source].relay) == _bits(relay_step_outage(LinkParam(rates.direct), paths, cfg.gamma_th))
+        assert (below[source].bcast, below[source].empty) == (at[source].bcast, at[source].empty)
 
 
 def test_exact_step_ignores_closed_gates():
@@ -1236,7 +1282,7 @@ def _paper_pmfs(power_dbm, n):
         )
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 4096])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, BLOCK_ROWS - 1])
 def test_step2_prefix_sum_matches_the_convolution(n):
     rng = np.random.default_rng(20_000 + n)
     cases = [c for p in (-10.0, 0.0, 10.0, 20.0, 30.0) for c in _paper_pmfs(p, n)]

@@ -461,6 +461,7 @@ def test_validate_passes_without_relay_cooperation(setup10, power):
     report = validate(topo, replace(cfg, power_dbm=power), trials=100_000, seed=0, options=options)
     assert report.passed, "\n".join(report.lines())
     assert not any(c.name.endswith(":relay") for c in report.checks)
+    assert "relay_sum_cdf_vs_uniformization" not in [c.name for c in report.checks]
 
 
 def test_a_sweep_without_relay_cooperation_agrees_with_its_closed_form(setup10):
@@ -956,14 +957,14 @@ def _spy(monkeypatch, module, name) -> list[tuple]:
 
 @pytest.mark.parametrize("where, rows, exact", [
     (["--paper-defaults"], [1001], 0),
-    (["--paper-defaults", "--power-dbm", "20", "--granularity", "100000"], [4096] * 24 + [1697], 0),
+    (["--paper-defaults", "--power-dbm", "20", "--granularity", "100000"], [], 2),
     (["--config", "line10.json"], [], 2),
 ], ids=["paper", "paper-n1e5", "line10-tied"])
 def test_analyze_computes_its_step_outages_once(monkeypatch, tmp_path, where, rows, exact):
     # `analyze` reads the step outages twice, for the chain and to print them;
     # the second read is a lookup, so each source's links, the closed form's
-    # basis blocks (each edge once, for both sources) and the tied layout's
-    # exact relay steps are computed once.
+    # basis (each edge once, for both sources) and the exact relay steps of
+    # the tied layout and of 1e5 bins are computed once.
     save_setup(tmp_path / "line10.json", line_topology(10), default_paper_setup()[1])
     argv = ["analyze", *(str(tmp_path / a) if a.endswith(".json") else a for a in where)]
     # The same command without the memo prints the same bytes.
@@ -973,14 +974,13 @@ def test_analyze_computes_its_step_outages_once(monkeypatch, tmp_path, where, ro
     links = _spy(monkeypatch, analytic, "link_rates")
     binned = _spy(monkeypatch, analytic, "bin_relay_sum")
     steps = _spy(monkeypatch, analytic, "relay_step_outage")
-    built, real_blocks = [], analytic._basis_blocks
+    built, real_basis = [], analytic.exp_cdf_basis
 
-    def blocks(*args):
-        for k, block in real_blocks(*args):
-            built.append(len(block))
-            yield k, block
+    def basis(gammas, rates):
+        built.append(len(gammas))
+        return real_basis(gammas, rates)
 
-    monkeypatch.setattr(analytic, "_basis_blocks", blocks)
+    monkeypatch.setattr(analytic, "exp_cdf_basis", basis)
     assert main([*argv, "--out", str(tmp_path / "a.json")]) == 0
     assert [source for _, _, source, *_ in links] == [1, 2]
     assert [len(cdfs) for cdfs, *_ in binned] == ([2] if rows else [])
@@ -1084,6 +1084,9 @@ def test_no_command_loads_scipy(tmp_path):
 def test_validate_checks_the_closed_form_against_uniformization(capsys):
     assert main(["validate", "--paper-defaults", "--trials", "20000", "--seed", "1"]) == 0
     assert "PASS relay_sum_cdf_vs_uniformization" in capsys.readouterr().out
+    # Past one basis block of bins no source's step outage uses the closed form.
+    assert main(["validate", "--paper-defaults", "--trials", "20000", "--seed", "1", "--granularity", "100000"]) == 0
+    assert "relay_sum_cdf_vs_uniformization" not in capsys.readouterr().out
 
 
 def test_cli_requires_setup_source(capsys):

@@ -13,8 +13,14 @@ no longer depends on n; their ``bcast`` and ``empty`` fields kept their
 bits.  The 24 paper entries at n = 1e5 from
 5 to 40 dBm were rewritten when the basis product went to fixed row blocks:
 OpenBLAS had split it over its threads, so those bits depended on the thread
-count, and the rewritten bits are what one thread gave before.  Every other
-entry keeps its first bits.  Rewrite it only for a change that means to move
+count, and the rewritten bits are what one thread gave before.  The
+``relay`` fields of the 39 paper entries at n = 1e5 from -20 to 40 dBm were
+rewritten again when the closed form stopped being binned past one basis
+block of 4 096 edges: there the relay step is ``relay_step_outage``, as on
+tied layouts, because binning cost more and its cancellation noise had piled
+up to 8.3e5 relative at 20 dBm.  Their ``bcast`` and ``empty`` fields, and
+the entries at -30 and -25 dBm, where no relay decodes, kept their bits.
+Every other entry keeps its first bits.  Rewrite it only for a change that means to move
 those numbers:
 
     PYTHONPATH=src python tests/test_golden_step_outages.py
@@ -55,10 +61,14 @@ def cases():
 
 
 CASES = cases()
-# Where a product long enough for OpenBLAS to thread it can reach the outputs.
-THREAD_CASES = [case for case in CASES if case[0].startswith("paper-") and case[0].endswith("-n100000")] + [
-    (f"line16-{power}dBm-n100000", "line16", {"power_dbm": float(power), "granularity": 100_000})
-    for power in (-10, 0, 10, 20, 30)]
+# The largest basis products that reach the outputs: the closed form binned
+# on 4 095 bins, one basis block.
+THREAD_CASES = [
+    *((f"paper-{power}dBm-eta{eta}-n4095", "paper", {"power_dbm": float(power), "eta": eta, "granularity": 4095})
+      for power in range(-30, 41, 5) for eta in (0.0, 0.45, 1.0)),
+    *((f"line16-{power}dBm-n4095", "line16", {"power_dbm": float(power), "granularity": 4095})
+      for power in (-10, 0, 10, 20, 30)),
+]
 
 
 def record(layout, edits):
@@ -87,7 +97,7 @@ def test_step_outages_keep_their_recorded_bits(golden, case_id, layout, edits):
 def test_step_outages_do_not_depend_on_the_blas_thread_count():
     """OpenBLAS reads its thread count when it loads, so each count gets a
     process of its own.  Asked for 3 threads (it runs at most one per core),
-    it splits an unblocked n = 1e5 basis product, and one thread does not."""
+    it split an n = 1e5 basis product in one, and one thread did not."""
     here = Path(__file__).resolve().parent
     code = ("import json, sys; sys.path[:0] = sys.argv[1:]; import test_golden_step_outages as g; "
             "print(json.dumps({c: g.record(layout, edits) for c, layout, edits in g.THREAD_CASES}))")
