@@ -10,26 +10,21 @@ all m cost O(m^2).  The same law over the 2^m decode sets is a view
 (``DefectiveCdf.subset_terms``), built only when read.
 
 The relay-step outage bins that CDF and the threshold-conditioned direct
-SNR on n bins and sums the mass of their sum below the threshold, one O(n)
-dot product.  Binning evaluates ``1 - exp(-rate * gamma)`` at the n + 1 bin
-edges for every rate, one basis of at most ``_BASIS_ROWS`` edges, and takes
-its product with the coefficients.  Both sources share the
-relay-to-destination rates, so ``step_outages`` checks them for ties once
-and bins both on one basis.  ``BinnedPmf`` validates and clamps each binned
-mass once.  ``step_outages`` keeps its last result, so ``analyze``, which
-reads the step outages twice, does it once.
+SNR on n bins, one basis of at most ``_BASIS_ROWS`` edges shared by both
+sources, and sums the mass of their sum below the threshold, one O(n) dot
+product.
 
 The relay sum is also a phase-type law, exact at any relay count and with
-tied rates.  ``relay_sum_cdf_uniformized`` evaluates its CDF as a series of
-nonnegative terms; ``experiments.validate`` checks the closed form against
-it.  Where the closed form is undefined (tied rates), cancels away (more
-than ``MAX_RELAYS_CLOSED_FORM`` relays) or would need more than one basis
-block of edges (``bins_closed_form``), ``relay_step_outage`` evaluates the
-relay step from the same chain with the direct SNR as a phase in front: one
-absorption probability per source, exact to rounding, with no bins and no
-basis, so ``granularity`` does not change it.  On a 2-core host one
+tied rates: ``_absorbed_within`` sums its uniformized series of nonnegative
+terms from the rows of its jump matrix's powers, and
+``relay_sum_cdf_uniformized``, its CDF, is what ``experiments.validate``
+checks the closed form against.  Where the closed form is undefined (tied
+rates), cancels away (more than ``MAX_RELAYS_CLOSED_FORM`` relays) or would
+need more than one basis block (``bins_closed_form``), ``relay_step_outage``
+takes the relay step from that chain with the direct SNR as a phase in
+front, exact to rounding and without bins.  On a 2-core host one
 ``step_outages`` call on the paper layout takes about 0.35 ms binned at
-1 000 bins and 0.4-0.6 ms exact at any n.
+1 000 bins and 0.3-0.6 ms exact at any n.
 """
 
 from __future__ import annotations
@@ -56,6 +51,8 @@ _EPS = float(np.finfo(float).eps)
 # rates stay far below that, so the binned law does not depend on the thread
 # count.  Past it the relay step is exact (``bins_closed_form``).
 _BASIS_ROWS = 4096
+# Most terms of the exact step's series, which bounds its memory (9 MB of rows on the paper layout).
+_MAX_JUMPS = 1 << 17
 
 
 class ConditioningError(ValueError):
@@ -273,37 +270,46 @@ def _phase_type_chain(paths: GatedPaths, direct_rate: float = 0.0):
     return nxt[0], jump, exit_, lam_max
 
 
-def _chain_over(chain, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """``exp(Q t)``, with Q the chain's generator, and the mass each phase
-    absorbs within t.
+def _absorbed_within(chain, start: np.ndarray, xs) -> np.ndarray:
+    """The mass the chain absorbs from row ``start`` within N ~ Pois(x)
+    jumps, for each x of ``xs``: ``sum_k P(N > k) * (start J^k exit)``.
 
-    The uniformized series ``sum_k Pois(k; Lam t) J^k`` is summed at t / 2^s,
-    where Lam t / 2^s < 1, and then squared s times.  Every term is
-    nonnegative, so the smallest entries keep their relative accuracy.  Past
-    the first jump each weight is at most half the one before and no entry
-    of a jump power or an absorbed mass exceeds 1, so the series stops once
-    twice the weight is below 1e-17 of every entry that can be positive;
-    no entry exceeds 1, so the entries are not scanned while it is above 2e-17.
+    Rows [h, 2h) of ``start J^k`` are rows [0, h) times J^h, J^h squared
+    once per round.  The weights are ratio products from the mode (Fox &
+    Glynn 1988; e^{-x} underflows past x = 745), the tails P(N > k) their
+    reversed sums.  Each x keeps K terms, the first K of 16, 32, ... past x
+    where 2 w_K (K + 1), which bounds the rest, is at most 1e-17 of their
+    sum, so its value does not depend on the other xs or how many rows are
+    built.  More than ``_MAX_JUMPS`` terms raise ``ConfigError``.
     """
-    _, jump, exit_, lam_max = chain
-    m = len(exit_)
-    halvings = max(0, math.frexp(lam_max * t)[1])
-    x = math.ldexp(lam_max * t, -halvings)
-    reachable = np.triu(np.ones((m, m), dtype=bool))
-    power, absorbed = np.eye(m), np.zeros(m)
-    step, out, w = np.zeros((m, m)), np.zeros(m), math.exp(-x)
-    for k in itertools.count():
-        if k > 1 and 2.0 * w <= 2e-17 and 2.0 * w <= 1e-17 * min(step[reachable].min(), out.min()):
-            break
-        step += w * power
-        out += w * absorbed
-        absorbed = absorbed + power @ exit_
-        power = power @ jump
-        w *= x / (k + 1)
-    for _ in range(halvings):
-        out += step @ out
-        step = step @ step
-    return step, out
+    _, jump, exit_, _ = chain
+    x = np.asarray(xs, dtype=float).reshape(-1, 1)
+    # Rows past ten standard deviations above the largest x (NaN gives the cap).
+    size = 1 << int(min(_MAX_JUMPS, x.max() + 10.0 * math.sqrt(x.max()) + 16.0)).bit_length()
+    while size <= _MAX_JUMPS:
+        rows, power, h = np.empty((size, len(start))), jump, 1
+        rows[0] = start
+        while h < size:
+            np.matmul(rows[:h], power, out=rows[h:2 * h])
+            power, h = power @ power, 2 * h
+        terms, k = (rows * exit_).sum(axis=1), np.arange(1.0, size + 1.0)
+        up = k > np.floor(x)
+        # weights[:, j] is w_j / w_mode: products of w_k / w_{k-1} = x / k
+        # above the mode and of w_{k-1} / w_k = k / x below it.
+        weights = np.ones((len(x), size + 1))
+        np.cumprod(np.divide(x, k, out=np.ones(up.shape), where=up), axis=1, out=weights[:, 1:])
+        weights[:, :-1] *= np.cumprod(np.divide(k, x, out=np.ones(up.shape), where=~up)[:, ::-1], axis=1)[:, ::-1]
+        # Every K's sum of terms times its weights' total, for the stop rule.
+        sums = np.cumsum(weights[:, 1:] * np.cumsum(terms), axis=1)
+        ks = 16 << np.arange(size.bit_length() - 4)
+        stop = (ks > x) & (2.0 * (ks + 1) * weights[:, ks] <= 1e-17 * sums[:, ks - 1])
+        if stop.any(axis=1).all():
+            weights[np.arange(size + 1) > ks[stop.argmax(axis=1), None]] = 0.0
+            tails = np.cumsum(weights[:, :0:-1], axis=1)[:, ::-1]
+            return ((tails * terms).sum(axis=1) / (tails[:, 0] + weights[:, 0])).reshape(np.shape(xs))
+        size *= 2
+    raise ConfigError(f"the exact relay step needs more than {_MAX_JUMPS} jumps "
+                      f"(largest rate times threshold {x.max():.4g})")
 
 
 def relay_sum_cdf_uniformized(paths: GatedPaths, gammas) -> np.ndarray:
@@ -314,23 +320,21 @@ def relay_sum_cdf_uniformized(paths: GatedPaths, gammas) -> np.ndarray:
     points = np.asarray(gammas, dtype=float)
     if chain is None:
         return np.zeros(points.shape)
-    at = [chain[0] @ _chain_over(chain, g)[1] for g in points.ravel().tolist()]
-    return np.array(at).reshape(points.shape)
+    return _absorbed_within(chain, chain[0], chain[3] * points)
 
 
 def relay_step_outage(direct: LinkParam, paths: GatedPaths, gamma_th: float) -> float:
     """Failure probability of the relay-forwarding step, exactly: ``P(D + R
     <= gamma_th | D <= gamma_th, some relay decoded)``, D the direct SNR and R
     the decoded relays' sum.  D then R is the relays' chain with a direct
-    phase in front; the mass it absorbs within gamma_th is divided by ``P(D
-    <= gamma_th)`` and by the relays' entry mass (``1 - empty`` as a sum).
-    Every term is nonnegative, so any rates, tied or not, and any relay
-    count keep their relative accuracy.
+    phase in front; the mass it absorbs within gamma_th from that phase,
+    a sum of nonnegative terms, is divided by ``P(D <= gamma_th)`` and by
+    the relays' entry mass (``1 - empty`` as a sum).
     """
     chain = _phase_type_chain(paths, direct.rate_lambda)
     if chain is None:
         raise ConditioningError("no relay can ever decode; the relay step is unreachable")
-    absorbed = _chain_over(chain, gamma_th)[1][0]
+    [absorbed] = _absorbed_within(chain, np.eye(len(chain[2]))[0], [chain[3] * gamma_th])
     return min(float(absorbed / (direct_outage(direct, gamma_th) * chain[0].sum())), 1.0)
 
 
@@ -352,10 +356,9 @@ def bins_closed_form(paths: GatedPaths, granularity: int) -> bool:
     """Whether the relay step of these paths bins the closed form
     (``bin_relay_sum``) rather than taking ``relay_step_outage``: some gate
     can open, ``paths.closed_form`` holds and the n + 1 bin edges fit one
-    basis block of ``_BASIS_ROWS``.  Past that block, binning costs more than
-    the exact step and its cancellation noise piles up over the bins: on
-    the paper layout at 1e5 bins it took 7-11 ms against 0.4-0.6 ms, and
-    was off by 8.3e5 relative at 20 dBm."""
+    basis block of ``_BASIS_ROWS``.  Past it binning costs more than the
+    exact step, and its cancellation noise piles up: on the paper layout at
+    1e5 bins it took 7-11 ms, against 0.3-0.6 ms, and was 8.3e5 off at 20 dBm."""
     return granularity < _BASIS_ROWS and paths.empty < 1.0 and paths.closed_form
 
 
@@ -519,14 +522,11 @@ def step_outages(
     broadcast: without relay cooperation (``link_rates``) every gate is 1.
 
     The last result is kept, keyed on the whole ``(topology, config,
-    cooperate)`` (frozen, compared by value); a call with an equal key returns a
-    new dict of the same frozen ``SourceOutages``, bit for bit what a fresh
-    computation gives.  One entry is all ``analyze`` needs: it calls this
-    twice with one key, through ``analytic_solution`` and to print the
-    outages, and the second call is a lookup.  A sweep, ``validate`` and
-    any other change of inputs compute afresh, and an exception stores
-    nothing.  Delete the memo once ``analyze`` makes one call, which needs
-    the ``calls_per_op == 2.0`` pin in ``perfbench/test_perfbench.py`` moved.
+    cooperate)`` (frozen, compared by value): ``analyze`` calls this twice
+    with one key, and the second call returns a new dict of the same frozen
+    ``SourceOutages``.  An exception stores nothing.  Delete the memo once
+    ``analyze`` makes one call, which needs the ``calls_per_op == 2.0`` pin
+    in ``perfbench/test_perfbench.py`` moved.
     """
     return dict(_step_outages(topology, config, cooperate))
 

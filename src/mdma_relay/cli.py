@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -78,11 +79,21 @@ def _options(args) -> SimOptions:
     )
 
 
+@contextlib.contextmanager
+def _writing(what: str, path: Path):
+    """A path that cannot be written is a ConfigError, as an unreadable input is."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} {path}: {exc}") from exc
+
+
 def _emit(doc: str, out: Path | None) -> None:
     if out is None:
         print(doc)
     else:
-        out.write_text(doc + ("\n" if not doc.endswith("\n") else ""), encoding="utf-8")
+        with _writing("output", out):
+            out.write_text(doc + ("\n" if not doc.endswith("\n") else ""), encoding="utf-8")
 
 
 def cmd_analyze(args) -> int:
@@ -111,7 +122,7 @@ def cmd_simulate(args) -> int:
     _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False), args.out)
     if args.trace_out:
         rows = trace_to_csv_rows(est.trace)
-        with open(args.trace_out, "w", encoding="utf-8", newline="\n") as fh:
+        with _writing("trace", args.trace_out), open(args.trace_out, "w", encoding="utf-8", newline="\n") as fh:
             w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()), lineterminator="\n")
             w.writeheader()
             w.writerows(rows)
@@ -131,12 +142,13 @@ def cmd_sweep(args) -> int:
     manifest = run_manifest(spec, topo, cfg, options)
     rows = run_sweep(spec, topo, cfg, options)
     outdir = args.out or Path(".")
-    outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"sweep_{spec.parameter}.csv"
-    write_rows_csv(csv_path, rows)
-    (outdir / f"sweep_{spec.parameter}.manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
-    )
+    with _writing("sweep output", outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
+        write_rows_csv(csv_path, rows)
+        (outdir / f"sweep_{spec.parameter}.manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
+        )
     print(f"wrote {csv_path}")
     return 0
 

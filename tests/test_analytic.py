@@ -38,7 +38,7 @@ from mdma_relay.topology import (
 )
 from dataclasses import replace
 
-from layouts import line_topology
+from layouts import line_topology, underflow_topology
 from relay_reference import numeric_relay_sum_cdf, relay_sum_cdf_quadrature
 
 
@@ -543,6 +543,23 @@ def test_uniformized_relay_sum_saturates_where_exp_of_minus_lam_g_underflows():
     paths = GatedPaths([0.5, 0.2], [1.0, 3.0])
     got = relay_sum_cdf_uniformized(paths, np.array([300.0, 1000.0]))
     assert got.tolist() == pytest.approx([0.9, 0.9], rel=1e-14)
+
+
+@pytest.mark.parametrize("layout", ["paper", "line10", "near-pair"])
+@pytest.mark.parametrize("power_dbm", [-30.0, -10.0, 20.0])
+def test_uniformized_relay_sum_gives_each_point_its_bits_alone(layout, power_dbm):
+    # validate's grid spans 15 times its first point, so its points stop at
+    # different series lengths: on the near pair at -30 dBm, where Lam
+    # gamma_th is 7 290, from 2 048 to 32 768 rows.  No relay decodes the
+    # paper layout or line10 at -30 dBm.
+    _, cfg = default_paper_setup(power_dbm=power_dbm)
+    topo, grid = _layout(layout), np.linspace(0.2, 3.0, 8) * cfg.gamma_th
+    for source in (1, 2):
+        paths = GatedPaths(decode_fail_probs(topo, cfg, source), link_rates(topo, cfg, source).relay_dest)
+        together = relay_sum_cdf_uniformized(paths, grid)
+        assert _bits(together) == _bits([relay_sum_cdf_uniformized(paths, [g])[0] for g in grid.tolist()])
+        assert _bits(together[::-1]) == _bits(relay_sum_cdf_uniformized(paths, grid[::-1]))
+        assert (together > 0.0).all() == (paths.empty < 1.0)
 
 
 @pytest.mark.parametrize("power_dbm", [-20.0, -30.0])
@@ -1185,15 +1202,17 @@ def _layout(name):
     *(pytest.param(f"line{m}", p, 1000, id=f"line{m}-{p}") for m in (10, 24) for p in (-10.0, 0.0, 10.0, 30.0)),
     *(pytest.param("near-pair", p, 1000, id=f"near-pair-{p}") for p in (-30.0, -20.0, -10.0, 0.0, 10.0)),
     *(pytest.param(layout, p, 100_000, id=f"{layout}-{p}-n1e5")
-      for layout in ("paper", "line16") for p in (-10.0, 0.0, 10.0, 20.0, 30.0, 40.0)),
+      for layout in ("paper", "line16") for p in (-12.0, -10.0, 0.0, 10.0, 20.0, 30.0, 40.0)),
 ])
 def test_exact_step_is_within_1e_13_of_60_digits(layout, power_dbm, n):
     # Tied (line10, the near-source pair) and over-cap (line24) layouts, and
     # the paper layout and line16 past one basis block of bins.  The relay
     # steps reach 1e-29 on line10 at 30 dBm, and the near pair's relays
     # decode often but reach the destination weakly: Lam gamma_th is 7 290 at
-    # -30 dBm.  Binned on n = 1 000 bins the tied steps were off by up to
-    # 3.6e-3, and binned on 1e5 bins the paper layout by 8.3e5 at 20 dBm.
+    # -30 dBm.  At -12 dBm the paper layout's series is its longest, 512
+    # terms for source 2.  Binned on n = 1 000 bins the tied steps were off
+    # by up to 3.6e-3, and binned on 1e5 bins the paper layout by 8.3e5 at
+    # 20 dBm.
     _, cfg = default_paper_setup(power_dbm=power_dbm, granularity=n)
     outs, errs = _relay_step_rel_errs(_layout(layout), cfg)
     assert max(errs) <= 1e-13, errs
@@ -1258,6 +1277,19 @@ def test_exact_step_is_a_probability_at_extreme_powers(layout, power_dbm):
         outs = step_outages(topo, cfg)
     for out in outs.values():
         assert type(out.relay) is float and 0.0 <= out.relay <= 1.0
+
+
+def test_exact_step_refuses_a_series_past_its_cap():
+    # Relay 1 sits on source 1, so its gate is open at any power.  At -40 dBm
+    # the largest rate times gamma_th is 5.6e4, which 65 536 jumps cover; at
+    # -44 dBm it is 1.4e5, past the 131 072-jump cap.
+    topo = underflow_topology((20.0, 20.0))
+    _, cfg = default_paper_setup(power_dbm=-40.0, granularity=100_000)
+    rates = link_rates(topo, cfg, 1)
+    paths = GatedPaths(decode_fail_probs(topo, cfg, 1), rates.relay_dest)
+    assert step_outages(topo, cfg)[1].relay == float(_relay_step_60(rates.direct, cfg.gamma_th, paths)) == 1.0
+    with pytest.raises(ConfigError, match=r"more than 131072 jumps \(largest rate times threshold 1.409e\+05\)"):
+        step_outages(topo, replace(cfg, power_dbm=-44.0))
 
 
 def _step2_by_convolution(relay_pmf, direct_pmf, gates):

@@ -858,6 +858,26 @@ def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, flag, conte
     assert err.count("error:") == 1 and message in err
 
 
+@pytest.mark.parametrize("argv, what", [
+    pytest.param(["analyze", "--paper-defaults", "--out", "{missing}/out.json"], "output", id="analyze-out"),
+    pytest.param(["dump-chain", "--paper-defaults", "--out", "{missing}/out.json"], "output", id="dump-chain-out"),
+    pytest.param(["simulate", "--paper-defaults", "--trials", "200", "--out", "{missing}/out.json"], "output",
+                 id="simulate-out"),
+    pytest.param(["simulate", "--paper-defaults", "--trials", "200", "--trace-slots", "5",
+                  "--trace-out", "{missing}/trace.csv"], "trace", id="simulate-trace-out"),
+    pytest.param(["sweep", "--paper-defaults", "--allow-small-trials", "--spec", "{spec}", "--out", "{spec}"],
+                 "sweep output", id="sweep-out-is-a-file"),
+])
+def test_cli_unwritable_output_is_an_error_not_a_traceback(tmp_path, capsys, argv, what):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"parameter": "power_dbm", "values": [10.0], "schemes": ["mdma"], "trials": 200}))
+    argv = [a.format(missing=tmp_path / "missing", spec=spec) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"error: cannot write {what} {argv[-1]}: " in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
 def _main_output(argv: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one cli.main call; argparse's own
     exits (help, bad arguments) come as SystemExit."""
