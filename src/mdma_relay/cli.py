@@ -8,6 +8,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -50,14 +51,15 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
 
 
 def _setup(args) -> tuple:
+    """The topology and the config, with the command line's overrides.
+
+    ``--paper-defaults`` builds its config once, overrides included: the
+    defaults need no check of their own.  A ``--config`` file's system is
+    checked as written, so an override cannot hide a bad value in it, and
+    again as overridden.
+    """
     if args.config and args.paper_defaults:
         raise ConfigError("choose either --config or --paper-defaults")
-    if args.config:
-        topo, cfg = load_setup(args.config)
-    elif args.paper_defaults:
-        topo, cfg = default_paper_setup()
-    else:
-        raise ConfigError("one of --config or --paper-defaults is required")
     overrides = {}
     if args.power_dbm is not None:
         overrides["power_dbm"] = args.power_dbm
@@ -65,9 +67,12 @@ def _setup(args) -> tuple:
         overrides["eta"] = args.eta
     if args.granularity is not None:
         overrides["granularity"] = args.granularity
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return topo, cfg
+    if args.paper_defaults:
+        return default_paper_setup(**overrides)
+    if not args.config:
+        raise ConfigError("one of --config or --paper-defaults is required")
+    topo, cfg = load_setup(args.config)
+    return topo, replace(cfg, **overrides) if overrides else cfg
 
 
 def _options(args) -> SimOptions:
@@ -229,7 +234,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # Python flushes standard output again at exit; pointing it at the
+        # null device keeps that flush quiet (see the `signal` docs).  An
+        # output with no file descriptor behind it is left as it is.
+        with contextlib.suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -86,17 +86,12 @@ class NetworkTopology:
             raise ConfigError(f"path-loss exponent must be positive, got {self.alpha}")
         # Measure every link the model uses, once (`link_rates` reads these
         # lengths), and reject any of zero length.
-        pairs = [("s1", self.s1_pos, "d", self.d_pos), ("s2", self.s2_pos, "d", self.d_pos)]
-        for i, r in enumerate(self.relay_pos, start=1):
-            pairs.append(("s1", self.s1_pos, f"r{i}", r))
-            pairs.append(("s2", self.s2_pos, f"r{i}", r))
-            pairs.append((f"r{i}", r, "d", self.d_pos))
-        lengths = [euclidean(a, b) for _, a, _, b in pairs]
-        for (name_a, a, name_b, _), length in zip(pairs, lengths):
-            if length <= 0.0:
-                raise DegenerateGeometryError(
-                    f"nodes {name_a} and {name_b} are coincident at {a}"
-                )
+        s1, s2, dst = self.s1_pos, self.s2_pos, self.d_pos
+        lengths = [euclidean(s1, dst), euclidean(s2, dst)]
+        for r in self.relay_pos:
+            lengths += (euclidean(s1, r), euclidean(s2, r), euclidean(r, dst))
+        if min(lengths) <= 0.0:
+            self._reject_coincident(lengths)
         per_relay = np.array(lengths[2:]).reshape(-1, 3).T  # rows: s1-r, s2-r, r-d
         per_relay.flags.writeable = False
         object.__setattr__(self, "link_distances", LinkDistances(lengths[0], lengths[1], *per_relay))
@@ -104,6 +99,14 @@ class NetworkTopology:
     @property
     def num_relays(self) -> int:
         return len(self.relay_pos)
+
+    def _reject_coincident(self, lengths: list[float]):
+        """Raise for the first link of zero length, in ``lengths``' order."""
+        pairs = [("s1", self.s1_pos, "d"), ("s2", self.s2_pos, "d")]
+        for i, r in enumerate(self.relay_pos, start=1):
+            pairs += (("s1", self.s1_pos, f"r{i}"), ("s2", self.s2_pos, f"r{i}"), (f"r{i}", r, "d"))
+        name_a, a, name_b = next(pair for pair, length in zip(pairs, lengths) if length <= 0.0)
+        raise DegenerateGeometryError(f"nodes {name_a} and {name_b} are coincident at {a}")
 
 
 @dataclass(frozen=True)
@@ -138,22 +141,25 @@ class SystemConfig:
     power_units: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
+        names = [f.name for f in fields(self)]
+        for name in names:
+            v = getattr(self, name)
+            if type(v) is float:  # the common case, and the ABC check below is slow
+                continue
             # A JSON `true` would otherwise pass as the number 1.
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ConfigError(f"{f.name} must be a number, got {v!r}")
+                raise ConfigError(f"{name} must be a number, got {v!r}")
             if not fits_float(v):
-                raise ConfigError(f"{f.name} is too large for a float")
+                raise ConfigError(f"{name} is too large for a float")
         if not is_whole(self.granularity):
             raise ConfigError(f"granularity must be a whole number, got {self.granularity!r}")
         # A JSON 1000.0 is stored as 1000, so it bins and prints as 1000 does.
         object.__setattr__(self, "granularity", int(self.granularity))
         # Every comparison below is false for NaN, so it would pass them and
         # fail later under another name.  A NaN granularity is not whole.
-        for f in fields(self):
-            if math.isnan(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must not be NaN")
+        for name in names:
+            if math.isnan(getattr(self, name)):
+                raise ConfigError(f"{name} must not be NaN")
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError(f"eta must lie in [0, 1], got {self.eta}")
         if self.rate_r0 <= 0:

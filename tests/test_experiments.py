@@ -35,6 +35,7 @@ from mdma_relay.topology import (
     ConfigError,
     default_paper_setup,
     link_rates,
+    load_setup,
     save_setup,
     topology_to_dict,
 )
@@ -1016,6 +1017,68 @@ def test_config_granularity_written_as_a_float_is_the_same_setting(tmp_path):
         assert main(["analyze", "--config", str(config), "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+_OVERRIDES = [
+    {"power_dbm": 17.5}, {"eta": 0.3}, {"granularity": 250},
+    {"power_dbm": -4.0, "eta": 0.85, "granularity": 4096},
+]
+_FLAGS = {"power_dbm": "--power-dbm", "eta": "--eta", "granularity": "--granularity"}
+
+
+@pytest.mark.parametrize("overrides", _OVERRIDES, ids=["power", "eta", "granularity", "all"])
+@pytest.mark.parametrize("source", ["paper-defaults", "config"])
+def test_setup_applies_the_overrides_as_replace_does(tmp_path, source, overrides):
+    if source == "config":
+        path = tmp_path / "setup.json"
+        save_setup(path, line_topology(10), replace(default_paper_setup()[1], noise_dbm=-60.0, total_bits=12.0))
+        where, (topo, cfg) = ["--config", str(path)], load_setup(path)
+    else:
+        where, (topo, cfg) = ["--paper-defaults"], default_paper_setup()
+    flags = [arg for name, value in overrides.items() for arg in (_FLAGS[name], str(value))]
+    got = cli._setup(cli.build_parser().parse_args(["analyze", *where, *flags]))
+    assert got == (topo, replace(cfg, **overrides))
+    assert type(got[1].granularity) is int
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eta", "1.5", "eta must lie in [0, 1], got 1.5"),
+    ("--granularity", "0", "granularity 0 is outside [1, 1000000]"),
+    ("--power-dbm", "1e308", "power_dbm 1e+308 over noise_dbm -50.0 overflows the linear SNR"),
+])
+def test_setup_refuses_a_bad_override_with_its_message(capsys, flag, value, message):
+    assert main(["analyze", "--paper-defaults", flag, value]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_an_override_does_not_hide_a_bad_value_in_the_config_file(tmp_path, capsys):
+    # The file's system is checked as written, then again as overridden.
+    path = tmp_path / "setup.json"
+    path.write_text(json.dumps(dict(_paper_config(), system={"eta": 1.5})))
+    assert main(["analyze", "--config", str(path), "--eta", "0.5"]) == 2
+    assert capsys.readouterr() == ("", "error: eta must lie in [0, 1], got 1.5\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--paper-defaults"],
+    ["dump-chain", "--paper-defaults"],
+    ["simulate", "--paper-defaults", "--trials", "200"],
+    ["sweep", "--paper-defaults", "--allow-small-trials", "--spec", "spec.json", "--out", "sweep"],
+    ["validate", "--paper-defaults", "--trials", "2000", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_cli_closed_standard_output_is_an_error_not_a_traceback(tmp_path, argv):
+    # Standard output is a pipe whose read end is closed, so every write to it fails.
+    (tmp_path / "spec.json").write_text(json.dumps(_spec(trials=200, seed=1)))
+    env = dict(os.environ, PYTHONPATH=str(Path(mdma_relay.__file__).resolve().parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mdma_relay.cli", *argv], cwd=tmp_path, env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write standard output: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "validate"])

@@ -32,15 +32,24 @@ def test_first_relay_position(paper_setup):
     assert topo.num_relays == 8
 
 
-def test_coincident_nodes_rejected():
-    with pytest.raises(DegenerateGeometryError):
-        NetworkTopology(
-            s1_pos=(0, 0), s2_pos=(1, 1), d_pos=(0, 0), relay_pos=[(2, 2)], alpha=3
-        )
-    with pytest.raises(DegenerateGeometryError):
-        NetworkTopology(
-            s1_pos=(0, 0), s2_pos=(1, 1), d_pos=(5, 5), relay_pos=[(5, 5)], alpha=3
-        )
+@pytest.mark.parametrize("s1, s2, d, relays, message", [
+    ((0, 0), (1, 1), (0, 0), [(2, 2)], "nodes s1 and d are coincident at (0.0, 0.0)"),
+    ((0, 0), (1, 1), (5, 5), [(5, 5)], "nodes r1 and d are coincident at (5.0, 5.0)"),
+    ((3, 4), (1, 1), (3, 4), [(2, 2), (6, 6)], "nodes s1 and d are coincident at (3.0, 4.0)"),
+    ((0, 0), (7.5, -2), (7.5, -2), [(2, 2), (6, 6)], "nodes s2 and d are coincident at (7.5, -2.0)"),
+    ((0, 0), (1, 1), (9, 9), [(2, 2), (0, 0), (4, 4)], "nodes s1 and r2 are coincident at (0.0, 0.0)"),
+    ((0, 0), (1, 1), (9, 9), [(2, 2), (3, 3), (1, 1)], "nodes s2 and r3 are coincident at (1.0, 1.0)"),
+    ((0, 0), (1, 1), (50, 5), [(2, 2), (3, 3), (50, 5)], "nodes r3 and d are coincident at (50.0, 5.0)"),
+    # Several zero-length links: the first in the order s1-d, s2-d, then
+    # s1-rk, s2-rk, rk-d for k = 1, 2, ... is named.
+    ((0, 0), (0, 0), (0, 0), [(0, 0)], "nodes s1 and d are coincident at (0.0, 0.0)"),
+    ((0, 0), (1, 1), (9, 9), [(2, 2), (9, 9), (3, 3), (1, 1)],
+     "nodes r2 and d are coincident at (9.0, 9.0)"),
+], ids=["s1-d", "r1-d", "s1-d-two-relays", "s2-d", "s1-r2", "s2-r3", "r3-d", "all", "r2-d-before-s2-r4"])
+def test_coincident_nodes_rejected(s1, s2, d, relays, message):
+    with pytest.raises(DegenerateGeometryError) as err:
+        NetworkTopology(s1_pos=s1, s2_pos=s2, d_pos=d, relay_pos=relays, alpha=3)
+    assert str(err.value) == message
 
 
 def test_invalid_topology_inputs():
