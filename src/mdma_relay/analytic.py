@@ -20,11 +20,12 @@ terms from the rows of its jump matrix's powers, and
 ``relay_sum_cdf_uniformized``, its CDF, is what ``experiments.validate``
 checks the closed form against.  Where the closed form is undefined (tied
 rates), cancels away (more than ``MAX_RELAYS_CLOSED_FORM`` relays) or would
-need more than one basis block (``bins_closed_form``), ``relay_step_outage``
-takes the relay step from that chain with the direct SNR as a phase in
-front, exact to rounding and without bins.  On a 2-core host one
-``step_outages`` call on the paper layout takes about 0.2 ms binned at
-1 000 bins and 0.3-0.4 ms exact at any n.
+need one bin or more than one basis block (``bins_closed_form``),
+``relay_step_outages`` takes the relay step from that chain with the direct
+SNR as a phase in front, exact to rounding and without bins, summing every
+such source's chain in one series.  On a 2-core host one ``step_outages``
+call on the paper layout takes about 0.2 ms binned at 1 000 bins and
+0.2-0.35 ms exact at any n.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .topology import ConfigError, LinkParam, NetworkTopology, SystemConfig, lin
 # The coefficients alternate in sign and their absolute sum grows fast with m:
 # on 24 relays of the paper's line (source 1, 0 dBm) it is 8.9e12, the binned
 # closed form is off by 4.9e2 relative, and at 10 and 20 dBm its bins total
-# more than 1.  Past the cap, ``relay_step_outage`` is exact at any m.
+# more than 1.  Past the cap, ``relay_step_outages`` is exact at any m.
 MAX_RELAYS_CLOSED_FORM = 20
 RATE_TIE_RTOL = 1e-9
 _EPS = float(np.finfo(float).eps)
@@ -51,7 +52,7 @@ _EPS = float(np.finfo(float).eps)
 # rates stay far below that, so the binned law does not depend on the thread
 # count.  Past it the relay step is exact (``bins_closed_form``).
 _BASIS_ROWS = 4096
-# Most terms of the exact step's series, which bounds its memory (9 MB of rows on the paper layout).
+# Most terms of the exact step's series, which bounds its memory (9 MB of rows per source on the paper layout).
 _MAX_JUMPS = 1 << 17
 
 
@@ -234,81 +235,84 @@ def relay_sum_cdf(paths: GatedPaths, theta: np.ndarray | None = None) -> Defecti
     )
 
 
-def _phase_type_chain(paths: GatedPaths, direct_rate: float = 0.0):
-    """The relay sum as a phase-type law (Neuts 1981), uniformized at its
-    largest rate Lam (Jensen 1953).
+def _phase_type_chain(gate_probs, rates, direct_rates=None):
+    """Relay sums as phase-type laws (Neuts 1981), one per row of gates,
+    each uniformized at its largest rate Lam (Jensen 1953).
 
-    Its phases are the relays in order: relay k is entered with probability
-    ``1 - a_k`` times the product of the gates it skipped, and the law is
-    absorbed once every later gate is closed.  Returns the entry
-    probabilities, the jump matrix, the absorption probability per jump and
-    Lam, or None where no gate can open.  A relay whose gate is closed is
-    never entered, so dropping it is exact and keeps its rate from setting Lam.
+    A row's phases are its relays in order: relay k is entered with
+    probability ``1 - a_k`` times the product of the gates it skipped, and
+    the law is absorbed once every later gate is closed.  A relay whose gate
+    is closed is never entered, so each row drops its own, exactly as a row
+    alone would, and its rate does not set Lam; every row must keep the same
+    number of relays, at least one.  ``rates`` has a row per row of gates.
+    Returns the stacked entry rows, jump matrices, absorption probabilities
+    per jump and each row's Lam.
 
-    A positive ``direct_rate`` puts a direct phase of that rate in front, and
+    ``direct_rates`` puts a direct phase of each row's rate in front, and
     Lam covers it too.  It jumps to the relays with the entry probabilities,
     still the ones returned, and absorbs nothing: its no-relay share is lost.
     """
-    a, lam = paths.gate_probs, paths.rates
-    a, lam = a[a < 1.0], lam[a < 1.0]
-    m = len(a)
-    if not m:
-        return None
+    keep = gate_probs < 1.0
+    a, lam = gate_probs[keep].reshape(len(keep), -1), rates[keep].reshape(len(keep), -1)
+    s, m = a.shape
     # Row 0 is the start and row r > 0 leaves relay r - 1.  passed[r, j]: the
     # gates of relays r to j - 1 are all closed; nxt[r, j >= r]: relay j is next.
     later = np.arange(m) >= np.arange(m + 1)[:, None]
-    passed = np.ones((m + 1, m + 1))
-    np.cumprod(np.where(later, a, 1.0), axis=1, out=passed[:, 1:])
-    nxt = np.where(later, (1.0 - a) * passed[:, :m], 0.0)
-    lam_max = max(lam.max(), direct_rate)
-    scale = lam / lam_max
-    front = 1 if direct_rate else 0  # the direct phase, if any, is phase 0
-    jump, exit_ = np.zeros((front + m, front + m)), np.zeros(front + m)
-    jump[front:, front:] = scale[:, None] * nxt[1:] + np.diag(1.0 - scale)
-    exit_[front:] = scale * passed[1:, m]
+    passed = np.ones((s, m + 1, m + 1))
+    np.cumprod(np.where(later, a[:, None], 1.0), axis=-1, out=passed[:, :, 1:])
+    nxt = np.where(later, (1.0 - a[:, None]) * passed[:, :, :m], 0.0)
+    lam_max = lam.max(axis=1) if direct_rates is None else np.maximum(lam.max(axis=1), direct_rates)
+    scale = lam / lam_max[:, None]
+    front = 0 if direct_rates is None else 1  # the direct phase, if any, is phase 0
+    jump, exit_ = np.zeros((s, front + m, front + m)), np.zeros((s, front + m))
+    # nxt[r + 1, r] is 0, so the diagonal is 1 - scale alone.
+    jump[:, front:, front:] = scale[:, :, None] * nxt[:, 1:]
+    jump.reshape(s, -1)[:, front * (front + m + 1)::front + m + 1] = 1.0 - scale
+    exit_[:, front:] = scale * passed[:, 1:, m]
     if front:
-        d = direct_rate / lam_max
-        jump[0, 0], jump[0, 1:] = 1.0 - d, d * nxt[0]
-    return nxt[0], jump, exit_, lam_max
+        d = direct_rates / lam_max
+        jump[:, 0, 0], jump[:, 0, 1:] = 1.0 - d, d[:, None] * nxt[:, 0]
+    return nxt[:, 0], jump, exit_, lam_max
 
 
-def _absorbed_within(chain, start: np.ndarray, xs) -> np.ndarray:
-    """The mass the chain absorbs from row ``start`` within N ~ Pois(x)
-    jumps, for each x of ``xs``: ``sum_k P(N > k) * (start J^k exit)``.
+def _absorbed_within(jump, exit_, start, xs) -> np.ndarray:
+    """The mass each chain s absorbs from row ``start`` (or ``start[s]``)
+    within N ~ Pois(x) jumps, for each x of ``xs[s]``: ``sum_k P(N > k) *
+    (start J^k exit)``.
 
     Rows [h, 2h) of ``start J^k`` are rows [0, h) times J^h, J^h squared
     once per round.  The weights are ratio products from the mode (Fox &
     Glynn 1988; e^{-x} underflows past x = 745), the tails P(N > k) their
     reversed sums.  Each x keeps K terms, the first K of 16, 32, ... past x
     where 2 w_K (K + 1), which bounds the rest, is at most 1e-17 of their
-    sum, so its value does not depend on the other xs or how many rows are
-    built.  More than ``_MAX_JUMPS`` terms raise ``ConfigError``.
+    sum, so its value does not depend on the other xs, the other chains or
+    how many rows are built.  More than ``_MAX_JUMPS`` terms raise
+    ``ConfigError``.
     """
-    _, jump, exit_, _ = chain
-    x = np.asarray(xs, dtype=float).reshape(-1, 1)
+    x = np.asarray(xs, dtype=float)[:, :, None]
     # Rows past ten standard deviations above the largest x (NaN gives the cap).
     size = 1 << int(min(_MAX_JUMPS, x.max() + 10.0 * math.sqrt(x.max()) + 16.0)).bit_length()
     while size <= _MAX_JUMPS:
-        rows, power, h = np.empty((size, len(start))), jump, 1
-        rows[0] = start
+        rows, power, h = np.empty((len(exit_), size, exit_.shape[-1])), jump, 1
+        rows[:, 0] = start
         while h < size:
-            np.matmul(rows[:h], power, out=rows[h:2 * h])
+            np.matmul(rows[:, :h], power, out=rows[:, h:2 * h])
             power, h = power @ power, 2 * h
-        terms, k = (rows * exit_).sum(axis=1), np.arange(1.0, size + 1.0)
+        terms, k = (rows * exit_[:, None]).sum(axis=-1)[:, None], np.arange(1.0, size + 1.0)
         up = k > np.floor(x)
-        # weights[:, j] is w_j / w_mode: products of w_k / w_{k-1} = x / k
+        # weights[..., j] is w_j / w_mode: products of w_k / w_{k-1} = x / k
         # above the mode and of w_{k-1} / w_k = k / x below it.
-        weights = np.ones((len(x), size + 1))
-        np.cumprod(np.divide(x, k, out=np.ones(up.shape), where=up), axis=1, out=weights[:, 1:])
-        weights[:, :-1] *= np.cumprod(np.divide(k, x, out=np.ones(up.shape), where=~up)[:, ::-1], axis=1)[:, ::-1]
+        weights = np.ones(x.shape[:2] + (size + 1,))
+        np.cumprod(np.divide(x, k, out=np.ones(up.shape), where=up), axis=-1, out=weights[..., 1:])
+        weights[..., :-1] *= np.cumprod(np.divide(k, x, out=np.ones(up.shape), where=~up)[..., ::-1], axis=-1)[..., ::-1]
         # Every K's sum of terms times its weights' total, for the stop rule.
-        sums = np.cumsum(weights[:, 1:] * np.cumsum(terms), axis=1)
+        sums = np.cumsum(weights[..., 1:] * np.cumsum(terms, axis=-1), axis=-1)
         ks = 16 << np.arange(size.bit_length() - 4)
-        stop = (ks > x) & (2.0 * (ks + 1) * weights[:, ks] <= 1e-17 * sums[:, ks - 1])
-        if stop.any(axis=1).all():
-            weights[np.arange(size + 1) > ks[stop.argmax(axis=1), None]] = 0.0
-            tails = np.cumsum(weights[:, :0:-1], axis=1)[:, ::-1]
-            return ((tails * terms).sum(axis=1) / (tails[:, 0] + weights[:, 0])).reshape(np.shape(xs))
+        stop = (ks > x) & (2.0 * (ks + 1) * weights[..., ks] <= 1e-17 * sums[..., ks - 1])
+        if stop.any(axis=-1).all():
+            weights[np.arange(size + 1) > ks[stop.argmax(axis=-1), None]] = 0.0
+            tails = np.cumsum(weights[..., :0:-1], axis=-1)[..., ::-1]
+            return (tails * terms).sum(axis=-1) / (tails[..., 0] + weights[..., 0])
         size *= 2
     raise ConfigError(f"the exact relay step needs more than {_MAX_JUMPS} jumps "
                       f"(largest rate times threshold {x.max():.4g})")
@@ -318,26 +322,36 @@ def relay_sum_cdf_uniformized(paths: GatedPaths, gammas) -> np.ndarray:
     """``P(relay sum <= g, some relay decoded)`` at each g of ``gammas``,
     exactly: nothing cancels, so the deep tail keeps its relative accuracy,
     and tied rates and any relay count need no special case."""
-    chain = _phase_type_chain(paths)
     points = np.asarray(gammas, dtype=float)
-    if chain is None:
+    if paths.empty >= 1.0:
         return np.zeros(points.shape)
-    return _absorbed_within(chain, chain[0], chain[3] * points)
+    entry, jump, exit_, lam = _phase_type_chain(paths.gate_probs[None], paths.rates[None])
+    return _absorbed_within(jump, exit_, entry, lam[:, None] * points.reshape(1, -1))[0].reshape(points.shape)
 
 
-def relay_step_outage(direct: LinkParam, paths: GatedPaths, gamma_th: float) -> float:
-    """Failure probability of the relay-forwarding step, exactly: ``P(D + R
-    <= gamma_th | D <= gamma_th, some relay decoded)``, D the direct SNR and R
-    the decoded relays' sum.  D then R is the relays' chain with a direct
-    phase in front; the mass it absorbs within gamma_th from that phase,
-    a sum of nonnegative terms, is divided by ``P(D <= gamma_th)`` and by
-    the relays' entry mass (``1 - empty`` as a sum).
+def relay_step_outages(directs: list[LinkParam], paths: list[GatedPaths], gamma_th: float) -> list[float]:
+    """Failure probability of each source's relay-forwarding step, exactly:
+    ``P(D + R <= gamma_th | D <= gamma_th, some relay decoded)``, D the
+    direct SNR ``directs[s]`` and R the decoded relays' sum of ``paths[s]``,
+    all paths of one relay count, as both sources' are.  D then R is the relays' chain with a direct phase in front; the mass it
+    absorbs within gamma_th from that phase, a sum of nonnegative terms, is
+    divided by ``P(D <= gamma_th)`` and by the relays' entry mass (``1 -
+    empty`` as a sum).  The sources' chains are summed in one series per
+    chain size, and each value has the bits of its source's alone.
     """
-    chain = _phase_type_chain(paths, direct.rate_lambda)
-    if chain is None:
+    sizes = [np.count_nonzero(p.gate_probs < 1.0) for p in paths]
+    if not all(sizes):
         raise ConditioningError("no relay can ever decode; the relay step is unreachable")
-    [absorbed] = _absorbed_within(chain, np.eye(len(chain[2]))[0], [chain[3] * gamma_th])
-    return min(float(absorbed / (direct_outage(direct, gamma_th) * chain[0].sum())), 1.0)
+    out = [0.0] * len(paths)
+    for size in set(sizes):
+        batch = [s for s, k in enumerate(sizes) if k == size]
+        entry, jump, exit_, lam = _phase_type_chain(
+            np.array([paths[s].gate_probs for s in batch]), np.array([paths[s].rates for s in batch]),
+            np.array([directs[s].rate_lambda for s in batch]))
+        absorbed = _absorbed_within(jump, exit_, np.eye(exit_.shape[-1])[0], lam[:, None] * gamma_th)[:, 0]
+        for s, value, mass in zip(batch, absorbed, entry.sum(axis=-1)):
+            out[s] = min(float(value / (direct_outage(directs[s], gamma_th) * mass)), 1.0)
+    return out
 
 
 def closed_form_applies(rates: np.ndarray) -> bool:
@@ -356,12 +370,14 @@ def closed_form_applies(rates: np.ndarray) -> bool:
 
 def bins_closed_form(paths: GatedPaths, granularity: int) -> bool:
     """Whether the relay step of these paths bins the closed form
-    (``bin_relay_sum``) rather than taking ``relay_step_outage``: some gate
-    can open, ``paths.closed_form`` holds and the n + 1 bin edges fit one
-    basis block of ``_BASIS_ROWS``.  Past it binning costs more than the
-    exact step, and its cancellation noise piles up: on the paper layout at
-    1e5 bins it took 7-11 ms, against 0.3-0.6 ms, and was 8.3e5 off at 20 dBm."""
-    return granularity < _BASIS_ROWS and paths.empty < 1.0 and paths.closed_form
+    (``bin_relay_sum``) rather than taking ``relay_step_outages``: some gate
+    can open, ``paths.closed_form`` holds and the n + 1 bin edges, at least
+    3, fit one basis block of ``_BASIS_ROWS``.  One bin holds no pair of
+    bins below the threshold, so ``step2_outage`` would read 0.  Past the
+    block binning costs more than the exact step, and its cancellation noise
+    piles up: on the paper layout at 1e5 bins it took 7-11 ms, against
+    0.3-0.6 ms, and was 8.3e5 off at 20 dBm."""
+    return 2 <= granularity < _BASIS_ROWS and paths.empty < 1.0 and paths.closed_form
 
 
 @dataclass(frozen=True)
@@ -494,30 +510,6 @@ class SourceOutages:
                 raise ConfigError(f"{name} must be a probability, got {v}")
 
 
-def source_step_outages(
-    direct: LinkParam, paths: GatedPaths, config: SystemConfig,
-    relay_pmf: BinnedPmf | None,
-) -> SourceOutages:
-    """Broadcast outage, relay-step outage and empty-set probability of one
-    source, at a positive threshold and finite SNR.
-
-    ``relay_pmf`` is the closed form binned on the threshold grid
-    (``bin_relay_sum``) for ``step2_outage``, or None where the closed form
-    is not binned (``bins_closed_form``: tied rates, more than
-    ``MAX_RELAYS_CLOSED_FORM`` relays, or more than ``_BASIS_ROWS - 1``
-    bins): the relay step is then ``relay_step_outage``, exact at any n.
-    """
-    gamma_th = config.gamma_th
-    bcast = direct_outage(direct, gamma_th)
-    empty = paths.empty
-    if empty >= 1.0:
-        return SourceOutages(bcast, 1.0, empty)
-    if relay_pmf is None:
-        return SourceOutages(bcast, relay_step_outage(direct, paths, gamma_th), empty)
-    direct_pmf = bin_conditional_direct(direct, gamma_th, config.granularity)
-    return SourceOutages(bcast, step2_outage(relay_pmf, direct_pmf, paths), empty)
-
-
 def step_outages(
     topology: NetworkTopology, config: SystemConfig, cooperate: bool = True
 ) -> dict[int, SourceOutages]:
@@ -526,9 +518,10 @@ def step_outages(
     Both sources' relay sums have the relay-to-destination rates, so their
     paths share one rates array and its tie check, and where
     ``bins_closed_form`` holds one ``bin_relay_sum`` call bins both sources
-    on one basis; past 4 095 bins every relay step is ``relay_step_outage``.
-    A source's relay step is taken only when some relay can decode its
-    broadcast: without relay cooperation (``link_rates``) every gate is 1.
+    on one basis; at one bin or past 4 095, one ``relay_step_outages`` call
+    takes every relay step.  A source's relay step is taken only when some
+    relay can decode its broadcast: without relay cooperation
+    (``link_rates``) every gate is 1.
 
     The last result is kept, keyed on the whole ``(topology, config,
     cooperate)`` (frozen, compared by value): ``analyze`` calls this twice
@@ -560,9 +553,12 @@ def _step_outages(
     # matrix serves both; only binned paths have distinct rates, which it needs.
     theta = _pole_ratios(first.rates) if binned else None
     cdfs = [relay_sum_cdf(paths[source], theta) for source in binned]
-    relay_pmfs = dict(zip(binned, bin_relay_sum(cdfs, gamma_th, config.granularity) if cdfs else ()))
-    return {
-        source: source_step_outages(LinkParam(rates.direct), paths[source], config, relay_pmfs.get(source))
-        for source, rates in links.items()
-    }
-
+    directs = {source: LinkParam(rates.direct) for source, rates in links.items()}
+    relays = {source: step2_outage(pmf, bin_conditional_direct(directs[source], gamma_th, config.granularity),
+                                   paths[source])
+              for source, pmf in zip(binned, bin_relay_sum(cdfs, gamma_th, config.granularity) if cdfs else ())}
+    exact = [source for source, p in paths.items() if p.empty < 1.0 and source not in relays]
+    if exact:
+        relays.update(zip(exact, relay_step_outages([directs[s] for s in exact], [paths[s] for s in exact], gamma_th)))
+    return {source: SourceOutages(direct_outage(directs[source], gamma_th), relays.get(source, 1.0), paths[source].empty)
+            for source in links}

@@ -35,8 +35,8 @@ def _add_setup_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--power-dbm", type=float, default=None, help="override transmit power")
     p.add_argument("--eta", type=float, default=None, help="override shared-information ratio")
     p.add_argument("--granularity", type=int, default=None,
-                   help="override the closed form's bin count; from 4096 bins, as with tied or "
-                        "over-cap relays, the relay step is exact and takes no bins")
+                   help="override the closed form's bin count, 2 to 4095; on 1 bin and from 4096 "
+                        "bins, as with tied or over-cap relays, the relay step is exact and takes no bins")
 
 
 def _add_sim_args(p: argparse.ArgumentParser) -> None:

@@ -1,0 +1,144 @@
+"""End-to-end checks of the command-line program, as a user runs it.
+
+    python tests/runtime_check.py WORKDIR COMMAND [ARG...]
+
+COMMAND is the program to check: an installed ``mdma-relay``, or
+``python -m mdma_relay.cli``.  WORKDIR is a scratch directory for its
+inputs and outputs.  The script imports only the standard library, the
+package and ``tests/layouts.py``, so it runs in an install without the test
+extra, where a scipy import outside the tests would fail these commands.
+numpy is the only runtime dependency.  Each check runs commands and fails
+on an unexpected exit status, stderr line or output byte:
+
+- ``analyze --paper-defaults``: the closed form and the chain.
+- A standard output whose reader has exited: one ``error:`` line on stderr,
+  no traceback, exit status 2.
+- A tied 10-relay line and a 24-relay line: the exact relay step.
+- The paper layout at 20 dBm and a 16-relay line past one basis block of
+  4 096 edges: at the largest granularity the CLI accepts, 1e6 bins, each
+  prints the bytes it prints at 4 096 bins.  So does the paper layout at
+  -12 dBm, where the exact step sums its longest series, 512 terms, and at
+  -10 dBm, where one source closes a relay the other keeps open, so the
+  exact step sums one series per chain size.
+- The paper layout at 0 dBm on one bin prints the bytes it prints at 4 096
+  bins: one bin takes the exact step, not a binned sum of nothing.
+- ``validate`` with and without relay cooperation: the oracle checks.
+- Relay 1 1e-200 from source 1, so that its link's rate underflows to 0:
+  ``validate`` passes (only that relay always decodes).
+- Relay 1 1e-200 from the destination: ``simulate`` refuses the layout, as
+  ``analyze`` does, with exit status 2.
+- ``simulate`` of every scheme.
+- A 30 dBm trace, where the destination decodes almost every broadcast:
+  it reads relay-side SNRs drawn for the missed broadcasts only.
+- One-point sweeps of all four schemes sharing one pool of broadcast draws,
+  and again without relay cooperation.  At 5 000 trials each source's draws
+  fit one chunk; at 50 000 the schemes read several, each sized by the
+  slots its first reader had left.
+- At 3e6 trials source 1's chunks pass the 16 MiB a pool keeps, so FDMA
+  draws its tail itself, from the source's generators: the point's CSV is
+  byte for byte the header and the rows of the four one-scheme sweeps.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from layouts import line_topology, underflow_topology
+from mdma_relay.topology import default_paper_setup, save_setup
+
+SCHEMES = ("mdma", "tdma", "fdma", "noma")
+
+
+def _run(command: list[str], *args: str, status: int = 0, **kwargs) -> subprocess.CompletedProcess:
+    print("$", *command, *args, flush=True)
+    done = subprocess.run([*command, *args], **kwargs)
+    if done.returncode != status:
+        raise SystemExit(f"exit status {done.returncode}, expected {status}: {' '.join([*command, *args])}")
+    return done
+
+
+def _same_bytes(a: Path, b: Path) -> None:
+    if a.read_bytes() != b.read_bytes():
+        raise SystemExit(f"{a} and {b} differ")
+
+
+def _closed_stdout(command: list[str]) -> None:
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _run(command, "analyze", "--paper-defaults", status=2, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    lines = done.stderr.splitlines()
+    if not any(re.fullmatch(r"error: cannot write standard output: .*", line) for line in lines):
+        raise SystemExit(f"no error line for a closed standard output: {done.stderr!r}")
+    if "Traceback" in done.stderr:
+        raise SystemExit(f"a closed standard output gave a traceback: {done.stderr}")
+
+
+def _sweep(command: list[str], work: Path, name: str, schemes, trials: int, *flags: str) -> Path:
+    spec = work / f"{name}.json"
+    spec.write_text(json.dumps({"parameter": "power_dbm", "values": [10.0], "schemes": list(schemes),
+                                "trials": trials}))
+    _run(command, "sweep", "--paper-defaults", *flags, "--spec", str(spec), "--out", str(work / name),
+         stdout=subprocess.DEVNULL)
+    return work / name / "sweep_power_dbm.csv"
+
+
+def run(command: list[str], work: Path) -> None:
+    work.mkdir(parents=True, exist_ok=True)
+    quiet = {"stdout": subprocess.DEVNULL}
+    _run(command, "analyze", "--paper-defaults", **quiet)
+    _closed_stdout(command)
+
+    for m in (10, 16, 24):
+        save_setup(work / f"line{m}.json", line_topology(m), default_paper_setup()[1])
+    for name, origin in (("source1", (20.0, 20.0)), ("destination", (100.0, 0.0))):
+        save_setup(work / f"underflow-{name}.json", underflow_topology(origin), default_paper_setup(power_dbm=4.0)[1])
+    for m in (10, 24):
+        _run(command, "analyze", "--config", str(work / f"line{m}.json"), **quiet)
+
+    same = {
+        "paper": (["--paper-defaults", "--power-dbm", "20"], ("4096", "1000000")),
+        "line16": (["--config", str(work / "line16.json")], ("4096", "1000000")),
+        "paper-12dBm": (["--paper-defaults", "--power-dbm", "-12"], ("4096", "1000000")),
+        "paper-10dBm": (["--paper-defaults", "--power-dbm", "-10"], ("4096", "1000000")),
+        "paper-0dBm": (["--paper-defaults", "--power-dbm", "0"], ("1", "4096")),
+    }
+    for name, (where, ns) in same.items():
+        outs = [work / f"{name}-n{n}.json" for n in ns]
+        for n, out in zip(ns, outs):
+            _run(command, "analyze", *where, "--granularity", n, "--out", str(out))
+        _same_bytes(*outs)
+
+    _run(command, "validate", "--paper-defaults", "--trials", "20000", **quiet)
+    _run(command, "validate", "--paper-defaults", "--trials", "20000", "--no-relay-cooperation", **quiet)
+    _run(command, "validate", "--config", str(work / "underflow-source1.json"), "--trials", "200000", **quiet)
+    _run(command, "simulate", "--config", str(work / "underflow-destination.json"), "--trials", "20000",
+         status=2, **quiet)
+    for scheme in SCHEMES:
+        _run(command, "simulate", "--paper-defaults", "--scheme", scheme, "--trials", "20000", **quiet)
+    _run(command, "simulate", "--paper-defaults", "--scheme", "mdma", "--power-dbm", "30", "--trials", "20000",
+         "--trace-slots", "2000", "--trace-out", str(work / "trace30.csv"), **quiet)
+
+    _sweep(command, work, "sweep", SCHEMES, 5000, "--allow-small-trials")
+    _sweep(command, work, "sweep50k", SCHEMES, 50_000)
+    _sweep(command, work, "sweep-nocoop", SCHEMES, 5000, "--allow-small-trials", "--no-relay-cooperation")
+    together = _sweep(command, work, "sweep3m", SCHEMES, 3_000_000).read_bytes().splitlines(keepends=True)
+    alone = together[:1]
+    for scheme in SCHEMES:
+        alone += _sweep(command, work, f"sweep3m-{scheme}", [scheme], 3_000_000).read_bytes().splitlines(keepends=True)[1:]
+    if b"".join(alone) != b"".join(together):
+        raise SystemExit("the 3e6-trial sweep point is not the rows of its one-scheme sweeps")
+    print("runtime check: PASS")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 3:
+        raise SystemExit(__doc__)
+    run(sys.argv[2:], Path(sys.argv[1]))

@@ -23,7 +23,7 @@ from mdma_relay.analytic import (
     direct_outage,
     relay_sum_cdf,
     relay_sum_cdf_uniformized,
-    relay_step_outage,
+    relay_step_outages,
     step2_outage,
     step_outages,
 )
@@ -380,12 +380,12 @@ def test_tie_switches_to_the_exact_step_continuously():
     direct, n = LinkParam(0.8), 1000
     closed = step2_outage(binned_relay_sum(relay_sum_cdf(apart), 2.0, n),
                           bin_conditional_direct(direct, 2.0, n), apart)
-    exact = relay_step_outage(direct, tied, 2.0)
+    exact = relay_step_outages([direct], [tied], 2.0)[0]
     assert abs(closed - exact) < 5.0 / n * exact
     # The exact step on either side of the switch moves with the rates only.
     edge = GatedPaths([0.3, 0.5], [2.0, 2.0 * (1 + 1.5 * RATE_TIE_RTOL)])
     assert edge.closed_form
-    assert relay_step_outage(direct, edge, 2.0) == pytest.approx(exact, rel=1e-8)
+    assert relay_step_outages([direct], [edge], 2.0)[0] == pytest.approx(exact, rel=1e-8)
     # Where the gap keeps the closed form well conditioned, its bins are the series' ones.
     apart = GatedPaths([0.3, 0.5], [2.0, 2.0 * (1 + 1e-3)])
     closed = binned_relay_sum(relay_sum_cdf(apart), 2.0, n)
@@ -784,7 +784,7 @@ def test_without_relay_cooperation_every_relay_step_is_skipped(monkeypatch, pape
     built = []
     with monkeypatch.context() as m:
         m.setattr(analytic, "exp_cdf_basis", lambda *args: built.append(args))
-        m.setattr(analytic, "relay_step_outage", lambda *args: built.append(args))
+        m.setattr(analytic, "relay_step_outages", lambda *args: built.append(args))
         alone = step_outages(topo, cfg, False)
     assert built == []
     for source, out in alone.items():
@@ -814,7 +814,7 @@ def _per_source_pipeline(topo, cfg, source):
     if empty >= 1.0:
         return SourceOutages(direct_outage(direct, gamma_th), 1.0, empty)
     if not bins_closed_form(gates, n):
-        return SourceOutages(direct_outage(direct, gamma_th), relay_step_outage(direct, gates, gamma_th), empty)
+        return SourceOutages(direct_outage(direct, gamma_th), relay_step_outages([direct], [gates], gamma_th)[0], empty)
     relay_pmf = binned_relay_sum(relay_sum_cdf(gates), gamma_th, n)
     relay = step2_outage(relay_pmf, bin_conditional_direct(direct, gamma_th, n), gates)
     return SourceOutages(direct_outage(direct, gamma_th), relay, empty)
@@ -825,13 +825,16 @@ def _per_source_pipeline(topo, cfg, source):
 def test_step_outages_equal_the_per_source_pipeline(paper_setup, relays, n):
     # Both sources bin their relay sums on one basis; every output keeps
     # the bits binning that source alone gives.  Past one basis block of
-    # edges (n = 1e5), both take the exact step.
+    # edges (n = 1e5), and on one bin, which holds no pair of bins below the
+    # threshold, both take the exact step, as at 4 096 bins.
     topo = paper_setup[0] if relays == 8 else line_topology(relays)
     for p in range(-10, 31, 2):
         cfg = replace(paper_setup[1], power_dbm=float(p), granularity=n)
         outs = step_outages(topo, cfg)
         for source in (1, 2):
             assert outs[source] == _per_source_pipeline(topo, cfg, source), (p, source)
+        if n in (1, 100_000):
+            assert outs == step_outages(topo, replace(cfg, granularity=BLOCK_ROWS)), p
 
 
 @pytest.mark.parametrize("relays", [10, MAX_RELAYS_CLOSED_FORM + 4])
@@ -841,16 +844,16 @@ def test_tied_and_over_cap_rates_take_the_exact_step_for_both_sources(monkeypatc
     assert not closed_form_applies(link_rates(topo, cfg, 1).relay_dest)
     seen, bases = [], []
 
-    def spy(direct, paths, gamma_th):
-        seen.append((len(paths), gamma_th))
-        return relay_step_outage(direct, paths, gamma_th)
+    def spy(directs, paths, gamma_th):
+        seen.append(([len(p) for p in paths], gamma_th))
+        return relay_step_outages(directs, paths, gamma_th)
 
-    monkeypatch.setattr(analytic, "relay_step_outage", spy)
+    monkeypatch.setattr(analytic, "relay_step_outages", spy)
     monkeypatch.setattr(analytic, "relay_sum_cdf_uniformized", lambda *a: bases.append(a))
     monkeypatch.setattr(analytic, "exp_cdf_basis", lambda *a: bases.append(a))
     outs = step_outages(topo, cfg)
-    # One exact step per source at the threshold; no basis, no series.
-    assert seen == [(relays, cfg.gamma_th)] * 2 and bases == []
+    # One exact call for both sources at the threshold; no basis, no series.
+    assert seen == [([relays] * 2, cfg.gamma_th)] and bases == []
     for source in (1, 2):
         assert outs[source] == _per_source_pipeline(topo, cfg, source)
 
@@ -858,9 +861,9 @@ def test_tied_and_over_cap_rates_take_the_exact_step_for_both_sources(monkeypatc
 def _binning(monkeypatch, topo, cfg):
     """What one ``step_outages`` call computes: how many relay sums each
     ``bin_relay_sum`` call takes, the edge count of every basis, and how
-    many exact relay steps it takes."""
+    many sources each ``relay_step_outages`` call takes."""
     sums, rows, exact = [], [], []
-    real_bin, real_basis, real_step = analytic.bin_relay_sum, analytic.exp_cdf_basis, analytic.relay_step_outage
+    real_bin, real_basis, real_step = analytic.bin_relay_sum, analytic.exp_cdf_basis, analytic.relay_step_outages
 
     def bin_spy(cdfs, *args):
         sums.append(len(cdfs))
@@ -870,30 +873,77 @@ def _binning(monkeypatch, topo, cfg):
         rows.append(len(gammas))
         return real_basis(gammas, rates)
 
-    def step_spy(*args):
-        exact.append(args)
-        return real_step(*args)
+    def step_spy(directs, paths, gamma_th):
+        exact.append(len(paths))
+        return real_step(directs, paths, gamma_th)
 
     with monkeypatch.context() as m:
         m.setattr(analytic, "bin_relay_sum", bin_spy)
         m.setattr(analytic, "exp_cdf_basis", basis_spy)
-        m.setattr(analytic, "relay_step_outage", step_spy)
+        m.setattr(analytic, "relay_step_outages", step_spy)
         step_outages(topo, cfg)
-    return sums, rows, len(exact)
+    return sums, rows, exact
 
 
-@pytest.mark.parametrize("n", [1, 1000, BLOCK_ROWS - 1, BLOCK_ROWS, 100_000])
+@pytest.mark.parametrize("n", [1, 2, 1000, BLOCK_ROWS - 1, BLOCK_ROWS, 100_000])
 def test_each_edge_is_built_once_per_step_outages_call_for_both_sources(monkeypatch, paper_setup, n):
     topo, cfg = paper_setup
     cfg = replace(cfg, granularity=n)
-    # One basis for both sources holds the n + 1 edges once; past one basis
-    # block of edges, each source takes the exact step and nothing is binned.
-    binned = n + 1 <= BLOCK_ROWS
-    assert _binning(monkeypatch, topo, cfg) == (([2], [n + 1], 0) if binned else ([], [], 2))
+    # One basis for both sources holds the n + 1 edges once; on one bin and
+    # past one basis block of edges, one exact call takes both sources'
+    # relay steps and nothing is binned.
+    binned = 2 <= n < BLOCK_ROWS
+    assert _binning(monkeypatch, topo, cfg) == (([2], [n + 1], []) if binned else ([], [], [2]))
     # At -20 dBm no relay decodes source 2, but some decode source 1.
     low = replace(cfg, power_dbm=-20.0)
     assert (decode_fail_probs(topo, low, 2) == 1.0).all()
-    assert _binning(monkeypatch, topo, low) == (([1], [n + 1], 0) if binned else ([], [], 1))
+    assert _binning(monkeypatch, topo, low) == (([1], [n + 1], []) if binned else ([], [], [1]))
+
+
+def _exact_inputs(topo, cfg):
+    """Both sources' direct links and gated paths, as ``step_outages`` builds them."""
+    rates = {source: link_rates(topo, cfg, source) for source in (1, 2)}
+    return ([LinkParam(rates[s].direct) for s in (1, 2)],
+            [GatedPaths(decode_fail_probs(topo, cfg, s), rates[s].relay_dest) for s in (1, 2)])
+
+
+def test_stacked_exact_steps_keep_each_sources_bits(paper_setup):
+    # Each source of one two-source call has the bits of its call alone: with
+    # chains of one size stacked, and where one source closes a relay the
+    # other keeps open, one series per chain size.
+    _, cfg = paper_setup
+    spots = [("paper", paper_setup[0], range(-30, 61)),
+             *((f"line{m}", line_topology(m), range(-14, 31)) for m in (10, 16, 24))]
+    uneven = set()
+    for name, topo, powers in spots:
+        for p in powers:
+            at = replace(cfg, power_dbm=float(p))
+            directs, paths = _exact_inputs(topo, at)
+            open_ = [int((path.gate_probs < 1.0).sum()) for path in paths]
+            if not all(open_):
+                continue
+            if open_[0] != open_[1]:
+                uneven.add((name, p))
+            both = relay_step_outages(directs, paths, at.gamma_th)
+            alone = [relay_step_outages([d], [path], at.gamma_th)[0] for d, path in zip(directs, paths)]
+            assert _bits(both) == _bits(alone), (name, p)
+    # Where one source closes a relay the other keeps open, 23 points of
+    # this 1 dB grid, the chains differ in size and take one series each.
+    assert {("paper", -12), ("paper", -10), ("line16", -14), ("line16", -10),
+            ("line24", -14), ("line24", -10)} <= uneven
+    assert len(uneven) == 23
+
+
+@pytest.mark.parametrize("n", [1, 100_000])
+def test_a_fully_shut_source_reads_1_and_the_other_keeps_its_bits(paper_setup, n):
+    # At -20 dBm no relay decodes source 2; source 1 takes the exact step alone.
+    topo, cfg = paper_setup
+    low = replace(cfg, power_dbm=-20.0, granularity=n)
+    directs, paths = _exact_inputs(topo, low)
+    assert paths[1].empty == 1.0 and paths[0].empty < 1.0
+    outs = step_outages(topo, low)
+    assert outs[2].relay == 1.0
+    assert _bits(outs[1].relay) == _bits(relay_step_outages(directs[:1], paths[:1], low.gamma_th)[0])
 
 
 @pytest.mark.parametrize("case", ["noiseless", "zero-threshold", "tied", "21-relays", "all-fail"])
@@ -1109,7 +1159,7 @@ def test_exact_step_agrees_with_the_binned_closed_form(paper_setup, power_dbm):
         rates = link_rates(topo, low, source)
         gates = GatedPaths(decode_fail_probs(topo, low, source), rates.relay_dest)
         assert gates.closed_form
-        exact = relay_step_outage(LinkParam(rates.direct), gates, low.gamma_th)
+        exact = relay_step_outages([LinkParam(rates.direct)], [gates], low.gamma_th)[0]
         assert outs[source].relay <= exact
         assert abs(outs[source].relay - exact) < 5.0 / low.granularity * exact
 
@@ -1232,7 +1282,7 @@ def test_exact_step_does_not_depend_on_the_granularity(layout, ns):
         for source in (1, 2):
             rates = link_rates(topo, cfg, source)
             paths = GatedPaths(decode_fail_probs(topo, cfg, source), rates.relay_dest)
-            exact = relay_step_outage(LinkParam(rates.direct), paths, cfg.gamma_th)
+            exact = relay_step_outages([LinkParam(rates.direct)], [paths], cfg.gamma_th)[0]
             assert _bits(step_outages(topo, replace(cfg, granularity=ns[0]))[source].relay) == _bits(exact)
 
 
@@ -1250,7 +1300,7 @@ def test_the_closed_form_is_binned_up_to_4095_bins_and_exact_from_4096(paper_set
         paths = GatedPaths(decode_fail_probs(topo, cfg, source), rates.relay_dest)
         assert bins_closed_form(paths, BLOCK_ROWS - 1) and not bins_closed_form(paths, BLOCK_ROWS)
         assert below[source].relay.hex() == BINNED_AT_4095[source]
-        assert _bits(at[source].relay) == _bits(relay_step_outage(LinkParam(rates.direct), paths, cfg.gamma_th))
+        assert _bits(at[source].relay) == _bits(relay_step_outages([LinkParam(rates.direct)], [paths], cfg.gamma_th)[0])
         assert (below[source].bcast, below[source].empty) == (at[source].bcast, at[source].empty)
 
 
@@ -1259,10 +1309,12 @@ def test_exact_step_ignores_closed_gates():
     direct = LinkParam(1.3)
     with_closed = GatedPaths([0.3, 1.0, 0.6], [1.0, 1e9, 2.2])
     without = GatedPaths([0.3, 0.6], [1.0, 2.2])
-    got = relay_step_outage(direct, with_closed, 1.0)
-    assert _bits(got) == _bits(relay_step_outage(direct, without, 1.0)) and 0.0 < got < 1.0
-    with pytest.raises(ConditioningError):
-        relay_step_outage(direct, with_closed.with_gates([1.0] * 3), 1.0)
+    [got] = relay_step_outages([direct], [with_closed], 1.0)
+    assert _bits(got) == _bits(relay_step_outages([direct], [without], 1.0)[0]) and 0.0 < got < 1.0
+    # A source with every gate closed is refused, alone or beside an open one.
+    for sources in ([with_closed.with_gates([1.0] * 3)], [without, with_closed.with_gates([1.0] * 3)]):
+        with pytest.raises(ConditioningError, match="no relay can ever decode"):
+            relay_step_outages([direct] * len(sources), sources, 1.0)
 
 
 @pytest.mark.parametrize("layout", ["line10", "line24", "near-pair"])

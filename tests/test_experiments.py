@@ -977,15 +977,16 @@ def _spy(monkeypatch, module, name) -> list[tuple]:
 
 
 @pytest.mark.parametrize("where, rows, exact", [
-    (["--paper-defaults"], [1001], 0),
-    (["--paper-defaults", "--power-dbm", "20", "--granularity", "100000"], [], 2),
-    (["--config", "line10.json"], [], 2),
+    (["--paper-defaults"], [1001], []),
+    (["--paper-defaults", "--power-dbm", "20", "--granularity", "100000"], [], [2]),
+    (["--config", "line10.json"], [], [2]),
 ], ids=["paper", "paper-n1e5", "line10-tied"])
 def test_analyze_computes_its_step_outages_once(monkeypatch, tmp_path, where, rows, exact):
     # `analyze` reads the step outages twice, for the chain and to print them;
     # the second read is a lookup, so each source's links, the closed form's
     # basis (each edge once, for both sources) and the exact relay steps of
-    # the tied layout and of 1e5 bins are computed once.
+    # the tied layout and of 1e5 bins, one call for both sources, are
+    # computed once.
     save_setup(tmp_path / "line10.json", line_topology(10), default_paper_setup()[1])
     argv = ["analyze", *(str(tmp_path / a) if a.endswith(".json") else a for a in where)]
     # The same command without the memo prints the same bytes.
@@ -994,7 +995,7 @@ def test_analyze_computes_its_step_outages_once(monkeypatch, tmp_path, where, ro
         assert main([*argv, "--out", str(tmp_path / "unmemoized.json")]) == 0
     links = _spy(monkeypatch, analytic, "link_rates")
     binned = _spy(monkeypatch, analytic, "bin_relay_sum")
-    steps = _spy(monkeypatch, analytic, "relay_step_outage")
+    steps = _spy(monkeypatch, analytic, "relay_step_outages")
     built, real_basis = [], analytic.exp_cdf_basis
 
     def basis(gammas, rates):
@@ -1005,7 +1006,7 @@ def test_analyze_computes_its_step_outages_once(monkeypatch, tmp_path, where, ro
     assert main([*argv, "--out", str(tmp_path / "a.json")]) == 0
     assert [source for _, _, source, *_ in links] == [1, 2]
     assert [len(cdfs) for cdfs, *_ in binned] == ([2] if rows else [])
-    assert (built, len(steps)) == (rows, exact)
+    assert (built, [len(paths) for _, paths, _ in steps]) == (rows, exact)
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "unmemoized.json").read_bytes()
 
 

@@ -8,7 +8,7 @@ tied ``line10`` entries with n > 1 were rewritten when tied and over-cap
 relay sums moved from convolved per-path masses to the bins of the exact
 phase-type law.  Their ``relay`` fields were rewritten again, at every n,
 when tied and over-cap relay steps became one exact absorption probability
-of that law with the direct SNR in front (``relay_step_outage``), which
+of that law with the direct SNR in front (``relay_step_outages``), which
 no longer depends on n; their ``bcast`` and ``empty`` fields kept their
 bits.  The 24 paper entries at n = 1e5 from
 5 to 40 dBm were rewritten when the basis product went to fixed row blocks:
@@ -16,7 +16,7 @@ OpenBLAS had split it over its threads, so those bits depended on the thread
 count, and the rewritten bits are what one thread gave before.  The
 ``relay`` fields of the 39 paper entries at n = 1e5 from -20 to 40 dBm were
 rewritten again when the closed form stopped being binned past one basis
-block of 4 096 edges: there the relay step is ``relay_step_outage``, as on
+block of 4 096 edges: there the relay step is ``relay_step_outages``, as on
 tied layouts, because binning cost more and its cancellation noise had piled
 up to 8.3e5 relative at 20 dBm.  Their ``bcast`` and ``empty`` fields, and
 the entries at -30 and -25 dBm, where no relay decodes, kept their bits.
@@ -25,6 +25,12 @@ entries, every entry that takes the exact step, were rewritten once more
 when that step stopped squaring a matrix exponential and summed the rows of
 its jump matrix's powers instead: each moved by at most 1.3e-15 relative,
 rounding, and each new value is within 6e-16 of 60 digits.
+The 82 ``relay`` fields of the 44 entries at n = 1 where some relay decodes
+a source and the closed form applies (39 paper, 5 ``line16``) were
+rewritten when one bin stopped binning the closed form: a single bin holds
+no pair of bins below the threshold, so each had read 0.0.  They are now
+the exact step's values, the bits of the same case at n = 1e5; their
+``bcast`` and ``empty`` fields kept their bits.
 Every other entry keeps its first bits.  Rewrite it only for a change that means to move
 those numbers:
 
@@ -56,7 +62,7 @@ def cases():
             for n in (1, 2, 7, 1000, 100_000):
                 out.append((f"paper-{power}dBm-eta{eta}-n{n}", "paper",
                             {"power_dbm": float(power), "eta": eta, "granularity": n}))
-    for layout in ("line16", "line10"):  # line10 is tied: relay_step_outage
+    for layout in ("line16", "line10"):  # line10 is tied: relay_step_outages
         for power in (-10, 0, 10, 20, 30):
             for n in (1, 2, 7, 1000):
                 out.append((f"{layout}-{power}dBm-n{n}", layout,
