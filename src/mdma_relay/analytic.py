@@ -18,14 +18,14 @@ The relay sum is also a phase-type law, exact at any relay count and with
 tied rates: ``_absorbed_within`` sums its uniformized series of nonnegative
 terms from the rows of its jump matrix's powers, and
 ``relay_sum_cdf_uniformized``, its CDF, is what ``experiments.validate``
-checks the closed form against.  Where the closed form is undefined (tied
-rates), cancels away (more than ``MAX_RELAYS_CLOSED_FORM`` relays) or would
-need one bin or more than one basis block (``bins_closed_form``),
-``relay_step_outages`` takes the relay step from that chain with the direct
-SNR as a phase in front, exact to rounding and without bins, summing every
-such source's chain in one series.  On a 2-core host one ``step_outages``
-call on the paper layout takes about 0.2 ms binned at 1 000 bins and
-0.2-0.35 ms exact at any n.
+checks the closed form against.  The closed form is binned only where its
+cancellation keeps at least half the CDF's digits, by a bound computed from
+the rates alone, and on 2 to 4 095 bins (``bins_closed_form``).  Elsewhere,
+tied rates included, ``relay_step_outages`` takes the relay step from that
+chain with the direct SNR as a phase in front, exact to rounding and without
+bins, summing every such source's chain in one series.  On a 2-core host
+one ``step_outages`` call on the paper layout takes about 0.2 ms binned at
+1 000 bins and 0.2-0.35 ms exact at any n.
 """
 
 from __future__ import annotations
@@ -39,18 +39,21 @@ import numpy as np
 
 from .topology import ConfigError, LinkParam, NetworkTopology, SystemConfig, link_rates
 
-# The coefficients alternate in sign and their absolute sum grows fast with m:
-# on 24 relays of the paper's line (source 1, 0 dBm) it is 8.9e12, the binned
-# closed form is off by 4.9e2 relative, and at 10 and 20 dBm its bins total
-# more than 1.  Past the cap, ``relay_step_outages`` is exact at any m.
+# Most relays the closed form is binned for: the basis has a column per rate,
+# and 4096 rows (``_BASIS_ROWS``) of at most 20 rates keep its product far
+# below OpenBLAS's thread split.  Past the cap the relay step is exact.
 MAX_RELAYS_CLOSED_FORM = 20
-RATE_TIE_RTOL = 1e-9
+# Largest condition bound (``_condition``) the closed form is binned at, about
+# 1/sqrt(eps): eps times it bounds the binned CDF's absolute cancellation
+# noise, so the CDF keeps at least half its digits.
+_MAX_CONDITION = 2.0 ** 26
 _EPS = float(np.finfo(float).eps)
 # Most edges of the one basis the closed form is binned on.  OpenBLAS splits
 # a product of more than about 460 000 elements over its threads (seen with
-# 0.3.31), which moves the last bits of some rows; 4096 rows of at most 20
-# rates stay far below that, so the binned law does not depend on the thread
-# count.  Past it the relay step is exact (``bins_closed_form``).
+# 0.3.31), which moves the last bits of some rows; 4096 rows of at most
+# ``MAX_RELAYS_CLOSED_FORM`` rates stay far below that, so the binned law does
+# not depend on the thread count.  Past it the relay step is exact
+# (``bins_closed_form``).
 _BASIS_ROWS = 4096
 # Most terms of the exact step's series, which bounds its memory (9 MB of rows per source on the paper layout).
 _MAX_JUMPS = 1 << 17
@@ -91,17 +94,6 @@ class GatedPaths:
 
     def __len__(self) -> int:
         return len(self.rates)
-
-    @cached_property
-    def closed_form(self) -> bool:
-        """``closed_form_applies(self.rates)``: whether ``relay_sum_cdf`` is defined."""
-        return closed_form_applies(self.rates)
-
-    def with_gates(self, gate_probs) -> GatedPaths:
-        """These rates behind other gates, sharing the rates' tie check."""
-        out = GatedPaths(gate_probs, self.rates)
-        vars(out)["closed_form"] = self.closed_form
-        return out
 
 
 def direct_outage(link: LinkParam, gamma_th: float) -> float:
@@ -197,11 +189,24 @@ def exp_cdf_basis(gammas: np.ndarray, rates: np.ndarray) -> np.ndarray:
 
 
 def _pole_ratios(lam: np.ndarray) -> np.ndarray:
-    """``theta[x, y] = lam_y / (lam_y - lam_x)``, with the diagonal exactly 1.0."""
+    """``theta[x, y] = lam_y / (lam_y - lam_x)``, with the diagonal exactly 1.0,
+    built without a warning: infinite where two rates tie, and all NaN if a
+    rate is infinite, where inf - inf and inf / inf would warn."""
+    if not lam.max() < math.inf:
+        return np.full((len(lam), len(lam)), math.nan)
     gap = lam - lam[:, None]
     # x / x is exactly 1.0, so the diagonal leaves a member's own factor as is.
     gap.flat[:: len(lam) + 1] = lam
-    return lam / gap
+    return np.divide(lam, gap, out=np.full(gap.shape, math.inf), where=gap != 0.0)
+
+
+def _condition(theta: np.ndarray) -> float:
+    """``sum_x prod_y max(1, |theta[x, y]|)`` of pole ratios ``theta``: each
+    factor ``a + (1 - a) * theta`` of a coefficient lies between 1 and theta,
+    so this bounds the coefficients' absolute sum behind any gates, and eps
+    times it the CDF's cancellation noise at every power.  Infinite for tied
+    rates, NaN for an infinite one."""
+    return float(np.maximum(np.abs(theta), 1.0).prod(axis=1).sum())
 
 
 def relay_sum_cdf(paths: GatedPaths, theta: np.ndarray | None = None) -> DefectiveCdf:
@@ -214,18 +219,17 @@ def relay_sum_cdf(paths: GatedPaths, theta: np.ndarray | None = None) -> Defecti
     theta[x, y])`` with pole ratios ``theta[x, y] = lam_y / (lam_y -
     lam_x)``.  That is one m-by-m product, O(m^2): about 0.06 ms at m = 8,
     16 or 20 on a 2-core host, against 0.2 ms, 65 ms and 1.6 s for summing
-    the same coefficients over the 2^m decode sets.  ``theta``, if given,
-    is ``_pole_ratios(paths.rates)``, built once for paths that share their
-    rates.  Only defined where ``paths.closed_form``; elsewhere it raises
-    ``ConfigError``.
+    the same coefficients over the 2^m decode sets.  Defined wherever its
+    pole ratios are finite: tied or infinite rates raise ``ConfigError``.
+    ``theta``, if given, is ``_pole_ratios(paths.rates)`` of rates that
+    ``bins_closed_form`` accepted, built once for paths that share them.
     """
-    if not paths.closed_form:
-        raise ConfigError(
-            f"the subset expansion needs at most {MAX_RELAYS_CLOSED_FORM} relays "
-            f"with rates pairwise distinct within {RATE_TIE_RTOL:g}"
-        )
     a, lam = paths.gate_probs, paths.rates
-    factors = a + (1.0 - a) * (_pole_ratios(lam) if theta is None else theta)
+    if theta is None:
+        theta = _pole_ratios(lam)
+        if not np.isfinite(theta).all():
+            raise ConfigError(f"the closed form needs pairwise distinct, finite rates, got {lam}")
+    factors = a + (1.0 - a) * theta
     factors.flat[:: len(a) + 1] = 1.0 - a
     return DefectiveCdf(
         rates=lam,
@@ -354,30 +358,19 @@ def relay_step_outages(directs: list[LinkParam], paths: list[GatedPaths], gamma_
     return out
 
 
-def closed_form_applies(rates: np.ndarray) -> bool:
-    """Whether ``relay_sum_cdf`` is defined for paths of these rates: at most
-    ``MAX_RELAYS_CLOSED_FORM`` of them, pairwise distinct within
-    ``RATE_TIE_RTOL``."""
-    if len(rates) > MAX_RELAYS_CLOSED_FORM:
-        return False
-    # The truth table of np.isclose(hi, lo, rtol=RATE_TIE_RTOL, atol=0.0) on
-    # sorted rates, in float arithmetic, where inf - inf is NaN and warns of
-    # nothing; equality keeps two infinite rates tied.  NaN ties nothing, and
-    # numpy sorts it last, so dropping it leaves the other neighbours as they are.
-    s = sorted(r for r in map(float, rates) if r == r)
-    return not any(hi - lo <= RATE_TIE_RTOL * abs(lo) or hi == lo for lo, hi in zip(s, s[1:]))
-
-
-def bins_closed_form(paths: GatedPaths, granularity: int) -> bool:
+def bins_closed_form(paths: GatedPaths, granularity: int, theta: np.ndarray | None = None) -> bool:
     """Whether the relay step of these paths bins the closed form
     (``bin_relay_sum``) rather than taking ``relay_step_outages``: some gate
-    can open, ``paths.closed_form`` holds and the n + 1 bin edges, at least
-    3, fit one basis block of ``_BASIS_ROWS``.  One bin holds no pair of
-    bins below the threshold, so ``step2_outage`` would read 0.  Past the
-    block binning costs more than the exact step, and its cancellation noise
-    piles up: on the paper layout at 1e5 bins it took 7-11 ms, against
-    0.3-0.6 ms, and was 8.3e5 off at 20 dBm."""
-    return 2 <= granularity < _BASIS_ROWS and paths.empty < 1.0 and paths.closed_form
+    can open, the n + 1 bin edges, at least 3, fit one basis block of
+    ``_BASIS_ROWS``, at most ``MAX_RELAYS_CLOSED_FORM`` relays, and the
+    condition bound of ``theta`` (``_pole_ratios(paths.rates)`` if not given)
+    is at most ``_MAX_CONDITION``, which tied and infinite rates fail.  One bin
+    holds no pair of bins below the threshold.  Past the block binning costs
+    more than the exact step, and its noise piles up: on the paper layout at
+    1e5 bins it took 7-11 ms, against 0.3-0.6 ms, and was 8.3e5 off at 20 dBm.
+    Past the bound the 16-relay line (2.5e11) read 4.3e-5 at 10 dBm, not 9.7e-16."""
+    return (2 <= granularity < _BASIS_ROWS and paths.empty < 1.0 and len(paths) <= MAX_RELAYS_CLOSED_FORM
+            and _condition(_pole_ratios(paths.rates) if theta is None else theta) <= _MAX_CONDITION)
 
 
 @dataclass(frozen=True)
@@ -419,13 +412,14 @@ def bin_relay_sum(cdfs: list[DefectiveCdf], gamma_th: float, granularity: int) -
     The basis ``exp_cdf_basis(np.linspace(0, gamma_th, n + 1), rates)`` is
     built once, and each CDF is one product with it, so sources sharing the
     rates share the basis.  It is one block of at most ``_BASIS_ROWS`` edges:
-    more than ``_BASIS_ROWS - 1`` bins are refused, as are CDFs of other
-    rates.  The coefficients alternate in sign, so a CDF carries absolute
-    noise of order eps * sum(|coefficients|); ``BinnedPmf`` clamps increments
-    above minus that floor to zero, and anything more negative is a bug.
+    more than ``_BASIS_ROWS - 1`` bins are refused, as are one bin, which
+    ``step2_outage`` cannot use, and CDFs of other rates.  The coefficients
+    alternate in sign, so a CDF carries absolute noise of order eps *
+    sum(|coefficients|); ``BinnedPmf`` clamps increments above minus that
+    floor to zero, and anything more negative is a bug.
     """
-    if not 1 <= granularity < _BASIS_ROWS:
-        raise ConfigError(f"the closed form is binned on 1 to {_BASIS_ROWS - 1} bins, got {granularity}")
+    if not 2 <= granularity < _BASIS_ROWS:
+        raise ConfigError(f"the closed form is binned on 2 to {_BASIS_ROWS - 1} bins, got {granularity}")
     rates = cdfs[0].rates
     if not all(cdf.rates is rates or np.array_equal(cdf.rates, rates) for cdf in cdfs):
         raise ConfigError("relay sums binned together must share their rates")
@@ -468,25 +462,23 @@ def step2_outage(relay_pmf: BinnedPmf, direct_pmf: BinnedPmf, paths: GatedPaths)
     prefix sums of the direct mass, then renormalizes by the
     nonempty-decode-set probability.  Summing raw index pairs up to n
     undercounts the boundary band, a documented O(1/n) bias of this
-    estimator.
+    estimator; one bin holds no pair below the threshold and is refused.
     """
     if relay_pmf.granularity != direct_pmf.granularity or not math.isclose(
         relay_pmf.gamma_th, direct_pmf.gamma_th
     ):
         raise ConfigError("both mass functions must share gamma_th and granularity")
+    n = relay_pmf.granularity
+    if n < 2:
+        raise ConfigError(f"the relay step needs at least 2 bins, got {n}")
     empty_prob = paths.empty
     if empty_prob >= 1.0:
         raise ConditioningError(
             "no relay can ever decode; the relay step is unreachable"
         )
-    n = relay_pmf.granularity
     # Raw index pair (i, j) holds bin-index sum i+j+2, so output bins 1..n are
     # the pairs with i + j <= n - 2: relay bin i meets direct bins 0..n-2-i.
-    below = (
-        float(relay_pmf.probs[: n - 1] @ direct_pmf.probs.cumsum()[n - 2 :: -1])
-        if n >= 2
-        else 0.0
-    )
+    below = float(relay_pmf.probs[: n - 1] @ direct_pmf.probs.cumsum()[n - 2 :: -1])
     return min(max(below / (1.0 - empty_prob), 0.0), 1.0)
 
 
@@ -516,12 +508,12 @@ def step_outages(
     """The step outages of sources 1 and 2, keyed by source.
 
     Both sources' relay sums have the relay-to-destination rates, so their
-    paths share one rates array and its tie check, and where
-    ``bins_closed_form`` holds one ``bin_relay_sum`` call bins both sources
-    on one basis; at one bin or past 4 095, one ``relay_step_outages`` call
-    takes every relay step.  A source's relay step is taken only when some
-    relay can decode its broadcast: without relay cooperation
-    (``link_rates``) every gate is 1.
+    paths share one rates array, its pole ratios and their condition bound,
+    and ``bins_closed_form`` holds for both or for neither.  Where it holds
+    one ``bin_relay_sum`` call bins both sources on one basis; elsewhere one
+    ``relay_step_outages`` call takes every relay step.  A source's relay
+    step is taken only when some relay can decode its broadcast: without
+    relay cooperation (``link_rates``) every gate is 1.
 
     The last result is kept, keyed on the whole ``(topology, config,
     cooperate)`` (frozen, compared by value): ``analyze`` calls this twice
@@ -546,19 +538,20 @@ def _step_outages(
         return {source: SourceOutages(0.0, 0.0, 0.0) for source in (1, 2)}
     # decode_fail_probs(topology, config, source), without a second link_rates.
     fails = {source: -np.expm1(-rates.source_relay * gamma_th) for source, rates in links.items()}
-    first = GatedPaths(fails[1], links[1].relay_dest)
-    paths = {1: first, 2: first.with_gates(fails[2])}
-    binned = [source for source, p in paths.items() if bins_closed_form(p, config.granularity)]
-    # Both sources' rates are the relay-to-destination rates, so one pole-ratio
-    # matrix serves both; only binned paths have distinct rates, which it needs.
-    theta = _pole_ratios(first.rates) if binned else None
-    cdfs = [relay_sum_cdf(paths[source], theta) for source in binned]
+    paths = {source: GatedPaths(fail, links[1].relay_dest) for source, fail in fails.items()}
     directs = {source: LinkParam(rates.direct) for source, rates in links.items()}
-    relays = {source: step2_outage(pmf, bin_conditional_direct(directs[source], gamma_th, config.granularity),
-                                   paths[source])
-              for source, pmf in zip(binned, bin_relay_sum(cdfs, gamma_th, config.granularity) if cdfs else ())}
-    exact = [source for source, p in paths.items() if p.empty < 1.0 and source not in relays]
-    if exact:
-        relays.update(zip(exact, relay_step_outages([directs[s] for s in exact], [paths[s] for s in exact], gamma_th)))
+    n, relays = config.granularity, {}
+    opened = [source for source, p in paths.items() if p.empty < 1.0]
+    # The paths share their rates, and bins_closed_form reads the gates only to
+    # see that one can open: one pole-ratio matrix and one check of its
+    # condition serve every source that can reach a relay.
+    theta = _pole_ratios(paths[1].rates) if opened and 2 <= n < _BASIS_ROWS else None
+    if theta is not None and bins_closed_form(paths[opened[0]], n, theta):
+        pmfs = bin_relay_sum([relay_sum_cdf(paths[source], theta) for source in opened], gamma_th, n)
+        relays = {source: step2_outage(pmf, bin_conditional_direct(directs[source], gamma_th, n), paths[source])
+                  for source, pmf in zip(opened, pmfs)}
+    elif opened:
+        relays = dict(zip(opened, relay_step_outages([directs[s] for s in opened], [paths[s] for s in opened],
+                                                      gamma_th)))
     return {source: SourceOutages(direct_outage(directs[source], gamma_th), relays.get(source, 1.0), paths[source].empty)
             for source in links}

@@ -7,12 +7,14 @@ extras can use it too.
 from mdma_relay.topology import NetworkTopology, default_paper_setup
 
 
-def line_topology(m: int) -> NetworkTopology:
+def line_topology(m: int, tie_gap: float = 0.0) -> NetworkTopology:
     """The paper layout with its relay line generalised to m relays; m = 10
     ties relay-destination distances (y = 40 and y = -40, and so on), and
-    m > 20 exceeds the closed form's relay cap."""
+    m > 20 exceeds the closed form's relay cap.  ``tie_gap`` scales every
+    negative y by 1 + tie_gap, which breaks those ties by about that much."""
     topo, _ = default_paper_setup()
-    relays = tuple((50.0, 55.0 - 100.0 * (i - 0.5) / m) for i in range(1, m + 1))
+    ys = (55.0 - 100.0 * (i - 0.5) / m for i in range(1, m + 1))
+    relays = tuple((50.0, y * (1.0 + tie_gap) if y < 0.0 else y) for y in ys)
     return NetworkTopology(topo.s1_pos, topo.s2_pos, topo.d_pos, relays, topo.alpha)
 
 

@@ -22,6 +22,9 @@ on an unexpected exit status, stderr line or output byte:
   exact step sums one series per chain size.
 - The paper layout at 0 dBm on one bin prints the bytes it prints at 4 096
   bins: one bin takes the exact step, not a binned sum of nothing.
+- The 16-relay line at 10 dBm, and the 10-relay line with its ties broken
+  by 1e-6, print at 1 000 bins the bytes they print at 4 096: past the
+  closed form's condition bound the relay step is exact at any bin count.
 - ``validate`` with and without relay cooperation: the oracle checks.
 - Relay 1 1e-200 from source 1, so that its link's rate underflows to 0:
   ``validate`` passes (only that relay always decodes).
@@ -98,6 +101,7 @@ def run(command: list[str], work: Path) -> None:
 
     for m in (10, 16, 24):
         save_setup(work / f"line{m}.json", line_topology(m), default_paper_setup()[1])
+    save_setup(work / "line10-near-tie.json", line_topology(10, tie_gap=1e-6), default_paper_setup()[1])
     for name, origin in (("source1", (20.0, 20.0)), ("destination", (100.0, 0.0))):
         save_setup(work / f"underflow-{name}.json", underflow_topology(origin), default_paper_setup(power_dbm=4.0)[1])
     for m in (10, 24):
@@ -109,6 +113,8 @@ def run(command: list[str], work: Path) -> None:
         "paper-12dBm": (["--paper-defaults", "--power-dbm", "-12"], ("4096", "1000000")),
         "paper-10dBm": (["--paper-defaults", "--power-dbm", "-10"], ("4096", "1000000")),
         "paper-0dBm": (["--paper-defaults", "--power-dbm", "0"], ("1", "4096")),
+        "line16-10dBm": (["--config", str(work / "line16.json"), "--power-dbm", "10"], ("1000", "4096")),
+        "line10-near-tie": (["--config", str(work / "line10-near-tie.json")], ("1000", "4096")),
     }
     for name, (where, ns) in same.items():
         outs = [work / f"{name}-n{n}.json" for n in ns]

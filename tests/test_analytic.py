@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from mdma_relay import analytic
 from mdma_relay.analytic import (
     MAX_RELAYS_CLOSED_FORM,
-    RATE_TIE_RTOL,
     BinnedPmf,
     ConditioningError,
     GatedPaths,
@@ -18,7 +17,6 @@ from mdma_relay.analytic import (
     bin_conditional_direct,
     bin_relay_sum,
     bins_closed_form,
-    closed_form_applies,
     decode_fail_probs,
     direct_outage,
     relay_sum_cdf,
@@ -91,22 +89,12 @@ def test_gated_paths_refuse_bad_input(gate_probs, rates, message):
         GatedPaths(gate_probs, rates)
 
 
-def test_gated_paths_hold_float_arrays_and_share_the_tie_check(monkeypatch):
+def test_gated_paths_hold_float_arrays():
     paths = GatedPaths([0, 1], [2, math.inf])  # both ends of the gate range, an infinite rate
     assert paths.gate_probs.dtype == paths.rates.dtype == np.float64
     assert len(paths) == 2 and paths.empty == 0.0
-    calls = []
-
-    def counted(rates):
-        calls.append(len(rates))
-        return True
-
-    monkeypatch.setattr(analytic, "closed_form_applies", counted)
-    other = paths.with_gates([0.25, 0.5])
+    other = GatedPaths([0.25, 0.5], paths.rates)
     assert other.rates is paths.rates and other.empty == 0.125
-    assert paths.closed_form and other.closed_form and calls == [2]
-    with pytest.raises(ConfigError, match="gate probabilities"):
-        paths.with_gates([0.5, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +305,6 @@ def test_residue_coefficients_are_near_exact_and_subset_view_is_bit_identical_to
 
     checked = 0
     for gates in gate_sets:
-        if not gates.closed_form:
-            continue
         cdf = relay_sum_cdf(gates)
         # The SubsetTerm view is built only when read.
         assert "subset_terms" not in vars(cdf)
@@ -367,24 +353,24 @@ def test_aggregated_coefficients_match_product_identity():
 
 def test_tie_switches_to_the_exact_step_continuously():
     tied = GatedPaths([0.3, 0.5], [2.0, 2.0])
-    assert not tied.closed_form
-    with pytest.raises(ConfigError):
+    direct, n = LinkParam(0.8), 1000
+    assert not bins_closed_form(tied, n)
+    with pytest.raises(ConfigError, match="pairwise distinct, finite rates"):
         relay_sum_cdf(tied)
-    # Just outside the tie tolerance the closed form applies again and
-    # agrees with the tied law, as a CDF and as a relay step within the
-    # O(1/n) bias of its bins.
+    # 1e-6 apart the pair's condition bound is about 2e6, so the closed form
+    # is binned and agrees with the tied law, as a CDF and as a relay step
+    # within the O(1/n) bias of its bins.
     apart = GatedPaths([0.3, 0.5], [2.0, 2.0 * (1 + 1e-6)])
-    assert apart.closed_form
+    assert bins_closed_form(apart, n)
     grid = np.linspace(0.05, 5.0, 40)
     assert np.max(np.abs(relay_sum_cdf(apart)(grid) - numeric_relay_sum_cdf(tied, grid))) < 1e-5
-    direct, n = LinkParam(0.8), 1000
     closed = step2_outage(binned_relay_sum(relay_sum_cdf(apart), 2.0, n),
                           bin_conditional_direct(direct, 2.0, n), apart)
     exact = relay_step_outages([direct], [tied], 2.0)[0]
     assert abs(closed - exact) < 5.0 / n * exact
-    # The exact step on either side of the switch moves with the rates only.
-    edge = GatedPaths([0.3, 0.5], [2.0, 2.0 * (1 + 1.5 * RATE_TIE_RTOL)])
-    assert edge.closed_form
+    # Closer than the bound allows, the step is exact and moves with the rates only.
+    edge = GatedPaths([0.3, 0.5], [2.0, 2.0 * (1 + 1.5e-9)])
+    assert not bins_closed_form(edge, n)
     assert relay_step_outages([direct], [edge], 2.0)[0] == pytest.approx(exact, rel=1e-8)
     # Where the gap keeps the closed form well conditioned, its bins are the series' ones.
     apart = GatedPaths([0.3, 0.5], [2.0, 2.0 * (1 + 1e-3)])
@@ -392,63 +378,16 @@ def test_tie_switches_to_the_exact_step_continuously():
     assert np.max(np.abs(closed.probs - series_bins(apart, 2.0, n).probs)) < 1e-12
 
 
-def test_relay_count_cap():
-    rates = [1.0 + 0.01 * i for i in range(21)]
-    gates = GatedPaths([0.5] * 21, rates)
-    assert not gates.closed_form
-    assert GatedPaths([0.5] * 20, rates[:20]).closed_form
-    with pytest.raises(ConfigError):
-        relay_sum_cdf(gates)
-
-
-def _isclose_form(rates) -> bool:
-    """``closed_form_applies`` as it was written with ``np.isclose``."""
-    if len(rates) > MAX_RELAYS_CLOSED_FORM:
-        return False
-    s = np.sort(rates)
-    return not np.isclose(s[1:], s[:-1], rtol=RATE_TIE_RTOL, atol=0.0).any()
-
-
-def _tie_gap_rate_sets() -> list[list[float]]:
-    """Pairs at, and one ulp either side of, the relative gap RATE_TIE_RTOL."""
-    sets = []
-    # At 1e9 and 5e9 the pair sits exactly on the gap: y - x == RATE_TIE_RTOL * x.
-    for x in (5e-324, 1e-300, 1e-9, 0.37, 1.0, 2.0, 3.3e7, 1e9, 5e9, 1e300):
-        gap = x + RATE_TIE_RTOL * x
-        for y in (np.nextafter(gap, 0.0), gap, np.nextafter(gap, np.inf)):
-            sets += [[x, y], [y, x], [0.5 * x, y, x], [x, y, 4.0 * y]]
-    return sets
-
-
-def _tie_edge_rate_sets() -> list[list[float]]:
-    """Infinities, NaN, one relay, and the relay cap and one past it."""
-    inf, nan = math.inf, math.nan
-    sets = [[inf, inf], [1.0, inf], [inf, 1.0], [1.0, 2.0, inf], [inf, 1.0, inf],
-            [nan, 1.0], [nan, nan], [1.0, nan, 1.0], [nan, 1.0, 2.0], [nan, inf, inf],
-            [1.0], [inf], [nan]]
-    distinct = [1.0 + 0.01 * i for i in range(MAX_RELAYS_CLOSED_FORM + 1)]
-    sets += [distinct, distinct[:-1], distinct[:-1] + [distinct[3]], distinct[:-2] + [1.0]]
-    return sets
-
-
-def test_closed_form_applies_matches_the_isclose_form():
-    rng = np.random.default_rng(14)
-    gap_sets = _tie_gap_rate_sets()
-    at_gap = [_isclose_form(r) for r in gap_sets]
-    assert any(at_gap) and not all(at_gap)  # the ulp neighbours fall on both sides
-    assert any(y - x == RATE_TIE_RTOL * x for x, y in (r[:2] for r in gap_sets))
-    sets = gap_sets + _tie_edge_rate_sets()
-    for _ in range(500):
-        rates = rng.lognormal(0.0, 3.0, rng.integers(1, MAX_RELAYS_CLOSED_FORM + 2))
-        if len(rates) > 1 and rng.random() < 0.5:
-            i, j = rng.choice(len(rates), 2, replace=False)
-            rates[j] = rates[i] * (1.0 + rng.uniform(0.0, 2.0) * RATE_TIE_RTOL)
-        sets.append(list(rates))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # inf - inf must not warn on stderr
-        for rates in sets:
-            # Called on the rates alone: NaN cannot reach a GatedPaths.
-            assert closed_form_applies(rates) == _isclose_form(rates), rates
+def test_relay_sum_cdf_is_defined_past_the_relay_cap_where_nothing_bins_it():
+    # Rates 1.5 apart keep the condition bound near 2e2, so only the cap
+    # keeps 21 relays from being binned; their closed form is still exact.
+    gates = GatedPaths([0.5] * 21, 1.5 ** np.arange(21.0))
+    assert bins_closed_form(GatedPaths(gates.gate_probs[:20], gates.rates[:20]), 1000)
+    assert not bins_closed_form(gates, 1000)
+    assert analytic._condition(analytic._pole_ratios(gates.rates)) < 1e3
+    grid = np.array([0.5, 1.0, 2.0])
+    err = np.abs(relay_sum_cdf(gates)(grid) - relay_sum_cdf_uniformized(gates, grid))
+    assert err.max() < 1e-12
 
 
 def test_cdf_nondecreasing_property():
@@ -503,7 +442,7 @@ def test_uniformized_relay_sum_matches_60_digit_partial_fractions(m, power_dbm):
     grid = np.linspace(0.2, 3.0, 8) * cfg.gamma_th
     for source in (1, 2):
         paths = GatedPaths(decode_fail_probs(topo, cfg, source), link_rates(topo, cfg, source).relay_dest)
-        assert paths.closed_form == (m <= MAX_RELAYS_CLOSED_FORM)
+        assert bins_closed_form(paths, cfg.granularity) == (m == 8)
         got = relay_sum_cdf_uniformized(paths, grid)
         exact = _partial_fractions_60(paths, grid)
         rel = max(float(abs(g - e) / e) for g, e in zip(got.tolist(), exact))
@@ -517,7 +456,7 @@ def test_uniformized_relay_sum_matches_quadrature_on_tied_rates(paper_setup):
     topo = NetworkTopology(topo8.s1_pos, topo8.s2_pos, (100.0, 0.0),
                            ((50.0, 20.0), (50.0, -20.0)), 3.0)
     paths = GatedPaths(decode_fail_probs(topo, cfg, 1), link_rates(topo, cfg, 1).relay_dest)
-    assert paths.rates[0] == paths.rates[1] and not paths.closed_form
+    assert paths.rates[0] == paths.rates[1] and not bins_closed_form(paths, cfg.granularity)
     grid = np.linspace(0.05, 4.0, 25)
     err = np.abs(relay_sum_cdf_uniformized(paths, grid) - relay_sum_cdf_quadrature(paths, grid))
     assert err.max() < 1e-10
@@ -526,7 +465,7 @@ def test_uniformized_relay_sum_matches_quadrature_on_tied_rates(paper_setup):
 def test_uniformized_relay_sum_is_exactly_zero_at_zero_and_with_every_gate_closed():
     paths = GatedPaths([0.3, 0.6, 0.1], [1.0, 2.2, 3.1])
     assert relay_sum_cdf_uniformized(paths, np.array([0.0, 0.0])).tolist() == [0.0, 0.0]
-    closed = paths.with_gates([1.0, 1.0, 1.0])
+    closed = GatedPaths([1.0, 1.0, 1.0], paths.rates)
     assert relay_sum_cdf_uniformized(closed, np.array([0.0, 0.5, 50.0])).tolist() == [0.0] * 3
 
 
@@ -583,19 +522,16 @@ def test_bin_relay_sum_telescopes():
     cdf = relay_sum_cdf(gates)
     pmf = binned_relay_sum(cdf, 2.0, 250)
     assert pmf.total == pytest.approx(float(cdf(2.0)), abs=1e-12)
-    single = binned_relay_sum(cdf, 2.0, 1)
-    assert single.probs.shape == (1,)
-    assert single.probs[0] == pytest.approx(float(cdf(2.0)), abs=1e-12)
     refined = binned_relay_sum(cdf, 2.0, 500)
     assert refined.total == pytest.approx(pmf.total, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 1000, BLOCK_ROWS - 1])
+@pytest.mark.parametrize("n", [2, 1000, BLOCK_ROWS - 1])
 def test_relay_sums_binned_together_keep_the_bits_each_gets_alone(n):
     rng = np.random.default_rng(31)
     gates = random_gates(rng, 5)
     # One shares the rates array, as both sources' paths do; one has a copy.
-    others = [gates.with_gates(rng.uniform(0.05, 0.9, 5)), GatedPaths(rng.uniform(0.05, 0.9, 5), gates.rates.copy())]
+    others = [GatedPaths(rng.uniform(0.05, 0.9, 5), gates.rates), GatedPaths(rng.uniform(0.05, 0.9, 5), gates.rates.copy())]
     cdfs = [relay_sum_cdf(g) for g in (gates, *others)]
     together = bin_relay_sum(cdfs, 2.0, n)
     assert len(together) == 3
@@ -613,10 +549,10 @@ def test_bin_relay_sum_refuses_relay_sums_of_other_rates():
             bin_relay_sum([relay_sum_cdf(gates), other], 2.0, 100)
 
 
-@pytest.mark.parametrize("n", [0, BLOCK_ROWS, 100_000])
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS, 100_000])
 def test_bin_relay_sum_refuses_more_bins_than_one_basis_block(n):
     cdf = relay_sum_cdf(random_gates(np.random.default_rng(31), 3))
-    with pytest.raises(ConfigError, match=f"binned on 1 to {BLOCK_ROWS - 1} bins, got {n}"):
+    with pytest.raises(ConfigError, match=f"binned on 2 to {BLOCK_ROWS - 1} bins, got {n}"):
         bin_relay_sum([cdf], 2.0, n)
 
 
@@ -639,7 +575,7 @@ def test_binned_relay_sum_is_the_cdf_on_the_edge_grid_bit_for_bit():
     thresholds = [2.0 ** -52, 1.0, 3.0, math.pi, 1e300, *(10.0 ** rng.uniform(-15, 300, 40))]
     rates, coeffs = np.array([1e-300, 0.37, 2.0, 7.5]), np.array([0.1, 0.2, 0.3, 0.25])
     for gamma_th in thresholds:
-        for n in (1, 2, 3, 7, 999, 1000, BLOCK_ROWS - 1):
+        for n in (2, 3, 7, 999, 1000, BLOCK_ROWS - 1):
             k = 1 + n % 4
             cdf = analytic.DefectiveCdf(rates[:k], np.zeros(k), coeffs[:k], float(coeffs[:k].sum()))
             # Edge i is i * (gamma_th / n), and the last is gamma_th.
@@ -689,6 +625,20 @@ def test_step2_zero_when_relay_mass_above_threshold():
     relay_pmf = BinnedPmf(np.zeros(100), 1.0, 100)
     direct_pmf = bin_conditional_direct(LinkParam(1.0), 1.0, 100)
     assert step2_outage(relay_pmf, direct_pmf, gates) == 0.0
+
+
+def test_step2_refuses_one_bin(paper_setup):
+    # One bin holds no pair of bins below the threshold: the sum would read
+    # 0.0 where the paper layout's relay step at 0 dBm is 0.1275.
+    topo, cfg = paper_setup
+    cfg = replace(cfg, power_dbm=0.0)
+    rates = link_rates(topo, cfg, 1)
+    p, d, g = GatedPaths(decode_fail_probs(topo, cfg, 1), rates.relay_dest), LinkParam(rates.direct), cfg.gamma_th
+    with pytest.raises(ConfigError, match="binned on 2 to"):
+        step2_outage(bin_relay_sum([relay_sum_cdf(p)], g, 1)[0], bin_conditional_direct(d, g, 1), p)
+    with pytest.raises(ConfigError, match="needs at least 2 bins, got 1"):
+        step2_outage(BinnedPmf(np.array([0.5]), g, 1), bin_conditional_direct(d, g, 1), p)
+    assert relay_step_outages([d], [p], g)[0] == pytest.approx(0.1275, abs=1e-4)
 
 
 def test_step2_requires_matching_grids():
@@ -823,10 +773,11 @@ def _per_source_pipeline(topo, cfg, source):
 @pytest.mark.parametrize("n", [1, 2, 1000, 100_000])
 @pytest.mark.parametrize("relays", [8, 16])
 def test_step_outages_equal_the_per_source_pipeline(paper_setup, relays, n):
-    # Both sources bin their relay sums on one basis; every output keeps
-    # the bits binning that source alone gives.  Past one basis block of
-    # edges (n = 1e5), and on one bin, which holds no pair of bins below the
-    # threshold, both take the exact step, as at 4 096 bins.
+    # On the paper layout both sources bin their relay sums on one basis;
+    # every output keeps the bits binning that source alone gives.  Past one
+    # basis block of edges (n = 1e5), and on one bin, which holds no pair of
+    # bins below the threshold, both take the exact step, as at 4 096 bins,
+    # and so does the 16-relay line at every n: its condition bound is 2.5e11.
     topo = paper_setup[0] if relays == 8 else line_topology(relays)
     for p in range(-10, 31, 2):
         cfg = replace(paper_setup[1], power_dbm=float(p), granularity=n)
@@ -837,11 +788,11 @@ def test_step_outages_equal_the_per_source_pipeline(paper_setup, relays, n):
             assert outs == step_outages(topo, replace(cfg, granularity=BLOCK_ROWS)), p
 
 
-@pytest.mark.parametrize("relays", [10, MAX_RELAYS_CLOSED_FORM + 4])
-def test_tied_and_over_cap_rates_take_the_exact_step_for_both_sources(monkeypatch, paper_setup, relays):
+@pytest.mark.parametrize("relays", [10, 16, MAX_RELAYS_CLOSED_FORM + 4])
+def test_tied_ill_conditioned_and_over_cap_rates_take_the_exact_step_for_both_sources(monkeypatch, paper_setup, relays):
     topo = line_topology(relays)
     cfg = paper_setup[1]
-    assert not closed_form_applies(link_rates(topo, cfg, 1).relay_dest)
+    assert not any(bins_closed_form(paths, cfg.granularity) for paths in _exact_inputs(topo, cfg)[1])
     seen, bases = [], []
 
     def spy(directs, paths, gamma_th):
@@ -946,51 +897,110 @@ def test_a_fully_shut_source_reads_1_and_the_other_keeps_its_bits(paper_setup, n
     assert _bits(outs[1].relay) == _bits(relay_step_outages(directs[:1], paths[:1], low.gamma_th)[0])
 
 
-@pytest.mark.parametrize("case", ["noiseless", "zero-threshold", "tied", "21-relays", "all-fail"])
+@pytest.mark.parametrize("case", ["noiseless", "zero-threshold", "tied", "ill-conditioned", "21-relays", "all-fail"])
 def test_no_basis_where_no_source_bins_the_closed_form(monkeypatch, paper_setup, case):
     topo, cfg = paper_setup
     topo, cfg = {
         "noiseless": (topo, replace(cfg, noise_dbm=-math.inf)),
         "zero-threshold": (topo, replace(cfg, rate_r0=1e-17)),
         "tied": (line_topology(10), cfg),
+        "ill-conditioned": (line_topology(12), cfg),
         "21-relays": (line_topology(MAX_RELAYS_CLOSED_FORM + 1), cfg),
         "all-fail": (topo, replace(cfg, power_dbm=-30.0)),
     }[case]
     assert _binning(monkeypatch, topo, cfg)[:2] == ([], [])
 
 
-def test_one_tie_check_per_step_outages_and_each_link_measured_once_per_analyze(
+def test_one_condition_bound_per_step_outages_and_each_link_measured_once_per_analyze(
         monkeypatch, capsys, paper_setup):
     from mdma_relay import topology
     from mdma_relay.cli import main
 
-    ties, measured = [], []
-    real_euclidean = topology.euclidean
+    poles, bounds, measured = [], [], []
+    real_poles, real_condition, real_euclidean = analytic._pole_ratios, analytic._condition, topology.euclidean
 
-    def tie_check(rates):
-        ties.append(len(rates))
-        return closed_form_applies(rates)
+    def pole_ratios(lam):
+        poles.append(len(lam))
+        return real_poles(lam)
+
+    def condition(theta):
+        bounds.append(len(theta))
+        return real_condition(theta)
 
     def euclidean(a, b):
         measured.append((a, b))
         return real_euclidean(a, b)
 
-    monkeypatch.setattr(analytic, "closed_form_applies", tie_check)
+    monkeypatch.setattr(analytic, "_pole_ratios", pole_ratios)
+    monkeypatch.setattr(analytic, "_condition", condition)
     monkeypatch.setattr(topology, "euclidean", euclidean)
     topo, cfg = default_paper_setup()
     assert len(measured) == 2 + 3 * 8  # each link once, as the topology is built
     step_outages(topo, cfg)
     step_outages(topo, replace(cfg, power_dbm=20.0))
-    assert ties == [8, 8] and len(measured) == 26
-    ties.clear(), measured.clear()
+    step_outages(topo, replace(cfg, power_dbm=-20.0))  # source 1 alone can reach a relay
+    assert poles == bounds == [8, 8, 8] and len(measured) == 26
+    # Off 2 to 4 095 bins no pole ratio is built.
+    for n in (1, BLOCK_ROWS, 100_000):
+        step_outages(topo, replace(cfg, granularity=n))
+    assert poles == bounds == [8, 8, 8]
+    poles.clear(), bounds.clear(), measured.clear()
     assert main(["analyze", "--paper-defaults"]) == 0
     capsys.readouterr()
-    assert ties == [8]  # two step_outages calls, the second a lookup
+    assert poles == bounds == [8]  # two step_outages calls, the second a lookup
     assert len(measured) == 26
-    # Called directly, the closed form still checks its rates.
-    for paths in (GatedPaths([0.5, 0.5], [2.0, 2.0]), GatedPaths([0.5] * 21, 1.0 + 0.01 * np.arange(21))):
-        with pytest.raises(ConfigError, match="subset expansion"):
-            relay_sum_cdf(paths)
+
+
+def test_the_condition_bound_picks_the_method(monkeypatch, paper_setup):
+    # The bound depends on the rates' ratios only, so the paper layout
+    # (1.6e5) bins at every power.
+    topo, cfg = paper_setup
+    for p in range(-10, 31, 5):
+        assert _binning(monkeypatch, topo, replace(cfg, power_dbm=float(p))) == ([2], [cfg.granularity + 1], []), p
+    # Two relays whose destination distances differ by a factor (1 + d)^(1/3),
+    # so that their rates differ by 1 + d and the bound is (2 + d) / d: just
+    # under 2^26 the closed form is binned, and just over it the step is exact.
+    for scale, expected in ((0.99, ([2], [cfg.granularity + 1], [])), (1.01, ([], [], [2]))):
+        d = 2.0 / (scale * 2.0 ** 26 - 1.0)
+        near = np.array([50.0, 20.0])
+        far = np.array(topo.d_pos) + (near - np.array(topo.d_pos)) * (1.0 + d) ** (1.0 / 3.0)
+        pair = NetworkTopology(topo.s1_pos, topo.s2_pos, topo.d_pos, (tuple(near), tuple(far)), topo.alpha)
+        bound = analytic._condition(analytic._pole_ratios(link_rates(pair, cfg, 1).relay_dest))
+        assert bound == pytest.approx(scale * 2.0 ** 26, rel=1e-6)
+        assert _binning(monkeypatch, pair, cfg) == expected, scale
+
+
+def _far_relay_topology():
+    """The paper layout with relay 1 1e103 away: its rates overflow to inf."""
+    topo, _ = default_paper_setup()
+    return NetworkTopology(topo.s1_pos, topo.s2_pos, topo.d_pos, ((50.0, 1e103), *topo.relay_pos[1:]), topo.alpha)
+
+
+@pytest.mark.parametrize("layout", [*(f"line{m}" for m in range(12, 21)), "line10-near-tie", "far-relay"])
+def test_ill_conditioned_layouts_print_at_1000_bins_the_bits_of_4096(layout):
+    # Binned, the 16-relay line's relay step read 4.3e-5 at 10 dBm, where it is
+    # 9.7e-16; the near-tie line10 read 3.1e-4 against 8.8e-10; the far relay's
+    # NaN coefficients were refused as "relay must be a probability, got nan".
+    special = {"line10-near-tie": lambda: line_topology(10, tie_gap=1e-6), "far-relay": _far_relay_topology}
+    topo = special[layout]() if layout in special else line_topology(int(layout[4:]))
+    for p in range(-10, 31, 10):
+        _, cfg = default_paper_setup(power_dbm=float(p))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # link_rates warns of the far relay's overflow
+            assert _outage_bits(step_outages(topo, cfg)) == _outage_bits(
+                step_outages(topo, replace(cfg, granularity=BLOCK_ROWS))), p
+
+
+def test_tied_and_infinite_rates_fail_the_bound_without_a_warning(paper_setup):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rates in ([2.0, 2.0], [math.inf, math.inf], [1.0, math.inf], [math.inf, 1.0, math.inf], [1.0, 2.0, 1.0]):
+            paths = GatedPaths([0.3] * len(rates), rates)
+            assert not bins_closed_form(paths, 1000), rates
+            with pytest.raises(ConfigError, match="pairwise distinct, finite rates"):
+                relay_sum_cdf(paths)
+        outs = step_outages(line_topology(10), paper_setup[1])
+    assert all(0.0 < out.relay < 1.0 for out in outs.values())
 
 
 # ---------------------------------------------------------------------------
@@ -1158,7 +1168,7 @@ def test_exact_step_agrees_with_the_binned_closed_form(paper_setup, power_dbm):
     for source in (1, 2):
         rates = link_rates(topo, low, source)
         gates = GatedPaths(decode_fail_probs(topo, low, source), rates.relay_dest)
-        assert gates.closed_form
+        assert bins_closed_form(gates, low.granularity)
         exact = relay_step_outages([LinkParam(rates.direct)], [gates], low.gamma_th)[0]
         assert outs[source].relay <= exact
         assert abs(outs[source].relay - exact) < 5.0 / low.granularity * exact
@@ -1176,7 +1186,7 @@ def test_closed_form_relay_step_agrees_with_the_series_bins(paper_setup, power_d
     for source in (1, 2):
         rates = link_rates(topo, low, source)
         gates = GatedPaths(decode_fail_probs(topo, low, source), rates.relay_dest)
-        assert gates.closed_form
+        assert bins_closed_form(gates, n)
         cdf = relay_sum_cdf(gates)
         floor = 64.0 * np.finfo(float).eps * np.abs(cdf.coeff_per_rate).sum()
         series = series_bins(gates, low.gamma_th, n)
@@ -1312,7 +1322,8 @@ def test_exact_step_ignores_closed_gates():
     [got] = relay_step_outages([direct], [with_closed], 1.0)
     assert _bits(got) == _bits(relay_step_outages([direct], [without], 1.0)[0]) and 0.0 < got < 1.0
     # A source with every gate closed is refused, alone or beside an open one.
-    for sources in ([with_closed.with_gates([1.0] * 3)], [without, with_closed.with_gates([1.0] * 3)]):
+    shut = GatedPaths([1.0] * 3, with_closed.rates)
+    for sources in ([shut], [without, shut]):
         with pytest.raises(ConditioningError, match="no relay can ever decode"):
             relay_step_outages([direct] * len(sources), sources, 1.0)
 
@@ -1366,7 +1377,7 @@ def _paper_pmfs(power_dbm, n):
         )
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, BLOCK_ROWS - 1])
+@pytest.mark.parametrize("n", [2, 3, 7, 1000, BLOCK_ROWS - 1])
 def test_step2_prefix_sum_matches_the_convolution(n):
     rng = np.random.default_rng(20_000 + n)
     cases = [c for p in (-10.0, 0.0, 10.0, 20.0, 30.0) for c in _paper_pmfs(p, n)]
@@ -1381,7 +1392,4 @@ def test_step2_prefix_sum_matches_the_convolution(n):
     for relay_pmf, direct_pmf, gates in cases:
         got = step2_outage(relay_pmf, direct_pmf, gates)
         ref = _step2_by_convolution(relay_pmf, direct_pmf, gates)
-        if n == 1:
-            assert got == ref == 0.0
-        else:
-            assert abs(got - ref) <= 1e-13 * ref
+        assert abs(got - ref) <= 1e-13 * ref

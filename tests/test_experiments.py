@@ -488,9 +488,11 @@ def test_step_gate_allows_half_a_count():
     assert not _sigma_gate(0.1, 0.1 + 3.1 * math.sqrt(0.09 / 50_000), 50_000, "wide").passed
 
 
-def test_validate_tied_layout_skips_only_the_closed_form_check(setup10):
+@pytest.mark.parametrize("relays", [10, 16])
+def test_validate_tied_or_ill_conditioned_layout_skips_only_the_closed_form_check(setup10, relays):
+    # line10 is tied; line16's condition bound is past the closed form's.
     _, cfg = setup10
-    report = validate(line_topology(10), cfg, trials=50_000, seed=12)
+    report = validate(line_topology(relays), cfg, trials=50_000, seed=12)
     assert report.passed, "\n".join(report.lines())
     names = [c.name for c in report.checks]
     assert "relay_sum_cdf_vs_uniformization" not in names
