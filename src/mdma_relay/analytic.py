@@ -239,25 +239,23 @@ def relay_sum_cdf(paths: GatedPaths, theta: np.ndarray | None = None) -> Defecti
     )
 
 
-def _phase_type_chain(gate_probs, rates, direct_rates=None):
+def _phase_type_chain(a, lam, direct_rates=None):
     """Relay sums as phase-type laws (Neuts 1981), one per row of gates,
     each uniformized at its largest rate Lam (Jensen 1953).
 
     A row's phases are its relays in order: relay k is entered with
     probability ``1 - a_k`` times the product of the gates it skipped, and
     the law is absorbed once every later gate is closed.  A relay whose gate
-    is closed is never entered, so each row drops its own, exactly as a row
-    alone would, and its rate does not set Lam; every row must keep the same
-    number of relays, at least one.  ``rates`` has a row per row of gates.
-    Returns the stacked entry rows, jump matrices, absorption probabilities
-    per jump and each row's Lam.
+    is closed (a = 1) stays a phase that is never entered: its rate does not
+    set Lam, which must be finite, and its scale is clipped at 1.  ``lam``
+    has a row of rates per row of gates, each with some gate open.  Returns
+    the stacked entry rows, jump matrices, absorption probabilities per jump
+    and each row's Lam.
 
     ``direct_rates`` puts a direct phase of each row's rate in front, and
     Lam covers it too.  It jumps to the relays with the entry probabilities,
     still the ones returned, and absorbs nothing: its no-relay share is lost.
     """
-    keep = gate_probs < 1.0
-    a, lam = gate_probs[keep].reshape(len(keep), -1), rates[keep].reshape(len(keep), -1)
     s, m = a.shape
     # Row 0 is the start and row r > 0 leaves relay r - 1.  passed[r, j]: the
     # gates of relays r to j - 1 are all closed; nxt[r, j >= r]: relay j is next.
@@ -265,8 +263,10 @@ def _phase_type_chain(gate_probs, rates, direct_rates=None):
     passed = np.ones((s, m + 1, m + 1))
     np.cumprod(np.where(later, a[:, None], 1.0), axis=-1, out=passed[:, :, 1:])
     nxt = np.where(later, (1.0 - a[:, None]) * passed[:, :, :m], 0.0)
-    lam_max = lam.max(axis=1) if direct_rates is None else np.maximum(lam.max(axis=1), direct_rates)
-    scale = lam / lam_max[:, None]
+    lam_max = np.maximum(np.where(a < 1.0, lam, 0.0).max(axis=1), 0.0 if direct_rates is None else direct_rates)
+    # A closed relay's rate may pass Lam, or be infinite: clipped, it puts no
+    # negative or NaN entry in J.
+    scale = np.minimum(lam / lam_max[:, None], 1.0)
     front = 0 if direct_rates is None else 1  # the direct phase, if any, is phase 0
     jump, exit_ = np.zeros((s, front + m, front + m)), np.zeros((s, front + m))
     # nxt[r + 1, r] is 0, so the diagonal is 1 - scale alone.
@@ -337,25 +337,22 @@ def relay_step_outages(directs: list[LinkParam], paths: list[GatedPaths], gamma_
     """Failure probability of each source's relay-forwarding step, exactly:
     ``P(D + R <= gamma_th | D <= gamma_th, some relay decoded)``, D the
     direct SNR ``directs[s]`` and R the decoded relays' sum of ``paths[s]``,
-    all paths of one relay count, as both sources' are.  D then R is the relays' chain with a direct phase in front; the mass it
-    absorbs within gamma_th from that phase, a sum of nonnegative terms, is
-    divided by ``P(D <= gamma_th)`` and by the relays' entry mass (``1 -
-    empty`` as a sum).  The sources' chains are summed in one series per
-    chain size, and each value has the bits of its source's alone.
+    of one relay count for every source.  D then R is the relays' chain, its
+    closed relays kept, with a direct phase in front; the mass it absorbs
+    within gamma_th from that phase, a sum of nonnegative terms, is divided
+    by ``P(D <= gamma_th)`` and by the entry mass (``1 - empty`` as a sum).
+    One series sums every chain; each value has the bits its source gets alone.
     """
-    sizes = [np.count_nonzero(p.gate_probs < 1.0) for p in paths]
-    if not all(sizes):
+    if any(p.empty >= 1.0 for p in paths):
         raise ConditioningError("no relay can ever decode; the relay step is unreachable")
-    out = [0.0] * len(paths)
-    for size in set(sizes):
-        batch = [s for s, k in enumerate(sizes) if k == size]
-        entry, jump, exit_, lam = _phase_type_chain(
-            np.array([paths[s].gate_probs for s in batch]), np.array([paths[s].rates for s in batch]),
-            np.array([directs[s].rate_lambda for s in batch]))
-        absorbed = _absorbed_within(jump, exit_, np.eye(exit_.shape[-1])[0], lam[:, None] * gamma_th)[:, 0]
-        for s, value, mass in zip(batch, absorbed, entry.sum(axis=-1)):
-            out[s] = min(float(value / (direct_outage(directs[s], gamma_th) * mass)), 1.0)
-    return out
+    a, rates = np.array([p.gate_probs for p in paths]), np.array([p.rates for p in paths])
+    direct = np.array([d.rate_lambda for d in directs])
+    if not max(direct.max(), rates[a < 1.0].max()) < math.inf:
+        raise ConfigError("the exact relay step needs finite rates, got inf (an SNR of 0) on a link it takes")
+    entry, jump, exit_, lam = _phase_type_chain(a, rates, direct)
+    absorbed = _absorbed_within(jump, exit_, np.eye(exit_.shape[-1])[0], lam[:, None] * gamma_th)[:, 0]
+    return [min(float(value / (direct_outage(d, gamma_th) * mass)), 1.0)
+            for d, value, mass in zip(directs, absorbed, entry.sum(axis=-1))]
 
 
 def bins_closed_form(paths: GatedPaths, granularity: int, theta: np.ndarray | None = None) -> bool:
@@ -512,8 +509,9 @@ def step_outages(
     and ``bins_closed_form`` holds for both or for neither.  Where it holds
     one ``bin_relay_sum`` call bins both sources on one basis; elsewhere one
     ``relay_step_outages`` call takes every relay step.  A source's relay
-    step is taken only when some relay can decode its broadcast: without
-    relay cooperation (``link_rates``) every gate is 1.
+    step is taken only where some relay can decode its broadcast (without
+    relay cooperation none can) and some link it takes has an SNR above 0;
+    elsewhere it fails, as where a far destination's links all overflow.
 
     The last result is kept, keyed on the whole ``(topology, config,
     cooperate)`` (frozen, compared by value): ``analyze`` calls this twice
@@ -541,7 +539,8 @@ def _step_outages(
     paths = {source: GatedPaths(fail, links[1].relay_dest) for source, fail in fails.items()}
     directs = {source: LinkParam(rates.direct) for source, rates in links.items()}
     n, relays = config.granularity, {}
-    opened = [source for source, p in paths.items() if p.empty < 1.0]
+    opened = [source for source, p in paths.items() if p.empty < 1.0
+              and (directs[source].rate_lambda < math.inf or p.rates[p.gate_probs < 1.0].min() < math.inf)]
     # The paths share their rates, and bins_closed_form reads the gates only to
     # see that one can open: one pole-ratio matrix and one check of its
     # condition serve every source that can reach a relay.

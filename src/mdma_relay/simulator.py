@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .markov import STEP_KINDS, Phase, phase_plan, refuse_past_cap, state_label
-from .topology import ConfigError, NetworkTopology, SystemConfig, link_rates
+from .topology import ConfigError, LinkParam, NetworkTopology, SystemConfig, link_rates
 
 SCHEMES = ("mdma", "tdma", "fdma", "noma")
 
@@ -902,11 +902,15 @@ def simulate(
     rates = {s: link_rates(topology, config, s, options.relay_cooperation) for s in (1, 2)}
     # A relay-destination rate that underflows to 0 is an infinite mean SNR,
     # and MRC would add it times a relay that did not decode: inf * 0 = NaN.
-    # Refused where the closed form refuses it: not noiseless (every rate 0),
-    # nor at a zero threshold (every reception succeeds).
-    rd = rates[1].relay_dest
-    if not rd.min() > 0.0 and math.isfinite(config.snr_linear()) and config.gamma_th > 0.0:
-        raise ConfigError(f"rates must be positive, got {rd}")
+    # It and a direct rate of 0 are refused where, and as, the closed form
+    # refuses them: not noiseless (every rate 0), nor at a zero threshold
+    # (every reception succeeds).
+    if math.isfinite(config.snr_linear()) and config.gamma_th > 0.0:
+        rd = rates[1].relay_dest
+        if not rd.min() > 0.0:
+            raise ConfigError(f"rates must be positive, got {rd}")
+        for source in (1, 2):
+            LinkParam(rates[source].direct)
     if scheme == "mdma":
         bands = [phase_plan(config.beta_s, config.beta_p)]
     elif scheme == "tdma":

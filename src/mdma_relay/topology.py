@@ -236,11 +236,6 @@ class LinkParam:
         return 1.0 / self.rate_lambda
 
 
-def link_rate(distance: float, alpha: float, snr: float) -> float:
-    """Exponential SNR rate for one link; 0 is allowed only at infinite SNR."""
-    return distance**alpha / snr
-
-
 @dataclass(frozen=True)
 class LinkSet:
     """Per-link exponential rates for one source plus the shared relay hops."""
@@ -254,7 +249,8 @@ def link_rates(topology: NetworkTopology, config: SystemConfig, source: int,
                cooperate: bool = True) -> LinkSet:
     """Rates d**alpha/snr for the links used when `source` (1 or 2) transmits.
     Without relay cooperation no relay hears the source: its source-relay
-    rates are infinite, an SNR of 0."""
+    rates are infinite, an SNR of 0.  So is a link whose d**alpha overflows,
+    but at infinite SNR every rate is 0: every link succeeds."""
     if source not in (1, 2):
         raise ConfigError(f"source must be 1 or 2, got {source}")
     d = topology.link_distances
@@ -262,10 +258,15 @@ def link_rates(topology: NetworkTopology, config: SystemConfig, source: int,
     a = topology.alpha
     sd = d.s1_d if source == 1 else d.s2_d
     sr = d.s1_r if source == 1 else d.s2_r
+    # The direct gain is a scalar power, libm's pow as Python's float power
+    # is; numpy's vector power can differ from it in the last bit.
+    with np.errstate(over="ignore"):
+        gains = np.float64(sd) ** a, sr**a, d.r_d**a
+        direct, source_relay, relay_dest = (g / snr if snr < math.inf else np.zeros_like(g) for g in gains)
     return LinkSet(
-        direct=link_rate(sd, a, snr),
-        source_relay=np.where(cooperate, sr**a / snr, math.inf),
-        relay_dest=d.r_d**a / snr,
+        direct=float(direct),
+        source_relay=source_relay if cooperate else np.full(sr.shape, math.inf),
+        relay_dest=relay_dest,
     )
 
 

@@ -1,8 +1,10 @@
 """Relay layouts shared by the tests and the CI runtime check.
 
-It imports nothing but the package, so a runtime install without the test
-extras can use it too.
+It imports nothing but the standard library and the package, so a runtime
+install without the test extras can use it too.
 """
+
+from dataclasses import replace
 
 from mdma_relay.topology import NetworkTopology, default_paper_setup
 
@@ -31,3 +33,23 @@ def underflow_topology(origin: tuple[float, float]) -> NetworkTopology:
 
     relays = ((1e-200, 0.0), *(moved(r) for r in topo.relay_pos[1:]))
     return NetworkTopology(moved(topo.s1_pos), moved(topo.s2_pos), moved(topo.d_pos), relays, topo.alpha)
+
+
+def far_topology(node: str) -> NetworkTopology:
+    """The paper layout with one node 1e103 away, so that every link to it
+    has a distance**alpha that overflows: an infinite rate, an SNR of 0.
+    ``node`` is "source1", moved to (20, 1e103), "relay1", to (50, 1e103),
+    or "destination", to (1e103, 0)."""
+    topo, _ = default_paper_setup()
+    return replace(topo, **{
+        "source1": {"s1_pos": (20.0, 1e103)},
+        "relay1": {"relay_pos": ((50.0, 1e103), *topo.relay_pos[1:])},
+        "destination": {"d_pos": (1e103, 0.0)},
+    }[node])
+
+
+def near_source_topology() -> NetworkTopology:
+    """The paper layout with source 1 at (0, 0) and the destination at
+    (1e-110, 0): their link's rate d**alpha/snr underflows to 0."""
+    topo, _ = default_paper_setup()
+    return replace(topo, s1_pos=(0.0, 0.0), d_pos=(1e-110, 0.0))

@@ -18,8 +18,8 @@ on an unexpected exit status, stderr line or output byte:
   4 096 edges: at the largest granularity the CLI accepts, 1e6 bins, each
   prints the bytes it prints at 4 096 bins.  So does the paper layout at
   -12 dBm, where the exact step sums its longest series, 512 terms, and at
-  -10 dBm, where one source closes a relay the other keeps open, so the
-  exact step sums one series per chain size.
+  -10 dBm, where one source closes a relay the other keeps open, which
+  stays in that source's chain, so both take one series.
 - The paper layout at 0 dBm on one bin prints the bytes it prints at 4 096
   bins: one bin takes the exact step, not a binned sum of nothing.
 - The 16-relay line at 10 dBm, and the 10-relay line with its ties broken
@@ -29,7 +29,12 @@ on an unexpected exit status, stderr line or output byte:
 - Relay 1 1e-200 from source 1, so that its link's rate underflows to 0:
   ``validate`` passes (only that relay always decodes).
 - Relay 1 1e-200 from the destination: ``simulate`` refuses the layout, as
-  ``analyze`` does, with exit status 2.
+  ``analyze`` does, with exit status 2.  So does source 1 1e-110 from it:
+  ``simulate`` writes ``analyze``'s ``error:`` line.
+- Source 1 1e103 away, where distance**alpha overflows: ``analyze`` and
+  ``simulate`` print an ``overall_op`` of 1.0 and write nothing on stderr.
+  So does ``analyze`` of the destination 1e103 away.  Relay 1 1e103 away:
+  ``analyze`` writes nothing on stderr.
 - ``simulate`` of every scheme.
 - A 30 dBm trace, where the destination decodes almost every broadcast:
   it reads relay-side SNRs drawn for the missed broadcasts only.
@@ -51,7 +56,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from layouts import line_topology, underflow_topology
+from layouts import far_topology, line_topology, near_source_topology, underflow_topology
 from mdma_relay.topology import default_paper_setup, save_setup
 
 SCHEMES = ("mdma", "tdma", "fdma", "noma")
@@ -127,6 +132,19 @@ def run(command: list[str], work: Path) -> None:
     _run(command, "validate", "--config", str(work / "underflow-source1.json"), "--trials", "200000", **quiet)
     _run(command, "simulate", "--config", str(work / "underflow-destination.json"), "--trials", "20000",
          status=2, **quiet)
+    save_setup(work / "near-source.json", near_source_topology(), default_paper_setup()[1])
+    errors = [_run(command, name, "--config", str(work / "near-source.json"), status=2, capture_output=True,
+                   text=True).stderr for name in ("analyze", "simulate")]
+    if errors[0] != errors[1] or not errors[0].startswith("error: "):
+        raise SystemExit(f"simulate and analyze refuse source 1 on top of the destination otherwise: {errors}")
+    for node in ("source1", "relay1", "destination"):
+        save_setup(work / f"far-{node}.json", far_topology(node), default_paper_setup()[1])
+    far = [("source1", "analyze"), ("source1", "simulate", "--scheme", "mdma", "--trials", "20000"),
+           ("relay1", "analyze"), ("destination", "analyze")]
+    for node, *args in far:
+        done = _run(command, *args, "--config", str(work / f"far-{node}.json"), capture_output=True, text=True)
+        if done.stderr or (node != "relay1" and json.loads(done.stdout)["overall_op"] != 1.0):
+            raise SystemExit(f"{' '.join(args)} of far {node}: stdout {done.stdout!r}, stderr {done.stderr!r}")
     for scheme in SCHEMES:
         _run(command, "simulate", "--paper-defaults", "--scheme", scheme, "--trials", "20000", **quiet)
     _run(command, "simulate", "--paper-defaults", "--scheme", "mdma", "--power-dbm", "30", "--trials", "20000",

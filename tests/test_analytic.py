@@ -36,7 +36,7 @@ from mdma_relay.topology import (
 )
 from dataclasses import replace
 
-from layouts import line_topology, underflow_topology
+from layouts import far_topology, line_topology, near_source_topology, underflow_topology
 from relay_reference import numeric_relay_sum_cdf, relay_sum_cdf_quadrature
 
 
@@ -859,9 +859,9 @@ def _exact_inputs(topo, cfg):
 
 
 def test_stacked_exact_steps_keep_each_sources_bits(paper_setup):
-    # Each source of one two-source call has the bits of its call alone: with
-    # chains of one size stacked, and where one source closes a relay the
-    # other keeps open, one series per chain size.
+    # Each source of one two-source call has the bits of its call alone, also
+    # where one source closes a relay the other keeps open: a closed relay
+    # stays in its source's chain as a phase that is never entered.
     _, cfg = paper_setup
     spots = [("paper", paper_setup[0], range(-30, 61)),
              *((f"line{m}", line_topology(m), range(-14, 31)) for m in (10, 16, 24))]
@@ -878,11 +878,73 @@ def test_stacked_exact_steps_keep_each_sources_bits(paper_setup):
             both = relay_step_outages(directs, paths, at.gamma_th)
             alone = [relay_step_outages([d], [path], at.gamma_th)[0] for d, path in zip(directs, paths)]
             assert _bits(both) == _bits(alone), (name, p)
-    # Where one source closes a relay the other keeps open, 23 points of
-    # this 1 dB grid, the chains differ in size and take one series each.
+    # One source closes a relay the other keeps open at 23 points of this
+    # 1 dB grid.
     assert {("paper", -12), ("paper", -10), ("line16", -14), ("line16", -10),
             ("line24", -14), ("line24", -10)} <= uneven
     assert len(uneven) == 23
+
+
+def _series_shapes(monkeypatch):
+    """The shape of each stack of jump matrices ``_absorbed_within`` sums."""
+    shapes, real = [], analytic._absorbed_within
+
+    def spy(jump, *args):
+        shapes.append(jump.shape)
+        return real(jump, *args)
+
+    monkeypatch.setattr(analytic, "_absorbed_within", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("n", [1, 100_000])
+def test_one_series_where_one_source_closes_a_relay_the_other_keeps_open(monkeypatch, paper_setup, n):
+    # At -10 dBm source 2 closes a relay that source 1 keeps open.  It stays
+    # in source 2's chain as a phase that is never entered, so one series
+    # sums both chains of 9 phases, the direct one and the 8 relays.
+    topo, cfg = paper_setup
+    low = replace(cfg, power_dbm=-10.0, granularity=n)
+    assert [int((decode_fail_probs(topo, low, s) < 1.0).sum()) for s in (1, 2)] == [8, 7]
+    shapes = _series_shapes(monkeypatch)
+    step_outages(topo, low)
+    assert shapes == [(2, 9, 9)]
+
+
+def test_a_relay_whose_rates_overflow_stays_a_phase_and_adds_nothing(monkeypatch):
+    # Relay 1, 1e103 away, has infinite rates: its gate is closed for both
+    # sources, and its scale, clipped at 1, keeps the chain finite.
+    topo, cfg = far_topology("relay1"), default_paper_setup()[1]
+    shapes = _series_shapes(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outs = step_outages(topo, cfg)
+    assert shapes == [(2, 9, 9)]
+    seven = step_outages(replace(topo, relay_pos=topo.relay_pos[1:]), replace(cfg, granularity=BLOCK_ROWS))
+    for source in (1, 2):
+        assert outs[source].relay == pytest.approx(seven[source].relay, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 1000, 100_000])
+def test_a_far_destination_fails_the_relay_step_without_a_series(monkeypatch, n):
+    # The destination 1e103 away: every link the relay step takes has an SNR
+    # of 0, so D + R = 0 and the step fails, though relays decode.
+    topo, cfg = far_topology("destination"), replace(default_paper_setup()[1], granularity=n)
+    shapes = _series_shapes(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outs = step_outages(topo, cfg)
+    assert shapes == []
+    assert [(outs[s].bcast, outs[s].relay) for s in (1, 2)] == [(1.0, 1.0)] * 2
+    assert max(outs[s].empty for s in (1, 2)) < 1e-5
+
+
+@pytest.mark.parametrize("direct, rates", [(math.inf, [1.0, 2.0]), (1.0, [1.0, math.inf])],
+                         ids=["direct", "open-relay"])
+def test_the_exact_step_refuses_an_infinite_rate_beside_a_finite_one(direct, rates):
+    # D or an open relay's term is 0 while another is not: no zero-length
+    # phase fits the uniformized chain.
+    with pytest.raises(ConfigError, match="needs finite rates, got inf"):
+        relay_step_outages([LinkParam(direct)], [GatedPaths(np.array([0.5, 0.5]), np.array(rates))], 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 100_000])
@@ -970,25 +1032,17 @@ def test_the_condition_bound_picks_the_method(monkeypatch, paper_setup):
         assert _binning(monkeypatch, pair, cfg) == expected, scale
 
 
-def _far_relay_topology():
-    """The paper layout with relay 1 1e103 away: its rates overflow to inf."""
-    topo, _ = default_paper_setup()
-    return NetworkTopology(topo.s1_pos, topo.s2_pos, topo.d_pos, ((50.0, 1e103), *topo.relay_pos[1:]), topo.alpha)
-
-
 @pytest.mark.parametrize("layout", [*(f"line{m}" for m in range(12, 21)), "line10-near-tie", "far-relay"])
 def test_ill_conditioned_layouts_print_at_1000_bins_the_bits_of_4096(layout):
     # Binned, the 16-relay line's relay step read 4.3e-5 at 10 dBm, where it is
     # 9.7e-16; the near-tie line10 read 3.1e-4 against 8.8e-10; the far relay's
     # NaN coefficients were refused as "relay must be a probability, got nan".
-    special = {"line10-near-tie": lambda: line_topology(10, tie_gap=1e-6), "far-relay": _far_relay_topology}
+    special = {"line10-near-tie": lambda: line_topology(10, tie_gap=1e-6), "far-relay": lambda: far_topology("relay1")}
     topo = special[layout]() if layout in special else line_topology(int(layout[4:]))
     for p in range(-10, 31, 10):
         _, cfg = default_paper_setup(power_dbm=float(p))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # link_rates warns of the far relay's overflow
-            assert _outage_bits(step_outages(topo, cfg)) == _outage_bits(
-                step_outages(topo, replace(cfg, granularity=BLOCK_ROWS))), p
+        assert _outage_bits(step_outages(topo, cfg)) == _outage_bits(
+            step_outages(topo, replace(cfg, granularity=BLOCK_ROWS))), p
 
 
 def test_tied_and_infinite_rates_fail_the_bound_without_a_warning(paper_setup):
@@ -1080,8 +1134,7 @@ def test_a_changed_result_leaves_the_entry_as_it_was(paper_setup):
 
 def test_a_refused_input_is_not_stored(monkeypatch, paper_setup):
     topo, cfg = paper_setup
-    # Source 1 so close to the destination that its link rate underflows to 0.
-    near = NetworkTopology((0.0, 0.0), topo.s2_pos, (1e-110, 0.0), topo.relay_pos, topo.alpha)
+    near = near_source_topology()  # source 1's direct rate underflows to 0
     step_outages(topo, cfg)
     computed = _computed(monkeypatch)
     for _ in range(2):

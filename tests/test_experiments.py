@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from mdma_relay.experiments import (
     write_rows_csv,
 )
 from chain_reference import overall_outage, stationary_distribution
-from layouts import line_topology, underflow_topology
+from layouts import far_topology, line_topology, near_source_topology, underflow_topology
 from mdma_relay.markov import build_chain, ring_distribution
 from mdma_relay.simulator import SimOptions, simulate, trace_to_csv_rows
 from mdma_relay.topology import (
@@ -406,13 +407,16 @@ def test_the_readme_sweep_keeps_its_csv_bytes(draw_cap, tmp_path, chunk):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == README_SWEEP_CSV_SHA256
 
 
-def test_a_sweep_row_records_a_relay_dest_rate_that_underflows():
-    """Relay 1 at 1e-200 from the destination: every scheme's row carries the
-    closed form's refusal instead of relay-step outages near 1."""
-    topo, cfg = underflow_topology((100.0, 0.0)), default_paper_setup()[1]
-    rows = run_sweep(SweepSpec("power_dbm", (4.0, 10.0), ALL_SCHEMES, 1_000), topo, cfg)
+@pytest.mark.parametrize("topo, error", [
+    (underflow_topology((100.0, 0.0)), "rates must be positive"),
+    (near_source_topology(), "link rate must be positive, got 0.0"),
+], ids=["relay1-destination", "source1-destination"])
+def test_a_sweep_row_records_a_rate_to_the_destination_that_underflows(topo, error):
+    """Relay 1 at 1e-200 from the destination, or source 1 at 1e-110: every
+    scheme's row carries the closed form's refusal instead of outages."""
+    rows = run_sweep(SweepSpec("power_dbm", (4.0, 10.0), ALL_SCHEMES, 1_000), topo, default_paper_setup()[1])
     assert len(rows) == 8
-    assert all(row.error.startswith("rates must be positive") and row.sim_op is None for row in rows)
+    assert all(row.error.startswith(error) and row.sim_op is None for row in rows)
 
 
 def test_manifest_contains_hash_and_versions(setup10):
@@ -891,6 +895,26 @@ def _main_output(argv: list[str]) -> tuple[int, str, str]:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("node", ["source1", "relay1", "destination"])
+@pytest.mark.parametrize("command", [
+    ["analyze"], ["simulate", "--trials", "2000"], ["validate", "--trials", "20000"], ["dump-chain"],
+], ids=lambda command: command[0])
+def test_a_node_whose_links_overflow_gets_one_answer(tmp_path, node, command):
+    """A node 1e103 away: each link to it has an infinite rate, not an
+    OverflowError from distance**alpha, and nothing warns.  A far source or
+    destination fails every delivery, and ``analyze`` and ``simulate`` both
+    print an ``overall_op`` of 1.0."""
+    config = tmp_path / "far.json"
+    save_setup(config, far_topology(node), default_paper_setup()[1])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _main_output([*command, "--config", str(config)])
+    assert [str(w.message) for w in caught] == []
+    assert (code, err) == (0, "")
+    if node != "relay1" and command[0] in ("analyze", "simulate"):
+        assert json.loads(out)["overall_op"] == 1.0
 
 
 def test_a_reused_parser_leaks_nothing_between_commands(tmp_path, monkeypatch):

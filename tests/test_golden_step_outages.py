@@ -38,6 +38,13 @@ cancellation had swamped the deep tail: at 10 dBm source 1 read 4.3e-5
 against an exact 9.7e-16.  They are now the exact step's values, the bits
 of the same case at n = 1e5; their ``bcast`` and ``empty`` fields kept
 their bits.
+Source 2's ``relay`` fields at -10 dBm, where it closes a relay that source
+1 keeps open, were rewritten when the exact step stopped dropping closed
+relays from a source's chain and kept them as phases that are never
+entered, so that both sources take one series: 10 fields (paper at
+eta = 0, 0.45 and 1 with n = 1 and 1e5; ``line16`` at n = 1, 2, 7 and
+1 000), each moved by at most 2.2e-16 relative, rounding.  No ``bcast`` or
+``empty`` field moved.
 Every other entry keeps its first bits.  Rewrite it only for a change that means to move
 those numbers:
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from layouts import underflow_topology
+from layouts import near_source_topology, underflow_topology
 from mdma_relay import simulator
 from mdma_relay.analytic import step_outages
 from mdma_relay.markov import (
@@ -731,13 +731,20 @@ def test_a_source_relay_rate_that_underflows_makes_only_that_relay_decode():
         assert abs(step.op - want) <= 4 * math.sqrt(want * (1 - want) / step.attempts) + 0.5 / step.attempts
 
 
+@pytest.mark.parametrize("layout, message", [
+    ("relay1-destination", "rates must be positive"),
+    ("source1-destination", "link rate must be positive, got 0.0"),
+], ids=["relay1-destination", "source1-destination"])
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_a_relay_dest_rate_that_underflows_is_refused_as_the_closed_form_refuses_it(scheme):
-    topo, cfg = underflow_topology((100.0, 0.0)), default_paper_setup(power_dbm=4.0)[1]
-    assert link_rates(topo, cfg, 1).relay_dest[0] == 0.0
-    with pytest.raises(ConfigError, match="rates must be positive") as analyze:
+def test_a_relay_dest_rate_that_underflows_is_refused_as_the_closed_form_refuses_it(scheme, layout, message):
+    # Relay 1 or source 1 so close to the destination that its link's rate underflows to 0.
+    topo = underflow_topology((100.0, 0.0)) if layout == "relay1-destination" else near_source_topology()
+    cfg = default_paper_setup(power_dbm=4.0)[1]
+    rates = link_rates(topo, cfg, 1)
+    assert (rates.relay_dest[0] if layout == "relay1-destination" else rates.direct) == 0.0
+    with pytest.raises(ConfigError, match=message) as analyze:
         step_outages(topo, cfg)
-    with pytest.raises(ConfigError, match="rates must be positive") as sim:
+    with pytest.raises(ConfigError, match=message) as sim:
         simulate(scheme, topo, cfg, 100)
     assert str(sim.value) == str(analyze.value)
 

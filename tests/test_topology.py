@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from mdma_relay.topology import (
     load_setup,
     save_setup,
 )
+
+from layouts import far_topology
 
 
 def test_s1_to_destination_distance(paper_setup):
@@ -130,6 +134,21 @@ def test_without_relay_cooperation_no_relay_hears_a_source():
         assert np.isinf(alone.source_relay).all() and alone.source_relay.shape == coop.source_relay.shape
         assert alone.direct == coop.direct
         assert np.array_equal(alone.relay_dest, coop.relay_dest)
+
+
+def test_a_link_whose_distance_to_the_alpha_overflows_has_an_infinite_rate_quietly():
+    # A node 1e103 away: distance**alpha overflows, an SNR of 0; noiseless
+    # every rate is 0, as it is for every finite distance.
+    _, cfg = default_paper_setup()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for node, link in (("source1", "direct"), ("relay1", "relay_dest"), ("destination", "relay_dest")):
+            topo = far_topology(node)
+            for noise_dbm, rate in ((cfg.noise_dbm, math.inf), (-math.inf, 0.0)):
+                rates = link_rates(topo, replace(cfg, noise_dbm=noise_dbm), 1)
+                assert np.ravel(getattr(rates, link))[0] == rate, (node, noise_dbm)
+                if node != "destination":
+                    assert rates.source_relay[0] == rate, (node, noise_dbm)
 
 
 def test_link_param_validation():
