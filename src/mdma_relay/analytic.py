@@ -20,10 +20,10 @@ terms from the rows of its jump matrix's powers, and
 ``relay_sum_cdf_uniformized``, its CDF, is what ``experiments.validate``
 checks the closed form against.  The closed form is binned only where its
 cancellation keeps at least half the CDF's digits, by a bound computed from
-the rates alone, and on 2 to 4 095 bins (``bins_closed_form``).  Elsewhere,
-tied rates included, ``relay_step_outages`` takes the relay step from that
-chain with the direct SNR as a phase in front, exact to rounding and without
-bins, summing every such source's chain in one series.  On a 2-core host
+the rates alone, on 2 to 4 095 bins (``bins_closed_form``) and where no
+direct SNR is 0.  Elsewhere ``relay_step_outages`` takes the relay step from
+that chain with the direct SNR as a phase in front, exact to rounding and
+without bins, summing every such source's chain in one series.  On a 2-core host
 one ``step_outages`` call on the paper layout takes about 0.2 ms binned at
 1 000 bins and 0.2-0.35 ms exact at any n.
 """
@@ -239,22 +239,21 @@ def relay_sum_cdf(paths: GatedPaths, theta: np.ndarray | None = None) -> Defecti
     )
 
 
-def _phase_type_chain(a, lam, direct_rates=None):
-    """Relay sums as phase-type laws (Neuts 1981), one per row of gates,
-    each uniformized at its largest rate Lam (Jensen 1953).
+def _phase_type_chain(a, lam, direct_rates):
+    """Direct SNRs then relay sums as phase-type laws (Neuts 1981), one per
+    row of gates, each uniformized at its largest rate Lam (Jensen 1953).
 
-    A row's phases are its relays in order: relay k is entered with
-    probability ``1 - a_k`` times the product of the gates it skipped, and
-    the law is absorbed once every later gate is closed.  A relay whose gate
-    is closed (a = 1) stays a phase that is never entered: its rate does not
-    set Lam, which must be finite, and its scale is clipped at 1.  ``lam``
-    has a row of rates per row of gates, each with some gate open.  Returns
-    the stacked entry rows, jump matrices, absorption probabilities per jump
-    and each row's Lam.
-
-    ``direct_rates`` puts a direct phase of each row's rate in front, and
-    Lam covers it too.  It jumps to the relays with the entry probabilities,
-    still the ones returned, and absorbs nothing: its no-relay share is lost.
+    Phase 0 is the direct link, of the row's rate in ``direct_rates``: it
+    jumps to the relays with the entry probabilities and absorbs nothing,
+    so its no-relay share is lost.  An infinite rate, an SNR of 0, takes no
+    time: it does not set Lam, and its row starts at the entry row, not at
+    phase 0.  Phase k is relay k - 1, entered with probability ``1 - a``
+    times the product of the gates it skipped; the law is absorbed once
+    every later gate is closed.  A closed relay (a = 1) stays a phase that
+    is never entered: its rate does not set Lam, which must be finite, and
+    its scale is clipped at 1.  ``lam`` has a row of rates per row of gates,
+    each with some gate open.  Returns the entry rows, start rows, jump
+    matrices, absorption probabilities per jump and each row's Lam.
     """
     s, m = a.shape
     # Row 0 is the start and row r > 0 leaves relay r - 1.  passed[r, j]: the
@@ -263,24 +262,25 @@ def _phase_type_chain(a, lam, direct_rates=None):
     passed = np.ones((s, m + 1, m + 1))
     np.cumprod(np.where(later, a[:, None], 1.0), axis=-1, out=passed[:, :, 1:])
     nxt = np.where(later, (1.0 - a[:, None]) * passed[:, :, :m], 0.0)
-    lam_max = np.maximum(np.where(a < 1.0, lam, 0.0).max(axis=1), 0.0 if direct_rates is None else direct_rates)
+    timed = direct_rates < math.inf
+    lam_max = np.where(a < 1.0, lam, 0.0).max(axis=1)
+    np.maximum(lam_max, direct_rates, out=lam_max, where=timed)
     # A closed relay's rate may pass Lam, or be infinite: clipped, it puts no
     # negative or NaN entry in J.
     scale = np.minimum(lam / lam_max[:, None], 1.0)
-    front = 0 if direct_rates is None else 1  # the direct phase, if any, is phase 0
-    jump, exit_ = np.zeros((s, front + m, front + m)), np.zeros((s, front + m))
+    jump, exit_ = np.zeros((s, m + 1, m + 1)), np.zeros((s, m + 1))
     # nxt[r + 1, r] is 0, so the diagonal is 1 - scale alone.
-    jump[:, front:, front:] = scale[:, :, None] * nxt[:, 1:]
-    jump.reshape(s, -1)[:, front * (front + m + 1)::front + m + 1] = 1.0 - scale
-    exit_[:, front:] = scale * passed[:, 1:, m]
-    if front:
-        d = direct_rates / lam_max
-        jump[:, 0, 0], jump[:, 0, 1:] = 1.0 - d, d[:, None] * nxt[:, 0]
-    return nxt[:, 0], jump, exit_, lam_max
+    jump[:, 1:, 1:] = scale[:, :, None] * nxt[:, 1:]
+    jump.reshape(s, -1)[:, m + 2::m + 2] = 1.0 - scale
+    exit_[:, 1:] = scale * passed[:, 1:, m]
+    # An untimed direct phase's row of J, at d = 1, is its start; later[:, 0] is phase 0.
+    d = np.minimum(direct_rates / lam_max, 1.0)
+    jump[:, 0, 0], jump[:, 0, 1:] = 1.0 - d, d[:, None] * nxt[:, 0]
+    return nxt[:, 0], np.where(timed[:, None], later[:, 0], jump[:, 0]), jump, exit_, lam_max
 
 
 def _absorbed_within(jump, exit_, start, xs) -> np.ndarray:
-    """The mass each chain s absorbs from row ``start`` (or ``start[s]``)
+    """The mass each chain s absorbs from its start row ``start[s]``
     within N ~ Pois(x) jumps, for each x of ``xs[s]``: ``sum_k P(N > k) *
     (start J^k exit)``.
 
@@ -324,33 +324,34 @@ def _absorbed_within(jump, exit_, start, xs) -> np.ndarray:
 
 def relay_sum_cdf_uniformized(paths: GatedPaths, gammas) -> np.ndarray:
     """``P(relay sum <= g, some relay decoded)`` at each g of ``gammas``,
-    exactly: nothing cancels, so the deep tail keeps its relative accuracy,
-    and tied rates and any relay count need no special case."""
+    exactly, from the relay step's chain with a direct SNR of 0: nothing
+    cancels, so the deep tail keeps its relative accuracy, and tied rates
+    and any relay count need no special case."""
     points = np.asarray(gammas, dtype=float)
     if paths.empty >= 1.0:
         return np.zeros(points.shape)
-    entry, jump, exit_, lam = _phase_type_chain(paths.gate_probs[None], paths.rates[None])
-    return _absorbed_within(jump, exit_, entry, lam[:, None] * points.reshape(1, -1))[0].reshape(points.shape)
+    _, start, jump, exit_, lam = _phase_type_chain(paths.gate_probs[None], paths.rates[None], np.array([math.inf]))
+    return _absorbed_within(jump, exit_, start, lam[:, None] * points.reshape(1, -1))[0].reshape(points.shape)
 
 
 def relay_step_outages(directs: list[LinkParam], paths: list[GatedPaths], gamma_th: float) -> list[float]:
     """Failure probability of each source's relay-forwarding step, exactly:
     ``P(D + R <= gamma_th | D <= gamma_th, some relay decoded)``, D the
     direct SNR ``directs[s]`` and R the decoded relays' sum of ``paths[s]``,
-    of one relay count for every source.  D then R is the relays' chain, its
-    closed relays kept, with a direct phase in front; the mass it absorbs
-    within gamma_th from that phase, a sum of nonnegative terms, is divided
-    by ``P(D <= gamma_th)`` and by the entry mass (``1 - empty`` as a sum).
+    of one relay count for every source, an open relay's SNR above 0.  D
+    then R is the relays' chain, its closed relays kept, with a direct phase
+    in front that a direct SNR of 0 skips; the mass it absorbs within
+    gamma_th from its start, a sum of nonnegative terms, is divided by
+    ``P(D <= gamma_th)`` and by the entry mass (``1 - empty`` as a sum).
     One series sums every chain; each value has the bits its source gets alone.
     """
     if any(p.empty >= 1.0 for p in paths):
         raise ConditioningError("no relay can ever decode; the relay step is unreachable")
     a, rates = np.array([p.gate_probs for p in paths]), np.array([p.rates for p in paths])
-    direct = np.array([d.rate_lambda for d in directs])
-    if not max(direct.max(), rates[a < 1.0].max()) < math.inf:
+    if not rates[a < 1.0].max() < math.inf:
         raise ConfigError("the exact relay step needs finite rates, got inf (an SNR of 0) on a link it takes")
-    entry, jump, exit_, lam = _phase_type_chain(a, rates, direct)
-    absorbed = _absorbed_within(jump, exit_, np.eye(exit_.shape[-1])[0], lam[:, None] * gamma_th)[:, 0]
+    entry, start, jump, exit_, lam = _phase_type_chain(a, rates, np.array([d.rate_lambda for d in directs]))
+    absorbed = _absorbed_within(jump, exit_, start, lam[:, None] * gamma_th)[:, 0]
     return [min(float(value / (direct_outage(d, gamma_th) * mass)), 1.0)
             for d, value, mass in zip(directs, absorbed, entry.sum(axis=-1))]
 
@@ -543,8 +544,10 @@ def _step_outages(
               and (directs[source].rate_lambda < math.inf or p.rates[p.gate_probs < 1.0].min() < math.inf)]
     # The paths share their rates, and bins_closed_form reads the gates only to
     # see that one can open: one pole-ratio matrix and one check of its
-    # condition serve every source that can reach a relay.
-    theta = _pole_ratios(paths[1].rates) if opened and 2 <= n < _BASIS_ROWS else None
+    # condition serve every source that can reach a relay.  A direct SNR of 0
+    # has no binned law below the threshold, so it sends the call to the exact step.
+    theta = (_pole_ratios(paths[1].rates) if opened and 2 <= n < _BASIS_ROWS
+             and all(directs[source].rate_lambda < math.inf for source in opened) else None)
     if theta is not None and bins_closed_form(paths[opened[0]], n, theta):
         pmfs = bin_relay_sum([relay_sum_cdf(paths[source], theta) for source in opened], gamma_th, n)
         relays = {source: step2_outage(pmf, bin_conditional_direct(directs[source], gamma_th, n), paths[source])

@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .markov import STEP_KINDS, Phase, phase_plan, refuse_past_cap, state_label
-from .topology import ConfigError, LinkParam, NetworkTopology, SystemConfig, link_rates
+from .topology import ConfigError, NetworkTopology, SystemConfig, link_rates
 
 SCHEMES = ("mdma", "tdma", "fdma", "noma")
 
@@ -878,7 +878,8 @@ def simulate(
     """Simulate `slots` slots of MDMA, or of the TDMA, FDMA or NOMA baseline
     under the same relay cooperation mechanics.  TDMA alternates the sources,
     each delivering its full payload in turn; FDMA runs the single-source
-    protocol for both sources concurrently on orthogonal bands.
+    protocol for both sources concurrently on orthogonal bands.  A layout
+    `link_rates` refuses is refused here as by `analyze`, with its message.
 
     `pool`, a dict, shares broadcast episodes between the runs given it: an
     untraced run reads a source's episodes from the pool if a run with the
@@ -900,17 +901,6 @@ def simulate(
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     rates = {s: link_rates(topology, config, s, options.relay_cooperation) for s in (1, 2)}
-    # A relay-destination rate that underflows to 0 is an infinite mean SNR,
-    # and MRC would add it times a relay that did not decode: inf * 0 = NaN.
-    # It and a direct rate of 0 are refused where, and as, the closed form
-    # refuses them: not noiseless (every rate 0), nor at a zero threshold
-    # (every reception succeeds).
-    if math.isfinite(config.snr_linear()) and config.gamma_th > 0.0:
-        rd = rates[1].relay_dest
-        if not rd.min() > 0.0:
-            raise ConfigError(f"rates must be positive, got {rd}")
-        for source in (1, 2):
-            LinkParam(rates[source].direct)
     if scheme == "mdma":
         bands = [phase_plan(config.beta_s, config.beta_p)]
     elif scheme == "tdma":

@@ -250,7 +250,10 @@ def link_rates(topology: NetworkTopology, config: SystemConfig, source: int,
     """Rates d**alpha/snr for the links used when `source` (1 or 2) transmits.
     Without relay cooperation no relay hears the source: its source-relay
     rates are infinite, an SNR of 0.  So is a link whose d**alpha overflows,
-    but at infinite SNR every rate is 0: every link succeeds."""
+    but at infinite SNR every rate is 0: every link succeeds.  A direct or
+    relay-destination rate that underflows to 0 at a finite SNR and a
+    positive threshold, an infinite mean SNR, is refused for every command:
+    MRC would add it times a relay that did not decode, inf * 0 = NaN."""
     if source not in (1, 2):
         raise ConfigError(f"source must be 1 or 2, got {source}")
     d = topology.link_distances
@@ -263,6 +266,10 @@ def link_rates(topology: NetworkTopology, config: SystemConfig, source: int,
     with np.errstate(over="ignore"):
         gains = np.float64(sd) ** a, sr**a, d.r_d**a
         direct, source_relay, relay_dest = (g / snr if snr < math.inf else np.zeros_like(g) for g in gains)
+    if not (direct > 0.0 and relay_dest.min() > 0.0) and snr < math.inf and config.gamma_th > 0.0:
+        if not relay_dest.min() > 0.0:
+            raise ConfigError(f"rates must be positive, got {relay_dest}")
+        LinkParam(float(direct))
     return LinkSet(
         direct=float(direct),
         source_relay=source_relay if cooperate else np.full(sr.shape, math.inf),

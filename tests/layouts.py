@@ -6,7 +6,7 @@ install without the test extras can use it too.
 
 from dataclasses import replace
 
-from mdma_relay.topology import NetworkTopology, default_paper_setup
+from mdma_relay.topology import NetworkTopology, SystemConfig, default_paper_setup
 
 
 def line_topology(m: int, tie_gap: float = 0.0) -> NetworkTopology:
@@ -53,3 +53,20 @@ def near_source_topology() -> NetworkTopology:
     (1e-110, 0): their link's rate d**alpha/snr underflows to 0."""
     topo, _ = default_paper_setup()
     return replace(topo, s1_pos=(0.0, 0.0), d_pos=(1e-110, 0.0))
+
+
+def zero_snr_direct_setup(layout: str) -> tuple[NetworkTopology, SystemConfig]:
+    """Source 1 so far from the destination that its direct gain overflows,
+    a direct SNR of 0, while every relay it reaches has an SNR above 0:
+    alpha = 3, -50 dBm noise and 3030 dBm, a linear SNR of 1e308.
+    "separated" puts the destination at (0, 0), the sources at (6e102, 0)
+    and (1e102, 0) and 4 relays at (3.2e102 + 0.2e102 i, 0); its condition
+    bound is about 268, so its closed form would bin.  "tied" puts source 1
+    at (0, 1e103), source 2 at (0, 20) and 8 relays at (0, 5e102 + 10 i),
+    all of whose rates tie at 1.25."""
+    topo, config = default_paper_setup(power_dbm=3030.0)
+    if layout == "separated":
+        relays = tuple((3.2e102 + 0.2e102 * i, 0.0) for i in range(4))
+        return NetworkTopology((6e102, 0.0), (1e102, 0.0), (0.0, 0.0), relays, topo.alpha), config
+    relays = tuple((0.0, 5e102 + 10.0 * i) for i in range(8))
+    return NetworkTopology((0.0, 1e103), (0.0, 20.0), (0.0, 0.0), relays, topo.alpha), config

@@ -36,7 +36,7 @@ from mdma_relay.topology import (
 )
 from dataclasses import replace
 
-from layouts import far_topology, line_topology, near_source_topology, underflow_topology
+from layouts import far_topology, line_topology, near_source_topology, underflow_topology, zero_snr_direct_setup
 from relay_reference import numeric_relay_sum_cdf, relay_sum_cdf_quadrature
 
 
@@ -938,13 +938,39 @@ def test_a_far_destination_fails_the_relay_step_without_a_series(monkeypatch, n)
     assert max(outs[s].empty for s in (1, 2)) < 1e-5
 
 
-@pytest.mark.parametrize("direct, rates", [(math.inf, [1.0, 2.0]), (1.0, [1.0, math.inf])],
-                         ids=["direct", "open-relay"])
+@pytest.mark.parametrize("direct, rates", [(1.0, [1.0, math.inf])], ids=["open-relay"])
 def test_the_exact_step_refuses_an_infinite_rate_beside_a_finite_one(direct, rates):
-    # D or an open relay's term is 0 while another is not: no zero-length
+    # An open relay's term is 0 while another is not: no zero-length relay
     # phase fits the uniformized chain.
     with pytest.raises(ConfigError, match="needs finite rates, got inf"):
         relay_step_outages([LinkParam(direct)], [GatedPaths(np.array([0.5, 0.5]), np.array(rates))], 1.0)
+
+
+def test_the_exact_step_answers_a_direct_snr_of_0():
+    # D = 0 beside relays of rates 1 and 2, each decoded half the time: the
+    # step is P(R <= 1 | some relay decoded), R one exponential or their sum.
+    alone = -math.expm1(-1.0) - math.expm1(-2.0)
+    both = 1.0 - 2.0 * math.exp(-1.0) + math.exp(-2.0)
+    got = relay_step_outages([LinkParam(math.inf)], [GatedPaths(np.array([0.5, 0.5]), np.array([1.0, 2.0]))], 1.0)
+    assert got == [pytest.approx(0.25 * (alone + both) / 0.75, rel=1e-15, abs=0.0)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000, BLOCK_ROWS, 100_000])
+@pytest.mark.parametrize("layout", ["separated", "tied"])
+def test_a_direct_snr_of_0_takes_the_relay_sum_alone_at_every_bin_count(layout, n):
+    # Source 1's direct gain overflows, so D = 0 and its relay step is
+    # P(R <= gamma_th | some relay decoded): the relay sum's chain started
+    # at its entry row.  "separated" is well conditioned, but D has no
+    # binned law, so the whole call takes the exact step at 2 to 4 095 bins too.
+    topo, cfg = zero_snr_direct_setup(layout)
+    cfg = replace(cfg, granularity=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outs = step_outages(topo, cfg)
+        paths = GatedPaths(decode_fail_probs(topo, cfg, 1), link_rates(topo, cfg, 1).relay_dest)
+        want = relay_sum_cdf_uniformized(paths, [cfg.gamma_th])[0] / (1.0 - paths.empty)
+    assert link_rates(topo, cfg, 1).direct == math.inf and outs[1].bcast == 1.0
+    assert outs[1].relay == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 100_000])
@@ -1137,12 +1163,13 @@ def test_a_refused_input_is_not_stored(monkeypatch, paper_setup):
     near = near_source_topology()  # source 1's direct rate underflows to 0
     step_outages(topo, cfg)
     computed = _computed(monkeypatch)
+    # link_rates refuses source 1's links, each time: nothing was stored.
     for _ in range(2):
         with pytest.raises(ConfigError, match="link rate must be positive"):
             step_outages(near, cfg)
-    assert computed == [1, 2] * 2
+    assert computed == [1] * 2
     step_outages(topo, cfg)  # the entry before the refusal is still there
-    assert computed == [1, 2] * 2
+    assert computed == [1] * 2
 
 
 def test_a_power_sweep_computes_every_point(monkeypatch, paper_setup):

@@ -29,7 +29,7 @@ from mdma_relay.experiments import (
     write_rows_csv,
 )
 from chain_reference import overall_outage, stationary_distribution
-from layouts import far_topology, line_topology, near_source_topology, underflow_topology
+from layouts import far_topology, line_topology, near_source_topology, underflow_topology, zero_snr_direct_setup
 from mdma_relay.markov import build_chain, ring_distribution
 from mdma_relay.simulator import SimOptions, simulate, trace_to_csv_rows
 from mdma_relay.topology import (
@@ -897,7 +897,7 @@ def _main_output(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("node", ["source1", "relay1", "destination"])
+@pytest.mark.parametrize("node", ["source1", "relay1", "destination", "separated", "tied"])
 @pytest.mark.parametrize("command", [
     ["analyze"], ["simulate", "--trials", "2000"], ["validate", "--trials", "20000"], ["dump-chain"],
 ], ids=lambda command: command[0])
@@ -905,16 +905,23 @@ def test_a_node_whose_links_overflow_gets_one_answer(tmp_path, node, command):
     """A node 1e103 away: each link to it has an infinite rate, not an
     OverflowError from distance**alpha, and nothing warns.  A far source or
     destination fails every delivery, and ``analyze`` and ``simulate`` both
-    print an ``overall_op`` of 1.0."""
+    print an ``overall_op`` of 1.0.  Where only source 1's direct link
+    overflows ("separated", "tied"), its relay steps still deliver, and
+    ``simulate`` reads ``analyze``'s ``overall_op`` within 5 standard errors."""
     config = tmp_path / "far.json"
-    save_setup(config, far_topology(node), default_paper_setup()[1])
+    far = node in ("source1", "relay1", "destination")
+    save_setup(config, *((far_topology(node), default_paper_setup()[1]) if far else zero_snr_direct_setup(node)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = _main_output([*command, "--config", str(config)])
+        exact = json.loads(_main_output(["analyze", "--config", str(config)])[1])["overall_op"]
     assert [str(w.message) for w in caught] == []
     assert (code, err) == (0, "")
-    if node != "relay1" and command[0] in ("analyze", "simulate"):
-        assert json.loads(out)["overall_op"] == 1.0
+    if far and node != "relay1" and command[0] in ("analyze", "simulate"):
+        assert json.loads(out)["overall_op"] == exact == 1.0
+    elif command[0] == "simulate" and not far:
+        estimate = json.loads(out)
+        assert abs(estimate["overall_op"] - exact) <= 5.0 * estimate["overall_op_stderr"]
 
 
 def test_a_reused_parser_leaks_nothing_between_commands(tmp_path, monkeypatch):

@@ -738,15 +738,18 @@ def test_a_source_relay_rate_that_underflows_makes_only_that_relay_decode():
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_a_relay_dest_rate_that_underflows_is_refused_as_the_closed_form_refuses_it(scheme, layout, message):
     # Relay 1 or source 1 so close to the destination that its link's rate underflows to 0.
+    # link_rates refuses it, and the closed form and the simulator refuse it there.
     topo = underflow_topology((100.0, 0.0)) if layout == "relay1-destination" else near_source_topology()
     cfg = default_paper_setup(power_dbm=4.0)[1]
-    rates = link_rates(topo, cfg, 1)
+    rates = link_rates(topo, replace(cfg, rate_r0=1e-17), 1)  # at a zero threshold every reception succeeds
     assert (rates.relay_dest[0] if layout == "relay1-destination" else rates.direct) == 0.0
+    with pytest.raises(ConfigError, match=message) as links:
+        link_rates(topo, cfg, 1)
     with pytest.raises(ConfigError, match=message) as analyze:
         step_outages(topo, cfg)
     with pytest.raises(ConfigError, match=message) as sim:
         simulate(scheme, topo, cfg, 100)
-    assert str(sim.value) == str(analyze.value)
+    assert str(sim.value) == str(analyze.value) == str(links.value)
 
 
 _PAPER = default_paper_setup()
@@ -768,7 +771,9 @@ def test_broadcast_draw_sizes_are_defined_at_the_edge_inputs(topo, cfg, cooperat
     """The mean episode length that sizes broadcast draws is finite and in
     [1, 2], and every draw size a positive int no larger than the cap."""
     for source in (1, 2):
-        episodes = simulator._Episodes(0, source, link_rates(topo, cfg, source, cooperate), cfg.gamma_th)
+        # The rates of a zero threshold, where link_rates refuses no underflowed rate.
+        rates = link_rates(topo, replace(cfg, rate_r0=1e-17), source, cooperate)
+        episodes = simulator._Episodes(0, source, rates, cfg.gamma_th)
         assert 1.0 <= episodes.mean_len <= 2.0
         tally = simulator._Tally("mdma", [], [], 1, 1, 0)
         stream = simulator._BcastStream(tally, episodes, np.zeros((1, 1, 5), dtype=np.int64))
