@@ -14,18 +14,18 @@ SNR on n bins, one basis of at most ``_BASIS_ROWS`` edges shared by both
 sources, and sums the mass of their sum below the threshold, one O(n) dot
 product.
 
-The relay sum is also a phase-type law, exact at any relay count and with
-tied rates: ``_absorbed_within`` sums its uniformized series of nonnegative
+The relay sum is also a phase-type law, exact at any relay count and with tied
+rates, in which a link with an SNR of 0 (an infinite rate) is a phase that
+takes no time: ``_absorbed_within`` sums its uniformized series of nonnegative
 terms from the rows of its jump matrix's powers, and
 ``relay_sum_cdf_uniformized``, its CDF, is what ``experiments.validate``
 checks the closed form against.  The closed form is binned only where its
-cancellation keeps at least half the CDF's digits, by a bound computed from
-the rates alone, on 2 to 4 095 bins (``bins_closed_form``) and where no
-direct SNR is 0.  Elsewhere ``relay_step_outages`` takes the relay step from
-that chain with the direct SNR as a phase in front, exact to rounding and
-without bins, summing every such source's chain in one series.  On a 2-core host
-one ``step_outages`` call on the paper layout takes about 0.2 ms binned at
-1 000 bins and 0.2-0.35 ms exact at any n.
+cancellation keeps at least half the CDF's digits, by a bound from the rates
+alone, on 2 to 4 095 bins (``bins_closed_form``) and where no direct SNR is 0.
+Elsewhere ``relay_step_outages`` takes every relay step, exactly and in one
+series, from that chain with the direct SNR as a phase in front.  On a 2-core
+host a ``step_outages`` call on the paper layout takes 0.2 ms binned at 1 000
+bins, 0.2-0.35 ms exact.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ MAX_RELAYS_CLOSED_FORM = 20
 # noise, so the CDF keeps at least half its digits.
 _MAX_CONDITION = 2.0 ** 26
 _EPS = float(np.finfo(float).eps)
+_LAYERS = np.array([True, False])[:, None, None]  # the chain's gates of timed relays, then of untimed ones
 # Most edges of the one basis the closed form is binned on.  OpenBLAS splits
 # a product of more than about 460 000 elements over its threads (seen with
 # 0.3.31), which moves the last bits of some rows; 4096 rows of at most
@@ -243,40 +244,45 @@ def _phase_type_chain(a, lam, direct_rates):
     """Direct SNRs then relay sums as phase-type laws (Neuts 1981), one per
     row of gates, each uniformized at its largest rate Lam (Jensen 1953).
 
-    Phase 0 is the direct link, of the row's rate in ``direct_rates``: it
-    jumps to the relays with the entry probabilities and absorbs nothing,
-    so its no-relay share is lost.  An infinite rate, an SNR of 0, takes no
-    time: it does not set Lam, and its row starts at the entry row, not at
-    phase 0.  Phase k is relay k - 1, entered with probability ``1 - a``
-    times the product of the gates it skipped; the law is absorbed once
-    every later gate is closed.  A closed relay (a = 1) stays a phase that
-    is never entered: its rate does not set Lam, which must be finite, and
-    its scale is clipped at 1.  ``lam`` has a row of rates per row of gates,
-    each with some gate open.  Returns the entry rows, start rows, jump
+    Phase 0 is the direct link, of the row's rate in ``direct_rates``, and
+    phase k is relay k - 1, entered with probability ``1 - a`` times the
+    product of the gates it skipped; the law is absorbed once every later
+    gate is closed.  An infinite rate, an SNR of 0, is a phase that takes no
+    time, left once entered (a vanishing state; Ajmone Marsan, Conte & Balbo
+    1984).  The chain is acyclic in relay order, so an untimed relay is a
+    closed gate, and the decode sets that only untimed relays open are
+    absorbed as phase 0 ends, or at once where phase 0 is untimed and its
+    row of J, at d = 1, is the start.  A closed relay (a = 1) stays a phase
+    that is never entered.  Lam is the largest rate of the timed phases that
+    can be entered; every scale is clipped at 1.  Returns the entry masses
+    (``1 - empty`` as sums), start rows, masses absorbed at once, jump
     matrices, absorption probabilities per jump and each row's Lam.
     """
     s, m = a.shape
+    direct_timed = direct_rates < math.inf
+    gates = np.where((lam < math.inf) == _LAYERS, a, 1.0)
     # Row 0 is the start and row r > 0 leaves relay r - 1.  passed[r, j]: the
     # gates of relays r to j - 1 are all closed; nxt[r, j >= r]: relay j is next.
     later = np.arange(m) >= np.arange(m + 1)[:, None]
-    passed = np.ones((s, m + 1, m + 1))
-    np.cumprod(np.where(later, a[:, None], 1.0), axis=-1, out=passed[:, :, 1:])
-    nxt = np.where(later, (1.0 - a[:, None]) * passed[:, :, :m], 0.0)
-    timed = direct_rates < math.inf
-    lam_max = np.where(a < 1.0, lam, 0.0).max(axis=1)
-    np.maximum(lam_max, direct_rates, out=lam_max, where=timed)
-    # A closed relay's rate may pass Lam, or be infinite: clipped, it puts no
-    # negative or NaN entry in J.
-    scale = np.minimum(lam / lam_max[:, None], 1.0)
+    passed = np.ones((2, s, m + 1, m + 1))
+    np.cumprod(np.where(later, gates[..., None, :], 1.0), axis=-1, out=passed[..., 1:])
+    nxt = np.where(later, (1.0 - gates[..., None, :]) * passed[..., :m], 0.0)
+    # Every timed gate closed, and layer 1 entered (some untimed gate open): a sum over the first.
+    share = passed[0, :, 0, m] * nxt[1, :, 0].sum(axis=-1)
+    gates, passed, nxt = gates[0], passed[0], nxt[0]
+    lam_max = np.where(gates < 1.0, lam, 0.0).max(axis=1)
+    np.maximum(lam_max, direct_rates, out=lam_max, where=direct_timed)
+    # A phase never entered may pass Lam, or be infinite: clipped, it puts no NaN in J.
+    scale = np.divide(lam, lam_max[:, None], out=np.ones((s, m)), where=lam < lam_max[:, None])
     jump, exit_ = np.zeros((s, m + 1, m + 1)), np.zeros((s, m + 1))
     # nxt[r + 1, r] is 0, so the diagonal is 1 - scale alone.
     jump[:, 1:, 1:] = scale[:, :, None] * nxt[:, 1:]
     jump.reshape(s, -1)[:, m + 2::m + 2] = 1.0 - scale
     exit_[:, 1:] = scale * passed[:, 1:, m]
-    # An untimed direct phase's row of J, at d = 1, is its start; later[:, 0] is phase 0.
-    d = np.minimum(direct_rates / lam_max, 1.0)
-    jump[:, 0, 0], jump[:, 0, 1:] = 1.0 - d, d[:, None] * nxt[:, 0]
-    return nxt[:, 0], np.where(timed[:, None], later[:, 0], jump[:, 0]), jump, exit_, lam_max
+    d = np.divide(direct_rates, lam_max, out=np.ones(s), where=direct_rates < lam_max)
+    jump[:, 0, 0], jump[:, 0, 1:], exit_[:, 0] = 1.0 - d, d[:, None] * nxt[:, 0], d * share
+    start = np.where(direct_timed[:, None], later[:, 0], jump[:, 0])  # later[:, 0] is phase 0
+    return nxt[:, 0].sum(axis=-1) + share, start, np.where(direct_timed, 0.0, share), jump, exit_, lam_max
 
 
 def _absorbed_within(jump, exit_, start, xs) -> np.ndarray:
@@ -323,37 +329,31 @@ def _absorbed_within(jump, exit_, start, xs) -> np.ndarray:
 
 
 def relay_sum_cdf_uniformized(paths: GatedPaths, gammas) -> np.ndarray:
-    """``P(relay sum <= g, some relay decoded)`` at each g of ``gammas``,
-    exactly, from the relay step's chain with a direct SNR of 0: nothing
-    cancels, so the deep tail keeps its relative accuracy, and tied rates
-    and any relay count need no special case."""
+    """``P(relay sum <= g, some relay decoded)`` at each g of ``gammas``, exactly,
+    from the relay step's chain with a direct SNR of 0: nothing cancels, so the deep
+    tail keeps its relative accuracy, and tied or infinite rates need no special case."""
     points = np.asarray(gammas, dtype=float)
-    if paths.empty >= 1.0:
-        return np.zeros(points.shape)
-    _, start, jump, exit_, lam = _phase_type_chain(paths.gate_probs[None], paths.rates[None], np.array([math.inf]))
-    return _absorbed_within(jump, exit_, start, lam[:, None] * points.reshape(1, -1))[0].reshape(points.shape)
+    _, start, now, jump, exit_, lam = _phase_type_chain(paths.gate_probs[None], paths.rates[None], np.array([math.inf]))
+    return _absorbed_within(jump, exit_, start, lam[:, None] * points.reshape(1, -1))[0].reshape(points.shape) + now[0]
 
 
 def relay_step_outages(directs: list[LinkParam], paths: list[GatedPaths], gamma_th: float) -> list[float]:
     """Failure probability of each source's relay-forwarding step, exactly:
     ``P(D + R <= gamma_th | D <= gamma_th, some relay decoded)``, D the
     direct SNR ``directs[s]`` and R the decoded relays' sum of ``paths[s]``,
-    of one relay count for every source, an open relay's SNR above 0.  D
-    then R is the relays' chain, its closed relays kept, with a direct phase
-    in front that a direct SNR of 0 skips; the mass it absorbs within
-    gamma_th from its start, a sum of nonnegative terms, is divided by
-    ``P(D <= gamma_th)`` and by the entry mass (``1 - empty`` as a sum).
+    of one relay count for every source.  D then R is one chain, its closed
+    relays kept and a link with an SNR of 0 a phase that takes no time; the
+    mass it absorbs within gamma_th, a sum of nonnegative terms, is divided
+    by ``P(D <= gamma_th)`` and by the entry mass (``1 - empty`` as a sum).
     One series sums every chain; each value has the bits its source gets alone.
     """
     if any(p.empty >= 1.0 for p in paths):
         raise ConditioningError("no relay can ever decode; the relay step is unreachable")
     a, rates = np.array([p.gate_probs for p in paths]), np.array([p.rates for p in paths])
-    if not rates[a < 1.0].max() < math.inf:
-        raise ConfigError("the exact relay step needs finite rates, got inf (an SNR of 0) on a link it takes")
-    entry, start, jump, exit_, lam = _phase_type_chain(a, rates, np.array([d.rate_lambda for d in directs]))
-    absorbed = _absorbed_within(jump, exit_, start, lam[:, None] * gamma_th)[:, 0]
+    entry, start, now, jump, exit_, lam = _phase_type_chain(a, rates, np.array([d.rate_lambda for d in directs]))
+    absorbed = _absorbed_within(jump, exit_, start, lam[:, None] * gamma_th)[:, 0] + now
     return [min(float(value / (direct_outage(d, gamma_th) * mass)), 1.0)
-            for d, value, mass in zip(directs, absorbed, entry.sum(axis=-1))]
+            for d, value, mass in zip(directs, absorbed, entry)]
 
 
 def bins_closed_form(paths: GatedPaths, granularity: int, theta: np.ndarray | None = None) -> bool:

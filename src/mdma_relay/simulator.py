@@ -255,16 +255,14 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def _means(rates) -> np.ndarray | float:
-    """1/rate with rate 0 (infinite SNR) mapped to an infinite mean."""
-    arr = np.asarray(rates, dtype=float)
-    out = np.where(arr > 0, 1.0 / np.where(arr > 0, arr, 1.0), math.inf)
-    return float(out) if arr.ndim == 0 else out
+    """1/rate; a rate of 0 (infinite SNR) or a subnormal one gives an infinite mean."""
+    return 1.0 / np.asarray(rates, dtype=float)
 
 
 def _exp(rng, shape, means) -> np.ndarray:
     """Exponential SNRs with the given means, per element; an infinite mean
-    (no noise, or a link so short that its rate underflows) gives inf.  When
-    every mean is infinite nothing is drawn."""
+    (no noise, or a link so short that its rate underflows) or a draw past
+    the float maximum gives inf.  When every mean is infinite nothing is drawn."""
     inf = np.isinf(means)
     if inf.all():
         return np.full(shape, math.inf)
@@ -901,16 +899,18 @@ def simulate(
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     rates = {s: link_rates(topology, config, s, options.relay_cooperation) for s in (1, 2)}
-    if scheme == "mdma":
-        bands = [phase_plan(config.beta_s, config.beta_p)]
-    elif scheme == "tdma":
-        bands = [[Phase("payload1", 1, config.beta_t), Phase("payload2", 2, config.beta_t)]]
-    elif scheme == "fdma":
-        bands = [[Phase("band1", 1, config.beta_t)], [Phase("band2", 2, config.beta_t)]]
-    else:
-        return _run_noma(config, slots, seed, options, pool, rates)
-    refuse_past_cap(*bands)  # a band run lists a label and an occupancy entry per state
-    return _run_bands(config, scheme, bands, slots, seed, options, pool, rates)
+    # One errstate per run, not per draw: an infinite mean or draw is an overflow or a division by 0.
+    with np.errstate(over="ignore", divide="ignore"):
+        if scheme == "mdma":
+            bands = [phase_plan(config.beta_s, config.beta_p)]
+        elif scheme == "tdma":
+            bands = [[Phase("payload1", 1, config.beta_t), Phase("payload2", 2, config.beta_t)]]
+        elif scheme == "fdma":
+            bands = [[Phase("band1", 1, config.beta_t)], [Phase("band2", 2, config.beta_t)]]
+        else:
+            return _run_noma(config, slots, seed, options, pool, rates)
+        refuse_past_cap(*bands)  # a band run lists a label and an occupancy entry per state
+        return _run_bands(config, scheme, bands, slots, seed, options, pool, rates)
 
 
 def trace_to_csv_rows(trace: list[SlotEvent]) -> list[dict]:

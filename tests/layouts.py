@@ -57,16 +57,26 @@ def near_source_topology() -> NetworkTopology:
 
 def zero_snr_direct_setup(layout: str) -> tuple[NetworkTopology, SystemConfig]:
     """Source 1 so far from the destination that its direct gain overflows,
-    a direct SNR of 0, while every relay it reaches has an SNR above 0:
-    alpha = 3, -50 dBm noise and 3030 dBm, a linear SNR of 1e308.
-    "separated" puts the destination at (0, 0), the sources at (6e102, 0)
-    and (1e102, 0) and 4 relays at (3.2e102 + 0.2e102 i, 0); its condition
-    bound is about 268, so its closed form would bin.  "tied" puts source 1
-    at (0, 1e103), source 2 at (0, 20) and 8 relays at (0, 5e102 + 10 i),
-    all of whose rates tie at 1.25."""
+    a direct SNR of 0: alpha = 3, -50 dBm noise and 3030 dBm, a linear SNR
+    of 1e308.  "separated" puts the destination at (0, 0), the sources at
+    (6e102, 0) and (1e102, 0) and 4 relays at (3.2e102 + 0.2e102 i, 0); its
+    condition bound is about 268, so its closed form would bin.  "open-relay"
+    adds a fifth relay at (6e102, 1), next to source 1, so that an open
+    relay's link to the destination overflows too, an SNR of 0 beside the
+    others' SNRs above it.  "tied" puts source 1 at (0, 1e103), source 2 at
+    (0, 20) and 8 relays at (0, 5e102 + 10 i), all of whose rates tie at 1.25."""
     topo, config = default_paper_setup(power_dbm=3030.0)
-    if layout == "separated":
-        relays = tuple((3.2e102 + 0.2e102 * i, 0.0) for i in range(4))
+    if layout in ("separated", "open-relay"):
+        relays = tuple((3.2e102 + 0.2e102 * i, 0.0) for i in range(4)) + ((6e102, 1.0),) * (layout == "open-relay")
         return NetworkTopology((6e102, 0.0), (1e102, 0.0), (0.0, 0.0), relays, topo.alpha), config
     relays = tuple((0.0, 5e102 + 10.0 * i) for i in range(8))
     return NetworkTopology((0.0, 1e103), (0.0, 20.0), (0.0, 0.0), relays, topo.alpha), config
+
+
+def subnormal_rate_setup() -> tuple[NetworkTopology, SystemConfig]:
+    """The paper layout at 3030 dBm (a linear SNR of 1e308) with relay 1 0.1
+    from source 1: their link's rate, 1e-311, is subnormal, so its mean SNR
+    1/rate overflows to infinity."""
+    topo, config = default_paper_setup(power_dbm=3030.0)
+    x, y = topo.s1_pos
+    return replace(topo, relay_pos=((x + 0.1, y), *topo.relay_pos[1:])), config

@@ -35,10 +35,12 @@ on an unexpected exit status, stderr line or output byte:
   ``simulate`` print an ``overall_op`` of 1.0 and write nothing on stderr.
   So does ``analyze`` of the destination 1e103 away.  Relay 1 1e103 away:
   ``analyze`` writes nothing on stderr.
-- Source 1's direct link alone overflowing, a direct SNR of 0, beside
-  well-conditioned relays and beside tied ones: ``analyze`` prints at 1 000
-  bins the bytes it prints at 4 096, and it and ``simulate`` of MDMA and
-  NOMA write nothing on stderr.
+- Source 1's direct link overflowing, a direct SNR of 0, beside
+  well-conditioned relays, beside tied ones, and beside an open relay whose
+  link to the destination overflows too: ``analyze`` prints at 1 000 bins
+  the bytes it prints at 4 096, and it and ``simulate`` of MDMA and NOMA
+  write nothing on stderr.  Nor does ``simulate`` with relay 1 0.1 from
+  source 1 at 3030 dBm, a subnormal rate whose mean SNR overflows.
 - ``simulate`` of every scheme.
 - A 30 dBm trace, where the destination decodes almost every broadcast:
   it reads relay-side SNRs drawn for the missed broadcasts only.
@@ -60,7 +62,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from layouts import far_topology, line_topology, near_source_topology, underflow_topology, zero_snr_direct_setup
+from layouts import (far_topology, line_topology, near_source_topology, subnormal_rate_setup, underflow_topology,
+                     zero_snr_direct_setup)
 from mdma_relay.topology import default_paper_setup, save_setup
 
 SCHEMES = ("mdma", "tdma", "fdma", "noma")
@@ -149,17 +152,18 @@ def run(command: list[str], work: Path) -> None:
         done = _run(command, *args, "--config", str(work / f"far-{node}.json"), capture_output=True, text=True)
         if done.stderr or (node != "relay1" and json.loads(done.stdout)["overall_op"] != 1.0):
             raise SystemExit(f"{' '.join(args)} of far {node}: stdout {done.stdout!r}, stderr {done.stderr!r}")
-    for layout in ("separated", "tied"):
-        config = work / f"zero-snr-direct-{layout}.json"
-        save_setup(config, *zero_snr_direct_setup(layout))
-        runs = [["analyze", "--granularity", n, "--out", str(work / f"zero-snr-direct-{layout}-n{n}.json")]
-                for n in ("1000", "4096")]
+    for layout in ("separated", "tied", "open-relay", "subnormal-rate"):
+        config = work / f"{layout}.json"
+        save_setup(config, *(subnormal_rate_setup() if layout == "subnormal-rate" else zero_snr_direct_setup(layout)))
+        ns = () if layout == "subnormal-rate" else ("1000", "4096")
+        runs = [["analyze", "--granularity", n, "--out", str(work / f"{layout}-n{n}.json")] for n in ns]
         runs += [["simulate", "--scheme", scheme, "--trials", "20000"] for scheme in ("mdma", "noma")]
         for args in runs:
             done = _run(command, *args, "--config", str(config), capture_output=True, text=True)
             if done.stderr:
-                raise SystemExit(f"{' '.join(args)} of the {layout} zero-SNR direct link: stderr {done.stderr!r}")
-        _same_bytes(*(work / f"zero-snr-direct-{layout}-n{n}.json" for n in ("1000", "4096")))
+                raise SystemExit(f"{' '.join(args)} of the {layout} layout: stderr {done.stderr!r}")
+        if ns:
+            _same_bytes(*(work / f"{layout}-n{n}.json" for n in ns))
     for scheme in SCHEMES:
         _run(command, "simulate", "--paper-defaults", "--scheme", scheme, "--trials", "20000", **quiet)
     _run(command, "simulate", "--paper-defaults", "--scheme", "mdma", "--power-dbm", "30", "--trials", "20000",

@@ -938,12 +938,32 @@ def test_a_far_destination_fails_the_relay_step_without_a_series(monkeypatch, n)
     assert max(outs[s].empty for s in (1, 2)) < 1e-5
 
 
-@pytest.mark.parametrize("direct, rates", [(1.0, [1.0, math.inf])], ids=["open-relay"])
-def test_the_exact_step_refuses_an_infinite_rate_beside_a_finite_one(direct, rates):
-    # An open relay's term is 0 while another is not: no zero-length relay
-    # phase fits the uniformized chain.
-    with pytest.raises(ConfigError, match="needs finite rates, got inf"):
-        relay_step_outages([LinkParam(direct)], [GatedPaths(np.array([0.5, 0.5]), np.array(rates))], 1.0)
+# gamma = 1 and gates [0.5, 0.3, 0.6].  The references are 40-digit mpmath
+# sums over the nonempty decode sets of P(D + R <= 1), in which a link with
+# an SNR of 0 adds nothing, divided by P(D <= 1) and by 1 - 0.5 * 0.3 * 0.6.
+@pytest.mark.parametrize("direct, rates, want", [
+    (1.0, [1.0, math.inf, 2.0], 0.55232561010051814),
+    (math.inf, [1.0, math.inf, 2.0], 0.71701581448350591),
+    (1.0, [math.inf] * 3, 1.0),
+], ids=["open-relay", "open-relay-direct-snr-0", "every-open-relay"])
+def test_the_exact_step_answers_an_open_relay_with_an_snr_of_0(direct, rates, want):
+    # An open relay whose SNR is 0 is a phase that takes no time: it adds
+    # nothing to the sum, and the decode sets it alone opens still count.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [got] = relay_step_outages([LinkParam(direct)], [GatedPaths(np.array([0.5, 0.3, 0.6]), np.array(rates))], 1.0)
+    assert abs(got - want) <= np.spacing(want)
+
+
+def test_uniformized_relay_sum_takes_an_untimed_relay_at_once():
+    # At g = 0 only the decode sets with relay 2 and no timed relay are
+    # below: 0.5 * 0.6 * (1 - 0.3).  At g = 1 it is the step above with a
+    # direct SNR of 0, times P(some relay decoded) = 0.91.
+    paths = GatedPaths(np.array([0.5, 0.3, 0.6]), np.array([1.0, math.inf, 2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = relay_sum_cdf_uniformized(paths, [0.0, 1.0])
+    assert got.tolist() == pytest.approx([0.21, 0.71701581448350591 * 0.91], rel=1e-15, abs=0.0)
 
 
 def test_the_exact_step_answers_a_direct_snr_of_0():

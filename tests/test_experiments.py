@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -29,7 +30,8 @@ from mdma_relay.experiments import (
     write_rows_csv,
 )
 from chain_reference import overall_outage, stationary_distribution
-from layouts import far_topology, line_topology, near_source_topology, underflow_topology, zero_snr_direct_setup
+from layouts import (far_topology, line_topology, near_source_topology, subnormal_rate_setup, underflow_topology,
+                     zero_snr_direct_setup)
 from mdma_relay.markov import build_chain, ring_distribution
 from mdma_relay.simulator import SimOptions, simulate, trace_to_csv_rows
 from mdma_relay.topology import (
@@ -897,29 +899,45 @@ def _main_output(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("node", ["source1", "relay1", "destination", "separated", "tied"])
+@pytest.mark.parametrize("node", ["source1", "relay1", "destination", "separated", "tied", "open-relay", "subnormal"])
 @pytest.mark.parametrize("command", [
-    ["analyze"], ["simulate", "--trials", "2000"], ["validate", "--trials", "20000"], ["dump-chain"],
-], ids=lambda command: command[0])
+    pytest.param(["analyze"], id="analyze"),
+    pytest.param(["simulate", "--trials", "2000"], id="simulate"),
+    *(pytest.param(["simulate", "--scheme", s, "--trials", "2000"], id=f"simulate-{s}") for s in ALL_SCHEMES[1:]),
+    pytest.param(["validate", "--trials", "20000"], id="validate"),
+    pytest.param(["dump-chain"], id="dump-chain"),
+    pytest.param(["sweep", "--allow-small-trials", "--spec", "{spec}", "--out", "{out}"], id="sweep"),
+])
 def test_a_node_whose_links_overflow_gets_one_answer(tmp_path, node, command):
     """A node 1e103 away: each link to it has an infinite rate, not an
     OverflowError from distance**alpha, and nothing warns.  A far source or
     destination fails every delivery, and ``analyze`` and ``simulate`` both
     print an ``overall_op`` of 1.0.  Where only source 1's direct link
-    overflows ("separated", "tied"), its relay steps still deliver, and
-    ``simulate`` reads ``analyze``'s ``overall_op`` within 5 standard errors."""
+    overflows ("separated", "tied"), or an open relay's link to the
+    destination too ("open-relay"), its relay steps still deliver, and
+    ``simulate`` reads ``analyze``'s ``overall_op`` within 5 standard errors.
+    A subnormal source-relay rate ("subnormal") is an infinite mean SNR.  A
+    one-point sweep of every scheme writes no error in any row."""
     config = tmp_path / "far.json"
     far = node in ("source1", "relay1", "destination")
-    save_setup(config, *((far_topology(node), default_paper_setup()[1]) if far else zero_snr_direct_setup(node)))
+    setup = ((far_topology(node), default_paper_setup()[1]) if far
+             else subnormal_rate_setup() if node == "subnormal" else zero_snr_direct_setup(node))
+    save_setup(config, *setup)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_spec(values=[setup[1].power_dbm], schemes=list(ALL_SCHEMES), trials=2000)))
+    command = [arg.format(spec=spec, out=tmp_path / "sweep") for arg in command]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = _main_output([*command, "--config", str(config)])
         exact = json.loads(_main_output(["analyze", "--config", str(config)])[1])["overall_op"]
     assert [str(w.message) for w in caught] == []
     assert (code, err) == (0, "")
-    if far and node != "relay1" and command[0] in ("analyze", "simulate"):
+    if command[0] == "sweep":
+        with open(tmp_path / "sweep" / "sweep_power_dbm.csv", newline="") as rows:
+            assert [row["error"] for row in csv.DictReader(rows)] == [""] * 4
+    elif far and node != "relay1" and command[:2] in (["analyze"], ["simulate", "--trials"]):
         assert json.loads(out)["overall_op"] == exact == 1.0
-    elif command[0] == "simulate" and not far:
+    elif command[:2] == ["simulate", "--trials"] and not far and node != "subnormal":  # MDMA; 7e-303 there
         estimate = json.loads(out)
         assert abs(estimate["overall_op"] - exact) <= 5.0 * estimate["overall_op_stderr"]
 
