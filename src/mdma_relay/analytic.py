@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .topology import ConfigError, LinkParam, NetworkTopology, SystemConfig, link_rates
+from .topology import ConfigError, LinkParam, LinkSet, NetworkTopology, SystemConfig, link_rates
 
 # Most relays the closed form is binned for: the basis has a column per rate,
 # and 4096 rows (``_BASIS_ROWS``) of at most 20 rates keep its product far
@@ -102,17 +102,6 @@ def direct_outage(link: LinkParam, gamma_th: float) -> float:
     if gamma_th < 0:
         raise ConfigError(f"gamma_th must be nonnegative, got {gamma_th}")
     return -math.expm1(-link.rate_lambda * gamma_th)
-
-
-def decode_fail_probs(
-    topology: NetworkTopology, config: SystemConfig, source: int, cooperate: bool = True
-) -> np.ndarray:
-    """Per-relay probability of failing to decode the source broadcast: 1
-    without relay cooperation, 0 at a zero threshold (inf * 0 is NaN)."""
-    rates = link_rates(topology, config, source, cooperate)
-    if not config.gamma_th:  # even an SNR of 0 meets it
-        return np.zeros(rates.source_relay.shape)
-    return -np.expm1(-rates.source_relay * config.gamma_th)
 
 
 @dataclass(frozen=True)
@@ -500,19 +489,39 @@ class SourceOutages:
                 raise ConfigError(f"{name} must be a probability, got {v}")
 
 
+def relay_plan(links: LinkSet, granularity: int) -> tuple[list[GatedPaths], list[int], np.ndarray | None]:
+    """How ``step_outages`` takes the relay steps of ``links``: each source's
+    relay paths, the sources (0 for source 1) whose relay step is taken, and
+    the pole ratios where that step bins the closed form, else None.
+
+    No noise or a zero threshold misses no broadcast: no paths, no step.  A
+    source's relay step is taken where some relay can decode it (without
+    relay cooperation none can) and some link it takes has an SNR above 0;
+    elsewhere it fails, as where a far destination's links all overflow.
+    Both sources' relay sums have the relay-to-destination rates, so one
+    pole-ratio matrix and one check of its condition serve both, and both
+    bin or neither does.  A direct SNR of 0 has no binned law below the
+    threshold, so it sends the step to ``relay_step_outages``.
+    """
+    if not links.miss.any():
+        return [], [], None
+    paths = [GatedPaths(gates, links.relay_dest) for gates in links.gates]
+    opened = [s for s, p in enumerate(paths) if p.empty < 1.0
+              and (links.direct[s] < math.inf or p.rates[p.gate_probs < 1.0].min() < math.inf)]
+    theta = (_pole_ratios(links.relay_dest) if opened and 2 <= granularity < _BASIS_ROWS
+             and links.direct[opened].max() < math.inf else None)
+    binned = theta is not None and bins_closed_form(paths[opened[0]], granularity, theta)
+    return paths, opened, theta if binned else None
+
+
 def step_outages(
     topology: NetworkTopology, config: SystemConfig, cooperate: bool = True
 ) -> dict[int, SourceOutages]:
-    """The step outages of sources 1 and 2, keyed by source.
-
-    Both sources' relay sums have the relay-to-destination rates, so their
-    paths share one rates array, its pole ratios and their condition bound,
-    and ``bins_closed_form`` holds for both or for neither.  Where it holds
-    one ``bin_relay_sum`` call bins both sources on one basis; elsewhere one
-    ``relay_step_outages`` call takes every relay step.  A source's relay
-    step is taken only where some relay can decode its broadcast (without
-    relay cooperation none can) and some link it takes has an SNR above 0;
-    elsewhere it fails, as where a far destination's links all overflow.
+    """The step outages of sources 1 and 2, keyed by source, from one link
+    table (``link_rates``): each broadcast's outage is its direct link's miss,
+    and the relay steps are taken as ``relay_plan`` says, both sources' in
+    one ``bin_relay_sum`` call on one basis or in one ``relay_step_outages``
+    call.
 
     The last result is kept, keyed on the whole ``(topology, config,
     cooperate)`` (frozen, compared by value): ``analyze`` calls this twice
@@ -528,32 +537,17 @@ def step_outages(
 def _step_outages(
     topology: NetworkTopology, config: SystemConfig, cooperate: bool
 ) -> dict[int, SourceOutages]:
-    if math.isinf(config.snr_linear()):
+    links = link_rates(topology, config, cooperate)
+    gamma_th, n = config.gamma_th, config.granularity
+    paths, opened, theta = relay_plan(links, n)
+    if not paths:  # every reception succeeds and the relay step never runs
         return {source: SourceOutages(0.0, 0.0, 0.0) for source in (1, 2)}
-    links = {source: link_rates(topology, config, source, cooperate) for source in (1, 2)}
-    gamma_th = config.gamma_th
-    if gamma_th == 0.0:
-        # Zero threshold: every reception succeeds and the relay step never runs.
-        return {source: SourceOutages(0.0, 0.0, 0.0) for source in (1, 2)}
-    # decode_fail_probs(topology, config, source), without a second link_rates.
-    fails = {source: -np.expm1(-rates.source_relay * gamma_th) for source, rates in links.items()}
-    paths = {source: GatedPaths(fail, links[1].relay_dest) for source, fail in fails.items()}
-    directs = {source: LinkParam(rates.direct) for source, rates in links.items()}
-    n, relays = config.granularity, {}
-    opened = [source for source, p in paths.items() if p.empty < 1.0
-              and (directs[source].rate_lambda < math.inf or p.rates[p.gate_probs < 1.0].min() < math.inf)]
-    # The paths share their rates, and bins_closed_form reads the gates only to
-    # see that one can open: one pole-ratio matrix and one check of its
-    # condition serve every source that can reach a relay.  A direct SNR of 0
-    # has no binned law below the threshold, so it sends the call to the exact step.
-    theta = (_pole_ratios(paths[1].rates) if opened and 2 <= n < _BASIS_ROWS
-             and all(directs[source].rate_lambda < math.inf for source in opened) else None)
-    if theta is not None and bins_closed_form(paths[opened[0]], n, theta):
-        pmfs = bin_relay_sum([relay_sum_cdf(paths[source], theta) for source in opened], gamma_th, n)
-        relays = {source: step2_outage(pmf, bin_conditional_direct(directs[source], gamma_th, n), paths[source])
-                  for source, pmf in zip(opened, pmfs)}
+    directs, relays = [LinkParam(float(rate)) for rate in links.direct], {}
+    if theta is not None:
+        pmfs = bin_relay_sum([relay_sum_cdf(paths[s], theta) for s in opened], gamma_th, n)
+        relays = {s: step2_outage(pmf, bin_conditional_direct(directs[s], gamma_th, n), paths[s])
+                  for s, pmf in zip(opened, pmfs)}
     elif opened:
         relays = dict(zip(opened, relay_step_outages([directs[s] for s in opened], [paths[s] for s in opened],
                                                       gamma_th)))
-    return {source: SourceOutages(direct_outage(directs[source], gamma_th), relays.get(source, 1.0), paths[source].empty)
-            for source in links}
+    return {s + 1: SourceOutages(float(links.miss[s]), relays.get(s, 1.0), p.empty) for s, p in enumerate(paths)}

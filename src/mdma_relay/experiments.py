@@ -13,14 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .analytic import (
-    GatedPaths,
-    bins_closed_form,
-    decode_fail_probs,
-    relay_sum_cdf,
-    relay_sum_cdf_uniformized,
-    step_outages,
-)
+from .analytic import relay_plan, relay_sum_cdf, relay_sum_cdf_uniformized, step_outages
 from .markov import ChainSolution, labelled, ring_distribution, solve_chain
 from .simulator import SCHEMES, SimOptions, simulate
 from .topology import (
@@ -300,26 +293,23 @@ def validate(
     options: SimOptions = SimOptions(),
 ) -> ValidationReport:
     """Run the full analytic-vs-numeric oracle suite and report per check;
-    the closed form takes the simulator's relay cooperation option."""
+    the closed form takes the simulator's relay cooperation option.  The
+    simulation, the closed-form check and the step outages each read one
+    link table."""
     # First, so that a bad seed or slot count is refused before any check.
     est = simulate("mdma", topology, config, trials, seed=seed, options=options)
     checks: list[CheckResult] = []
 
     # Closed-form relay-sum CDF against the exact uniformized phase-type
-    # series, for each source whose step outage uses the closed form.  The
-    # gate is absolute, so it cannot see relative error in the deep tail.
-    gamma_grid = np.linspace(0.2, 3.0, 8) * max(config.gamma_th, 1e-6)
-    errors, cooperate = [], options.relay_cooperation
-    for source in (1, 2):
-        rates = link_rates(topology, config, source)
-        paths = GatedPaths(decode_fail_probs(topology, config, source, cooperate), rates.relay_dest)
-        if not bins_closed_form(paths, config.granularity):
-            continue
-        closed = relay_sum_cdf(paths)(gamma_grid)
-        exact = relay_sum_cdf_uniformized(paths, gamma_grid)
-        errors.append(float(np.max(np.abs(closed - exact))))
-    if errors:
-        worst = max(errors)
+    # series, for each source whose relay step `step_outages` bins, as
+    # `relay_plan` decides it there: no noise or a zero threshold bins none.
+    # The gate is absolute, so it cannot see relative error in the deep tail.
+    cooperate = options.relay_cooperation
+    paths, opened, theta = relay_plan(link_rates(topology, config, cooperate), config.granularity)
+    if theta is not None:
+        gamma_grid = np.linspace(0.2, 3.0, 8) * max(config.gamma_th, 1e-6)
+        worst = max(float(np.max(np.abs(relay_sum_cdf(paths[s], theta)(gamma_grid)
+                                        - relay_sum_cdf_uniformized(paths[s], gamma_grid)))) for s in opened)
         checks.append(CheckResult("relay_sum_cdf_vs_uniformization", worst < 1e-7, worst, 1e-7))
 
     outs = step_outages(topology, config, cooperate)

@@ -39,9 +39,11 @@ and reads only the stops along its chain of pair starts.  A band plan's
 labels, step keys and count table are built once per plan (`_layout`).
 NOMA's cancellation needs no choice of the stronger stream (see `_sic`).
 
-A source's broadcast episodes come from the same generators in MDMA, TDMA,
-FDMA and NOMA's solo streams, and depend on its seed, link rates and
-threshold alone (without relay cooperation, `link_rates` makes the
+Every stream reads one link table (`link_rates`, computed once per run):
+its rates set the draws' means, and its gates and direct misses the mean
+episode length.  A source's broadcast episodes come from the same generators
+in MDMA, TDMA, FDMA and NOMA's solo streams, and depend on its seed, link
+rates and threshold alone (without relay cooperation, `link_rates` makes the
 source-relay rates infinite).  Runs given one `pool`, as the schemes of one
 sweep point are, share them by that key: each chunk is drawn and prepared
 once and kept, read-only, for every untraced run, while the source's kept
@@ -68,7 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .markov import STEP_KINDS, Phase, phase_plan, refuse_past_cap, state_label
-from .topology import ConfigError, NetworkTopology, SystemConfig, link_rates
+from .topology import ConfigError, LinkSet, NetworkTopology, SystemConfig, link_rates
 
 SCHEMES = ("mdma", "tdma", "fdma", "noma")
 
@@ -473,21 +475,19 @@ class _Episodes:
     not fit: a reader that needs that chunk goes on alone (`fork`), from the
     generators as the last kept chunk left them, so each generator is still
     read in order.  A source without a budget keeps nothing, and its reader
-    goes on alone at once."""
+    goes on alone at once.
 
-    def __init__(self, seed, source, rates, gamma_th, budget=0):
-        self.source, self.gamma_th = source, gamma_th
-        self.rngs = [make_rng(seed, 3 * (source - 1) + k) for k in range(3)]
-        self.means = [_means(rates.direct), _means(rates.source_relay), _means(rates.relay_dest)]
+    Its means and mean episode length come from row ``source - 1`` of the
+    run's link table ``links``."""
+
+    def __init__(self, seed, source, links, gamma_th, budget=0):
+        self.source, self.gamma_th, s = source, gamma_th, source - 1
+        self.rngs = [make_rng(seed, 3 * s + k) for k in range(3)]
+        self.means = [_means(links.direct[s]), _means(links.source_relay[s]), _means(links.relay_dest)]
         self.kept, self.room, self.states = [], budget, None  # states: see `fork`
         # Mean slots per episode: 1, plus a relay slot when the destination
-        # missed, with P(miss) = 1 - exp(-g rate), and some relay decoded.  At
-        # g = 0 every reception succeeds (and 0 times an infinite rate is NaN).
-        self.mean_len = 1.0
-        if gamma_th > 0.0:
-            miss = -math.expm1(-gamma_th * rates.direct)
-            empty = float(np.prod(-np.expm1(-gamma_th * rates.source_relay)))
-            self.mean_len += miss * (1.0 - empty)
+        # missed and some relay decoded.
+        self.mean_len = 1.0 + float(links.miss[s]) * (1.0 - float(np.prod(links.gates[s])))
 
     def chunk(self, k: int, n: int) -> dict | None:
         """Kept chunk k, drawn with n episodes if no reader has reached it;
@@ -539,17 +539,17 @@ class _Episodes:
                 "rows": rows, "mrc": mrc, "relay_ok": _scatter(miss, relay_ok, n)}
 
 
-def _broadcasts(pool, tally, seed, source, rates, gamma_th) -> _Episodes:
+def _broadcasts(pool, tally, seed, source, links, gamma_th) -> _Episodes:
     """The episodes of `source` for one run: the ones `pool` keeps under all
     they depend on, added there with a budget of `_KEEP_BYTES` by the first
     run to ask; without a `pool`, or for a traced run (a kept chunk keeps no
     SNRs), a source of its own with no budget."""
     if pool is None or tally.trace_limit:
-        return _Episodes(seed, source, rates, gamma_th)
-    key = (seed, source, gamma_th, float(rates.direct),
-           tuple(rates.source_relay.tolist()), tuple(rates.relay_dest.tolist()))
+        return _Episodes(seed, source, links, gamma_th)
+    key = (seed, source, gamma_th, float(links.direct[source - 1]),
+           tuple(links.source_relay[source - 1].tolist()), tuple(links.relay_dest.tolist()))
     if key not in pool:
-        pool[key] = _Episodes(seed, source, rates, gamma_th, _KEEP_BYTES)
+        pool[key] = _Episodes(seed, source, links, gamma_th, _KEEP_BYTES)
     return pool[key]
 
 
@@ -698,7 +698,7 @@ def _run_bands(
     seed: int,
     options: SimOptions,
     pool: dict | None,
-    rates: dict,
+    links: LinkSet,
 ) -> SimEstimate:
     """MDMA, TDMA and FDMA: each band cycles through its phases, and
     consecutive phases of one source form a run.  MDMA and TDMA run one band;
@@ -706,7 +706,7 @@ def _run_bands(
     labels, step_keys, runs, table = _layout(tuple(map(tuple, bands)))
     tally = _Tally(scheme, list(labels), list(step_keys), len(bands), slots, options.trace_limit)
     band_reps = [sum(reps for b, _, reps in runs if b == band) for band in range(len(bands))]
-    streams = {s: _BcastStream(tally, _broadcasts(pool, tally, seed, s, rates[s], config.gamma_th), table,
+    streams = {s: _BcastStream(tally, _broadcasts(pool, tally, seed, s, links, config.gamma_th), table,
                                sum(reps / band_reps[b] for b, src, reps in runs if src == s))
                for s in (1, 2)}
     programs = [[(streams[src], reps, tag) for tag, (b, src, reps) in enumerate(runs) if b == band]
@@ -734,15 +734,15 @@ class _JointStream(_Stream):
     if it needs one, then one for stream 2.  Relay gains are drawn, and each
     relay cancels, only for episodes where the destination missed some stream."""
 
-    def __init__(self, tally, seed, rates, gamma_th, options):
+    def __init__(self, tally, seed, links, gamma_th, options):
         super().__init__(tally, 2)
         self.gamma_th, self.options = gamma_th, options
         self.rngs = {s: [make_rng(seed, 6 + 3 * (s - 1) + k) for k in range(3)] for s in (1, 2)}
         # Mean received powers in noise units at each stream's power share.
         share = {1: options.noma_rho, 2: 1.0 - options.noma_rho}
-        self.at_d = {s: share[s] * _means(rates[s].direct) for s in (1, 2)}
-        self.at_r = {s: share[s] * _means(rates[s].source_relay) for s in (1, 2)}
-        self.rd_means = _means(rates[1].relay_dest)
+        self.at_d = {s: share[s] * _means(links.direct[s - 1]) for s in (1, 2)}
+        self.at_r = {s: share[s] * _means(links.source_relay[s - 1]) for s in (1, 2)}
+        self.rd_means = _means(links.relay_dest)
 
     def draw(self, left: int) -> dict:
         """At most one episode per slot left: the run has no room for more."""
@@ -840,7 +840,7 @@ def _place_pairs(joint, solo, beta_t: int, cursor, tally: _Tally):
     return at_cut, int(ends[placed - 1])
 
 
-def _run_noma(config, slots, seed, options, pool, rates) -> SimEstimate:
+def _run_noma(config, slots, seed, options, pool, links) -> SimEstimate:
     if options.trace_limit > 0:
         raise ConfigError("the NOMA simulator records no slot trace")
     beta_t = config.beta_t
@@ -849,11 +849,11 @@ def _run_noma(config, slots, seed, options, pool, rates) -> SimEstimate:
     tally = _Tally("noma", labels, labels, 1, slots, 0)
     # A lone unfinished source transmits at full power: a broadcast episode.
     solo = [
-        _BcastStream(tally, _broadcasts(pool, tally, seed, s, rates[s], config.gamma_th),
+        _BcastStream(tally, _broadcasts(pool, tally, seed, s, links, config.gamma_th),
                      np.array([[(s, 2 + s, s, 2 + s, 0)] * beta_t]))
         for s in (1, 2)
     ]
-    joint = _JointStream(tally, seed, rates, config.gamma_th, options)
+    joint = _JointStream(tally, seed, links, config.gamma_th, options)
 
     cursor = ([0, 0], 0)  # the current pair's deliveries per stream, and slot
     while cursor[1] < slots:
@@ -876,8 +876,9 @@ def simulate(
     """Simulate `slots` slots of MDMA, or of the TDMA, FDMA or NOMA baseline
     under the same relay cooperation mechanics.  TDMA alternates the sources,
     each delivering its full payload in turn; FDMA runs the single-source
-    protocol for both sources concurrently on orthogonal bands.  A layout
-    `link_rates` refuses is refused here as by `analyze`, with its message.
+    protocol for both sources concurrently on orthogonal bands.  The run
+    computes one link table (`link_rates`), so a layout it refuses is refused
+    here as by `analyze`, with its message.
 
     `pool`, a dict, shares broadcast episodes between the runs given it: an
     untraced run reads a source's episodes from the pool if a run with the
@@ -898,7 +899,7 @@ def simulate(
         raise ConfigError("slots must be at least 1")
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    rates = {s: link_rates(topology, config, s, options.relay_cooperation) for s in (1, 2)}
+    links = link_rates(topology, config, options.relay_cooperation)
     # One errstate per run, not per draw: an infinite mean or draw is an overflow or a division by 0.
     with np.errstate(over="ignore", divide="ignore"):
         if scheme == "mdma":
@@ -908,9 +909,9 @@ def simulate(
         elif scheme == "fdma":
             bands = [[Phase("band1", 1, config.beta_t)], [Phase("band2", 2, config.beta_t)]]
         else:
-            return _run_noma(config, slots, seed, options, pool, rates)
+            return _run_noma(config, slots, seed, options, pool, links)
         refuse_past_cap(*bands)  # a band run lists a label and an occupancy entry per state
-        return _run_bands(config, scheme, bands, slots, seed, options, pool, rates)
+        return _run_bands(config, scheme, bands, slots, seed, options, pool, links)
 
 
 def trace_to_csv_rows(trace: list[SlotEvent]) -> list[dict]:

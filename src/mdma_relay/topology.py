@@ -4,7 +4,10 @@ Everything downstream (closed-form analysis and the slot simulator) works in
 linear SNR units: a link at distance d with path-loss exponent alpha carries
 an exponentially distributed instantaneous SNR with mean snr * d**-alpha,
 i.e. with rate d**alpha / snr.  The dBm-to-linear conversion happens once,
-here.
+here, and so does the one law every layer derives from those rates: a link
+misses the decoding threshold g with probability 1 - exp(-rate * g).
+`link_rates` returns both sources' rates with that law applied to every
+source-relay link and direct link, one `LinkSet` per run.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
@@ -92,9 +96,9 @@ class NetworkTopology:
             lengths += (euclidean(s1, r), euclidean(s2, r), euclidean(r, dst))
         if min(lengths) <= 0.0:
             self._reject_coincident(lengths)
-        per_relay = np.array(lengths[2:]).reshape(-1, 3).T  # rows: s1-r, s2-r, r-d
+        per_relay = np.ascontiguousarray(np.reshape(lengths[2:], (-1, 3)).T)
         per_relay.flags.writeable = False
-        object.__setattr__(self, "link_distances", LinkDistances(lengths[0], lengths[1], *per_relay))
+        object.__setattr__(self, "link_distances", LinkDistances(lengths[0], lengths[1], per_relay))
 
     @property
     def num_relays(self) -> int:
@@ -116,9 +120,7 @@ class LinkDistances:
 
     s1_d: float
     s2_d: float
-    s1_r: np.ndarray  # source 1 to each relay
-    s2_r: np.ndarray  # source 2 to each relay
-    r_d: np.ndarray   # each relay to destination
+    per_relay: np.ndarray  # rows: source 1 to each relay, source 2 to each relay, each relay to destination
 
 
 def _ceil_slots(bits: float, rate: float) -> int:
@@ -168,8 +170,13 @@ class SystemConfig:
             raise ConfigError("total_bits must be positive and finite")
         if not 1 <= self.granularity <= MAX_GRANULARITY:
             raise ConfigError(f"granularity {self.granularity} is outside [1, {MAX_GRANULARITY}]")
-        if self.bandwidth_units <= 0 or self.power_units <= 0:
-            raise ConfigError("resource unit counts must be positive")
+        # Both efficiencies and the simulated one's standard error are at most
+        # 2 / (bandwidth_units * power_units) (README, "Bad input"): a normal
+        # product keeps that finite, with a factor of 2 to spare for rounding.
+        if not (self.bandwidth_units > 0 and self.power_units > 0
+                and self.bandwidth_units * self.power_units >= sys.float_info.min):
+            raise ConfigError(f"bandwidth_units {self.bandwidth_units} and power_units {self.power_units} "
+                              f"must be positive with a product of at least {sys.float_info.min:.4g}")
         if self.total_bits / self.rate_r0 == math.inf:
             raise ConfigError(f"total_bits {self.total_bits} over rate_r0 "
                               f"{self.rate_r0} overflows the slot count")
@@ -236,45 +243,49 @@ class LinkParam:
         return 1.0 / self.rate_lambda
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkSet:
-    """Per-link exponential rates for one source plus the shared relay hops."""
+    """Both sources' links under one configuration, row s - 1 for source s:
+    their exponential SNR rates, and the chance 1 - exp(-rate * g) that a
+    link misses the decoding threshold g, for each relay hearing each source
+    (``gates``) and for each direct link (``miss``).  Both laws are 0 at a
+    zero threshold, where even an SNR of 0 decodes (and inf * 0 is NaN)."""
 
-    direct: float          # source -> destination
-    source_relay: np.ndarray  # source -> each relay
-    relay_dest: np.ndarray    # each relay -> destination
+    direct: np.ndarray        # (2,) each source -> destination
+    source_relay: np.ndarray  # (2, m) each source -> each relay
+    relay_dest: np.ndarray    # (m,) each relay -> destination
+    gates: np.ndarray         # (2, m) each relay fails to decode each source
+    miss: np.ndarray          # (2,) each direct link's outage
 
 
-def link_rates(topology: NetworkTopology, config: SystemConfig, source: int,
-               cooperate: bool = True) -> LinkSet:
-    """Rates d**alpha/snr for the links used when `source` (1 or 2) transmits.
-    Without relay cooperation no relay hears the source: its source-relay
-    rates are infinite, an SNR of 0.  So is a link whose d**alpha overflows,
-    but at infinite SNR every rate is 0: every link succeeds.  A direct or
-    relay-destination rate that underflows to 0 at a finite SNR and a
-    positive threshold, an infinite mean SNR, is refused for every command:
-    MRC would add it times a relay that did not decode, inf * 0 = NaN."""
-    if source not in (1, 2):
-        raise ConfigError(f"source must be 1 or 2, got {source}")
+def link_rates(topology: NetworkTopology, config: SystemConfig, cooperate: bool = True) -> LinkSet:
+    """Rates d**alpha/snr of both sources' links, and their gates and direct
+    misses.  Without relay cooperation no relay hears a source: its
+    source-relay rates are infinite, an SNR of 0, and its gates 1.  So is a
+    link whose d**alpha overflows, but at infinite SNR every rate is 0: every
+    link succeeds.  A relay-destination rate, then source 1's direct rate,
+    then source 2's, that underflows to 0 at a finite SNR and a positive
+    threshold, an infinite mean SNR, is refused for every command: MRC would
+    add it times a relay that did not decode, inf * 0 = NaN."""
     d = topology.link_distances
-    snr = config.snr_linear()
-    a = topology.alpha
-    sd = d.s1_d if source == 1 else d.s2_d
-    sr = d.s1_r if source == 1 else d.s2_r
-    # The direct gain is a scalar power, libm's pow as Python's float power
-    # is; numpy's vector power can differ from it in the last bit.
+    snr, g, a = config.snr_linear(), config.gamma_th, topology.alpha
+    # The direct gains are scalar powers, libm's pow as Python's float power
+    # is; numpy's vector power can differ from it in the last bit.  The three
+    # per-relay rows are one vector power, which gives each row's own bits.
     with np.errstate(over="ignore"):
-        gains = np.float64(sd) ** a, sr**a, d.r_d**a
-        direct, source_relay, relay_dest = (g / snr if snr < math.inf else np.zeros_like(g) for g in gains)
-    if not (direct > 0.0 and relay_dest.min() > 0.0) and snr < math.inf and config.gamma_th > 0.0:
+        gains = np.array([np.float64(d.s1_d) ** a, np.float64(d.s2_d) ** a]), d.per_relay ** a
+        direct, per_relay = (x / snr if snr < math.inf else np.zeros_like(x) for x in gains)
+    relay_dest = per_relay[2]
+    if not (direct.min() > 0.0 and relay_dest.min() > 0.0) and snr < math.inf and g > 0.0:
         if not relay_dest.min() > 0.0:
             raise ConfigError(f"rates must be positive, got {relay_dest}")
-        LinkParam(float(direct))
-    return LinkSet(
-        direct=float(direct),
-        source_relay=source_relay if cooperate else np.full(sr.shape, math.inf),
-        relay_dest=relay_dest,
-    )
+        for rate in direct:
+            LinkParam(float(rate))
+    source_relay = per_relay[:2] if cooperate else np.full((2, topology.num_relays), math.inf)
+    # The direct misses are scalar expm1, libm's, for the reason above.
+    gates = -np.expm1(-source_relay * g) if g > 0.0 else np.zeros(source_relay.shape)
+    miss = np.array([-math.expm1(-rate * g) if g > 0.0 else 0.0 for rate in direct])
+    return LinkSet(direct, source_relay, relay_dest, gates, miss)
 
 
 def default_paper_setup(

@@ -26,6 +26,13 @@ on an unexpected exit status, stderr line or output byte:
   by 1e-6, print at 1 000 bins the bytes they print at 4 096: past the
   closed form's condition bound the relay step is exact at any bin count.
 - ``validate`` with and without relay cooperation: the oracle checks.
+- ``validate`` of the noiseless paper layout (``noise_dbm`` -inf), with
+  and without relay cooperation, exits 0: no broadcast is missed, so no
+  relay step is taken and the closed form is not checked.
+- Resource units whose product is below the normal floats, 1e-300 times
+  1e-300 (0) and 1e-320 times 1 (2 over it is inf): ``analyze``,
+  ``dump-chain``, ``validate``, ``simulate`` of every scheme and ``sweep``
+  each exit 2 with one identical ``error:`` line and no traceback.
 - Relay 1 1e-200 from source 1, so that its link's rate underflows to 0:
   ``validate`` passes (only that relay always decodes).
 - Relay 1 1e-200 from the destination: ``simulate`` refuses the layout, as
@@ -56,15 +63,17 @@ on an unexpected exit status, stderr line or output byte:
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from layouts import (far_topology, line_topology, near_source_topology, subnormal_rate_setup, underflow_topology,
                      zero_snr_direct_setup)
-from mdma_relay.topology import default_paper_setup, save_setup
+from mdma_relay.topology import config_to_dict, default_paper_setup, save_setup, topology_to_dict
 
 SCHEMES = ("mdma", "tdma", "fdma", "noma")
 
@@ -137,6 +146,22 @@ def run(command: list[str], work: Path) -> None:
     _run(command, "validate", "--paper-defaults", "--trials", "20000", **quiet)
     _run(command, "validate", "--paper-defaults", "--trials", "20000", "--no-relay-cooperation", **quiet)
     _run(command, "validate", "--config", str(work / "underflow-source1.json"), "--trials", "200000", **quiet)
+    paper, paper_config = default_paper_setup()
+    save_setup(work / "noiseless.json", paper, replace(paper_config, noise_dbm=-math.inf))
+    for flags in ([], ["--no-relay-cooperation"]):
+        _run(command, "validate", "--config", str(work / "noiseless.json"), "--trials", "20000", *flags, **quiet)
+    spec = work / "units-spec.json"
+    spec.write_text(json.dumps({"parameter": "power_dbm", "values": [10.0], "schemes": list(SCHEMES), "trials": 2000}))
+    for units in ((1e-300, 1e-300), (1e-320, 1.0)):
+        system = dict(config_to_dict(paper_config), bandwidth_units=units[0], power_units=units[1])
+        (work / "units.json").write_text(json.dumps({"topology": topology_to_dict(paper), "system": system}))
+        runs = [["analyze"], ["dump-chain"], ["validate", "--trials", "2000"],
+                *(["simulate", "--scheme", scheme, "--trials", "2000"] for scheme in SCHEMES),
+                ["sweep", "--allow-small-trials", "--spec", str(spec), "--out", str(work / "units")]]
+        errors = {_run(command, name, "--config", str(work / "units.json"), *args, status=2, capture_output=True,
+                       text=True).stderr for name, *args in runs}
+        if len(errors) != 1 or not re.fullmatch(r"error: [^\n]*\n", next(iter(errors))):
+            raise SystemExit(f"resource units {units} are refused otherwise by some command: {errors}")
     _run(command, "simulate", "--config", str(work / "underflow-destination.json"), "--trials", "20000",
          status=2, **quiet)
     save_setup(work / "near-source.json", near_source_topology(), default_paper_setup()[1])

@@ -18,7 +18,6 @@ from relay_reference import numeric_relay_sum_cdf, relay_sum_cdf_quadrature, ste
 
 from mdma_relay.analytic import (
     GatedPaths,
-    decode_fail_probs,
     relay_sum_cdf,
     step_outages,
 )
@@ -258,10 +257,9 @@ def test_criterion_7_degenerate_inputs(paper_setup):
         relay_pos=((50.0, 20.0), (50.0, -20.0)),
         alpha=3.0,
     )
-    rates = link_rates(topo, cfg, 1)
-    assert rates.relay_dest[0] == rates.relay_dest[1]
-    fails = decode_fail_probs(topo, cfg, 1)
-    gates = GatedPaths(fails, rates.relay_dest)
+    links = link_rates(topo, cfg)
+    assert links.relay_dest[0] == links.relay_dest[1]
+    gates = GatedPaths(links.gates[0], links.relay_dest)
     grid = np.linspace(0.05, 4.0, 25)
     numeric = numeric_relay_sum_cdf(gates, grid)
     oracle = relay_sum_cdf_quadrature(gates, grid)
@@ -271,9 +269,8 @@ def test_criterion_7_degenerate_inputs(paper_setup):
     outs = step_outages(topo, cfg)
     step_err = 0.0
     for source, relay_op in ((1, outs[1].relay), (2, outs[2].relay)):
-        r = link_rates(topo, cfg, source)
-        g = GatedPaths(decode_fail_probs(topo, cfg, source), r.relay_dest)
-        exact = step2_outage_quadrature(r.direct, cfg.gamma_th, g)
+        g = GatedPaths(links.gates[source - 1], links.relay_dest)
+        exact = step2_outage_quadrature(float(links.direct[source - 1]), cfg.gamma_th, g)
         step_err = max(step_err, abs(relay_op - exact))
     step_tol = 5.0 / cfg.granularity
 

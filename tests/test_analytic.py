@@ -17,7 +17,6 @@ from mdma_relay.analytic import (
     bin_conditional_direct,
     bin_relay_sum,
     bins_closed_form,
-    decode_fail_probs,
     direct_outage,
     relay_sum_cdf,
     relay_sum_cdf_uniformized,
@@ -69,6 +68,12 @@ def random_gates(rng, m, rate_lo=0.3, rate_hi=4.0):
     return GatedPaths(probs, lam)
 
 
+def source_links(topo, cfg, source):
+    """Source ``source``'s direct rate and gated relay paths: its row of the link table."""
+    links = link_rates(topo, cfg)
+    return float(links.direct[source - 1]), GatedPaths(links.gates[source - 1], links.relay_dest)
+
+
 # ---------------------------------------------------------------------------
 # GatedPaths
 # ---------------------------------------------------------------------------
@@ -112,10 +117,11 @@ def test_direct_outage_median():
 def test_direct_outage_monte_carlo(paper_setup):
     topo, cfg = paper_setup
     cfg = replace(cfg, power_dbm=20.0)
-    rates = link_rates(topo, cfg, 1)
-    analytic = direct_outage(LinkParam(rates.direct), cfg.gamma_th)
+    links = link_rates(topo, cfg)
+    analytic = direct_outage(LinkParam(links.direct[0]), cfg.gamma_th)
+    assert analytic == links.miss[0]
     rng = np.random.default_rng(2024)
-    draws = rng.standard_exponential(1_000_000) / rates.direct
+    draws = rng.standard_exponential(1_000_000) / links.direct[0]
     freq = float(np.mean(draws < cfg.gamma_th))
     sigma = math.sqrt(analytic * (1 - analytic) / draws.size)
     assert abs(freq - analytic) <= 3 * sigma
@@ -127,26 +133,27 @@ def test_direct_outage_rejects_negative_threshold():
 
 
 # ---------------------------------------------------------------------------
-# decode_fail_probs
+# link_rates' gates
 # ---------------------------------------------------------------------------
 
-def test_decode_fail_probs_vanish_at_huge_snr(paper_setup):
+def test_gates_vanish_at_huge_snr(paper_setup):
     topo, cfg = paper_setup
     strong = replace(cfg, power_dbm=200.0)
-    assert np.all(decode_fail_probs(topo, strong, 1) < 1e-12)
+    assert np.all(link_rates(topo, strong).gates < 1e-12)
 
 
-def test_decode_fail_probs_zero_threshold(paper_setup):
+def test_gates_zero_threshold(paper_setup):
     topo, cfg = paper_setup
     zero_rate = replace(cfg, rate_r0=1e-300)
-    assert np.all(decode_fail_probs(topo, zero_rate, 1) < 1e-12)
+    assert np.all(link_rates(topo, zero_rate).gates < 1e-12)
 
 
-def test_decode_fail_probs_increase_with_distance(paper_setup):
+def test_gates_increase_with_distance(paper_setup):
     topo, cfg = paper_setup
-    fails = decode_fail_probs(topo, cfg, 1)
-    order = np.argsort(topo.link_distances.s1_r)
-    assert np.all(np.diff(fails[order]) > 0)
+    gates = link_rates(topo, cfg).gates
+    for source in (1, 2):
+        order = np.argsort(topo.link_distances.per_relay[source - 1])
+        assert np.all(np.diff(gates[source - 1][order]) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +301,8 @@ def test_residue_coefficients_are_near_exact_and_subset_view_is_bit_identical_to
     cases.append((line_topology(16), default_paper_setup()[1], 1))
     gate_sets = []
     for topo, cfg, source in cases:
-        fails = decode_fail_probs(topo, cfg, source)
-        rates = link_rates(topo, cfg, source).relay_dest
+        links = link_rates(topo, cfg)
+        fails, rates = links.gates[source - 1], links.relay_dest
         gate_sets.append(GatedPaths(fails, rates))
     rng = np.random.default_rng(2024)
     for _ in range(300):
@@ -441,7 +448,7 @@ def test_uniformized_relay_sum_matches_60_digit_partial_fractions(m, power_dbm):
     _, cfg = default_paper_setup(power_dbm=power_dbm)
     grid = np.linspace(0.2, 3.0, 8) * cfg.gamma_th
     for source in (1, 2):
-        paths = GatedPaths(decode_fail_probs(topo, cfg, source), link_rates(topo, cfg, source).relay_dest)
+        paths = source_links(topo, cfg, source)[1]
         assert bins_closed_form(paths, cfg.granularity) == (m == 8)
         got = relay_sum_cdf_uniformized(paths, grid)
         exact = _partial_fractions_60(paths, grid)
@@ -455,7 +462,7 @@ def test_uniformized_relay_sum_matches_quadrature_on_tied_rates(paper_setup):
     topo8, cfg = paper_setup
     topo = NetworkTopology(topo8.s1_pos, topo8.s2_pos, (100.0, 0.0),
                            ((50.0, 20.0), (50.0, -20.0)), 3.0)
-    paths = GatedPaths(decode_fail_probs(topo, cfg, 1), link_rates(topo, cfg, 1).relay_dest)
+    paths = source_links(topo, cfg, 1)[1]
     assert paths.rates[0] == paths.rates[1] and not bins_closed_form(paths, cfg.granularity)
     grid = np.linspace(0.05, 4.0, 25)
     err = np.abs(relay_sum_cdf_uniformized(paths, grid) - relay_sum_cdf_quadrature(paths, grid))
@@ -494,7 +501,7 @@ def test_uniformized_relay_sum_gives_each_point_its_bits_alone(layout, power_dbm
     _, cfg = default_paper_setup(power_dbm=power_dbm)
     topo, grid = _layout(layout), np.linspace(0.2, 3.0, 8) * cfg.gamma_th
     for source in (1, 2):
-        paths = GatedPaths(decode_fail_probs(topo, cfg, source), link_rates(topo, cfg, source).relay_dest)
+        paths = source_links(topo, cfg, source)[1]
         together = relay_sum_cdf_uniformized(paths, grid)
         assert _bits(together) == _bits([relay_sum_cdf_uniformized(paths, [g])[0] for g in grid.tolist()])
         assert _bits(together[::-1]) == _bits(relay_sum_cdf_uniformized(paths, grid[::-1]))
@@ -507,7 +514,7 @@ def test_uniformized_relay_sum_is_finite_at_very_low_power(power_dbm):
     topo, cfg = default_paper_setup(power_dbm=power_dbm)
     grid = np.linspace(0.2, 3.0, 8) * cfg.gamma_th
     for source in (1, 2):
-        paths = GatedPaths(decode_fail_probs(topo, cfg, source), link_rates(topo, cfg, source).relay_dest)
+        paths = source_links(topo, cfg, source)[1]
         got = relay_sum_cdf_uniformized(paths, grid)
         assert np.isfinite(got).all() and (got >= 0.0).all() and (got <= 1.0).all()
 
@@ -596,11 +603,11 @@ def test_bin_conditional_direct_normalizes():
 
 def test_bin_conditional_direct_matches_conditional_histogram(paper_setup):
     topo, cfg = paper_setup
-    rates = link_rates(topo, cfg, 1)
+    direct = link_rates(topo, cfg).direct[0]
     n_bins = 20
-    pmf = bin_conditional_direct(LinkParam(rates.direct), cfg.gamma_th, n_bins)
+    pmf = bin_conditional_direct(LinkParam(direct), cfg.gamma_th, n_bins)
     rng = np.random.default_rng(31)
-    draws = rng.standard_exponential(4_000_000) / rates.direct
+    draws = rng.standard_exponential(4_000_000) / direct
     accepted = draws[draws < cfg.gamma_th]
     assert accepted.size > 1_000_000
     hist, _ = np.histogram(accepted, bins=np.linspace(0.0, cfg.gamma_th, n_bins + 1))
@@ -632,8 +639,8 @@ def test_step2_refuses_one_bin(paper_setup):
     # 0.0 where the paper layout's relay step at 0 dBm is 0.1275.
     topo, cfg = paper_setup
     cfg = replace(cfg, power_dbm=0.0)
-    rates = link_rates(topo, cfg, 1)
-    p, d, g = GatedPaths(decode_fail_probs(topo, cfg, 1), rates.relay_dest), LinkParam(rates.direct), cfg.gamma_th
+    direct, p = source_links(topo, cfg, 1)
+    d, g = LinkParam(direct), cfg.gamma_th
     with pytest.raises(ConfigError, match="binned on 2 to"):
         step2_outage(bin_relay_sum([relay_sum_cdf(p)], g, 1)[0], bin_conditional_direct(d, g, 1), p)
     with pytest.raises(ConfigError, match="needs at least 2 bins, got 1"):
@@ -739,11 +746,11 @@ def test_without_relay_cooperation_every_relay_step_is_skipped(monkeypatch, pape
     assert built == []
     for source, out in alone.items():
         assert (out.bcast, out.relay, out.empty) == (coop[source].bcast, 1.0, 1.0)
-        assert (analytic.decode_fail_probs(topo, cfg, source, False) == 1.0).all()
+    assert (link_rates(topo, cfg, False).gates == 1.0).all()
     assert step_outages(topo, cfg, True) == coop  # the option is part of the memo's key
     # At a zero threshold an SNR of 0 decodes, and the gates read 0, not NaN.
     zero = replace(cfg, rate_r0=1e-300)
-    assert zero.gamma_th == 0.0 and not analytic.decode_fail_probs(topo, zero, 1, False).any()
+    assert zero.gamma_th == 0.0 and not link_rates(topo, zero, False).gates.any()
 
 
 def test_all_outages_vanish_at_huge_snr(paper_setup):
@@ -756,11 +763,9 @@ def test_all_outages_vanish_at_huge_snr(paper_setup):
 def _per_source_pipeline(topo, cfg, source):
     """One source's step outages through the public steps, with its own
     relay-sum basis where the closed form is binned and the exact step elsewhere."""
-    rates = link_rates(topo, cfg, source)
-    fails = decode_fail_probs(topo, cfg, source)
-    gates = GatedPaths(fails, rates.relay_dest)
-    direct, gamma_th, n = LinkParam(rates.direct), cfg.gamma_th, cfg.granularity
-    empty = float(np.prod(fails))
+    rate, gates = source_links(topo, cfg, source)
+    direct, gamma_th, n = LinkParam(rate), cfg.gamma_th, cfg.granularity
+    empty = float(np.prod(gates.gate_probs))
     if empty >= 1.0:
         return SourceOutages(direct_outage(direct, gamma_th), 1.0, empty)
     if not bins_closed_form(gates, n):
@@ -847,15 +852,15 @@ def test_each_edge_is_built_once_per_step_outages_call_for_both_sources(monkeypa
     assert _binning(monkeypatch, topo, cfg) == (([2], [n + 1], []) if binned else ([], [], [2]))
     # At -20 dBm no relay decodes source 2, but some decode source 1.
     low = replace(cfg, power_dbm=-20.0)
-    assert (decode_fail_probs(topo, low, 2) == 1.0).all()
+    assert (link_rates(topo, low).gates[1] == 1.0).all()
     assert _binning(monkeypatch, topo, low) == (([1], [n + 1], []) if binned else ([], [], [1]))
 
 
 def _exact_inputs(topo, cfg):
     """Both sources' direct links and gated paths, as ``step_outages`` builds them."""
-    rates = {source: link_rates(topo, cfg, source) for source in (1, 2)}
-    return ([LinkParam(rates[s].direct) for s in (1, 2)],
-            [GatedPaths(decode_fail_probs(topo, cfg, s), rates[s].relay_dest) for s in (1, 2)])
+    links = link_rates(topo, cfg)
+    return ([LinkParam(float(rate)) for rate in links.direct],
+            [GatedPaths(gates, links.relay_dest) for gates in links.gates])
 
 
 def test_stacked_exact_steps_keep_each_sources_bits(paper_setup):
@@ -904,7 +909,7 @@ def test_one_series_where_one_source_closes_a_relay_the_other_keeps_open(monkeyp
     # sums both chains of 9 phases, the direct one and the 8 relays.
     topo, cfg = paper_setup
     low = replace(cfg, power_dbm=-10.0, granularity=n)
-    assert [int((decode_fail_probs(topo, low, s) < 1.0).sum()) for s in (1, 2)] == [8, 7]
+    assert (link_rates(topo, low).gates < 1.0).sum(axis=1).tolist() == [8, 7]
     shapes = _series_shapes(monkeypatch)
     step_outages(topo, low)
     assert shapes == [(2, 9, 9)]
@@ -987,9 +992,9 @@ def test_a_direct_snr_of_0_takes_the_relay_sum_alone_at_every_bin_count(layout, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         outs = step_outages(topo, cfg)
-        paths = GatedPaths(decode_fail_probs(topo, cfg, 1), link_rates(topo, cfg, 1).relay_dest)
+        paths = source_links(topo, cfg, 1)[1]
         want = relay_sum_cdf_uniformized(paths, [cfg.gamma_th])[0] / (1.0 - paths.empty)
-    assert link_rates(topo, cfg, 1).direct == math.inf and outs[1].bcast == 1.0
+    assert link_rates(topo, cfg).direct[0] == math.inf and outs[1].bcast == 1.0
     assert outs[1].relay == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
@@ -1073,7 +1078,7 @@ def test_the_condition_bound_picks_the_method(monkeypatch, paper_setup):
         near = np.array([50.0, 20.0])
         far = np.array(topo.d_pos) + (near - np.array(topo.d_pos)) * (1.0 + d) ** (1.0 / 3.0)
         pair = NetworkTopology(topo.s1_pos, topo.s2_pos, topo.d_pos, (tuple(near), tuple(far)), topo.alpha)
-        bound = analytic._condition(analytic._pole_ratios(link_rates(pair, cfg, 1).relay_dest))
+        bound = analytic._condition(analytic._pole_ratios(link_rates(pair, cfg).relay_dest))
         assert bound == pytest.approx(scale * 2.0 ** 26, rel=1e-6)
         assert _binning(monkeypatch, pair, cfg) == expected, scale
 
@@ -1108,15 +1113,15 @@ def test_tied_and_infinite_rates_fail_the_bound_without_a_warning(paper_setup):
 # ---------------------------------------------------------------------------
 
 def _computed(monkeypatch):
-    """The sources whose links ``step_outages`` reads: two per computation."""
-    sources = []
+    """The config of each link table ``step_outages`` computes: one per computation."""
+    configs = []
 
-    def spy(topology, config, source, *cooperate):
-        sources.append(source)
-        return link_rates(topology, config, source, *cooperate)
+    def spy(topology, config, *cooperate):
+        configs.append(config)
+        return link_rates(topology, config, *cooperate)
 
     monkeypatch.setattr(analytic, "link_rates", spy)
-    return sources
+    return configs
 
 
 def _outage_bits(outs):
@@ -1134,7 +1139,7 @@ def test_step_outages_keep_one_entry(monkeypatch, paper_setup):
     computed = _computed(monkeypatch)
     for cfg in (a, a, b, a):
         step_outages(topo, cfg)
-    assert computed == [1, 2] * 3  # a, b, a: the entry of a is gone by the second a
+    assert computed == [a, b, a]  # the entry of a is gone by the second a
 
 
 @pytest.mark.parametrize("case", ["paper", "20dBm", "n1e5", "tied", "noiseless", "all-fail"])
@@ -1187,9 +1192,9 @@ def test_a_refused_input_is_not_stored(monkeypatch, paper_setup):
     for _ in range(2):
         with pytest.raises(ConfigError, match="link rate must be positive"):
             step_outages(near, cfg)
-    assert computed == [1] * 2
+    assert computed == [cfg] * 2
     step_outages(topo, cfg)  # the entry before the refusal is still there
-    assert computed == [1] * 2
+    assert computed == [cfg] * 2
 
 
 def test_a_power_sweep_computes_every_point(monkeypatch, paper_setup):
@@ -1199,7 +1204,7 @@ def test_a_power_sweep_computes_every_point(monkeypatch, paper_setup):
     spec = SweepSpec("power_dbm", tuple(float(p) for p in range(0, 31, 2)), ("mdma",), 100)
     computed = _computed(monkeypatch)
     rows = run_sweep(spec, topo, cfg)
-    assert len(rows) == 16 and computed == [1, 2] * 16
+    assert len(rows) == 16 and computed == [replace(cfg, power_dbm=p) for p in spec.values]
 
 
 @pytest.mark.parametrize("layout, power_dbm, n", [
@@ -1266,10 +1271,9 @@ def test_exact_step_agrees_with_the_binned_closed_form(paper_setup, power_dbm):
     low = replace(cfg, power_dbm=power_dbm)
     outs = step_outages(topo, low)
     for source in (1, 2):
-        rates = link_rates(topo, low, source)
-        gates = GatedPaths(decode_fail_probs(topo, low, source), rates.relay_dest)
+        direct, gates = source_links(topo, low, source)
         assert bins_closed_form(gates, low.granularity)
-        exact = relay_step_outages([LinkParam(rates.direct)], [gates], low.gamma_th)[0]
+        exact = relay_step_outages([LinkParam(direct)], [gates], low.gamma_th)[0]
         assert outs[source].relay <= exact
         assert abs(outs[source].relay - exact) < 5.0 / low.granularity * exact
 
@@ -1284,15 +1288,14 @@ def test_closed_form_relay_step_agrees_with_the_series_bins(paper_setup, power_d
     n = low.granularity
     outs = step_outages(topo, low)
     for source in (1, 2):
-        rates = link_rates(topo, low, source)
-        gates = GatedPaths(decode_fail_probs(topo, low, source), rates.relay_dest)
+        direct, gates = source_links(topo, low, source)
         assert bins_closed_form(gates, n)
         cdf = relay_sum_cdf(gates)
         floor = 64.0 * np.finfo(float).eps * np.abs(cdf.coeff_per_rate).sum()
         series = series_bins(gates, low.gamma_th, n)
         closed = binned_relay_sum(cdf, low.gamma_th, n)
         assert np.max(np.abs(series.probs - closed.probs)) < floor
-        relay = step2_outage(series, bin_conditional_direct(LinkParam(rates.direct), low.gamma_th, n), gates)
+        relay = step2_outage(series, bin_conditional_direct(LinkParam(direct), low.gamma_th, n), gates)
         assert abs(relay - outs[source].relay) < floor
 
 
@@ -1330,9 +1333,8 @@ def _relay_step_rel_errs(topo, cfg):
     outs = step_outages(topo, cfg)
     errs = []
     for source in (1, 2):
-        rates = link_rates(topo, cfg, source)
-        paths = GatedPaths(decode_fail_probs(topo, cfg, source), rates.relay_dest)
-        exact = _relay_step_60(rates.direct, cfg.gamma_th, paths)
+        direct, paths = source_links(topo, cfg, source)
+        exact = _relay_step_60(direct, cfg.gamma_th, paths)
         errs.append(float(abs(outs[source].relay - exact) / exact))
     return outs, errs
 
@@ -1390,9 +1392,8 @@ def test_exact_step_does_not_depend_on_the_granularity(layout, ns):
         bits = {tuple(_outage_bits(step_outages(topo, replace(cfg, granularity=n))).items()) for n in ns}
         assert len(bits) == 1, (power, bits)
         for source in (1, 2):
-            rates = link_rates(topo, cfg, source)
-            paths = GatedPaths(decode_fail_probs(topo, cfg, source), rates.relay_dest)
-            exact = relay_step_outages([LinkParam(rates.direct)], [paths], cfg.gamma_th)[0]
+            direct, paths = source_links(topo, cfg, source)
+            exact = relay_step_outages([LinkParam(direct)], [paths], cfg.gamma_th)[0]
             assert _bits(step_outages(topo, replace(cfg, granularity=ns[0]))[source].relay) == _bits(exact)
 
 
@@ -1406,11 +1407,10 @@ def test_the_closed_form_is_binned_up_to_4095_bins_and_exact_from_4096(paper_set
     cfg = replace(cfg, power_dbm=20.0)
     below, at = (step_outages(topo, replace(cfg, granularity=n)) for n in (BLOCK_ROWS - 1, BLOCK_ROWS))
     for source in (1, 2):
-        rates = link_rates(topo, cfg, source)
-        paths = GatedPaths(decode_fail_probs(topo, cfg, source), rates.relay_dest)
+        direct, paths = source_links(topo, cfg, source)
         assert bins_closed_form(paths, BLOCK_ROWS - 1) and not bins_closed_form(paths, BLOCK_ROWS)
         assert below[source].relay.hex() == BINNED_AT_4095[source]
-        assert _bits(at[source].relay) == _bits(relay_step_outages([LinkParam(rates.direct)], [paths], cfg.gamma_th)[0])
+        assert _bits(at[source].relay) == _bits(relay_step_outages([LinkParam(direct)], [paths], cfg.gamma_th)[0])
         assert (below[source].bcast, below[source].empty) == (at[source].bcast, at[source].empty)
 
 
@@ -1448,9 +1448,8 @@ def test_exact_step_refuses_a_series_past_its_cap():
     # -44 dBm it is 1.4e5, past the 131 072-jump cap.
     topo = underflow_topology((20.0, 20.0))
     _, cfg = default_paper_setup(power_dbm=-40.0, granularity=100_000)
-    rates = link_rates(topo, cfg, 1)
-    paths = GatedPaths(decode_fail_probs(topo, cfg, 1), rates.relay_dest)
-    assert step_outages(topo, cfg)[1].relay == float(_relay_step_60(rates.direct, cfg.gamma_th, paths)) == 1.0
+    direct, paths = source_links(topo, cfg, 1)
+    assert step_outages(topo, cfg)[1].relay == float(_relay_step_60(direct, cfg.gamma_th, paths)) == 1.0
     with pytest.raises(ConfigError, match=r"more than 131072 jumps \(largest rate times threshold 1.409e\+05\)"):
         step_outages(topo, replace(cfg, power_dbm=-44.0))
 
@@ -1468,11 +1467,10 @@ def _step2_by_convolution(relay_pmf, direct_pmf, gates):
 def _paper_pmfs(power_dbm, n):
     topo, cfg = default_paper_setup(power_dbm=power_dbm, granularity=n)
     for source in (1, 2):
-        rates = link_rates(topo, cfg, source)
-        gates = GatedPaths(decode_fail_probs(topo, cfg, source), rates.relay_dest)
+        direct, gates = source_links(topo, cfg, source)
         yield (
             binned_relay_sum(relay_sum_cdf(gates), cfg.gamma_th, n),
-            bin_conditional_direct(LinkParam(rates.direct), cfg.gamma_th, n),
+            bin_conditional_direct(LinkParam(direct), cfg.gamma_th, n),
             gates,
         )
 

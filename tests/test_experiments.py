@@ -850,16 +850,30 @@ def _spec(**edits) -> dict:
                        f"{name} must not be NaN", id=f"nan-{name}")
           for name in ("power_dbm", "noise_dbm", "rate_r0", "total_bits", "eta",
                        "bandwidth_units", "power_units")),
+        # Each efficiency is at most 2 / (bandwidth_units * power_units), so
+        # a product below the normal floats is refused, by every command:
+        # 1e-300 squared is 0 (a ZeroDivisionError in simulate and sweep), and
+        # 2 / 1e-320 is inf (a JSON ValueError, or inf in the sweep's CSV).
+        *(pytest.param(("--config", command), dict(_paper_config(), system={"bandwidth_units": bw, "power_units": pw}),
+                       f"error: bandwidth_units {bw} and power_units {pw} must be positive with a product of at "
+                       "least 2.225e-308\n", id=f"units-{bw}-{command[0]}{'-' + command[2] if command[0] == 'simulate' else ''}")
+          for bw, pw in ((1e-300, 1e-300), (1e-320, 1.0))
+          for command in (["analyze"], ["dump-chain"], ["validate", "--trials", "2000"],
+                          *(["simulate", "--scheme", s, "--trials", "2000"] for s in ALL_SCHEMES),
+                          ["sweep", "--allow-small-trials", "--spec", "{spec}", "--out", "{out}"])),
     ],
 )
 def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, flag, content, message):
     path = tmp_path / "input.json"
+    flag, command = flag if isinstance(flag, tuple) else (flag, ["analyze"])
     if content is not None and flag != "--power-dbm":
         path.write_text(content if isinstance(content, str) else json.dumps(content))
     if flag == "--power-dbm":
         argv = ["analyze", "--paper-defaults", flag, content]
     elif flag == "--config":
-        argv = ["analyze", "--config", str(path)]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_spec(schemes=list(ALL_SCHEMES), trials=2000)))
+        argv = [command[0], "--config", str(path), *(a.format(spec=spec, out=tmp_path) for a in command[1:])]
     else:
         argv = ["sweep", "--paper-defaults", "--spec", str(path), "--out", str(tmp_path)]
     assert main(argv) == 2
@@ -1001,18 +1015,48 @@ def test_step_outages_read_each_sources_link_rates_once(monkeypatch, relays, pow
                                                          granularity):
     calls = []
 
-    def spy(topology, config, source, *cooperate):
-        calls.append(source)
-        return link_rates(topology, config, source, *cooperate)
+    def spy(topology, config, *cooperate):
+        calls.append(config)
+        return link_rates(topology, config, *cooperate)
 
     monkeypatch.setattr(analytic, "link_rates", spy)
     topo = line_topology(relays)
     cfg = replace(default_paper_setup()[1], power_dbm=power_dbm, granularity=granularity)
     outs = step_outages(topo, cfg)
-    assert calls == [1, 2]
-    # The decode-failure probabilities are the ones decode_fail_probs gives.
+    assert calls == [cfg]  # one table holds both sources' links
+    # The decode-failure probabilities and broadcast outages are the table's.
+    links = link_rates(topo, cfg)
     for source, out in outs.items():
-        assert out.empty == float(np.prod(analytic.decode_fail_probs(topo, cfg, source)))
+        assert out.empty == float(np.prod(links.gates[source - 1]))
+        assert out.bcast == links.miss[source - 1]
+
+
+@pytest.mark.parametrize("argv, tables", [
+    pytest.param(["analyze"], 1, id="analyze"),
+    *(pytest.param(["simulate", "--scheme", s, "--trials", "2000"], 1, id=f"simulate-{s}") for s in ALL_SCHEMES),
+    pytest.param(["dump-chain"], 1, id="dump-chain"),
+    pytest.param(["validate", "--trials", "20000"], 3, id="validate"),
+    pytest.param(["sweep", "--allow-small-trials", "--spec", "{spec}", "--out", "{out}"], 5, id="sweep"),
+])
+def test_each_command_computes_one_link_table_per_reader(monkeypatch, tmp_path, argv, tables):
+    # analyze, simulate and dump-chain read one table; validate one each for
+    # its simulation, its closed-form check and its step outages; a
+    # four-scheme sweep point one for its analytic columns and one per scheme.
+    # Each source read its own links before: 2, 2, 2, 8 and 10.
+    computed = []
+
+    def spy(*args):
+        computed.append(args)
+        return link_rates(*args)
+
+    for module in (analytic, experiments, simulator):
+        monkeypatch.setattr(module, "link_rates", spy)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_spec(schemes=list(ALL_SCHEMES), trials=2000)))
+    argv = [argv[0], "--paper-defaults", *(a.format(spec=spec, out=tmp_path) for a in argv[1:])]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert len(computed) == tables
 
 
 def _spy(monkeypatch, module, name) -> list[tuple]:
@@ -1055,7 +1099,7 @@ def test_analyze_computes_its_step_outages_once(monkeypatch, tmp_path, where, ro
 
     monkeypatch.setattr(analytic, "exp_cdf_basis", basis)
     assert main([*argv, "--out", str(tmp_path / "a.json")]) == 0
-    assert [source for _, _, source, *_ in links] == [1, 2]
+    assert len(links) == 1  # both sources' links, in one table
     assert [len(cdfs) for cdfs, *_ in binned] == ([2] if rows else [])
     assert (built, [len(paths) for _, paths, _ in steps]) == (rows, exact)
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "unmemoized.json").read_bytes()
@@ -1214,6 +1258,23 @@ def test_no_command_loads_scipy(tmp_path):
     )
     assert codes == [0, 0, 0, 0, 0]
     assert scipy_modules == []
+
+
+@pytest.mark.parametrize("cooperation", [[], ["--no-relay-cooperation"]], ids=["cooperation", "no-cooperation"])
+@pytest.mark.parametrize("layout", ["paper", "line24", "eta0"])
+def test_validate_answers_a_noiseless_layout(tmp_path, capsys, layout, cooperation):
+    # Noiseless every rate is 0 and no broadcast is missed, so step_outages
+    # takes no relay step and bins nothing; validate once checked the closed
+    # form there anyway and refused it (`rates must be positive, got [0. 0. ...]`).
+    topo, cfg = default_paper_setup()
+    topo = line_topology(24) if layout == "line24" else topo
+    cfg = replace(cfg, noise_dbm=-math.inf, eta=0.0 if layout == "eta0" else cfg.eta)
+    save_setup(tmp_path / "noiseless.json", topo, cfg)
+    argv = ["validate", "--config", str(tmp_path / "noiseless.json"), "--trials", "20000", *cooperation]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "FAIL" not in out and out.endswith("validation: PASS\n")
+    assert "relay_sum_cdf_vs_uniformization" not in out
 
 
 def test_validate_checks_the_closed_form_against_uniformization(capsys):

@@ -51,8 +51,7 @@ def draw_link_snr(link: LinkParam, rng: np.random.Generator, size: int) -> np.nd
 
 def test_draw_mean_matches_link(setup10):
     topo, cfg = setup10
-    rates = link_rates(topo, cfg, 1)
-    link = LinkParam(rates.direct)
+    link = LinkParam(float(link_rates(topo, cfg).direct[0]))
     rng = make_rng(101)
     draws = draw_link_snr(link, rng, 1_000_000)
     assert abs(draws.mean() / link.mean_snr - 1.0) < 0.01
@@ -60,11 +59,11 @@ def test_draw_mean_matches_link(setup10):
 
 def test_draw_outage_frequency_matches_exponential_cdf(setup10):
     topo, cfg = setup10
-    rates = link_rates(topo, cfg, 1)
-    link = LinkParam(rates.direct)
+    links = link_rates(topo, cfg)
+    link = LinkParam(float(links.direct[0]))
     rng = make_rng(102)
     draws = draw_link_snr(link, rng, 1_000_000)
-    p = -math.expm1(-rates.direct * cfg.gamma_th)
+    p = links.miss[0]  # the table's direct-link law, 1 - exp(-rate * g)
     freq = float(np.mean(draws < cfg.gamma_th))
     sigma = math.sqrt(p * (1 - p) / draws.size)
     assert abs(freq - p) <= 3 * sigma
@@ -256,10 +255,10 @@ def test_decode_set_law(setup10, power, relay_pos):
         topo = replace(topo, relay_pos=relay_pos)
     low = replace(cfg, power_dbm=power)
     est = simulate("mdma", topo, low, 200_000, seed=13)
-    from mdma_relay.analytic import decode_fail_probs
+    gates = link_rates(topo, low).gates
 
     for src in (1, 2):
-        p_empty = float(np.prod(decode_fail_probs(topo, low, src)))
+        p_empty = float(np.prod(gates[src - 1]))
         n = est.decode_attempts[src]
         assert n > 5_000
         freq = est.decode_empties[src] / n
@@ -433,7 +432,7 @@ def test_baseline_broadcasts_fail_as_the_direct_link_law(setup10, scheme, step, 
     topo, cfg = setup10
     est = simulate(scheme, topo, cfg, 200_000, seed=31, options=SimOptions(noma_rho=rho))
     for s in sources:
-        p = -math.expm1(-link_rates(topo, cfg, s).direct * cfg.gamma_th)
+        p = link_rates(topo, cfg).miss[s - 1]
         stats = est.per_step[step.format(s=s)]
         assert stats.attempts > 1_000
         sigma = math.sqrt(p * (1 - p) / stats.attempts)
@@ -721,8 +720,8 @@ def test_a_source_relay_rate_that_underflows_makes_only_that_relay_decode():
     and the others are drawn as before, so the relay step agrees with the
     closed form instead of never failing."""
     topo, cfg = underflow_topology((20.0, 20.0)), default_paper_setup(power_dbm=4.0)[1]
-    rates = link_rates(topo, cfg, 1)
-    assert rates.source_relay[0] == 0.0 and rates.source_relay[1:].min() > 0.0
+    rates = link_rates(topo, cfg).source_relay[0]
+    assert rates[0] == 0.0 and rates[1:].min() > 0.0
     est = simulate("mdma", topo, cfg, 200_000, seed=1)
     want = step_outages(topo, cfg)[1].relay
     for key in ("shared:relay", "personal1:relay"):
@@ -741,10 +740,10 @@ def test_a_relay_dest_rate_that_underflows_is_refused_as_the_closed_form_refuses
     # link_rates refuses it, and the closed form and the simulator refuse it there.
     topo = underflow_topology((100.0, 0.0)) if layout == "relay1-destination" else near_source_topology()
     cfg = default_paper_setup(power_dbm=4.0)[1]
-    rates = link_rates(topo, replace(cfg, rate_r0=1e-17), 1)  # at a zero threshold every reception succeeds
-    assert (rates.relay_dest[0] if layout == "relay1-destination" else rates.direct) == 0.0
+    rates = link_rates(topo, replace(cfg, rate_r0=1e-17))  # at a zero threshold every reception succeeds
+    assert (rates.relay_dest if layout == "relay1-destination" else rates.direct)[0] == 0.0
     with pytest.raises(ConfigError, match=message) as links:
-        link_rates(topo, cfg, 1)
+        link_rates(topo, cfg)
     with pytest.raises(ConfigError, match=message) as analyze:
         step_outages(topo, cfg)
     with pytest.raises(ConfigError, match=message) as sim:
@@ -763,18 +762,19 @@ _PAPER = default_paper_setup()
     pytest.param(_PAPER[0], replace(_PAPER[1], rate_r0=1e-17, total_bits=1e-17), False,
                  id="zero-threshold-no-cooperation"),
     pytest.param(underflow_topology((20.0, 20.0)), _PAPER[1], True, id="underflow-source1"),
-    pytest.param(underflow_topology((100.0, 0.0)), _PAPER[1], True, id="underflow-destination"),
+    # At a positive threshold link_rates refuses a relay-destination rate of 0.
+    pytest.param(underflow_topology((100.0, 0.0)), replace(_PAPER[1], rate_r0=1e-17, total_bits=1e-17), True,
+                 id="underflow-destination"),
     pytest.param(_PAPER[0], replace(_PAPER[1], power_dbm=-61.0), True, id="-61dBm"),
     pytest.param(_PAPER[0], replace(_PAPER[1], power_dbm=200.0), True, id="200dBm"),
 ])
 def test_broadcast_draw_sizes_are_defined_at_the_edge_inputs(topo, cfg, cooperate):
     """The mean episode length that sizes broadcast draws is finite and in
     [1, 2], and every draw size a positive int no larger than the cap."""
+    links = link_rates(topo, cfg, cooperate)  # the table `simulate` computes
     for source in (1, 2):
-        # The rates of a zero threshold, where link_rates refuses no underflowed rate.
-        rates = link_rates(topo, replace(cfg, rate_r0=1e-17), source, cooperate)
         with np.errstate(over="ignore", divide="ignore"):  # as `simulate` builds it: a rate of 0 is an infinite mean
-            episodes = simulator._Episodes(0, source, rates, cfg.gamma_th)
+            episodes = simulator._Episodes(0, source, links, cfg.gamma_th)
         assert 1.0 <= episodes.mean_len <= 2.0
         tally = simulator._Tally("mdma", [], [], 1, 1, 0)
         stream = simulator._BcastStream(tally, episodes, np.zeros((1, 1, 5), dtype=np.int64))
@@ -813,7 +813,7 @@ def test_a_lone_run_draws_for_its_share_of_the_band(monkeypatch, scheme):
 def test_the_mean_episode_length_is_that_of_the_drawn_episodes(power, cooperate):
     topo, cfg = default_paper_setup(power_dbm=power)
     for source in (1, 2):
-        episodes = simulator._Episodes(7, source, link_rates(topo, cfg, source, cooperate), cfg.gamma_th)
+        episodes = simulator._Episodes(7, source, link_rates(topo, cfg, cooperate), cfg.gamma_th)
         relay = episodes.draw(200_000)["relay"]
         p = episodes.mean_len - 1.0  # the share of episodes with a relay slot
         assert abs(relay.mean() - p) <= 4 * math.sqrt(p * (1 - p) / relay.size) + 1e-9, (source, p)
@@ -824,7 +824,7 @@ def test_a_relay_dest_rate_of_0_is_taken_where_the_closed_form_takes_it():
     succeeds: neither is refused, and nothing fails."""
     topo, cfg = underflow_topology((100.0, 0.0)), default_paper_setup()[1]
     for edge in (replace(cfg, noise_dbm=-math.inf), replace(cfg, rate_r0=1e-17, total_bits=1e-17)):
-        assert not link_rates(topo, edge, 1).relay_dest[0] > 0.0
+        assert not link_rates(topo, edge).relay_dest[0] > 0.0
         assert all(out.bcast == out.relay == 0.0 for out in step_outages(topo, edge).values())
         for scheme in SCHEMES:
             assert simulate(scheme, topo, edge, 50).overall_op == 0.0

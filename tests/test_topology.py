@@ -19,7 +19,7 @@ from mdma_relay.topology import (
     save_setup,
 )
 
-from layouts import far_topology
+from layouts import far_topology, line_topology
 
 
 def test_s1_to_destination_distance(paper_setup):
@@ -112,7 +112,7 @@ def test_eta_float_fuzz_does_not_overcount():
 
 def test_rate_lambda_scales_with_alpha():
     topo, cfg = default_paper_setup()
-    base = link_rates(topo, cfg, 1)
+    base = link_rates(topo, cfg)
     doubled = NetworkTopology(
         s1_pos=topo.s1_pos,
         s2_pos=topo.s2_pos,
@@ -123,17 +123,17 @@ def test_rate_lambda_scales_with_alpha():
         relay_pos=topo.relay_pos,
         alpha=topo.alpha,
     )
-    scaled = link_rates(doubled, cfg, 1)
-    assert scaled.direct == pytest.approx(base.direct * 2**topo.alpha)
+    scaled = link_rates(doubled, cfg)
+    assert scaled.direct[0] == pytest.approx(base.direct[0] * 2**topo.alpha)
 
 
 def test_without_relay_cooperation_no_relay_hears_a_source():
     topo, cfg = default_paper_setup()
-    for source in (1, 2):
-        coop, alone = link_rates(topo, cfg, source), link_rates(topo, cfg, source, cooperate=False)
-        assert np.isinf(alone.source_relay).all() and alone.source_relay.shape == coop.source_relay.shape
-        assert alone.direct == coop.direct
-        assert np.array_equal(alone.relay_dest, coop.relay_dest)
+    coop, alone = link_rates(topo, cfg), link_rates(topo, cfg, cooperate=False)
+    assert np.isinf(alone.source_relay).all() and alone.source_relay.shape == coop.source_relay.shape == (2, 8)
+    assert (alone.gates == 1.0).all() and (coop.gates < 1.0).all()
+    assert np.array_equal(alone.direct, coop.direct) and np.array_equal(alone.miss, coop.miss)
+    assert np.array_equal(alone.relay_dest, coop.relay_dest)
 
 
 def test_a_link_whose_distance_to_the_alpha_overflows_has_an_infinite_rate_quietly():
@@ -145,10 +145,45 @@ def test_a_link_whose_distance_to_the_alpha_overflows_has_an_infinite_rate_quiet
         for node, link in (("source1", "direct"), ("relay1", "relay_dest"), ("destination", "relay_dest")):
             topo = far_topology(node)
             for noise_dbm, rate in ((cfg.noise_dbm, math.inf), (-math.inf, 0.0)):
-                rates = link_rates(topo, replace(cfg, noise_dbm=noise_dbm), 1)
-                assert np.ravel(getattr(rates, link))[0] == rate, (node, noise_dbm)
+                rates = link_rates(topo, replace(cfg, noise_dbm=noise_dbm))
+                assert getattr(rates, link)[0] == rate, (node, noise_dbm)
                 if node != "destination":
-                    assert rates.source_relay[0] == rate, (node, noise_dbm)
+                    assert rates.source_relay[0][0] == rate, (node, noise_dbm)
+
+
+def _per_source_reference(topo, cfg, source, cooperate):
+    """One source's links by the formulas each layer once applied itself: a
+    vector power per row, each row a column of one (m, 3) array, a scalar
+    power for the direct link, the gates as one vector ``expm1``, 0 at a zero
+    threshold, and the direct miss as a scalar ``expm1``."""
+    d, snr, g, a = topo.link_distances, cfg.snr_linear(), cfg.gamma_th, topo.alpha
+    rows = d.per_relay.T.copy().T
+    with np.errstate(over="ignore"):
+        gains = np.float64((d.s1_d, d.s2_d)[source - 1]) ** a, rows[source - 1] ** a, rows[2] ** a
+        direct, source_relay, relay_dest = (x / snr if snr < math.inf else np.zeros_like(x) for x in gains)
+    if not cooperate:
+        source_relay = np.full(topo.num_relays, math.inf)
+    gates = -np.expm1(-source_relay * g) if g else np.zeros(topo.num_relays)
+    miss = -math.expm1(-float(direct) * g) if g else 0.0
+    return float(direct), source_relay, relay_dest, gates, miss
+
+
+def test_the_link_table_has_the_bits_of_the_per_source_formulas():
+    # Every 1 dB, where the 5 dB golden grid would see a vector expm1 for the
+    # direct misses only at 5 and 10 dBm.
+    topo, cfg = default_paper_setup()
+    for layout in (topo, *(line_topology(m) for m in (1, 10, 16, 24))):
+        for power in range(-30, 61):
+            for edit in ({}, {"rate_r0": 1e-17}, {"noise_dbm": -math.inf}):
+                at = replace(cfg, power_dbm=float(power), **edit)
+                for cooperate in (True, False):
+                    links = link_rates(layout, at, cooperate)
+                    for s in (1, 2):
+                        got = (links.direct[s - 1], links.source_relay[s - 1], links.relay_dest,
+                               links.gates[s - 1], links.miss[s - 1])
+                        want = _per_source_reference(layout, at, s, cooperate)
+                        assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want], (
+                            layout.num_relays, power, edit, cooperate, s)
 
 
 def test_link_param_validation():
