@@ -1,9 +1,10 @@
 """Closed-form per-step outage probabilities.
 
-A source's relays are gated exponential paths, held as one array pair
-(``GatedPaths``): relay x failed to decode the broadcast with probability
-``gate_probs[x]`` and then contributes nothing, otherwise its SNR at the
-destination is exponential with rate ``rates[x]``.  The relays' summed SNR
+A source's relays are gated exponential paths, its row of the run's link
+table (``topology.LinkSet``): relay x failed to decode the broadcast with
+probability ``gates[x]`` and then contributes nothing, otherwise its SNR at
+the destination is exponential with rate ``relay_dest[x]``.  Every engine
+here takes those rows as arrays.  The relays' summed SNR
 has a defective CDF with one exponential term per rate, whose coefficient is
 the residue of the product of the per-path transforms at that rate's pole:
 all m cost O(m^2).  The same law over the 2^m decode sets is a view
@@ -21,7 +22,7 @@ terms from the rows of its jump matrix's powers, and
 ``relay_sum_cdf_uniformized``, its CDF, is what ``experiments.validate``
 checks the closed form against.  The closed form is binned only where its
 cancellation keeps at least half the CDF's digits, by a bound from the rates
-alone, on 2 to 4 095 bins (``bins_closed_form``) and where no direct SNR is 0.
+alone, on 2 to 4 095 bins and where no direct SNR is 0 (``relay_plan``).
 Elsewhere ``relay_step_outages`` takes every relay step, exactly and in one
 series, from that chain with the direct SNR as a phase in front.  On a 2-core
 host a ``step_outages`` call on the paper layout takes 0.2 ms binned at 1 000
@@ -37,7 +38,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .topology import ConfigError, LinkParam, LinkSet, NetworkTopology, SystemConfig, link_rates
+from .topology import ConfigError, LinkSet, NetworkTopology, SystemConfig, link_rates
 
 # Most relays the closed form is binned for: the basis has a column per rate,
 # and 4096 rows (``_BASIS_ROWS``) of at most 20 rates keep its product far
@@ -54,7 +55,7 @@ _LAYERS = np.array([True, False])[:, None, None]  # the chain's gates of timed r
 # 0.3.31), which moves the last bits of some rows; 4096 rows of at most
 # ``MAX_RELAYS_CLOSED_FORM`` rates stay far below that, so the binned law does
 # not depend on the thread count.  Past it the relay step is exact
-# (``bins_closed_form``).
+# (``relay_plan``).
 _BASIS_ROWS = 4096
 # Most terms of the exact step's series, which bounds its memory (9 MB of rows per source on the paper layout).
 _MAX_JUMPS = 1 << 17
@@ -62,46 +63,6 @@ _MAX_JUMPS = 1 << 17
 
 class ConditioningError(ValueError):
     """A conditional quantity is undefined for these inputs."""
-
-
-@dataclass(frozen=True, eq=False)
-class GatedPaths:
-    """Relay paths, one per relay: a point mass ``gate_probs[x]`` at zero
-    plus an exponential tail of rate ``rates[x]``, as float arrays of one
-    length, at least 1.  ``empty`` is the probability that every gate is
-    closed, so that no relay decoded.
-    """
-
-    gate_probs: np.ndarray
-    rates: np.ndarray
-    empty: float = field(init=False)
-
-    def __post_init__(self):
-        a = np.asarray(self.gate_probs, dtype=float)
-        lam = np.asarray(self.rates, dtype=float)
-        if a.ndim != 1 or a.shape != lam.shape:
-            raise ConfigError(f"gate_probs and rates must be 1-D arrays of one length, "
-                              f"got shapes {a.shape} and {lam.shape}")
-        if not a.size:
-            raise ConfigError("at least one relay path is required")
-        # Each comparison is false for NaN.
-        if not (0.0 <= a.min() and a.max() <= 1.0):
-            raise ConfigError(f"gate probabilities must lie in [0, 1], got {a}")
-        if not lam.min() > 0.0:
-            raise ConfigError(f"rates must be positive, got {lam}")
-        object.__setattr__(self, "gate_probs", a)
-        object.__setattr__(self, "rates", lam)
-        object.__setattr__(self, "empty", float(a.prod()))
-
-    def __len__(self) -> int:
-        return len(self.rates)
-
-
-def direct_outage(link: LinkParam, gamma_th: float) -> float:
-    """Probability the link SNR falls below the threshold: 1 - exp(-rate*g)."""
-    if gamma_th < 0:
-        raise ConfigError(f"gamma_th must be nonnegative, got {gamma_th}")
-    return -math.expm1(-link.rate_lambda * gamma_th)
 
 
 @dataclass(frozen=True)
@@ -117,8 +78,8 @@ class SubsetTerm:
 class DefectiveCdf:
     """CDF of the relay-sum SNR restricted to a nonempty decode set.
 
-    Evaluates to 0 at 0 and to ``total_mass`` (one minus the all-gates-closed
-    probability) at infinity, as ``sum_x coeff_per_rate[x] * (1 -
+    Evaluates to 0 at 0 and to one minus the all-gates-closed probability
+    at infinity, as ``sum_x coeff_per_rate[x] * (1 -
     exp(-rates[x] * g))``, O(m) per point.  ``subset_terms`` is a view of the
     same law as one term per nonempty decode set, built only when read.
     """
@@ -126,7 +87,6 @@ class DefectiveCdf:
     rates: np.ndarray
     gate_probs: np.ndarray
     coeff_per_rate: np.ndarray
-    total_mass: float
 
     def __call__(self, gamma) -> np.ndarray | float:
         out = exp_cdf_basis(np.asarray(gamma, dtype=float), self.rates) @ self.coeff_per_rate
@@ -199,11 +159,12 @@ def _condition(theta: np.ndarray) -> float:
     return float(np.maximum(np.abs(theta), 1.0).prod(axis=1).sum())
 
 
-def relay_sum_cdf(paths: GatedPaths, theta: np.ndarray | None = None) -> DefectiveCdf:
+def relay_sum_cdf(gates: np.ndarray, rates: np.ndarray, theta: np.ndarray | None = None) -> DefectiveCdf:
     """Closed-form defective CDF of the decoded relays' summed SNR.
 
     The relay sum has the MGF ``prod_y (a_y + (1 - a_y) lam_y / (lam_y +
-    s))``, with a_y the gate probability and lam_y the rate of path y.  Its
+    s))``, with a_y = ``gates[y]`` and lam_y = ``rates[y]``, float arrays of
+    one length, at least 1, of gates in [0, 1] and positive rates.  Its
     partial fractions give one coefficient per rate, the residue at the
     pole -lam_x: ``c_x = (1 - a_x) * prod_{y != x} (a_y + (1 - a_y) *
     theta[x, y])`` with pole ratios ``theta[x, y] = lam_y / (lam_y -
@@ -211,22 +172,16 @@ def relay_sum_cdf(paths: GatedPaths, theta: np.ndarray | None = None) -> Defecti
     16 or 20 on a 2-core host, against 0.2 ms, 65 ms and 1.6 s for summing
     the same coefficients over the 2^m decode sets.  Defined wherever its
     pole ratios are finite: tied or infinite rates raise ``ConfigError``.
-    ``theta``, if given, is ``_pole_ratios(paths.rates)`` of rates that
-    ``bins_closed_form`` accepted, built once for paths that share them.
+    ``theta``, if given, is ``_pole_ratios(rates)`` of rates that
+    ``relay_plan`` accepted, built once for sources that share them.
     """
-    a, lam = paths.gate_probs, paths.rates
     if theta is None:
-        theta = _pole_ratios(lam)
+        theta = _pole_ratios(rates)
         if not np.isfinite(theta).all():
-            raise ConfigError(f"the closed form needs pairwise distinct, finite rates, got {lam}")
-    factors = a + (1.0 - a) * theta
-    factors.flat[:: len(a) + 1] = 1.0 - a
-    return DefectiveCdf(
-        rates=lam,
-        gate_probs=a,
-        coeff_per_rate=factors.prod(axis=1),
-        total_mass=1.0 - paths.empty,
-    )
+            raise ConfigError(f"the closed form needs pairwise distinct, finite rates, got {rates}")
+    factors = gates + (1.0 - gates) * theta
+    factors.flat[:: len(gates) + 1] = 1.0 - gates
+    return DefectiveCdf(rates=rates, gate_probs=gates, coeff_per_rate=factors.prod(axis=1))
 
 
 def _phase_type_chain(a, lam, direct_rates):
@@ -317,47 +272,32 @@ def _absorbed_within(jump, exit_, start, xs) -> np.ndarray:
                       f"(largest rate times threshold {x.max():.4g})")
 
 
-def relay_sum_cdf_uniformized(paths: GatedPaths, gammas) -> np.ndarray:
+def relay_sum_cdf_uniformized(gates: np.ndarray, rates: np.ndarray, gammas) -> np.ndarray:
     """``P(relay sum <= g, some relay decoded)`` at each g of ``gammas``, exactly,
     from the relay step's chain with a direct SNR of 0: nothing cancels, so the deep
     tail keeps its relative accuracy, and tied or infinite rates need no special case."""
     points = np.asarray(gammas, dtype=float)
-    _, start, now, jump, exit_, lam = _phase_type_chain(paths.gate_probs[None], paths.rates[None], np.array([math.inf]))
+    _, start, now, jump, exit_, lam = _phase_type_chain(gates[None], rates[None], np.array([math.inf]))
     return _absorbed_within(jump, exit_, start, lam[:, None] * points.reshape(1, -1))[0].reshape(points.shape) + now[0]
 
 
-def relay_step_outages(directs: list[LinkParam], paths: list[GatedPaths], gamma_th: float) -> list[float]:
+def relay_step_outages(direct: np.ndarray, miss: np.ndarray, gates: np.ndarray, rates: np.ndarray,
+                       gamma_th: float) -> list[float]:
     """Failure probability of each source's relay-forwarding step, exactly:
-    ``P(D + R <= gamma_th | D <= gamma_th, some relay decoded)``, D the
-    direct SNR ``directs[s]`` and R the decoded relays' sum of ``paths[s]``,
-    of one relay count for every source.  D then R is one chain, its closed
+    ``P(D + R <= gamma_th | D <= gamma_th, some relay decoded)`` for each
+    row s, D the direct SNR of rate ``direct[s]``, missed with probability
+    ``miss[s]``, and R the decoded relays' sum of gates ``gates[s]`` and
+    rates ``rates[s]``, (s, m) arrays.  D then R is one chain, its closed
     relays kept and a link with an SNR of 0 a phase that takes no time; the
     mass it absorbs within gamma_th, a sum of nonnegative terms, is divided
-    by ``P(D <= gamma_th)`` and by the entry mass (``1 - empty`` as a sum).
-    One series sums every chain; each value has the bits its source gets alone.
+    by ``miss`` and by the entry mass (``1 - empty`` as a sum).  One series
+    sums every chain; each value has the bits its source gets alone.
     """
-    if any(p.empty >= 1.0 for p in paths):
+    if (gates.min(axis=1) >= 1.0).any():
         raise ConditioningError("no relay can ever decode; the relay step is unreachable")
-    a, rates = np.array([p.gate_probs for p in paths]), np.array([p.rates for p in paths])
-    entry, start, now, jump, exit_, lam = _phase_type_chain(a, rates, np.array([d.rate_lambda for d in directs]))
+    entry, start, now, jump, exit_, lam = _phase_type_chain(gates, rates, direct)
     absorbed = _absorbed_within(jump, exit_, start, lam[:, None] * gamma_th)[:, 0] + now
-    return [min(float(value / (direct_outage(d, gamma_th) * mass)), 1.0)
-            for d, value, mass in zip(directs, absorbed, entry)]
-
-
-def bins_closed_form(paths: GatedPaths, granularity: int, theta: np.ndarray | None = None) -> bool:
-    """Whether the relay step of these paths bins the closed form
-    (``bin_relay_sum``) rather than taking ``relay_step_outages``: some gate
-    can open, the n + 1 bin edges, at least 3, fit one basis block of
-    ``_BASIS_ROWS``, at most ``MAX_RELAYS_CLOSED_FORM`` relays, and the
-    condition bound of ``theta`` (``_pole_ratios(paths.rates)`` if not given)
-    is at most ``_MAX_CONDITION``, which tied and infinite rates fail.  One bin
-    holds no pair of bins below the threshold.  Past the block binning costs
-    more than the exact step, and its noise piles up: on the paper layout at
-    1e5 bins it took 7-11 ms, against 0.3-0.6 ms, and was 8.3e5 off at 20 dBm.
-    Past the bound the 16-relay line (2.5e11) read 4.3e-5 at 10 dBm, not 9.7e-16."""
-    return (2 <= granularity < _BASIS_ROWS and paths.empty < 1.0 and len(paths) <= MAX_RELAYS_CLOSED_FORM
-            and _condition(_pole_ratios(paths.rates) if theta is None else theta) <= _MAX_CONDITION)
+    return [min(float(value / (p * mass)), 1.0) for value, p, mass in zip(absorbed, miss, entry)]
 
 
 @dataclass(frozen=True)
@@ -423,31 +363,28 @@ def bin_relay_sum(cdfs: list[DefectiveCdf], gamma_th: float, granularity: int) -
     return pmfs
 
 
-def bin_conditional_direct(
-    link: LinkParam, gamma_th: float, granularity: int
-) -> BinnedPmf:
-    """Mass function of the direct SNR conditioned below the threshold."""
+def bin_conditional_direct(rate: float, miss: float, gamma_th: float, granularity: int) -> BinnedPmf:
+    """Mass function of the direct SNR of rate ``rate`` conditioned below
+    the threshold, which it falls below with probability ``miss``."""
     if granularity < 1:
         raise ConfigError("granularity must be at least 1")
     if gamma_th <= 0:
-        raise ConditioningError(
-            "conditioning on SNR below a zero threshold is undefined"
-        )
+        raise ConditioningError("conditioning on SNR below a zero threshold is undefined")
     # Factored form keeps full precision when rate*gamma_th is tiny.
-    lam, width = link.rate_lambda, gamma_th / granularity
+    width = gamma_th / granularity
     probs = np.arange(granularity, dtype=float)
-    np.exp(np.multiply(probs, -lam * width, out=probs), out=probs)
-    probs *= -math.expm1(-lam * width) / -math.expm1(-lam * gamma_th)
+    np.exp(np.multiply(probs, -rate * width, out=probs), out=probs)
+    probs *= -math.expm1(-rate * width) / miss
     return BinnedPmf(probs, gamma_th, granularity)
 
 
-def step2_outage(relay_pmf: BinnedPmf, direct_pmf: BinnedPmf, paths: GatedPaths) -> float:
+def step2_outage(relay_pmf: BinnedPmf, direct_pmf: BinnedPmf, empty: float) -> float:
     """Failure probability of the relay-forwarding step.
 
     Sums the mass of the relay-sum plus conditioned-direct SNR over output
     bins 1..n, as one O(n) dot product of the relay mass with the reversed
     prefix sums of the direct mass, then renormalizes by the
-    nonempty-decode-set probability.  Summing raw index pairs up to n
+    nonempty-decode-set probability ``1 - empty``.  Summing raw index pairs up to n
     undercounts the boundary band, a documented O(1/n) bias of this
     estimator; one bin holds no pair below the threshold and is refused.
     """
@@ -458,15 +395,12 @@ def step2_outage(relay_pmf: BinnedPmf, direct_pmf: BinnedPmf, paths: GatedPaths)
     n = relay_pmf.granularity
     if n < 2:
         raise ConfigError(f"the relay step needs at least 2 bins, got {n}")
-    empty_prob = paths.empty
-    if empty_prob >= 1.0:
-        raise ConditioningError(
-            "no relay can ever decode; the relay step is unreachable"
-        )
+    if empty >= 1.0:
+        raise ConditioningError("no relay can ever decode; the relay step is unreachable")
     # Raw index pair (i, j) holds bin-index sum i+j+2, so output bins 1..n are
     # the pairs with i + j <= n - 2: relay bin i meets direct bins 0..n-2-i.
     below = float(relay_pmf.probs[: n - 1] @ direct_pmf.probs.cumsum()[n - 2 :: -1])
-    return min(max(below / (1.0 - empty_prob), 0.0), 1.0)
+    return min(max(below / (1.0 - empty), 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -489,29 +423,36 @@ class SourceOutages:
                 raise ConfigError(f"{name} must be a probability, got {v}")
 
 
-def relay_plan(links: LinkSet, granularity: int) -> tuple[list[GatedPaths], list[int], np.ndarray | None]:
-    """How ``step_outages`` takes the relay steps of ``links``: each source's
-    relay paths, the sources (0 for source 1) whose relay step is taken, and
-    the pole ratios where that step bins the closed form, else None.
+def relay_plan(links: LinkSet, granularity: int) -> tuple[list[int], np.ndarray | None]:
+    """How ``step_outages`` takes the relay steps of ``links``: the sources
+    (0 for source 1) whose relay step is taken, and the pole ratios of the
+    relay-to-destination rates where those steps bin the closed form, else None.
 
-    No noise or a zero threshold misses no broadcast: no paths, no step.  A
-    source's relay step is taken where some relay can decode it (without
-    relay cooperation none can) and some link it takes has an SNR above 0;
-    elsewhere it fails, as where a far destination's links all overflow.
-    Both sources' relay sums have the relay-to-destination rates, so one
-    pole-ratio matrix and one check of its condition serve both, and both
-    bin or neither does.  A direct SNR of 0 has no binned law below the
-    threshold, so it sends the step to ``relay_step_outages``.
+    No noise or a zero threshold misses no broadcast: no step.  A source's
+    relay step is taken where some relay can decode it (``empty < 1``;
+    without relay cooperation none can) and some link it takes has an SNR
+    above 0; elsewhere it fails, as where a far destination's links all
+    overflow.  Both sources share the relay-to-destination rates, so one
+    pole-ratio matrix and one condition bound serve both, and both bin or
+    neither does.  They bin where the n + 1 bin edges, at least 3 (one bin
+    holds no pair below the threshold), fit one basis block of
+    ``_BASIS_ROWS``, no direct SNR is 0 (it has no binned law), there are
+    at most ``MAX_RELAYS_CLOSED_FORM`` relays and the bound is at most
+    ``_MAX_CONDITION``, which tied and infinite rates fail.  Past the block,
+    binning the paper layout at 1e5 bins took 7-11 ms against the exact
+    step's 0.3-0.6 ms, and was 8.3e5 off at 20 dBm; past the bound the
+    16-relay line (2.5e11) read 4.3e-5 at 10 dBm, not 9.7e-16.
     """
     if not links.miss.any():
-        return [], [], None
-    paths = [GatedPaths(gates, links.relay_dest) for gates in links.gates]
-    opened = [s for s, p in enumerate(paths) if p.empty < 1.0
-              and (links.direct[s] < math.inf or p.rates[p.gate_probs < 1.0].min() < math.inf)]
-    theta = (_pole_ratios(links.relay_dest) if opened and 2 <= granularity < _BASIS_ROWS
-             and links.direct[opened].max() < math.inf else None)
-    binned = theta is not None and bins_closed_form(paths[opened[0]], granularity, theta)
-    return paths, opened, theta if binned else None
+        return [], None
+    rates = links.relay_dest
+    opened = [s for s in range(2) if links.empty[s] < 1.0
+              and (links.direct[s] < math.inf or rates[links.gates[s] < 1.0].min() < math.inf)]
+    if not (opened and 2 <= granularity < _BASIS_ROWS and links.direct[opened].max() < math.inf
+            and len(rates) <= MAX_RELAYS_CLOSED_FORM):
+        return opened, None
+    theta = _pole_ratios(rates)
+    return opened, theta if _condition(theta) <= _MAX_CONDITION else None
 
 
 def step_outages(
@@ -519,7 +460,8 @@ def step_outages(
 ) -> dict[int, SourceOutages]:
     """The step outages of sources 1 and 2, keyed by source, from one link
     table (``link_rates``): each broadcast's outage is its direct link's miss,
-    and the relay steps are taken as ``relay_plan`` says, both sources' in
+    each empty decode set's probability its ``empty``, and the relay steps
+    are taken as ``relay_plan`` says, both sources' in
     one ``bin_relay_sum`` call on one basis or in one ``relay_step_outages``
     call.
 
@@ -539,15 +481,16 @@ def _step_outages(
 ) -> dict[int, SourceOutages]:
     links = link_rates(topology, config, cooperate)
     gamma_th, n = config.gamma_th, config.granularity
-    paths, opened, theta = relay_plan(links, n)
-    if not paths:  # every reception succeeds and the relay step never runs
+    if not links.miss.any():  # every reception succeeds and the relay step never runs
         return {source: SourceOutages(0.0, 0.0, 0.0) for source in (1, 2)}
-    directs, relays = [LinkParam(float(rate)) for rate in links.direct], {}
+    opened, theta = relay_plan(links, n)
+    rates, empty, relays = links.relay_dest, links.empty.tolist(), {}
     if theta is not None:
-        pmfs = bin_relay_sum([relay_sum_cdf(paths[s], theta) for s in opened], gamma_th, n)
-        relays = {s: step2_outage(pmf, bin_conditional_direct(directs[s], gamma_th, n), paths[s])
+        pmfs = bin_relay_sum([relay_sum_cdf(links.gates[s], rates, theta) for s in opened], gamma_th, n)
+        relays = {s: step2_outage(pmf, bin_conditional_direct(links.direct[s], links.miss[s], gamma_th, n), empty[s])
                   for s, pmf in zip(opened, pmfs)}
     elif opened:
-        relays = dict(zip(opened, relay_step_outages([directs[s] for s in opened], [paths[s] for s in opened],
-                                                      gamma_th)))
-    return {s + 1: SourceOutages(float(links.miss[s]), relays.get(s, 1.0), p.empty) for s, p in enumerate(paths)}
+        gates = links.gates[opened]
+        relays = dict(zip(opened, relay_step_outages(links.direct[opened], links.miss[opened], gates,
+                                                      np.broadcast_to(rates, gates.shape), gamma_th)))
+    return {s + 1: SourceOutages(float(links.miss[s]), relays.get(s, 1.0), empty[s]) for s in range(2)}

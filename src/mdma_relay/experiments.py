@@ -7,7 +7,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,6 +21,7 @@ from .topology import (
     SystemConfig,
     config_to_dict,
     fits_float,
+    is_number,
     is_whole,
     link_rates,
     topology_to_dict,
@@ -53,7 +53,7 @@ class SweepSpec:
             raise ConfigError("sweep grid must be nonempty")
         vals = tuple(self.values)
         for v in vals:
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            if not is_number(v):
                 raise ConfigError(f"sweep values must be numbers, got {v!r}")
             if not fits_float(v):
                 raise ConfigError(f"sweep value of {self.parameter} is too large for a float")
@@ -295,7 +295,8 @@ def validate(
     """Run the full analytic-vs-numeric oracle suite and report per check;
     the closed form takes the simulator's relay cooperation option.  The
     simulation, the closed-form check and the step outages each read one
-    link table."""
+    link table: the check bins what ``relay_plan`` bins, from the table's
+    ``empty`` and rates, and evaluates each such source's row of gates."""
     # First, so that a bad seed or slot count is refused before any check.
     est = simulate("mdma", topology, config, trials, seed=seed, options=options)
     checks: list[CheckResult] = []
@@ -305,11 +306,13 @@ def validate(
     # `relay_plan` decides it there: no noise or a zero threshold bins none.
     # The gate is absolute, so it cannot see relative error in the deep tail.
     cooperate = options.relay_cooperation
-    paths, opened, theta = relay_plan(link_rates(topology, config, cooperate), config.granularity)
+    links = link_rates(topology, config, cooperate)
+    opened, theta = relay_plan(links, config.granularity)
     if theta is not None:
         gamma_grid = np.linspace(0.2, 3.0, 8) * max(config.gamma_th, 1e-6)
-        worst = max(float(np.max(np.abs(relay_sum_cdf(paths[s], theta)(gamma_grid)
-                                        - relay_sum_cdf_uniformized(paths[s], gamma_grid)))) for s in opened)
+        gates, rates = links.gates, links.relay_dest
+        worst = max(float(np.max(np.abs(relay_sum_cdf(gates[s], rates, theta)(gamma_grid)
+                                        - relay_sum_cdf_uniformized(gates[s], rates, gamma_grid)))) for s in opened)
         checks.append(CheckResult("relay_sum_cdf_vs_uniformization", worst < 1e-7, worst, 1e-7))
 
     outs = step_outages(topology, config, cooperate)

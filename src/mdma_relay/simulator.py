@@ -487,7 +487,7 @@ class _Episodes:
         self.kept, self.room, self.states = [], budget, None  # states: see `fork`
         # Mean slots per episode: 1, plus a relay slot when the destination
         # missed and some relay decoded.
-        self.mean_len = 1.0 + float(links.miss[s]) * (1.0 - float(np.prod(links.gates[s])))
+        self.mean_len = 1.0 + float(links.miss[s]) * (1.0 - float(links.empty[s]))
 
     def chunk(self, k: int, n: int) -> dict | None:
         """Kept chunk k, drawn with n episodes if no reader has reached it;

@@ -7,7 +7,8 @@ i.e. with rate d**alpha / snr.  The dBm-to-linear conversion happens once,
 here, and so does the one law every layer derives from those rates: a link
 misses the decoding threshold g with probability 1 - exp(-rate * g).
 `link_rates` returns both sources' rates with that law applied to every
-source-relay link and direct link, one `LinkSet` per run.
+source-relay link and direct link, and each source's chance that no relay
+decodes it, one `LinkSet` per run.
 """
 
 from __future__ import annotations
@@ -34,12 +35,15 @@ class DegenerateGeometryError(ConfigError):
     """A transmitter/receiver pair sits at zero distance."""
 
 
+def is_number(v) -> bool:
+    """True for a real number; a bool, which JSON's `true` becomes, and a
+    string are not numbers here."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def is_whole(v) -> bool:
-    """True for an int or a finite float with no fractional part; a bool,
-    which JSON's `true` becomes, is not a number here."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        return False
-    return isinstance(v, numbers.Integral) or (math.isfinite(v) and float(v).is_integer())
+    """True for an int or a finite float with no fractional part, not a bool."""
+    return is_number(v) and (isinstance(v, numbers.Integral) or (math.isfinite(v) and float(v).is_integer()))
 
 
 def fits_float(v) -> bool:
@@ -52,10 +56,15 @@ def fits_float(v) -> bool:
 
 
 def _as_coord(p) -> Coord:
-    x, y = float(p[0]), float(p[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ConfigError(f"non-finite coordinate: {p!r}")
-    return (x, y)
+    """A point from exactly two finite real numbers: a string, which would
+    unpack into its digits, a bool and a third entry are refused, not read."""
+    try:
+        x, y = p
+    except (TypeError, ValueError):
+        x = y = None
+    if not all(is_number(v) and fits_float(v) and math.isfinite(v) for v in (x, y)):
+        raise ConfigError(f"a coordinate must be two finite real numbers, got {p!r}")
+    return (float(x), float(y))
 
 
 def euclidean(a: Coord, b: Coord) -> float:
@@ -86,8 +95,10 @@ class NetworkTopology:
         )
         if len(self.relay_pos) < 1:
             raise ConfigError("at least one relay is required")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ConfigError(f"path-loss exponent must be positive, got {self.alpha}")
+        a = self.alpha
+        if not (is_number(a) and fits_float(a) and math.isfinite(a) and a > 0):
+            raise ConfigError(f"path-loss exponent must be a positive real number, got {a!r}")
+        object.__setattr__(self, "alpha", float(a))
         # Measure every link the model uses, once (`link_rates` reads these
         # lengths), and reject any of zero length.
         s1, s2, dst = self.s1_pos, self.s2_pos, self.d_pos
@@ -149,7 +160,7 @@ class SystemConfig:
             if type(v) is float:  # the common case, and the ABC check below is slow
                 continue
             # A JSON `true` would otherwise pass as the number 1.
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            if not is_number(v):
                 raise ConfigError(f"{name} must be a number, got {v!r}")
             if not fits_float(v):
                 raise ConfigError(f"{name} is too large for a float")
@@ -228,40 +239,29 @@ class SystemConfig:
         return _ceil_slots(self.total_bits, self.rate_r0)
 
 
-@dataclass(frozen=True)
-class LinkParam:
-    """Exponential rate of a link's instantaneous SNR: d**alpha / snr."""
-
-    rate_lambda: float
-
-    def __post_init__(self):
-        if not self.rate_lambda > 0:
-            raise ConfigError(f"link rate must be positive, got {self.rate_lambda}")
-
-    @property
-    def mean_snr(self) -> float:
-        return 1.0 / self.rate_lambda
-
-
 @dataclass(frozen=True, eq=False)
 class LinkSet:
     """Both sources' links under one configuration, row s - 1 for source s:
     their exponential SNR rates, and the chance 1 - exp(-rate * g) that a
     link misses the decoding threshold g, for each relay hearing each source
     (``gates``) and for each direct link (``miss``).  Both laws are 0 at a
-    zero threshold, where even an SNR of 0 decodes (and inf * 0 is NaN)."""
+    zero threshold, where even an SNR of 0 decodes (and inf * 0 is NaN).
+    ``empty`` is each source's chance that no relay decodes it, the product
+    of its row of gates: 1 where every gate is closed."""
 
     direct: np.ndarray        # (2,) each source -> destination
     source_relay: np.ndarray  # (2, m) each source -> each relay
     relay_dest: np.ndarray    # (m,) each relay -> destination
     gates: np.ndarray         # (2, m) each relay fails to decode each source
     miss: np.ndarray          # (2,) each direct link's outage
+    empty: np.ndarray         # (2,) every relay fails to decode each source
 
 
 def link_rates(topology: NetworkTopology, config: SystemConfig, cooperate: bool = True) -> LinkSet:
-    """Rates d**alpha/snr of both sources' links, and their gates and direct
-    misses.  Without relay cooperation no relay hears a source: its
-    source-relay rates are infinite, an SNR of 0, and its gates 1.  So is a
+    """Rates d**alpha/snr of both sources' links, their gates and direct
+    misses, and each source's empty decode-set probability.  Without relay
+    cooperation no relay hears a source: its source-relay rates are
+    infinite, an SNR of 0, its gates 1 and its ``empty`` 1.  So is a
     link whose d**alpha overflows, but at infinite SNR every rate is 0: every
     link succeeds.  A relay-destination rate, then source 1's direct rate,
     then source 2's, that underflows to 0 at a finite SNR and a positive
@@ -276,16 +276,17 @@ def link_rates(topology: NetworkTopology, config: SystemConfig, cooperate: bool 
         gains = np.array([np.float64(d.s1_d) ** a, np.float64(d.s2_d) ** a]), d.per_relay ** a
         direct, per_relay = (x / snr if snr < math.inf else np.zeros_like(x) for x in gains)
     relay_dest = per_relay[2]
-    if not (direct.min() > 0.0 and relay_dest.min() > 0.0) and snr < math.inf and g > 0.0:
+    if snr < math.inf and g > 0.0:
         if not relay_dest.min() > 0.0:
             raise ConfigError(f"rates must be positive, got {relay_dest}")
-        for rate in direct:
-            LinkParam(float(rate))
+        for rate in direct.tolist():
+            if not rate > 0.0:
+                raise ConfigError(f"link rate must be positive, got {rate}")
     source_relay = per_relay[:2] if cooperate else np.full((2, topology.num_relays), math.inf)
     # The direct misses are scalar expm1, libm's, for the reason above.
     gates = -np.expm1(-source_relay * g) if g > 0.0 else np.zeros(source_relay.shape)
     miss = np.array([-math.expm1(-rate * g) if g > 0.0 else 0.0 for rate in direct])
-    return LinkSet(direct, source_relay, relay_dest, gates, miss)
+    return LinkSet(direct, source_relay, relay_dest, gates, miss, gates.prod(axis=1))
 
 
 def default_paper_setup(
@@ -342,7 +343,7 @@ def setup_from_dict(doc: dict) -> tuple[NetworkTopology, SystemConfig]:
             s2_pos=t["s2"],
             d_pos=t["d"],
             relay_pos=t["relays"],
-            alpha=float(t.get("alpha", 3.0)),
+            alpha=t.get("alpha", 3.0),
         )
         cfg = SystemConfig(**doc.get("system", {}))
     except ConfigError:

@@ -2,7 +2,10 @@
 
 ``analytic.relay_sum_cdf`` gives the relay sum's CDF in closed form, where
 its rates are pairwise distinct.  ``numeric_relay_sum_cdf`` convolves the
-gated paths on a fine grid instead, so it also holds for tied rates.
+gated paths on a fine grid instead, so it also holds for tied rates.  Each
+takes a source's relays as the link table holds them: ``gates``, each
+relay's chance of failing to decode, and ``rates``, each relay's SNR rate at
+the destination, float arrays of one length.
 
 The quadrature references enumerate the nonempty decode sets and integrate
 each subset's exponential-sum distribution by iterated adaptive quadrature,
@@ -18,10 +21,8 @@ import numpy as np
 from scipy.integrate import quad, quad_vec
 from scipy.interpolate import BarycentricInterpolator
 
-from mdma_relay.analytic import GatedPaths
 
-
-def numeric_relay_sum_cdf(paths: GatedPaths, gammas, bins: int = 1 << 15) -> np.ndarray:
+def numeric_relay_sum_cdf(gates: np.ndarray, rates: np.ndarray, gammas, bins: int = 1 << 15) -> np.ndarray:
     """Relay-sum CDF by grid-point-binned convolution of the gated paths.
 
     Independent of the subset expansion, and defined for tied rates; the
@@ -39,7 +40,7 @@ def numeric_relay_sum_cdf(paths: GatedPaths, gammas, bins: int = 1 << 15) -> np.
     cuts[0] = 0.0
     atom = 1.0
     total = np.zeros(bins)
-    for gate, rate in zip(paths.gate_probs.tolist(), paths.rates.tolist()):
+    for gate, rate in zip(gates.tolist(), rates.tolist()):
         surv = np.exp(-rate * cuts)
         part = (1.0 - gate) * (surv[:-1] - surv[1:])
         conv = np.convolve(total, part)[:bins]
@@ -100,10 +101,10 @@ def exp_sum_cdf_quadrature(rates: list[float], gammas: np.ndarray) -> np.ndarray
     return _convolve_level(rates[-1], prev, gammas)
 
 
-def relay_sum_cdf_quadrature(paths: GatedPaths, gammas: np.ndarray) -> np.ndarray:
+def relay_sum_cdf_quadrature(gates: np.ndarray, rates: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Defective relay-sum CDF as the subset mixture of quadrature CDFs."""
     gammas = np.asarray(gammas, dtype=float)
-    m, a, lam = len(paths), paths.gate_probs, paths.rates
+    m, a, lam = len(rates), gates, rates
     total = np.zeros_like(gammas)
     for mask in range(1, 1 << m):
         members = [i for i in range(m) if mask >> i & 1]
@@ -134,10 +135,10 @@ def truncated_direct_plus_exp_sum_outage(
     return val
 
 
-def step2_outage_quadrature(direct_rate: float, gamma_th: float, paths: GatedPaths) -> float:
+def step2_outage_quadrature(direct_rate: float, gamma_th: float, gates: np.ndarray, rates: np.ndarray) -> float:
     """Relay-step outage by quadrature over every nonempty decode set."""
-    m, a, lam = len(paths), paths.gate_probs, paths.rates
-    empty = paths.empty
+    m, a, lam = len(rates), gates, rates
+    empty = float(np.prod(a))
     total = 0.0
     for mask in range(1, 1 << m):
         members = [i for i in range(m) if mask >> i & 1]

@@ -32,7 +32,12 @@ on an unexpected exit status, stderr line or output byte:
 - Resource units whose product is below the normal floats, 1e-300 times
   1e-300 (0) and 1e-320 times 1 (2 over it is inf): ``analyze``,
   ``dump-chain``, ``validate``, ``simulate`` of every scheme and ``sweep``
-  each exit 2 with one identical ``error:`` line and no traceback.
+  each exit 2 with one identical ``error:`` line and no traceback.  So do
+  six malformed topologies of the paper layout, whose numbers were once
+  read with ``float()``: ``"s1": "20"`` (read as (2, 0)), ``"relays":
+  ["55", "45"]``, ``"s1": [20, 20, 99]`` (the 99 dropped), ``"s1": [true,
+  20]`` (read as (1, 20)), ``"alpha": true`` (read as 1) and ``"alpha":
+  "3"``.
 - Relay 1 1e-200 from source 1, so that its link's rate underflows to 0:
   ``validate`` passes (only that relay always decodes).
 - Relay 1 1e-200 from the destination: ``simulate`` refuses the layout, as
@@ -105,6 +110,20 @@ def _closed_stdout(command: list[str]) -> None:
         raise SystemExit(f"a closed standard output gave a traceback: {done.stderr}")
 
 
+def _refused_alike(command: list[str], work: Path, name: str, doc: dict, spec: Path) -> None:
+    """Every command exits 2 on configuration ``doc``, with one identical
+    ``error:`` line and no traceback."""
+    config = work / f"{name}.json"
+    config.write_text(json.dumps(doc))
+    runs = [["analyze"], ["dump-chain"], ["validate", "--trials", "2000"],
+            *(["simulate", "--scheme", scheme, "--trials", "2000"] for scheme in SCHEMES),
+            ["sweep", "--allow-small-trials", "--spec", str(spec), "--out", str(work / name)]]
+    errors = {_run(command, *run, "--config", str(config), status=2, capture_output=True, text=True).stderr
+              for run in runs}
+    if len(errors) != 1 or not re.fullmatch(r"error: [^\n]*\n", next(iter(errors))):
+        raise SystemExit(f"{name} is refused otherwise by some command: {errors}")
+
+
 def _sweep(command: list[str], work: Path, name: str, schemes, trials: int, *flags: str) -> Path:
     spec = work / f"{name}.json"
     spec.write_text(json.dumps({"parameter": "power_dbm", "values": [10.0], "schemes": list(schemes),
@@ -152,16 +171,15 @@ def run(command: list[str], work: Path) -> None:
         _run(command, "validate", "--config", str(work / "noiseless.json"), "--trials", "20000", *flags, **quiet)
     spec = work / "units-spec.json"
     spec.write_text(json.dumps({"parameter": "power_dbm", "values": [10.0], "schemes": list(SCHEMES), "trials": 2000}))
-    for units in ((1e-300, 1e-300), (1e-320, 1.0)):
-        system = dict(config_to_dict(paper_config), bandwidth_units=units[0], power_units=units[1])
-        (work / "units.json").write_text(json.dumps({"topology": topology_to_dict(paper), "system": system}))
-        runs = [["analyze"], ["dump-chain"], ["validate", "--trials", "2000"],
-                *(["simulate", "--scheme", scheme, "--trials", "2000"] for scheme in SCHEMES),
-                ["sweep", "--allow-small-trials", "--spec", str(spec), "--out", str(work / "units")]]
-        errors = {_run(command, name, "--config", str(work / "units.json"), *args, status=2, capture_output=True,
-                       text=True).stderr for name, *args in runs}
-        if len(errors) != 1 or not re.fullmatch(r"error: [^\n]*\n", next(iter(errors))):
-            raise SystemExit(f"resource units {units} are refused otherwise by some command: {errors}")
+    for bandwidth, power in ((1e-300, 1e-300), (1e-320, 1.0)):
+        system = dict(config_to_dict(paper_config), bandwidth_units=bandwidth, power_units=power)
+        _refused_alike(command, work, f"units-{bandwidth:g}-{power:g}",
+                       {"topology": topology_to_dict(paper), "system": system}, spec)
+    malformed = {"string-coordinate": {"s1": "20"}, "string-relays": {"relays": ["55", "45"]},
+                 "three-numbers": {"s1": [20, 20, 99]}, "boolean-coordinate": {"s1": [True, 20]},
+                 "boolean-alpha": {"alpha": True}, "string-alpha": {"alpha": "3"}}
+    for name, edit in malformed.items():
+        _refused_alike(command, work, name, {"topology": dict(topology_to_dict(paper), **edit), "system": {}}, spec)
     _run(command, "simulate", "--config", str(work / "underflow-destination.json"), "--trials", "20000",
          status=2, **quiet)
     save_setup(work / "near-source.json", near_source_topology(), default_paper_setup()[1])

@@ -16,11 +16,7 @@ from chain_reference import dense, stationary_distribution
 from conftest import record_acceptance
 from relay_reference import numeric_relay_sum_cdf, relay_sum_cdf_quadrature, step2_outage_quadrature
 
-from mdma_relay.analytic import (
-    GatedPaths,
-    relay_sum_cdf,
-    step_outages,
-)
+from mdma_relay.analytic import relay_sum_cdf, step_outages
 from mdma_relay.experiments import (
     DEFAULT_POWER_GRID,
     SweepSpec,
@@ -34,6 +30,7 @@ from mdma_relay.topology import NetworkTopology, link_rates
 
 
 def random_distinct_gates(rng, m):
+    """Random gates and pairwise well-separated rates of m relays."""
     while True:
         lam = rng.uniform(0.3, 4.0, m)
         if m == 1:
@@ -41,8 +38,7 @@ def random_distinct_gates(rng, m):
         gaps = np.abs(np.subtract.outer(lam, lam))[~np.eye(m, dtype=bool)]
         if gaps.min() > 0.02 * lam.max():
             break
-    probs = rng.uniform(0.05, 0.9, m)
-    return GatedPaths(probs, lam)
+    return rng.uniform(0.05, 0.9, m), lam
 
 
 def test_criterion_1_cdf_vs_quadrature():
@@ -52,11 +48,11 @@ def test_criterion_1_cdf_vs_quadrature():
     worst = 0.0
     for k in range(100):
         m = 1 + k % 4
-        gates = random_distinct_gates(rng, m)
-        gmax = 3.0 / gates.rates.min()
+        gates, rates = random_distinct_gates(rng, m)
+        gmax = 3.0 / rates.min()
         gammas = np.linspace(gmax / 20.0, gmax, 20)
-        closed = relay_sum_cdf(gates)(gammas)
-        oracle = relay_sum_cdf_quadrature(gates, gammas)
+        closed = relay_sum_cdf(gates, rates)(gammas)
+        oracle = relay_sum_cdf_quadrature(gates, rates, gammas)
         worst = max(worst, float(np.max(np.abs(closed - oracle))))
     elapsed = time.time() - t0
     ok = worst < 1e-8 and elapsed < 10.0
@@ -259,18 +255,17 @@ def test_criterion_7_degenerate_inputs(paper_setup):
     )
     links = link_rates(topo, cfg)
     assert links.relay_dest[0] == links.relay_dest[1]
-    gates = GatedPaths(links.gates[0], links.relay_dest)
     grid = np.linspace(0.05, 4.0, 25)
-    numeric = numeric_relay_sum_cdf(gates, grid)
-    oracle = relay_sum_cdf_quadrature(gates, grid)
+    numeric = numeric_relay_sum_cdf(links.gates[0], links.relay_dest, grid)
+    oracle = relay_sum_cdf_quadrature(links.gates[0], links.relay_dest, grid)
     tie_err = float(np.max(np.abs(numeric - oracle)))
 
     # End to end: the relay-step outage of each source against quadrature.
     outs = step_outages(topo, cfg)
     step_err = 0.0
     for source, relay_op in ((1, outs[1].relay), (2, outs[2].relay)):
-        g = GatedPaths(links.gates[source - 1], links.relay_dest)
-        exact = step2_outage_quadrature(float(links.direct[source - 1]), cfg.gamma_th, g)
+        exact = step2_outage_quadrature(float(links.direct[source - 1]), cfg.gamma_th, links.gates[source - 1],
+                                        links.relay_dest)
         step_err = max(step_err, abs(relay_op - exact))
     step_tol = 5.0 / cfg.granularity
 

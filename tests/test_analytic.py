@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,12 +13,10 @@ from mdma_relay.analytic import (
     MAX_RELAYS_CLOSED_FORM,
     BinnedPmf,
     ConditioningError,
-    GatedPaths,
     SourceOutages,
     bin_conditional_direct,
     bin_relay_sum,
-    bins_closed_form,
-    direct_outage,
+    relay_plan,
     relay_sum_cdf,
     relay_sum_cdf_uniformized,
     relay_step_outages,
@@ -27,7 +26,7 @@ from mdma_relay.analytic import (
 from mdma_relay.markov import labelled
 from mdma_relay.topology import (
     ConfigError,
-    LinkParam,
+    LinkSet,
     NetworkTopology,
     SystemConfig,
     default_paper_setup,
@@ -35,7 +34,8 @@ from mdma_relay.topology import (
 )
 from dataclasses import replace
 
-from layouts import far_topology, line_topology, near_source_topology, underflow_topology, zero_snr_direct_setup
+from layouts import (far_topology, line_topology, near_source_topology, subnormal_rate_setup, underflow_topology,
+                     zero_snr_direct_setup)
 from relay_reference import numeric_relay_sum_cdf, relay_sum_cdf_quadrature
 
 
@@ -48,11 +48,49 @@ def binned_relay_sum(cdf, gamma_th, n):
     return pmf
 
 
-def series_bins(paths, gamma_th, n):
+class Paths(NamedTuple):
+    """One source's relays as the engines take them: each relay's gate and
+    its rate at the destination, float arrays of one length."""
+
+    gates: np.ndarray
+    rates: np.ndarray
+
+
+def gated(gates, rates) -> Paths:
+    """``Paths`` of any two sequences, as float arrays."""
+    return Paths(np.asarray(gates, dtype=float), np.asarray(rates, dtype=float))
+
+
+def miss_of(rate, gamma_th):
+    """A direct link's miss, with the bits ``link_rates`` gives it."""
+    return -math.expm1(-rate * gamma_th)
+
+
+def direct_bins(rate, gamma_th, n):
+    """``bin_conditional_direct`` of a direct link of rate ``rate``."""
+    return bin_conditional_direct(rate, miss_of(rate, gamma_th), gamma_th, n)
+
+
+def exact_steps(directs, sources, gamma_th):
+    """``relay_step_outages`` of sources given as direct rates and ``Paths``,
+    stacked as ``step_outages`` stacks them."""
+    direct = np.array(directs, dtype=float)
+    return relay_step_outages(direct, np.array([miss_of(rate, gamma_th) for rate in direct.tolist()]),
+                              np.array([p.gates for p in sources]), np.array([p.rates for p in sources]), gamma_th)
+
+
+def bins(p, n):
+    """Whether ``relay_plan`` bins the closed form for two sources with relays ``p``."""
+    gates = np.array([p.gates, p.gates])
+    links = LinkSet(np.ones(2), np.ones(gates.shape), p.rates, gates, np.full(2, 0.5), gates.prod(axis=1))
+    return relay_plan(links, n)[1] is not None
+
+
+def series_bins(p, gamma_th, n):
     """The relay sum binned on the threshold grid as increments of its
     uniformized series: a reference for the closed form's bins that shares
     none of its arithmetic."""
-    return BinnedPmf(np.diff(relay_sum_cdf_uniformized(paths, np.linspace(0.0, gamma_th, n + 1))), gamma_th, n)
+    return BinnedPmf(np.diff(relay_sum_cdf_uniformized(*p, np.linspace(0.0, gamma_th, n + 1))), gamma_th, n)
 
 
 def random_gates(rng, m, rate_lo=0.3, rate_hi=4.0):
@@ -64,72 +102,43 @@ def random_gates(rng, m, rate_lo=0.3, rate_hi=4.0):
         gaps = np.abs(np.subtract.outer(lam, lam))[~np.eye(m, dtype=bool)]
         if gaps.min() > 0.02 * lam.max():
             break
-    probs = rng.uniform(0.05, 0.9, m)
-    return GatedPaths(probs, lam)
+    return gated(rng.uniform(0.05, 0.9, m), lam)
 
 
 def source_links(topo, cfg, source):
-    """Source ``source``'s direct rate and gated relay paths: its row of the link table."""
+    """Source ``source``'s direct rate and relays: its row of the link table."""
     links = link_rates(topo, cfg)
-    return float(links.direct[source - 1]), GatedPaths(links.gates[source - 1], links.relay_dest)
+    return float(links.direct[source - 1]), Paths(links.gates[source - 1], links.relay_dest)
 
 
 # ---------------------------------------------------------------------------
-# GatedPaths
+# link_rates' direct misses
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("gate_probs, rates, message", [
-    ([0.5, -0.1], [1.0, 2.0], "gate probabilities must lie in"),
-    ([0.5, 1.1], [1.0, 2.0], "gate probabilities must lie in"),
-    ([0.5, math.nan], [1.0, 2.0], "gate probabilities must lie in"),
-    ([0.5, 0.5], [1.0, 0.0], "rates must be positive"),
-    ([0.5, 0.5], [1.0, -2.0], "rates must be positive"),
-    ([0.5, 0.5], [1.0, math.nan], "rates must be positive"),
-    ([0.5, 0.5], [1.0], "of one length"),
-    ([[0.5]], [[1.0]], "of one length"),
-    ([], [], "at least one relay path"),
-])
-def test_gated_paths_refuse_bad_input(gate_probs, rates, message):
-    with pytest.raises(ConfigError, match=message):
-        GatedPaths(gate_probs, rates)
+def test_direct_miss_zero_threshold(paper_setup):
+    topo, cfg = paper_setup
+    assert link_rates(topo, replace(cfg, rate_r0=1e-300)).miss.tolist() == [0.0, 0.0]
 
 
-def test_gated_paths_hold_float_arrays():
-    paths = GatedPaths([0, 1], [2, math.inf])  # both ends of the gate range, an infinite rate
-    assert paths.gate_probs.dtype == paths.rates.dtype == np.float64
-    assert len(paths) == 2 and paths.empty == 0.0
-    other = GatedPaths([0.25, 0.5], paths.rates)
-    assert other.rates is paths.rates and other.empty == 0.125
+def test_direct_miss_median(paper_setup):
+    # A threshold of ln 2 / rate puts source 1's direct link at its median.
+    topo, cfg = paper_setup
+    rate = float(link_rates(topo, cfg).direct[0])
+    at = replace(cfg, rate_r0=math.log2(1.0 + math.log(2.0) / rate))
+    assert link_rates(topo, at).miss[0] == pytest.approx(0.5, rel=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# direct_outage
-# ---------------------------------------------------------------------------
-
-def test_direct_outage_zero_threshold():
-    assert direct_outage(LinkParam(1.3), 0.0) == 0.0
-
-
-def test_direct_outage_median():
-    assert direct_outage(LinkParam(1.0), math.log(2)) == pytest.approx(0.5)
-
-
-def test_direct_outage_monte_carlo(paper_setup):
+def test_direct_miss_monte_carlo(paper_setup):
     topo, cfg = paper_setup
     cfg = replace(cfg, power_dbm=20.0)
     links = link_rates(topo, cfg)
-    analytic = direct_outage(LinkParam(links.direct[0]), cfg.gamma_th)
-    assert analytic == links.miss[0]
+    miss = float(links.miss[0])
+    assert miss == miss_of(links.direct[0], cfg.gamma_th)
     rng = np.random.default_rng(2024)
     draws = rng.standard_exponential(1_000_000) / links.direct[0]
     freq = float(np.mean(draws < cfg.gamma_th))
-    sigma = math.sqrt(analytic * (1 - analytic) / draws.size)
-    assert abs(freq - analytic) <= 3 * sigma
-
-
-def test_direct_outage_rejects_negative_threshold():
-    with pytest.raises(ConfigError):
-        direct_outage(LinkParam(1.0), -0.1)
+    sigma = math.sqrt(miss * (1 - miss) / draws.size)
+    assert abs(freq - miss) <= 3 * sigma
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +172,7 @@ def test_gates_increase_with_distance(paper_setup):
 def pair_coeffs(rate_x: float, rate_y: float) -> np.ndarray:
     # With both gates open only the two-relay subset has weight, so the
     # aggregated coefficients are the pair's pole ratios r_y / (r_y - r_x).
-    return relay_sum_cdf(GatedPaths([0.0, 0.0], [rate_x, rate_y])).coeff_per_rate
+    return relay_sum_cdf(*gated([0.0, 0.0], [rate_x, rate_y])).coeff_per_rate
 
 
 def test_coeff_pair_sums_to_one():
@@ -190,7 +199,7 @@ def test_coeff_tie_rejected():
 # ---------------------------------------------------------------------------
 
 def test_single_relay_closed_form():
-    cdf = relay_sum_cdf(GatedPaths([0.4], [1.7]))
+    cdf = relay_sum_cdf(*gated([0.4], [1.7]))
     for g in (0.1, 0.8, 2.5):
         assert cdf(g) == pytest.approx(0.6 * -math.expm1(-1.7 * g), abs=1e-14)
 
@@ -199,15 +208,14 @@ def test_cdf_limits():
     rng = np.random.default_rng(5)
     for _ in range(10):
         gates = random_gates(rng, int(rng.integers(1, 5)))
-        cdf = relay_sum_cdf(gates)
+        cdf = relay_sum_cdf(*gates)
         assert cdf(0.0) == pytest.approx(0.0, abs=1e-12)
-        expect = 1.0 - np.prod(gates.gate_probs)
+        expect = 1.0 - np.prod(gates.gates)
         assert cdf(1e6) == pytest.approx(expect, abs=1e-10)
-        assert cdf.total_mass == pytest.approx(expect, abs=1e-14)
 
 
 def test_two_relay_value_against_quadrature():
-    cdf = relay_sum_cdf(GatedPaths([0.3, 0.6], [1.0, 2.0]))
+    cdf = relay_sum_cdf(*gated([0.3, 0.6], [1.0, 2.0]))
 
     # Oracle: integrate each decode set's density directly.
     only_1 = 0.7 * 0.6 * quad(lambda x: math.exp(-x), 0, 1.0)[0]
@@ -220,10 +228,10 @@ def test_two_relay_value_against_quadrature():
 
 
 def test_subset_expansion_shape():
-    cdf = relay_sum_cdf(GatedPaths([0.2, 0.5, 0.7], [1.0, 2.0, 3.5]))
+    cdf = relay_sum_cdf(*gated([0.2, 0.5, 0.7], [1.0, 2.0, 3.5]))
     assert len(cdf.subset_terms) == 7
     weights = sum(t.weight for t in cdf.subset_terms)
-    assert weights == pytest.approx(cdf.total_mass)
+    assert weights == pytest.approx(1.0 - 0.2 * 0.5 * 0.7)
     # Every per-subset coefficient vector sums to 1 (valid defective CDF piece).
     for term in cdf.subset_terms:
         assert float(np.sum(term.coeffs)) == pytest.approx(1.0, abs=1e-9)
@@ -245,7 +253,8 @@ def _loop_relay_sum_cdf(gates):
             total = s
         return total
 
-    m, a, lam = len(gates), gates.gate_probs, gates.rates
+    a, lam = gates
+    m = len(lam)
     theta = np.zeros((m, m))
     for x in range(m):
         for y in range(m):
@@ -303,22 +312,21 @@ def test_residue_coefficients_are_near_exact_and_subset_view_is_bit_identical_to
     for topo, cfg, source in cases:
         links = link_rates(topo, cfg)
         fails, rates = links.gates[source - 1], links.relay_dest
-        gate_sets.append(GatedPaths(fails, rates))
+        gate_sets.append(gated(fails, rates))
     rng = np.random.default_rng(2024)
     for _ in range(300):
         m = int(rng.integers(1, 13))
         probs, lam = rng.uniform(0.0, 1.0, m), rng.uniform(0.05, 5.0, m)
-        gate_sets.append(GatedPaths(probs, lam))
+        gate_sets.append(gated(probs, lam))
 
     checked = 0
     for gates in gate_sets:
-        cdf = relay_sum_cdf(gates)
+        cdf = relay_sum_cdf(*gates)
         # The SubsetTerm view is built only when read.
         assert "subset_terms" not in vars(cdf)
-        _, total_mass, terms = _loop_relay_sum_cdf(gates)
+        _, _, terms = _loop_relay_sum_cdf(gates)
         _assert_near_exact_residues(cdf)
-        assert _bits(cdf.total_mass) == _bits(total_mass)
-        assert len(cdf.subset_terms) == len(terms) == 2 ** len(gates) - 1
+        assert len(cdf.subset_terms) == len(terms) == 2 ** len(gates.rates) - 1
         for got, (members, weight, coeffs) in zip(cdf.subset_terms, terms):
             assert got.members == members
             assert _bits(got.weight) == _bits(weight)
@@ -329,10 +337,10 @@ def test_residue_coefficients_are_near_exact_and_subset_view_is_bit_identical_to
 
 def test_relay_sum_cdf_needs_no_subset_expansion():
     # 20 relays: the 2^20 decode sets would take about 168 MB as doubles.
-    gates = GatedPaths([0.05 + 0.04 * i for i in range(20)], [0.5 + 0.15 * i for i in range(20)])
+    gates = gated([0.05 + 0.04 * i for i in range(20)], [0.5 + 0.15 * i for i in range(20)])
     tracemalloc.start()
     try:
-        cdf = relay_sum_cdf(gates)
+        cdf = relay_sum_cdf(*gates)
         cdf(np.linspace(0.0, 5.0, 1001))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -347,11 +355,11 @@ def test_aggregated_coefficients_match_product_identity():
     rng = np.random.default_rng(11)
     for _ in range(20):
         gates = random_gates(rng, int(rng.integers(2, 6)))
-        cdf = relay_sum_cdf(gates)
-        a, lam = gates.gate_probs, gates.rates
-        for x in range(len(gates)):
+        cdf = relay_sum_cdf(*gates)
+        a, lam = gates.gates, gates.rates
+        for x in range(len(lam)):
             prod = 1.0 - a[x]
-            for y in range(len(gates)):
+            for y in range(len(lam)):
                 if y != x:
                     theta = lam[y] / (lam[y] - lam[x])
                     prod *= a[y] + (1 - a[y]) * theta
@@ -359,41 +367,41 @@ def test_aggregated_coefficients_match_product_identity():
 
 
 def test_tie_switches_to_the_exact_step_continuously():
-    tied = GatedPaths([0.3, 0.5], [2.0, 2.0])
-    direct, n = LinkParam(0.8), 1000
-    assert not bins_closed_form(tied, n)
+    tied = gated([0.3, 0.5], [2.0, 2.0])
+    direct, n = 0.8, 1000
+    assert not bins(tied, n)
     with pytest.raises(ConfigError, match="pairwise distinct, finite rates"):
-        relay_sum_cdf(tied)
+        relay_sum_cdf(*tied)
     # 1e-6 apart the pair's condition bound is about 2e6, so the closed form
     # is binned and agrees with the tied law, as a CDF and as a relay step
     # within the O(1/n) bias of its bins.
-    apart = GatedPaths([0.3, 0.5], [2.0, 2.0 * (1 + 1e-6)])
-    assert bins_closed_form(apart, n)
+    apart = gated([0.3, 0.5], [2.0, 2.0 * (1 + 1e-6)])
+    assert bins(apart, n)
     grid = np.linspace(0.05, 5.0, 40)
-    assert np.max(np.abs(relay_sum_cdf(apart)(grid) - numeric_relay_sum_cdf(tied, grid))) < 1e-5
-    closed = step2_outage(binned_relay_sum(relay_sum_cdf(apart), 2.0, n),
-                          bin_conditional_direct(direct, 2.0, n), apart)
-    exact = relay_step_outages([direct], [tied], 2.0)[0]
+    assert np.max(np.abs(relay_sum_cdf(*apart)(grid) - numeric_relay_sum_cdf(*tied, grid))) < 1e-5
+    closed = step2_outage(binned_relay_sum(relay_sum_cdf(*apart), 2.0, n),
+                          direct_bins(direct, 2.0, n), float(apart.gates.prod()))
+    exact = exact_steps([direct], [tied], 2.0)[0]
     assert abs(closed - exact) < 5.0 / n * exact
     # Closer than the bound allows, the step is exact and moves with the rates only.
-    edge = GatedPaths([0.3, 0.5], [2.0, 2.0 * (1 + 1.5e-9)])
-    assert not bins_closed_form(edge, n)
-    assert relay_step_outages([direct], [edge], 2.0)[0] == pytest.approx(exact, rel=1e-8)
+    edge = gated([0.3, 0.5], [2.0, 2.0 * (1 + 1.5e-9)])
+    assert not bins(edge, n)
+    assert exact_steps([direct], [edge], 2.0)[0] == pytest.approx(exact, rel=1e-8)
     # Where the gap keeps the closed form well conditioned, its bins are the series' ones.
-    apart = GatedPaths([0.3, 0.5], [2.0, 2.0 * (1 + 1e-3)])
-    closed = binned_relay_sum(relay_sum_cdf(apart), 2.0, n)
+    apart = gated([0.3, 0.5], [2.0, 2.0 * (1 + 1e-3)])
+    closed = binned_relay_sum(relay_sum_cdf(*apart), 2.0, n)
     assert np.max(np.abs(closed.probs - series_bins(apart, 2.0, n).probs)) < 1e-12
 
 
 def test_relay_sum_cdf_is_defined_past_the_relay_cap_where_nothing_bins_it():
     # Rates 1.5 apart keep the condition bound near 2e2, so only the cap
     # keeps 21 relays from being binned; their closed form is still exact.
-    gates = GatedPaths([0.5] * 21, 1.5 ** np.arange(21.0))
-    assert bins_closed_form(GatedPaths(gates.gate_probs[:20], gates.rates[:20]), 1000)
-    assert not bins_closed_form(gates, 1000)
+    gates = gated([0.5] * 21, 1.5 ** np.arange(21.0))
+    assert bins(gated(gates.gates[:20], gates.rates[:20]), 1000)
+    assert not bins(gates, 1000)
     assert analytic._condition(analytic._pole_ratios(gates.rates)) < 1e3
     grid = np.array([0.5, 1.0, 2.0])
-    err = np.abs(relay_sum_cdf(gates)(grid) - relay_sum_cdf_uniformized(gates, grid))
+    err = np.abs(relay_sum_cdf(*gates)(grid) - relay_sum_cdf_uniformized(*gates, grid))
     assert err.max() < 1e-12
 
 
@@ -401,7 +409,7 @@ def test_cdf_nondecreasing_property():
     rng = np.random.default_rng(17)
     for _ in range(15):
         gates = random_gates(rng, int(rng.integers(1, 6)))
-        cdf = relay_sum_cdf(gates)
+        cdf = relay_sum_cdf(*gates)
         grid = np.linspace(0.0, 10.0 / gates.rates.min(), 1000)
         vals = cdf(grid)
         noise = 64 * np.finfo(float).eps * max(1.0, float(np.abs(cdf.coeff_per_rate).sum()))
@@ -412,11 +420,11 @@ def test_cdf_invariant_under_reordering():
     rng = np.random.default_rng(23)
     gates = random_gates(rng, 5)
     grid = np.linspace(0.1, 8.0, 30)
-    base = relay_sum_cdf(gates)(grid)
+    base = relay_sum_cdf(*gates)(grid)
     for _ in range(5):
-        perm = rng.permutation(len(gates))
-        shuffled = GatedPaths(gates.gate_probs[perm], gates.rates[perm])
-        assert np.max(np.abs(relay_sum_cdf(shuffled)(grid) - base)) < 1e-11
+        perm = rng.permutation(len(gates.rates))
+        shuffled = gated(gates.gates[perm], gates.rates[perm])
+        assert np.max(np.abs(relay_sum_cdf(*shuffled)(grid) - base)) < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +435,7 @@ def _partial_fractions_60(paths, gammas) -> list:
     """``sum_x c_x (1 - exp(-lam_x g))`` with the residues c_x at 60 digits."""
     mp = pytest.importorskip("mpmath").mp
     with mp.workdps(60):
-        a = [mp.mpf(v) for v in paths.gate_probs.tolist()]
+        a = [mp.mpf(v) for v in paths.gates.tolist()]
         lam = [mp.mpf(v) for v in paths.rates.tolist()]
         coeffs = []
         for x in range(len(a)):
@@ -449,8 +457,8 @@ def test_uniformized_relay_sum_matches_60_digit_partial_fractions(m, power_dbm):
     grid = np.linspace(0.2, 3.0, 8) * cfg.gamma_th
     for source in (1, 2):
         paths = source_links(topo, cfg, source)[1]
-        assert bins_closed_form(paths, cfg.granularity) == (m == 8)
-        got = relay_sum_cdf_uniformized(paths, grid)
+        assert bins(paths, cfg.granularity) == (m == 8)
+        got = relay_sum_cdf_uniformized(*paths, grid)
         exact = _partial_fractions_60(paths, grid)
         rel = max(float(abs(g - e) / e) for g, e in zip(got.tolist(), exact))
         assert rel <= 1e-12, (source, rel)
@@ -463,31 +471,31 @@ def test_uniformized_relay_sum_matches_quadrature_on_tied_rates(paper_setup):
     topo = NetworkTopology(topo8.s1_pos, topo8.s2_pos, (100.0, 0.0),
                            ((50.0, 20.0), (50.0, -20.0)), 3.0)
     paths = source_links(topo, cfg, 1)[1]
-    assert paths.rates[0] == paths.rates[1] and not bins_closed_form(paths, cfg.granularity)
+    assert paths.rates[0] == paths.rates[1] and not bins(paths, cfg.granularity)
     grid = np.linspace(0.05, 4.0, 25)
-    err = np.abs(relay_sum_cdf_uniformized(paths, grid) - relay_sum_cdf_quadrature(paths, grid))
+    err = np.abs(relay_sum_cdf_uniformized(*paths, grid) - relay_sum_cdf_quadrature(*paths, grid))
     assert err.max() < 1e-10
 
 
 def test_uniformized_relay_sum_is_exactly_zero_at_zero_and_with_every_gate_closed():
-    paths = GatedPaths([0.3, 0.6, 0.1], [1.0, 2.2, 3.1])
-    assert relay_sum_cdf_uniformized(paths, np.array([0.0, 0.0])).tolist() == [0.0, 0.0]
-    closed = GatedPaths([1.0, 1.0, 1.0], paths.rates)
-    assert relay_sum_cdf_uniformized(closed, np.array([0.0, 0.5, 50.0])).tolist() == [0.0] * 3
+    paths = gated([0.3, 0.6, 0.1], [1.0, 2.2, 3.1])
+    assert relay_sum_cdf_uniformized(*paths, np.array([0.0, 0.0])).tolist() == [0.0, 0.0]
+    closed = gated([1.0, 1.0, 1.0], paths.rates)
+    assert relay_sum_cdf_uniformized(*closed, np.array([0.0, 0.5, 50.0])).tolist() == [0.0] * 3
 
 
 def test_uniformized_relay_sum_ignores_a_closed_relay():
     # Uniformized at its rate, the closed relay would take 2e9 jumps to reach g = 1.
     grid = np.array([0.1, 1.0])
-    with_closed = GatedPaths([0.3, 1.0, 0.6], [1.0, 1e9, 2.2])
-    without = GatedPaths([0.3, 0.6], [1.0, 2.2])
-    assert _bits(relay_sum_cdf_uniformized(with_closed, grid)) == _bits(relay_sum_cdf_uniformized(without, grid))
+    with_closed = gated([0.3, 1.0, 0.6], [1.0, 1e9, 2.2])
+    without = gated([0.3, 0.6], [1.0, 2.2])
+    assert _bits(relay_sum_cdf_uniformized(*with_closed, grid)) == _bits(relay_sum_cdf_uniformized(*without, grid))
 
 
 def test_uniformized_relay_sum_saturates_where_exp_of_minus_lam_g_underflows():
     # Lam g = 900 and 3000: e^{-Lam g} is 0.0 in floats, the log weights are not.
-    paths = GatedPaths([0.5, 0.2], [1.0, 3.0])
-    got = relay_sum_cdf_uniformized(paths, np.array([300.0, 1000.0]))
+    paths = gated([0.5, 0.2], [1.0, 3.0])
+    got = relay_sum_cdf_uniformized(*paths, np.array([300.0, 1000.0]))
     assert got.tolist() == pytest.approx([0.9, 0.9], rel=1e-14)
 
 
@@ -502,10 +510,10 @@ def test_uniformized_relay_sum_gives_each_point_its_bits_alone(layout, power_dbm
     topo, grid = _layout(layout), np.linspace(0.2, 3.0, 8) * cfg.gamma_th
     for source in (1, 2):
         paths = source_links(topo, cfg, source)[1]
-        together = relay_sum_cdf_uniformized(paths, grid)
-        assert _bits(together) == _bits([relay_sum_cdf_uniformized(paths, [g])[0] for g in grid.tolist()])
-        assert _bits(together[::-1]) == _bits(relay_sum_cdf_uniformized(paths, grid[::-1]))
-        assert (together > 0.0).all() == (paths.empty < 1.0)
+        together = relay_sum_cdf_uniformized(*paths, grid)
+        assert _bits(together) == _bits([relay_sum_cdf_uniformized(*paths, [g])[0] for g in grid.tolist()])
+        assert _bits(together[::-1]) == _bits(relay_sum_cdf_uniformized(*paths, grid[::-1]))
+        assert (together > 0.0).all() == (paths.gates.prod() < 1.0)
 
 
 @pytest.mark.parametrize("power_dbm", [-20.0, -30.0])
@@ -515,7 +523,7 @@ def test_uniformized_relay_sum_is_finite_at_very_low_power(power_dbm):
     grid = np.linspace(0.2, 3.0, 8) * cfg.gamma_th
     for source in (1, 2):
         paths = source_links(topo, cfg, source)[1]
-        got = relay_sum_cdf_uniformized(paths, grid)
+        got = relay_sum_cdf_uniformized(*paths, grid)
         assert np.isfinite(got).all() and (got >= 0.0).all() and (got <= 1.0).all()
 
 
@@ -526,7 +534,7 @@ def test_uniformized_relay_sum_is_finite_at_very_low_power(power_dbm):
 def test_bin_relay_sum_telescopes():
     rng = np.random.default_rng(29)
     gates = random_gates(rng, 3)
-    cdf = relay_sum_cdf(gates)
+    cdf = relay_sum_cdf(*gates)
     pmf = binned_relay_sum(cdf, 2.0, 250)
     assert pmf.total == pytest.approx(float(cdf(2.0)), abs=1e-12)
     refined = binned_relay_sum(cdf, 2.0, 500)
@@ -538,8 +546,8 @@ def test_relay_sums_binned_together_keep_the_bits_each_gets_alone(n):
     rng = np.random.default_rng(31)
     gates = random_gates(rng, 5)
     # One shares the rates array, as both sources' paths do; one has a copy.
-    others = [GatedPaths(rng.uniform(0.05, 0.9, 5), gates.rates), GatedPaths(rng.uniform(0.05, 0.9, 5), gates.rates.copy())]
-    cdfs = [relay_sum_cdf(g) for g in (gates, *others)]
+    others = [gated(rng.uniform(0.05, 0.9, 5), gates.rates), gated(rng.uniform(0.05, 0.9, 5), gates.rates.copy())]
+    cdfs = [relay_sum_cdf(*g) for g in (gates, *others)]
     together = bin_relay_sum(cdfs, 2.0, n)
     assert len(together) == 3
     for cdf, pmf in zip(cdfs, together):
@@ -551,14 +559,14 @@ def test_relay_sums_binned_together_keep_the_bits_each_gets_alone(n):
 def test_bin_relay_sum_refuses_relay_sums_of_other_rates():
     gates = random_gates(np.random.default_rng(31), 3)
     for rates in (gates.rates * 1.5, gates.rates[:2]):
-        other = relay_sum_cdf(GatedPaths(gates.gate_probs[: len(rates)], rates))
+        other = relay_sum_cdf(gates.gates[: len(rates)], rates)
         with pytest.raises(ConfigError, match="share their rates"):
-            bin_relay_sum([relay_sum_cdf(gates), other], 2.0, 100)
+            bin_relay_sum([relay_sum_cdf(*gates), other], 2.0, 100)
 
 
 @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS, 100_000])
 def test_bin_relay_sum_refuses_more_bins_than_one_basis_block(n):
-    cdf = relay_sum_cdf(random_gates(np.random.default_rng(31), 3))
+    cdf = relay_sum_cdf(*random_gates(np.random.default_rng(31), 3))
     with pytest.raises(ConfigError, match=f"binned on 2 to {BLOCK_ROWS - 1} bins, got {n}"):
         bin_relay_sum([cdf], 2.0, n)
 
@@ -566,7 +574,7 @@ def test_bin_relay_sum_refuses_more_bins_than_one_basis_block(n):
 def test_cdf_basis_in_one_buffer_keeps_the_bits_of_the_temporaries():
     rng = np.random.default_rng(33)
     for m in (1, 3, 8, 16):
-        cdf = relay_sum_cdf(random_gates(rng, m))
+        cdf = relay_sum_cdf(*random_gates(rng, m))
         for gammas in (np.linspace(0.0, 3.0, 1001), rng.uniform(0.0, 5.0, 37)):
             reference = -np.expm1(-np.multiply.outer(gammas, cdf.rates)) @ cdf.coeff_per_rate
             assert np.array_equal(cdf(gammas), reference)
@@ -584,7 +592,7 @@ def test_binned_relay_sum_is_the_cdf_on_the_edge_grid_bit_for_bit():
     for gamma_th in thresholds:
         for n in (2, 3, 7, 999, 1000, BLOCK_ROWS - 1):
             k = 1 + n % 4
-            cdf = analytic.DefectiveCdf(rates[:k], np.zeros(k), coeffs[:k], float(coeffs[:k].sum()))
+            cdf = analytic.DefectiveCdf(rates[:k], np.zeros(k), coeffs[:k])
             # Edge i is i * (gamma_th / n), and the last is gamma_th.
             edges = np.arange(n + 1.0) * (gamma_th / n)
             edges[-1] = gamma_th
@@ -593,19 +601,18 @@ def test_binned_relay_sum_is_the_cdf_on_the_edge_grid_bit_for_bit():
 
 
 def test_bin_conditional_direct_normalizes():
-    link = LinkParam(0.8)
-    pmf = bin_conditional_direct(link, 1.0, 400)
+    pmf = direct_bins(0.8, 1.0, 400)
     assert pmf.total == pytest.approx(1.0, abs=1e-12)
-    assert bin_conditional_direct(link, 1.0, 1).probs[0] == pytest.approx(1.0)
+    assert direct_bins(0.8, 1.0, 1).probs[0] == pytest.approx(1.0)
     with pytest.raises(ConditioningError):
-        bin_conditional_direct(link, 0.0, 10)
+        direct_bins(0.8, 0.0, 10)
 
 
 def test_bin_conditional_direct_matches_conditional_histogram(paper_setup):
     topo, cfg = paper_setup
     direct = link_rates(topo, cfg).direct[0]
     n_bins = 20
-    pmf = bin_conditional_direct(LinkParam(direct), cfg.gamma_th, n_bins)
+    pmf = direct_bins(direct, cfg.gamma_th, n_bins)
     rng = np.random.default_rng(31)
     draws = rng.standard_exponential(4_000_000) / direct
     accepted = draws[draws < cfg.gamma_th]
@@ -628,10 +635,9 @@ def test_binned_pmf_validation():
 # ---------------------------------------------------------------------------
 
 def test_step2_zero_when_relay_mass_above_threshold():
-    gates = GatedPaths([0.2], [0.5])
     relay_pmf = BinnedPmf(np.zeros(100), 1.0, 100)
-    direct_pmf = bin_conditional_direct(LinkParam(1.0), 1.0, 100)
-    assert step2_outage(relay_pmf, direct_pmf, gates) == 0.0
+    direct_pmf = direct_bins(1.0, 1.0, 100)
+    assert step2_outage(relay_pmf, direct_pmf, 0.2) == 0.0
 
 
 def test_step2_refuses_one_bin(paper_setup):
@@ -640,33 +646,33 @@ def test_step2_refuses_one_bin(paper_setup):
     topo, cfg = paper_setup
     cfg = replace(cfg, power_dbm=0.0)
     direct, p = source_links(topo, cfg, 1)
-    d, g = LinkParam(direct), cfg.gamma_th
+    g, empty = cfg.gamma_th, float(p.gates.prod())
     with pytest.raises(ConfigError, match="binned on 2 to"):
-        step2_outage(bin_relay_sum([relay_sum_cdf(p)], g, 1)[0], bin_conditional_direct(d, g, 1), p)
+        step2_outage(bin_relay_sum([relay_sum_cdf(*p)], g, 1)[0], direct_bins(direct, g, 1), empty)
     with pytest.raises(ConfigError, match="needs at least 2 bins, got 1"):
-        step2_outage(BinnedPmf(np.array([0.5]), g, 1), bin_conditional_direct(d, g, 1), p)
-    assert relay_step_outages([d], [p], g)[0] == pytest.approx(0.1275, abs=1e-4)
+        step2_outage(BinnedPmf(np.array([0.5]), g, 1), direct_bins(direct, g, 1), empty)
+    assert exact_steps([direct], [p], g)[0] == pytest.approx(0.1275, abs=1e-4)
 
 
 def test_step2_requires_matching_grids():
-    gates = GatedPaths([0.2], [0.5])
-    cdf = relay_sum_cdf(gates)
+    gates = gated([0.2], [0.5])
+    cdf = relay_sum_cdf(*gates)
     with pytest.raises(ConfigError):
         step2_outage(
             binned_relay_sum(cdf, 1.0, 100),
-            bin_conditional_direct(LinkParam(1.0), 1.0, 200),
-            gates,
+            direct_bins(1.0, 1.0, 200),
+            0.2,
         )
 
 
 def test_step2_impossible_conditioning():
-    gates = GatedPaths([1.0], [0.5])
-    cdf = relay_sum_cdf(gates)
+    gates = gated([1.0], [0.5])
+    cdf = relay_sum_cdf(*gates)
     with pytest.raises(ConditioningError):
         step2_outage(
             binned_relay_sum(cdf, 1.0, 50),
-            bin_conditional_direct(LinkParam(1.0), 1.0, 50),
-            gates,
+            direct_bins(1.0, 1.0, 50),
+            1.0,
         )
 
 
@@ -674,11 +680,11 @@ def test_step2_single_relay_against_quadrature():
     # Two-path brute force: direct SNR conditioned below the threshold plus
     # one decoded relay's exponential, integrated exactly.
     direct_rate, relay_rate, gamma_th, n = 1.1, 0.7, 1.0, 4000
-    gates = GatedPaths([0.35], [relay_rate])
+    gates = gated([0.35], [relay_rate])
     est = step2_outage(
-        binned_relay_sum(relay_sum_cdf(gates), gamma_th, n),
-        bin_conditional_direct(LinkParam(direct_rate), gamma_th, n),
-        gates,
+        binned_relay_sum(relay_sum_cdf(*gates), gamma_th, n),
+        direct_bins(direct_rate, gamma_th, n),
+        0.35,
     )
     denom = -math.expm1(-direct_rate * gamma_th)
 
@@ -763,16 +769,15 @@ def test_all_outages_vanish_at_huge_snr(paper_setup):
 def _per_source_pipeline(topo, cfg, source):
     """One source's step outages through the public steps, with its own
     relay-sum basis where the closed form is binned and the exact step elsewhere."""
-    rate, gates = source_links(topo, cfg, source)
-    direct, gamma_th, n = LinkParam(rate), cfg.gamma_th, cfg.granularity
-    empty = float(np.prod(gates.gate_probs))
+    direct, gates = source_links(topo, cfg, source)
+    gamma_th, n = cfg.gamma_th, cfg.granularity
+    miss, empty = miss_of(direct, gamma_th), float(np.prod(gates.gates))
     if empty >= 1.0:
-        return SourceOutages(direct_outage(direct, gamma_th), 1.0, empty)
-    if not bins_closed_form(gates, n):
-        return SourceOutages(direct_outage(direct, gamma_th), relay_step_outages([direct], [gates], gamma_th)[0], empty)
-    relay_pmf = binned_relay_sum(relay_sum_cdf(gates), gamma_th, n)
-    relay = step2_outage(relay_pmf, bin_conditional_direct(direct, gamma_th, n), gates)
-    return SourceOutages(direct_outage(direct, gamma_th), relay, empty)
+        return SourceOutages(miss, 1.0, empty)
+    if not bins(gates, n):
+        return SourceOutages(miss, exact_steps([direct], [gates], gamma_th)[0], empty)
+    relay_pmf = binned_relay_sum(relay_sum_cdf(*gates), gamma_th, n)
+    return SourceOutages(miss, step2_outage(relay_pmf, direct_bins(direct, gamma_th, n), empty), empty)
 
 
 @pytest.mark.parametrize("n", [1, 2, 1000, 100_000])
@@ -797,19 +802,19 @@ def test_step_outages_equal_the_per_source_pipeline(paper_setup, relays, n):
 def test_tied_ill_conditioned_and_over_cap_rates_take_the_exact_step_for_both_sources(monkeypatch, paper_setup, relays):
     topo = line_topology(relays)
     cfg = paper_setup[1]
-    assert not any(bins_closed_form(paths, cfg.granularity) for paths in _exact_inputs(topo, cfg)[1])
+    assert not any(bins(paths, cfg.granularity) for paths in _exact_inputs(topo, cfg)[1])
     seen, bases = [], []
 
-    def spy(directs, paths, gamma_th):
-        seen.append(([len(p) for p in paths], gamma_th))
-        return relay_step_outages(directs, paths, gamma_th)
+    def spy(direct, miss, gates, rates, gamma_th):
+        seen.append((gates.shape, rates.shape, gamma_th))
+        return relay_step_outages(direct, miss, gates, rates, gamma_th)
 
     monkeypatch.setattr(analytic, "relay_step_outages", spy)
     monkeypatch.setattr(analytic, "relay_sum_cdf_uniformized", lambda *a: bases.append(a))
     monkeypatch.setattr(analytic, "exp_cdf_basis", lambda *a: bases.append(a))
     outs = step_outages(topo, cfg)
     # One exact call for both sources at the threshold; no basis, no series.
-    assert seen == [([relays] * 2, cfg.gamma_th)] and bases == []
+    assert seen == [((2, relays), (2, relays), cfg.gamma_th)] and bases == []
     for source in (1, 2):
         assert outs[source] == _per_source_pipeline(topo, cfg, source)
 
@@ -829,9 +834,9 @@ def _binning(monkeypatch, topo, cfg):
         rows.append(len(gammas))
         return real_basis(gammas, rates)
 
-    def step_spy(directs, paths, gamma_th):
-        exact.append(len(paths))
-        return real_step(directs, paths, gamma_th)
+    def step_spy(direct, miss, gates, *args):
+        exact.append(len(gates))
+        return real_step(direct, miss, gates, *args)
 
     with monkeypatch.context() as m:
         m.setattr(analytic, "bin_relay_sum", bin_spy)
@@ -857,10 +862,9 @@ def test_each_edge_is_built_once_per_step_outages_call_for_both_sources(monkeypa
 
 
 def _exact_inputs(topo, cfg):
-    """Both sources' direct links and gated paths, as ``step_outages`` builds them."""
+    """Both sources' direct rates and relays, rows of one link table."""
     links = link_rates(topo, cfg)
-    return ([LinkParam(float(rate)) for rate in links.direct],
-            [GatedPaths(gates, links.relay_dest) for gates in links.gates])
+    return links.direct.tolist(), [Paths(gates, links.relay_dest) for gates in links.gates]
 
 
 def test_stacked_exact_steps_keep_each_sources_bits(paper_setup):
@@ -875,13 +879,13 @@ def test_stacked_exact_steps_keep_each_sources_bits(paper_setup):
         for p in powers:
             at = replace(cfg, power_dbm=float(p))
             directs, paths = _exact_inputs(topo, at)
-            open_ = [int((path.gate_probs < 1.0).sum()) for path in paths]
+            open_ = [int((path.gates < 1.0).sum()) for path in paths]
             if not all(open_):
                 continue
             if open_[0] != open_[1]:
                 uneven.add((name, p))
-            both = relay_step_outages(directs, paths, at.gamma_th)
-            alone = [relay_step_outages([d], [path], at.gamma_th)[0] for d, path in zip(directs, paths)]
+            both = exact_steps(directs, paths, at.gamma_th)
+            alone = [exact_steps([d], [path], at.gamma_th)[0] for d, path in zip(directs, paths)]
             assert _bits(both) == _bits(alone), (name, p)
     # One source closes a relay the other keeps open at 23 points of this
     # 1 dB grid.
@@ -956,7 +960,7 @@ def test_the_exact_step_answers_an_open_relay_with_an_snr_of_0(direct, rates, wa
     # nothing to the sum, and the decode sets it alone opens still count.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        [got] = relay_step_outages([LinkParam(direct)], [GatedPaths(np.array([0.5, 0.3, 0.6]), np.array(rates))], 1.0)
+        [got] = exact_steps([direct], [gated(np.array([0.5, 0.3, 0.6]), np.array(rates))], 1.0)
     assert abs(got - want) <= np.spacing(want)
 
 
@@ -964,10 +968,10 @@ def test_uniformized_relay_sum_takes_an_untimed_relay_at_once():
     # At g = 0 only the decode sets with relay 2 and no timed relay are
     # below: 0.5 * 0.6 * (1 - 0.3).  At g = 1 it is the step above with a
     # direct SNR of 0, times P(some relay decoded) = 0.91.
-    paths = GatedPaths(np.array([0.5, 0.3, 0.6]), np.array([1.0, math.inf, 2.0]))
+    paths = gated(np.array([0.5, 0.3, 0.6]), np.array([1.0, math.inf, 2.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = relay_sum_cdf_uniformized(paths, [0.0, 1.0])
+        got = relay_sum_cdf_uniformized(*paths, [0.0, 1.0])
     assert got.tolist() == pytest.approx([0.21, 0.71701581448350591 * 0.91], rel=1e-15, abs=0.0)
 
 
@@ -976,7 +980,7 @@ def test_the_exact_step_answers_a_direct_snr_of_0():
     # step is P(R <= 1 | some relay decoded), R one exponential or their sum.
     alone = -math.expm1(-1.0) - math.expm1(-2.0)
     both = 1.0 - 2.0 * math.exp(-1.0) + math.exp(-2.0)
-    got = relay_step_outages([LinkParam(math.inf)], [GatedPaths(np.array([0.5, 0.5]), np.array([1.0, 2.0]))], 1.0)
+    got = exact_steps([math.inf], [gated(np.array([0.5, 0.5]), np.array([1.0, 2.0]))], 1.0)
     assert got == [pytest.approx(0.25 * (alone + both) / 0.75, rel=1e-15, abs=0.0)]
 
 
@@ -993,7 +997,7 @@ def test_a_direct_snr_of_0_takes_the_relay_sum_alone_at_every_bin_count(layout, 
         warnings.simplefilter("error")
         outs = step_outages(topo, cfg)
         paths = source_links(topo, cfg, 1)[1]
-        want = relay_sum_cdf_uniformized(paths, [cfg.gamma_th])[0] / (1.0 - paths.empty)
+        want = relay_sum_cdf_uniformized(*paths, [cfg.gamma_th])[0] / (1.0 - paths.gates.prod())
     assert link_rates(topo, cfg).direct[0] == math.inf and outs[1].bcast == 1.0
     assert outs[1].relay == pytest.approx(want, rel=1e-15, abs=0.0)
 
@@ -1004,10 +1008,74 @@ def test_a_fully_shut_source_reads_1_and_the_other_keeps_its_bits(paper_setup, n
     topo, cfg = paper_setup
     low = replace(cfg, power_dbm=-20.0, granularity=n)
     directs, paths = _exact_inputs(topo, low)
-    assert paths[1].empty == 1.0 and paths[0].empty < 1.0
+    assert paths[1].gates.prod() == 1.0 and paths[0].gates.prod() < 1.0
     outs = step_outages(topo, low)
     assert outs[2].relay == 1.0
-    assert _bits(outs[1].relay) == _bits(relay_step_outages(directs[:1], paths[:1], low.gamma_th)[0])
+    assert _bits(outs[1].relay) == _bits(exact_steps(directs[:1], paths[:1], low.gamma_th)[0])
+
+
+def _parent_bins_closed_form(gates, rates, granularity, theta=None):
+    """The per-source test ``relay_plan`` took over, frozen as its
+    reference: whether one source's relay step bins the closed form."""
+    return (2 <= granularity < BLOCK_ROWS and float(gates.prod()) < 1.0 and len(rates) <= MAX_RELAYS_CLOSED_FORM
+            and analytic._condition(analytic._pole_ratios(rates) if theta is None else theta) <= analytic._MAX_CONDITION)
+
+
+def _parent_relay_plan(links, n):
+    """The decision ``relay_plan`` made with per-source gated paths, frozen
+    as its reference: the sources whose relay step is taken, and whether
+    they bin the closed form."""
+    if not links.miss.any():
+        return [], False
+    empty = [float(gates.prod()) for gates in links.gates]
+    opened = [s for s in range(2) if empty[s] < 1.0
+              and (links.direct[s] < math.inf or links.relay_dest[links.gates[s] < 1.0].min() < math.inf)]
+    theta = (analytic._pole_ratios(links.relay_dest) if opened and 2 <= n < BLOCK_ROWS
+             and links.direct[opened].max() < math.inf else None)
+    return opened, theta is not None and _parent_bins_closed_form(links.gates[opened[0]], links.relay_dest, n, theta)
+
+
+def _decision_tables():
+    """Link tables of the paper layout, the 1-, 10- (tied), 16- and 24-relay
+    lines and every float-edge layout of ``layouts``, from -30 to 60 dBm in
+    5 dB steps and at each edge setup's own power, with and without relay
+    cooperation, and at a zero threshold; what ``link_rates`` refuses is skipped."""
+    paper, cfg = default_paper_setup()
+    setups = [(paper, cfg), *((line_topology(m), cfg) for m in (1, 10, 16, 24)),
+              *((underflow_topology(origin), cfg) for origin in ((20.0, 20.0), (100.0, 0.0))),
+              *((far_topology(node), cfg) for node in ("source1", "relay1", "destination")),
+              (near_source_topology(), cfg),
+              *(zero_snr_direct_setup(layout) for layout in ("separated", "open-relay", "tied")),
+              subnormal_rate_setup()]
+    for topo, base in setups:
+        for power in sorted({*range(-30, 61, 5), base.power_dbm}):
+            for edit in ({}, {"rate_r0": 1e-17}):
+                at = replace(base, power_dbm=float(power), **edit)
+                for cooperate in (True, False):
+                    try:
+                        yield link_rates(topo, at, cooperate)
+                    except ConfigError:
+                        pass
+
+
+def test_relay_plan_decides_as_the_per_source_test_it_replaced():
+    seen = set()
+    for links in _decision_tables():
+        for n in (1, 2, 1000, BLOCK_ROWS - 1, BLOCK_ROWS):
+            opened, theta = relay_plan(links, n)
+            assert (opened, theta is not None) == _parent_relay_plan(links, n), (links, n)
+            if theta is not None:
+                assert _bits(theta) == _bits(analytic._pole_ratios(links.relay_dest))
+            seen.add((tuple(opened), theta is not None))
+    # Every outcome occurs: no step, either source's alone or both, binned or exact.
+    assert seen == {((), False), *(((*opened,), binned) for opened in ([0], [1], [0, 1]) for binned in (False, True))}
+
+
+def test_the_empty_decode_set_is_each_row_of_gates_multiplied_out():
+    tables = list(_decision_tables())
+    assert len(tables) > 1000
+    for links in tables:
+        assert _bits(links.empty) == _bits([np.prod(gates) for gates in links.gates])
 
 
 @pytest.mark.parametrize("case", ["noiseless", "zero-threshold", "tied", "ill-conditioned", "21-relays", "all-fail"])
@@ -1100,10 +1168,10 @@ def test_tied_and_infinite_rates_fail_the_bound_without_a_warning(paper_setup):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for rates in ([2.0, 2.0], [math.inf, math.inf], [1.0, math.inf], [math.inf, 1.0, math.inf], [1.0, 2.0, 1.0]):
-            paths = GatedPaths([0.3] * len(rates), rates)
-            assert not bins_closed_form(paths, 1000), rates
+            paths = gated([0.3] * len(rates), rates)
+            assert not bins(paths, 1000), rates
             with pytest.raises(ConfigError, match="pairwise distinct, finite rates"):
-                relay_sum_cdf(paths)
+                relay_sum_cdf(*paths)
         outs = step_outages(line_topology(10), paper_setup[1])
     assert all(0.0 < out.relay < 1.0 for out in outs.values())
 
@@ -1238,15 +1306,15 @@ def test_closed_form_bins_match_the_series_small_m():
         m = int(rng.integers(1, 5))
         gates = random_gates(rng, m)
         gamma_th = 1.5 / gates.rates.min()
-        closed = binned_relay_sum(relay_sum_cdf(gates), gamma_th, n)
+        closed = binned_relay_sum(relay_sum_cdf(*gates), gamma_th, n)
         assert np.max(np.abs(closed.probs - series_bins(gates, gamma_th, n).probs)) < 1e-12
 
 
 def test_numeric_cdf_tracks_closed_form():
-    gates = GatedPaths([0.3, 0.6, 0.1], [1.0, 2.2, 3.1])
+    gates = gated([0.3, 0.6, 0.1], [1.0, 2.2, 3.1])
     grid = np.linspace(0.2, 6.0, 25)
-    closed = relay_sum_cdf(gates)(grid)
-    numeric = numeric_relay_sum_cdf(gates, grid)
+    closed = relay_sum_cdf(*gates)(grid)
+    numeric = numeric_relay_sum_cdf(*gates, grid)
     assert np.max(np.abs(closed - numeric)) < 1e-5
 
 
@@ -1272,8 +1340,8 @@ def test_exact_step_agrees_with_the_binned_closed_form(paper_setup, power_dbm):
     outs = step_outages(topo, low)
     for source in (1, 2):
         direct, gates = source_links(topo, low, source)
-        assert bins_closed_form(gates, low.granularity)
-        exact = relay_step_outages([LinkParam(direct)], [gates], low.gamma_th)[0]
+        assert bins(gates, low.granularity)
+        exact = exact_steps([direct], [gates], low.gamma_th)[0]
         assert outs[source].relay <= exact
         assert abs(outs[source].relay - exact) < 5.0 / low.granularity * exact
 
@@ -1289,13 +1357,13 @@ def test_closed_form_relay_step_agrees_with_the_series_bins(paper_setup, power_d
     outs = step_outages(topo, low)
     for source in (1, 2):
         direct, gates = source_links(topo, low, source)
-        assert bins_closed_form(gates, n)
-        cdf = relay_sum_cdf(gates)
+        assert bins(gates, n)
+        cdf = relay_sum_cdf(*gates)
         floor = 64.0 * np.finfo(float).eps * np.abs(cdf.coeff_per_rate).sum()
         series = series_bins(gates, low.gamma_th, n)
         closed = binned_relay_sum(cdf, low.gamma_th, n)
         assert np.max(np.abs(series.probs - closed.probs)) < floor
-        relay = step2_outage(series, bin_conditional_direct(LinkParam(direct), low.gamma_th, n), gates)
+        relay = step2_outage(series, direct_bins(direct, low.gamma_th, n), float(gates.gates.prod()))
         assert abs(relay - outs[source].relay) < floor
 
 
@@ -1305,7 +1373,7 @@ def _relay_step_60(direct_rate, gamma_th, paths):
     absorb} / ((1 - e^{-lam_d g}) (1 - prod a)).  Tied rates need no care."""
     mp = pytest.importorskip("mpmath").mp
     with mp.workdps(60):
-        a = [mp.mpf(v) for v in paths.gate_probs.tolist()]
+        a = [mp.mpf(v) for v in paths.gates.tolist()]
         lam = [mp.mpf(v) for v in paths.rates.tolist()]
         lam_d, g, m = mp.mpf(direct_rate), mp.mpf(gamma_th), len(a)
         absorb, empty = m + 1, m + 2
@@ -1393,7 +1461,7 @@ def test_exact_step_does_not_depend_on_the_granularity(layout, ns):
         assert len(bits) == 1, (power, bits)
         for source in (1, 2):
             direct, paths = source_links(topo, cfg, source)
-            exact = relay_step_outages([LinkParam(direct)], [paths], cfg.gamma_th)[0]
+            exact = exact_steps([direct], [paths], cfg.gamma_th)[0]
             assert _bits(step_outages(topo, replace(cfg, granularity=ns[0]))[source].relay) == _bits(exact)
 
 
@@ -1408,24 +1476,23 @@ def test_the_closed_form_is_binned_up_to_4095_bins_and_exact_from_4096(paper_set
     below, at = (step_outages(topo, replace(cfg, granularity=n)) for n in (BLOCK_ROWS - 1, BLOCK_ROWS))
     for source in (1, 2):
         direct, paths = source_links(topo, cfg, source)
-        assert bins_closed_form(paths, BLOCK_ROWS - 1) and not bins_closed_form(paths, BLOCK_ROWS)
+        assert bins(paths, BLOCK_ROWS - 1) and not bins(paths, BLOCK_ROWS)
         assert below[source].relay.hex() == BINNED_AT_4095[source]
-        assert _bits(at[source].relay) == _bits(relay_step_outages([LinkParam(direct)], [paths], cfg.gamma_th)[0])
+        assert _bits(at[source].relay) == _bits(exact_steps([direct], [paths], cfg.gamma_th)[0])
         assert (below[source].bcast, below[source].empty) == (at[source].bcast, at[source].empty)
 
 
 def test_exact_step_ignores_closed_gates():
     # Uniformized at its rate, the closed relay would set Lam gamma = 1e9.
-    direct = LinkParam(1.3)
-    with_closed = GatedPaths([0.3, 1.0, 0.6], [1.0, 1e9, 2.2])
-    without = GatedPaths([0.3, 0.6], [1.0, 2.2])
-    [got] = relay_step_outages([direct], [with_closed], 1.0)
-    assert _bits(got) == _bits(relay_step_outages([direct], [without], 1.0)[0]) and 0.0 < got < 1.0
+    with_closed = gated([0.3, 1.0, 0.6], [1.0, 1e9, 2.2])
+    without = gated([0.3, 0.6], [1.0, 2.2])
+    [got] = exact_steps([1.3], [with_closed], 1.0)
+    assert _bits(got) == _bits(exact_steps([1.3], [without], 1.0)[0]) and 0.0 < got < 1.0
     # A source with every gate closed is refused, alone or beside an open one.
-    shut = GatedPaths([1.0] * 3, with_closed.rates)
-    for sources in ([shut], [without, shut]):
+    shut = gated([1.0] * 3, with_closed.rates)
+    for sources in ([shut], [with_closed, shut]):
         with pytest.raises(ConditioningError, match="no relay can ever decode"):
-            relay_step_outages([direct] * len(sources), sources, 1.0)
+            exact_steps([1.3] * len(sources), sources, 1.0)
 
 
 @pytest.mark.parametrize("layout", ["line10", "line24", "near-pair"])
@@ -1454,9 +1521,8 @@ def test_exact_step_refuses_a_series_past_its_cap():
         step_outages(topo, replace(cfg, power_dbm=-44.0))
 
 
-def _step2_by_convolution(relay_pmf, direct_pmf, gates):
+def _step2_by_convolution(relay_pmf, direct_pmf, empty_prob):
     """Frozen reference: the relay step by a full O(n^2) convolution."""
-    empty_prob = float(np.prod(gates.gate_probs))
     n = relay_pmf.granularity
     combined = np.convolve(relay_pmf.probs, direct_pmf.probs)
     # Raw convolution index k (0-based) holds bin-index sum k+2.
@@ -1469,9 +1535,9 @@ def _paper_pmfs(power_dbm, n):
     for source in (1, 2):
         direct, gates = source_links(topo, cfg, source)
         yield (
-            binned_relay_sum(relay_sum_cdf(gates), cfg.gamma_th, n),
-            bin_conditional_direct(LinkParam(direct), cfg.gamma_th, n),
-            gates,
+            binned_relay_sum(relay_sum_cdf(*gates), cfg.gamma_th, n),
+            direct_bins(direct, cfg.gamma_th, n),
+            float(np.prod(gates.gates)),
         )
 
 
@@ -1480,14 +1546,14 @@ def test_step2_prefix_sum_matches_the_convolution(n):
     rng = np.random.default_rng(20_000 + n)
     cases = [c for p in (-10.0, 0.0, 10.0, 20.0, 30.0) for c in _paper_pmfs(p, n)]
     for _ in range(20):
-        gates = GatedPaths(rng.uniform(0.0, 0.9, 3), np.ones(3))
+        empty = float(np.prod(rng.uniform(0.0, 0.9, 3)))
         relay, direct = (rng.random(n) * rng.random(n) ** 4 for _ in range(2))
         cases.append((
             BinnedPmf(relay / relay.sum() * rng.uniform(0.1, 1.0), 1.0, n),
             BinnedPmf(direct / direct.sum(), 1.0, n),
-            gates,
+            empty,
         ))
-    for relay_pmf, direct_pmf, gates in cases:
-        got = step2_outage(relay_pmf, direct_pmf, gates)
-        ref = _step2_by_convolution(relay_pmf, direct_pmf, gates)
+    for relay_pmf, direct_pmf, empty in cases:
+        got = step2_outage(relay_pmf, direct_pmf, empty)
+        ref = _step2_by_convolution(relay_pmf, direct_pmf, empty)
         assert abs(got - ref) <= 1e-13 * ref

@@ -769,6 +769,24 @@ def _spec(**edits) -> dict:
                  "trials": 10_000}, **edits)
 
 
+# Every command that reads a configuration file, and its id.
+EVERY_COMMAND = [(command, f"{command[0]}{'-' + command[2] if command[0] == 'simulate' else ''}")
+                 for command in (["analyze"], ["dump-chain"], ["validate", "--trials", "2000"],
+                                 *(["simulate", "--scheme", s, "--trials", "2000"] for s in ALL_SCHEMES),
+                                 ["sweep", "--allow-small-trials", "--spec", "{spec}", "--out", "{out}"])]
+
+# A topology's numbers are checked as the system's are.  Read with float(),
+# "20" was the point (2, 0), a third entry was dropped and JSON's `true` was 1.
+MALFORMED_TOPOLOGIES = [
+    ("string-coordinate", {"s1": "20"}, "a coordinate must be two finite real numbers, got '20'"),
+    ("string-relays", {"relays": ["55", "45"]}, "a coordinate must be two finite real numbers, got '55'"),
+    ("three-numbers", {"s1": [20, 20, 99]}, "a coordinate must be two finite real numbers, got [20, 20, 99]"),
+    ("boolean-coordinate", {"s1": [True, 20]}, "a coordinate must be two finite real numbers, got [True, 20]"),
+    ("boolean-alpha", {"alpha": True}, "path-loss exponent must be a positive real number, got True"),
+    ("string-alpha", {"alpha": "3"}, "path-loss exponent must be a positive real number, got '3'"),
+]
+
+
 @pytest.mark.parametrize(
     "flag, content, message",
     [
@@ -856,11 +874,12 @@ def _spec(**edits) -> dict:
         # 2 / 1e-320 is inf (a JSON ValueError, or inf in the sweep's CSV).
         *(pytest.param(("--config", command), dict(_paper_config(), system={"bandwidth_units": bw, "power_units": pw}),
                        f"error: bandwidth_units {bw} and power_units {pw} must be positive with a product of at "
-                       "least 2.225e-308\n", id=f"units-{bw}-{command[0]}{'-' + command[2] if command[0] == 'simulate' else ''}")
+                       "least 2.225e-308\n", id=f"units-{bw}-{name}")
           for bw, pw in ((1e-300, 1e-300), (1e-320, 1.0))
-          for command in (["analyze"], ["dump-chain"], ["validate", "--trials", "2000"],
-                          *(["simulate", "--scheme", s, "--trials", "2000"] for s in ALL_SCHEMES),
-                          ["sweep", "--allow-small-trials", "--spec", "{spec}", "--out", "{out}"])),
+          for command, name in EVERY_COMMAND),
+        *(pytest.param(("--config", command), _paper_config(**edit), f"error: {message}\n", id=f"{case}-{name}")
+          for case, edit, message in MALFORMED_TOPOLOGIES
+          for command, name in EVERY_COMMAND),
     ],
 )
 def test_cli_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, flag, content, message):
@@ -1101,7 +1120,7 @@ def test_analyze_computes_its_step_outages_once(monkeypatch, tmp_path, where, ro
     assert main([*argv, "--out", str(tmp_path / "a.json")]) == 0
     assert len(links) == 1  # both sources' links, in one table
     assert [len(cdfs) for cdfs, *_ in binned] == ([2] if rows else [])
-    assert (built, [len(paths) for _, paths, _ in steps]) == (rows, exact)
+    assert (built, [len(gates) for _, _, gates, _, _ in steps]) == (rows, exact)
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "unmemoized.json").read_bytes()
 
 

@@ -9,7 +9,6 @@ import pytest
 from mdma_relay.topology import (
     ConfigError,
     DegenerateGeometryError,
-    LinkParam,
     NetworkTopology,
     SystemConfig,
     default_paper_setup,
@@ -63,6 +62,40 @@ def test_invalid_topology_inputs():
         NetworkTopology((0, 0), (1, 1), (2, 2), [(3, 3)], alpha=0.0)
     with pytest.raises(ConfigError):
         NetworkTopology((math.nan, 0), (1, 1), (2, 2), [(3, 3)], alpha=3)
+
+
+@pytest.mark.parametrize("edit, got", [
+    ({"s1_pos": "20"}, "'20'"),  # float() of each character would read (2, 0)
+    ({"relay_pos": ["55", "45"]}, "'55'"),
+    ({"s1_pos": (20, 20, 99)}, "(20, 20, 99)"),
+    ({"s1_pos": (True, 20)}, "(True, 20)"),
+    ({"d_pos": 100}, "100"),
+    ({"s2_pos": (10**400, 0)}, f"({10**400}, 0)"),
+    ({"relay_pos": [(50, math.inf)]}, "(50, inf)"),
+    ({"s1_pos": (math.nan, 0)}, "(nan, 0)"),
+], ids=["string", "string-relays", "three-numbers", "boolean", "one-number", "integer-past-the-float-range", "infinite",
+        "nan"])
+def test_a_coordinate_is_exactly_two_real_numbers(edit, got):
+    fields = dict(s1_pos=(20, 20), s2_pos=(0, 20), d_pos=(100, 0), relay_pos=[(50, 5)])
+    with pytest.raises(ConfigError) as err:
+        NetworkTopology(**dict(fields, **edit))
+    assert str(err.value) == f"a coordinate must be two finite real numbers, got {got}"
+
+
+@pytest.mark.parametrize("alpha", [True, "3", None, 0, -1.0, math.inf, math.nan, 10**400])
+def test_the_path_loss_exponent_is_a_positive_real_number(alpha):
+    with pytest.raises(ConfigError) as err:
+        NetworkTopology((20, 20), (0, 20), (100, 0), [(50, 5)], alpha)
+    assert str(err.value) == f"path-loss exponent must be a positive real number, got {alpha!r}"
+
+
+def test_a_topology_takes_any_real_numbers_as_floats():
+    topo = NetworkTopology(np.array([20, 20]), (np.float32(0.0), 20), [100, 0], [(50, np.int64(5))], 3)
+    assert (topo.s1_pos, topo.s2_pos, topo.d_pos, topo.relay_pos) == ((20.0, 20.0), (0.0, 20.0), (100.0, 0.0),
+                                                                       ((50.0, 5.0),))
+    assert all(type(v) is float for p in (topo.s1_pos, topo.s2_pos, topo.d_pos, *topo.relay_pos) for v in p)
+    assert type(topo.alpha) is float and topo.alpha == 3.0
+    assert topo == NetworkTopology((20.0, 20.0), (0.0, 20.0), (100.0, 0.0), ((50.0, 5.0),), 3.0)
 
 
 def test_distance_symmetry():
@@ -184,14 +217,6 @@ def test_the_link_table_has_the_bits_of_the_per_source_formulas():
                         want = _per_source_reference(layout, at, s, cooperate)
                         assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want], (
                             layout.num_relays, power, edit, cooperate, s)
-
-
-def test_link_param_validation():
-    with pytest.raises(ConfigError):
-        LinkParam(0.0)
-    with pytest.raises(ConfigError):
-        LinkParam(-1.0)
-    assert LinkParam(2.0).mean_snr == 0.5
 
 
 def test_config_validation():
